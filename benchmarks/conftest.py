@@ -3,10 +3,11 @@
 Every bench regenerates one table or figure of the paper (see DESIGN.md
 for the experiment index).  Corpora and their representations are built
 once per session and shared; each bench prints its reproduced rows/series
-through the ``report`` fixture, which also writes them to
-``benchmarks/reports/`` and echoes everything in the terminal summary
-(so ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
-captures the actual numbers).
+through the ``report`` fixture, which echoes everything in the terminal
+summary (so ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
+captures the actual numbers) and, only under ``--write-reports``,
+regenerates the tracked files in ``benchmarks/reports/`` -- a plain test
+run must leave the tree clean.
 """
 
 from __future__ import annotations
@@ -40,9 +41,14 @@ _REPORTS: list[tuple[str, str]] = []
 class Reporter:
     """Collects printable tables/series for one bench."""
 
+    def __init__(self, write_files: bool) -> None:
+        self.write_files = write_files
+
     def table(self, title: str, headers, rows) -> None:
         text = format_table(headers, rows)
         _REPORTS.append((title, text))
+        if not self.write_files:
+            return
         REPORTS_DIR.mkdir(exist_ok=True)
         slug = title.lower().replace(" ", "_").replace("/", "-")[:60]
         (REPORTS_DIR / f"{slug}.txt").write_text(f"{title}\n{text}\n")
@@ -52,8 +58,8 @@ class Reporter:
 
 
 @pytest.fixture
-def report() -> Reporter:
-    return Reporter()
+def report(request) -> Reporter:
+    return Reporter(request.config.getoption("--write-reports"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

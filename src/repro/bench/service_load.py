@@ -25,8 +25,8 @@ The module also has a *sharded mode*: :func:`run_sharded_comparison`
 seeds the same corpus into a single-database service and an N-shard
 service, drives both with the same load, and reports the two
 throughput/latency profiles side by side.  ``python -m
-repro.bench.service_load`` runs it from the command line and writes the
-report under ``benchmarks/reports/``.
+repro.bench.service_load`` runs it from the command line and prints the
+report (``--out PATH`` also writes it to a file).
 
 A third *failover mode* (``--mode failover``,
 :func:`run_failover_demo`) measures the availability story: it starts a
@@ -42,9 +42,9 @@ A fifth *backends mode* (``--mode backends``,
 :func:`run_backend_comparison`) compares the two serving front ends on
 the thread-pinning scenario the ROADMAP names: N slow filescans held
 in flight while fast indexed queries keep arriving.  It reports each
-backend's fast-query latency profile alone and under that load, and
-writes the report under ``benchmarks/reports/``.  The other modes also
-accept ``--backend`` to run their whole scenario on either front end.
+backend's fast-query latency profile alone and under that load.  The
+other modes also accept ``--backend`` to run their whole scenario on
+either front end.
 
 A fourth *rebalance mode* (``--mode rebalance``,
 :func:`run_rebalance_demo`) measures online shard maintenance: it
@@ -345,11 +345,7 @@ def run_sharded_comparison(
     subprocess behind the fan-out router.
     """
     from ..ocr.corpus import make_ca
-    from ..service import (
-        start_service,
-        start_sharded_service,
-        start_worker_service,
-    )
+    from ..service import start_service, start_sharded_service
 
     corpus = make_ca(num_docs=docs, lines_per_doc=lines, seed=1)
     load_kwargs = dict(
@@ -359,51 +355,40 @@ def run_sharded_comparison(
         repeats=repeats,
         trace_sample=trace_sample,
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        single = start_service(
-            f"{tmp}/single.db", k=k, m=m, pool_size=4, backend=backend
-        )
+
+    def measure(running) -> LoadResult:
         try:
-            _ingest_over_http(single.base_url, corpus)
-            single_result = run_search_load(
-                single.base_url, list(patterns), **load_kwargs
+            _ingest_over_http(running.base_url, corpus)
+            return run_search_load(
+                running.base_url, list(patterns), **load_kwargs
             )
         finally:
-            single.stop()
-        sharded = start_sharded_service(
-            f"{tmp}/shards",
-            num_shards,
-            k=k,
-            m=m,
-            pool_size=2,
-            range_width=range_width,
-            backend=backend,
-        )
-        try:
-            _ingest_over_http(sharded.base_url, corpus)
-            sharded_result = run_search_load(
-                sharded.base_url, list(patterns), **load_kwargs
-            )
-        finally:
-            sharded.stop()
-        workers_result = None
-        if worker_procs:
-            workers = start_worker_service(
-                f"{tmp}/workers",
+            running.stop()
+
+    def sharded_topology(name: str, in_worker_procs: bool) -> LoadResult:
+        return measure(
+            start_sharded_service(
+                f"{tmp}/{name}",
                 num_shards,
                 k=k,
                 m=m,
                 pool_size=2,
                 range_width=range_width,
                 backend=backend,
+                worker_procs=in_worker_procs,
             )
-            try:
-                _ingest_over_http(workers.base_url, corpus)
-                workers_result = run_search_load(
-                    workers.base_url, list(patterns), **load_kwargs
-                )
-            finally:
-                workers.stop()
+        )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        single_result = measure(
+            start_service(
+                f"{tmp}/single.db", k=k, m=m, pool_size=4, backend=backend
+            )
+        )
+        sharded_result = sharded_topology("shards", False)
+        workers_result = (
+            sharded_topology("workers", True) if worker_procs else None
+        )
     return ShardedComparison(
         num_shards=num_shards,
         corpus_lines=corpus.num_lines,
@@ -1075,7 +1060,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         default=None,
-        help="report path ('-' prints only; default depends on --mode)",
+        help="also write the report to this path (default and '-': "
+             "print only)",
     )
     parser.add_argument(
         "--history-dir",
@@ -1100,7 +1086,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{args.slow_inflight} fullsfa filescans are in flight"
         )
         text = f"{title}\n{comparison.report()}\n"
-        out_default = "benchmarks/reports/service_backend_asyncio.txt"
         failed = not comparison.clean
         for profile in comparison.profiles:
             bench_metrics.update(
@@ -1137,7 +1122,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "mid-load"
         )
         text = f"{title}\n{demo.report()}\n"
-        out_default = "benchmarks/reports/service_rebalance_under_load.txt"
         failed = not demo.passed
         for window, result in (
             ("before", demo.before),
@@ -1171,7 +1155,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "one replica file deleted mid-load"
         )
         text = f"{title}\n{demo.report()}\n"
-        out_default = "benchmarks/reports/service_failover_kill_replica.txt"
         failed = not demo.zero_downtime
         for window, result in (
             ("before", demo.before),
@@ -1208,7 +1191,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if comparison.workers is not None:
             title += " (in-process and subprocess workers)"
         text = f"{title}\n{comparison.report()}\n"
-        out_default = "benchmarks/reports/service_throughput.txt"
         failed = bool(
             comparison.single.errors
             or comparison.sharded.errors
@@ -1229,9 +1211,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "worker_procs": args.worker_procs,
         }
     print(text, end="")
-    out_arg = args.out if args.out is not None else out_default
-    if out_arg != "-":
-        out = pathlib.Path(out_arg)
+    if args.out not in (None, "-"):
+        out = pathlib.Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
         print(f"report written to {out}")

@@ -113,7 +113,6 @@ from .server import (
     serve_forever,
     start_service,
     start_sharded_service,
-    start_worker_service,
 )
 from .shards import (
     RoutingTable,
@@ -121,7 +120,8 @@ from .shards import (
     ShardedQueryService,
     shard_for_doc,
 )
-from .workers import ShardWorkerService, WorkerRouterService
+from .legs import LocalLeg, ShardLeg
+from .workers import ShardWorkerService, WorkerLeg, WorkerRouterService
 from .validation import ApiError
 
 __all__ = [
@@ -151,7 +151,9 @@ __all__ = [
     "serve_forever",
     "start_service",
     "start_sharded_service",
-    "start_worker_service",
+    "ShardLeg",
+    "LocalLeg",
+    "WorkerLeg",
     "ShardWorkerService",
     "WorkerRouterService",
 ]

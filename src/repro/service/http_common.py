@@ -161,11 +161,12 @@ def split_query(target: str) -> dict[str, str]:
 
 
 def known_endpoints() -> list[str]:
-    """The endpoint list quoted in 404 bodies."""
-    known = sorted(GET_ROUTES) + sorted(POST_ROUTES)
-    known += [f"{prefix}<id>" for prefix in sorted(GET_ARG_ROUTES)]
-    known += [f"DELETE {prefix}<id>" for prefix in sorted(DELETE_ARG_ROUTES)]
-    return known
+    """Every public route, as quoted in 404 bodies and the startup banner."""
+    return [
+        f"{method} {path}"
+        for method, (exact, by_prefix, _) in sorted(_METHOD_TABLES.items())
+        for path in sorted(exact) + [f"{p}<id>" for p in sorted(by_prefix)]
+    ]
 
 
 def not_found(path: str) -> ApiError:
@@ -323,7 +324,13 @@ def dispatch(
     ``"profile"``.
     """
     try:
-        method = getattr(service, routed.endpoint)
+        method = getattr(service, routed.endpoint, None)
+        if method is None:
+            # A public route this service does not implement (a shard
+            # worker process serves only its private RPC surface).
+            raise ApiError(
+                404, f"{routed.endpoint!r} is not served here", "not_found"
+            )
         profiler = getattr(service, "profiler", None)
         with contextlib.ExitStack() as stack:
             if profiler is not None and profiler.enabled:

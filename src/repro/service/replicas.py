@@ -401,6 +401,19 @@ class ReplicaSet:
         with self._lock:
             return len(self._replicas)
 
+    def live_replica(self) -> Replica | None:
+        """A copy that holds every committed write and is still on disk
+        (the primary unless it is stale or lost): what a re-sync or a
+        rebalance copies from."""
+        return next(
+            (
+                r
+                for r in self.replicas()
+                if not r.stale and os.path.exists(r.path)
+            ),
+            None,
+        )
+
     def healthy(self) -> list[Replica]:
         """Replicas currently in the read rotation."""
         return [
@@ -547,14 +560,7 @@ class ReplicaSet:
         snapshot and no batch can land between the copy and the new
         replica joining the rotation.
         """
-        source = next(
-            (
-                r
-                for r in self.replicas()
-                if not r.stale and os.path.exists(r.path)
-            ),
-            None,
-        )
+        source = self.live_replica()
         if source is None:
             raise ReplicaUnavailable(
                 f"shard {self.shard_index}: no live replica to copy from"

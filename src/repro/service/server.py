@@ -12,7 +12,7 @@ Two entry points drive either backend (``backend="thread"`` or
 
 * :func:`start_service` / :func:`start_sharded_service` -- start in a
   background thread on an ephemeral port, returning a
-  :class:`RunningService` handle (tests, examples);
+  :class:`RunningService` handle (tests, examples, benchmarks);
 * :func:`serve_forever` -- blocking foreground server (the
   ``python -m repro serve`` command).
 """
@@ -36,6 +36,7 @@ from .http_common import (
     decode_json,
     dispatch,
     incomplete_body,
+    known_endpoints,
     resolve,
     respond,
     split_path,
@@ -310,6 +311,16 @@ def start_service(
     )
 
 
+def _shard_router(worker_procs: bool) -> type[ShardedQueryService]:
+    """The router class for a topology: the legs are all that differ."""
+    if not worker_procs:
+        return ShardedQueryService
+    # Imported lazily: workers.py imports this module for its own server.
+    from .workers import WorkerRouterService
+
+    return WorkerRouterService
+
+
 def start_sharded_service(
     shard_dir: str,
     num_shards: int,
@@ -317,40 +328,19 @@ def start_sharded_service(
     port: int = 0,
     backend: str = "thread",
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
+    worker_procs: bool = False,
     **service_kwargs,
 ) -> RunningService:
-    """Start a sharded query service in a daemon thread (tests, examples)."""
-    _check_backend(backend)
-    return _start_in_thread(
-        ShardedQueryService(shard_dir, num_shards, **service_kwargs),
-        host,
-        port,
-        backend=backend,
-        max_inflight=max_inflight,
-    )
+    """Start a sharded query service in a daemon thread (tests, examples).
 
-
-def start_worker_service(
-    shard_dir: str,
-    num_shards: int,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    backend: str = "thread",
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    **service_kwargs,
-) -> RunningService:
-    """Start the subprocess-worker topology in a daemon thread.
-
-    Same wire contract as :func:`start_sharded_service`, but each shard
-    is owned by a worker *process* (see :mod:`repro.service.workers`)
-    and the in-process side is only the fan-out router.
+    ``worker_procs`` puts each shard in a worker *process* (see
+    :mod:`repro.service.workers`) behind the same router and the same
+    wire contract.
     """
     _check_backend(backend)
-    # Imported lazily: workers.py imports from this module at top level.
-    from .workers import WorkerRouterService
-
+    router = _shard_router(worker_procs)
     return _start_in_thread(
-        WorkerRouterService(shard_dir, num_shards, **service_kwargs),
+        router(shard_dir, num_shards, **service_kwargs),
         host,
         port,
         backend=backend,
@@ -377,8 +367,8 @@ def serve_forever(
     Pass ``db_path`` for the single-database service, or ``shards`` and
     ``shard_dir`` for the shard router of :mod:`repro.service.shards`
     (optionally with ``replicas`` read copies per shard).
-    ``worker_procs`` promotes each shard to a worker subprocess behind
-    the fan-out router of :mod:`repro.service.workers`.
+    ``worker_procs`` promotes each shard to a worker subprocess (see
+    :mod:`repro.service.workers`) behind the same router.
     ``warm_start`` replays the last ``cache_snapshot`` job's output so
     the restarted service does not begin with a cold result cache.
     ``backend`` picks the front end: ``"thread"`` (one OS thread per
@@ -391,21 +381,13 @@ def serve_forever(
     if shards > 0:
         if shard_dir is None:
             raise ValueError("sharded serving needs --shard-dir")
+        router = _shard_router(worker_procs)
+        service: QueryService | ShardedQueryService = router(
+            shard_dir, shards, replicas=replicas, **service_kwargs
+        )
+        target = f"shards={shards} dir={shard_dir} replicas={replicas}"
         if worker_procs:
-            from .workers import WorkerRouterService
-
-            service: QueryService | ShardedQueryService = WorkerRouterService(
-                shard_dir, shards, replicas=replicas, **service_kwargs
-            )
-            target = (
-                f"shards={shards} dir={shard_dir} replicas={replicas} "
-                f"worker-procs"
-            )
-        else:
-            service = ShardedQueryService(
-                shard_dir, shards, replicas=replicas, **service_kwargs
-            )
-            target = f"shards={shards} dir={shard_dir} replicas={replicas}"
+            target += " worker-procs"
     else:
         if db_path is None:
             raise ValueError("serving needs --db (or --shards/--shard-dir)")
@@ -430,12 +412,7 @@ def serve_forever(
         f"staccato service listening on http://{bound_host}:{bound_port} "
         f"({target}, backend={backend})"
     )
-    print(
-        "endpoints: GET /health, GET /stats, GET /metrics, "
-        "GET /traces, GET /traces/<id>, POST /ingest, "
-        "POST /search, POST /sql, POST /index, POST /replicas, "
-        "POST /jobs, GET /jobs, GET /jobs/<id>, DELETE /jobs/<id>"
-    )
+    print("endpoints: " + ", ".join(known_endpoints()))
     # SIGTERM must take the same graceful path as Ctrl-C: the finally
     # block below is what terminates (and drains) the worker
     # subprocesses of a --worker-procs topology -- without this, a

@@ -1,8 +1,16 @@
-"""Sharded serving: one service routing over many StaccatoDB files.
+"""Sharded serving: one router over many StaccatoDB shards.
 
 One SQLite file stops scaling long before an OCR corpus does, so the
 service can run over N shards, each a complete StaccatoDB file holding a
-disjoint subset of the documents:
+disjoint subset of the documents.  The paper's answer is a ranked
+relation cut at ``NumAns``, evaluated line by line with no cross-line
+state, so partitioning by DocId is semantically invisible: every
+topology is "top-``NumAns`` merge of per-shard rankings".
+
+:class:`ShardedQueryService` is that router, written once against the
+:class:`~repro.service.legs.ShardLeg` seam -- the only code that knows
+*how* a shard is reached (in this process, or in a worker subprocess;
+see :mod:`repro.service.legs` and :mod:`repro.service.workers`):
 
 * **Routing** -- documents are partitioned by DocId range:
   ``shard_for_doc`` stripes contiguous ranges of ``range_width`` ids
@@ -13,33 +21,22 @@ disjoint subset of the documents:
   already present on some shard is routed back to that owner, so
   re-ingestion can never split one document across shards.
 * **Fan-out** -- ``/search`` and ``/sql`` execute on every scoped shard
-  concurrently (a :class:`~concurrent.futures.ThreadPoolExecutor` leg
-  per shard, each leg borrowing from that shard's reader pool) and the
-  per-shard ranked relations are merged by probability with stable
-  (DocId, LineNo, shard) tie-breaks -- identical answers and ranking to
-  one database holding the union.
-* **Replication** -- each shard may keep N read replicas (see
-  :mod:`repro.service.replicas`): writes re-apply to every copy under
-  the shard's write lock, reads round-robin over the healthy copies,
-  and a failing replica trips a circuit breaker while its in-flight
-  query retries transparently on a sibling.
+  concurrently (one leg per shard) and the per-shard ranked relations
+  are merged by probability with stable (DocId, LineNo, shard)
+  tie-breaks -- identical answers and ranking to one database holding
+  the union.  Identical concurrent misses coalesce onto one fan-out.
 * **Per-shard invalidation** -- every cache key embeds the shard scope
   it was computed over plus those shards' generation counters; an
   ingest or index rebuild bumps only the touched shards' generations
   and evicts only the entries that depended on them.
-* **``POST /index``** -- builds/rebuilds the dictionary index shard by
-  shard and broadcasts ``load_index`` to that shard's pool, no
-  out-of-band CLI step required.
-* **``POST /replicas``** -- attaches (online-backup copy of a live
-  sibling) or detaches one replica of one shard at runtime.
-* **Online rebalancing** -- a ``rebalance`` background job (see
-  :mod:`repro.service.jobs`) moves one DocId range between two live
-  shards under traffic: rows are copied to the target and its replicas
-  and verified, then ownership flips in a **single atomic publish** of
-  one immutable :class:`RoutingTable` (readers grab the whole table by
-  reference; they can never observe a range owned by both -- or
-  neither -- shard), then the source's rows are deleted and the moved
-  range's cache entries evicted.  While copies transiently exist on two
+* **``POST /index``** / **``POST /replicas``** -- build the dictionary
+  index shard by shard; attach or detach one replica of one shard.
+* **Online rebalancing** -- the ``rebalance`` job
+  (:mod:`repro.service.rebalance`) moves one DocId range between two
+  live shards under traffic; ownership flips in a **single atomic
+  publish** of one immutable :class:`RoutingTable` (readers grab the
+  whole table by reference; they can never observe a range owned by
+  both -- or neither -- shard).  While copies transiently exist on two
   shards, :func:`merge_ranked` de-duplicates by (DocId, LineNo) and
   ``/sql`` switches to a full-row plan whose aggregates the router
   recomputes, so answers stay exact through every phase.
@@ -52,44 +49,32 @@ HTTP layer in :mod:`repro.service.server` serves either unchanged.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import json
 import os
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from ..automata.regex import RegexError
-from ..db.engine import StaccatoDB, shard_paths
+from ..db.engine import shard_paths
 from ..db.sql import (
     SqlError,
     aggregate_full_rows,
-    execute_select,
     merge_shard_rows,
     parse_select,
-    shard_select,
-    shard_select_rows,
 )
-from ..ocr.corpus import Dataset, Document
-from ..ocr.engine import SimulatedOcrEngine
+from ..ocr.corpus import Document
 from ..query.answers import Answer
-from ..query.memo import KernelMemo
-from . import trace
-from .app import answer_row, check_pattern, index_fingerprint, run_search_plan
+from . import rebalance, trace
+from .app import answer_row, check_pattern
 from .cache import QueryCache, key_from_json, key_to_json
-from .jobs import Job, JobCancelled, JobEngine, JobsApi, atomic_write_json
+from .jobs import Job, JobEngine, JobsApi, atomic_write_json
+from .legs import LegDeadline, LocalLeg, ShardLeg
 from .metrics import ServiceMetrics
 from .profiler import SamplingProfiler
+from .replicas import DEFAULT_COOLDOWN_S, ReplicaUnavailable
 from .trace import ObservabilityApi, Tracer
-from .replicas import (
-    DEFAULT_COOLDOWN_S,
-    Replica,
-    ReplicaSet,
-    ReplicaUnavailable,
-    ordered_locks,
-)
 from .validation import (
     ApiError,
     validate_index,
@@ -115,9 +100,6 @@ __all__ = [
 #: spread out while each document still has exactly one owner.
 DEFAULT_RANGE_WIDTH = 64
 
-#: DocIds per IN(...) batch when probing shards for existing owners.
-_OWNER_PROBE_BATCH = 400
-
 #: In-flight placement entries retained (see ``_placements``).
 _PLACEMENTS_CAP = 65536
 
@@ -127,16 +109,16 @@ ROUTING_FILE = "routing.json"
 #: Sidecar files of the jobs subsystem inside the shard directory.
 JOBS_JOURNAL_FILE = "jobs.json"
 CACHE_SNAPSHOT_FILE = "cache-snapshot.json"
-#: Moves that may have left rows on two shards (recorded before the
-#: copy, cleared on convergence) -- reloaded at startup so ``/sql``
-#: keeps using the de-duplicating plan until a re-run converges.
-PENDING_MOVES_FILE = "rebalance-pending.json"
 
 #: Rounds an ingest batch may be re-dispatched when a concurrent
 #: rebalance moves its documents between placement and commit.  One
 #: hop settles a move (overrides are stable once published); the head
 #: room only covers back-to-back rebalances of the same range.
 _MAX_REROUTE_ROUNDS = 4
+
+#: Backstop on how long a coalesced miss waits for its leader (which
+#: releases its followers however it ends).
+_SINGLEFLIGHT_WAIT_S = 30.0
 
 
 def shard_for_doc(
@@ -262,110 +244,6 @@ class RoutingTable:
             pass  # persistence is best-effort; the live table is in memory
 
 
-class _MoveGate:
-    """Active rebalance moves, plus a drain barrier for SQL readers.
-
-    ``/sql`` legs return scalar aggregates that cannot be de-duplicated
-    after the fact, so a request must *know* a move is in flight before
-    any row can exist on two shards.  Readers register under the current
-    epoch and receive the active move list; :meth:`begin` publishes the
-    move, advances the epoch, and waits until every reader from older
-    epochs (who may have missed the move) has finished -- only then may
-    the rebalance start copying rows.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._moves: tuple[tuple[int, int, int, int], ...] = ()
-        self._epoch = 0
-        self._readers: dict[int, int] = {}
-
-    @contextlib.contextmanager
-    def read(self) -> Iterator[tuple[tuple[int, int, int, int], ...]]:
-        with self._cond:
-            epoch = self._epoch
-            self._readers[epoch] = self._readers.get(epoch, 0) + 1
-            moves = self._moves
-        try:
-            yield moves
-        finally:
-            with self._cond:
-                self._readers[epoch] -= 1
-                if not self._readers[epoch]:
-                    del self._readers[epoch]
-                    self._cond.notify_all()
-
-    @staticmethod
-    def _without_one(
-        moves: tuple[tuple[int, int, int, int], ...],
-        move: tuple[int, int, int, int],
-    ) -> tuple[tuple[int, int, int, int], ...]:
-        """``moves`` minus the *last* occurrence of ``move`` (identical
-        entries from an unconverged predecessor must survive)."""
-        for at in range(len(moves) - 1, -1, -1):
-            if moves[at] == move:
-                return moves[:at] + moves[at + 1:]
-        return moves
-
-    def begin(
-        self, move: tuple[int, int, int, int], timeout: float = 60.0
-    ) -> None:
-        with self._cond:
-            self._moves = self._moves + (move,)
-            self._epoch += 1
-            barrier = self._epoch
-            drained = self._cond.wait_for(
-                lambda: all(epoch >= barrier for epoch in self._readers),
-                timeout=timeout,
-            )
-            if not drained:
-                self._moves = self._without_one(self._moves, move)
-                raise TimeoutError(
-                    "rebalance could not start: queries from before the "
-                    f"move announcement did not drain within {timeout:.0f}s"
-                )
-
-    def register(self, move: tuple[int, int, int, int]) -> None:
-        """Re-register an unconverged move at startup (no drain needed:
-        no request predates a service that is still constructing)."""
-        with self._cond:
-            self._moves = self._moves + (move,)
-
-    def barrier(self, timeout: float = 60.0) -> None:
-        """Wait until every currently-registered reader has finished.
-
-        The rebalance runs this between the routing swap and the source
-        delete: a fan-out request whose target leg read *before* the
-        copy landed must complete -- its source leg still sees the
-        pre-delete rows -- before any row disappears from the source,
-        or that request could observe the moved documents on neither
-        shard.
-        """
-        with self._cond:
-            self._epoch += 1
-            fence = self._epoch
-            drained = self._cond.wait_for(
-                lambda: all(epoch >= fence for epoch in self._readers),
-                timeout=timeout,
-            )
-            if not drained:
-                raise TimeoutError(
-                    "queries in flight before the ownership swap did not "
-                    f"drain within {timeout:.0f}s"
-                )
-
-    def end(
-        self, move: tuple[int, int, int, int], all_matching: bool = False
-    ) -> None:
-        """Drop one attempt's entry -- or, on a *converged* move, every
-        matching entry a failed predecessor left behind."""
-        with self._cond:
-            if all_matching:
-                self._moves = tuple(m for m in self._moves if m != move)
-            else:
-                self._moves = self._without_one(self._moves, move)
-
-
 def merge_ranked(
     per_shard: Iterable[tuple[int, Sequence[Answer]]],
     num_ans: int | None,
@@ -410,136 +288,45 @@ def merge_ranked(
     return deduped
 
 
-class _Shard:
-    """One shard's moving parts: replica set, write lock, generation."""
-
-    __slots__ = (
-        "index",
-        "path",
-        "write_lock",
-        "replicas",
-        "generation",
-        "kernel_memo",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        path: str,
-        k: int,
-        m: int,
-        pool_size: int,
-        index_approach: str,
-        num_replicas: int,
-        cooldown_s: float,
-        clock: Callable[[], float],
-        scan_procs: int | None = None,
-    ) -> None:
-        self.index = index
-        self.path = path
-        self.write_lock = threading.Lock()
-        # One kernel memo per shard: its generation clock advances with
-        # this shard's writes only, so a busy shard's ingests never cold
-        # the other shards' memos.
-        self.kernel_memo = KernelMemo()
-        self.replicas = ReplicaSet(
-            index,
-            path,
-            num_replicas,
-            k=k,
-            m=m,
-            pool_size=pool_size,
-            index_approach=index_approach,
-            cooldown_s=cooldown_s,
-            clock=clock,
-            kernel_memo=self.kernel_memo,
-            scan_procs=scan_procs,
-        )
-        self.generation = 0
-
-    @property
-    def writer(self) -> StaccatoDB:
-        """The first attached replica's writer (tests, inspection)."""
-        return self.replicas.replicas()[0].writer
-
-    @property
-    def pool(self):
-        """The first attached replica's reader pool (tests, inspection)."""
-        return self.replicas.replicas()[0].pool
-
 
 class ShardedPool:
-    """Per-shard replica sets plus per-shard generation counters.
+    """The shard legs plus per-shard generation counters.
 
     The generation counter is the invalidation currency: every committed
     write (ingest batch or index rebuild) to a shard bumps its counter,
     and cached results carry the generation vector of the shards they
     read -- a stale result's key simply never matches again, which also
     closes the compute/invalidate race without a global generation.
-    Replication never enters the cache key: replicas are written in
-    lockstep, so one generation per shard describes every copy.
+    The router is the sole write path, so the clocks live here, not in
+    the legs; replication never enters the cache key either: replicas
+    are written in lockstep, so one generation per shard describes
+    every copy.
     """
 
-    def __init__(
-        self,
-        paths: Sequence[str],
-        k: int = 25,
-        m: int = 40,
-        pool_size: int = 2,
-        index_approach: str = "staccato",
-        num_replicas: int = 1,
-        cooldown_s: float = DEFAULT_COOLDOWN_S,
-        clock: Callable[[], float] = time.monotonic,
-        scan_procs: int | None = None,
-    ) -> None:
-        if not paths:
-            raise ValueError("a sharded pool needs at least one shard path")
-        if num_replicas < 1:
-            raise ValueError("each shard needs at least one replica")
+    def __init__(self, legs: Sequence[ShardLeg]) -> None:
+        if not legs:
+            raise ValueError("a sharded pool needs at least one shard")
+        self.shards = list(legs)
         self._gen_lock = threading.Lock()
-        self.num_replicas = num_replicas
-        self.shards = [
-            _Shard(
-                i,
-                path,
-                k,
-                m,
-                pool_size,
-                index_approach,
-                num_replicas,
-                cooldown_s,
-                clock,
-                scan_procs=scan_procs,
-            )
-            for i, path in enumerate(paths)
-        ]
+        self._generations = [0] * len(self.shards)
 
     def __len__(self) -> int:
         return len(self.shards)
 
-    def shard(self, index: int) -> _Shard:
+    def shard(self, index: int) -> ShardLeg:
         return self.shards[index]
-
-    def read(
-        self,
-        index: int,
-        attempt: Callable[[Replica], object],
-        passthrough: tuple[type[BaseException], ...] = (),
-    ) -> object:
-        """Run one read attempt on shard ``index`` with replica failover."""
-        return self.shards[index].replicas.run(attempt, passthrough=passthrough)
 
     # ------------------------------------------------------------------
     def generations(self, scope: Sequence[int]) -> tuple[int, ...]:
         """Snapshot of the scoped shards' generation counters."""
         with self._gen_lock:
-            return tuple(self.shards[i].generation for i in scope)
+            return tuple(self._generations[i] for i in scope)
 
     def bump(self, scope: Iterable[int]) -> None:
         """Advance the touched shards' generations after a write."""
         with self._gen_lock:
             for i in scope:
-                self.shards[i].generation += 1
+                self._generations[i] += 1
 
     def resume_generations(self, generations: Sequence[int | None]) -> None:
         """Fast-forward generation clocks to a snapshot's values.
@@ -550,29 +337,14 @@ class ShardedPool:
         """
         with self._gen_lock:
             for index, generation in enumerate(generations):
-                if generation is None:
-                    continue
-                shard = self.shards[index]
-                shard.generation = max(shard.generation, int(generation))
-
-    # ------------------------------------------------------------------
-    def stats(self) -> list[dict[str, object]]:
-        """Per-shard occupancy/generation/replica snapshot for ``/stats``."""
-        return [
-            {
-                "index": shard.index,
-                "path": shard.path,
-                "generation": shard.generation,
-                "kernel_memo": shard.kernel_memo.stats(),
-                "pool": shard.pool.stats(),
-                "replicas": shard.replicas.stats(),
-            }
-            for shard in self.shards
-        ]
+                if generation is not None:
+                    self._generations[index] = max(
+                        self._generations[index], int(generation)
+                    )
 
     def close(self) -> None:
-        for shard in self.shards:
-            shard.replicas.close()
+        for leg in self.shards:
+            leg.close()
 
 
 class ShardedQueryService(JobsApi, ObservabilityApi):
@@ -598,27 +370,22 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         access_log_path: str | None = None,
         profile_hz: float = 0.0,
         paths: Sequence[str] | None = None,
-        sidecar_dir: str | None = None,
         scan_procs: int | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("a sharded service needs at least one shard")
+        if replicas < 1:
+            raise ValueError("each shard needs at least one replica")
         os.makedirs(shard_dir, exist_ok=True)
+        #: Also where the sidecars live: routing table, job journal,
+        #: cache snapshot, pending moves.
         self.shard_dir = shard_dir
-        # Sidecars (routing table, job journal, cache snapshot, pending
-        # moves) normally live next to the shard files; a worker process
-        # serving ONE shard of a larger layout (repro.service.workers)
-        # points them at a private directory so N workers sharing a
-        # shard_dir never clobber each other's -- or the router's --
-        # state files.
-        self.sidecar_dir = sidecar_dir or shard_dir
-        os.makedirs(self.sidecar_dir, exist_ok=True)
         self.num_shards = num_shards
         self.range_width = range_width
         self.index_approach = index_approach
-        # ``paths`` overrides the canonical layout for the same reason:
-        # worker i owns shard-000i.db even though, locally, it is the
-        # only shard it serves.
+        self.num_replicas = replicas
+        # ``paths`` overrides the canonical layout (shards that already
+        # exist elsewhere; ``shard_dir`` then only holds the sidecars).
         self.paths = (
             list(paths) if paths is not None
             else shard_paths(shard_dir, num_shards)
@@ -627,16 +394,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             raise ValueError(
                 f"got {len(self.paths)} shard paths for {num_shards} shards"
             )
-        self.pool = ShardedPool(
-            self.paths,
-            k=k,
-            m=m,
-            pool_size=pool_size,
-            index_approach=index_approach,
-            num_replicas=replicas,
-            cooldown_s=replica_cooldown_s,
-            scan_procs=scan_procs,
-        )
         self.cache = QueryCache(cache_size)
         self.metrics = ServiceMetrics()
         self.tracer = Tracer(
@@ -646,6 +403,21 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             slow_log_path=slow_log_path,
             access_log_path=access_log_path,
         )
+        self.profiler = SamplingProfiler(hz=profile_hz)
+        try:
+            legs = self._open_legs(
+                k=k,
+                m=m,
+                pool_size=pool_size,
+                index_approach=index_approach,
+                num_replicas=replicas,
+                cooldown_s=replica_cooldown_s,
+                scan_procs=scan_procs,
+            )
+        except Exception:
+            self.tracer.close()
+            raise
+        self.pool = ShardedPool(legs)
         self._rr_lock = threading.Lock()
         self._rr_next = 0
         # Placements decided in-process, including writes still in
@@ -658,7 +430,8 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         # young enough to race an in-flight batch still matter.
         self._placements: "OrderedDict[int, int]" = OrderedDict()
         self._executor = ThreadPoolExecutor(
-            max_workers=num_shards, thread_name_prefix="shard-fanout"
+            max_workers=legs[0].fanout_width(num_shards),
+            thread_name_prefix="shard-fanout",
         )
         # Writes get their own pool: an ingest leg parks on a shard
         # write lock for as long as a rebalance holds it, and parked
@@ -669,33 +442,35 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         self._write_executor = ThreadPoolExecutor(
             max_workers=num_shards, thread_name_prefix="shard-writes"
         )
+        # Identical concurrent cache misses coalesce onto one fan-out.
+        self._inflight_lock = threading.Lock()
+        self._inflight: dict[tuple, threading.Event] = {}
         # Ownership: one immutable table, swapped whole under the lock
         # (readers take ``self.routing`` by reference -- atomic publish).
         self._routing_lock = threading.Lock()
-        self._routing = RoutingTable.load(
-            self.sidecar_dir, num_shards, range_width
+        self._routing = RoutingTable.load(shard_dir, num_shards, range_width)
+        self.move_gate = rebalance.MoveGate(
+            os.path.join(shard_dir, rebalance.PENDING_MOVES_FILE)
         )
-        self._move_gate = _MoveGate()
-        # Unconverged moves from a previous process: rows may still sit
-        # on two shards, so /sql must come back up on the safe plan.
-        self._pending_moves: list[tuple[int, int, int, int]] = (
-            self._load_pending_moves()
-        )
-        for pending in self._pending_moves:
-            self._move_gate.register(pending)
         #: Test hook: called between the copy and the swap of a
         #: rebalance (None = no-op), so cancellation mid-move is
         #: deterministic to exercise.
         self._rebalance_after_copy: Callable[[Job], None] | None = None
         self.jobs = JobEngine(
             self,
-            os.path.join(self.sidecar_dir, JOBS_JOURNAL_FILE),
+            os.path.join(shard_dir, JOBS_JOURNAL_FILE),
             workers=workers,
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.profiler = SamplingProfiler(hz=profile_hz)
         self.profiler.start()
+
+    def _open_legs(self, **storage) -> list[ShardLeg]:
+        """One leg per shard path -- the topology's single decision."""
+        return [
+            LocalLeg(index, path, self.metrics, **storage)
+            for index, path in enumerate(self.paths)
+        ]
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -706,79 +481,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         self.pool.close()
         self.tracer.close()
 
-    # ------------------------------------------------------------------
-    @property
-    def routing(self) -> RoutingTable:
-        """The current ownership table (an immutable snapshot)."""
-        return self._routing
-
-    def _publish_routing(self, table: RoutingTable) -> None:
-        """Atomically swap the routing table and persist the overrides."""
-        with self._routing_lock:
-            self._routing = table
-            table.save(self.sidecar_dir)
-
-    # ------------------------------------------------------------------
-    @property
-    def _pending_moves_path(self) -> str:
-        return os.path.join(self.sidecar_dir, PENDING_MOVES_FILE)
-
-    def _load_pending_moves(self) -> list[tuple[int, int, int, int]]:
-        try:
-            with open(self._pending_moves_path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-            return [
-                (int(lo), int(hi), int(src), int(dst))
-                for lo, hi, src, dst in data.get("moves", [])
-            ]
-        except (OSError, json.JSONDecodeError, ValueError, TypeError):
-            return []
-
-    def _save_pending_moves_locked(self) -> None:
-        try:
-            atomic_write_json(
-                self._pending_moves_path,
-                {"moves": [list(m) for m in self._pending_moves]},
-            )
-        except OSError:
-            pass  # best-effort durability; the in-memory gate still holds
-
-    def _record_pending_move(self, move: tuple[int, int, int, int]) -> None:
-        """Persist that rows of ``move`` may exist on two shards."""
-        with self._routing_lock:
-            self._pending_moves.append(move)
-            self._save_pending_moves_locked()
-
-    def _clear_pending_move(
-        self, move: tuple[int, int, int, int], all_matching: bool = False
-    ) -> None:
-        with self._routing_lock:
-            if all_matching:
-                self._pending_moves = [
-                    m for m in self._pending_moves if m != move
-                ]
-            else:
-                for at in range(len(self._pending_moves) - 1, -1, -1):
-                    if self._pending_moves[at] == move:
-                        del self._pending_moves[at]
-                        break
-            self._save_pending_moves_locked()
-
-    def _finish_move(
-        self, move: tuple[int, int, int, int], converged: bool
-    ) -> None:
-        """Retire a move from the gate AND the persisted pending record.
-
-        The two stores mirror each other by construction (the gate is
-        the in-memory truth ``/sql`` consults, the sidecar its
-        crash-surviving shadow), so they are only ever updated through
-        this one place: a converged move clears every matching entry a
-        failed predecessor left behind, an abandoned attempt removes
-        only its own.
-        """
-        self._move_gate.end(move, all_matching=converged)
-        self._clear_pending_move(move, all_matching=converged)
-
     def __enter__(self) -> "ShardedQueryService":
         return self
 
@@ -786,10 +488,44 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         self.close()
 
     # ------------------------------------------------------------------
+    @property
+    def routing(self) -> RoutingTable:
+        """The current ownership table (an immutable snapshot)."""
+        return self._routing
+
+    def publish_routing(self, table: RoutingTable) -> None:
+        """Atomically swap the routing table and persist the overrides."""
+        with self._routing_lock:
+            self._routing = table
+            table.save(self.shard_dir)
+
+    def forget_placements(self, doc_ids: Iterable[int]) -> None:
+        """Drop in-flight placements a rebalance just made obsolete."""
+        with self._rr_lock:
+            for doc_id in doc_ids:
+                self._placements.pop(doc_id, None)
+
+    def shards_changed(self, touched: set[int]) -> int:
+        """A write committed on ``touched``: bump their generations and
+        evict only the cache entries whose scope intersects them.
+
+        Keys are ``(kind, scope, generations, ...)`` -- see the query
+        methods below -- so ``key[1]`` is the scope tuple.
+        """
+        self.pool.bump(touched)
+        return self.cache.invalidate_where(
+            lambda key: bool(touched.intersection(key[1]))
+        )
+
+    # ------------------------------------------------------------------
     def _scope(self, shards: tuple[int, ...] | None) -> tuple[int, ...]:
         """The shard indices a request fans out to (default: all)."""
         if shards is None:
             return tuple(range(self.num_shards))
+        self._check_shards(shards)
+        return shards
+
+    def _check_shards(self, shards: Iterable[int]) -> None:
         bad = [i for i in shards if i >= self.num_shards]
         if bad:
             raise ApiError(
@@ -798,10 +534,43 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 f"{self.num_shards} shards (0..{self.num_shards - 1})",
                 code="unknown_shard",
             )
-        return shards
 
-    def _fan_out(self, scope: Sequence[int], leg):
-        """Run ``leg(shard_index)`` on every scoped shard concurrently.
+    def call_leg(self, index: int, endpoint: str, call):
+        """``call(leg)`` on one shard: the one place a leg is invoked.
+
+        Times the leg into the per-shard metrics (so ``/stats`` exposes
+        skew the merged endpoint latency hides) and maps a shard that
+        could not be reached onto the wire contract: 503
+        ``shard_unavailable``, or 503 ``deadline_exceeded`` with its
+        trace span and metrics event.  Anything else a leg raises -- a
+        client's ``ApiError``, a storage fault -- passes through.
+        """
+        started = time.perf_counter()
+        try:
+            result = call(self.pool.shards[index])
+        except Exception as exc:
+            self.metrics.observe_shard(
+                index, endpoint, time.perf_counter() - started, error=True
+            )
+            if isinstance(exc, ReplicaUnavailable):
+                raise ApiError(
+                    503, str(exc), code="shard_unavailable"
+                ) from exc
+            if isinstance(exc, LegDeadline):
+                self.metrics.event("deadline_exceeded")
+                with trace.span("deadline_exceeded", shard=index):
+                    pass
+                raise ApiError(
+                    503, str(exc), code="deadline_exceeded"
+                ) from exc
+            raise
+        self.metrics.observe_shard(
+            index, endpoint, time.perf_counter() - started
+        )
+        return result
+
+    def _fan_out(self, scope: Sequence[int], endpoint: str, call):
+        """Run ``call(leg)`` on every scoped shard concurrently.
 
         Context variables do not follow executor submission, so the
         caller's span is captured here and re-attached in each worker:
@@ -817,9 +586,9 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
 
         def traced(index: int):
             if parent is None:
-                return leg(index)
+                return self.call_leg(index, endpoint, call)
             with trace.attach(parent), trace.span("shard_leg", shard=index):
-                return leg(index)
+                return self.call_leg(index, endpoint, call)
 
         if len(scope) == 1:
             return [traced(scope[0])]
@@ -828,98 +597,62 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         results.extend(future.result() for future in rest)
         return results
 
-    def _fan_out_writes(self, scope: Sequence[int], leg):
+    def _fan_out_writes(self, scope: Sequence[int], endpoint: str, call):
         """Fan a *write* out, never losing a committed shard's result.
 
         Unlike :meth:`_fan_out`, a failing leg does not mask the legs
-        that already committed: the caller gets every successful result
-        so it can bump those shards' generations and evict their cache
-        entries *before* the first error is re-raised -- otherwise a
-        partial failure would leave pre-write cached answers servable
-        for shards whose batch did land.
+        that already committed: the caller gets every successful
+        ``(index, result)`` so it can bump those shards' generations and
+        evict their cache entries *before* the first error is re-raised
+        -- otherwise a partial failure would leave pre-write cached
+        answers servable for shards whose batch did land.
         """
-        wrapped = self._write_executor.map(
-            lambda index: (index, *self._attempt(leg, index)), scope
-        )
+
+        def attempt(index: int):
+            try:
+                return index, self.call_leg(index, endpoint, call), None
+            except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+                return index, None, exc
+
         succeeded, first_error = [], None
-        for index, value, error in wrapped:
+        for index, value, error in self._write_executor.map(attempt, scope):
             if error is None:
-                succeeded.append(value)
+                succeeded.append((index, value))
             elif first_error is None:
                 first_error = error
         return succeeded, first_error
 
-    @staticmethod
-    def _attempt(leg, index: int):
-        try:
-            return leg(index), None
-        except Exception as exc:  # noqa: BLE001 - re-raised by the caller
-            return None, exc
+    def _cached(self, key: tuple, compute) -> dict[str, object]:
+        """Serve ``key`` from the cache, or compute it exactly once.
 
-    def _invalidate_shards(self, touched: set[int]) -> int:
-        """Evict only cache entries whose scope intersects ``touched``.
-
-        Keys are ``(kind, scope, generations, ...)`` -- see the query
-        methods below -- so ``key[1]`` is the scope tuple.
+        Identical concurrent misses singleflight: the first caller is
+        the leader and fans out; followers wait for it, then re-probe
+        the cache -- falling back to their own fan-out only when the
+        leader failed or the result could not be cached (cache disabled
+        or invalidated meanwhile).
         """
-        return self.cache.invalidate_where(
-            lambda key: bool(touched.intersection(key[1]))
-        )
-
-    # ------------------------------------------------------------------
-    def _replica_read(
-        self,
-        index: int,
-        endpoint: str,
-        fn: Callable[[StaccatoDB], object],
-    ) -> object:
-        """One shard leg's read with replica failover and per-replica timing."""
-
-        def attempt(replica: Replica) -> object:
-            started = time.perf_counter()
-            try:
-                with replica.pool.acquire() as db:
-                    result = fn(db)
-            except ApiError:
-                raise  # client error; not the replica's fault
-            except Exception:
-                self.metrics.observe_replica(
-                    index,
-                    replica.replica_index,
-                    endpoint,
-                    time.perf_counter() - started,
-                    error=True,
-                )
-                raise
-            self.metrics.observe_replica(
-                index,
-                replica.replica_index,
-                endpoint,
-                time.perf_counter() - started,
-            )
-            return result
-
-        return self.pool.read(index, attempt, passthrough=(ApiError,))
-
-    @staticmethod
-    def _shard_unavailable(index: int, exc: ReplicaUnavailable) -> ApiError:
-        return ApiError(503, str(exc), code="shard_unavailable")
-
-    # ------------------------------------------------------------------
-    # Seams the storage-independent machinery (total_lines, health,
-    # cache snapshot, warm start) reads shard state through.  The
-    # subprocess router of :mod:`repro.service.workers` overrides just
-    # these two to answer from worker metadata instead of a local pool.
-    # ------------------------------------------------------------------
-    def _shard_lines(self, index: int) -> int:
-        """One shard's committed line count (raises ReplicaUnavailable)."""
-        return self._replica_read(index, "health", lambda db: db.num_lines)
-
-    def _lines_and_index(self, index: int) -> tuple[int, object]:
-        """One shard's (line count, index fingerprint) snapshot."""
-        return self._replica_read(
-            index, "stats", lambda db: (db.num_lines, index_fingerprint(db))
-        )
+        cached = self.cache.get(key)
+        if cached is not None:
+            return {**cached, "cached": True}
+        with self._inflight_lock:
+            leader = self._inflight.get(key)
+            flight = None
+            if leader is None:
+                flight = self._inflight[key] = threading.Event()
+        if leader is not None:
+            leader.wait(_SINGLEFLIGHT_WAIT_S)
+            cached = self.cache.get(key)
+            if cached is not None:
+                return {**cached, "cached": True}
+        try:
+            result = compute()
+            self.cache.put(key, result)
+        finally:
+            if flight is not None:
+                with self._inflight_lock:
+                    del self._inflight[key]
+                flight.set()
+        return {**result, "cached": False}
 
     # ------------------------------------------------------------------
     def _existing_owners(self, doc_ids: Sequence[int]) -> dict[int, int]:
@@ -936,38 +669,20 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         """
         if self.num_shards == 1 or not doc_ids:
             return {}
-        ids = sorted(set(doc_ids))
-
-        def probe(db: StaccatoDB) -> set[int]:
-            found: set[int] = set()
-            for at in range(0, len(ids), _OWNER_PROBE_BATCH):
-                batch = ids[at : at + _OWNER_PROBE_BATCH]
-                marks = ",".join("?" * len(batch))
-                rows = db.conn.execute(
-                    f"SELECT DISTINCT DocId FROM MasterData "
-                    f"WHERE DocId IN ({marks})",
-                    batch,
-                ).fetchall()
-                found.update(row[0] for row in rows)
-            return found
-
-        def leg(index: int) -> set[int]:
-            try:
-                return self._replica_read(index, "ingest", probe)
-            except ReplicaUnavailable as exc:
-                raise self._shard_unavailable(index, exc) from exc
-
         owners: dict[int, int] = {}
         for index, present in enumerate(
-            self._fan_out(range(self.num_shards), leg)
+            self._fan_out(
+                range(self.num_shards),
+                "ingest",
+                lambda leg: leg.present(doc_ids, "master"),
+            )
         ):
             for doc_id in present:
                 owners.setdefault(doc_id, index)
         return owners
 
-    # ------------------------------------------------------------------
     def _split_moved(
-        self, index: int, shard: _Shard, docs: Sequence[Document]
+        self, leg: ShardLeg, docs: Sequence[Document]
     ) -> tuple[list[Document], list[Document]]:
         """Partition a leg's documents into kept vs moved-by-rebalance.
 
@@ -985,87 +700,18 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         overridden: list[Document] = []
         for doc in docs:
             override = routing.override_owner(doc.doc_id)
-            if override is None or override == index:
+            if override is None or override == leg.index:
                 stay.append(doc)
             else:
                 overridden.append(doc)
         if not overridden:
             return stay, []
-        # Probe a *live* copy: the primary may be stale (it missed a
-        # committed write), and a false "absent" here would split the
-        # document across shards.  Batched like ``_existing_owners`` --
-        # this runs under the shard's write lock, so one IN query per
-        # batch, not one SELECT per document.
-        probe = next(
-            (
-                r.writer.conn
-                for r in shard.replicas.replicas()
-                if not r.stale and os.path.exists(r.path)
-            ),
-            shard.writer.conn,
-        )
-        present: set[int] = set()
-        ids = [doc.doc_id for doc in overridden]
-        for at in range(0, len(ids), _OWNER_PROBE_BATCH):
-            batch = ids[at : at + _OWNER_PROBE_BATCH]
-            marks = ",".join("?" * len(batch))
-            present.update(
-                row[0]
-                for row in probe.execute(
-                    f"SELECT DocId FROM Documents WHERE DocId IN ({marks})",
-                    batch,
-                )
-            )
+        # A false "absent" here would split the document across shards;
+        # the leg answers from a copy holding every committed write.
+        present = leg.present([doc.doc_id for doc in overridden], "documents")
         moved = [doc for doc in overridden if doc.doc_id not in present]
         stay.extend(doc for doc in overridden if doc.doc_id in present)
         return stay, moved
-
-    def _ingest_leg(self, groups: Mapping[int, list[Document]], request):
-        """One shard's write leg for :meth:`ingest` (re-dispatch aware)."""
-
-        def leg(index: int) -> tuple[int, int, int, list[Document]]:
-            docs = groups[index]
-            shard = self.pool.shard(index)
-            leg_started = time.perf_counter()
-
-            def apply(replica: Replica) -> tuple[int, int]:
-                # Each replica gets its own engine instance (stateless
-                # but cheap); per-line SFAs depend only on (seed, text,
-                # doc_id, line_no), so every copy stores identical rows.
-                ocr = SimulatedOcrEngine(seed=request.ocr_seed)
-                count = replica.writer.ingest(
-                    Dataset(name=request.dataset.name, documents=stay),
-                    ocr,
-                    approaches=request.approaches,
-                    workers=request.workers,
-                )
-                return count, replica.writer.num_lines
-
-            try:
-                with shard.write_lock:
-                    stay, moved = self._split_moved(index, shard, docs)
-                    if stay:
-                        count, total = shard.replicas.apply_write(apply)
-                    else:
-                        count, total = 0, shard.writer.num_lines
-            except ReplicaUnavailable as exc:
-                # Same condition, same status as the read paths: a
-                # shard with no writable replica is 503, not a 500.
-                self.metrics.observe_shard(
-                    index, "ingest", time.perf_counter() - leg_started, error=True
-                )
-                raise self._shard_unavailable(index, exc) from exc
-            except Exception:
-                self.metrics.observe_shard(
-                    index, "ingest", time.perf_counter() - leg_started, error=True
-                )
-                raise
-            self.metrics.observe_shard(
-                index, "ingest", time.perf_counter() - leg_started
-            )
-            return index, count, total, moved
-
-        return leg
 
     def ingest(self, payload: object) -> dict[str, object]:
         """Route a batch to its owning shards; invalidates only those."""
@@ -1107,6 +753,15 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             groups.setdefault(owners[doc.doc_id], []).append(doc)
         started = time.perf_counter()
 
+        def write(leg: ShardLeg) -> tuple[int, int, list[Document]]:
+            with leg.write_lock:
+                stay, moved = self._split_moved(leg, groups[leg.index])
+                if stay:
+                    count, total = leg.ingest(stay, request)
+                else:
+                    count, total = 0, leg.lines_and_index()[0]
+            return count, total, moved
+
         # A rebalance racing this batch can move a document between
         # placement and the leg's lock acquisition; the leg detects it
         # (under the lock, where the published table is authoritative)
@@ -1118,12 +773,12 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             if not groups:
                 break
             results, error = self._fan_out_writes(
-                sorted(groups), self._ingest_leg(groups, request)
+                sorted(groups), "ingest", write
             )
             if error is not None and first_error is None:
                 first_error = error
             next_groups: dict[int, list[Document]] = {}
-            for index, count, total, moved in results:
+            for index, (count, total, moved) in results:
                 ingested[index] = ingested.get(index, 0) + count
                 totals[index] = total
                 for doc in moved:
@@ -1140,9 +795,9 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 "shards (concurrent rebalances)",
                 code="shard_unavailable",
             )
-        touched = {index for index, count in ingested.items() if count}
-        self.pool.bump(touched)
-        evicted = self._invalidate_shards(touched)
+        evicted = self.shards_changed(
+            {index for index, count in ingested.items() if count}
+        )
         if first_error is not None:
             raise first_error
         return {
@@ -1180,61 +835,46 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             request.plan,
             request.num_ans,
         )
-        cached = self.cache.get(key)
-        if cached is not None:
-            return {**cached, "cached": True}
-        started = time.perf_counter()
 
-        def leg(index: int) -> tuple[int, str, list[Answer]]:
-            leg_started = time.perf_counter()
-            try:
-                label, answers = self._replica_read(
-                    index, "search", lambda db: run_search_plan(db, request)
+        def compute() -> dict[str, object]:
+            started = time.perf_counter()
+            # Registered with the move gate (the move list itself is
+            # unused here -- merge_ranked de-duplicates unconditionally)
+            # so a rebalance's pre-delete barrier can wait for this
+            # fan-out: the source rows must not disappear under a
+            # request whose target leg read before the copy landed.
+            with self.move_gate.read():
+                with trace.span("router", shards=len(scope)):
+                    results = self._fan_out(
+                        scope, "search", lambda leg: leg.search(request)
+                    )
+            with trace.span("merge"):
+                merged = merge_ranked(
+                    [
+                        (index, answers)
+                        for index, (_, answers) in zip(scope, results)
+                    ],
+                    request.num_ans,
                 )
-            except ReplicaUnavailable as exc:
-                self.metrics.observe_shard(
-                    index, "search", time.perf_counter() - leg_started, error=True
-                )
-                raise self._shard_unavailable(index, exc) from exc
-            except Exception:
-                self.metrics.observe_shard(
-                    index, "search", time.perf_counter() - leg_started, error=True
-                )
-                raise
-            self.metrics.observe_shard(
-                index, "search", time.perf_counter() - leg_started
-            )
-            return index, label, answers
+            labels = {label for label, _ in results}
+            return {
+                "pattern": request.pattern,
+                "approach": request.approach,
+                "plan": labels.pop() if len(labels) == 1 else "mixed",
+                "plans": {
+                    str(index): label
+                    for index, (label, _) in zip(scope, results)
+                },
+                "shards": list(scope),
+                "count": len(merged),
+                "answers": [
+                    {**answer_row(answer), "shard": shard}
+                    for shard, answer in merged
+                ],
+                "elapsed_s": time.perf_counter() - started,
+            }
 
-        # Registered with the move gate (the move list itself is unused
-        # here -- merge_ranked de-duplicates unconditionally) so a
-        # rebalance's pre-delete barrier can wait for this fan-out: the
-        # source rows must not disappear under a request whose target
-        # leg read before the copy landed.
-        with self._move_gate.read():
-            with trace.span("router", shards=len(scope)):
-                results = self._fan_out(scope, leg)
-        with trace.span("merge"):
-            merged = merge_ranked(
-                [(index, answers) for index, _, answers in results],
-                request.num_ans,
-            )
-        labels = {label for _, label, _ in results}
-        result = {
-            "pattern": request.pattern,
-            "approach": request.approach,
-            "plan": labels.pop() if len(labels) == 1 else "mixed",
-            "plans": {str(index): label for index, label, _ in results},
-            "shards": list(scope),
-            "count": len(merged),
-            "answers": [
-                {**answer_row(answer), "shard": shard}
-                for shard, answer in merged
-            ],
-            "elapsed_s": time.perf_counter() - started,
-        }
-        self.cache.put(key, result)
-        return {**result, "cached": False}
+        return self._cached(key, compute)
 
     # ------------------------------------------------------------------
     def sql(self, payload: object) -> dict[str, object]:
@@ -1255,157 +895,102 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             request.approach,
             request.num_ans,
         )
-        cached = self.cache.get(key)
-        if cached is not None:
-            return {**cached, "cached": True}
-        try:
-            parsed = parse_select(request.query)
-        except SqlError as exc:
-            raise ApiError(400, str(exc), code="sql_error") from exc
-        started = time.perf_counter()
 
-        # While a rebalance is copying, a moved document's rows exist on
-        # two shards.  Scalar per-shard aggregates cannot be un-counted,
-        # so inside an active move the legs return the full per-document
-        # relation instead; the router de-duplicates by DocId (copies
-        # are byte-identical) and recomputes the aggregates itself.  The
-        # move gate guarantees the flag is seen before any row can be
-        # doubled: a rebalance drains pre-announcement readers first.
-        # Only a scope spanning BOTH sides of some active move can see a
-        # document twice, so queries scoped away from the move (and all
-        # queries, once no move is pending) keep the fast scalar plan.
-        scope_set = set(scope)
-        with self._move_gate.read() as moves:
-            move_safe = any(
-                m_src in scope_set and m_dst in scope_set
-                for _, _, m_src, m_dst in moves
-            )
-            base = shard_select_rows(parsed) if move_safe else shard_select(parsed)
-
-            def evaluate(db: StaccatoDB) -> list[dict[str, object]]:
-                try:
-                    return execute_select(
-                        db,
-                        request.query,
-                        approach=request.approach,
-                        num_ans=None,
-                        parsed=base,
-                    )
-                except (SqlError, RegexError) as exc:
-                    # A query error, not a replica fault: surface it as
-                    # the structured 400 instead of failing over.
-                    raise ApiError(400, str(exc), code="sql_error") from exc
-
-            def leg(index: int) -> list[dict[str, object]]:
-                leg_started = time.perf_counter()
-                try:
-                    rows = self._replica_read(index, "sql", evaluate)
-                except ReplicaUnavailable as exc:
-                    self.metrics.observe_shard(
-                        index, "sql", time.perf_counter() - leg_started, error=True
-                    )
-                    raise self._shard_unavailable(index, exc) from exc
-                except ApiError:
-                    self.metrics.observe_shard(
-                        index, "sql", time.perf_counter() - leg_started, error=True
-                    )
-                    raise
-                self.metrics.observe_shard(
-                    index, "sql", time.perf_counter() - leg_started
+        def compute() -> dict[str, object]:
+            try:
+                parsed = parse_select(request.query)
+            except SqlError as exc:
+                raise ApiError(400, str(exc), code="sql_error") from exc
+            started = time.perf_counter()
+            # While a rebalance is copying, a moved document's rows
+            # exist on two shards.  Scalar per-shard aggregates cannot
+            # be un-counted, so inside an active move the legs return
+            # the full per-document relation instead; the router
+            # de-duplicates by DocId (copies are byte-identical) and
+            # recomputes the aggregates itself.  The move gate
+            # guarantees the flag is seen before any row can be doubled:
+            # a rebalance drains pre-announcement readers first.  Only a
+            # scope spanning BOTH sides of some active move can see a
+            # document twice, so queries scoped away from the move (and
+            # all queries, once no move is pending) keep the fast scalar
+            # plan.
+            scope_set = set(scope)
+            with self.move_gate.read() as moves:
+                full_rows = any(
+                    src in scope_set and dst in scope_set
+                    for _, _, src, dst in moves
                 )
-                return rows
-
-            with trace.span("router", shards=len(scope)):
-                shard_rows = self._fan_out(scope, leg)
-        try:
-            with trace.span("merge"):
-                if move_safe:
-                    seen_docs: set[object] = set()
-                    deduped: list[dict[str, object]] = []
-                    for rows_ in shard_rows:
-                        for row in rows_:
-                            if row["DocId"] in seen_docs:
-                                continue
-                            seen_docs.add(row["DocId"])
-                            deduped.append(row)
-                    if parsed.is_aggregate:
-                        rows = aggregate_full_rows(parsed, deduped)
+                with trace.span("router", shards=len(scope)):
+                    shard_rows = self._fan_out(
+                        scope,
+                        "sql",
+                        lambda leg: leg.sql(
+                            request.query, request.approach, full_rows
+                        ),
+                    )
+            try:
+                with trace.span("merge"):
+                    if full_rows:
+                        seen_docs: set[object] = set()
+                        deduped: list[dict[str, object]] = []
+                        for rows_ in shard_rows:
+                            for row in rows_:
+                                if row["DocId"] in seen_docs:
+                                    continue
+                                seen_docs.add(row["DocId"])
+                                deduped.append(row)
+                        if parsed.is_aggregate:
+                            rows = aggregate_full_rows(parsed, deduped)
+                        else:
+                            rows = merge_shard_rows(
+                                parsed, [deduped], num_ans=request.num_ans
+                            )
                     else:
                         rows = merge_shard_rows(
-                            parsed, [deduped], num_ans=request.num_ans
+                            parsed, shard_rows, num_ans=request.num_ans
                         )
-                else:
-                    rows = merge_shard_rows(
-                        parsed, shard_rows, num_ans=request.num_ans
-                    )
-        except SqlError as exc:
-            raise ApiError(400, str(exc), code="sql_error") from exc
-        result = {
-            "query": request.query,
-            "approach": request.approach,
-            "shards": list(scope),
-            "count": len(rows),
-            "rows": rows,
-            "elapsed_s": time.perf_counter() - started,
-        }
-        self.cache.put(key, result)
-        return {**result, "cached": False}
+            except SqlError as exc:
+                raise ApiError(400, str(exc), code="sql_error") from exc
+            return {
+                "query": request.query,
+                "approach": request.approach,
+                "shards": list(scope),
+                "count": len(rows),
+                "rows": rows,
+                "elapsed_s": time.perf_counter() - started,
+            }
+
+        return self._cached(key, compute)
 
     # ------------------------------------------------------------------
     def index(self, payload: object) -> dict[str, object]:
         """Build/rebuild the dictionary index per scoped shard.
 
         Each scoped shard builds over its own data on every replica's
-        writer (lockstep, like ingest), then each replica's pool
-        broadcasts ``load_index`` so every pooled reader serves indexed
-        plans immediately; the touched shards' cached results are
-        evicted (plan choices and projected evaluations may change).
+        writer (lockstep, like ingest) and reloads its pooled readers,
+        so indexed plans are served immediately; the touched shards'
+        cached results are evicted (plan choices and projected
+        evaluations may change).
         """
         request = validate_index(payload)
         scope = self._scope(request.shards)
         started = time.perf_counter()
 
-        def leg(index: int) -> tuple[int, int, bool]:
-            shard = self.pool.shard(index)
-            leg_started = time.perf_counter()
+        def build(leg: ShardLeg) -> tuple[int, bool]:
+            with leg.write_lock:
+                return leg.build_index(request.terms, request.approach)
 
-            def build(replica: Replica) -> tuple[int, bool]:
-                postings = replica.writer.build_index(
-                    request.terms, approach=request.approach
-                )
-                return postings, replica.pool.reload_index(request.approach)
-
-            try:
-                with shard.write_lock:
-                    postings, reloaded = shard.replicas.apply_write(build)
-            except ReplicaUnavailable as exc:
-                self.metrics.observe_shard(
-                    index, "index", time.perf_counter() - leg_started, error=True
-                )
-                raise self._shard_unavailable(index, exc) from exc
-            except Exception:
-                self.metrics.observe_shard(
-                    index, "index", time.perf_counter() - leg_started, error=True
-                )
-                raise
-            self.metrics.observe_shard(
-                index, "index", time.perf_counter() - leg_started
-            )
-            return index, postings, reloaded
-
-        results, error = self._fan_out_writes(scope, leg)
-        touched = {index for index, _, _ in results}
-        self.pool.bump(touched)
-        evicted = self._invalidate_shards(touched)
+        results, error = self._fan_out_writes(scope, "index", build)
+        evicted = self.shards_changed({index for index, _ in results})
         if error is not None:
             raise error
         return {
             "approach": request.approach,
             "terms": len(request.terms),
-            "postings": sum(postings for _, postings, _ in results),
+            "postings": sum(postings for _, (postings, _) in results),
             "shards": {
                 str(index): {"postings": postings, "reloaded": reloaded}
-                for index, postings, reloaded in results
+                for index, (postings, reloaded) in results
             },
             "evicted_cache_entries": evicted,
             "elapsed_s": time.perf_counter() - started,
@@ -1422,422 +1007,26 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         roster.
         """
         request = validate_replicas(payload)
-        if request.shard >= self.num_shards:
-            raise ApiError(
-                400,
-                f"unknown shard {request.shard}; this service has "
-                f"{self.num_shards} shards (0..{self.num_shards - 1})",
-                code="unknown_shard",
-            )
-        shard = self.pool.shard(request.shard)
+        self._check_shards([request.shard])
         started = time.perf_counter()
-        if request.action == "attach":
-            with shard.write_lock:
-                try:
-                    replica = shard.replicas.attach()
-                except ReplicaUnavailable as exc:
-                    raise self._shard_unavailable(request.shard, exc) from exc
-            affected = {"replica": replica.replica_index, "path": replica.path}
-        else:
-            with shard.write_lock:
-                try:
-                    removed = shard.replicas.detach(request.replica)
-                except KeyError:
-                    raise ApiError(
-                        404,
-                        f"shard {request.shard} has no replica "
-                        f"{request.replica}",
-                        code="unknown_replica",
-                    ) from None
-                except ValueError as exc:
-                    raise ApiError(409, str(exc), code="last_replica") from exc
-            affected = {"replica": removed.replica_index, "path": removed.path}
+
+        def change(leg: ShardLeg) -> dict[str, object]:
+            with leg.write_lock:
+                return leg.change_replicas(request.action, request.replica)
+
+        affected = self.call_leg(request.shard, "replicas", change)
         return {
             "action": request.action,
             "shard": request.shard,
             **affected,
-            "replicas": shard.replicas.stats(),
             "elapsed_s": time.perf_counter() - started,
         }
 
     # ------------------------------------------------------------------
-    # Rebalance: move one DocId range between two live shards.
-    # ------------------------------------------------------------------
-    _REBALANCE_SRC = "rebalance_src"
+    def job_rebalance(self, job: Job, params) -> dict[str, object]:
+        """Runner: see :func:`repro.service.rebalance.run`."""
+        return rebalance.run(self, job, params)
 
-    #: Child-table copy statements (Documents and MasterData go first,
-    #: explicitly); every copied DataKey is offset past the target's
-    #: existing keys so the merged file keeps unique line ids.
-    _REBALANCE_COPY_CHILDREN = (
-        "INSERT INTO kMAPData(DataKey, Rank, Data, LogProb) "
-        "SELECT t.DataKey + :offset, t.Rank, t.Data, t.LogProb "
-        "FROM {src}.kMAPData t JOIN {src}.MasterData m ON m.DataKey = t.DataKey "
-        "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)",
-        "INSERT INTO FullSFAData(DataKey, SFABlob) "
-        "SELECT t.DataKey + :offset, t.SFABlob "
-        "FROM {src}.FullSFAData t JOIN {src}.MasterData m ON m.DataKey = t.DataKey "
-        "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)",
-        "INSERT INTO StaccatoData(DataKey, ChunkNum, Rank, Data, LogProb) "
-        "SELECT t.DataKey + :offset, t.ChunkNum, t.Rank, t.Data, t.LogProb "
-        "FROM {src}.StaccatoData t JOIN {src}.MasterData m ON m.DataKey = t.DataKey "
-        "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)",
-        "INSERT INTO StaccatoGraph(DataKey, GraphBlob) "
-        "SELECT t.DataKey + :offset, t.GraphBlob "
-        "FROM {src}.StaccatoGraph t JOIN {src}.MasterData m ON m.DataKey = t.DataKey "
-        "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)",
-        "INSERT INTO GroundTruth(DataKey, Data) "
-        "SELECT t.DataKey + :offset, t.Data "
-        "FROM {src}.GroundTruth t JOIN {src}.MasterData m ON m.DataKey = t.DataKey "
-        "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)",
-        "INSERT INTO InvertedIndex(Term, DataKey, U, V, Rank, Offset) "
-        "SELECT t.Term, t.DataKey + :offset, t.U, t.V, t.Rank, t.Offset "
-        "FROM {src}.InvertedIndex t JOIN {src}.MasterData m ON m.DataKey = t.DataKey "
-        "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)",
-    )
-
-    _REBALANCE_DELETE_CHILDREN = (
-        "DELETE FROM kMAPData WHERE DataKey IN "
-        "(SELECT DataKey FROM MasterData WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids))",
-        "DELETE FROM FullSFAData WHERE DataKey IN "
-        "(SELECT DataKey FROM MasterData WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids))",
-        "DELETE FROM StaccatoData WHERE DataKey IN "
-        "(SELECT DataKey FROM MasterData WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids))",
-        "DELETE FROM StaccatoGraph WHERE DataKey IN "
-        "(SELECT DataKey FROM MasterData WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids))",
-        "DELETE FROM GroundTruth WHERE DataKey IN "
-        "(SELECT DataKey FROM MasterData WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids))",
-        "DELETE FROM InvertedIndex WHERE DataKey IN "
-        "(SELECT DataKey FROM MasterData WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids))",
-        "DELETE FROM MasterData WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids)",
-        "DELETE FROM Documents WHERE DocId IN "
-        "(SELECT DocId FROM _rebalance_ids)",
-    )
-
-    @staticmethod
-    def _load_rebalance_ids(conn, doc_ids: Sequence[int]) -> None:
-        """(Re)fill the per-connection temp table driving copy/delete."""
-        conn.execute(
-            "CREATE TEMP TABLE IF NOT EXISTS _rebalance_ids "
-            "(DocId INTEGER PRIMARY KEY)"
-        )
-        conn.execute("DELETE FROM _rebalance_ids")
-        conn.executemany(
-            "INSERT INTO _rebalance_ids(DocId) VALUES (?)",
-            [(doc_id,) for doc_id in doc_ids],
-        )
-
-    def _rebalance_copy(
-        self,
-        replica: Replica,
-        source_path: str,
-        doc_ids: Sequence[int],
-        expect_lines: int,
-    ) -> list[int]:
-        """Copy the moved documents into one target replica, verified.
-        Returns the DocIds actually inserted (the skipped ones already
-        lived here) -- the only rows a cancel may unwind.
-
-        One transaction per replica: concurrent readers see the copy all
-        at once or not at all.  Documents the target already holds *with
-        the source's line count* are skipped (copies are byte-identical
-        -- content is deterministic in the document and lines only
-        append); a document present with a different count is a stale
-        copy from a move that died mid-way, so its target rows are
-        dropped and re-copied.  Together these make re-submitting the
-        same move the repair path for a run that failed or died between
-        the copy commit and the source delete.  The count verification
-        runs *inside* the transaction -- a mismatch rolls the whole copy
-        back.
-        """
-        conn = replica.writer.conn
-        replica.writer.attach(source_path, self._REBALANCE_SRC)
-        try:
-            with conn:
-                self._load_rebalance_ids(conn, doc_ids)
-                # Skip docs the target already holds with AT LEAST the
-                # source's line count: lines only append and a doc's
-                # new lines land on exactly one holder, so a target
-                # that is not behind is current-or-ahead (it may carry
-                # ingests accepted after ownership switched -- rows a
-                # re-copy from the source must never clobber).  A
-                # target *behind* the source is a stale copy from a
-                # died move; it is dropped and re-copied in full.
-                conn.execute(
-                    f"DELETE FROM _rebalance_ids WHERE DocId IN ("
-                    f"SELECT d.DocId FROM main.Documents d WHERE "
-                    f"(SELECT COUNT(*) FROM main.MasterData "
-                    f" WHERE DocId = d.DocId) >= "
-                    f"(SELECT COUNT(*) FROM {self._REBALANCE_SRC}.MasterData "
-                    f" WHERE DocId = d.DocId))"
-                )
-                # Remaining ids are either absent from the target (the
-                # deletes no-op) or stale partial copies (cleared for a
-                # fresh copy).
-                for statement in self._REBALANCE_DELETE_CHILDREN:
-                    conn.execute(statement)
-                # DataKeys start at 0 on a fresh file, so the first free
-                # key is MAX + 1 (not MAX): every copied key lands past
-                # the target's existing range.
-                offset = conn.execute(
-                    "SELECT COALESCE(MAX(DataKey), -1) + 1 FROM MasterData"
-                ).fetchone()[0]
-                expect_copied = conn.execute(
-                    f"SELECT COUNT(*) FROM {self._REBALANCE_SRC}.MasterData "
-                    f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)"
-                ).fetchone()[0]
-                conn.execute(
-                    f"INSERT INTO Documents "
-                    f"SELECT * FROM {self._REBALANCE_SRC}.Documents "
-                    f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)"
-                )
-                conn.execute(
-                    f"INSERT INTO MasterData(DataKey, DocName, DocId, SFANum) "
-                    f"SELECT DataKey + :offset, DocName, DocId, SFANum "
-                    f"FROM {self._REBALANCE_SRC}.MasterData "
-                    f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)",
-                    {"offset": offset},
-                )
-                for statement in self._REBALANCE_COPY_CHILDREN:
-                    conn.execute(
-                        statement.format(src=self._REBALANCE_SRC),
-                        {"offset": offset},
-                    )
-                got_docs, got_lines = conn.execute(
-                    "SELECT (SELECT COUNT(*) FROM Documents WHERE DocId IN "
-                    "(SELECT DocId FROM _rebalance_ids)), "
-                    "(SELECT COUNT(*) FROM MasterData WHERE DocId IN "
-                    "(SELECT DocId FROM _rebalance_ids))"
-                ).fetchone()
-                copied = [
-                    row[0]
-                    for row in conn.execute(
-                        "SELECT DocId FROM _rebalance_ids ORDER BY DocId"
-                    )
-                ]
-                if got_docs != len(copied) or got_lines != expect_copied:
-                    raise RuntimeError(
-                        f"rebalance copy verification failed on "
-                        f"{replica.path}: expected {len(copied)} docs / "
-                        f"{expect_copied} lines, found {got_docs} / "
-                        f"{got_lines}"
-                    )
-        finally:
-            replica.writer.detach(self._REBALANCE_SRC)
-        return copied
-
-    def _rebalance_delete(
-        self, replica: Replica, doc_ids: Sequence[int]
-    ) -> int:
-        """Drop the moved documents from one replica (one transaction)."""
-        conn = replica.writer.conn
-        with conn:
-            self._load_rebalance_ids(conn, doc_ids)
-            for statement in self._REBALANCE_DELETE_CHILDREN:
-                conn.execute(statement)
-        return len(doc_ids)
-
-    def job_rebalance(
-        self, job: Job, params: Mapping[str, object]
-    ) -> dict[str, object]:
-        """Runner: move ``[doc_lo, doc_hi]`` from ``source`` to ``target``.
-
-        Phases (cancellation checkpoints between them; a cancel before
-        the routing swap undoes the copy and leaves the cluster exactly
-        as it was):
-
-        1. **announce** -- register the move and drain SQL readers that
-           predate it (they could not know to de-duplicate);
-        2. **snapshot** -- under both shards' write locks (acquired in
-           shard-index order via the shared ``ordered_locks`` helper),
-           list the documents the source holds in the range;
-        3. **copy + verify** -- one verified transaction per target
-           replica, keyed off a healthy source copy;
-        4. **swap** -- publish the successor routing table (single
-           atomic reference swap) and persist it;
-        5. **delete** -- drop the moved rows from every source replica;
-        6. **invalidate** -- bump both shards' generations and evict
-           cache entries whose scope touches them (moved line ids and
-           shard tags changed even though probabilities did not).
-        """
-        request = validate_rebalance_params(params, self.num_shards)
-        lo, hi = request.doc_lo, request.doc_hi
-        src, dst = request.source, request.target
-        source = self.pool.shard(src)
-        target = self.pool.shard(dst)
-        job.check_cancelled()
-        move = (lo, hi, src, dst)
-        self._move_gate.begin(move)
-        moved_docs: list[int] = []
-        moved_lines = 0
-        evicted = 0
-        delete_incomplete = False
-        converged = False
-        copy_landed = False
-        try:
-            with ordered_locks(
-                (src, source.write_lock), (dst, target.write_lock)
-            ):
-                job.update(progress=0.1)
-                # Copy from a healthy source replica (the primary unless
-                # it is stale or lost).
-                source_copy = next(
-                    (
-                        r
-                        for r in source.replicas.replicas()
-                        if not r.stale and os.path.exists(r.path)
-                    ),
-                    None,
-                )
-                if source_copy is None:
-                    raise ApiError(
-                        503,
-                        f"shard {src} has no live replica to move from",
-                        code="shard_unavailable",
-                    )
-                rows = source_copy.writer.conn.execute(
-                    "SELECT DocId FROM Documents WHERE DocId BETWEEN ? AND ? "
-                    "ORDER BY DocId",
-                    (lo, hi),
-                ).fetchall()
-                moved_docs = [row[0] for row in rows]
-                moved_lines = source_copy.writer.conn.execute(
-                    "SELECT COUNT(*) FROM MasterData WHERE DocId BETWEEN ? AND ?",
-                    (lo, hi),
-                ).fetchone()[0]
-                job.update(
-                    progress=0.2, docs=len(moved_docs), lines=moved_lines
-                )
-                job.check_cancelled()
-                copied_docs: list[int] = []
-                if moved_docs:
-                    # From here rows may exist on two shards; persist
-                    # that fact so a crash restarts /sql on the safe
-                    # de-duplicating plan.
-                    self._record_pending_move(move)
-                    copied_docs = target.replicas.apply_write(
-                        lambda replica: self._rebalance_copy(
-                            replica, source_copy.path, moved_docs, moved_lines
-                        )
-                    )
-                    copy_landed = True
-                job.update(progress=0.6)
-                if self._rebalance_after_copy is not None:
-                    self._rebalance_after_copy(job)
-                if job.cancel_requested:
-                    # Unwind only what THIS run inserted: documents the
-                    # copy skipped already lived on the target (possibly
-                    # with post-switch ingests no other shard holds) and
-                    # must survive the rollback.
-                    if copied_docs:
-                        try:
-                            target.replicas.apply_write(
-                                lambda replica: self._rebalance_delete(
-                                    replica, copied_docs
-                                )
-                            )
-                        except Exception as exc:
-                            # The committed copies could not be rolled
-                            # back: rows sit on two shards, so this is
-                            # the same unconverged state as a failed
-                            # source delete -- keep the gate entry and
-                            # pending record, converge by re-running.
-                            delete_incomplete = True
-                            raise ApiError(
-                                503
-                                if isinstance(exc, ReplicaUnavailable)
-                                else 500,
-                                f"rebalance {job.id} was cancelled but "
-                                f"could not roll the copies back off "
-                                f"shard {dst}: {exc}; re-submit the same "
-                                "rebalance to converge (forward)",
-                                code="rebalance_incomplete",
-                            ) from exc
-                    raise JobCancelled(
-                        f"rebalance {job.id} cancelled after copy; "
-                        "target rolled back, routing unchanged"
-                    )
-                self._publish_routing(self.routing.with_move(lo, hi, dst))
-                job.update(progress=0.75)
-                if moved_docs:
-                    try:
-                        # Every fan-out that may have read the target
-                        # *before* the copy landed must finish before a
-                        # row leaves the source, or one request could
-                        # see the moved documents on neither shard.
-                        self._move_gate.barrier()
-                        source.replicas.apply_write(
-                            lambda replica: self._rebalance_delete(
-                                replica, moved_docs
-                            )
-                        )
-                    except Exception as exc:
-                        # Ownership already switched; the copies are
-                        # live on the target but the source still holds
-                        # the rows.  Keep the move registered (the gate
-                        # entry is only dropped on success) so ``/sql``
-                        # stays on the de-duplicating full-row plan, and
-                        # tell the operator the convergence recipe:
-                        # re-submitting the same move skips the
-                        # already-copied documents and retries the
-                        # delete.
-                        delete_incomplete = True
-                        raise ApiError(
-                            503 if isinstance(exc, ReplicaUnavailable) else 500,
-                            f"rebalance switched ownership of "
-                            f"[{lo}, {hi}] to shard {dst} but could not "
-                            f"delete the moved rows from shard {src}: "
-                            f"{exc}; re-submit the same rebalance once "
-                            f"the shard is writable to converge",
-                            code="rebalance_incomplete",
-                        ) from exc
-                job.update(progress=0.9)
-            with self._rr_lock:
-                for doc_id in moved_docs:
-                    self._placements.pop(doc_id, None)
-            converged = True
-        except ReplicaUnavailable as exc:
-            raise ApiError(503, str(exc), code="shard_unavailable") from exc
-        finally:
-            if copy_landed:
-                # The target's committed contents changed on every path
-                # that got this far -- even a rolled-back cancel briefly
-                # exposed the copies to scoped reads that may have been
-                # cached -- so both shards' generations move and their
-                # cache entries go, success or not.
-                self.pool.bump({src, dst})
-                evicted = self._invalidate_shards({src, dst})
-            if delete_incomplete:
-                # Keep the gate entry and the persisted pending record:
-                # rows sit on two shards until a re-run converges, and
-                # /sql must stay on the de-duplicating plan -- across
-                # restarts too.
-                pass
-            else:
-                # Converged: also clear every matching entry a failed
-                # predecessor (or crash) left behind.  Cancelled/failed
-                # before the swap: copies were undone (or never landed),
-                # so only this attempt's entries go, a predecessor's
-                # survive.
-                self._finish_move(move, converged)
-        job.update(progress=1.0, evicted_cache_entries=evicted)
-        return {
-            "doc_lo": lo,
-            "doc_hi": hi,
-            "source": src,
-            "target": dst,
-            "moved_docs": len(moved_docs),
-            "moved_lines": moved_lines,
-            "evicted_cache_entries": evicted,
-        }
-
-    # ------------------------------------------------------------------
     def validate_job_params(self, job_type, params):
         if job_type == "rebalance":
             request = validate_rebalance_params(params, self.num_shards)
@@ -1853,7 +1042,10 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
     @property
     def snapshot_path(self) -> str:
         """The warm-start sidecar the ``cache_snapshot`` job writes."""
-        return os.path.join(self.sidecar_dir, CACHE_SNAPSHOT_FILE)
+        return os.path.join(self.shard_dir, CACHE_SNAPSHOT_FILE)
+
+    def _lines_and_index(self, index: int) -> tuple[int, object]:
+        return self.call_leg(index, "stats", lambda leg: leg.lines_and_index())
 
     def job_cache_snapshot(self, job: Job, params) -> dict[str, object]:
         """Runner: serialize the query cache plus its generation vector.
@@ -1868,18 +1060,16 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             self.pool.generations(tuple(range(self.num_shards)))
         )
         lines: list[int] = []
-        index_digests: list[list] = []
+        index_digests: list[object] = []
         for index in range(self.num_shards):
             try:
-                lines_and_index = self._lines_and_index(index)
-            except ReplicaUnavailable as exc:
+                shard_lines, digest = self._lines_and_index(index)
+            except ApiError as exc:
                 raise ApiError(
-                    503,
-                    f"cannot snapshot: {exc}",
-                    code="shard_unavailable",
+                    exc.status, f"cannot snapshot: {exc}", code=exc.code
                 ) from exc
-            lines.append(lines_and_index[0])
-            index_digests.append(lines_and_index[1])
+            lines.append(shard_lines)
+            index_digests.append(digest)
         entries = self.cache.export_entries()
         payload = {
             "kind": "sharded",
@@ -1937,14 +1127,12 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             for index in range(self.num_shards):
                 try:
                     current = self._lines_and_index(index)
-                except ReplicaUnavailable:
+                except ApiError:
                     stale.add(index)
                     continue
                 # A changed line count *or* a rebuilt index makes the
                 # shard's cached results unreplayable.
-                if current[0] != snap_lines[index]:
-                    stale.add(index)
-                elif current[1] != snap_index[index]:
+                if list(current) != [snap_lines[index], snap_index[index]]:
                     stale.add(index)
             # Resume the fresh shards' generation clocks so restored
             # keys (which embed generation vectors) match future lookups.
@@ -1982,77 +1170,84 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
     # ------------------------------------------------------------------
     def total_lines(self) -> int:
         """Lines across all shards (skipping any fully-down shard)."""
-        total = 0
-        for index in range(self.num_shards):
-            try:
-                total += self._shard_lines(index)
-            except ReplicaUnavailable:
-                continue
-        return total
+        lines = (
+            self.call_leg(index, "health", lambda leg: leg.health())["lines"]
+            for index in range(self.num_shards)
+        )
+        return sum(n for n in lines if n is not None)
 
     def health(self) -> dict[str, object]:
         """Liveness: every shard answers a trivial query on some replica.
 
         A shard with no healthy replica degrades the status (its line
         count reads ``null``) instead of failing the probe -- the
-        service is still serving every other shard.
+        service is still serving every other shard.  Legs that are
+        processes of their own add a ``workers`` census.
         """
-        per_shard: dict[str, int | None] = {}
-        replica_health: dict[str, dict[str, int]] = {}
-        degraded = False
-        for index in range(self.num_shards):
-            shard = self.pool.shard(index)
-            try:
-                per_shard[str(index)] = self._shard_lines(index)
-            except ReplicaUnavailable:
-                per_shard[str(index)] = None
-                degraded = True
-            replica_health[str(index)] = {
-                "healthy": len(shard.replicas.healthy()),
-                "attached": len(shard.replicas),
-            }
+        shards = self._fan_out(
+            range(self.num_shards), "health", lambda leg: leg.health()
+        )
+        per_shard = {
+            str(index): shard["lines"] for index, shard in enumerate(shards)
+        }
         return {
-            "status": "degraded" if degraded else "ok",
+            "status": "degraded" if None in per_shard.values() else "ok",
             "db": self.shard_dir,
             "num_shards": self.num_shards,
             "lines": sum(n for n in per_shard.values() if n is not None),
             "shard_lines": per_shard,
-            "replicas": replica_health,
+            "replicas": {
+                str(index): {
+                    "healthy": shard["healthy"],
+                    "attached": shard["attached"],
+                }
+                for index, shard in enumerate(shards)
+            },
+            **self._worker_census(shards),
             "uptime_s": self.metrics.uptime_s,
         }
 
-    def stats(self) -> dict[str, object]:
-        """Operational snapshot: per-shard db/pool/replicas plus registries."""
-        from ..db.engine import APPROACHES
+    @staticmethod
+    def _worker_census(shards: Sequence[dict]) -> dict[str, object]:
+        """Lift the census rows worker-process legs attach to their
+        health/stats blocks into one top-level ``workers`` table."""
+        workers = {
+            str(index): shard.pop("worker")
+            for index, shard in enumerate(shards)
+            if "worker" in shard
+        }
+        return {"workers": workers} if workers else {}
 
-        shard_stats = []
-        for shard, pool_stat in zip(self.pool.shards, self.pool.stats()):
-            def describe(db: StaccatoDB) -> dict[str, object]:
-                return {
-                    "lines": db.num_lines,
-                    "storage_bytes": {
-                        a: db.storage_bytes(a) for a in APPROACHES
-                    },
-                }
-            try:
-                described = self._replica_read(shard.index, "stats", describe)
-            except ReplicaUnavailable:
-                described = {"lines": None, "storage_bytes": None}
-            shard_stats.append({**pool_stat, **described})
+    def stats(self) -> dict[str, object]:
+        """Operational snapshot: per-shard blocks plus the registries."""
+        everything = range(self.num_shards)
+        shards = self._fan_out(everything, "stats", lambda leg: leg.stats())
+        census = self._worker_census(shards)
         return {
             "db": {
                 "shard_dir": self.shard_dir,
                 "num_shards": self.num_shards,
                 "range_width": self.range_width,
-                "num_replicas": self.pool.num_replicas,
+                "num_replicas": self.num_replicas,
                 "lines": sum(
-                    s["lines"] for s in shard_stats if s["lines"] is not None
+                    s["lines"] for s in shards if s["lines"] is not None
                 ),
             },
-            "shards": shard_stats,
+            "shards": [
+                {
+                    "index": index,
+                    "path": self.paths[index],
+                    "generation": generation,
+                    **shard,
+                }
+                for index, generation, shard in zip(
+                    everything, self.pool.generations(everything), shards
+                )
+            ],
             "routing": self.routing.to_json(),
             "cache": self.cache.stats(),
             "jobs": self.jobs.stats(),
             "requests": self.metrics.snapshot(),
+            **census,
             "uptime_s": self.metrics.uptime_s,
         }

@@ -66,7 +66,7 @@ TRACE_HEADER = "X-Trace-Id"
 #: under.  Its presence tells the receiving service that the caller
 #: wants the request's span subtree echoed back in the response
 #: envelope, so the caller can graft it into its own tree (see
-#: :meth:`Span.graft` and the worker router's ``_call_worker``).
+#: :meth:`Span.graft` and ``WorkerLeg._rpc``).
 PARENT_SPAN_HEADER = "X-Parent-Span-Id"
 
 #: Finished traces retained by default.

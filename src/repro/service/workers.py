@@ -1,58 +1,54 @@
-"""Multi-process shard workers behind a thin fan-out router.
+"""Multi-process shard workers: the ``WorkerLeg`` side of the shard seam.
 
-The in-process shard router of :mod:`repro.service.shards` runs every
-shard leg inside one Python process, so N shards share one GIL: a
-filescan-heavy mix gains concurrency but little parallelism.  This
-module promotes each shard to a **worker subprocess** that owns its
-StaccatoDB file (plus replicas) outright, while the front end becomes a
-thin router that only validates, fans out over local HTTP, and merges:
+The shard router of :mod:`repro.service.shards` reaches a shard through
+a :class:`~repro.service.legs.ShardLeg`.  With in-process legs every
+shard shares one GIL: a filescan-heavy mix gains concurrency but little
+parallelism.  This module promotes each shard to a **worker
+subprocess** that owns its StaccatoDB file (plus replicas) outright,
+and gives the *same* router a leg that reaches it over local HTTP:
 
-* :class:`ShardWorkerService` -- the service one worker process runs.
-  It *is* a single-shard :class:`~repro.service.shards.
-  ShardedQueryService` (same wire contract, byte-identical leg
-  semantics), with sidecar files (routing table, job journal, cache
-  snapshot) pointed at a private directory so N workers sharing a
-  ``shard_dir`` never clobber each other.  An ``EXTRA_ROUTES`` table
-  adds the private ``/worker/*`` RPC surface the router needs (owner
-  probes, widened SQL legs, rebalance phases, metadata) without
-  touching the public route tables.
+* :class:`ShardWorkerService` -- what one worker process serves: a
+  :class:`~repro.service.legs.LocalLeg` whose own methods are exposed
+  one-to-one as the private ``/worker/<method>`` RPC surface (an
+  ``EXTRA_ROUTES`` table; the public route tables are untouched), plus
+  the process's own tracer, metrics and profiler.
 * ``python -m repro.service.workers`` -- the worker entry point: bind
   an ephemeral port, publish it through an atomic **port file**
   handshake, serve until SIGTERM, then drain gracefully (stop
   accepting, finish every in-flight request, close the database).
-* :class:`WorkerHandle` / :class:`WorkerPool` -- the router's view of
-  one worker: spawn, readiness, a keep-alive connection pool,
+* :class:`WorkerHandle` / :class:`WorkerPool` -- one worker's
+  lifecycle: spawn, readiness, a keep-alive connection pool,
   deadline-aware requests, and a supervisor thread that restarts a
-  crashed worker (bumping the shard's generation: a killed worker may
-  have committed a batch whose acknowledgement was lost).
-* :class:`WorkerRouterService` -- the drop-in replacement for
-  ``ShardedQueryService`` the transports serve unchanged
-  (``serve --shards N --worker-procs``).  It reuses the in-process
-  router's routing table, pending-move bookkeeping, placement registry
-  and cache machinery (it subclasses ``ShardedQueryService`` for
-  exactly those parts) but every shard leg travels over HTTP with a
-  **per-request deadline** (a worker that does not answer in time is a
-  503 ``deadline_exceeded``, with a matching trace span and metrics
-  event) and optional **hedged reads** (a second attempt races a slow
-  first one).  Traced legs propagate ``X-Trace-Id`` and
-  ``X-Parent-Span-Id`` over the hop; the worker serializes its span
-  subtree into the response envelope and the router grafts it under
-  the leg's span, so ``GET /traces/<id>`` shows one stitched tree
-  across processes.
+  crashed worker (telling the router to bump the shard's generation: a
+  killed worker may have committed a batch whose acknowledgement was
+  lost).
+* :class:`WorkerLeg` -- the leg: each seam call is one RPC with a
+  **deadline** (a worker that does not answer in time raises
+  :class:`~repro.service.legs.LegDeadline`, which the router answers as
+  503 ``deadline_exceeded``) and, for reads, an optional **hedge** (a
+  second attempt races a slow first one).  Traced legs propagate
+  ``X-Trace-Id`` and ``X-Parent-Span-Id`` over the hop; the worker
+  serializes its span subtree into the response envelope and the leg
+  grafts it under its own span, so ``GET /traces/<id>`` shows one
+  stitched tree across processes.
+* :class:`WorkerRouterService` -- ``serve --shards N --worker-procs``:
+  the shared router constructed over ``WorkerLeg``s.  It defines no
+  endpoint of its own.
 
 Failure contract: reads retry freely across worker restarts within
-their deadline (they are idempotent); an ingest leg is retried only
-when the connection was provably never established (refused) --
-StaccatoDB ingests are atomic per batch, so a mid-request crash means
-the batch either fully committed or fully rolled back, and the restart
-path bumps the shard's generation to evict any cache entry that could
-mask a committed-but-unacknowledged batch.
+their deadline (they are idempotent); a write is retried only when the
+connection was provably never established (refused) -- StaccatoDB
+ingests are atomic per batch, so a mid-request crash means the batch
+either fully committed or fully rolled back, and the restart path bumps
+the shard's generation to evict any cache entry that could mask a
+committed-but-unacknowledged batch.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import http.client
 import json
 import os
@@ -62,46 +58,30 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Mapping, Sequence
 
+from .. import counters as engine_counters
 from ..db.engine import shard_path, shard_paths
-from ..db.sql import (
-    SqlError,
-    aggregate_full_rows,
-    execute_select,
-    merge_shard_rows,
-    parse_select,
-    shard_select,
-    shard_select_rows,
-)
-from ..automata.regex import RegexError
+from ..ocr.corpus import Document
 from ..query.answers import Answer
 from . import trace
-from .app import answer_row, check_pattern
-from .cache import QueryCache
-from .jobs import Job, JobCancelled, JobEngine, atomic_write_json
+from .app import answer_row
+from .jobs import atomic_write_json
+from .legs import LegDeadline, LocalLeg
 from .metrics import ServiceMetrics
 from .profiler import SamplingProfiler
-from .replicas import DEFAULT_COOLDOWN_S, ReplicaUnavailable, ordered_locks
-from .shards import (
-    DEFAULT_RANGE_WIDTH,
-    JOBS_JOURNAL_FILE,
-    _MoveGate,
-    _OWNER_PROBE_BATCH,
-    RoutingTable,
-    ShardedQueryService,
-    merge_ranked,
-)
-from .trace import Tracer
+from .replicas import DEFAULT_COOLDOWN_S, ReplicaUnavailable
+from .shards import ShardedQueryService
+from .trace import ObservabilityApi, Tracer
 from .validation import (
     ApiError,
+    IngestRequest,
+    SearchRequest,
     validate_index,
-    validate_rebalance_params,
+    validate_ingest,
     validate_replicas,
     validate_search,
-    validate_sql,
 )
 
 __all__ = [
@@ -112,13 +92,14 @@ __all__ = [
     "ShardWorkerService",
     "WorkerHandle",
     "WorkerPool",
+    "WorkerLeg",
     "WorkerRouterService",
     "main",
 ]
 
-#: Router-side deadline for read legs (search/sql/probes/health).  A
-#: worker that does not answer in time -- wedged, paused, overloaded --
-#: is a 503 ``deadline_exceeded``, never an indefinite hang.
+#: Deadline for read legs (search/sql/probes/health).  A worker that
+#: does not answer in time -- wedged, paused, overloaded -- is a 503
+#: ``deadline_exceeded``, never an indefinite hang.
 DEFAULT_DEADLINE_S = 30.0
 
 #: Deadline for write legs.  Ingest batches and index builds are real
@@ -134,7 +115,7 @@ DEFAULT_HEDGE_DELAY_S = 0.5
 WORKER_READY_TIMEOUT_S = 60.0
 
 #: Everything worker-private under the shard directory lives here: the
-#: per-worker sidecar directories, port files, and crash logs.
+#: port files and crash logs.
 WORKER_SIDECAR_DIR = "workers"
 
 #: Idle keep-alive connections retained per worker.
@@ -166,241 +147,182 @@ def worker_log_file(shard_dir: str, index: int) -> str:
 
 
 # ======================================================================
-# The worker-process service
+# The worker-process service: a LocalLeg's methods, over HTTP
 # ======================================================================
-class ShardWorkerService(ShardedQueryService):
+#: ``(http method, "/worker/<name>") -> name``, filled by :func:`_face`.
+_WORKER_ROUTES: dict[tuple[str, str], str] = {}
+
+
+def _face(http_method: str):
+    """Serve a leg method as ``<http_method> /worker/<its name>``: object
+    bodies in (POST), the wire's 503 for a shard with no usable replica
+    out."""
+
+    def decorate(method):
+        _WORKER_ROUTES[http_method, f"/worker/{method.__name__}"] = (
+            method.__name__
+        )
+
+        @functools.wraps(method)
+        def face(self, *payload):
+            if payload and not isinstance(payload[0], Mapping):
+                raise ApiError(400, "request body must be a JSON object")
+            try:
+                return method(self, *payload)
+            except ReplicaUnavailable as exc:
+                raise ApiError(
+                    503, str(exc), code="shard_unavailable"
+                ) from exc
+
+        return face
+
+    return decorate
+
+
+def _doc_ids(body: Mapping[str, object]) -> list[int]:
+    doc_ids = body.get("doc_ids")
+    if not isinstance(doc_ids, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in doc_ids
+    ):
+        raise ApiError(400, "'doc_ids' must be a list of integers")
+    return doc_ids
+
+
+class ShardWorkerService(ObservabilityApi):
     """One shard of a larger layout, served as a standalone process.
 
-    A worker is simply a single-shard ``ShardedQueryService`` whose
-    shard file is ``shard-<index>.db`` of the *shared* layout and whose
-    sidecar files live in a private per-worker directory.  The public
-    endpoints therefore behave exactly like one in-process shard leg --
-    ``/search`` returns the shard's top-``num_ans`` ranked answers,
-    ``/ingest`` applies one atomic batch under the shard write lock --
-    which is what makes the subprocess topology byte-equivalent after
-    the router's merge.
+    The service *is* a :class:`LocalLeg` -- labelled with its global
+    shard index, so its pools, replicas and errors name the shard the
+    client addressed -- behind a JSON adapter: each ``/worker/<name>``
+    route decodes a body, calls ``leg.<name>`` and encodes the result.
+    Running the very leg the in-process router would run is what makes
+    the subprocess topology byte-equivalent after the router's merge.
+    The router already holds its own per-shard write lock; the leg's is
+    taken here too, so the file stays single-writer whoever calls.
     """
 
-    #: The private RPC surface the router drives (transports read this
-    #: off the service instance; the public route tables are untouched).
-    EXTRA_ROUTES = {
-        ("GET", "/worker/meta"): "worker_meta",
-        ("POST", "/worker/sql"): "worker_sql",
-        ("POST", "/worker/probe"): "worker_probe",
-        ("POST", "/worker/rebalance"): "worker_rebalance",
-    }
+    #: The private RPC surface the router's ``WorkerLeg`` drives
+    #: (transports read this off the service instance; the public route
+    #: tables are untouched, and public routes this process does not
+    #: implement answer 404).
+    EXTRA_ROUTES = _WORKER_ROUTES
 
-    def __init__(self, shard_dir: str, shard_index: int, **kwargs) -> None:
+    def __init__(
+        self,
+        shard_dir: str,
+        shard_index: int,
+        trace_enabled: bool = True,
+        profile_hz: float = 0.0,
+        **storage,
+    ) -> None:
         if shard_index < 0:
             raise ValueError("shard_index must be >= 0")
-        self.worker_shard = shard_index
-        kwargs.setdefault("workers", 1)
-        super().__init__(
-            shard_dir,
-            1,
-            paths=[shard_path(shard_dir, shard_index)],
-            sidecar_dir=os.path.join(
-                shard_dir, WORKER_SIDECAR_DIR, f"shard-{shard_index:04d}"
-            ),
-            **kwargs,
+        self.metrics = ServiceMetrics()
+        self.tracer = Tracer(enabled=trace_enabled)
+        self.leg = LocalLeg(
+            shard_index,
+            shard_path(shard_dir, shard_index),
+            self.metrics,
+            **storage,
         )
-        # The inherited fan-out executor is sized num_shards (= 1 here),
-        # which would serialize every concurrent router request through a
-        # single thread.  Shard scans spend their time inside SQLite with
-        # the GIL released, so give the handler threads real slots.
-        self._executor.shutdown(wait=False)
-        self._executor = ThreadPoolExecutor(
-            max_workers=16, thread_name_prefix="shard-fanout"
-        )
+        self.profiler = SamplingProfiler(hz=profile_hz)
+        self.profiler.start()
+
+    def close(self) -> None:
+        self.profiler.stop()
+        self.leg.close()
+        self.tracer.close()
 
     # ------------------------------------------------------------------
-    def worker_meta(self) -> dict[str, object]:
-        """Cheap metadata probe: lines + index fingerprint + pid."""
-        try:
-            lines, digest = self._lines_and_index(0)
-        except ReplicaUnavailable:
-            lines, digest = None, None
+    @_face("GET")
+    def health(self) -> dict[str, object]:
+        return self.leg.health()
+
+    @_face("GET")
+    def stats(self) -> dict[str, object]:
+        # Engine-work counters are per *process*, so only a worker can
+        # attribute them to one shard.
         return {
-            "shard": self.worker_shard,
-            "pid": os.getpid(),
-            "lines": lines,
-            "index": digest,
+            **self.leg.stats(),
+            "engine": engine_counters.global_snapshot(),
         }
 
-    def worker_sql(self, payload: object) -> dict[str, object]:
-        """One shard's widened SQL leg (full rows, no cutoff).
+    @_face("GET")
+    def lines_and_index(self) -> dict[str, object]:
+        lines, digest = self.leg.lines_and_index()
+        return {"lines": lines, "index": digest}
 
-        Mirrors the in-process router's leg: ``rows`` selects the
-        full-row plan used while a rebalance is in flight (the router
-        de-duplicates by DocId and recomputes aggregates itself).
-        """
-        if not isinstance(payload, Mapping):
-            raise ApiError(400, "request body must be a JSON object")
-        query = payload.get("query")
+    @_face("POST")
+    def search(self, body) -> dict[str, object]:
+        label, answers = self.leg.search(validate_search(body))
+        return {"plan": label, "answers": [answer_row(a) for a in answers]}
+
+    @_face("POST")
+    def sql(self, body) -> dict[str, object]:
+        query = body.get("query")
         if not isinstance(query, str) or not query.strip():
             raise ApiError(400, "'query' must be a non-empty string")
-        approach = payload.get("approach", "staccato")
-        full_rows = bool(payload.get("rows"))
-        try:
-            parsed = parse_select(query)
-        except SqlError as exc:
-            raise ApiError(400, str(exc), code="sql_error") from exc
-        base = shard_select_rows(parsed) if full_rows else shard_select(parsed)
+        return {
+            "rows": self.leg.sql(
+                query,
+                body.get("approach", "staccato"),
+                bool(body.get("full_rows")),
+            )
+        }
 
-        def evaluate(db) -> list[dict[str, object]]:
-            try:
-                return execute_select(
-                    db, query, approach=approach, num_ans=None, parsed=base
-                )
-            except (SqlError, RegexError) as exc:
-                raise ApiError(400, str(exc), code="sql_error") from exc
-
-        try:
-            rows = self._replica_read(0, "sql", evaluate)
-        except ReplicaUnavailable as exc:
-            raise self._shard_unavailable(self.worker_shard, exc) from exc
-        return {"shard": self.worker_shard, "count": len(rows), "rows": rows}
-
-    def worker_probe(self, payload: object) -> dict[str, object]:
-        """Which of ``doc_ids`` this shard already holds.
-
-        ``relation`` picks the table: ``master`` (committed lines; the
-        ingest owner probe) or ``documents`` (the rebalance re-dispatch
-        check of ``_split_moved``).
-        """
-        if not isinstance(payload, Mapping):
-            raise ApiError(400, "request body must be a JSON object")
-        doc_ids = payload.get("doc_ids")
-        if not isinstance(doc_ids, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) for d in doc_ids
-        ):
-            raise ApiError(400, "'doc_ids' must be a list of integers")
-        relation = payload.get("relation", "master")
+    @_face("POST")
+    def present(self, body) -> dict[str, object]:
+        relation = body.get("relation")
         if relation not in ("master", "documents"):
             raise ApiError(400, "'relation' must be 'master' or 'documents'")
-        select = (
-            "SELECT DISTINCT DocId FROM MasterData"
-            if relation == "master"
-            else "SELECT DocId FROM Documents"
-        )
-        ids = sorted(set(doc_ids))
+        return {"present": sorted(self.leg.present(_doc_ids(body), relation))}
 
-        def probe(db) -> set[int]:
-            found: set[int] = set()
-            for at in range(0, len(ids), _OWNER_PROBE_BATCH):
-                batch = ids[at : at + _OWNER_PROBE_BATCH]
-                marks = ",".join("?" * len(batch))
-                found.update(
-                    row[0]
-                    for row in db.conn.execute(
-                        f"{select} WHERE DocId IN ({marks})", batch
-                    )
-                )
-            return found
+    @_face("POST")
+    def ingest(self, body) -> dict[str, object]:
+        request = validate_ingest(body)
+        with self.leg.write_lock:
+            count, total = self.leg.ingest(request.dataset.documents, request)
+        return {"ingested_lines": count, "total_lines": total}
 
-        try:
-            present = self._replica_read(0, "ingest", probe)
-        except ReplicaUnavailable as exc:
-            raise self._shard_unavailable(self.worker_shard, exc) from exc
-        return {"shard": self.worker_shard, "present": sorted(present)}
+    @_face("POST")
+    def build_index(self, body) -> dict[str, object]:
+        request = validate_index(body)
+        with self.leg.write_lock:
+            postings, reloaded = self.leg.build_index(
+                request.terms, request.approach
+            )
+        return {"postings": postings, "reloaded": reloaded}
 
-    def worker_rebalance(self, payload: object) -> dict[str, object]:
-        """One phase of a cross-process rebalance, on this shard.
+    @_face("POST")
+    def change_replicas(self, body) -> dict[str, object]:
+        request = validate_replicas({**body, "shard": self.leg.index})
+        with self.leg.write_lock:
+            return self.leg.change_replicas(request.action, request.replica)
 
-        ``snapshot`` lists the documents in a range (source side),
-        ``copy`` pulls them in from the source *file* (target side; one
-        verified transaction per replica via SQLite ATTACH -- the
-        router holds both workers' write locks, so the source file
-        cannot change under the copy), ``delete`` drops them.  Copy and
-        delete bump this worker's own generation and evict its local
-        cache, exactly like the in-process phases.
-        """
-        if not isinstance(payload, Mapping):
-            raise ApiError(400, "request body must be a JSON object")
-        action = payload.get("action")
-        shard = self.pool.shard(0)
-        if action == "snapshot":
-            lo, hi = payload.get("doc_lo"), payload.get("doc_hi")
-            if not isinstance(lo, int) or not isinstance(hi, int):
-                raise ApiError(
-                    400, "snapshot needs integer 'doc_lo' and 'doc_hi'"
-                )
-            with shard.write_lock:
-                source_copy = next(
-                    (
-                        r
-                        for r in shard.replicas.replicas()
-                        if not r.stale and os.path.exists(r.path)
-                    ),
-                    None,
-                )
-                if source_copy is None:
-                    raise ApiError(
-                        503,
-                        f"shard {self.worker_shard} has no live replica "
-                        "to move from",
-                        code="shard_unavailable",
-                    )
-                docs = [
-                    row[0]
-                    for row in source_copy.writer.conn.execute(
-                        "SELECT DocId FROM Documents "
-                        "WHERE DocId BETWEEN ? AND ? ORDER BY DocId",
-                        (lo, hi),
-                    )
-                ]
-                lines = source_copy.writer.conn.execute(
-                    "SELECT COUNT(*) FROM MasterData "
-                    "WHERE DocId BETWEEN ? AND ?",
-                    (lo, hi),
-                ).fetchone()[0]
-                path = os.path.abspath(source_copy.path)
+    @_face("POST")
+    def rebalance_snapshot(self, body) -> dict[str, object]:
+        lo, hi = body.get("doc_lo"), body.get("doc_hi")
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            raise ApiError(400, "snapshot needs integer 'doc_lo' and 'doc_hi'")
+        with self.leg.write_lock:
+            docs, lines, path = self.leg.rebalance_snapshot(lo, hi)
+        return {"docs": docs, "lines": lines, "source_path": path}
+
+    @_face("POST")
+    def rebalance_copy(self, body) -> dict[str, object]:
+        source_path = body.get("source_path")
+        if not isinstance(source_path, str):
+            raise ApiError(400, "copy needs a 'source_path'")
+        with self.leg.write_lock:
             return {
-                "shard": self.worker_shard,
-                "docs": docs,
-                "lines": lines,
-                "source_path": path,
+                "copied": self.leg.rebalance_copy(source_path, _doc_ids(body))
             }
-        if action in ("copy", "delete"):
-            doc_ids = payload.get("doc_ids")
-            if not isinstance(doc_ids, list) or not all(
-                isinstance(d, int) and not isinstance(d, bool)
-                for d in doc_ids
-            ):
-                raise ApiError(400, "'doc_ids' must be a list of integers")
-            try:
-                if action == "copy":
-                    source_path = payload.get("source_path")
-                    expect_lines = payload.get("expect_lines")
-                    if not isinstance(source_path, str) or not isinstance(
-                        expect_lines, int
-                    ):
-                        raise ApiError(
-                            400,
-                            "copy needs 'source_path' and integer "
-                            "'expect_lines'",
-                        )
-                    with shard.write_lock:
-                        copied = shard.replicas.apply_write(
-                            lambda replica: self._rebalance_copy(
-                                replica, source_path, doc_ids, expect_lines
-                            )
-                        )
-                    affected: dict[str, object] = {"copied": copied}
-                else:
-                    with shard.write_lock:
-                        shard.replicas.apply_write(
-                            lambda replica: self._rebalance_delete(
-                                replica, doc_ids
-                            )
-                        )
-                    affected = {"deleted": len(doc_ids)}
-            except ReplicaUnavailable as exc:
-                raise self._shard_unavailable(self.worker_shard, exc) from exc
-            self.pool.bump({0})
-            self._invalidate_shards({0})
-            return {"shard": self.worker_shard, **affected}
-        raise ApiError(400, f"unknown rebalance action {action!r}")
+
+    @_face("POST")
+    def rebalance_delete(self, body) -> dict[str, object]:
+        with self.leg.write_lock:
+            self.leg.rebalance_delete(_doc_ids(body))
+        return {}
 
 
 # ======================================================================
@@ -432,15 +354,14 @@ def run_worker(args: argparse.Namespace) -> int:
     service = ShardWorkerService(
         args.shard_dir,
         args.shard_index,
-        replicas=args.replicas,
+        trace_enabled=not args.no_trace,
+        profile_hz=args.profile_hz,
+        num_replicas=args.replicas,
         k=args.k,
         m=args.m,
         pool_size=args.pool_size,
-        cache_size=args.cache_size,
         index_approach=args.index_approach,
-        replica_cooldown_s=args.replica_cooldown,
-        trace_enabled=not args.no_trace,
-        profile_hz=args.profile_hz,
+        cooldown_s=args.replica_cooldown,
         scan_procs=args.scan_procs,
     )
     server = WorkerHTTPServer((args.host, args.port), service)
@@ -454,7 +375,7 @@ def run_worker(args: argparse.Namespace) -> int:
     )
     thread.start()
 
-    # A SIGKILLed router never runs WorkerPool.terminate(), so without a
+    # A SIGKILLed router never runs WorkerPool.close(), so without a
     # watchdog its workers would outlive it forever (re-parented to
     # init, still bound to their ports).  Poll the parent pid: when it
     # changes, the router is gone and this worker drains itself.
@@ -504,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, default=25)
     parser.add_argument("--m", type=int, default=40)
     parser.add_argument("--pool-size", type=int, default=2)
-    parser.add_argument("--cache-size", type=int, default=256)
     parser.add_argument("--index-approach", default="staccato")
     parser.add_argument(
         "--replica-cooldown", type=float, default=DEFAULT_COOLDOWN_S
@@ -522,14 +442,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 # ======================================================================
 # Router side: one worker's lifecycle + connections
 # ======================================================================
-class WorkerDeadline(Exception):
-    """The per-request deadline expired before the worker answered."""
-
-
-class WorkerUnavailable(Exception):
-    """The worker connection failed and the request may not be retried."""
-
-
 class _NoDelayConnection(http.client.HTTPConnection):
     """An ``HTTPConnection`` with Nagle's algorithm disabled.
 
@@ -692,7 +604,7 @@ class WorkerHandle:
                 if status == 200:
                     self._ready.set()
                     return
-            except (OSError, http.client.HTTPException, WorkerDeadline):
+            except (OSError, http.client.HTTPException):
                 pass
             time.sleep(0.05)
         self._kill_quietly()
@@ -801,20 +713,22 @@ class WorkerHandle:
         client).  Non-idempotent requests run on a *fresh* connection
         and retry only when the connection was refused -- the one case
         where the request provably never reached the worker; any other
-        failure raises :class:`WorkerUnavailable`, because an ingest
+        failure raises :class:`ReplicaUnavailable`, because an ingest
         batch may have committed before the crash and a blind re-send
-        would duplicate its rows.
+        would duplicate its rows.  An expired deadline raises
+        :class:`LegDeadline`.
         """
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise WorkerDeadline(
-                    f"worker {self.index} did not answer before the deadline"
+                raise LegDeadline(
+                    f"shard {self.index} worker did not answer within "
+                    "its deadline"
                 )
             if not self._ready.wait(timeout=min(remaining, 0.25)):
                 if self.draining:
-                    raise WorkerUnavailable(
-                        f"worker {self.index} is shutting down"
+                    raise ReplicaUnavailable(
+                        f"shard {self.index} worker is shutting down"
                     )
                 continue  # restarting; re-check the deadline and wait on
             pool = self._conns
@@ -828,14 +742,241 @@ class WorkerHandle:
                     method, path, body, remaining, conn=conn, headers=headers
                 )
             except (socket.timeout, TimeoutError) as exc:
-                raise WorkerDeadline(str(exc) or "socket timeout") from exc
+                raise LegDeadline(
+                    f"shard {self.index} worker did not answer within "
+                    f"its deadline: {str(exc) or 'socket timeout'}"
+                ) from exc
             except (OSError, http.client.HTTPException) as exc:
                 if idempotent or isinstance(exc, ConnectionRefusedError):
                     time.sleep(0.05)
                     continue
-                raise WorkerUnavailable(
+                raise ReplicaUnavailable(
+                    f"shard {self.index} worker unavailable: "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
+
+
+class WorkerLeg:
+    """A shard served by a worker subprocess: each seam call is one RPC.
+
+    The worker runs a :class:`LocalLeg` (replica failover and breakers
+    are its business); this side adds what crossing a process boundary
+    needs -- deadlines, hedged reads, trace stitching -- and turns the
+    worker's structured errors back into the exceptions a local leg
+    would have raised.
+    """
+
+    def __init__(self, handle: WorkerHandle, pool: "WorkerPool") -> None:
+        self.handle = handle
+        self.index = handle.index
+        self.path = shard_path(handle.shard_dir, handle.index)
+        # The worker serializes its *own* writes, but a rebalance needs
+        # its multi-request critical section (and mutual exclusion
+        # against ingest/index legs) enforced router-side.
+        self.write_lock = threading.Lock()
+        self._pool = pool
+
+    @staticmethod
+    def fanout_width(num_shards: int) -> int:
+        # These legs just wait on worker sockets: size the fan-out for
+        # concurrent requests, or every in-flight client serializes
+        # through num_shards threads.
+        return max(16, 4 * num_shards)
+
+    def close(self) -> None:
+        # The workers share one supervisor and drain together.
+        self._pool.close()
+
+    # ------------------------------------------------------------------
+    def _rpc(
+        self,
+        name: str,
+        body: Mapping[str, object] | None = None,
+        *,
+        idempotent: bool = True,
+        hedge: bool = False,
+    ) -> dict[str, object]:
+        """``leg.<name>`` inside the worker, over ``/worker/<name>``.
+
+        A worker's structured error passes through with its status and
+        code intact (so a worker-side 400/503 reads exactly like the
+        in-process leg's).
+
+        When the router request is traced, the leg propagates the trace
+        id plus this span's id over the hop (``X-Trace-Id`` /
+        ``X-Parent-Span-Id``); the worker answers with its own span
+        subtree in the response envelope, which is grafted under this
+        leg's span -- so ``GET /traces/<id>`` on the router shows one
+        stitched tree across processes.  Untraced requests send neither
+        header and the worker builds no tree at all.
+        """
+        pool = self._pool
+        deadline = time.monotonic() + (
+            pool.deadline_s if idempotent else pool.write_deadline_s
+        )
+        span = trace.current_span()
+        raw = None if body is None else json.dumps(body).encode("utf-8")
+        headers: dict[str, str] | None = None
+        if span is not None:
+            headers = dict(_JSON_HEADERS) if raw else {}
+            root = trace.current_root()
+            if root is not None and root.trace_id:
+                headers[trace.TRACE_HEADER] = root.trace_id
+            headers[trace.PARENT_SPAN_HEADER] = span.span_id
+        send = functools.partial(
+            self.handle.request,
+            "GET" if body is None else "POST",
+            f"/worker/{name}",
+            raw,
+            deadline=deadline,
+            headers=headers,
+        )
+        if hedge and pool.hedge_delay_s is not None:
+            status, payload = pool.hedged(send, deadline)
+        else:
+            status, payload = send(idempotent=idempotent)
+        if isinstance(payload, dict) and "trace" in payload:
+            worker_trace = payload.pop("trace", None)
+            if span is not None and isinstance(worker_trace, Mapping):
+                subtree = worker_trace.get("spans")
+                if isinstance(subtree, Mapping):
+                    span.graft(subtree, worker=self.index)
+        if status >= 400:
+            error = payload.get("error") if isinstance(payload, dict) else None
+            if isinstance(error, Mapping) and "message" in error:
+                raise ApiError(
+                    status,
+                    str(error.get("message")),
+                    code=str(error.get("code", "worker_error")),
+                )
+            raise ApiError(
+                502,
+                f"shard {self.index} worker answered {status} with an "
+                "unexpected body",
+                code="worker_error",
+            )
+        return payload if isinstance(payload, dict) else {}
+
+    # ------------------------------------------------------------------
+    def search(self, request: SearchRequest) -> tuple[str, list[Answer]]:
+        result = self._rpc(
+            "search",
+            {
+                "pattern": request.pattern,
+                "approach": request.approach,
+                "plan": request.plan,
+                "num_ans": request.num_ans,
+            },
+            hedge=True,
+        )
+        answers = [
+            Answer(
+                line_id=row["line_id"],
+                doc_id=row["doc_id"],
+                line_no=row["line_no"],
+                probability=row["probability"],
+            )
+            for row in result["answers"]
+        ]
+        return result["plan"], answers
+
+    def sql(
+        self, query: str, approach: str, full_rows: bool
+    ) -> list[dict[str, object]]:
+        body = {"query": query, "approach": approach, "full_rows": full_rows}
+        return self._rpc("sql", body, hedge=True)["rows"]
+
+    def present(self, doc_ids: Sequence[int], relation: str) -> set[int]:
+        body = {"doc_ids": list(doc_ids), "relation": relation}
+        return set(self._rpc("present", body)["present"])
+
+    def lines_and_index(self) -> tuple[int, object]:
+        result = self._rpc("lines_and_index")
+        return result["lines"], result["index"]
+
+    def ingest(
+        self, docs: Sequence[Document], request: IngestRequest
+    ) -> tuple[int, int]:
+        body: dict[str, object] = {
+            "dataset": request.dataset.name,
+            "documents": [
+                {
+                    "doc_id": doc.doc_id,
+                    "name": doc.name,
+                    "year": doc.year,
+                    "loss": doc.loss,
+                    "lines": list(doc.lines),
+                }
+                for doc in docs
+            ],
+            "ocr_seed": request.ocr_seed,
+            "approaches": list(request.approaches),
+        }
+        if request.workers is not None:
+            body["workers"] = request.workers
+        result = self._rpc("ingest", body, idempotent=False)
+        return result["ingested_lines"], result["total_lines"]
+
+    def build_index(
+        self, terms: Sequence[str], approach: str
+    ) -> tuple[int, bool]:
+        result = self._rpc(
+            "build_index",
+            {"terms": list(terms), "approach": approach},
+            idempotent=False,
+        )
+        return result["postings"], result["reloaded"]
+
+    def change_replicas(
+        self, action: str, replica: int | None
+    ) -> dict[str, object]:
+        return self._rpc(
+            "change_replicas",
+            {"action": action, "replica": replica},
+            idempotent=False,
+        )
+
+    def rebalance_snapshot(
+        self, doc_lo: int, doc_hi: int
+    ) -> tuple[list[int], int, str]:
+        result = self._rpc(
+            "rebalance_snapshot",
+            {"doc_lo": doc_lo, "doc_hi": doc_hi},
+            idempotent=False,
+        )
+        return result["docs"], result["lines"], result["source_path"]
+
+    def rebalance_copy(
+        self, source_path: str, doc_ids: Sequence[int]
+    ) -> list[int]:
+        return self._rpc(
+            "rebalance_copy",
+            {"source_path": source_path, "doc_ids": list(doc_ids)},
+            idempotent=False,
+        )["copied"]
+
+    def rebalance_delete(self, doc_ids: Sequence[int]) -> None:
+        self._rpc(
+            "rebalance_delete", {"doc_ids": list(doc_ids)}, idempotent=False
+        )
+
+    # ------------------------------------------------------------------
+    def _observe(self, name: str, down: dict[str, object]):
+        """``health``/``stats`` never raise for a down shard; both carry
+        this worker's census row."""
+        try:
+            block = self._rpc(name)
+        except (ApiError, LegDeadline, ReplicaUnavailable):
+            block = down
+        return {**block, "worker": self.handle.describe()}
+
+    def health(self) -> dict[str, object]:
+        return self._observe(
+            "health", {"lines": None, "healthy": 0, "attached": 0}
+        )
+
+    def stats(self) -> dict[str, object]:
+        return self._observe("stats", {"lines": None})
 
 
 class WorkerPool:
@@ -849,16 +990,30 @@ class WorkerPool:
         metrics: ServiceMetrics,
         on_restart=None,
         ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
+        deadline_s: float = DEFAULT_DEADLINE_S,
+        write_deadline_s: float = DEFAULT_WRITE_DEADLINE_S,
+        hedge_delay_s: float | None = DEFAULT_HEDGE_DELAY_S,
     ) -> None:
         self.metrics = metrics
         self.on_restart = on_restart
+        self.deadline_s = float(deadline_s)
+        self.write_deadline_s = float(write_deadline_s)
+        self.hedge_delay_s = hedge_delay_s
         self.handles = [
             WorkerHandle(
                 shard_dir, index, spawn_flags, ready_timeout_s=ready_timeout_s
             )
             for index in range(num_shards)
         ]
+        self.legs = [WorkerLeg(handle, self) for handle in self.handles]
+        # Hedged reads need somewhere to park both attempts: the primary
+        # occupies one slot for its full (possibly wedged) duration.
+        self._hedge_executor = ThreadPoolExecutor(
+            max_workers=max(32, 8 * num_shards),
+            thread_name_prefix="worker-hedge",
+        )
         self._closed = False
+        self._close_lock = threading.Lock()
         # Spawn concurrently: each worker pays its own DB/replica
         # startup, and N of those in sequence would dominate boot time.
         with ThreadPoolExecutor(
@@ -892,10 +1047,30 @@ class WorkerPool:
     def handle(self, index: int) -> WorkerHandle:
         return self.handles[index]
 
-    def describe(self) -> dict[str, dict[str, object]]:
-        return {
-            str(handle.index): handle.describe() for handle in self.handles
-        }
+    def hedged(self, send, deadline: float) -> tuple[int, object]:
+        """Race a second attempt against a slow first one; first answer
+        wins.  Both attempts share the request deadline; the loser's
+        connection is simply closed when it eventually finishes."""
+        primary = self._hedge_executor.submit(send, idempotent=True)
+        delay = min(self.hedge_delay_s, max(0.0, deadline - time.monotonic()))
+        done, _ = wait([primary], timeout=delay)
+        if done:
+            return primary.result()
+        self.metrics.event("hedged_request")
+        backup = self._hedge_executor.submit(
+            send, idempotent=True, fresh=True
+        )
+        pending = {primary, backup}
+        error: Exception | None = None
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                try:
+                    return future.result()
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    error = exc
+        assert error is not None
+        raise error
 
     # ------------------------------------------------------------------
     def _supervise(self) -> None:
@@ -919,7 +1094,11 @@ class WorkerPool:
                         self.on_restart(handle.index)
 
     def close(self) -> None:
-        self._closed = True
+        """Stop supervising and drain every worker (idempotent)."""
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
         stop = getattr(self, "_stop", None)
         if stop is not None:
             stop.set()
@@ -929,992 +1108,80 @@ class WorkerPool:
             thread_name_prefix="worker-drain",
         ) as drainer:
             list(drainer.map(lambda h: h.terminate(), self.handles))
-
-
-class _RouterGenerations:
-    """Duck-types the ``ShardedPool`` generation surface for the router.
-
-    The router is the sole write path, so its counters advance exactly
-    like the in-process router's; a worker restart also bumps (the
-    dead process may have committed a batch whose acknowledgement was
-    lost, and any cached result computed before it must stop matching).
-    """
-
-    def __init__(self, num_shards: int) -> None:
-        self._lock = threading.Lock()
-        self._generations = [0] * num_shards
-
-    def generations(self, scope: Sequence[int]) -> tuple[int, ...]:
-        with self._lock:
-            return tuple(self._generations[i] for i in scope)
-
-    def bump(self, scope) -> None:
-        with self._lock:
-            for i in scope:
-                self._generations[i] += 1
-
-    def resume_generations(self, generations) -> None:
-        with self._lock:
-            for i, generation in enumerate(generations):
-                if generation is None:
-                    continue
-                self._generations[i] = max(
-                    self._generations[i], int(generation)
-                )
+        # Hedge legs may be parked on a wedged worker until their
+        # deadline; do not wait for them (their sockets died with the
+        # workers above).
+        self._hedge_executor.shutdown(wait=False, cancel_futures=True)
 
 
 # ======================================================================
-# The fan-out router over worker subprocesses
+# The router over worker subprocesses
 # ======================================================================
 class WorkerRouterService(ShardedQueryService):
-    """``ShardedQueryService``'s wire contract over worker subprocesses.
+    """The shard router with every shard in a worker subprocess.
 
-    Subclasses the in-process router for the parts that are storage-
-    independent -- the routing table and its atomic publish, pending-
-    move bookkeeping, the placement registry, cache keying/invalidation,
-    fan-out executors, the jobs/observability APIs -- and replaces every
-    shard leg with an HTTP call to that shard's worker.  ``__init__``
-    deliberately does NOT call ``super().__init__``: the base would
-    open every shard file in-process, and the workers own those files.
+    Only the topology differs from the base class: the constructor's
+    leg hook spawns a :class:`WorkerPool` and hands back its
+    :class:`WorkerLeg`s.  Every endpoint, job and the constructor
+    itself are the shared ones.
     """
 
-    def __init__(  # noqa: PLR0913 - mirrors ShardedQueryService
+    def __init__(
         self,
         shard_dir: str,
         num_shards: int,
-        k: int = 25,
-        m: int = 40,
-        pool_size: int = 2,
-        cache_size: int = 256,
-        index_approach: str = "staccato",
-        range_width: int = DEFAULT_RANGE_WIDTH,
-        replicas: int = 1,
-        replica_cooldown_s: float = DEFAULT_COOLDOWN_S,
-        workers: int = 2,
-        trace_enabled: bool = True,
-        trace_ring: int = trace.DEFAULT_TRACE_RING,
-        slow_query_ms: float | None = None,
-        slow_log_path: str | None = None,
-        access_log_path: str | None = None,
-        profile_hz: float = 0.0,
+        *,
         deadline_s: float = DEFAULT_DEADLINE_S,
         write_deadline_s: float = DEFAULT_WRITE_DEADLINE_S,
         hedge_delay_s: float | None = DEFAULT_HEDGE_DELAY_S,
         worker_ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
-        scan_procs: int | None = None,
+        **router_options,
     ) -> None:
-        if num_shards < 1:
-            raise ValueError("a sharded service needs at least one shard")
-        os.makedirs(shard_dir, exist_ok=True)
-        self.shard_dir = shard_dir
-        self.sidecar_dir = shard_dir
-        self.num_shards = num_shards
-        self.range_width = range_width
-        self.index_approach = index_approach
-        self.num_replicas = replicas
-        self.paths = shard_paths(shard_dir, num_shards)
-        self.deadline_s = float(deadline_s)
-        self.write_deadline_s = float(write_deadline_s)
-        self.hedge_delay_s = hedge_delay_s
-        self.cache = QueryCache(cache_size)
-        self.metrics = ServiceMetrics()
-        self.tracer = Tracer(
-            enabled=trace_enabled,
-            ring=trace_ring,
-            slow_query_ms=slow_query_ms,
-            slow_log_path=slow_log_path,
-            access_log_path=access_log_path,
+        self._pool_options = dict(
+            deadline_s=deadline_s,
+            write_deadline_s=write_deadline_s,
+            hedge_delay_s=hedge_delay_s,
+            ready_timeout_s=worker_ready_timeout_s,
         )
-        self._rr_lock = threading.Lock()
-        self._rr_next = 0
-        self._placements: "OrderedDict[int, int]" = OrderedDict()
-        # Unlike the in-process router (whose shard legs are GIL-bound
-        # scans, so num_shards threads suffice), these legs just wait on
-        # worker sockets -- size the fan-out for concurrent requests or
-        # every in-flight client serializes through num_shards threads.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(16, 4 * num_shards),
-            thread_name_prefix="worker-fanout",
-        )
-        self._write_executor = ThreadPoolExecutor(
-            max_workers=num_shards, thread_name_prefix="worker-writes"
-        )
-        # Hedged reads need somewhere to park both attempts: the primary
-        # occupies one slot for its full (possibly wedged) duration.
-        self._hedge_executor = ThreadPoolExecutor(
-            max_workers=max(32, 8 * num_shards),
-            thread_name_prefix="worker-hedge",
-        )
-        self._routing_lock = threading.Lock()
-        self._inflight_lock = threading.Lock()
-        self._inflight: dict[tuple, threading.Event] = {}
-        self._routing = RoutingTable.load(shard_dir, num_shards, range_width)
-        self._move_gate = _MoveGate()
-        self._pending_moves = self._load_pending_moves()
-        for pending in self._pending_moves:
-            self._move_gate.register(pending)
-        self._rebalance_after_copy = None
-        self.pool = _RouterGenerations(num_shards)
-        # Router-level write locks: a worker serializes its *own* writes,
-        # but a rebalance needs its multi-request critical section (and
-        # mutual exclusion against ingest/index legs) enforced here.
-        self._worker_locks = [
-            threading.Lock() for _ in range(num_shards)
-        ]
-        self.profiler = SamplingProfiler(hz=profile_hz)
-        self.profiler.start()
+        super().__init__(shard_dir, num_shards, **router_options)
+
+    def _open_legs(
+        self, k, m, pool_size, index_approach, num_replicas, cooldown_s,
+        scan_procs,
+    ) -> list[WorkerLeg]:
+        if self.paths != shard_paths(self.shard_dir, self.num_shards):
+            raise ValueError(
+                "worker processes serve the canonical shard layout; "
+                "'paths' is not supported with worker processes"
+            )
         spawn_flags = [
-            "--replicas", str(replicas),
+            "--replicas", str(num_replicas),
             "--k", str(k),
             "--m", str(m),
             "--pool-size", str(pool_size),
-            "--cache-size", str(cache_size),
             "--index-approach", index_approach,
-            "--replica-cooldown", str(replica_cooldown_s),
-            "--profile-hz", str(profile_hz),
+            "--replica-cooldown", str(cooldown_s),
+            "--profile-hz", str(self.profiler.hz),
         ]
-        if not trace_enabled:
+        if not self.tracer.enabled:
             spawn_flags.append("--no-trace")
         if scan_procs is not None:
             spawn_flags.extend(["--scan-procs", str(scan_procs)])
-        try:
-            self._workers = WorkerPool(
-                shard_dir,
-                num_shards,
-                spawn_flags,
-                self.metrics,
-                on_restart=self._worker_restarted,
-                ready_timeout_s=worker_ready_timeout_s,
-            )
-        except Exception:
-            self.profiler.stop()
-            self._executor.shutdown(wait=False)
-            self._write_executor.shutdown(wait=False)
-            self._hedge_executor.shutdown(wait=False)
-            self.tracer.close()
-            raise
-        self.jobs = JobEngine(
-            self,
-            os.path.join(shard_dir, JOBS_JOURNAL_FILE),
-            workers=workers,
-            metrics=self.metrics,
-            tracer=self.tracer,
+        self._workers = WorkerPool(
+            self.shard_dir,
+            self.num_shards,
+            spawn_flags,
+            self.metrics,
+            on_restart=self._worker_restarted,
+            **self._pool_options,
         )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self.profiler.stop()
-        self.jobs.shutdown()
-        self._executor.shutdown(wait=True)
-        self._write_executor.shutdown(wait=True)
-        # Hedge legs may be parked on a wedged worker until their
-        # deadline; do not wait for them (their sockets die with the
-        # workers below).
-        self._hedge_executor.shutdown(wait=False, cancel_futures=True)
-        self._workers.close()
-        self.tracer.close()
+        return self._workers.legs
 
     def _worker_restarted(self, index: int) -> None:
         """A worker came back from a crash: its file may hold a batch
         committed after the last acknowledged write, so cached results
         for the shard can no longer be trusted."""
-        self.pool.bump({index})
-        self._invalidate_shards({index})
-
-    # ------------------------------------------------------------------
-    # The one RPC path every leg goes through
-    # ------------------------------------------------------------------
-    def _singleflight(self, key: tuple) -> threading.Event | None:
-        """Coalesce identical concurrent cache misses onto one fan-out.
-
-        Returns an :class:`~threading.Event` when the caller is the
-        leader (it must fan out and then call
-        :meth:`_singleflight_done`); returns None after waiting for an
-        in-flight leader, in which case the caller re-probes the cache
-        and falls back to its own fan-out on a miss (leader failed, or
-        the cache is disabled/was invalidated).
-        """
-        with self._inflight_lock:
-            event = self._inflight.get(key)
-            if event is None:
-                event = threading.Event()
-                self._inflight[key] = event
-                return event
-        event.wait(self.deadline_s)
-        return None
-
-    def _singleflight_done(self, key: tuple, event: threading.Event) -> None:
-        with self._inflight_lock:
-            if self._inflight.get(key) is event:
-                del self._inflight[key]
-        event.set()
-
-    def _call_worker(
-        self,
-        index: int,
-        method: str,
-        path: str,
-        body: Mapping[str, object] | None = None,
-        *,
-        endpoint: str,
-        idempotent: bool,
-        deadline: float | None = None,
-        hedge: bool = False,
-    ) -> dict[str, object]:
-        """One worker RPC: deadline, tracing, metrics, error mapping.
-
-        A worker's structured error passes through with its status and
-        code intact (so a worker-side 400/503 reads exactly like the
-        in-process leg's).  Deadline expiry maps to the 503
-        ``deadline_exceeded`` contract with a matching trace span and
-        metrics event; an unretryable connection failure maps to 503
-        ``shard_unavailable``.
-
-        When the router request is traced, the leg propagates the trace
-        id plus this span's id over the hop (``X-Trace-Id`` /
-        ``X-Parent-Span-Id``); the worker answers with its own span
-        subtree in the response envelope, which is grafted under this
-        leg's span -- so ``GET /traces/<id>`` on the router shows one
-        stitched tree across processes.  Untraced requests send neither
-        header and the worker builds no tree at all.
-        """
-        if deadline is None:
-            deadline = time.monotonic() + (
-                self.deadline_s if idempotent else self.write_deadline_s
-            )
-        handle = self._workers.handle(index)
-        span = trace.current_span()
-        raw = None if body is None else json.dumps(body).encode("utf-8")
-        headers: dict[str, str] | None = None
-        if span is not None:
-            headers = dict(_JSON_HEADERS) if raw else {}
-            root = trace.current_root()
-            if root is not None and root.trace_id:
-                headers[trace.TRACE_HEADER] = root.trace_id
-            headers[trace.PARENT_SPAN_HEADER] = span.span_id
-        started = time.perf_counter()
-        try:
-            if hedge and idempotent and self.hedge_delay_s is not None:
-                status, payload = self._hedged_request(
-                    handle, method, path, raw, deadline, headers=headers
-                )
-            else:
-                status, payload = handle.request(
-                    method, path, raw, deadline=deadline,
-                    idempotent=idempotent, headers=headers,
-                )
-        except WorkerDeadline as exc:
-            self.metrics.event("deadline_exceeded")
-            self.metrics.observe_shard(
-                index, endpoint, time.perf_counter() - started, error=True
-            )
-            with trace.span("deadline_exceeded", shard=index):
-                pass
-            raise ApiError(
-                503,
-                f"shard {index} worker did not answer within its deadline: "
-                f"{exc}",
-                code="deadline_exceeded",
-            ) from exc
-        except WorkerUnavailable as exc:
-            self.metrics.observe_shard(
-                index, endpoint, time.perf_counter() - started, error=True
-            )
-            raise ApiError(
-                503,
-                f"shard {index} worker unavailable: {exc}",
-                code="shard_unavailable",
-            ) from exc
-        if isinstance(payload, dict) and "trace" in payload:
-            worker_trace = payload.pop("trace", None)
-            if span is not None and isinstance(worker_trace, Mapping):
-                subtree = worker_trace.get("spans")
-                if isinstance(subtree, Mapping):
-                    span.graft(subtree, worker=index)
-        if status >= 400:
-            self.metrics.observe_shard(
-                index, endpoint, time.perf_counter() - started, error=True
-            )
-            error = payload.get("error") if isinstance(payload, dict) else None
-            if isinstance(error, Mapping) and "message" in error:
-                raise ApiError(
-                    status,
-                    str(error.get("message")),
-                    code=str(error.get("code", "worker_error")),
-                )
-            raise ApiError(
-                502,
-                f"shard {index} worker answered {status} with an "
-                "unexpected body",
-                code="worker_error",
-            )
-        self.metrics.observe_shard(
-            index, endpoint, time.perf_counter() - started
-        )
-        return payload if isinstance(payload, dict) else {}
-
-    def _hedged_request(
-        self,
-        handle: WorkerHandle,
-        method: str,
-        path: str,
-        raw: bytes | None,
-        deadline: float,
-        headers: Mapping[str, str] | None = None,
-    ) -> tuple[int, object]:
-        """Race a second attempt against a slow first one; first answer
-        wins.  Both attempts share the request deadline; the loser's
-        connection is simply closed when it eventually finishes."""
-        primary = self._hedge_executor.submit(
-            handle.request, method, path, raw,
-            deadline=deadline, idempotent=True, headers=headers,
-        )
-        delay = min(self.hedge_delay_s, max(0.0, deadline - time.monotonic()))
-        done, _ = wait([primary], timeout=delay)
-        if done:
-            return primary.result()
-        self.metrics.event("hedged_request")
-        backup = self._hedge_executor.submit(
-            handle.request, method, path, raw,
-            deadline=deadline, idempotent=True, fresh=True, headers=headers,
-        )
-        pending = {primary, backup}
-        error: Exception | None = None
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    return future.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    error = exc
-        assert error is not None
-        raise error
-
-    # ------------------------------------------------------------------
-    # Seams the inherited machinery calls into
-    # ------------------------------------------------------------------
-    def _worker_meta(self, index: int) -> dict[str, object]:
-        try:
-            meta = self._call_worker(
-                index, "GET", "/worker/meta", endpoint="stats",
-                idempotent=True,
-            )
-        except ApiError as exc:
-            raise ReplicaUnavailable(str(exc)) from exc
-        if meta.get("lines") is None:
-            raise ReplicaUnavailable(
-                f"shard {index} worker has no live replica"
-            )
-        return meta
-
-    def _shard_lines(self, index: int) -> int:
-        return self._worker_meta(index)["lines"]
-
-    def _lines_and_index(self, index: int):
-        meta = self._worker_meta(index)
-        return meta["lines"], meta.get("index")
-
-    def _existing_owners(self, doc_ids: Sequence[int]) -> dict[int, int]:
-        if self.num_shards == 1 or not doc_ids:
-            return {}
-        ids = sorted(set(doc_ids))
-        deadline = time.monotonic() + self.deadline_s
-        body = {"doc_ids": ids, "relation": "master"}
-
-        def leg(index: int) -> set[int]:
-            result = self._call_worker(
-                index, "POST", "/worker/probe", body, endpoint="ingest",
-                idempotent=True, deadline=deadline,
-            )
-            return set(result.get("present", ()))
-
-        owners: dict[int, int] = {}
-        for index, present in enumerate(
-            self._fan_out(range(self.num_shards), leg)
-        ):
-            for doc_id in present:
-                owners.setdefault(doc_id, index)
-        return owners
-
-    # ------------------------------------------------------------------
-    # Ingest (the shared ingest() body drives these two overrides)
-    # ------------------------------------------------------------------
-    def _split_moved_remote(self, index: int, docs):
-        """The worker-topology twin of ``_split_moved``: the presence
-        probe travels over the worker's ``/worker/probe`` RPC."""
-        routing = self.routing
-        stay, overridden = [], []
-        for doc in docs:
-            override = routing.override_owner(doc.doc_id)
-            if override is None or override == index:
-                stay.append(doc)
-            else:
-                overridden.append(doc)
-        if not overridden:
-            return stay, []
-        result = self._call_worker(
-            index,
-            "POST",
-            "/worker/probe",
-            {
-                "doc_ids": [doc.doc_id for doc in overridden],
-                "relation": "documents",
-            },
-            endpoint="ingest",
-            idempotent=True,
-        )
-        present = set(result.get("present", ()))
-        moved = [doc for doc in overridden if doc.doc_id not in present]
-        stay.extend(doc for doc in overridden if doc.doc_id in present)
-        return stay, moved
-
-    def _ingest_leg(self, groups, request):
-        def leg(index: int):
-            docs = groups[index]
-            with self._worker_locks[index]:
-                stay, moved = self._split_moved_remote(index, docs)
-                if stay:
-                    body: dict[str, object] = {
-                        "dataset": request.dataset.name,
-                        "documents": [
-                            {
-                                "doc_id": doc.doc_id,
-                                "name": doc.name,
-                                "year": doc.year,
-                                "loss": doc.loss,
-                                "lines": list(doc.lines),
-                            }
-                            for doc in stay
-                        ],
-                        "ocr_seed": request.ocr_seed,
-                        "approaches": list(request.approaches),
-                        "route": "range",
-                    }
-                    if request.workers is not None:
-                        body["workers"] = request.workers
-                    result = self._call_worker(
-                        index, "POST", "/ingest", body, endpoint="ingest",
-                        idempotent=False,
-                    )
-                    count = int(result.get("ingested_lines", 0))
-                    total = int(result.get("total_lines", 0))
-                else:
-                    count = 0
-                    try:
-                        total = self._shard_lines(index)
-                    except ReplicaUnavailable as exc:
-                        raise self._shard_unavailable(index, exc) from exc
-            return index, count, total, moved
-
-        return leg
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def search(self, payload: object) -> dict[str, object]:
-        with trace.span("validate"):
-            request = validate_search(payload)
-            scope = self._scope(request.shards)
-            check_pattern(request.pattern)
-        key = (
-            "search",
-            scope,
-            self.pool.generations(scope),
-            request.pattern,
-            request.approach,
-            request.plan,
-            request.num_ans,
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            return {**cached, "cached": True}
-        flight = self._singleflight(key)
-        if flight is None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return {**cached, "cached": True}
-        try:
-            started = time.perf_counter()
-            deadline = time.monotonic() + self.deadline_s
-            body = {
-                "pattern": request.pattern,
-                "approach": request.approach,
-                "plan": request.plan,
-                "num_ans": request.num_ans,
-            }
-
-            def leg(index: int) -> tuple[int, str, list[Answer]]:
-                result = self._call_worker(
-                    index, "POST", "/search", body, endpoint="search",
-                    idempotent=True, deadline=deadline, hedge=True,
-                )
-                answers = [
-                    Answer(
-                        line_id=row["line_id"],
-                        doc_id=row["doc_id"],
-                        line_no=row["line_no"],
-                        probability=row["probability"],
-                    )
-                    for row in result.get("answers", ())
-                ]
-                return index, result.get("plan", "filescan"), answers
-
-            with self._move_gate.read():
-                with trace.span("router", shards=len(scope)):
-                    results = self._fan_out(scope, leg)
-            with trace.span("merge"):
-                merged = merge_ranked(
-                    [(index, answers) for index, _, answers in results],
-                    request.num_ans,
-                )
-            labels = {label for _, label, _ in results}
-            result = {
-                "pattern": request.pattern,
-                "approach": request.approach,
-                "plan": labels.pop() if len(labels) == 1 else "mixed",
-                "plans": {str(index): label for index, label, _ in results},
-                "shards": list(scope),
-                "count": len(merged),
-                "answers": [
-                    {**answer_row(answer), "shard": shard}
-                    for shard, answer in merged
-                ],
-                "elapsed_s": time.perf_counter() - started,
-            }
-            self.cache.put(key, result)
-        finally:
-            if flight is not None:
-                self._singleflight_done(key, flight)
-        return {**result, "cached": False}
-
-    def sql(self, payload: object) -> dict[str, object]:
-        with trace.span("validate"):
-            request = validate_sql(payload)
-            scope = self._scope(request.shards)
-        key = (
-            "sql",
-            scope,
-            self.pool.generations(scope),
-            request.query,
-            request.approach,
-            request.num_ans,
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            return {**cached, "cached": True}
-        try:
-            parsed = parse_select(request.query)
-        except SqlError as exc:
-            raise ApiError(400, str(exc), code="sql_error") from exc
-        flight = self._singleflight(key)
-        if flight is None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return {**cached, "cached": True}
-        try:
-            started = time.perf_counter()
-            deadline = time.monotonic() + self.deadline_s
-            scope_set = set(scope)
-            with self._move_gate.read() as moves:
-                move_safe = any(
-                    m_src in scope_set and m_dst in scope_set
-                    for _, _, m_src, m_dst in moves
-                )
-                body = {
-                    "query": request.query,
-                    "approach": request.approach,
-                    "rows": move_safe,
-                }
-
-                def leg(index: int) -> list[dict[str, object]]:
-                    result = self._call_worker(
-                        index, "POST", "/worker/sql", body, endpoint="sql",
-                        idempotent=True, deadline=deadline, hedge=True,
-                    )
-                    return result.get("rows", [])
-
-                with trace.span("router", shards=len(scope)):
-                    shard_rows = self._fan_out(scope, leg)
-            try:
-                with trace.span("merge"):
-                    if move_safe:
-                        seen_docs: set[object] = set()
-                        deduped: list[dict[str, object]] = []
-                        for rows_ in shard_rows:
-                            for row in rows_:
-                                if row["DocId"] in seen_docs:
-                                    continue
-                                seen_docs.add(row["DocId"])
-                                deduped.append(row)
-                        if parsed.is_aggregate:
-                            rows = aggregate_full_rows(parsed, deduped)
-                        else:
-                            rows = merge_shard_rows(
-                                parsed, [deduped], num_ans=request.num_ans
-                            )
-                    else:
-                        rows = merge_shard_rows(
-                            parsed, shard_rows, num_ans=request.num_ans
-                        )
-            except SqlError as exc:
-                raise ApiError(400, str(exc), code="sql_error") from exc
-            result = {
-                "query": request.query,
-                "approach": request.approach,
-                "shards": list(scope),
-                "count": len(rows),
-                "rows": rows,
-                "elapsed_s": time.perf_counter() - started,
-            }
-            self.cache.put(key, result)
-        finally:
-            if flight is not None:
-                self._singleflight_done(key, flight)
-        return {**result, "cached": False}
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def index(self, payload: object) -> dict[str, object]:
-        request = validate_index(payload)
-        scope = self._scope(request.shards)
-        started = time.perf_counter()
-        # ``wait`` keeps the worker-side call synchronous: POST /index is
-        # the ``rebuild_index`` job endpoint, and the router's own job
-        # runner is already the one holding a worker slot for the build.
-        body = {
-            "terms": list(request.terms),
-            "approach": request.approach,
-            "wait": True,
-        }
-
-        def leg(index: int) -> tuple[int, int, bool]:
-            with self._worker_locks[index]:
-                result = self._call_worker(
-                    index, "POST", "/index", body, endpoint="index",
-                    idempotent=False,
-                )
-            shards = result.get("shards")
-            block = shards.get("0", {}) if isinstance(shards, dict) else {}
-            return (
-                index,
-                int(block.get("postings", 0)),
-                bool(block.get("reloaded", False)),
-            )
-
-        results, error = self._fan_out_writes(scope, leg)
-        touched = {index for index, _, _ in results}
-        self.pool.bump(touched)
-        evicted = self._invalidate_shards(touched)
-        if error is not None:
-            raise error
-        return {
-            "approach": request.approach,
-            "terms": len(request.terms),
-            "postings": sum(postings for _, postings, _ in results),
-            "shards": {
-                str(index): {"postings": postings, "reloaded": reloaded}
-                for index, postings, reloaded in results
-            },
-            "evicted_cache_entries": evicted,
-            "elapsed_s": time.perf_counter() - started,
-        }
-
-    def replicas(self, payload: object) -> dict[str, object]:
-        request = validate_replicas(payload)
-        if request.shard >= self.num_shards:
-            raise ApiError(
-                400,
-                f"unknown shard {request.shard}; this service has "
-                f"{self.num_shards} shards (0..{self.num_shards - 1})",
-                code="unknown_shard",
-            )
-        started = time.perf_counter()
-        body: dict[str, object] = {"action": request.action, "shard": 0}
-        if request.replica is not None:
-            body["replica"] = request.replica
-        with self._worker_locks[request.shard]:
-            try:
-                result = self._call_worker(
-                    request.shard, "POST", "/replicas", body,
-                    endpoint="replicas", idempotent=False,
-                )
-            except ApiError as exc:
-                # The worker knows itself as shard 0; its error text must
-                # name the global shard the client addressed.
-                raise ApiError(
-                    exc.status,
-                    exc.message.replace(
-                        "shard 0", f"shard {request.shard}", 1
-                    ),
-                    code=exc.code,
-                ) from exc
-        result = dict(result)
-        # The worker knows itself as shard 0; restore the global index
-        # (and the router's own timing) for the client-facing payload.
-        result["shard"] = request.shard
-        result["elapsed_s"] = time.perf_counter() - started
-        return result
-
-    # ------------------------------------------------------------------
-    # Rebalance across processes
-    # ------------------------------------------------------------------
-    def job_rebalance(self, job: Job, params) -> dict[str, object]:
-        """Move one DocId range between two *worker* shards.
-
-        Phase-for-phase the in-process rebalance (announce, snapshot,
-        copy+verify, swap, delete, invalidate), with the copy executed
-        by the target worker via SQLite ATTACH of the source shard
-        *file* -- the router holds both workers' write locks, so no
-        write can land on either side mid-move.
-        """
-        request = validate_rebalance_params(params, self.num_shards)
-        lo, hi = request.doc_lo, request.doc_hi
-        src, dst = request.source, request.target
-        job.check_cancelled()
-        move = (lo, hi, src, dst)
-        self._move_gate.begin(move)
-        moved_docs: list[int] = []
-        moved_lines = 0
-        evicted = 0
-        delete_incomplete = False
-        converged = False
-        copy_landed = False
-
-        def rebalance_rpc(index: int, body: dict) -> dict[str, object]:
-            return self._call_worker(
-                index, "POST", "/worker/rebalance", body,
-                endpoint="rebalance", idempotent=False,
-            )
-
-        try:
-            with ordered_locks(
-                (src, self._worker_locks[src]), (dst, self._worker_locks[dst])
-            ):
-                job.update(progress=0.1)
-                snapshot = rebalance_rpc(
-                    src, {"action": "snapshot", "doc_lo": lo, "doc_hi": hi}
-                )
-                moved_docs = list(snapshot.get("docs", ()))
-                moved_lines = int(snapshot.get("lines", 0))
-                source_path = snapshot.get("source_path")
-                job.update(
-                    progress=0.2, docs=len(moved_docs), lines=moved_lines
-                )
-                job.check_cancelled()
-                copied_docs: list[int] = []
-                if moved_docs:
-                    self._record_pending_move(move)
-                    copied = rebalance_rpc(
-                        dst,
-                        {
-                            "action": "copy",
-                            "source_path": source_path,
-                            "doc_ids": moved_docs,
-                            "expect_lines": moved_lines,
-                        },
-                    )
-                    copied_docs = list(copied.get("copied", ()))
-                    copy_landed = True
-                job.update(progress=0.6)
-                if self._rebalance_after_copy is not None:
-                    self._rebalance_after_copy(job)
-                if job.cancel_requested:
-                    if copied_docs:
-                        try:
-                            rebalance_rpc(
-                                dst,
-                                {"action": "delete", "doc_ids": copied_docs},
-                            )
-                        except ApiError as exc:
-                            delete_incomplete = True
-                            raise ApiError(
-                                503 if exc.status == 503 else 500,
-                                f"rebalance {job.id} was cancelled but "
-                                f"could not roll the copies back off "
-                                f"shard {dst}: {exc.message}; re-submit the "
-                                "same rebalance to converge (forward)",
-                                code="rebalance_incomplete",
-                            ) from exc
-                    raise JobCancelled(
-                        f"rebalance {job.id} cancelled after copy; "
-                        "target rolled back, routing unchanged"
-                    )
-                self._publish_routing(self.routing.with_move(lo, hi, dst))
-                job.update(progress=0.75)
-                if moved_docs:
-                    try:
-                        self._move_gate.barrier()
-                        rebalance_rpc(
-                            src, {"action": "delete", "doc_ids": moved_docs}
-                        )
-                    except Exception as exc:
-                        delete_incomplete = True
-                        status = (
-                            503
-                            if isinstance(exc, ApiError) and exc.status == 503
-                            else 500
-                        )
-                        message = (
-                            exc.message if isinstance(exc, ApiError) else str(exc)
-                        )
-                        raise ApiError(
-                            status,
-                            f"rebalance switched ownership of "
-                            f"[{lo}, {hi}] to shard {dst} but could not "
-                            f"delete the moved rows from shard {src}: "
-                            f"{message}; re-submit the same rebalance once "
-                            f"the shard is writable to converge",
-                            code="rebalance_incomplete",
-                        ) from exc
-                job.update(progress=0.9)
-            with self._rr_lock:
-                for doc_id in moved_docs:
-                    self._placements.pop(doc_id, None)
-            converged = True
-        finally:
-            if copy_landed:
-                self.pool.bump({src, dst})
-                evicted = self._invalidate_shards({src, dst})
-            if not delete_incomplete:
-                self._finish_move(move, converged)
-        job.update(progress=1.0, evicted_cache_entries=evicted)
-        return {
-            "doc_lo": lo,
-            "doc_hi": hi,
-            "source": src,
-            "target": dst,
-            "moved_docs": len(moved_docs),
-            "moved_lines": moved_lines,
-            "evicted_cache_entries": evicted,
-        }
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-    def health(self) -> dict[str, object]:
-        deadline = time.monotonic() + self.deadline_s
-
-        def leg(index: int):
-            try:
-                return self._call_worker(
-                    index, "GET", "/health", endpoint="health",
-                    idempotent=True, deadline=deadline,
-                )
-            except ApiError:
-                return None
-
-        results = self._fan_out(tuple(range(self.num_shards)), leg)
-        per_shard: dict[str, int | None] = {}
-        replica_health: dict[str, dict[str, int]] = {}
-        degraded = False
-        for index, shard_health in enumerate(results):
-            if shard_health is None:
-                per_shard[str(index)] = None
-                replica_health[str(index)] = {"healthy": 0, "attached": 0}
-                degraded = True
-                continue
-            lines = (shard_health.get("shard_lines") or {}).get("0")
-            per_shard[str(index)] = lines
-            if shard_health.get("status") != "ok" or lines is None:
-                degraded = True
-            replica_health[str(index)] = (
-                shard_health.get("replicas") or {}
-            ).get("0", {"healthy": 0, "attached": 0})
-        return {
-            "status": "degraded" if degraded else "ok",
-            "db": self.shard_dir,
-            "num_shards": self.num_shards,
-            "lines": sum(n for n in per_shard.values() if n is not None),
-            "shard_lines": per_shard,
-            "replicas": replica_health,
-            "workers": self._workers.describe(),
-            "uptime_s": self.metrics.uptime_s,
-        }
-
-    @staticmethod
-    def _reindex_labels(node, index: int):
-        """The worker knows itself as shard 0; its pool/replica labels
-        must name the global shard in the client-facing payload (the
-        in-process router's labels do, and /stats readers key on them).
-        """
-        if isinstance(node, dict):
-            return {
-                key: (
-                    f"shard-{index}/{value[len('shard-0/'):]}"
-                    if key == "label"
-                    and isinstance(value, str)
-                    and value.startswith("shard-0/")
-                    else WorkerRouterService._reindex_labels(value, index)
-                )
-                for key, value in node.items()
-            }
-        if isinstance(node, list):
-            return [
-                WorkerRouterService._reindex_labels(item, index)
-                for item in node
-            ]
-        return node
-
-    def stats(self) -> dict[str, object]:
-        def leg(index: int):
-            try:
-                return self._call_worker(
-                    index, "GET", "/stats", endpoint="stats", idempotent=True
-                )
-            except ApiError:
-                return None
-
-        results = self._fan_out(tuple(range(self.num_shards)), leg)
-        shard_stats: list[dict[str, object]] = []
-        for index, worker_stats in enumerate(results):
-            entry: dict[str, object] = {
-                "index": index,
-                "path": self.paths[index],
-                "generation": self.pool.generations((index,))[0],
-            }
-            blocks = (
-                worker_stats.get("shards")
-                if isinstance(worker_stats, dict)
-                else None
-            )
-            block = blocks[0] if isinstance(blocks, list) and blocks else {}
-            for field in (
-                "pool", "replicas", "lines", "storage_bytes", "kernel_memo"
-            ):
-                entry[field] = self._reindex_labels(block.get(field), index)
-            # Engine-work counters are per *process*: the worker's DP and
-            # probe work shows up in its own /stats (requests.engine),
-            # which the router surfaces per shard here.
-            requests_block = (
-                worker_stats.get("requests")
-                if isinstance(worker_stats, dict)
-                else None
-            )
-            entry["engine"] = (
-                requests_block.get("engine")
-                if isinstance(requests_block, dict)
-                else None
-            )
-            shard_stats.append(entry)
-        return {
-            "db": {
-                "shard_dir": self.shard_dir,
-                "num_shards": self.num_shards,
-                "range_width": self.range_width,
-                "num_replicas": self.num_replicas,
-                "lines": sum(
-                    s["lines"] for s in shard_stats if s["lines"] is not None
-                ),
-            },
-            "shards": shard_stats,
-            "routing": self.routing.to_json(),
-            "cache": self.cache.stats(),
-            "jobs": self.jobs.stats(),
-            "requests": self.metrics.snapshot(),
-            "workers": self._workers.describe(),
-            "uptime_s": self.metrics.uptime_s,
-        }
+        self.shards_changed({index})
 
     def traces_get(self, trace_id: str):
         """One span tree by id, looking through to the workers.
@@ -1929,7 +1196,7 @@ class WorkerRouterService(ShardedQueryService):
         record = self.tracer.get(trace_id)
         if record is not None:
             return record
-        deadline = time.monotonic() + self.deadline_s
+        deadline = time.monotonic() + self._workers.deadline_s
         probed: list[int] = []
         for handle in self._workers.handles:
             probed.append(handle.index)
@@ -1940,7 +1207,7 @@ class WorkerRouterService(ShardedQueryService):
                     deadline=deadline,
                     idempotent=True,
                 )
-            except (WorkerDeadline, WorkerUnavailable):
+            except (LegDeadline, ReplicaUnavailable):
                 continue
             if status == 200 and isinstance(payload, dict):
                 return {**payload, "worker": handle.index}

@@ -519,12 +519,7 @@ class TestRebalance:
         before = cluster.search({"pattern": "%Congress%", "num_ans": 50})
         source = cluster.pool.shard(0)
         target = cluster.pool.shard(1)
-        doc_ids = [0, 1]
-        lines = source.writer.conn.execute(
-            "SELECT COUNT(*) FROM MasterData WHERE DocId BETWEEN 0 AND 1"
-        ).fetchone()[0]
-        for replica in target.replicas.replicas():
-            cluster._rebalance_copy(replica, source.path, doc_ids, lines)
+        target.rebalance_copy(source.path, [0, 1])
         assert target.writer.num_lines == 8  # duplicates live on both
         row = cluster.jobs_submit(
             {
@@ -548,12 +543,8 @@ class TestRebalance:
         # else) are not this run's work.
         source = cluster.pool.shard(0)
         target = cluster.pool.shard(1)
-        doc_ids = [0, 1]
-        lines = source.writer.conn.execute(
-            "SELECT COUNT(*) FROM MasterData WHERE DocId BETWEEN 0 AND 1"
-        ).fetchone()[0]
-        for replica in target.replicas.replicas():
-            cluster._rebalance_copy(replica, source.path, doc_ids, lines)
+        lines = source.writer.num_lines
+        target.rebalance_copy(source.path, [0, 1])
         target_lines = target.writer.num_lines
         cluster._rebalance_after_copy = lambda job: job.request_cancel()
         row = cluster.jobs_submit(

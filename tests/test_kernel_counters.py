@@ -23,7 +23,7 @@ from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
 from repro.query.memo import KernelMemo
 from repro.service.app import QueryService
-from repro.service.server import start_worker_service
+from repro.service.server import start_sharded_service
 
 from .test_service import _batch_payload, K, M
 
@@ -156,9 +156,9 @@ class TestWorkerTopologyParity:
         scan over the same shard files reports.
         """
         shard_dir = tmp_path / "shards"
-        running = start_worker_service(
+        running = start_sharded_service(
             str(shard_dir), 2, k=K, m=M, pool_size=2, cache_size=0,
-            range_width=2,
+            range_width=2, worker_procs=True,
         )
         try:
             corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)

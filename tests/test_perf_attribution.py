@@ -35,7 +35,6 @@ from repro.service import (
     BACKENDS,
     start_service,
     start_sharded_service,
-    start_worker_service,
 )
 from repro.service.profiler import SamplingProfiler
 from repro.service.trace import ObservabilityApi
@@ -426,9 +425,10 @@ class TestProfileEndpoint:
 @pytest.fixture(scope="module")
 def worker_service(tmp_path_factory):
     shard_dir = str(tmp_path_factory.mktemp("stitch") / "shards")
-    running = start_worker_service(
+    running = start_sharded_service(
         shard_dir,
         2,
+        worker_procs=True,
         k=K,
         m=M,
         pool_size=2,
@@ -452,14 +452,8 @@ def _remote_children(leg: dict) -> list[dict]:
 
 
 def _router_legs(tree: dict) -> list[dict]:
-    """The router-level ``shard_leg`` spans only.
-
-    A worker is itself a one-shard sharded service, so its grafted
-    subtree contains its *own* (shard-local) ``shard_leg``; a blind
-    ``find_spans`` would count those too.  Depth-first order makes the
-    first ``router`` span the outer one; its direct children are the
-    fan-out legs.
-    """
+    """The router's ``shard_leg`` spans: the direct children of its
+    ``router`` span, one per fan-out leg."""
     router = find_spans(tree, "router")[0]
     return [c for c in router["children"] if c["name"] == "shard_leg"]
 

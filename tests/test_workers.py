@@ -41,7 +41,6 @@ from repro.ocr.corpus import make_ca
 from repro.service.server import (
     start_service,
     start_sharded_service,
-    start_worker_service,
 )
 from repro.service.shards import RoutingTable, shard_for_doc
 
@@ -212,15 +211,12 @@ class TestTopologyEquivalence:
         the router-only blocks are stripped.
         """
         corpus = make_ca(num_docs=4, lines_per_doc=3, seed=1)
-        starters = {
-            "in-process": start_sharded_service,
-            "workers": start_worker_service,
-        }
         transcripts = {}
-        for name, start in starters.items():
-            running = start(
+        for name, worker_procs in (("in-process", False), ("workers", True)):
+            running = start_sharded_service(
                 str(tmp_path / name), 2,
                 k=K, m=M, pool_size=2, cache_size=0, range_width=2,
+                worker_procs=worker_procs,
             )
             try:
                 transcripts[name] = _transcript(running, corpus)
@@ -248,9 +244,10 @@ class TestTopologyEquivalence:
             ),
             (
                 "workers",
-                start_worker_service(
+                start_sharded_service(
                     str(tmp_path / "workers"), 2,
                     k=K, m=M, pool_size=2, cache_size=0, range_width=2,
+                    worker_procs=True,
                 ),
             ),
         ):
@@ -281,7 +278,7 @@ class TestTopologyEquivalence:
 def _start_workers(path, **kwargs):
     options = dict(k=K, m=M, pool_size=2, cache_size=0, range_width=2)
     options.update(kwargs)
-    return start_worker_service(str(path), 2, **options)
+    return start_sharded_service(str(path), 2, worker_procs=True, **options)
 
 
 def _worker_pid(running, index: int) -> int:

@@ -12,8 +12,9 @@ regex queries against any of the storage approaches:
 ``search`` is the filescan plan (read every line's representation);
 ``indexed_search`` is the index plan of Section 4 (anchor lookup in the
 inverted index, then evaluate only candidate lines, optionally on the
-projected window).  Both return the ranked probabilistic relation of
-:class:`repro.query.Answer` rows.
+projected window).  Both evaluate the stored compiled kernels and
+return the ranked probabilistic relation of :class:`repro.query.Answer`
+rows.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ from ..automata.trie import DictionaryTrie
 from ..indexing.anchors import anchor_for_query
 from ..indexing.inverted import build_kmap_postings, build_sfa_postings
 from ..indexing.postings import Posting
-from ..indexing.projection import projected_match_probability
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
 from ..query.answers import Answer, rank_answers
 from ..query.eval_kernel import KernelEvaluator
-from ..query.eval_sfa import match_probability
 from ..query.eval_strings import match_probability_strings
 from ..query.like import compile_like
 from ..query.memo import KernelMemo, query_fingerprint
@@ -230,35 +229,34 @@ class StaccatoDB:
         return storage.approach_storage_bytes(self.conn, approach)
 
     # ------------------------------------------------------------------
-    def _line_probability(self, like: str, approach: str, data_key: int) -> float:
-        query = compile_like(like)
-        return self._probability_with_query(query, approach, data_key)
-
-    def _probability_with_query(self, query, approach: str, data_key: int) -> float:
-        if approach == "map":
-            strings = storage.load_kmap(self.conn, data_key, k=1)
-            return match_probability_strings(strings, query)
-        if approach == "kmap":
-            strings = storage.load_kmap(self.conn, data_key)
-            return match_probability_strings(strings, query)
-        if approach == "fullsfa":
-            return match_probability(storage.load_fullsfa(self.conn, data_key), query)
-        if approach == "staccato":
-            return match_probability(storage.load_staccato(self.conn, data_key), query)
-        raise ValueError(f"unknown approach {approach!r}")
+    def _strings_probability(self, query, approach: str, data_key: int) -> float:
+        """One line of a string approach (the stored k-MAP strings)."""
+        if approach not in ("map", "kmap"):
+            raise ValueError(f"unknown approach {approach!r}")
+        strings = storage.load_kmap(
+            self.conn, data_key, k=1 if approach == "map" else None
+        )
+        return match_probability_strings(strings, query)
 
     # ------------------------------------------------------------------
     def _kernel_scan(
-        self, pattern: str, query, approach: str, keys: list[int]
+        self,
+        pattern: str,
+        query,
+        approach: str,
+        keys: list[int],
+        keyed: bool = False,
     ) -> dict[int, float]:
         """Batched filescan DP over the compiled kernels of ``keys``.
 
-        Kernels come from the ``CompiledKernel`` table in one bulk read;
-        lines without a current-version row (old database files, or a
-        blob the codec rejects) are transparently recompiled from their
-        ``SFA1`` blobs.  The cross-request memo is probed per (kernel
-        fingerprint, query fingerprint) before any blob is even
-        deserialized; the remaining lines run through one batched
+        Kernels come from the ``CompiledKernel`` table in one bulk read
+        (of the whole table, or with ``keyed`` of ``keys`` only: an index
+        plan's few candidates); lines without a current-version
+        row (old database files, or a blob the codec rejects) are
+        transparently recompiled from their ``SFA1`` blobs.  The
+        cross-request memo is probed per (kernel fingerprint, query
+        fingerprint) before any blob is even deserialized; the remaining
+        lines run through one batched
         :class:`~repro.query.eval_kernel.KernelEvaluator` pass.
 
         Counters stay exact: ``dp_cells``/``dp_transitions`` are summed
@@ -267,7 +265,9 @@ class StaccatoDB:
         batched totals equal the sum of per-line evaluations bit for
         bit.
         """
-        stored = storage.load_kernel_blobs(self.conn, approach)
+        stored = storage.load_kernel_blobs(
+            self.conn, approach, keys if keyed else None
+        )
         memo = self.kernel_memo
         query_fp = query_fingerprint(pattern) if memo is not None else None
         generation = memo.generation if memo is not None else None
@@ -294,14 +294,9 @@ class StaccatoDB:
                     continue
                 misses += 1
             if kernel is None:
-                try:
-                    kernel = kernel_from_bytes(row[1])
-                except SfaError:
-                    # Corrupt blob despite a matching version tag: fall
-                    # back to the SFA blob like a version mismatch.
-                    kernel = self._recompile_kernel(approach, data_key)
-                    if kernel is None:
-                        continue
+                kernel = self._decode_kernel(approach, data_key, row)
+                if kernel is None:
+                    continue
             pending_keys.append(data_key)
             pending_fps.append(fingerprint)
             pending_kernels.append(kernel)
@@ -328,6 +323,54 @@ class StaccatoDB:
         )
         return probs
 
+    def _projected_probabilities(
+        self, query, candidates: dict[int, set[Posting]], window: int
+    ) -> dict[int, float]:
+        """The index plan's projection (paper Section 4): each candidate's
+        kernel replayed on the windows of its postings only.
+
+        One keyed read of the candidates' ``CompiledKernel`` rows, one
+        :class:`~repro.query.eval_kernel.KernelEvaluator` -- so the DFA
+        transition rows are computed once per query, not per candidate.
+        Rows missing or rejected fall back to ``SFA1`` as in the scan.
+        """
+        stored = storage.load_kernel_blobs(
+            self.conn, "staccato", list(candidates)
+        )
+        evaluator = KernelEvaluator(query)
+        probs: dict[int, float] = {}
+        cells = transitions = 0
+        for data_key, postings in candidates.items():
+            kernel = self._decode_kernel(
+                "staccato", data_key, stored.get(data_key)
+            )
+            if kernel is None:
+                continue  # concurrent delete; not part of the relation
+            try:
+                result = evaluator.evaluate_projected(
+                    kernel, {posting.u for posting in postings}, window
+                )
+            except KeyError:
+                continue  # postings of a graph this line no longer has
+            probs[data_key] = result.probability
+            cells += result.dp_cells
+            transitions += result.dp_transitions
+        counters.add(dp_cells=cells, dp_transitions=transitions)
+        return probs
+
+    def _decode_kernel(
+        self, approach: str, data_key: int, row: tuple[str, bytes] | None
+    ):
+        """The kernel of one ``load_kernel_blobs`` row; a line without a
+        row, or with a blob the codec rejects despite its version tag,
+        is recompiled from its ``SFA1`` blob."""
+        if row is not None:
+            try:
+                return kernel_from_bytes(row[1])
+            except SfaError:
+                pass
+        return self._recompile_kernel(approach, data_key)
+
     def _recompile_kernel(self, approach: str, data_key: int):
         """Kernel fallback path: lower the stored ``SFA1`` blob now."""
         load = (
@@ -341,7 +384,12 @@ class StaccatoDB:
             return None
 
     def _scan_probabilities(
-        self, pattern: str, query, approach: str, keys: list[int]
+        self,
+        pattern: str,
+        query,
+        approach: str,
+        keys: list[int],
+        keyed: bool = False,
     ) -> dict[int, float]:
         """Per-line match probabilities for a filescan over ``keys``.
 
@@ -350,16 +398,44 @@ class StaccatoDB:
         deleted concurrently are absent from the result.
         """
         if approach in ("staccato", "fullsfa"):
-            return self._kernel_scan(pattern, query, approach, keys)
+            return self._kernel_scan(pattern, query, approach, keys, keyed)
         probs: dict[int, float] = {}
         for data_key in keys:
             try:
-                probs[data_key] = self._probability_with_query(
+                probs[data_key] = self._strings_probability(
                     query, approach, data_key
                 )
             except KeyError:
                 continue
         return probs
+
+    def _answers(
+        self, keys: Iterable[int], probs: dict[int, float]
+    ) -> list[Answer]:
+        """The unranked relation: one row per key of positive probability."""
+        answers = []
+        for data_key in keys:
+            prob = probs.get(data_key)
+            if prob is None or prob <= 0.0:
+                continue
+            try:
+                doc_id, line_no = storage.line_metadata(self.conn, data_key)
+            except KeyError:
+                # The line vanished between the key listing and its
+                # evaluation -- a concurrent delete committed (e.g. a
+                # rebalance moved it to another shard after copying it
+                # there).  It is no longer part of this file's relation;
+                # autocommit readers see each statement's latest state.
+                continue
+            answers.append(
+                Answer(
+                    line_id=data_key,
+                    doc_id=doc_id,
+                    line_no=line_no,
+                    probability=prob,
+                )
+            )
+        return answers
 
     def _spilled_scan(
         self, pattern: str, approach: str, keys: list[int]
@@ -414,7 +490,6 @@ class StaccatoDB:
             and len(keys) >= self.scan_spill_threshold
             and self.path != ":memory:"
         )
-        answers = []
         with _span("engine_scan", approach=approach, spilled=spill) as scan:
             # Collect the DP work done by this scan so the span can carry
             # exact per-request counters; collect() re-folds them into the
@@ -426,30 +501,7 @@ class StaccatoDB:
                     probs = self._scan_probabilities(
                         like, query, approach, keys
                     )
-                for data_key in keys:
-                    prob = probs.get(data_key)
-                    if prob is None or prob <= 0.0:
-                        continue
-                    try:
-                        doc_id, line_no = storage.line_metadata(
-                            self.conn, data_key
-                        )
-                    except KeyError:
-                        # The line vanished between the key listing and its
-                        # evaluation -- a concurrent delete committed (e.g. a
-                        # rebalance moved it to another shard after copying it
-                        # there).  It is no longer part of this file's
-                        # relation; autocommit readers see each statement's
-                        # latest state.
-                        continue
-                    answers.append(
-                        Answer(
-                            line_id=data_key,
-                            doc_id=doc_id,
-                            line_no=line_no,
-                            probability=prob,
-                        )
-                    )
+                answers = self._answers(keys, probs)
                 counters.add(
                     lines_scanned=len(keys), lines_matched=len(answers)
                 )
@@ -539,13 +591,19 @@ class StaccatoDB:
         )
         return True
 
+    def index_anchor(self, like: str, approach: str) -> str | None:
+        """The dictionary term the index plan would probe for ``like``:
+        its left anchor, when the trie is loaded for this approach and
+        holds it; ``None`` when the plan would fall back to the filescan."""
+        if self._trie is None or self._index_approach != approach:
+            return None
+        return anchor_for_query(like, self._trie)
+
     def index_covers(self, like: str, approach: str) -> bool:
         """True when ``indexed_search`` would really use the index plan
         (trie loaded for this approach and the query has a usable anchor),
         False when it would silently fall back to the filescan."""
-        if self._trie is None or self._index_approach != approach:
-            return False
-        return anchor_for_query(like, self._trie) is not None
+        return self.index_anchor(like, approach) is not None
 
     def index_postings(self, term: str) -> dict[int, set[Posting]]:
         """Posting lists of one term, grouped by line (B-tree probe)."""
@@ -561,16 +619,18 @@ class StaccatoDB:
             )
         return grouped
 
+    def line_fraction(self, lines: int) -> float:
+        """``lines`` as a fraction of the ingested lines (0 when empty)."""
+        total = self.num_lines
+        return lines / total if total else 0.0
+
     def index_selectivity(self, term: str) -> float:
         """Fraction of lines the term's postings touch (Figure 20)."""
-        total = self.num_lines
-        if total == 0:
-            return 0.0
         row = self.conn.execute(
             "SELECT COUNT(DISTINCT DataKey) FROM InvertedIndex WHERE Term = ?",
             (term.lower(),),
         ).fetchone()
-        return row[0] / total
+        return self.line_fraction(row[0])
 
     def indexed_search(
         self,
@@ -579,18 +639,30 @@ class StaccatoDB:
         num_ans: int | None = 100,
         use_projection: bool = True,
         window: int = DEFAULT_WINDOW,
+        probed: tuple[str, dict[int, set[Posting]]] | None = None,
     ) -> list[Answer]:
         """Index query plan: anchor lookup, then evaluate candidates only.
 
         Falls back to the filescan plan when the query has no usable left
         anchor or no index has been built (the paper's parser makes the
-        same decision).
+        same decision).  A caller that already parsed the anchor and
+        fetched its posting lists -- the planner, which chose this plan
+        from them -- passes both as ``probed``.
+
+        Staccato candidates of a match-anywhere query are evaluated on
+        the windows of their postings (``use_projection``); any other
+        candidate set is a filescan of the candidate lines.  Either way
+        the stored kernels are what is read, in one keyed fetch.
         """
-        if not self.index_covers(like, approach):
-            return self.search(like, approach=approach, num_ans=num_ans)
+        if probed is not None and self._index_approach == approach:
+            anchor, candidates = probed
+        else:
+            anchor, candidates = self.index_anchor(like, approach), None
+            if anchor is None:
+                return self.search(like, approach=approach, num_ans=num_ans)
         with _span("engine_probe", approach=approach) as probe:
-            anchor = anchor_for_query(like, self._trie)
-            candidates = self.index_postings(anchor)
+            if candidates is None:
+                candidates = self.index_postings(anchor)
             postings_total = sum(len(p) for p in candidates.values())
             counters.add(
                 postings_probed=postings_total,
@@ -605,39 +677,20 @@ class StaccatoDB:
         if not candidates:
             return []
         query = compile_like(like)
-        answers = []
-        with _span(
-            "engine_eval", projected=approach == "staccato" and use_projection
-        ) as ev:
+        projected = (
+            approach == "staccato" and use_projection and query.match_anywhere
+        )
+        with _span("engine_eval", projected=projected) as ev:
             with counters.collect() as counts:
-                for data_key, postings in candidates.items():
-                    try:
-                        if approach == "staccato" and use_projection:
-                            graph = storage.load_staccato(self.conn, data_key)
-                            prob = projected_match_probability(
-                                graph, query, postings, window
-                            )
-                        else:
-                            prob = self._probability_with_query(
-                                query, approach, data_key
-                            )
-                        if prob <= 0.0:
-                            continue
-                        doc_id, line_no = storage.line_metadata(
-                            self.conn, data_key
-                        )
-                    except KeyError:
-                        # Candidate deleted since the posting lookup (see the
-                        # filescan plan's identical guard).
-                        continue
-                    answers.append(
-                        Answer(
-                            line_id=data_key,
-                            doc_id=doc_id,
-                            line_no=line_no,
-                            probability=prob,
-                        )
+                if projected:
+                    probs = self._projected_probabilities(
+                        query, candidates, window
                     )
+                else:
+                    probs = self._scan_probabilities(
+                        like, query, approach, list(candidates), keyed=True
+                    )
+                answers = self._answers(candidates, probs)
                 counters.add(
                     lines_scanned=len(candidates),
                     lines_matched=len(answers),

@@ -18,13 +18,14 @@ import math
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from typing import Sequence
 
 from ..core.approximate import staccato_approximate
 from ..core.kmap import build_kmap
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
 from ..sfa import serialize
-from ..sfa.kernel import KERNEL_VERSION, compile_kernel
+from ..sfa.kernel import KERNEL_VERSION, blob_fingerprint, compile_kernel
 from ..sfa.model import Sfa
 
 __all__ = [
@@ -92,14 +93,8 @@ def _kernel_row(
     line_id: int, approach: str, sfa: Sfa
 ) -> tuple[int, str, int, str, bytes]:
     """One ``CompiledKernel`` insert: lower the SFA at construction time."""
-    kernel = compile_kernel(sfa)
-    return (
-        line_id,
-        approach,
-        KERNEL_VERSION,
-        kernel.fingerprint,
-        serialize.kernel_to_bytes(kernel),
-    )
+    blob = serialize.kernel_to_bytes(compile_kernel(sfa))
+    return (line_id, approach, KERNEL_VERSION, blob_fingerprint(blob), blob)
 
 
 def ingest_dataset(
@@ -252,23 +247,42 @@ def load_staccato(conn: sqlite3.Connection, data_key: int) -> Sfa:
     return serialize.from_bytes(row[0])
 
 
+#: Keys per ``IN (...)`` list of a keyed kernel fetch, under SQLite's
+#: oldest default bound on host parameters (999).
+_KEYS_PER_FETCH = 900
+
+
 def load_kernel_blobs(
-    conn: sqlite3.Connection, approach: str
+    conn: sqlite3.Connection,
+    approach: str,
+    keys: Sequence[int] | None = None,
 ) -> dict[int, tuple[str, bytes]]:
-    """Every stored compiled kernel of one approach, in one query.
+    """Stored compiled kernels of one approach: all of them in one query,
+    or only those of ``keys`` (an index plan's candidates).
 
     Returns ``{DataKey: (fingerprint, blob)}`` for rows whose blob
     version matches this build's :data:`~repro.sfa.kernel.KERNEL_VERSION`.
     Rows from other versions -- or lines that predate the kernel table
-    entirely -- are simply absent; the scan path recompiles those lines
+    entirely -- are simply absent; the read path recompiles those lines
     from their ``SFA1`` blobs, so old database files stay queryable.
     """
-    rows = conn.execute(
+    select = (
         "SELECT DataKey, Fingerprint, KernelBlob FROM CompiledKernel "
-        "WHERE Approach = ? AND Version = ?",
-        (approach, KERNEL_VERSION),
+        "WHERE Approach = ? AND Version = ?"
     )
-    return {key: (fingerprint, blob) for key, fingerprint, blob in rows}
+    if keys is None:
+        rows = conn.execute(select, (approach, KERNEL_VERSION))
+        return {key: (fingerprint, blob) for key, fingerprint, blob in rows}
+    stored: dict[int, tuple[str, bytes]] = {}
+    for at in range(0, len(keys), _KEYS_PER_FETCH):
+        part = keys[at : at + _KEYS_PER_FETCH]
+        rows = conn.execute(
+            f"{select} AND DataKey IN ({','.join('?' * len(part))})",
+            (approach, KERNEL_VERSION, *part),
+        )
+        for key, fingerprint, blob in rows:
+            stored[key] = (fingerprint, blob)
+    return stored
 
 
 def load_kmap(

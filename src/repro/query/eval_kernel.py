@@ -15,6 +15,12 @@ Two evaluators for the same program (:class:`repro.sfa.kernel.CompiledKernel`):
   per-character transition columns, so the per-line python work drops to
   almost nothing.
 
+The index plan evaluates its candidates with the python replay
+restricted to the windows of their postings
+(:meth:`KernelEvaluator.evaluate_projected`): the same function as the
+full-line replay, with mass injected at the posting entries instead of
+the start node.
+
 Both paths are bit-for-bit equal to the dict evaluator: products are the
 same IEEE multiplies, and sums into each (node, DFA-state) cell are
 applied in the same order -- ``np.add.at`` accumulates repeated indices
@@ -30,7 +36,7 @@ this to exercise the pure-python fallback).
 from __future__ import annotations
 
 import os
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..automata import dfa as _dfa
 from ..automata.dfa import Dfa
@@ -61,6 +67,29 @@ class LineResult(NamedTuple):
     probability: float
     dp_cells: int
     dp_transitions: int
+
+
+def _window_positions(
+    kernel: CompiledKernel, entries: set[int], depth: int
+) -> set[int]:
+    """Positions within ``depth`` edges of any entry position: the union
+    of :func:`repro.indexing.projection.projection_nodes` over the
+    entries, as one level-synchronous multi-source search."""
+    node_runs = kernel.node_runs
+    run_dst = kernel.run_dst
+    seen = set(entries)
+    frontier = list(entries)
+    for _ in range(depth):
+        reached = []
+        for t in frontier:
+            for dst in run_dst[node_runs[t] : node_runs[t + 1]]:
+                if dst not in seen:
+                    seen.add(dst)
+                    reached.append(dst)
+        if not reached:
+            break
+        frontier = reached
+    return seen
 
 
 class KernelBatch:
@@ -203,9 +232,42 @@ class KernelEvaluator:
     # ------------------------------------------------------------------
     def evaluate(self, kernel: CompiledKernel) -> LineResult:
         """One line through the pure-python replay."""
-        if self.query.match_anywhere:
-            return self._python_absorbing(kernel)
-        return self._python_general(kernel)
+        query = self.query
+        if not query.match_anywhere:
+            return self._python_general(kernel)
+        if query.is_accepting(query.start):
+            # Pattern matches the empty string: everything matches, and
+            # the dict evaluator returns before counting anything.
+            return LineResult(kernel.backward[kernel.start_pos], 0, 0)
+        return self._python_absorbing(kernel, {kernel.start_pos: 1.0}, None)
+
+    def evaluate_projected(
+        self, kernel: CompiledKernel, entry_ids: Iterable[int], window: int
+    ) -> LineResult:
+        """One line restricted to the windows of its index postings.
+
+        ``entry_ids`` are the original node ids the postings start at
+        (their ``u``); the DP runs over the nodes within ``window`` edges
+        of any of them.  Bit for bit
+        :func:`repro.indexing.projection.projected_match_probability`,
+        counters included; an id the kernel does not have is a
+        ``KeyError``, as it is there.
+        """
+        if not self.query.match_anywhere:
+            raise ValueError("projection only supports match-anywhere queries")
+        position = {
+            node_id: t for t, node_id in enumerate(kernel.node_ids)
+        }
+        entries = {position[node_id] for node_id in entry_ids}
+        if not entries:
+            return LineResult(0.0, 0, 0)
+        forward = kernel.forward
+        probability, cells, transitions = self._python_absorbing(
+            kernel,
+            {t: forward[t] for t in entries if forward[t] > 0.0},
+            _window_positions(kernel, entries, window),
+        )
+        return LineResult(min(probability, 1.0), cells, transitions)
 
     def evaluate_batch(
         self,
@@ -247,8 +309,9 @@ class KernelEvaluator:
         symbols = kernel.symbols
         syms = kernel.step_syms
         probs = kernel.step_probs
-        dsts = kernel.step_dst
-        offsets = kernel.node_offsets
+        node_runs = kernel.node_runs
+        run_dst = kernel.run_dst
+        run_starts = kernel.run_starts
         rows_local: list[list[int] | None] = [None] * len(symbols)
         n = kernel.num_nodes
         masses: list[dict[int, float]] = [{} for _ in range(n)]
@@ -260,35 +323,34 @@ class KernelEvaluator:
             if not dist:
                 continue
             cells += len(dist)
-            lo, hi = offsets[t], offsets[t + 1]
-            if lo == hi:
-                continue
             items = dist.items()  # safe: destinations are strictly later nodes
             num_states = len(items)
-            for j in range(lo, hi):
-                transitions += num_states
-                sid = syms[j]
-                row = rows_local[sid]
-                if row is None:
-                    row = rows_local[sid] = self._row_for(symbols[sid])
-                prob = probs[j]
-                succ_dist = masses[dsts[j]]
-                for state, mass in items:
-                    try:
-                        nxt = row[state]
-                    except IndexError:
-                        row.extend(
-                            (_UNFILLED,) * (state + 1 - len(row))
-                        )
-                        nxt = _UNFILLED
-                    if nxt == _UNFILLED:
-                        nxt = row[state] = step_string(
-                            state, symbols[sid]
-                        )
-                    if nxt == _DEAD:
-                        continue
-                    weight = mass * prob
-                    succ_dist[nxt] = succ_dist.get(nxt, 0.0) + weight
+            for run in range(node_runs[t], node_runs[t + 1]):
+                succ_dist = masses[run_dst[run]]
+                lo, hi = run_starts[run], run_starts[run + 1]
+                transitions += num_states * (hi - lo)
+                for j in range(lo, hi):
+                    sid = syms[j]
+                    row = rows_local[sid]
+                    if row is None:
+                        row = rows_local[sid] = self._row_for(symbols[sid])
+                    prob = probs[j]
+                    for state, mass in items:
+                        try:
+                            nxt = row[state]
+                        except IndexError:
+                            row.extend(
+                                (_UNFILLED,) * (state + 1 - len(row))
+                            )
+                            nxt = _UNFILLED
+                        if nxt == _UNFILLED:
+                            nxt = row[state] = step_string(
+                                state, symbols[sid]
+                            )
+                        if nxt == _DEAD:
+                            continue
+                        weight = mass * prob
+                        succ_dist[nxt] = succ_dist.get(nxt, 0.0) + weight
         probability = sum(
             mass
             for state, mass in masses[kernel.final_pos].items()
@@ -296,23 +358,41 @@ class KernelEvaluator:
         )
         return LineResult(probability, cells, transitions)
 
-    def _python_absorbing(self, kernel: CompiledKernel) -> LineResult:
+    def _python_absorbing(
+        self,
+        kernel: CompiledKernel,
+        injected: dict[int, float],
+        window: Iterable[int] | None,
+    ) -> LineResult:
+        """The match-anywhere DP over the nodes at positions ``window``.
+
+        ``injected`` maps a position to the mass that enters the query's
+        start state there.  The full-line evaluation is the special case
+        of mass 1 at the start node and no window restriction
+        (``None``); the index plan injects each posting entry's forward
+        mass and restricts the DP to the entries' neighbourhood.  Steps
+        into a node outside the window are skipped and not counted.
+        """
         query = self.query
-        if query.is_accepting(query.start):
-            # Pattern matches the empty string: everything matches, and
-            # the dict evaluator returns before counting anything.
-            return LineResult(kernel.backward[kernel.start_pos], 0, 0)
         step_string = query.step_string
         symbols = kernel.symbols
         syms = kernel.step_syms
         probs = kernel.step_probs
-        dsts = kernel.step_dst
-        offsets = kernel.node_offsets
+        node_runs = kernel.node_runs
+        run_dst = kernel.run_dst
+        run_starts = kernel.run_starts
         backward = kernel.backward
         rows_local: list[list[int] | None] = [None] * len(symbols)
         n = kernel.num_nodes
-        masses: list[dict[int, float]] = [{} for _ in range(n)]
-        masses[kernel.start_pos][query.start] = 1.0
+        masses: list[dict[int, float] | None]
+        if window is None:
+            masses = [{} for _ in range(n)]
+        else:
+            masses = [None] * n
+            for t in window:
+                masses[t] = {}
+        for t, mass in injected.items():
+            masses[t][query.start] = mass
         matched = 0.0
         cells = 0
         transitions = 0
@@ -321,40 +401,41 @@ class KernelEvaluator:
             if not dist:
                 continue
             cells += len(dist)
-            lo, hi = offsets[t], offsets[t + 1]
-            if lo == hi:
-                continue
             items = dist.items()  # safe: destinations are strictly later nodes
             num_states = len(items)
-            for j in range(lo, hi):
-                transitions += num_states
-                sid = syms[j]
-                row = rows_local[sid]
-                if row is None:
-                    row = rows_local[sid] = self._row_for(symbols[sid])
-                prob = probs[j]
-                dst = dsts[j]
+            for run in range(node_runs[t], node_runs[t + 1]):
+                dst = run_dst[run]
                 succ_dist = masses[dst]
+                if succ_dist is None:
+                    continue
                 back = backward[dst]
-                for state, mass in items:
-                    try:
-                        nxt = row[state]
-                    except IndexError:
-                        row.extend(
-                            (_UNFILLED,) * (state + 1 - len(row))
-                        )
-                        nxt = _UNFILLED
-                    if nxt == _UNFILLED:
-                        nxt = row[state] = step_string(
-                            state, symbols[sid]
-                        )
-                    weight = mass * prob
-                    # In match-anywhere mode the only accepting state is
-                    # the absorbing _ACCEPT; DEAD never occurs.
-                    if nxt == _ACCEPT:
-                        matched += weight * back
-                    else:
-                        succ_dist[nxt] = succ_dist.get(nxt, 0.0) + weight
+                lo, hi = run_starts[run], run_starts[run + 1]
+                transitions += num_states * (hi - lo)
+                for j in range(lo, hi):
+                    sid = syms[j]
+                    row = rows_local[sid]
+                    if row is None:
+                        row = rows_local[sid] = self._row_for(symbols[sid])
+                    prob = probs[j]
+                    for state, mass in items:
+                        try:
+                            nxt = row[state]
+                        except IndexError:
+                            row.extend(
+                                (_UNFILLED,) * (state + 1 - len(row))
+                            )
+                            nxt = _UNFILLED
+                        if nxt == _UNFILLED:
+                            nxt = row[state] = step_string(
+                                state, symbols[sid]
+                            )
+                        weight = mass * prob
+                        # In match-anywhere mode the only accepting state
+                        # is the absorbing _ACCEPT; DEAD never occurs.
+                        if nxt == _ACCEPT:
+                            matched += weight * back
+                        else:
+                            succ_dist[nxt] = succ_dist.get(nxt, 0.0) + weight
         return LineResult(matched, cells, transitions)
 
     # ------------------------------------------------------------------

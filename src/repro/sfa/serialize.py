@@ -14,7 +14,7 @@ use.  The format is a compact little-endian struct layout:
 A JSON codec is provided as well for debugging and test fixtures.
 
 Compiled evaluation kernels (:mod:`repro.sfa.kernel`) have their own
-versioned ``KRN1`` blob layout, stored alongside the ``SFA1`` blobs in
+versioned ``KRN2`` blob layout, stored alongside the ``SFA1`` blobs in
 the ``CompiledKernel`` table; their codec is re-exported here so this
 module stays the single serialization surface of the SFA stack.
 """

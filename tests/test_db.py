@@ -5,12 +5,17 @@ import sqlite3
 
 import pytest
 
+from repro import counters
 from repro.db import storage
-from repro.db.engine import StaccatoDB
+from repro.db.engine import DEFAULT_WINDOW, StaccatoDB
+from repro.db.planner import execute_plan
 from repro.db.schema import TABLES, create_schema
+from repro.indexing.projection import projected_match_probability
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
+from repro.query.like import compile_like
+from repro.sfa.kernel import KERNEL_VERSION, kernel_from_bytes
 
 
 @pytest.fixture(scope="module")
@@ -168,14 +173,13 @@ class TestInvertedIndexPlan:
         assert 0.0 < loaded_db.index_selectivity("public") <= 1.0
 
     def test_indexed_search_matches_filescan_lines(self, loaded_db):
+        """Unprojected candidates are a filescan of the candidate lines:
+        the same kernels through the same evaluator, so the same floats."""
         loaded_db.build_index(["public", "law", "president", "congress"])
         pattern = r"REGEX:Public Law (8|9)\d"
         scan = loaded_db.search(pattern, approach="staccato")
         indexed = loaded_db.indexed_search(pattern, use_projection=False)
-        assert {a.line_id for a in indexed} == {a.line_id for a in scan}
-        by_line = {a.line_id: a.probability for a in scan}
-        for answer in indexed:
-            assert answer.probability == pytest.approx(by_line[answer.line_id])
+        assert indexed == scan
 
     def test_indexed_search_with_projection_same_lines(self, loaded_db):
         loaded_db.build_index(["public", "law"])
@@ -194,6 +198,41 @@ class TestInvertedIndexPlan:
         scan = loaded_db.search(pattern, approach="staccato")
         assert {a.line_id for a in indexed} == {a.line_id for a in scan}
 
+    @pytest.mark.parametrize("use_projection", [True, False])
+    def test_start_anchored_like_is_evaluated_full_line(
+        self, loaded_db, use_projection
+    ):
+        """No leading % compiles to a whole-string DFA, which has no
+        projection: its candidates are scanned, not a ValueError."""
+        loaded_db.build_index(["public", "law", "president", "congress"])
+        for pattern in ("Public Law%", "Public Law 8%"):
+            assert loaded_db.index_covers(pattern, "staccato")
+            assert loaded_db.search(pattern)
+            assert loaded_db.indexed_search(
+                pattern, use_projection=use_projection
+            ) == loaded_db.search(pattern)
+            plan, answers = execute_plan(loaded_db, pattern)
+            assert plan.kind == "index"
+            assert answers == loaded_db.search(pattern)
+
+    def test_projected_candidates_equal_the_dict_projection(self, loaded_db):
+        loaded_db.build_index(["public", "law", "president", "congress"])
+        pattern = r"REGEX:Public Law (8|9)\d"
+        query = compile_like(pattern)
+        expected = {}
+        for key, postings in loaded_db.index_postings("public").items():
+            prob = projected_match_probability(
+                storage.load_staccato(loaded_db.conn, key),
+                query,
+                postings,
+                DEFAULT_WINDOW,
+            )
+            if prob > 0.0:
+                expected[key] = prob
+        assert expected
+        answers = loaded_db.indexed_search(pattern, num_ans=None)
+        assert {a.line_id: a.probability for a in answers} == expected
+
     def test_index_approach_validation(self, loaded_db):
         with pytest.raises(ValueError):
             loaded_db.build_index(["law"], approach="fullsfa")
@@ -206,6 +245,88 @@ class TestInvertedIndexPlan:
         assert {a.line_id for a in indexed} == {a.line_id for a in scan}
         # Restore the staccato index for other tests in this module.
         loaded_db.build_index(["public", "law", "president", "congress"])
+
+
+class TestStoredKernels:
+    """Files written before ``KRN2`` (or with no kernel rows at all) keep
+    answering: absent and other-version rows recompile from ``SFA1``."""
+
+    PATTERNS = [r"REGEX:Public Law (8|9)\d", "%the President%", "Public Law 8%"]
+
+    def answers(self, db):
+        with counters.collect() as counts:
+            relation = [
+                (
+                    db.search(pattern),
+                    db.search(pattern, approach="fullsfa"),
+                    db.indexed_search(pattern),
+                    db.indexed_search(pattern, use_projection=False),
+                    execute_plan(db, pattern)[1],
+                )
+                for pattern in self.PATTERNS
+            ]
+        return relation, dict(counts)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "UPDATE CompiledKernel SET Version = 1",
+            "DELETE FROM CompiledKernel",
+            "DELETE FROM CompiledKernel WHERE DataKey % 2 = 0",
+            # The version tag of this build over a blob it cannot read.
+            "UPDATE CompiledKernel SET KernelBlob = x'4b524e31' "
+            "WHERE DataKey % 3 = 0",
+        ],
+    )
+    def test_old_or_missing_rows_answer_like_fresh_ones(
+        self, loaded_db, tmp_path, damage
+    ):
+        loaded_db.build_index(["public", "law", "president", "congress"])
+        fresh = self.answers(loaded_db)
+        path = str(tmp_path / "old.db")
+        clone = sqlite3.connect(path)
+        loaded_db.conn.backup(clone)
+        with clone:
+            clone.execute(damage)
+        clone.close()
+        with StaccatoDB(path, k=8, m=10) as old:
+            assert old.load_index()
+            assert self.answers(old) == fresh
+
+    def test_keyed_fetch_returns_only_the_asked_current_rows(self, loaded_db):
+        everything = storage.load_kernel_blobs(loaded_db.conn, "staccato")
+        assert set(everything) == set(storage.all_data_keys(loaded_db.conn))
+        some = storage.load_kernel_blobs(loaded_db.conn, "staccato", [3, 1, 999])
+        assert some == {1: everything[1], 3: everything[3]}
+        assert storage.load_kernel_blobs(loaded_db.conn, "staccato", []) == {}
+        many = list(range(-2000, 2000))  # several IN-list chunks
+        assert storage.load_kernel_blobs(
+            loaded_db.conn, "staccato", many
+        ) == everything
+
+    def test_stored_fingerprint_is_the_blob_digest(self, loaded_db):
+        rows = loaded_db.conn.execute(
+            "SELECT Version, Fingerprint, KernelBlob FROM CompiledKernel"
+        ).fetchall()
+        assert rows
+        for version, fingerprint, blob in rows:
+            assert version == KERNEL_VERSION
+            assert kernel_from_bytes(blob).fingerprint == fingerprint
+
+    def test_chunk_graph_blobs_are_smaller_than_krn1(self, loaded_db):
+        """Run-length destinations pay for the ids and forward masses."""
+        for _, blob in storage.load_kernel_blobs(
+            loaded_db.conn, "staccato"
+        ).values():
+            kernel = kernel_from_bytes(blob)
+            krn1 = (
+                26
+                + 4 * (kernel.num_nodes + 1)
+                + 8 * kernel.num_nodes
+                + sum(4 + len(sym.encode()) for sym in kernel.symbols)
+                + 16 * kernel.num_steps
+            )
+            assert len(blob) < krn1
 
 
 class TestContextManager:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import counters
 from repro.db.engine import StaccatoDB
 from repro.db.planner import QueryPlan, choose_plan, execute_plan
+from repro.indexing.anchors import anchor_for_query
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
@@ -74,3 +76,60 @@ class TestExecutePlan:
         plan, answers = execute_plan(planned_db, r"REGEX:(8|9)\d")
         assert plan.kind == "scan"
         assert isinstance(answers, list)
+
+    @pytest.mark.parametrize(
+        "like, threshold",
+        [
+            (r"REGEX:Public Law (8|9)\d", 0.8),  # index plan
+            ("%the President%", 0.0),  # anchored, but scanned
+            (r"REGEX:(8|9)\d", 0.8),  # no anchor
+        ],
+    )
+    def test_same_plan_and_counters_as_choose_then_run(
+        self, planned_db, like, threshold
+    ):
+        """``execute_plan`` judges selectivity from the posting lists it
+        then evaluates; the plan (selectivity to the bit) and every
+        counter equal choosing by COUNT(DISTINCT) and running the plan."""
+        with counters.collect() as separate:
+            chosen = choose_plan(planned_db, like, threshold=threshold)
+            run = (
+                planned_db.indexed_search
+                if chosen.kind == "index"
+                else planned_db.search
+            )
+            expected = run(like, approach="staccato", num_ans=100)
+        with counters.collect() as planned:
+            plan, answers = execute_plan(planned_db, like, threshold=threshold)
+        assert plan == chosen
+        assert answers == expected
+        assert dict(planned) == dict(separate)
+
+    def test_one_parse_and_one_probe_per_planned_query(
+        self, planned_db, monkeypatch
+    ):
+        from repro.db import engine, planner
+
+        parses = []
+
+        def counting_anchor(like, trie):
+            parses.append(like)
+            return anchor_for_query(like, trie)
+
+        monkeypatch.setattr(planner, "anchor_for_query", counting_anchor)
+        monkeypatch.setattr(engine, "anchor_for_query", counting_anchor)
+        statements = []
+        planned_db.conn.set_trace_callback(statements.append)
+        try:
+            plan, _ = execute_plan(planned_db, r"REGEX:Public Law (8|9)\d")
+        finally:
+            planned_db.conn.set_trace_callback(None)
+        assert plan.kind == "index"
+        assert len(parses) == 1
+        assert sum("InvertedIndex" in sql for sql in statements) == 1
+
+    def test_index_of_another_approach_falls_back_to_the_scan(self, planned_db):
+        like = r"REGEX:Public Law (8|9)\d"
+        plan, answers = execute_plan(planned_db, like, approach="kmap")
+        assert plan.kind == "index"  # as choose_plan reports it
+        assert answers == planned_db.search(like, approach="kmap")

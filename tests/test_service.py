@@ -304,6 +304,30 @@ class TestEndpoints:
         for got, want in zip(body["answers"], expected):
             assert got["probability"] == pytest.approx(want.probability)
 
+    def test_start_anchored_like_on_the_index_plan(self, live):
+        """No leading %: a whole-string DFA, which the index covers (its
+        first word is a dictionary term) but cannot project.  It used to
+        be a 500; its candidates are evaluated full-line, so both index
+        plans answer exactly what the filescan answers."""
+        with StaccatoDB(live.service.path, k=K, m=M) as db:
+            db.build_index(["public", "law", "congress", "president"])
+        live.service.pool.reload_index()
+        for pattern in ("Public Law%", "Public Law 8%"):
+            replies = {}
+            for plan in ("filescan", "indexed", "auto"):
+                status, body = post_json(
+                    live.base_url,
+                    "/search",
+                    {"pattern": pattern, "plan": plan, "num_ans": 30},
+                )
+                assert status == 200, body
+                replies[plan] = body
+            assert replies["indexed"]["plan"] == "indexed"
+            assert replies["auto"]["plan"] == "auto:index"
+            assert replies["filescan"]["answers"]
+            for plan in ("indexed", "auto"):
+                assert replies[plan]["answers"] == replies["filescan"]["answers"]
+
     def test_auto_plan_reports_choice(self, live):
         status, body = post_json(
             live.base_url,

@@ -21,8 +21,14 @@ their nodes (the paper's "simple optimization").
 from __future__ import annotations
 
 from ..sfa.model import Sfa
-from ..sfa.ops import backward_mass, forward_mass, topological_order
-from .chunks import Region, collapse, find_min_sfa, region_mass, region_top_k
+from ..sfa.ops import sum_product, topological_order
+from .chunks import (
+    Reachability,
+    Region,
+    collapse_in_place,
+    region_mass,
+    region_top_k,
+)
 from .staccato_doc import StaccatoDoc
 
 __all__ = ["prune_edges_to_k", "staccato_approximate", "build_staccato"]
@@ -42,11 +48,16 @@ def prune_edges_to_k(sfa: Sfa, k: int) -> Sfa:
     return result
 
 
+# A region's node ids, ascending: the order candidates are scored in, and
+# (a tuple, so it hashes) what the caches key a region by.
+_Key = tuple[int, ...]
+
+
 def _candidate_regions(
     sfa: Sfa,
-    topo_index: dict[int, int],
-    region_cache: dict[tuple[int, int, int], Region],
-) -> dict[frozenset[int], Region]:
+    reach: Reachability,
+    region_cache: dict[tuple[int, int, int], tuple[_Key, Region]],
+) -> dict[_Key, Region]:
     """All distinct regions grown from adjacent-edge node triples.
 
     ``region_cache`` carries triple -> region results across greedy
@@ -54,18 +65,19 @@ def _candidate_regions(
     caller, so surviving entries are still correct (a collapse elsewhere
     does not change reachability among untouched nodes).
     """
-    regions: dict[frozenset[int], Region] = {}
+    regions: dict[_Key, Region] = {}
     for middle in sfa.nodes:
         if middle in (sfa.start, sfa.final):
             continue
-        for pred in set(sfa.pred(middle)):
-            for succ in set(sfa.succ(middle)):
+        for pred in sfa.pred(middle):
+            for succ in sfa.succ(middle):
                 triple = (pred, middle, succ)
-                region = region_cache.get(triple)
-                if region is None:
-                    region = find_min_sfa(sfa, {pred, middle, succ}, topo_index)
-                    region_cache[triple] = region
-                regions.setdefault(region.nodes, region)
+                cached = region_cache.get(triple)
+                if cached is None:
+                    region = reach.grow(triple)
+                    cached = (tuple(sorted(region.nodes)), region)
+                    region_cache[triple] = cached
+                regions.setdefault(*cached)
     return regions
 
 
@@ -76,49 +88,60 @@ def staccato_approximate(sfa: Sfa, m: int, k: int) -> Sfa:
     of the whole line); ``m >= |E|`` keeps the structure and just prunes
     every edge to its k best emissions (paper Section 5.2).  The result
     generally retains less than the full probability mass.
+
+    The working graph is a private copy collapsed in place.  What a
+    collapse invalidates is recomputed once per iteration and shared --
+    one topological order (it moves: a kept order would still be valid
+    but not this one, and "latest ancestor" and the summation order of
+    the masses are defined by it), one reachability table, one forward
+    and one backward pass; what it does not touch (regions and their
+    scores away from the collapse) is carried over.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     work = prune_edges_to_k(sfa, k)
-    score_cache: dict[frozenset[int], float] = {}
-    region_cache: dict[tuple[int, int, int], Region] = {}
+    # region -> (loss, top-k): the winner's ranking is its new edge.
+    score_cache: dict[_Key, tuple[float, list[tuple[str, float]]]] = {}
+    region_cache: dict[tuple[int, int, int], tuple[_Key, Region]] = {}
     while work.num_edges > m:
-        topo_index = {
-            node: i for i, node in enumerate(topological_order(work))
-        }
-        candidates = _candidate_regions(work, topo_index, region_cache)
+        order = topological_order(work)
+        reach = Reachability(work, order)
+        candidates = _candidate_regions(work, reach, region_cache)
         if not candidates:
             break
-        forward = forward_mass(work)
-        backward = backward_mass(work)
-        best_region: Region | None = None
+        forward = sum_product(work, order, work.start)
+        backward = sum_product(work, order[::-1], work.final, backward=True)
+        best: tuple[Region, list[tuple[str, float]]] | None = None
         best_delta = float("-inf")
-        for nodes, region in sorted(
-            candidates.items(), key=lambda item: sorted(item[0])
-        ):
-            loss = score_cache.get(nodes)
-            if loss is None:
-                kept = sum(p for _, p in region_top_k(work, region, k))
-                loss = kept - region_mass(work, region)
-                score_cache[nodes] = loss
+        for key in sorted(candidates):
+            region = candidates[key]
+            score = score_cache.get(key)
+            if score is None:
+                span = reach.span(region)
+                top = region_top_k(work, region, k, span)
+                kept = sum(p for _, p in top)
+                score = (kept - region_mass(work, region, span), top)
+                score_cache[key] = score
+            loss, top = score
             delta = forward[region.entry] * backward[region.exit] * loss
             if delta > best_delta:
                 best_delta = delta
-                best_region = region
-        assert best_region is not None
-        work = collapse(work, best_region, k)
-        touched = best_region.nodes
+                best = (region, top)
+        assert best is not None
+        region, top = best
+        collapse_in_place(work, region, top)
+        touched = region.nodes
         score_cache = {
-            nodes: loss
-            for nodes, loss in score_cache.items()
-            if not (nodes & touched)
+            key: score
+            for key, score in score_cache.items()
+            if touched.isdisjoint(key)
         }
         region_cache = {
-            triple: region
-            for triple, region in region_cache.items()
-            if not (region.nodes & touched)
+            triple: cached
+            for triple, cached in region_cache.items()
+            if touched.isdisjoint(cached[0])
         }
     return work
 

@@ -8,14 +8,20 @@ paper Figure 3(C)).  ``find_min_sfa`` grows a seed node set into the
 minimal enclosing region using least-common-ancestor / greatest-common-
 descendant steps plus boundary-edge closure; ``collapse`` replaces that
 region with one edge carrying the region's top-k strings.
+
+The functions taking an ``Sfa`` are entry points onto routines that take
+the SFA *and a topological order of it*: the Staccato loop
+(:mod:`repro.core.approximate`) computes one order per greedy iteration
+and probes, ranks and weighs every candidate region in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from ..sfa.model import Sfa, SfaError
-from ..sfa.ops import ancestors, descendants, topological_order
+from ..sfa.ops import sum_product, topological_order
 from ..sfa.paths import k_best_between
 
 __all__ = ["Region", "find_min_sfa", "collapse", "region_mass", "region_top_k"]
@@ -39,33 +45,91 @@ class Region:
         return self.nodes - {self.entry, self.exit}
 
 
-def _least_common_ancestor(
-    sfa: Sfa, nodes: set[int], topo_index: dict[int, int]
-) -> int:
-    """The common ancestor of ``nodes`` latest in topological order.
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    A node counts as its own ancestor, so if one member of ``nodes``
-    reaches all the others it is returned directly.  The global start node
-    is always a common ancestor, so the result exists.
+
+class Reachability:
+    """Who reaches whom in one SFA, as bitsets over one topological order.
+
+    Bit ``i`` stands for ``order[i]``.  ``up[i]`` / ``down[i]`` hold the
+    ancestors / descendants of ``order[i]`` *including itself*, built by
+    one sweep each over the order; ``near[i]`` its direct neighbours.  The
+    latest common ancestor of a node set is then the highest bit of the
+    intersection of their ``up`` sets, the earliest common descendant the
+    lowest bit of the intersection of their ``down`` sets -- "latest" and
+    "earliest" in exactly this order, which is why region growth must be
+    handed the order its caller ranks by.  Valid until the SFA changes.
     """
-    common: set[int] | None = None
-    for node in nodes:
-        reaching = ancestors(sfa, node) | {node}
-        common = reaching if common is None else common & reaching
-    assert common
-    return max(common, key=topo_index.__getitem__)
 
+    __slots__ = ("sfa", "order", "pos", "up", "down", "near")
 
-def _greatest_common_descendant(
-    sfa: Sfa, nodes: set[int], topo_index: dict[int, int]
-) -> int:
-    """The common descendant of ``nodes`` earliest in topological order."""
-    common: set[int] | None = None
-    for node in nodes:
-        reached = descendants(sfa, node) | {node}
-        common = reached if common is None else common & reached
-    assert common
-    return min(common, key=topo_index.__getitem__)
+    def __init__(self, sfa: Sfa, order: list[int]) -> None:
+        self.sfa = sfa
+        self.order = order
+        self.pos = pos = {node: i for i, node in enumerate(order)}
+        count = len(order)
+        self.up = up = [0] * count
+        self.down = down = [0] * count
+        self.near = near = [0] * count
+        for i, node in enumerate(order):
+            reach = 1 << i
+            for pred in sfa.pred(node):
+                reach |= up[pos[pred]]
+                near[i] |= 1 << pos[pred]
+            up[i] = reach
+        for i in range(count - 1, -1, -1):
+            reach = 1 << i
+            for succ in sfa.succ(order[i]):
+                reach |= down[pos[succ]]
+                near[i] |= 1 << pos[succ]
+            down[i] = reach
+
+    def grow(self, seed_nodes: Iterable[int]) -> Region:
+        """Paper Algorithm 1 on the bitsets; see :func:`find_min_sfa`."""
+        pos, up, down, near = self.pos, self.up, self.down, self.near
+        seeds = sorted(seed_nodes)
+        if len(seeds) < 2:
+            raise SfaError("a chunk region needs at least two seed nodes")
+        grown = 0
+        for node in seeds:
+            grown |= 1 << pos[node]
+        while True:
+            above = below = -1
+            for i in _bits(grown):
+                above &= up[i]
+                below &= down[i]
+            entry = above.bit_length() - 1
+            exit_ = (below & -below).bit_length() - 1
+            if entry == exit_:
+                raise SfaError(f"seed nodes {seeds} collapse to a single node")
+            if entry > exit_:
+                # Pathological seed (e.g. parallel branches with no common
+                # interior); widen to the whole automaton.
+                entry, exit_ = pos[self.sfa.start], pos[self.sfa.final]
+            interval = down[entry] & up[exit_]
+            boundary = 0
+            for i in _bits(interval & ~(1 << entry | 1 << exit_)):
+                boundary |= near[i]
+            boundary &= ~interval
+            if not boundary:
+                order = self.order
+                return Region(
+                    nodes=frozenset(order[i] for i in _bits(interval)),
+                    entry=order[entry],
+                    exit=order[exit_],
+                )
+            grown |= interval | boundary
+
+    def span(self, region: Region) -> list[int]:
+        """The stretch of the order from the region's entry to its exit:
+        a topological order covering the region (and, where parallel
+        branches interleave, some nodes outside it)."""
+        return self.order[self.pos[region.entry] : self.pos[region.exit] + 1]
 
 
 def find_min_sfa(
@@ -81,60 +145,57 @@ def find_min_sfa(
     loop strictly grows the set, so it terminates (in the worst case with
     the whole SFA, which is trivially a valid region).
 
-    ``topo_index`` lets callers that probe many seed sets share one
-    topological-order computation.
+    ``topo_index`` (node -> position in a topological order of ``sfa``)
+    lets a caller choose the order "least" and "greatest" refer to;
+    by default it is :func:`~repro.sfa.ops.topological_order`'s.
     """
-    if len(seed_nodes) < 2:
-        raise SfaError("a chunk region needs at least two seed nodes")
     if topo_index is None:
-        topo_index = {node: i for i, node in enumerate(topological_order(sfa))}
-    grown = set(seed_nodes)
-    while True:
-        entry = _least_common_ancestor(sfa, grown, topo_index)
-        exit_ = _greatest_common_descendant(sfa, grown, topo_index)
-        if entry == exit_:
-            raise SfaError(
-                f"seed nodes {sorted(seed_nodes)} collapse to a single node"
-            )
-        if topo_index[entry] > topo_index[exit_]:
-            # Pathological seed (e.g. parallel branches with no common
-            # interior); widen to the whole automaton.
-            entry, exit_ = sfa.start, sfa.final
-        interval = (descendants(sfa, entry) | {entry}) & (
-            ancestors(sfa, exit_) | {exit_}
-        )
-        grown |= interval
-        boundary: set[int] = set()
-        for node in interval - {entry, exit_}:
-            for pred in sfa.pred(node):
-                if pred not in interval:
-                    boundary.add(pred)
-            for succ in sfa.succ(node):
-                if succ not in interval:
-                    boundary.add(succ)
-        if not boundary:
-            return Region(nodes=frozenset(interval), entry=entry, exit=exit_)
-        grown |= boundary
+        order = topological_order(sfa)
+    else:
+        order = sorted(sfa.nodes, key=topo_index.__getitem__)
+    return Reachability(sfa, order).grow(seed_nodes)
 
 
-def region_mass(sfa: Sfa, region: Region) -> float:
+def region_mass(
+    sfa: Sfa, region: Region, order: list[int] | None = None
+) -> float:
     """Total probability of all entry-to-exit labeled paths in the region
-    (the mass the region carries before pruning)."""
-    mass = {node: 0.0 for node in region.nodes}
-    mass[region.entry] = 1.0
-    order = [n for n in topological_order(sfa) if n in region.nodes]
-    for node in order:
-        if node == region.exit or mass[node] == 0.0:
-            continue
-        for succ in set(sfa.successors(node)):
-            if succ in region.nodes:
-                mass[succ] += mass[node] * sfa.edge_mass(node, succ)
-    return mass[region.exit]
+    (the mass the region carries before pruning).
+
+    ``order`` is a topological order covering the region, for callers
+    that already hold one.
+    """
+    if order is None:
+        order = topological_order(sfa)
+    nodes = region.nodes
+    inside = [node for node in order if node in nodes]
+    return sum_product(sfa, inside, region.entry, within=nodes)[region.exit]
 
 
-def region_top_k(sfa: Sfa, region: Region, k: int) -> list[tuple[str, float]]:
-    """The k highest-probability strings spelled by the region."""
-    return k_best_between(sfa, region.entry, region.exit, k, within=set(region.nodes))
+def region_top_k(
+    sfa: Sfa, region: Region, k: int, order: list[int] | None = None
+) -> list[tuple[str, float]]:
+    """The k highest-probability strings spelled by the region (``order``
+    as in :func:`region_mass`)."""
+    return k_best_between(
+        sfa, region.entry, region.exit, k, within=region.nodes, order=order
+    )
+
+
+def collapse_in_place(
+    sfa: Sfa, region: Region, top: list[tuple[str, float]]
+) -> None:
+    """Replace ``region`` of ``sfa`` by one edge carrying ``top``, the
+    region's ranked strings."""
+    if not top:
+        raise SfaError("region emits no strings; cannot collapse")
+    for node in region.internal:
+        sfa.remove_node(node)
+    if sfa.has_edge(region.entry, region.exit):
+        # A direct entry->exit edge is part of the region's paths and its
+        # strings already competed for the top-k slots.
+        sfa.remove_edge(region.entry, region.exit)
+    sfa.add_edge(region.entry, region.exit, top)
 
 
 def collapse(sfa: Sfa, region: Region, k: int) -> Sfa:
@@ -146,14 +207,6 @@ def collapse(sfa: Sfa, region: Region, k: int) -> Sfa:
     probability mass among all k-string choices for the new edge.
     """
     top = region_top_k(sfa, region, k)
-    if not top:
-        raise SfaError("region emits no strings; cannot collapse")
     result = sfa.copy()
-    for node in region.internal:
-        result.remove_node(node)
-    if result.has_edge(region.entry, region.exit):
-        # A direct entry->exit edge is part of the region's paths and its
-        # strings already competed for the top-k slots.
-        result.remove_edge(region.entry, region.exit)
-    result.add_edge(region.entry, region.exit, top)
+    collapse_in_place(result, region, top)
     return result

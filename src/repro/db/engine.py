@@ -202,16 +202,21 @@ class StaccatoDB:
         workers: int | None = None,
     ) -> int:
         """OCR and store ``dataset``; returns the number of lines."""
-        ocr = ocr or SimulatedOcrEngine()
-        count = storage.ingest_dataset(
-            self.conn,
-            dataset,
-            ocr,
-            k=self.k,
-            m=self.m,
-            approaches=approaches,
-            workers=workers,
+        return self.write_batch(
+            storage.build_dataset(
+                dataset,
+                ocr or SimulatedOcrEngine(),
+                k=self.k,
+                m=self.m,
+                approaches=approaches,
+                workers=workers,
+            )
         )
+
+    def write_batch(self, built: storage.BuiltBatch) -> int:
+        """Store a batch :func:`~repro.db.storage.build_dataset` built
+        (once, for every replica of a shard); returns its line count."""
+        count = storage.write_batch(self.conn, built)
         if self.kernel_memo is not None:
             # The shard's generation clock: entries computed against the
             # pre-batch data cannot land after this (put is fenced).

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -29,6 +30,9 @@ from ..sfa.kernel import KERNEL_VERSION, blob_fingerprint, compile_kernel
 from ..sfa.model import Sfa
 
 __all__ = [
+    "BuiltBatch",
+    "build_dataset",
+    "write_batch",
     "ingest_dataset",
     "load_fullsfa",
     "load_kmap",
@@ -97,6 +101,115 @@ def _kernel_row(
     return (line_id, approach, KERNEL_VERSION, blob_fingerprint(blob), blob)
 
 
+#: Insert statement per table, in write order.  Every table but
+#: ``Documents`` is keyed by DataKey in its first column.
+_INSERTS = {
+    "MasterData": "INSERT INTO MasterData (DataKey, DocName, DocId, SFANum) "
+    "VALUES (?, ?, ?, ?)",
+    "GroundTruth": "INSERT INTO GroundTruth (DataKey, Data) VALUES (?, ?)",
+    "kMAPData": "INSERT INTO kMAPData (DataKey, Rank, Data, LogProb) "
+    "VALUES (?, ?, ?, ?)",
+    "FullSFAData": "INSERT INTO FullSFAData (DataKey, SFABlob) VALUES (?, ?)",
+    "StaccatoData": "INSERT INTO StaccatoData "
+    "(DataKey, ChunkNum, Rank, Data, LogProb) VALUES (?, ?, ?, ?, ?)",
+    "StaccatoGraph": "INSERT INTO StaccatoGraph (DataKey, GraphBlob) "
+    "VALUES (?, ?)",
+    "CompiledKernel": "INSERT INTO CompiledKernel "
+    "(DataKey, Approach, Version, Fingerprint, KernelBlob) "
+    "VALUES (?, ?, ?, ?, ?)",
+}
+
+
+@dataclass(frozen=True, slots=True)
+class BuiltBatch:
+    """One batch's rows, built but not stored (:func:`build_dataset`).
+
+    DataKeys are batch-local (the dataset's own line ids, from 0); the
+    write shifts them past what its connection already holds, so one
+    build can be written to every replica of a shard.
+    """
+
+    documents: list[tuple]
+    rows: dict[str, list[tuple]]  # table (a key of _INSERTS) -> its rows
+
+
+def build_dataset(
+    dataset: Dataset,
+    ocr: SimulatedOcrEngine,
+    k: int = 25,
+    m: int = 40,
+    approaches: tuple[str, ...] = ("kmap", "fullsfa", "staccato"),
+    workers: int | None = None,
+) -> BuiltBatch:
+    """OCR every line of ``dataset`` and construct the chosen
+    representations -- all the expensive work of an ingest, none of it
+    touching a database (arguments as for :func:`ingest_dataset`)."""
+    unknown = set(approaches) - set(APPROACH_TABLES)
+    if unknown:
+        raise ValueError(f"unknown approaches: {sorted(unknown)}")
+    lines = dataset.lines()
+    rows: dict[str, list[tuple]] = {table: [] for table in _INSERTS}
+    rows["MasterData"] = [
+        (line_id, f"{dataset.name}-{doc_id}", doc_id, line_no)
+        for line_id, doc_id, line_no, _ in lines
+    ]
+    rows["GroundTruth"] = [(line_id, text) for line_id, _, _, text in lines]
+    build = partial(
+        _line_representations,
+        ocr=ocr,
+        k=k,
+        m=m,
+        want_kmap="kmap" in approaches or "map" in approaches,
+        want_fullsfa="fullsfa" in approaches,
+        want_staccato="staccato" in approaches,
+    )
+    if workers and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            built = list(pool.map(build, lines, chunksize=8))
+    else:
+        built = [build(line) for line in lines]
+    for line_kmap, fullsfa_row, line_staccato, graph_row, line_kernels in built:
+        rows["kMAPData"].extend(line_kmap)
+        if fullsfa_row is not None:
+            rows["FullSFAData"].append(fullsfa_row)
+        rows["StaccatoData"].extend(line_staccato)
+        if graph_row is not None:
+            rows["StaccatoGraph"].append(graph_row)
+        rows["CompiledKernel"].extend(line_kernels)
+    return BuiltBatch(
+        documents=[
+            (doc.doc_id, doc.name, doc.year, doc.loss)
+            for doc in dataset.documents
+        ],
+        rows=rows,
+    )
+
+
+def write_batch(conn: sqlite3.Connection, built: BuiltBatch) -> int:
+    """Store a built batch in one transaction; returns its line count.
+
+    Batch ingestion appends: the batch's line ids start at 0, so they are
+    shifted past the highest DataKey this connection already stores.  A
+    fresh database gets offset 0, preserving the line_id == DataKey
+    identity.
+    """
+    with conn:
+        (offset,) = conn.execute(
+            "SELECT COALESCE(MAX(DataKey) + 1, 0) FROM MasterData"
+        ).fetchone()
+        conn.executemany(
+            "INSERT OR REPLACE INTO Documents (DocId, DocName, Year, Loss) "
+            "VALUES (?, ?, ?, ?)",
+            built.documents,
+        )
+        for table, rows in built.rows.items():
+            if offset:
+                rows = [(row[0] + offset, *row[1:]) for row in rows]
+            if rows:
+                conn.executemany(_INSERTS[table], rows)
+    return len(built.rows["MasterData"])
+
+
 def ingest_dataset(
     conn: sqlite3.Connection,
     dataset: Dataset,
@@ -118,97 +231,9 @@ def ingest_dataset(
     embarrassingly parallel across SFAs, exactly how the paper ran it on
     Condor (Section 5.2).
     """
-    unknown = set(approaches) - set(APPROACH_TABLES)
-    if unknown:
-        raise ValueError(f"unknown approaches: {sorted(unknown)}")
-    doc_rows = [
-        (doc.doc_id, doc.name, doc.year, doc.loss) for doc in dataset.documents
-    ]
-    # Batch ingestion appends: a dataset's line ids start at 0, so shift
-    # them past the highest DataKey already stored.  A fresh database gets
-    # offset 0, preserving the line_id == DataKey identity.
-    (offset,) = conn.execute(
-        "SELECT COALESCE(MAX(DataKey) + 1, 0) FROM MasterData"
-    ).fetchone()
-    lines = [
-        (line_id + offset, doc_id, line_no, text)
-        for line_id, doc_id, line_no, text in dataset.lines()
-    ]
-    master_rows = [
-        (line_id, f"{dataset.name}-{doc_id}", doc_id, line_no)
-        for line_id, doc_id, line_no, _ in lines
-    ]
-    truth_rows = [(line_id, text) for line_id, _, _, text in lines]
-    build = partial(
-        _line_representations,
-        ocr=ocr,
-        k=k,
-        m=m,
-        want_kmap="kmap" in approaches or "map" in approaches,
-        want_fullsfa="fullsfa" in approaches,
-        want_staccato="staccato" in approaches,
+    return write_batch(
+        conn, build_dataset(dataset, ocr, k, m, approaches, workers)
     )
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, lines, chunksize=8))
-    else:
-        built = [build(line) for line in lines]
-    kmap_rows = []
-    fullsfa_rows = []
-    staccato_rows = []
-    graph_rows = []
-    kernel_rows = []
-    for line_kmap, fullsfa_row, line_staccato, graph_row, line_kernels in built:
-        kmap_rows.extend(line_kmap)
-        if fullsfa_row is not None:
-            fullsfa_rows.append(fullsfa_row)
-        staccato_rows.extend(line_staccato)
-        if graph_row is not None:
-            graph_rows.append(graph_row)
-        kernel_rows.extend(line_kernels)
-    with conn:
-        conn.executemany(
-            "INSERT OR REPLACE INTO Documents (DocId, DocName, Year, Loss) "
-            "VALUES (?, ?, ?, ?)",
-            doc_rows,
-        )
-        conn.executemany(
-            "INSERT INTO MasterData (DataKey, DocName, DocId, SFANum) "
-            "VALUES (?, ?, ?, ?)",
-            master_rows,
-        )
-        conn.executemany(
-            "INSERT INTO GroundTruth (DataKey, Data) VALUES (?, ?)", truth_rows
-        )
-        if kmap_rows:
-            conn.executemany(
-                "INSERT INTO kMAPData (DataKey, Rank, Data, LogProb) "
-                "VALUES (?, ?, ?, ?)",
-                kmap_rows,
-            )
-        if fullsfa_rows:
-            conn.executemany(
-                "INSERT INTO FullSFAData (DataKey, SFABlob) VALUES (?, ?)",
-                fullsfa_rows,
-            )
-        if staccato_rows:
-            conn.executemany(
-                "INSERT INTO StaccatoData (DataKey, ChunkNum, Rank, Data, LogProb)"
-                " VALUES (?, ?, ?, ?, ?)",
-                staccato_rows,
-            )
-            conn.executemany(
-                "INSERT INTO StaccatoGraph (DataKey, GraphBlob) VALUES (?, ?)",
-                graph_rows,
-            )
-        if kernel_rows:
-            conn.executemany(
-                "INSERT INTO CompiledKernel "
-                "(DataKey, Approach, Version, Fingerprint, KernelBlob) "
-                "VALUES (?, ?, ?, ?, ?)",
-                kernel_rows,
-            )
-    return len(master_rows)
 
 
 def all_data_keys(conn: sqlite3.Connection) -> list[int]:

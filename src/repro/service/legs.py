@@ -27,6 +27,7 @@ import time
 from typing import Callable, Protocol, Sequence
 
 from ..automata.regex import RegexError
+from ..db import storage
 from ..db.engine import APPROACHES, StaccatoDB
 from ..db.sql import (
     SqlError,
@@ -151,6 +152,8 @@ class LocalLeg:
         self.index = index
         self.path = path
         self.metrics = metrics
+        self._k = k
+        self._m = m
         self.write_lock = threading.Lock()
         # One kernel memo per shard: its generation clock advances with
         # this shard's writes only, so a busy shard's ingests never cold
@@ -274,18 +277,21 @@ class LocalLeg:
     def ingest(
         self, docs: Sequence[Document], request: IngestRequest
     ) -> tuple[int, int]:
+        # Built once, outside the replica loop: OCR and construction are
+        # the whole cost of an ingest and depend only on (seed, text,
+        # doc_id, line_no), so every copy is written the same rows.  A
+        # build error surfaces here, before any replica commits.
+        built = storage.build_dataset(
+            Dataset(name=request.dataset.name, documents=list(docs)),
+            SimulatedOcrEngine(seed=request.ocr_seed),
+            k=self._k,
+            m=self._m,
+            approaches=request.approaches,
+            workers=request.workers,
+        )
+
         def apply(replica: Replica) -> tuple[int, int]:
-            # Each replica gets its own engine instance (stateless but
-            # cheap); per-line SFAs depend only on (seed, text, doc_id,
-            # line_no), so every copy stores identical rows.
-            ocr = SimulatedOcrEngine(seed=request.ocr_seed)
-            count = replica.writer.ingest(
-                Dataset(name=request.dataset.name, documents=list(docs)),
-                ocr,
-                approaches=request.approaches,
-                workers=request.workers,
-            )
-            return count, replica.writer.num_lines
+            return replica.writer.write_batch(built), replica.writer.num_lines
 
         return self.replicas.apply_write(apply)
 

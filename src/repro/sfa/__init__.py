@@ -28,7 +28,6 @@ from .paths import k_best_between, k_best_strings, map_string
 from .semiring import COUNT, REAL, TROPICAL, VITERBI, Semiring, shortest_distance
 from .serialize import blob_size, from_bytes, from_json, to_bytes, to_json
 from .transducer import Arc, Transducer
-from .yen import yen_k_best_strings
 from . import builder
 
 __all__ = [
@@ -67,6 +66,5 @@ __all__ = [
     "VITERBI",
     "Semiring",
     "shortest_distance",
-    "yen_k_best_strings",
     "builder",
 ]

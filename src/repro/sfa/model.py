@@ -56,7 +56,7 @@ class Sfa:
     probability mass (paper Section 3.1).
     """
 
-    __slots__ = ("_succ", "_pred", "_emissions", "start", "final")
+    __slots__ = ("_succ", "_pred", "_emissions", "_mass", "start", "final")
 
     def __init__(self, start: int = 0, final: int = 1) -> None:
         if start == final:
@@ -64,6 +64,7 @@ class Sfa:
         self._succ: dict[int, list[int]] = {start: [], final: []}
         self._pred: dict[int, list[int]] = {start: [], final: []}
         self._emissions: dict[tuple[int, int], list[Emission]] = {}
+        self._mass: dict[tuple[int, int], float] = {}
         self.start = start
         self.final = final
 
@@ -96,10 +97,13 @@ class Sfa:
             raise SfaError(f"self-loop on node {u} not allowed in a DAG")
         if (u, v) in self._emissions:
             raise SfaError(f"duplicate edge ({u}, {v})")
-        merged: dict[str, float] = {}
+        merged: dict[str, Emission] = {}
         for item in emissions:
             emission = item if isinstance(item, Emission) else Emission(*item)
-            merged[emission.string] = merged.get(emission.string, 0.0) + emission.prob
+            seen = merged.get(emission.string)
+            if seen is not None:
+                emission = Emission(seen.string, seen.prob + emission.prob)
+            merged[emission.string] = emission
         if not merged:
             raise SfaError(f"edge ({u}, {v}) must carry at least one emission")
         self.add_node(u)
@@ -107,8 +111,7 @@ class Sfa:
         self._succ[u].append(v)
         self._pred[v].append(u)
         self._emissions[(u, v)] = sorted(
-            (Emission(s, p) for s, p in merged.items()),
-            key=lambda e: (-e.prob, e.string),
+            merged.values(), key=lambda e: (-e.prob, e.string)
         )
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -116,6 +119,7 @@ class Sfa:
         if (u, v) not in self._emissions:
             raise SfaError(f"edge ({u}, {v}) does not exist")
         del self._emissions[(u, v)]
+        self._mass.pop((u, v), None)
         self._succ[u].remove(v)
         self._pred[v].remove(u)
 
@@ -206,8 +210,16 @@ class Sfa:
                 yield u, v, emission
 
     def edge_mass(self, u: int, v: int) -> float:
-        """Total probability carried by edge ``(u, v)``."""
-        return sum(e.prob for e in self._emissions[(u, v)])
+        """Total probability carried by edge ``(u, v)``.
+
+        Summed in stored order on first use and kept until the edge is
+        removed (an edge's emission list never changes in place).
+        """
+        mass = self._mass.get((u, v))
+        if mass is None:
+            mass = sum(e.prob for e in self._emissions[(u, v)])
+            self._mass[(u, v)] = mass
+        return mass
 
     def num_emissions(self) -> int:
         """Total number of stored ``(edge, string)`` pairs."""
@@ -223,12 +235,19 @@ class Sfa:
     # Copying / equality / debugging
     # ------------------------------------------------------------------
     def copy(self) -> "Sfa":
-        """An independent structural copy."""
+        """An independent structural copy.
+
+        Adjacency and emission lists are copied as they stand: they are
+        already validated, merged and sorted, and :class:`Emission` is
+        frozen, so the two sides share nothing mutable.
+        """
         clone = Sfa(self.start, self.final)
-        for node in self._succ:
-            clone.add_node(node)
-        for (u, v), emissions in self._emissions.items():
-            clone.add_edge(u, v, emissions)
+        clone._succ = {node: list(succ) for node, succ in self._succ.items()}
+        clone._pred = {node: list(pred) for node, pred in self._pred.items()}
+        clone._emissions = {
+            edge: list(emissions) for edge, emissions in self._emissions.items()
+        }
+        clone._mass = dict(self._mass)
         return clone
 
     def structurally_equal(self, other: "Sfa") -> bool:

@@ -22,6 +22,7 @@ __all__ = [
     "is_valid",
     "ancestors",
     "descendants",
+    "sum_product",
     "forward_mass",
     "backward_mass",
     "total_mass",
@@ -123,30 +124,49 @@ def ancestors(sfa: Sfa, node: int) -> set[int]:
     return _reach(sfa, {node}, forward=False)
 
 
+def sum_product(
+    sfa: Sfa,
+    order: list[int],
+    source: int,
+    backward: bool = False,
+    within: frozenset[int] | None = None,
+) -> dict[int, float]:
+    """The one sum-product pass: push ``mass[node] * edge_mass`` along the
+    edges leaving each node of ``order`` (entering it when ``backward``).
+
+    ``order`` is a topological order of the nodes to visit (reversed for a
+    backward pass); callers that already hold one share it instead of
+    paying for another.  ``within`` confines the pass to a node subset --
+    a chunk region -- and must then contain every node of ``order``.
+    The visiting order fixes the order in which a node with several
+    predecessors sums their contributions, i.e. the last ulp.
+    """
+    mass = {node: 0.0 for node in (sfa.nodes if within is None else within)}
+    mass[source] = 1.0
+    step = sfa.pred if backward else sfa.succ
+    for node in order:
+        here = mass[node]
+        if here == 0.0:
+            continue
+        for nxt in step(node):
+            if within is None or nxt in within:
+                edge = (nxt, node) if backward else (node, nxt)
+                mass[nxt] += here * sfa.edge_mass(*edge)
+    return mass
+
+
 def forward_mass(sfa: Sfa) -> dict[int, float]:
     """Sum-product forward pass: ``F[v]`` = total probability of all labeled
     paths from the start node to ``v`` (``F[start] = 1``)."""
-    mass = {node: 0.0 for node in sfa.nodes}
-    mass[sfa.start] = 1.0
-    for node in topological_order(sfa):
-        if mass[node] == 0.0:
-            continue
-        for succ in set(sfa.successors(node)):
-            mass[succ] += mass[node] * sfa.edge_mass(node, succ)
-    return mass
+    return sum_product(sfa, topological_order(sfa), sfa.start)
 
 
 def backward_mass(sfa: Sfa) -> dict[int, float]:
     """Sum-product backward pass: ``B[v]`` = total probability of all labeled
     paths from ``v`` to the final node (``B[final] = 1``)."""
-    mass = {node: 0.0 for node in sfa.nodes}
-    mass[sfa.final] = 1.0
-    for node in reversed(topological_order(sfa)):
-        if mass[node] == 0.0:
-            continue
-        for pred in set(sfa.predecessors(node)):
-            mass[pred] += mass[node] * sfa.edge_mass(pred, node)
-    return mass
+    order = topological_order(sfa)
+    order.reverse()
+    return sum_product(sfa, order, sfa.final, backward=True)
 
 
 def total_mass(sfa: Sfa) -> float:

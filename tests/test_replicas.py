@@ -264,7 +264,7 @@ class TestFailover:
         def explode(*args, **kwargs):
             raise RuntimeError("disk full")
 
-        diverged.writer.ingest = explode
+        diverged.writer.write_batch = explode
         doc_id = RANGE_WIDTH * NUM_SHARDS * 3  # owned by shard 0
         reply = replicated.ingest(
             {
@@ -279,6 +279,45 @@ class TestFailover:
         for _ in range(4):
             result = replicated.search({"pattern": "%budget%", "num_ans": 50})
             assert any(a["doc_id"] == doc_id for a in result["answers"])
+
+    def test_one_ingest_builds_once_and_writes_every_replica(
+        self, replicated, monkeypatch
+    ):
+        """Construction is the cost of an ingest: a shard pays it once per
+        batch, however many replicas then store the rows."""
+        from repro.db import storage
+
+        built = []
+        real_approximate = storage.staccato_approximate
+
+        def counting(sfa, m, k):
+            built.append((m, k))
+            return real_approximate(sfa, m=m, k=k)
+
+        monkeypatch.setattr(storage, "staccato_approximate", counting)
+        doc_id = RANGE_WIDTH * NUM_SHARDS * 3  # owned by shard 0
+        lines = ["the new budget", "the annual report of the board"]
+        reply = replicated.ingest(
+            {
+                "dataset": "once",
+                "documents": [{"doc_id": doc_id, "lines": lines}],
+            }
+        )
+        assert reply["shards"]["0"]["ingested_lines"] == len(lines)
+        assert built == [(M, K)] * len(lines)  # once per line, not per replica
+        copies = replicated.pool.shard(0).replicas.replicas()
+        assert len(copies) == NUM_REPLICAS
+        tables = (
+            "Documents", "MasterData", "GroundTruth", "kMAPData",
+            "FullSFAData", "StaccatoData", "StaccatoGraph", "CompiledKernel",
+        )
+        for table in tables:
+            first, second = (
+                sorted(replica.writer.conn.execute(f"SELECT * FROM {table}"))
+                for replica in copies
+            )
+            assert first and first == second, table
+        assert not any(replica.stale for replica in copies)
 
     def test_bad_pattern_is_a_400_and_never_breaker_food(self, replicated):
         """A client's uncompilable pattern must not open any breaker.

@@ -158,6 +158,39 @@ class TestCopyAndEquality:
         assert not clone.structurally_equal(figure1)
         assert figure1.has_edge(0, 1)
 
+    def test_copy_is_structural_and_shares_nothing_mutable(self, figure3):
+        from repro.sfa.kernel import compile_kernel
+        from repro.sfa.serialize import kernel_to_bytes, to_bytes
+
+        # Move an edge to the back of its lists so the orders to keep are
+        # not simply ascending.
+        figure3.replace_emissions(1, 2, figure3.emissions(1, 2))
+        before = to_bytes(figure3), kernel_to_bytes(compile_kernel(figure3))
+        clone = figure3.copy()
+        assert clone.structurally_equal(figure3)
+        assert (to_bytes(clone), kernel_to_bytes(compile_kernel(clone))) == before
+        assert clone.nodes == figure3.nodes and clone.edges == figure3.edges
+        for node in figure3.nodes:
+            assert clone.successors(node) == figure3.successors(node)
+            assert clone.predecessors(node) == figure3.predecessors(node)
+            assert clone.succ(node) is not figure3.succ(node)
+        for u, v in figure3.edges:
+            assert clone.emissions(u, v) == figure3.emissions(u, v)
+            assert clone.edge_mass(u, v) == figure3.edge_mass(u, v)
+        # Mutating either side leaves the other untouched (the memoised
+        # edge masses included).
+        clone.remove_node(2)
+        clone.add_edge(1, 5, [("q", 0.5)])
+        assert (to_bytes(figure3), kernel_to_bytes(compile_kernel(figure3))) == before
+        figure3.replace_emissions(0, 1, [("z", 0.5)])
+        assert [(e.string, e.prob) for e in clone.emissions(0, 1)] == [("a", 1.0)]
+        assert (clone.edge_mass(0, 1), figure3.edge_mass(0, 1)) == (1.0, 0.5)
+
+    def test_edge_mass_follows_replaced_emissions(self, figure1):
+        assert figure1.edge_mass(4, 5) == pytest.approx(1.0)
+        figure1.replace_emissions(4, 5, [("d", 0.5), ("3", 0.25)])
+        assert figure1.edge_mass(4, 5) == 0.75
+
     def test_structural_inequality_on_probability(self, figure1):
         clone = figure1.copy()
         clone.replace_emissions(4, 5, [("d", 0.8), ("3", 0.2)])

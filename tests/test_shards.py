@@ -466,7 +466,7 @@ class TestRoutedIngest:
             broken = service.pool.shard(1).writer
             def explode(*args, **kwargs):
                 raise RuntimeError("disk full")
-            broken.ingest = explode
+            broken.write_batch = explode
             with pytest.raises(RuntimeError, match="disk full"):
                 service.ingest(
                     {

@@ -23,6 +23,7 @@ import glob
 import os
 import re
 import sqlite3
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable
 
@@ -34,10 +35,10 @@ from ..indexing.postings import Posting
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
 from ..query.answers import Answer, rank_answers
-from ..query.eval_kernel import KernelEvaluator
+from ..query.eval_kernel import KernelBatch, KernelEvaluator
 from ..query.eval_strings import match_probability_strings
 from ..query.like import compile_like
-from ..query.memo import KernelMemo, query_fingerprint
+from ..query.memo import KernelMemo, ScanImage, query_fingerprint
 from ..sfa.kernel import compile_kernel, kernel_from_bytes
 from ..sfa.model import SfaError
 from . import storage
@@ -251,46 +252,60 @@ class StaccatoDB:
         approach: str,
         keys: list[int],
         keyed: bool = False,
+        scan=None,
     ) -> dict[int, float]:
         """Batched filescan DP over the compiled kernels of ``keys``.
 
-        Kernels come from the ``CompiledKernel`` table in one bulk read
-        (of the whole table, or with ``keyed`` of ``keys`` only: an index
-        plan's few candidates); lines without a current-version
-        row (old database files, or a blob the codec rejects) are
-        transparently recompiled from their ``SFA1`` blobs.  The
-        cross-request memo is probed per (kernel fingerprint, query
-        fingerprint) before any blob is even deserialized; the remaining
-        lines run through one batched
-        :class:`~repro.query.eval_kernel.KernelEvaluator` pass.
+        With a :class:`~repro.query.memo.KernelMemo` the scan reads the
+        table's ``(DataKey, Fingerprint)`` listing first and probes the
+        memo per (kernel fingerprint, query fingerprint); only if lines
+        are left does it need kernels, and then it takes the shard's
+        *scan image* -- every stored kernel decoded and laid out once --
+        if the listing just read is the one the image was built from,
+        else rebuilds it from one bulk blob read.  The DP then runs over
+        the image seeded at the pending lines only.
+
+        Without a memo (library use, ``--scan-procs`` workers, the
+        benches) and for ``keyed`` scans (an index plan's few
+        candidates) nothing is kept between queries: blobs come from one
+        bulk or keyed read and are decoded and laid out per query -- the
+        paper's filescan.
+
+        Either way, a line without a current-version row (old database
+        files) or whose blob the codec rejects is recompiled from its
+        ``SFA1`` blob and evaluated beside the rest.
 
         Counters stay exact: ``dp_cells``/``dp_transitions`` are summed
         from the per-line results of the DP actually executed (memo hits
         did no DP work and add nothing beyond ``memo_hits``), and the
         batched totals equal the sum of per-line evaluations bit for
-        bit.
+        bit.  ``scan`` is the enclosing ``engine_scan`` span, if traced.
         """
-        stored = storage.load_kernel_blobs(
-            self.conn, approach, keys if keyed else None
-        )
         memo = self.kernel_memo
+        use_image = memo is not None and not keyed
+        if use_image:
+            stored = {}
+            listing = storage.kernel_listing(self.conn, approach)
+            fingerprints = dict(listing)
+        else:
+            stored = storage.load_kernel_blobs(
+                self.conn, approach, keys if keyed else None
+            )
+            fingerprints = {key: row[0] for key, row in stored.items()}
         query_fp = query_fingerprint(pattern) if memo is not None else None
         generation = memo.generation if memo is not None else None
         probs: dict[int, float] = {}
-        pending_keys: list[int] = []
-        pending_fps: list[str] = []
-        pending_kernels = []
+        #: (DataKey, fingerprint, kernel if already recompiled)
+        pending: list[tuple] = []
         hits = misses = 0
         for data_key in keys:
-            row = stored.get(data_key)
+            fingerprint = fingerprints.get(data_key)
             kernel = None
-            if row is None:
+            if fingerprint is None:
                 kernel = self._recompile_kernel(approach, data_key)
                 if kernel is None:
                     continue  # concurrent delete; not part of the relation
                 fingerprint = kernel.fingerprint
-            else:
-                fingerprint = row[0]
             if memo is not None:
                 value = memo.get(fingerprint, query_fp)
                 if value is not None:
@@ -298,20 +313,43 @@ class StaccatoDB:
                     probs[data_key] = value[0]
                     continue
                 misses += 1
+            pending.append((data_key, fingerprint, kernel))
+        image = None
+        if use_image and any(job[2] is None for job in pending):
+            image = self._scan_image(approach, listing, scan)
+        in_image: list[tuple[int, str, int]] = []  # ..., line position
+        beside: list[tuple] = []  # ..., kernel
+        for data_key, fingerprint, kernel in pending:
+            if kernel is None and image is not None:
+                line = image.lines.get(data_key)
+                if line is not None:
+                    # The image's own fingerprint: it may have been
+                    # rebuilt from a later snapshot than the listing.
+                    in_image.append(
+                        (data_key, image.fingerprints[line], line)
+                    )
+                    continue
             if kernel is None:
-                kernel = self._decode_kernel(approach, data_key, row)
+                kernel = self._decode_kernel(
+                    approach, data_key, stored.get(data_key)
+                )
                 if kernel is None:
                     continue
-            pending_keys.append(data_key)
-            pending_fps.append(fingerprint)
-            pending_kernels.append(kernel)
+            beside.append((data_key, fingerprint, kernel))
         cells = transitions = 0
-        if pending_kernels:
+        if in_image or beside:
             evaluator = KernelEvaluator(query)
-            for data_key, fingerprint, result in zip(
-                pending_keys,
-                pending_fps,
-                evaluator.evaluate_batch(pending_kernels),
+            results = []
+            if in_image:
+                results += evaluator.evaluate_batch(
+                    image.batch, lines=[line for _, _, line in in_image]
+                )
+            if beside:
+                results += evaluator.evaluate_batch(
+                    [kernel for _, _, kernel in beside]
+                )
+            for (data_key, fingerprint, _), result in zip(
+                in_image + beside, results
             ):
                 probs[data_key] = result.probability
                 cells += result.dp_cells
@@ -327,6 +365,62 @@ class StaccatoDB:
             memo_misses=misses,
         )
         return probs
+
+    def _scan_image(self, approach: str, listing, scan) -> ScanImage:
+        """The memo's scan image for ``approach`` if ``listing`` (just
+        read) is what it was built from, else a fresh one."""
+        image = self.kernel_memo.scan_image(approach, listing)
+        state = "hit"
+        if image is None:
+            image = self._build_scan_image(approach)
+            state = "built"
+        if scan is not None:
+            scan.annotate(image=state, image_lines=len(image.lines))
+        return image
+
+    def _build_scan_image(self, approach: str) -> ScanImage:
+        """Fetch, decode and lay out every stored kernel of ``approach``
+        -- a memo-less filescan's per-query work -- and install the
+        result on the memo.  The listing is taken from the statement
+        that returned the blobs, so image and listing are one snapshot.
+        """
+        with _span("scan_image_build", approach=approach) as build:
+            started = time.perf_counter()
+            stored = storage.load_kernel_blobs(self.conn, approach)
+            listing = sorted((key, row[0]) for key, row in stored.items())
+            fetched = time.perf_counter()
+            kernels = []
+            lines: dict[int, int] = {}
+            fingerprints: list[str] = []
+            blob_bytes = 0
+            for data_key, fingerprint in listing:
+                blob = stored[data_key][1]
+                try:
+                    kernel = kernel_from_bytes(blob)
+                except SfaError:
+                    continue  # each scan recompiles this line from SFA1
+                lines[data_key] = len(kernels)
+                kernels.append(kernel)
+                fingerprints.append(fingerprint)
+                blob_bytes += len(blob)
+            decoded = time.perf_counter()
+            batch = KernelBatch(kernels)
+            laid_out = time.perf_counter()
+            # Without numpy the image is the decoded kernels; their
+            # blobs' size stands in for the bytes they hold.
+            nbytes = batch.nbytes if batch.laid_out else blob_bytes
+            image = ScanImage(listing, lines, fingerprints, batch, nbytes)
+            retained = self.kernel_memo.install_scan_image(approach, image)
+            if build is not None:
+                build.annotate(
+                    lines=len(kernels),
+                    bytes=nbytes,
+                    retained=retained,
+                    fetch_ms=round((fetched - started) * 1000.0, 3),
+                    decode_ms=round((decoded - fetched) * 1000.0, 3),
+                    layout_ms=round((laid_out - decoded) * 1000.0, 3),
+                )
+        return image
 
     def _projected_probabilities(
         self, query, candidates: dict[int, set[Posting]], window: int
@@ -395,6 +489,7 @@ class StaccatoDB:
         approach: str,
         keys: list[int],
         keyed: bool = False,
+        scan=None,
     ) -> dict[int, float]:
         """Per-line match probabilities for a filescan over ``keys``.
 
@@ -403,7 +498,9 @@ class StaccatoDB:
         deleted concurrently are absent from the result.
         """
         if approach in ("staccato", "fullsfa"):
-            return self._kernel_scan(pattern, query, approach, keys, keyed)
+            return self._kernel_scan(
+                pattern, query, approach, keys, keyed, scan
+            )
         probs: dict[int, float] = {}
         for data_key in keys:
             try:
@@ -495,7 +592,13 @@ class StaccatoDB:
             and len(keys) >= self.scan_spill_threshold
             and self.path != ":memory:"
         )
-        with _span("engine_scan", approach=approach, spilled=spill) as scan:
+        with _span(
+            "engine_scan",
+            approach=approach,
+            spilled=spill,
+            image="none",
+            image_lines=0,
+        ) as scan:
             # Collect the DP work done by this scan so the span can carry
             # exact per-request counters; collect() re-folds them into the
             # process aggregate on exit, so /metrics still sees everything.
@@ -504,7 +607,7 @@ class StaccatoDB:
                     probs = self._spilled_scan(like, approach, keys)
                 else:
                     probs = self._scan_probabilities(
-                        like, query, approach, keys
+                        like, query, approach, keys, scan=scan
                     )
                 answers = self._answers(keys, probs)
                 counters.add(

@@ -38,6 +38,7 @@ __all__ = [
     "load_kmap",
     "load_staccato",
     "load_kernel_blobs",
+    "kernel_listing",
     "load_ground_truth",
     "all_data_keys",
     "line_metadata",
@@ -308,6 +309,20 @@ def load_kernel_blobs(
         for key, fingerprint, blob in rows:
             stored[key] = (fingerprint, blob)
     return stored
+
+
+def kernel_listing(
+    conn: sqlite3.Connection, approach: str
+) -> list[tuple[int, str]]:
+    """``(DataKey, Fingerprint)`` of every row :func:`load_kernel_blobs`
+    would return for ``approach``, in DataKey order, without touching a
+    blob: what a filescan reads first, and what a scan image is
+    validated against."""
+    return conn.execute(
+        "SELECT DataKey, Fingerprint FROM CompiledKernel "
+        "WHERE Approach = ? AND Version = ? ORDER BY DataKey",
+        (approach, KERNEL_VERSION),
+    ).fetchall()
 
 
 def load_kmap(

@@ -15,6 +15,10 @@ Two evaluators for the same program (:class:`repro.sfa.kernel.CompiledKernel`):
   per-character transition columns, so the per-line python work drops to
   almost nothing.
 
+A batch laid out once serves every query and any subset of its lines
+(``evaluate_batch(batch, lines=...)`` seeds only those): the engine keeps
+one per shard and approach as its *scan image* (:mod:`repro.query.memo`).
+
 The index plan evaluates its candidates with the python replay
 restricted to the windows of their postings
 (:meth:`KernelEvaluator.evaluate_projected`): the same function as the
@@ -98,9 +102,12 @@ class KernelBatch:
     Building the layout -- a global symbol table plus the per-step
     concatenation of every line's program segment -- costs one pass over
     the kernels and is reusable for every query evaluated against the
-    same batch (the bench harness and the engine cache it next to the
-    kernels).  Without numpy only the kernel list is kept; the evaluator
-    then falls back to the per-line python replay.
+    same batch (the bench harness keeps one per representation point,
+    the engine one per shard and approach: its *scan image*).  A laid-out
+    batch holds read-only numpy arrays and nothing else: the python
+    kernels it was built from are not retained (``kernels`` is ``None``).
+    Without numpy (or with ``use_numpy=False``) only the kernel list is
+    kept, for the per-line python replay.
     """
 
     __slots__ = (
@@ -116,24 +123,37 @@ class KernelBatch:
         "e_counts",
         "start_pos",
         "final_pos",
+        "start_backward",
         "chars",
         "compose_plan",
+        "nbytes",
     )
 
-    def __init__(self, kernels: Sequence[CompiledKernel]) -> None:
-        self.kernels = list(kernels)
-        self.num_lines = len(self.kernels)
-        self.max_steps = max(
-            (k.num_nodes for k in self.kernels), default=0
-        )
+    def __init__(
+        self,
+        kernels: Sequence[CompiledKernel],
+        use_numpy: bool | None = None,
+    ) -> None:
+        if use_numpy is None:
+            use_numpy = HAVE_NUMPY
+        elif use_numpy and not HAVE_NUMPY:
+            raise RuntimeError("numpy is not available in this process")
+        kernels = list(kernels)
+        #: The decoded kernels of a python-replay batch; ``None`` once
+        #: the numpy layout has replaced them.
+        self.kernels: list[CompiledKernel] | None = kernels
+        self.num_lines = len(kernels)
+        self.max_steps = max((k.num_nodes for k in kernels), default=0)
         self.sym_strings: list[str] = []
-        if _np is None or not self.kernels:
+        #: Bytes held by the layout's arrays (0 for a python batch).
+        self.nbytes = 0
+        if not use_numpy or not kernels:
             return
         np = _np
         gid: dict[str, int] = {}
         per_kernel = []
-        for kernel in self.kernels:
-            syms, probs, dst, _backward, flat_back = kernel.numpy_arrays(np)
+        for kernel in kernels:
+            syms, probs, dst, flat_back = kernel.numpy_arrays(np)
             remap = np.empty(max(len(kernel.symbols), 1), dtype=np.int64)
             for i, sym in enumerate(kernel.symbols):
                 g = gid.get(sym)
@@ -184,11 +204,14 @@ class KernelBatch:
         self.step_bounds = bounds
         self.e_counts = e_counts
         self.start_pos = np.asarray(
-            [k.start_pos for k in self.kernels], dtype=np.int64
+            [k.start_pos for k in kernels], dtype=np.int64
         )
         self.final_pos = np.asarray(
-            [k.final_pos for k in self.kernels], dtype=np.int64
+            [k.final_pos for k in kernels], dtype=np.int64
         )
+        #: Per line, the mass that reaches the final node at all: the
+        #: answer when the pattern matches the empty string.
+        self.start_backward = [k.backward[k.start_pos] for k in kernels]
         # Symbol -> character-index decomposition, grouped by symbol
         # length: the query-independent half of the transition-table
         # build (the query-dependent half composes per-char columns).
@@ -210,6 +233,28 @@ class KernelBatch:
                 dtype=np.int64,
             )
             self.compose_plan.append((length, idx, char_idx))
+        # The layout is shared by every query (and, as a scan image, by
+        # every thread of a shard): immutable from here on.
+        arrays = [
+            self.syms_flat,
+            self.probs_flat,
+            self.dst_flat,
+            self.back_flat,
+            self.e_counts,
+            self.start_pos,
+            self.final_pos,
+        ]
+        for _length, idx, char_idx in self.compose_plan:
+            arrays += (idx, char_idx)
+        for array in arrays:
+            array.flags.writeable = False
+        self.nbytes = sum(array.nbytes for array in arrays)
+        self.kernels = None
+
+    @property
+    def laid_out(self) -> bool:
+        """True for a numpy layout, False for a python-replay batch."""
+        return self.kernels is None
 
 
 class KernelEvaluator:
@@ -273,26 +318,37 @@ class KernelEvaluator:
         self,
         batch: KernelBatch | Sequence[CompiledKernel],
         use_numpy: bool | None = None,
+        lines: Sequence[int] | None = None,
     ) -> list[LineResult]:
         """Many lines at once; numpy lockstep when available.
 
         ``use_numpy=None`` auto-selects; ``False`` forces the python
-        replay (the A/B tests compare both against the dict DP).
+        replay (the A/B tests compare both against the dict DP).  A
+        :class:`KernelBatch` already decided when it was built.
+
+        ``lines`` restricts the evaluation to those (distinct) line
+        positions of the batch, any order; results come back in that
+        order.  The other lines are never seeded, so they cost no cell,
+        no transition and no float operation, and the requested lines'
+        results and counters are bit for bit those of evaluating their
+        kernels alone -- per-line accumulation is independent.
         """
-        if use_numpy is None:
-            use_numpy = HAVE_NUMPY
-        if use_numpy and not HAVE_NUMPY:
-            raise RuntimeError("numpy is not available in this process")
         if not isinstance(batch, KernelBatch):
-            if use_numpy:
-                batch = KernelBatch(batch)
-            else:
-                return [self.evaluate(kernel) for kernel in batch]
-        if not batch.kernels:
+            batch = KernelBatch(batch, use_numpy)
+        elif use_numpy is not None and use_numpy != batch.laid_out:
+            raise ValueError(
+                "this KernelBatch was built "
+                + ("with" if batch.laid_out else "without")
+                + " the numpy layout"
+            )
+        if lines is None:
+            lines = range(batch.num_lines)
+        if not len(lines):
             return []
-        if not use_numpy:
-            return [self.evaluate(kernel) for kernel in batch.kernels]
-        return self._numpy_batch(batch)
+        if not batch.laid_out:
+            kernels = batch.kernels
+            return [self.evaluate(kernels[ln]) for ln in lines]
+        return self._numpy_batch(batch, lines)
 
     # ------------------------------------------------------------------
     # Pure-python replay (always available; the correctness reference)
@@ -493,16 +549,16 @@ class KernelEvaluator:
             table[idx] = current
         return table, dead_id
 
-    def _numpy_batch(self, batch: KernelBatch) -> list[LineResult]:
+    def _numpy_batch(
+        self, batch: KernelBatch, lines: Sequence[int]
+    ) -> list[LineResult]:
         np = _np
         query = self.query
         match_anywhere = query.match_anywhere
-        kernels = batch.kernels
         num_lines = batch.num_lines
         if match_anywhere and query.is_accepting(query.start):
-            return [
-                LineResult(k.backward[k.start_pos], 0, 0) for k in kernels
-            ]
+            start_backward = batch.start_backward
+            return [LineResult(start_backward[ln], 0, 0) for ln in lines]
         table, dead_id = self._full_table(np, batch)
         mod = dead_id + 1  # states are < dead_id in every bucket
         line_ids = np.arange(num_lines, dtype=np.int64)
@@ -515,18 +571,21 @@ class KernelEvaluator:
         # (line, state, weight) arrays appended in program order, which
         # is the dict evaluator's insertion order into each node's dict.
         pending: list[list] = [[] for _ in range(max_steps + 1)]
-        start_pos = batch.start_pos
-        init_state = np.full(num_lines, query.start, dtype=np.int64)
-        init_mass = np.ones(num_lines, dtype=np.float64)
-        if num_lines and int(start_pos.min()) == int(start_pos.max()):
+        # Only the requested lines are seeded; the rest of the batch
+        # never holds mass, so every per-step quantity of theirs is 0.
+        seeded = np.sort(np.asarray(lines, dtype=np.int64))
+        start_pos = batch.start_pos[seeded]
+        init_state = np.full(len(seeded), query.start, dtype=np.int64)
+        init_mass = np.ones(len(seeded), dtype=np.float64)
+        if int(start_pos.min()) == int(start_pos.max()):
             pending[int(start_pos[0])].append(
-                (line_ids, init_state, init_mass)
+                (seeded, init_state, init_mass)
             )
         else:  # degenerate kernels (tests): route per start position
             for pos in np.unique(start_pos).tolist():
                 sel = start_pos == pos
                 pending[pos].append(
-                    (line_ids[sel], init_state[sel], init_mass[sel])
+                    (seeded[sel], init_state[sel], init_mass[sel])
                 )
 
         matched = [0.0] * num_lines  # absorbing accumulators (in order)
@@ -665,7 +724,7 @@ class KernelEvaluator:
 
         results = []
         if match_anywhere:
-            for ln in range(num_lines):
+            for ln in lines:
                 results.append(
                     LineResult(
                         matched[ln],
@@ -675,7 +734,7 @@ class KernelEvaluator:
                 )
         else:
             is_accepting = query.is_accepting
-            for ln in range(num_lines):
+            for ln in lines:
                 captured = finals[ln]
                 if captured is None:
                     probability = sum(())  # dict DP's empty sum: int 0

@@ -18,6 +18,17 @@ clocks carry over unchanged.
 Hits and misses are reported both through :meth:`stats` (the ``/stats``
 memo block) and the process-wide ``memo_hits``/``memo_misses`` engine
 counters (``/metrics``).
+
+The memo object is also where a shard keeps its **scan images**
+(:class:`ScanImage`): the query-independent half of a filescan -- every
+stored kernel decoded and laid out for the batched DP -- one per
+automaton approach.  It lives here because the memo is already shared by
+exactly the connections that may share it (a pool's readers, the writer,
+the replicas of one shard, a worker process's leg).  An image is
+validated by *content*, never by the generation clock: it is current iff
+the table's ordered ``(DataKey, Fingerprint)`` column equals the listing
+it was built from, which also holds for writes this process never saw (a
+rebalance delete, another process's ingest, a replica's file).
 """
 
 from __future__ import annotations
@@ -25,8 +36,24 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from typing import TYPE_CHECKING, NamedTuple
 
-__all__ = ["KernelMemo", "query_fingerprint"]
+if TYPE_CHECKING:
+    from .eval_kernel import KernelBatch
+
+__all__ = [
+    "KernelMemo",
+    "ScanImage",
+    "SCAN_IMAGE_BUDGET_BYTES",
+    "query_fingerprint",
+]
+
+#: Most bytes of scan images one memo retains (its approaches together).
+#: A laid-out line is about 3x its stored blob (46 KB at m=40 k=25), so
+#: this holds some 5 000 lines; a scan whose image does not fit builds
+#: it, uses it and drops it -- the per-query cost of a handle without a
+#: memo, and its memory.
+SCAN_IMAGE_BUDGET_BYTES = 256 * 1024 * 1024
 
 
 def query_fingerprint(pattern: str) -> str:
@@ -36,6 +63,24 @@ def query_fingerprint(pattern: str) -> str:
     is deterministic), so hashing the pattern hashes the automaton.
     """
     return hashlib.sha256(pattern.encode("utf-8")).hexdigest()[:32]
+
+
+class ScanImage(NamedTuple):
+    """One approach's stored kernels, decoded and laid out, immutable.
+
+    ``listing`` is every current-version ``(DataKey, Fingerprint)`` row
+    in DataKey order, read by the statement that also returned the blobs
+    (one snapshot); the image is valid while the table still lists
+    exactly that.  ``lines`` maps a DataKey to its line position in
+    ``batch``; a listed key whose blob the codec rejected has none and is
+    recompiled from ``SFA1`` by each scan, as is any key not listed.
+    """
+
+    listing: list[tuple[int, str]]
+    lines: dict[int, int]
+    fingerprints: list[str]  # per line position of ``batch``
+    batch: "KernelBatch"
+    nbytes: int
 
 
 class KernelMemo:
@@ -58,6 +103,9 @@ class KernelMemo:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self._images: dict[str, ScanImage] = {}
+        #: approach -> [builds, hits], kept when the image is not.
+        self._image_counts: dict[str, list[int]] = {}
 
     @property
     def generation(self) -> int:
@@ -109,10 +157,48 @@ class KernelMemo:
             self._generation += 1
             self.invalidations += 1
 
-    def stats(self) -> dict[str, float | int]:
+    def scan_image(
+        self, approach: str, listing: list[tuple[int, str]]
+    ) -> ScanImage | None:
+        """The approach's image if it was built from exactly ``listing``
+        (a hit), else None: the caller rebuilds and installs."""
+        with self._lock:
+            image = self._images.get(approach)
+            if image is None or image.listing != listing:
+                return None
+            self._image_counts[approach][1] += 1
+            return image
+
+    def install_scan_image(self, approach: str, image: ScanImage) -> bool:
+        """Count one build and keep its image if the budget allows.
+
+        Replaces the approach's previous image either way (it was
+        stale); of two racing builders the last wins, and a reader still
+        evaluating on the old image finishes on it.  Returns whether the
+        image was retained.
+        """
+        with self._lock:
+            self._image_counts.setdefault(approach, [0, 0])[0] += 1
+            self._images.pop(approach, None)
+            held = sum(other.nbytes for other in self._images.values())
+            retained = held + image.nbytes <= SCAN_IMAGE_BUDGET_BYTES
+            if retained:
+                self._images[approach] = image
+            return retained
+
+    def stats(self) -> dict[str, object]:
         """Snapshot for the ``/stats`` memo block."""
         with self._lock:
             lookups = self.hits + self.misses
+            scan_image = {}
+            for approach, (builds, hits) in self._image_counts.items():
+                image = self._images.get(approach)
+                scan_image[approach] = {
+                    "lines": len(image.lines) if image else 0,
+                    "bytes": image.nbytes if image else 0,
+                    "builds": builds,
+                    "hits": hits,
+                }
             return {
                 "size": len(self._data),
                 "capacity": self.capacity,
@@ -122,4 +208,5 @@ class KernelMemo:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "generation": self._generation,
+                "scan_image": scan_image,
             }

@@ -463,6 +463,9 @@ class QueryService(JobsApi, ObservabilityApi):
             "uptime_s": self.metrics.uptime_s,
         }
 
+    def kernel_memos(self) -> dict[int, KernelMemo]:
+        return {0: self.kernel_memo}
+
     def stats(self) -> dict[str, object]:
         """Operational snapshot: db, cache, pool and request metrics."""
         with self.pool.acquire() as db:

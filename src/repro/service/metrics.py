@@ -14,6 +14,7 @@ import math
 import threading
 import time
 from collections import deque
+from typing import Sequence
 
 from .. import counters as engine_counters
 
@@ -277,8 +278,16 @@ class ServiceMetrics:
         out.append(f"{family}_sum{cls._labels(labels)} {sum(millis):.6f}")
         out.append(f"{family}_count{cls._labels(labels)} {len(millis)}")
 
-    def render_prometheus(self, prefix: str = "staccato") -> str:
+    def render_prometheus(
+        self,
+        prefix: str = "staccato",
+        gauges: Sequence[tuple] = (),
+    ) -> str:
         """Render the registry in the Prometheus text format.
+
+        ``gauges`` are point-in-time values the caller owns (the
+        registry only counts events): one ``(name, help, [(label
+        pairs, value), ...])`` per family, rendered after the counters.
 
         Counters are lifetime totals.  The ``*_duration_ms`` histograms
         are computed from the same bounded per-key sample window the
@@ -388,6 +397,15 @@ class ServiceMetrics:
                     out.append(
                         f"{prefix}_events_total"
                         f"{self._labels([('event', name)])} {count}"
+                    )
+            for name, help_text, series in gauges:
+                if not series:
+                    continue
+                out.append(f"# HELP {prefix}_{name} {help_text}")
+                out.append(f"# TYPE {prefix}_{name} gauge")
+                for labels, value in series:
+                    out.append(
+                        f"{prefix}_{name}{self._labels(labels)} {value}"
                     )
             out.append(
                 f"# HELP {prefix}_uptime_seconds Service uptime in seconds."

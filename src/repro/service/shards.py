@@ -1218,6 +1218,13 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         }
         return {"workers": workers} if workers else {}
 
+    def kernel_memos(self):
+        return {
+            index: leg.kernel_memo
+            for index, leg in enumerate(self.pool.shards)
+            if isinstance(leg, LocalLeg)
+        }
+
     def stats(self) -> dict[str, object]:
         """Operational snapshot: per-shard blocks plus the registries."""
         everything = range(self.num_shards)

@@ -450,11 +450,17 @@ class ObservabilityApi:
 
     Mixed into both :class:`~repro.service.app.QueryService` and
     :class:`~repro.service.shards.ShardedQueryService`; relies only on
-    their ``tracer`` and ``metrics`` attributes.
+    their ``tracer`` and ``metrics`` attributes and ``kernel_memos``.
     """
 
     tracer: Tracer
     metrics: Any
+
+    def kernel_memos(self) -> Mapping[int, Any]:
+        """Shard index -> the :class:`~repro.query.memo.KernelMemo` this
+        *process* holds for it (a router lists no worker-process leg:
+        that worker's own ``/metrics`` does)."""
+        raise NotImplementedError
 
     def traces_list(self, query: Mapping[str, str]):
         """Recent trace summaries, newest first, with optional filters."""
@@ -497,8 +503,21 @@ class ObservabilityApi:
         """Prometheus text exposition of the metrics registry."""
         from .http_common import PROMETHEUS_CONTENT_TYPE, TextPayload
 
+        image_bytes = [
+            ([("shard", shard), ("approach", approach)], block["bytes"])
+            for shard, memo in sorted(self.kernel_memos().items())
+            for approach, block in sorted(memo.stats()["scan_image"].items())
+        ]
+        gauges = [
+            (
+                "scan_image_bytes",
+                "Bytes of decoded, laid-out kernels retained for filescans.",
+                image_bytes,
+            )
+        ]
         return TextPayload(
-            self.metrics.render_prometheus(), PROMETHEUS_CONTENT_TYPE
+            self.metrics.render_prometheus(gauges=gauges),
+            PROMETHEUS_CONTENT_TYPE,
         )
 
     def profile(self, query: Mapping[str, str]):

@@ -233,6 +233,9 @@ class ShardWorkerService(ObservabilityApi):
         self.leg.close()
         self.tracer.close()
 
+    def kernel_memos(self):
+        return {self.leg.index: self.leg.kernel_memo}
+
     # ------------------------------------------------------------------
     @_face("GET")
     def health(self) -> dict[str, object]:

@@ -83,7 +83,6 @@ class CompiledKernel:
         "backward",
         "forward",
         "_fingerprint",
-        "_np_arrays",
     )
 
     def __init__(
@@ -116,7 +115,6 @@ class CompiledKernel:
         self.backward = backward
         self.forward = forward
         self._fingerprint: str | None = None
-        self._np_arrays = None
 
     # ------------------------------------------------------------------
     @property
@@ -132,24 +130,23 @@ class CompiledKernel:
         return self._fingerprint
 
     def numpy_arrays(self, np):
-        """The program as numpy arrays (built once, cached).
+        """The program as fresh numpy arrays.
 
-        Returns ``(syms, probs, dst, backward, flat_back)`` with ``dst``
-        the per-step destination (runs expanded) and ``flat_back[j] =
+        Returns ``(syms, probs, dst, flat_back)`` with ``dst`` the
+        per-step destination (runs expanded) and ``flat_back[j] =
         backward[dst[j]]`` pre-gathering the absorbing shortcut's
-        per-step backward mass.
+        per-step backward mass.  Not cached: the one caller copies them
+        into a batch layout and drops them.
         """
-        if self._np_arrays is None:
-            syms = np.asarray(self.step_syms, dtype=np.int64)
-            probs = np.asarray(self.step_probs, dtype=np.float64)
-            dst = np.repeat(
-                np.asarray(self.run_dst, dtype=np.int64),
-                np.diff(np.asarray(self.run_starts, dtype=np.int64)),
-            )
-            backward = np.asarray(self.backward, dtype=np.float64)
-            flat_back = backward[dst] if len(dst) else backward[:0]
-            self._np_arrays = (syms, probs, dst, backward, flat_back)
-        return self._np_arrays
+        syms = np.asarray(self.step_syms, dtype=np.int64)
+        probs = np.asarray(self.step_probs, dtype=np.float64)
+        dst = np.repeat(
+            np.asarray(self.run_dst, dtype=np.int64),
+            np.diff(np.asarray(self.run_starts, dtype=np.int64)),
+        )
+        backward = np.asarray(self.backward, dtype=np.float64)
+        flat_back = backward[dst] if len(dst) else backward[:0]
+        return syms, probs, dst, flat_back
 
     def __repr__(self) -> str:
         return (

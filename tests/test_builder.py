@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sfa import ops
@@ -57,11 +57,13 @@ class TestPaperFigures:
 
 class TestRandomGenerators:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 10))
+    @example(seed=2201, length=10)  # 294 912 strings: over the default limit
     @settings(max_examples=50, deadline=None)
     def test_chain_valid_stochastic_unique(self, seed, length):
         sfa = random_chain_sfa(random.Random(seed), length)
         ops.validate(sfa, require_stochastic=True)
-        assert ops.has_unique_paths(sfa)
+        # Up to max_choices ** length = 4 ** 10 strings.
+        assert ops.has_unique_paths(sfa, limit=2_000_000)
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(2, 12))
     @settings(max_examples=50, deadline=None)

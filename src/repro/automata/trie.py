@@ -9,6 +9,7 @@ posting whenever a final state is reached.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable
 
 __all__ = ["DictionaryTrie"]
@@ -28,6 +29,7 @@ class DictionaryTrie:
         self._children: list[dict[str, int]] = [{}]
         self._term_of: dict[int, str] = {}
         self._case_sensitive = case_sensitive
+        self._digest: str | None = None
         for term in terms:
             self.add(term)
 
@@ -47,6 +49,7 @@ class DictionaryTrie:
                 self._children[state][ch] = nxt
             state = nxt
         self._term_of[state] = self._normalize(term)
+        self._digest = None
 
     # ------------------------------------------------------------------
     @property
@@ -63,6 +66,35 @@ class DictionaryTrie:
     def num_terms(self) -> int:
         """Number of dictionary terms."""
         return len(self._term_of)
+
+    @property
+    def case_sensitive(self) -> bool:
+        """False when characters are lowercased before each transition."""
+        return self._case_sensitive
+
+    @property
+    def children(self) -> list[dict[str, int]]:
+        """Per state, its outgoing branches ``{normalized char: state}``
+        (read-only: the index construction walks these directly)."""
+        return self._children
+
+    @property
+    def term_of(self) -> dict[int, str]:
+        """``{final state: the term it completes}`` (read-only)."""
+        return self._term_of
+
+    @property
+    def digest(self) -> str:
+        """Content digest of the dictionary (hex, 32 chars): what a
+        database file records to tell which dictionary its postings were
+        computed under."""
+        if self._digest is None:
+            text = "\n".join(self.terms())
+            flag = "S" if self._case_sensitive else "I"
+            self._digest = hashlib.sha256(
+                f"{flag}\n{text}".encode("utf-8")
+            ).hexdigest()[:32]
+        return self._digest
 
     def step(self, state: int, ch: str) -> int:
         """Transition on one character; DEAD when no branch exists."""

@@ -91,6 +91,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .db.planner import execute_plan
 
     db = StaccatoDB(args.db)
+    if args.planned or args.indexed:
+        db.load_index()  # the stored dictionary; none -> filescan
     started = time.perf_counter()
     plan_note = ""
     if args.planned:

@@ -15,6 +15,13 @@ inverted index, then evaluate only candidate lines, optionally on the
 projected window).  Both evaluate the stored compiled kernels and
 return the ranked probabilistic relation of :class:`repro.query.Answer`
 rows.
+
+The index is a fact of the file, not of a handle: ``build_index``
+stores the postings (computed from the stored kernels), the dictionary
+(``IndexTerms``), its digest, the approach and a coverage mark in one
+transaction; ``ingest`` indexes new lines under the stored dictionary
+in the transaction that stores them; and the index plan scans whatever
+lines the mark does not cover, so it answers over every ingested line.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Iterable
 from .. import counters
 from ..automata.trie import DictionaryTrie
 from ..indexing.anchors import anchor_for_query
-from ..indexing.inverted import build_kmap_postings, build_sfa_postings
+from ..indexing.inverted import build_kernel_postings, build_kmap_postings
 from ..indexing.postings import Posting
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
@@ -161,6 +168,10 @@ class StaccatoDB:
         self.scan_procs = scan_procs
         self.scan_spill_threshold = scan_spill_threshold
         self._scan_pool: ProcessPoolExecutor | None = None
+        #: False until this handle's first committed write has dropped
+        #: kernel rows of lines that no longer exist (files an earlier
+        #: rebalance left them in; see ``storage.drop_orphan_kernels``).
+        self.orphans_swept = False
         create_schema(self.conn)
 
     # ------------------------------------------------------------------
@@ -211,13 +222,37 @@ class StaccatoDB:
                 m=self.m,
                 approaches=approaches,
                 workers=workers,
+                index=self.ingest_index(),
             )
         )
+
+    def ingest_index(self) -> storage.IndexSpec | None:
+        """The dictionary a batch for this file should be indexed under:
+        the stored one, when this handle can reproduce it (its trie is
+        reloaded if another handle rebuilt the index); ``None`` for a
+        file without an index or with one that predates the stored
+        dictionary -- its new lines stay uncovered until ``build_index``.
+        """
+        key, _ = storage.index_meta(self.conn)
+        if key[0] is None:
+            return None
+        if self._index_key() != key:
+            self.load_index()
+            if self._index_key() != key:
+                return None
+        return storage.IndexSpec(self._trie, self._index_approach)
+
+    def _index_key(self) -> tuple[str | None, str | None]:
+        digest = self._trie.digest if self._trie is not None else None
+        return (digest, self._index_approach)
 
     def write_batch(self, built: storage.BuiltBatch) -> int:
         """Store a batch :func:`~repro.db.storage.build_dataset` built
         (once, for every replica of a shard); returns its line count."""
-        count = storage.write_batch(self.conn, built)
+        count = storage.write_batch(
+            self.conn, built, sweep_orphans=not self.orphans_swept
+        )
+        self.orphans_swept = True
         if self.kernel_memo is not None:
             # The shard's generation clock: entries computed against the
             # pre-batch data cannot land after this (put is fenced).
@@ -627,42 +662,61 @@ class StaccatoDB:
     ) -> int:
         """Construct the dictionary inverted index (paper Section 4).
 
-        Returns the number of postings inserted.  The index covers the
-        chosen approach's representation; rebuilding replaces it.
+        Always a rebuild: one transaction deletes the old postings,
+        streams the stored representation a line at a time in DataKey
+        order (``staccato``: the ``CompiledKernel`` rows, a line without
+        a current row or with a rejected blob recompiled from ``SFA1``
+        as in the scan; ``kmap``: the stored strings), inserts each
+        line's postings sorted, and records the dictionary, its digest,
+        the approach and the coverage mark.  Returns the number of
+        postings the table now holds.
         """
         if approach not in ("kmap", "staccato"):
             raise ValueError(
                 "the dictionary index covers 'kmap' or 'staccato' data"
             )
         trie = DictionaryTrie(dictionary)
-        rows: list[tuple[str, int, int, int, int, int]] = []
-        for data_key in storage.all_data_keys(self.conn):
-            if approach == "staccato":
-                graph = storage.load_staccato(self.conn, data_key)
-                postings = build_sfa_postings(graph, trie)
-            else:
-                strings = storage.load_kmap(self.conn, data_key)
-                postings = build_kmap_postings(strings, trie)
-            for term, term_postings in postings.items():
-                rows.extend(
-                    (term, data_key, p.u, p.v, p.rank, p.offset)
-                    for p in term_postings
-                )
+        count = 0
         with self.conn:
             self.conn.execute("DELETE FROM InvertedIndex")
+            for data_key, postings in self._line_postings(approach, trie):
+                rows = storage.posting_rows(data_key, postings)
+                storage.insert_postings(self.conn, rows)
+                count += len(rows)
+            self.conn.execute("DELETE FROM IndexTerms")
             self.conn.executemany(
-                "INSERT INTO InvertedIndex (Term, DataKey, U, V, Rank, Offset)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                rows,
+                "INSERT INTO IndexTerms (Term) VALUES (?)",
+                [(term,) for term in trie.terms()],
             )
-            self.conn.execute(
-                "INSERT OR REPLACE INTO IndexMeta (Key, Value) "
-                "VALUES ('approach', ?)",
-                (approach,),
+            self.conn.executemany(
+                "INSERT OR REPLACE INTO IndexMeta (Key, Value) VALUES (?, ?)",
+                [("approach", approach), ("dictionary", trie.digest)],
             )
+            (last,) = self.conn.execute(
+                "SELECT COALESCE(MAX(DataKey), -1) FROM MasterData"
+            ).fetchone()
+            storage.set_covered_through(self.conn, last)
         self._trie = trie
         self._index_approach = approach
-        return len(rows)
+        return count
+
+    def _line_postings(self, approach: str, trie: DictionaryTrie):
+        """``(DataKey, term -> postings)`` of every stored line that has
+        the approach's representation, in DataKey order."""
+        if approach == "kmap":
+            for data_key in storage.all_data_keys(self.conn):
+                try:
+                    strings = storage.load_kmap(self.conn, data_key)
+                except KeyError:
+                    continue
+                yield data_key, build_kmap_postings(strings, trie)
+            return
+        for data_key, blob in storage.iter_kernel_blobs(self.conn, approach):
+            kernel = self._decode_kernel(
+                approach, data_key, ("", blob) if blob is not None else None
+            )
+            if kernel is not None:
+                yield data_key, build_kernel_postings(kernel, trie)
 
     def stored_index_approach(self) -> str | None:
         """The approach the persisted index was built over, if recorded."""
@@ -674,18 +728,23 @@ class StaccatoDB:
     def load_index(self, approach: str | None = None) -> bool:
         """Rebuild the in-memory anchor trie from the stored index.
 
-        ``build_index`` persists its postings (and which approach they
-        were built over) but keeps the dictionary trie only on the
+        ``build_index`` persists its postings, its dictionary and which
+        approach they were built over, but keeps the trie only on the
         instance that built it.  A pooled connection
         (:mod:`repro.service.pool`) opened later against the same file
-        calls this to recover the trie from the ``InvertedIndex`` terms,
-        so indexed plans work on every connection.  The recorded approach
-        always wins -- a posting's ``(U, V)`` coordinates only mean
-        anything against the representation that produced them -- so
-        ``approach`` is just a fallback for databases predating the
-        ``IndexMeta`` record.  Returns ``True`` when an index was found.
+        calls this to recover the trie from ``IndexTerms`` -- every term,
+        with or without a posting -- so indexed plans work, and probe the
+        same anchors, on every connection; a file that predates the
+        stored dictionary falls back to the terms ``InvertedIndex``
+        mentions.  The recorded approach always wins -- a posting's
+        ``(U, V)`` coordinates only mean anything against the
+        representation that produced them -- so ``approach`` is just a
+        fallback for databases predating the ``IndexMeta`` record.
+        Returns ``True`` when an index was found.
         """
         terms = [
+            term for (term,) in self.conn.execute("SELECT Term FROM IndexTerms")
+        ] or [
             term
             for (term,) in self.conn.execute(
                 "SELECT DISTINCT Term FROM InvertedIndex"
@@ -727,6 +786,34 @@ class StaccatoDB:
             )
         return grouped
 
+    def uncovered_keys(self) -> list[int]:
+        """Lines the stored index does not cover, in DataKey order: the
+        ones past the file's ``covered_through`` mark (a file indexed
+        before the mark was recorded is covered through the last line
+        ``InvertedIndex`` mentions -- a table scan, until the next
+        ``build_index``).  Read from the file on every call -- the
+        writer that moves the mark is another connection -- as a key
+        lookup and a rowid-range lookup; empty unless lines were written
+        by a writer that could not index them."""
+        _, covered = storage.index_meta(self.conn)
+        if covered is None:
+            (covered,) = self.conn.execute(
+                "SELECT COALESCE(MAX(DataKey), -1) FROM InvertedIndex"
+            ).fetchone()
+        rows = self.conn.execute(
+            "SELECT DataKey FROM MasterData WHERE DataKey > ? "
+            "ORDER BY DataKey",
+            (covered,),
+        )
+        return [key for (key,) in rows]
+
+    def index_probe(
+        self, term: str
+    ) -> tuple[dict[int, set[Posting]], list[int]]:
+        """What the index plan evaluates for anchor ``term``: its posting
+        lists by (covered) line, and the uncovered lines."""
+        return self.index_postings(term), self.uncovered_keys()
+
     def line_fraction(self, lines: int) -> float:
         """``lines`` as a fraction of the ingested lines (0 when empty)."""
         total = self.num_lines
@@ -747,60 +834,67 @@ class StaccatoDB:
         num_ans: int | None = 100,
         use_projection: bool = True,
         window: int = DEFAULT_WINDOW,
-        probed: tuple[str, dict[int, set[Posting]]] | None = None,
+        probed: tuple[str, dict[int, set[Posting]], list[int]] | None = None,
     ) -> list[Answer]:
         """Index query plan: anchor lookup, then evaluate candidates only.
 
         Falls back to the filescan plan when the query has no usable left
         anchor or no index has been built (the paper's parser makes the
-        same decision).  A caller that already parsed the anchor and
-        fetched its posting lists -- the planner, which chose this plan
-        from them -- passes both as ``probed``.
+        same decision).  A caller that already parsed the anchor and ran
+        :meth:`index_probe` -- the planner, which chose this plan from
+        it -- passes ``(anchor, candidates, uncovered)`` as ``probed``.
 
         Staccato candidates of a match-anywhere query are evaluated on
         the windows of their postings (``use_projection``); any other
-        candidate set is a filescan of the candidate lines.  Either way
+        candidate set is a filescan of the candidate lines.  Lines the
+        index does not cover are always evaluated whole, by a keyed
+        scan, so the plan answers over every ingested line.  Either way
         the stored kernels are what is read, in one keyed fetch.
         """
         if probed is not None and self._index_approach == approach:
-            anchor, candidates = probed
+            anchor, candidates, uncovered = probed
         else:
             anchor, candidates = self.index_anchor(like, approach), None
             if anchor is None:
                 return self.search(like, approach=approach, num_ans=num_ans)
         with _span("engine_probe", approach=approach) as probe:
             if candidates is None:
-                candidates = self.index_postings(anchor)
+                candidates, uncovered = self.index_probe(anchor)
             postings_total = sum(len(p) for p in candidates.values())
             counters.add(
                 postings_probed=postings_total,
-                index_candidates=len(candidates),
+                index_candidates=len(candidates) + len(uncovered),
             )
             if probe is not None:
                 probe.annotate(
                     anchor=anchor,
                     candidates=len(candidates),
                     postings=postings_total,
+                    uncovered=len(uncovered),
                 )
-        if not candidates:
+        if not candidates and not uncovered:
             return []
         query = compile_like(like)
         projected = (
             approach == "staccato" and use_projection and query.match_anywhere
         )
+        scanned = uncovered if projected else [*candidates, *uncovered]
         with _span("engine_eval", projected=projected) as ev:
             with counters.collect() as counts:
-                if projected:
+                probs: dict[int, float] = {}
+                if projected and candidates:
                     probs = self._projected_probabilities(
                         query, candidates, window
                     )
-                else:
-                    probs = self._scan_probabilities(
-                        like, query, approach, list(candidates), keyed=True
+                if scanned:
+                    probs.update(
+                        self._scan_probabilities(
+                            like, query, approach, scanned, keyed=True
+                        )
                     )
-                answers = self._answers(candidates, probs)
+                answers = self._answers([*candidates, *uncovered], probs)
                 counters.add(
-                    lines_scanned=len(candidates),
+                    lines_scanned=len(candidates) + len(uncovered),
                     lines_matched=len(answers),
                 )
                 if ev is not None:

@@ -13,7 +13,12 @@ so the probe wins when the anchor's selectivity is below roughly
 ``1 - c_lookup / (N * c_line)`` -- i.e. almost always when selective, and
 never when the posting list covers the corpus.  Selectivity comes from
 the index itself (a COUNT(DISTINCT) probe), mirroring how an RDBMS uses
-its statistics.
+its statistics.  It counts every line the index plan would evaluate:
+the lines holding a posting of the anchor plus the lines the index does
+not cover (:meth:`~repro.db.engine.StaccatoDB.uncovered_keys` -- none
+on a file whose writers index what they ingest), which that plan scans
+whole; so the plans return the same lines whichever is chosen, and a
+file with a long uncovered tail is scanned rather than probed.
 
 Both plans evaluate compiled kernels (:mod:`repro.query.eval_kernel`):
 the scan as one lockstep batch over every line, the probe as a
@@ -33,8 +38,8 @@ recalibrating it changes answers and counters and is its own change
 (ROADMAP).
 
 :func:`execute_plan` parses the anchor once and probes the index once:
-the posting lists it judges the selectivity by are the candidates the
-index plan then evaluates.
+the posting lists and uncovered lines it judges the selectivity by are
+what the index plan then evaluates.
 """
 
 from __future__ import annotations
@@ -71,9 +76,10 @@ def choose_plan(
     anchor, why_not = _usable_anchor(db, like)
     if anchor is None:
         return _counted(QueryPlan("scan", None, None, why_not))
-    return _counted(
-        _by_selectivity(anchor, db.index_selectivity(anchor), threshold)
+    selectivity = db.index_selectivity(anchor) + db.line_fraction(
+        len(db.uncovered_keys())
     )
+    return _counted(_by_selectivity(anchor, selectivity, threshold))
 
 
 def _counted(plan: QueryPlan) -> QueryPlan:
@@ -125,17 +131,21 @@ def execute_plan(
 ):
     """Choose and run the best plan; returns ``(plan, answers)``.
 
-    The choice is :func:`choose_plan`'s, made from the posting lists
-    themselves instead of a separate ``COUNT(DISTINCT)``: the lines they
-    touch are the selectivity, and they are handed to the index plan.
+    The choice is :func:`choose_plan`'s, made from the index probe
+    itself instead of a separate ``COUNT(DISTINCT)``: the lines the
+    index plan would evaluate -- the anchor's posting lists plus every
+    line the index does not cover -- are the selectivity, and they are
+    handed to the index plan.
     """
     anchor, why_not = _usable_anchor(db, like)
     if anchor is None:
         plan = QueryPlan("scan", None, None, why_not)
     else:
-        candidates = db.index_postings(anchor)
+        candidates, uncovered = db.index_probe(anchor)
         plan = _by_selectivity(
-            anchor, db.line_fraction(len(candidates)), threshold
+            anchor,
+            db.line_fraction(len(candidates) + len(uncovered)),
+            threshold,
         )
     _counted(plan)
     if plan.kind == "index":
@@ -143,7 +153,7 @@ def execute_plan(
             like,
             approach=approach,
             num_ans=num_ans,
-            probed=(anchor, candidates),
+            probed=(anchor, candidates, uncovered),
         )
     else:
         answers = db.search(like, approach=approach, num_ans=num_ans)

@@ -27,6 +27,7 @@ TABLES = [
     "CompiledKernel",
     "GroundTruth",
     "InvertedIndex",
+    "IndexTerms",
     "IndexMeta",
 ]
 
@@ -101,6 +102,16 @@ CREATE TABLE IF NOT EXISTS InvertedIndex (
 
 CREATE INDEX IF NOT EXISTS idx_inverted_term ON InvertedIndex(Term);
 
+-- The dictionary the index was built over, every term of it: a term
+-- without a posting is still a term (its probe answers "no line").
+CREATE TABLE IF NOT EXISTS IndexTerms (
+    Term TEXT PRIMARY KEY
+) WITHOUT ROWID;
+
+-- 'approach' (the representation the postings address), 'dictionary'
+-- (digest of the sorted IndexTerms) and 'covered_through' (every line
+-- with DataKey <= it has its postings in InvertedIndex under that
+-- dictionary and approach; later lines are evaluated by a keyed scan).
 CREATE TABLE IF NOT EXISTS IndexMeta (
     Key   TEXT PRIMARY KEY,
     Value TEXT NOT NULL

@@ -10,6 +10,13 @@ One line of one document becomes:
   chunk-graph blob (paper Table 5).
 
 All inserts are batched with ``executemany`` inside transactions.
+
+When the target file has a dictionary index, a batch built under that
+dictionary (:class:`IndexSpec`) carries its lines' postings, computed
+from the kernels it has just compiled; :func:`write_batch` stores them
+and extends the file's coverage mark in the transaction that stores the
+lines, or -- built under any other dictionary -- drops them and leaves
+the lines uncovered (the index plans scan uncovered lines).
 """
 
 from __future__ import annotations
@@ -21,15 +28,24 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
+from ..automata.trie import DictionaryTrie
 from ..core.approximate import staccato_approximate
 from ..core.kmap import build_kmap
+from ..indexing.inverted import build_kernel_postings, build_kmap_postings
+from ..indexing.postings import Posting
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
 from ..sfa import serialize
-from ..sfa.kernel import KERNEL_VERSION, blob_fingerprint, compile_kernel
+from ..sfa.kernel import (
+    KERNEL_VERSION,
+    CompiledKernel,
+    blob_fingerprint,
+    compile_kernel,
+)
 from ..sfa.model import Sfa
 
 __all__ = [
+    "IndexSpec",
     "BuiltBatch",
     "build_dataset",
     "write_batch",
@@ -38,7 +54,14 @@ __all__ = [
     "load_kmap",
     "load_staccato",
     "load_kernel_blobs",
+    "iter_kernel_blobs",
     "kernel_listing",
+    "drop_orphan_kernels",
+    "posting_rows",
+    "insert_postings",
+    "index_meta",
+    "cover_appended",
+    "set_covered_through",
     "load_ground_truth",
     "all_data_keys",
     "line_metadata",
@@ -57,6 +80,40 @@ def _log_prob(prob: float) -> float:
     return math.log(prob) if prob > 0.0 else -math.inf
 
 
+@dataclass(frozen=True, slots=True)
+class IndexSpec:
+    """The dictionary index new lines are indexed under: the trie of a
+    file's stored dictionary and the approach its postings address.
+    Plain data, so it travels to ``workers`` processes like the OCR
+    engine does."""
+
+    trie: DictionaryTrie
+    approach: str  # "staccato" | "kmap"
+
+    @property
+    def key(self) -> tuple[str, str]:
+        """What a file must record for these postings to be its own."""
+        return (self.trie.digest, self.approach)
+
+
+def posting_rows(
+    data_key: int, postings: dict[str, set[Posting]]
+) -> list[tuple[int, str, int, int, int, int]]:
+    """One line's ``InvertedIndex`` rows, ``(DataKey, Term, U, V, Rank,
+    Offset)`` sorted by ``(Term, U, V, Rank, Offset)`` -- so the table's
+    content does not depend on set iteration order."""
+    return sorted(
+        (data_key, term, p.u, p.v, p.rank, p.offset)
+        for term, term_postings in postings.items()
+        for p in term_postings
+    )
+
+
+def insert_postings(conn: sqlite3.Connection, rows: list[tuple]) -> None:
+    """Insert :func:`posting_rows` output into ``InvertedIndex``."""
+    conn.executemany(_INSERTS["InvertedIndex"], rows)
+
+
 def _line_representations(
     line: tuple[int, int, int, str],
     ocr: SimulatedOcrEngine,
@@ -65,40 +122,55 @@ def _line_representations(
     want_kmap: bool,
     want_fullsfa: bool,
     want_staccato: bool,
+    index: IndexSpec | None = None,
 ):
     """Build one line's representations (runs in worker processes too)."""
     line_id, doc_id, line_no, text = line
     sfa = ocr.recognize_line(text, line_seed=(doc_id, line_no))
     kmap_rows = []
+    postings = {}
     if want_kmap:
         doc = build_kmap(sfa, k)
         kmap_rows = [
             (line_id, rank, string, _log_prob(prob))
             for rank, (string, prob) in enumerate(doc.strings)
         ]
+        if index is not None and index.approach == "kmap":
+            postings = build_kmap_postings(doc.strings, index.trie)
     fullsfa_row = (line_id, serialize.to_bytes(sfa)) if want_fullsfa else None
     staccato_rows = []
     graph_row = None
     kernel_rows = []
     if want_fullsfa:
-        kernel_rows.append(_kernel_row(line_id, "fullsfa", sfa))
+        kernel_rows.append(_kernel_row(line_id, "fullsfa", compile_kernel(sfa)))
     if want_staccato:
         chunked = staccato_approximate(sfa, m=m, k=k)
         graph_row = (line_id, serialize.to_bytes(chunked))
-        kernel_rows.append(_kernel_row(line_id, "staccato", chunked))
+        kernel = compile_kernel(chunked)
+        kernel_rows.append(_kernel_row(line_id, "staccato", kernel))
+        if index is not None and index.approach == "staccato":
+            # From the kernel in hand: never from a decoded blob.
+            postings = build_kernel_postings(kernel, index.trie)
         for chunk_num, (u, v) in enumerate(sorted(chunked.edges)):
             staccato_rows.extend(
                 (line_id, chunk_num, rank, e.string, _log_prob(e.prob))
                 for rank, e in enumerate(chunked.emissions(u, v))
             )
-    return kmap_rows, fullsfa_row, staccato_rows, graph_row, kernel_rows
+    return (
+        kmap_rows,
+        fullsfa_row,
+        staccato_rows,
+        graph_row,
+        kernel_rows,
+        posting_rows(line_id, postings),
+    )
 
 
 def _kernel_row(
-    line_id: int, approach: str, sfa: Sfa
+    line_id: int, approach: str, kernel: CompiledKernel
 ) -> tuple[int, str, int, str, bytes]:
-    """One ``CompiledKernel`` insert: lower the SFA at construction time."""
-    blob = serialize.kernel_to_bytes(compile_kernel(sfa))
+    """One ``CompiledKernel`` insert: the SFA lowered at construction."""
+    blob = serialize.kernel_to_bytes(kernel)
     return (line_id, approach, KERNEL_VERSION, blob_fingerprint(blob), blob)
 
 
@@ -118,6 +190,8 @@ _INSERTS = {
     "CompiledKernel": "INSERT INTO CompiledKernel "
     "(DataKey, Approach, Version, Fingerprint, KernelBlob) "
     "VALUES (?, ?, ?, ?, ?)",
+    "InvertedIndex": "INSERT INTO InvertedIndex "
+    "(DataKey, Term, U, V, Rank, Offset) VALUES (?, ?, ?, ?, ?, ?)",
 }
 
 
@@ -127,11 +201,14 @@ class BuiltBatch:
 
     DataKeys are batch-local (the dataset's own line ids, from 0); the
     write shifts them past what its connection already holds, so one
-    build can be written to every replica of a shard.
+    build can be written to every replica of a shard.  ``index_key`` is
+    the :attr:`IndexSpec.key` the ``InvertedIndex`` rows were computed
+    under (``None``: built without a dictionary, no such rows).
     """
 
     documents: list[tuple]
     rows: dict[str, list[tuple]]  # table (a key of _INSERTS) -> its rows
+    index_key: tuple[str, str] | None = None
 
 
 def build_dataset(
@@ -141,10 +218,13 @@ def build_dataset(
     m: int = 40,
     approaches: tuple[str, ...] = ("kmap", "fullsfa", "staccato"),
     workers: int | None = None,
+    index: IndexSpec | None = None,
 ) -> BuiltBatch:
     """OCR every line of ``dataset`` and construct the chosen
     representations -- all the expensive work of an ingest, none of it
-    touching a database (arguments as for :func:`ingest_dataset`)."""
+    touching a database (arguments as for :func:`ingest_dataset`).  With
+    ``index``, the target file's dictionary, each line's postings are
+    part of the build."""
     unknown = set(approaches) - set(APPROACH_TABLES)
     if unknown:
         raise ValueError(f"unknown approaches: {sorted(unknown)}")
@@ -163,13 +243,22 @@ def build_dataset(
         want_kmap="kmap" in approaches or "map" in approaches,
         want_fullsfa="fullsfa" in approaches,
         want_staccato="staccato" in approaches,
+        index=index,
     )
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             built = list(pool.map(build, lines, chunksize=8))
     else:
         built = [build(line) for line in lines]
-    for line_kmap, fullsfa_row, line_staccato, graph_row, line_kernels in built:
+    for (
+        line_kmap,
+        fullsfa_row,
+        line_staccato,
+        graph_row,
+        line_kernels,
+        line_postings,
+    ) in built:
+        rows["InvertedIndex"].extend(line_postings)
         rows["kMAPData"].extend(line_kmap)
         if fullsfa_row is not None:
             rows["FullSFAData"].append(fullsfa_row)
@@ -183,32 +272,112 @@ def build_dataset(
             for doc in dataset.documents
         ],
         rows=rows,
+        index_key=index.key if index is not None else None,
     )
 
 
-def write_batch(conn: sqlite3.Connection, built: BuiltBatch) -> int:
+def write_batch(
+    conn: sqlite3.Connection, built: BuiltBatch, sweep_orphans: bool = False
+) -> int:
     """Store a built batch in one transaction; returns its line count.
 
     Batch ingestion appends: the batch's line ids start at 0, so they are
     shifted past the highest DataKey this connection already stores.  A
     fresh database gets offset 0, preserving the line_id == DataKey
     identity.
+
+    The batch's postings are stored, and the file's coverage mark moved
+    past the new lines, only if they were computed under the dictionary
+    and approach this file records and every line already here is
+    covered; otherwise they are dropped and the mark kept below the new
+    lines.  ``sweep_orphans`` first runs :func:`drop_orphan_kernels` (a
+    handle's first write).
     """
+    count = len(built.rows["MasterData"])
     with conn:
+        if sweep_orphans:
+            drop_orphan_kernels(conn)
         (offset,) = conn.execute(
             "SELECT COALESCE(MAX(DataKey) + 1, 0) FROM MasterData"
         ).fetchone()
+        indexed = cover_appended(
+            conn, offset, offset + count - 1, built.index_key
+        )
         conn.executemany(
             "INSERT OR REPLACE INTO Documents (DocId, DocName, Year, Loss) "
             "VALUES (?, ?, ?, ?)",
             built.documents,
         )
         for table, rows in built.rows.items():
+            if table == "InvertedIndex" and not indexed:
+                continue
             if offset:
                 rows = [(row[0] + offset, *row[1:]) for row in rows]
             if rows:
                 conn.executemany(_INSERTS[table], rows)
-    return len(built.rows["MasterData"])
+    return count
+
+
+def index_meta(
+    conn: sqlite3.Connection, schema: str = "main"
+) -> tuple[tuple[str | None, str | None], int | None]:
+    """``((dictionary digest, approach), covered_through)`` as the file
+    records them; ``None`` for what it does not record (no index, or an
+    index built before the dictionary and the mark were stored)."""
+    meta = dict(conn.execute(f"SELECT Key, Value FROM {schema}.IndexMeta"))
+    covered = meta.get("covered_through")
+    return (
+        (meta.get("dictionary"), meta.get("approach")),
+        int(covered) if covered is not None else None,
+    )
+
+
+def cover_appended(
+    conn: sqlite3.Connection,
+    offset: int,
+    last: int,
+    key: tuple[str | None, str | None] | None,
+) -> bool:
+    """The coverage rule, for a writer appending lines at DataKeys
+    ``offset..last`` (inside its transaction): may it store their
+    postings, computed under index ``key``?
+
+    Yes -- and the mark moves to ``last`` -- iff ``key`` is the
+    (dictionary digest, approach) this file records and no line already
+    here is uncovered; otherwise the mark is kept below ``offset``, so
+    the new lines are uncovered whatever key a deleted line left free.
+    A file without a mark (no index, or one from before the mark) is
+    left as it is.
+    """
+    file_key, covered = index_meta(conn)
+    if covered is None:
+        return False
+    indexed = key is not None and key == file_key and covered >= offset - 1
+    set_covered_through(conn, last if indexed else min(covered, offset - 1))
+    return indexed
+
+
+def set_covered_through(conn: sqlite3.Connection, data_key: int) -> None:
+    """Record that every line with ``DataKey <= data_key`` is covered."""
+    conn.execute(
+        "INSERT OR REPLACE INTO IndexMeta (Key, Value) "
+        "VALUES ('covered_through', ?)",
+        (str(data_key),),
+    )
+
+
+def drop_orphan_kernels(conn: sqlite3.Connection) -> int:
+    """Delete ``CompiledKernel`` rows of lines that no longer exist.
+
+    Rebalance once moved lines without their kernels: the source kept
+    the rows, and the next line to take a freed DataKey would collide
+    with them (or worse, be evaluated with them).  Returns the number of
+    rows dropped; a file written only by this build has none.
+    """
+    return conn.execute(
+        "DELETE FROM CompiledKernel WHERE DataKey NOT IN "
+        "(SELECT DataKey FROM MasterData)"
+    ).rowcount
 
 
 def ingest_dataset(
@@ -309,6 +478,18 @@ def load_kernel_blobs(
         for key, fingerprint, blob in rows:
             stored[key] = (fingerprint, blob)
     return stored
+
+
+def iter_kernel_blobs(conn: sqlite3.Connection, approach: str):
+    """``(DataKey, blob | None)`` for every line, in DataKey order, one
+    row at a time off a single cursor: the blob of the line's current-
+    version kernel, ``None`` for a line without one (old files)."""
+    return conn.execute(
+        "SELECT m.DataKey, c.KernelBlob FROM MasterData m "
+        "LEFT JOIN CompiledKernel c ON c.DataKey = m.DataKey "
+        "AND c.Approach = ? AND c.Version = ? ORDER BY m.DataKey",
+        (approach, KERNEL_VERSION),
+    )
 
 
 def kernel_listing(

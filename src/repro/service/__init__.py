@@ -42,7 +42,8 @@ HTTP API (all bodies and responses are JSON):
     ...], "ocr_seed": 0, "approaches": ["kmap", "fullsfa",
     "staccato"]}``.  DataKeys are offset past existing rows, so
     repeated batches append.  A committed batch invalidates the
-    query-result cache.
+    query-result cache, and -- indexed under the file's stored
+    dictionary in the same transaction -- is visible to every plan.
 
 ``POST /search``
     LIKE/regex query against any approach.  Body: ``{"pattern":
@@ -57,8 +58,9 @@ HTTP API (all bodies and responses are JSON):
     '%Ford%'", "approach": "staccato", "num_ans": 100}``.
 
 ``POST /index``
-    Build/rebuild the dictionary inverted index over HTTP and broadcast
-    ``load_index`` to the reader pool(s).  Body: ``{"terms": ["public",
+    Rebuild the dictionary inverted index over HTTP (always a full
+    rebuild, from the stored kernels) and broadcast ``load_index`` to
+    the reader pool(s).  Body: ``{"terms": ["public",
     "law", ...], "approach": "staccato"}``.
 
 On a sharded service (``serve --shards N``) ``/search``/``/sql`` fan

@@ -22,6 +22,7 @@ counts those in the one place it invokes a leg.
 from __future__ import annotations
 
 import os
+import sqlite3
 import threading
 import time
 from typing import Callable, Protocol, Sequence
@@ -279,8 +280,11 @@ class LocalLeg:
     ) -> tuple[int, int]:
         # Built once, outside the replica loop: OCR and construction are
         # the whole cost of an ingest and depend only on (seed, text,
-        # doc_id, line_no), so every copy is written the same rows.  A
-        # build error surfaces here, before any replica commits.
+        # doc_id, line_no), so every copy is written the same rows --
+        # postings included, under the first copy's stored dictionary; a
+        # copy recording another one drops them (its lines stay
+        # uncovered).  A build error surfaces here, before any replica
+        # commits.
         built = storage.build_dataset(
             Dataset(name=request.dataset.name, documents=list(docs)),
             SimulatedOcrEngine(seed=request.ocr_seed),
@@ -288,12 +292,25 @@ class LocalLeg:
             m=self._m,
             approaches=request.approaches,
             workers=request.workers,
+            index=self._ingest_index(),
         )
 
         def apply(replica: Replica) -> tuple[int, int]:
             return replica.writer.write_batch(built), replica.writer.num_lines
 
         return self.replicas.apply_write(apply)
+
+    def _ingest_index(self) -> storage.IndexSpec | None:
+        """The dictionary a batch is indexed under: a live copy's.  A
+        copy that cannot say (it is about to fail the write and be
+        marked stale) must not fail the batch for its siblings."""
+        source = self.replicas.live_replica()
+        if source is None:
+            return None
+        try:
+            return source.writer.ingest_index()
+        except sqlite3.Error:
+            return None
 
     def build_index(
         self, terms: Sequence[str], approach: str

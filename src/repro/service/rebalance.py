@@ -21,6 +21,7 @@ import json
 import threading
 from typing import Iterator, Mapping, Sequence
 
+from ..db import storage
 from .jobs import Job, JobCancelled, atomic_write_json
 from .replicas import Replica, ordered_locks
 from .validation import ApiError, validate_rebalance_params
@@ -175,20 +176,23 @@ class MoveGate:
 _SRC = "rebalance_src"
 
 #: Tables keyed by DataKey (everything but Documents and MasterData,
-#: which go first, explicitly) with their non-key columns; every copied
-#: DataKey is offset past the target's existing keys so the merged file
-#: keeps unique line ids.
+#: which go first, explicitly) with their columns; every copied DataKey
+#: is offset past the target's existing keys so the merged file keeps
+#: unique line ids.  A line moves with everything stored of it: its
+#: compiled kernels too, and -- when source and target index under the
+#: same dictionary (see :func:`copy_docs`) -- its postings.
 _CHILD_TABLES = (
     ("kMAPData", "DataKey, Rank, Data, LogProb"),
     ("FullSFAData", "DataKey, SFABlob"),
     ("StaccatoData", "DataKey, ChunkNum, Rank, Data, LogProb"),
     ("StaccatoGraph", "DataKey, GraphBlob"),
+    ("CompiledKernel", "DataKey, Approach, Version, Fingerprint, KernelBlob"),
     ("GroundTruth", "DataKey, Data"),
     ("InvertedIndex", "Term, DataKey, U, V, Rank, Offset"),
 )
 
-_COPY_CHILDREN = tuple(
-    f"INSERT INTO {table}({columns}) SELECT "
+_COPY_CHILDREN = {
+    table: f"INSERT INTO {table}({columns}) SELECT "
     + ", ".join(
         "t.DataKey + :offset" if column == "DataKey" else f"t.{column}"
         for column in columns.split(", ")
@@ -197,7 +201,7 @@ _COPY_CHILDREN = tuple(
     "ON m.DataKey = t.DataKey "
     "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)"
     for table, columns in _CHILD_TABLES
-)
+}
 
 _DELETE_ROWS = tuple(
     f"DELETE FROM {table} WHERE DataKey IN "
@@ -244,11 +248,20 @@ def copy_docs(
     or died between the copy commit and the source delete.  The count
     verification runs *inside* the transaction -- a mismatch rolls the
     whole copy back.
+
+    The moved lines' postings come along, and the target's coverage mark
+    moves past them, only when both files record the same dictionary and
+    approach, the source had every moved line covered and the target has
+    no uncovered line; otherwise none are copied and the mark stays
+    below the new lines (the index plans scan them).
     """
-    conn = replica.writer.conn
-    replica.writer.attach(source_path, _SRC)
+    writer = replica.writer
+    conn = writer.conn
+    writer.attach(source_path, _SRC)
     try:
         with conn:
+            if not writer.orphans_swept:
+                storage.drop_orphan_kernels(conn)
             _load_ids(conn, doc_ids)
             conn.execute(
                 f"DELETE FROM _rebalance_ids WHERE DocId IN ("
@@ -269,10 +282,18 @@ def copy_docs(
             offset = conn.execute(
                 "SELECT COALESCE(MAX(DataKey), -1) + 1 FROM MasterData"
             ).fetchone()[0]
-            expect_lines = conn.execute(
-                f"SELECT COUNT(*) FROM {_SRC}.MasterData "
+            expect_lines, last_moved = conn.execute(
+                f"SELECT COUNT(*), MAX(DataKey) FROM {_SRC}.MasterData "
                 f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)"
-            ).fetchone()[0]
+            ).fetchone()
+            indexed = False
+            if expect_lines:
+                source_key, source_covered = storage.index_meta(conn, _SRC)
+                if source_covered is None or last_moved > source_covered:
+                    source_key = None  # a moved line is uncovered there
+                indexed = storage.cover_appended(
+                    conn, offset, offset + last_moved, source_key
+                )
             conn.execute(
                 f"INSERT INTO Documents SELECT * FROM {_SRC}.Documents "
                 f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)"
@@ -284,8 +305,9 @@ def copy_docs(
                 f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)",
                 {"offset": offset},
             )
-            for statement in _COPY_CHILDREN:
-                conn.execute(statement, {"offset": offset})
+            for table, statement in _COPY_CHILDREN.items():
+                if table != "InvertedIndex" or indexed:
+                    conn.execute(statement, {"offset": offset})
             got_docs, got_lines = conn.execute(
                 "SELECT (SELECT COUNT(*) FROM Documents WHERE DocId IN "
                 "(SELECT DocId FROM _rebalance_ids)), "
@@ -305,7 +327,8 @@ def copy_docs(
                     f"{expect_lines} lines, found {got_docs} / {got_lines}"
                 )
     finally:
-        replica.writer.detach(_SRC)
+        writer.detach(_SRC)
+    writer.orphans_swept = True
     return copied
 
 

@@ -11,6 +11,9 @@ import random
 
 from hypothesis import strategies as st
 
+from repro.ocr.corpus import make_ca, make_db, make_lt
+from repro.ocr.engine import SimulatedOcrEngine
+from repro.ocr.noise import NoiseModel
 from repro.service.shards import RoutingTable
 from repro.sfa.builder import random_chain_sfa, random_chunk_sfa, random_dag_sfa
 from repro.sfa.model import Sfa
@@ -19,6 +22,8 @@ __all__ = [
     "chain_sfas",
     "chunk_sfas",
     "dag_sfas",
+    "ocr_sfas",
+    "index_graphs",
     "keyword_patterns",
     "regex_patterns",
     "routing_moves",
@@ -52,6 +57,69 @@ def dag_sfas(draw, min_length: int = 2, max_length: int = 10) -> Sfa:
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     length = draw(st.integers(min_value=min_length, max_value=max_length))
     return random_dag_sfa(random.Random(seed), length)
+
+
+@st.composite
+def ocr_sfas(draw, max_chars: int = 14) -> Sfa:
+    """Simulated-OCR line SFAs (merge/split/space-drop branching, not just
+    the diamonds of ``dag_sfas``), short and without the smoothing tail so
+    the oracle stays fast."""
+    maker = draw(st.sampled_from((make_ca, make_lt, make_db)))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    line = maker(num_docs=1, lines_per_doc=1, seed=seed).documents[0].lines[0]
+    start = draw(st.integers(min_value=0, max_value=max(0, len(line) - max_chars)))
+    text = line[start : start + max_chars].strip() or "the"
+    engine = SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=seed)
+    return engine.recognize_line(text, line_seed=(seed, start))
+
+
+#: Alphabet of :func:`index_graphs`: two letters in both cases, a space,
+#: and ``'İ'`` -- whose ``lower()`` is the two code points ``'i'`` +
+#: U+0307, both of which are in the alphabet on their own too.
+INDEX_ALPHABET = "abAB i\u0130\u0307"
+
+
+@st.composite
+def index_graphs(draw, allow_empty: bool = False):
+    """Random chunk graphs for the index-construction DP, as its input:
+    ``(symbols, edges, nodes)`` with ``edges`` a list of ``(u, v, symbol
+    ids in rank order)``, all edges into a node before any edge out of
+    it, and ``nodes`` the node ids in topological order (start first,
+    final last).
+
+    Node ids are arbitrary (topological order is not id order), every
+    node has its chain successor plus random skip edges (several
+    successors per node, several predecessors per node), strings are
+    0-3 characters (``allow_empty``: an ``Sfa`` cannot hold ``""``, a
+    kernel's symbol table can) over :data:`INDEX_ALPHABET`, so
+    dictionary terms of 3-5 characters straddle three and more edges.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    count = draw(st.integers(min_value=2, max_value=7))
+    ids = rng.sample(range(100), count)
+    symbols: list[str] = []
+    sym_ids: dict[str, int] = {}
+    edges = []
+    for at in range(count - 1):
+        targets = {at + 1} | {
+            to for to in range(at + 2, count) if rng.random() < 0.3
+        }
+        for to in sorted(targets, key=lambda _: rng.random()):
+            strings: set[str] = set()
+            want = rng.randint(1, 4)
+            while len(strings) < want:
+                length = rng.randint(0 if allow_empty else 1, 3)
+                strings.add(
+                    "".join(rng.choice(INDEX_ALPHABET) for _ in range(length))
+                )
+            syms = []
+            for string in sorted(strings, key=lambda _: rng.random()):
+                sid = sym_ids.setdefault(string, len(symbols))
+                if sid == len(symbols):
+                    symbols.append(string)
+                syms.append(sid)
+            edges.append((ids[at], ids[to], syms))
+    return symbols, edges, ids
 
 
 keyword_patterns = st.text(

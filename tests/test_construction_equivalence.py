@@ -21,14 +21,13 @@ from repro.core.chunks import collapse, find_min_sfa, region_mass
 from repro.db.engine import StaccatoDB
 from repro.ocr.corpus import Dataset, Document, make_ca, make_db, make_lt
 from repro.ocr.engine import SimulatedOcrEngine
-from repro.ocr.noise import NoiseModel
 from repro.sfa import paths
 from repro.sfa.kernel import compile_kernel
 from repro.sfa.model import Sfa
 from repro.sfa.serialize import kernel_to_bytes, to_bytes
 
 from .oracles import construction as oracle
-from .strategies import chain_sfas, dag_sfas
+from .strategies import chain_sfas, dag_sfas, ocr_sfas
 
 KS = (1, 2, 3, 7, 25)
 
@@ -44,20 +43,6 @@ def assert_same_construction(sfa: Sfa, m: int, k: int) -> None:
     built = staccato_approximate(sfa, m, k)
     assert stored_bytes(built) == stored_bytes(oracle.staccato_approximate(sfa, m, k))
     assert stored_bytes(sfa) == before, "input SFA was mutated"
-
-
-@st.composite
-def ocr_sfas(draw, max_chars: int = 14) -> Sfa:
-    """Simulated-OCR line SFAs (merge/split/space-drop branching, not just
-    the diamonds of ``dag_sfas``), short and without the smoothing tail so
-    the oracle stays fast."""
-    maker = draw(st.sampled_from((make_ca, make_lt, make_db)))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    line = maker(num_docs=1, lines_per_doc=1, seed=seed).documents[0].lines[0]
-    start = draw(st.integers(min_value=0, max_value=max(0, len(line) - max_chars)))
-    text = line[start : start + max_chars].strip() or "the"
-    engine = SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=seed)
-    return engine.recognize_line(text, line_seed=(seed, start))
 
 
 def any_m(draw, sfa: Sfa) -> int:

@@ -267,31 +267,52 @@ class TestStoredKernels:
             ]
         return relation, dict(counts)
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            "UPDATE CompiledKernel SET Version = 1",
-            "DELETE FROM CompiledKernel",
-            "DELETE FROM CompiledKernel WHERE DataKey % 2 = 0",
-            # The version tag of this build over a blob it cannot read.
-            "UPDATE CompiledKernel SET KernelBlob = x'4b524e31' "
-            "WHERE DataKey % 3 = 0",
-        ],
-    )
+    DAMAGE = [
+        "UPDATE CompiledKernel SET Version = 1",
+        "DELETE FROM CompiledKernel",
+        "DELETE FROM CompiledKernel WHERE DataKey % 2 = 0",
+        # The version tag of this build over a blob it cannot read.
+        "UPDATE CompiledKernel SET KernelBlob = x'4b524e31' "
+        "WHERE DataKey % 3 = 0",
+    ]
+
+    def damaged_copy(self, db, tmp_path, damage) -> str:
+        path = str(tmp_path / "old.db")
+        clone = sqlite3.connect(path)
+        db.conn.backup(clone)
+        with clone:
+            clone.execute(damage)
+        clone.close()
+        return path
+
+    @pytest.mark.parametrize("damage", DAMAGE)
     def test_old_or_missing_rows_answer_like_fresh_ones(
         self, loaded_db, tmp_path, damage
     ):
         loaded_db.build_index(["public", "law", "president", "congress"])
         fresh = self.answers(loaded_db)
-        path = str(tmp_path / "old.db")
-        clone = sqlite3.connect(path)
-        loaded_db.conn.backup(clone)
-        with clone:
-            clone.execute(damage)
-        clone.close()
-        with StaccatoDB(path, k=8, m=10) as old:
+        with StaccatoDB(
+            self.damaged_copy(loaded_db, tmp_path, damage), k=8, m=10
+        ) as old:
             assert old.load_index()
             assert self.answers(old) == fresh
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_old_or_missing_rows_index_like_fresh_ones(
+        self, loaded_db, tmp_path, damage
+    ):
+        """``build_index`` streams the kernel rows; a line without a
+        current one is indexed from its recompiled ``SFA1`` graph."""
+        rows = "SELECT * FROM InvertedIndex ORDER BY rowid"
+        terms = ["public", "law", "president", "congress"]
+        count = loaded_db.build_index(terms)
+        fresh = loaded_db.conn.execute(rows).fetchall()
+        assert count == len(fresh) > 0
+        with StaccatoDB(
+            self.damaged_copy(loaded_db, tmp_path, damage), k=8, m=10
+        ) as old:
+            assert old.build_index(terms) == count
+            assert old.conn.execute(rows).fetchall() == fresh
 
     def test_keyed_fetch_returns_only_the_asked_current_rows(self, loaded_db):
         everything = storage.load_kernel_blobs(loaded_db.conn, "staccato")

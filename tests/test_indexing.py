@@ -11,7 +11,12 @@ from repro.indexing.direct import (
     direct_posting_count,
     direct_posting_count_enumerated,
 )
-from repro.indexing.inverted import build_kmap_postings, build_sfa_postings
+from repro.indexing.inverted import (
+    _postings_dp,
+    build_kernel_postings,
+    build_kmap_postings,
+    build_sfa_postings,
+)
 from repro.indexing.postings import Posting, PostingIndex
 from repro.indexing.projection import (
     projected_match_probability,
@@ -20,8 +25,23 @@ from repro.indexing.projection import (
 from repro.query.like import compile_like
 from repro.sfa import ops
 from repro.sfa.builder import chain_sfa, from_string
+from repro.sfa.kernel import (
+    CompiledKernel,
+    compile_kernel,
+    kernel_from_bytes,
+    kernel_to_bytes,
+)
+from repro.sfa.model import Sfa
 
-from .strategies import dag_sfas
+from .oracles import indexing as oracle
+from .strategies import (
+    INDEX_ALPHABET,
+    chain_sfas,
+    chunk_sfas,
+    dag_sfas,
+    index_graphs,
+    ocr_sfas,
+)
 
 
 class TestBuildSfaPostings:
@@ -76,6 +96,133 @@ class TestBuildSfaPostings:
         for term in terms:
             contained = any(term in s.lower() for s in strings)
             assert (term in postings) == contained, (term, sorted(strings))
+
+
+dictionaries = st.lists(
+    st.text(alphabet=INDEX_ALPHABET, min_size=1, max_size=5),
+    min_size=1,
+    max_size=6,
+)
+
+
+def sfa_of(graph) -> Sfa:
+    """An :func:`index_graphs` draw as an ``Sfa`` (rank order kept by
+    strictly descending probabilities)."""
+    symbols, edges, nodes = graph
+    sfa = Sfa(start=nodes[0], final=nodes[-1])
+    for u, v, syms in edges:
+        sfa.add_edge(
+            u, v, [(symbols[sid], 0.5 ** (rank + 1)) for rank, sid in enumerate(syms)]
+        )
+    return sfa
+
+
+def kernel_of(graph) -> CompiledKernel:
+    """An :func:`index_graphs` draw as a kernel, empty symbols and all
+    (masses zero: the postings DP reads none)."""
+    symbols, edges, order = graph
+    pos = {node: at for at, node in enumerate(order)}
+    node_offsets, node_runs, run_dst, run_starts = [0], [0], [], [0]
+    step_syms: list[int] = []
+    for node in order:
+        for u, v, syms in edges:
+            if u == node:
+                run_dst.append(pos[v])
+                step_syms.extend(syms)
+                run_starts.append(len(step_syms))
+        node_offsets.append(len(step_syms))
+        node_runs.append(len(run_dst))
+    return CompiledKernel(
+        num_nodes=len(order),
+        start_pos=0,
+        final_pos=len(order) - 1,
+        node_ids=order,
+        symbols=list(symbols),
+        node_offsets=node_offsets,
+        node_runs=node_runs,
+        run_dst=run_dst,
+        run_starts=run_starts,
+        step_syms=step_syms,
+        step_probs=[0.0] * len(step_syms),
+        backward=[0.0] * len(order),
+        forward=[0.0] * len(order),
+    )
+
+
+def assert_both_adapters_equal_the_oracle(sfa: Sfa, trie: DictionaryTrie):
+    expected = oracle.build_sfa_postings(sfa, trie)
+    assert build_sfa_postings(sfa, trie) == expected
+    kernel = compile_kernel(sfa)
+    assert build_kernel_postings(kernel, trie) == expected
+    stored = kernel_from_bytes(kernel_to_bytes(kernel))
+    assert build_kernel_postings(stored, trie) == expected
+
+
+class TestPostingsDpEqualsAlgorithm3:
+    """The shipped DP against ``tests/oracles/indexing.py`` (the
+    per-string ``_run_dfa`` loop it replaced), from both adapters."""
+
+    @given(index_graphs(allow_empty=True), dictionaries, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_lists_with_empty_strings(self, graph, terms, case_sensitive):
+        symbols, edges, _ = graph
+        trie = DictionaryTrie(terms, case_sensitive=case_sensitive)
+        expected = oracle.edge_postings(symbols, edges, trie)
+        assert _postings_dp(symbols, edges, trie) == expected
+        kernel = kernel_of(graph)
+        assert build_kernel_postings(kernel, trie) == expected
+        stored = kernel_from_bytes(kernel_to_bytes(kernel))
+        assert build_kernel_postings(stored, trie) == expected
+
+    @given(index_graphs(), dictionaries, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_chunk_graphs(self, graph, terms, case_sensitive):
+        trie = DictionaryTrie(terms, case_sensitive=case_sensitive)
+        assert_both_adapters_equal_the_oracle(sfa_of(graph), trie)
+
+    @given(
+        st.one_of(dag_sfas(), chain_sfas(), chunk_sfas(), ocr_sfas()),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_construction_strategies(self, sfa, data):
+        # Terms cut from one stored string, so they occur (and straddle
+        # edges) instead of merely being drawn from the same alphabet.
+        text, node = "", sfa.start
+        while node != sfa.final:
+            succ = data.draw(st.sampled_from(sorted(set(sfa.successors(node)))))
+            text += data.draw(st.sampled_from(sfa.emissions(node, succ))).string
+            node = succ
+        cuts = st.tuples(st.integers(0, len(text) - 1), st.integers(1, 5))
+        terms = [
+            text[at : at + length]
+            for at, length in data.draw(st.lists(cuts, min_size=1, max_size=5))
+        ]
+        assert_both_adapters_equal_the_oracle(sfa, DictionaryTrie(terms))
+
+    def test_term_straddles_three_edges(self):
+        sfa = chain_sfa(
+            [[("xpu", 0.6), ("pu", 0.4)], [("bl", 1.0)], [("ic", 0.7), ("iC", 0.3)]]
+        )
+        trie = DictionaryTrie(["public", "blic"])
+        postings = build_kernel_postings(compile_kernel(sfa), trie)
+        assert postings == oracle.build_sfa_postings(sfa, trie)
+        assert postings["public"] == {Posting(0, 1, 0, 1), Posting(0, 1, 1, 0)}
+        assert postings["blic"] == {Posting(1, 2, 0, 0)}
+
+    def test_two_code_point_lower_is_one_dead_character(self):
+        """``'\u0130'.lower()`` is ``'i\u0307'``: the trie spells the term with
+        both, the stored character lowers to a key no branch has."""
+        trie = DictionaryTrie(["\u0130b"])
+        assert trie.terms() == ["i\u0307b"]
+        dotted = chain_sfa([[("a\u0130", 1.0)], [("b", 1.0)]])
+        spelled = chain_sfa([[("ai\u0307", 1.0)], [("b", 1.0)]])
+        assert build_sfa_postings(dotted, trie) == {}
+        assert build_sfa_postings(spelled, trie) == {
+            "i\u0307b": {Posting(0, 1, 0, 1)}
+        }
+        for sfa in (dotted, spelled):
+            assert_both_adapters_equal_the_oracle(sfa, trie)
 
 
 class TestBuildKmapPostings:

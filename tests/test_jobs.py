@@ -559,6 +559,98 @@ class TestRebalance:
         assert target.writer.num_lines == target_lines
         assert source.writer.num_lines == lines
 
+    # -- a line moves with its compiled kernels --------------------------
+    MOVE = {
+        "type": "rebalance",
+        "params": {"doc_lo": 0, "doc_hi": 1, "source": 0, "target": 1},
+        "wait": True,
+    }
+
+    @staticmethod
+    def _kernel_orphans(leg):
+        """(kernel rows without a line, lines without both kernel rows)."""
+        conn = leg.writer.conn
+        return (
+            conn.execute(
+                "SELECT COUNT(*) FROM CompiledKernel WHERE DataKey NOT IN "
+                "(SELECT DataKey FROM MasterData)"
+            ).fetchone()[0],
+            conn.execute(
+                "SELECT COUNT(*) FROM MasterData m WHERE (SELECT COUNT(*) "
+                "FROM CompiledKernel c WHERE c.DataKey = m.DataKey) != 2"
+            ).fetchone()[0],
+        )
+
+    def test_move_takes_the_kernel_rows_along(self, cluster, monkeypatch):
+        from repro.db.engine import StaccatoDB
+
+        before = cluster.search({"pattern": "%Congress%", "num_ans": 50})
+        assert cluster.jobs_submit(self.MOVE)["state"] == "succeeded"
+        source, target = cluster.pool.shard(0), cluster.pool.shard(1)
+        assert source.writer.num_lines == 0 and target.writer.num_lines == 8
+        assert self._kernel_orphans(source) == (0, 0)
+        assert self._kernel_orphans(target) == (0, 0)
+        # A moved line is scanned from its stored kernel, and the scan
+        # image holds exactly the shard's lines.
+        recompiled = []
+        original = StaccatoDB._recompile_kernel
+        monkeypatch.setattr(
+            StaccatoDB,
+            "_recompile_kernel",
+            lambda self, *a: recompiled.append(a) or original(self, *a),
+        )
+        after = cluster.search({"pattern": "%Congress%", "num_ans": 50})
+        assert _rows(after["answers"]) == _rows(before["answers"])
+        assert not after["cached"] and not recompiled
+        image = target.kernel_memo.stats()["scan_image"]["staccato"]
+        assert image["lines"] == target.writer.num_lines == 8
+
+    def test_freed_keys_are_reused_without_colliding(self, tmp_path):
+        service = ShardedQueryService(
+            str(tmp_path / "shards"), 2, k=4, m=6, pool_size=2, range_width=2
+        )
+        try:
+            service.ingest(_batch([0, 2]))
+            service.ingest(_batch([1]))
+            move = dict(self.MOVE, params=dict(self.MOVE["params"], doc_lo=1))
+            assert service.jobs_submit(move)["state"] == "succeeded"
+            # Doc 1 held shard 0's highest DataKeys; doc 0's new lines
+            # take them over.
+            reply = service.ingest(_batch([0], lines_per_doc=3))
+            assert reply["ingested_lines"] == 3
+            for index in (0, 1):
+                assert self._kernel_orphans(service.pool.shard(index)) == (0, 0)
+            assert service.pool.shard(0).writer.num_lines == 5
+            assert service.search({"pattern": "%Congress%"})["count"] > 0
+        finally:
+            service.close()
+
+    def test_orphan_kernels_of_an_older_move_are_swept_on_first_write(
+        self, tmp_path
+    ):
+        shard_dir = str(tmp_path / "shards")
+        options = dict(k=4, m=6, pool_size=2, range_width=2)
+        service = ShardedQueryService(shard_dir, 2, **options)
+        service.ingest(_batch([0, 1]))
+        # What a move left behind before kernels moved with their lines.
+        conn = service.pool.shard(0).writer.conn
+        with conn:
+            for table in ("MasterData", "GroundTruth", "kMAPData",
+                          "FullSFAData", "StaccatoData", "StaccatoGraph"):
+                conn.execute(f"DELETE FROM {table} WHERE DataKey >= 2")
+        service.close()
+        service = ShardedQueryService(shard_dir, 2, **options)
+        try:
+            leg = service.pool.shard(0)
+            assert self._kernel_orphans(leg) == (4, 0)
+            # A different document lands on the freed keys.
+            assert service.ingest(_batch([1]))["ingested_lines"] == 2
+            assert self._kernel_orphans(leg) == (0, 0)
+            scan = service.search({"pattern": "%line 1-%", "num_ans": 50})
+            assert {a["doc_id"] for a in scan["answers"]} == {1}
+        finally:
+            service.close()
+
     def test_rebalance_params_validation(self, cluster):
         for params, fragment in [
             ({"doc_lo": 3, "doc_hi": 1, "source": 0, "target": 1}, "doc_hi"),

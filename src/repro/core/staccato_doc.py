@@ -1,10 +1,10 @@
 """The Staccato representation of one OCR line.
 
 After approximation a line is a *chunk graph*: an SFA whose edges are
-chunks, each carrying at most ``k`` ranked strings.  In the RDBMS this is
-stored as one row per (chunk, rank) in ``StaccatoData`` plus the graph
-shape as a BLOB in ``StaccatoGraph`` (paper Appendix G); this class is the
-in-memory form both map to.
+chunks, each carrying at most ``k`` ranked strings.  In the RDBMS it is
+stored as its compiled kernel (``CompiledKernel``) beside the graph, strings
+included, as one ``SFA1`` BLOB in ``StaccatoGraph`` (paper Appendix G);
+this class is the in-memory form both map to.
 """
 
 from __future__ import annotations

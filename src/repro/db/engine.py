@@ -59,7 +59,7 @@ __all__ = [
     "discover_shard_paths",
 ]
 
-APPROACHES = ("map", "kmap", "fullsfa", "staccato")
+APPROACHES = storage.APPROACHES
 
 _trace_span = None
 
@@ -173,6 +173,8 @@ class StaccatoDB:
         #: rebalance left them in; see ``storage.drop_orphan_kernels``).
         self.orphans_swept = False
         create_schema(self.conn)
+        #: Tables of older builds this file has (``storage.legacy_tables``).
+        self.legacy_tables = storage.legacy_tables(self.conn)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -266,7 +268,7 @@ class StaccatoDB:
         return row[0]
 
     def storage_bytes(self, approach: str) -> int:
-        """Approximate bytes the approach's tables occupy."""
+        """Bytes the file holds for the approach."""
         return storage.approach_storage_bytes(self.conn, approach)
 
     # ------------------------------------------------------------------
@@ -308,7 +310,8 @@ class StaccatoDB:
 
         Either way, a line without a current-version row (old database
         files) or whose blob the codec rejects is recompiled from its
-        ``SFA1`` blob and evaluated beside the rest.
+        ``SFA1`` blob and evaluated beside the rest (a rejected blob
+        that is the line's only copy fails the scan instead).
 
         Counters stay exact: ``dp_cells``/``dp_transitions`` are summed
         from the per-line results of the DP actually executed (memo hits
@@ -506,14 +509,14 @@ class StaccatoDB:
         return self._recompile_kernel(approach, data_key)
 
     def _recompile_kernel(self, approach: str, data_key: int):
-        """Kernel fallback path: lower the stored ``SFA1`` blob now."""
-        load = (
-            storage.load_staccato
-            if approach == "staccato"
-            else storage.load_fullsfa
-        )
+        """Kernel fallback path: lower the stored ``SFA1`` blob now (the
+        chunk graph; a FullSFA has one only in files of older builds)."""
         try:
-            return compile_kernel(load(self.conn, data_key))
+            if approach == "staccato":
+                return compile_kernel(storage.load_staccato(self.conn, data_key))
+            return compile_kernel(
+                storage.load_fullsfa(self.conn, data_key, self.legacy_tables)
+            )
         except KeyError:
             return None
 

@@ -1,11 +1,14 @@
 """Relational schema for probabilistic OCR storage (paper Appendix G).
 
-Mirrors the paper's Table 5: one master table per dataset plus one data
-table per approach, and the inverted-index table of Section 5.3
-(implemented there as "a relational table with a B+-tree on top of it" --
-here a SQLite table with a B-tree index on the term column).  A
-``Documents`` table carries the enterprise metadata of the running
-insurance example (``Claims(DocID, Year, Loss, DocData)``).
+Mirrors the paper's Table 5: one master table per dataset plus one
+stored record of a line per approach (``kMAPData`` rows; a
+``CompiledKernel`` row per automaton, the chunk graph's ``SFA1`` blob
+kept beside its kernel in ``StaccatoGraph`` as the oracles' reference
+copy), and the inverted-index table of Section 5.3 (implemented there as
+"a relational table with a B+-tree on top of it" -- here a SQLite table
+with a B-tree index on the term column).  A ``Documents`` table carries
+the enterprise metadata of the running insurance example
+(``Claims(DocID, Year, Loss, DocData)``).
 
 Probabilities are stored as log-probabilities in FLOAT8 columns, exactly
 as the paper's schema does.
@@ -15,21 +18,28 @@ from __future__ import annotations
 
 import sqlite3
 
-__all__ = ["create_schema", "TABLES"]
+__all__ = ["create_schema", "TABLES", "LINE_TABLES", "LEGACY_LINE_TABLES"]
 
-TABLES = [
-    "Documents",
-    "MasterData",
-    "kMAPData",
-    "FullSFAData",
-    "StaccatoData",
-    "StaccatoGraph",
-    "CompiledKernel",
-    "GroundTruth",
-    "InvertedIndex",
-    "IndexTerms",
-    "IndexMeta",
-]
+#: The per-line (DataKey-keyed) tables and their columns, DataKey first,
+#: in write order: what ``storage``'s insert statements and rebalance's
+#: copy and delete lists are derived from.
+LINE_TABLES = {
+    "MasterData": ("DataKey", "DocName", "DocId", "SFANum"),
+    "GroundTruth": ("DataKey", "Data"),
+    "kMAPData": ("DataKey", "Rank", "Data", "LogProb"),
+    "StaccatoGraph": ("DataKey", "GraphBlob"),
+    "CompiledKernel": (
+        "DataKey", "Approach", "Version", "Fingerprint", "KernelBlob",
+    ),
+    "InvertedIndex": ("DataKey", "Term", "U", "V", "Rank", "Offset"),
+}
+
+TABLES = ["Documents", *LINE_TABLES, "IndexTerms", "IndexMeta"]
+
+#: Per-line tables only files of earlier builds have (a second, ``SFA1``
+#: copy of the FullSFA; a row per chunk string): never created here, read
+#: for a line without a ``fullsfa`` kernel, cleared with a deleted line.
+LEGACY_LINE_TABLES = ("FullSFAData", "StaccatoData")
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS Documents (
@@ -54,20 +64,6 @@ CREATE TABLE IF NOT EXISTS kMAPData (
     PRIMARY KEY (DataKey, Rank)
 );
 
-CREATE TABLE IF NOT EXISTS FullSFAData (
-    DataKey INTEGER PRIMARY KEY REFERENCES MasterData(DataKey),
-    SFABlob BLOB NOT NULL
-);
-
-CREATE TABLE IF NOT EXISTS StaccatoData (
-    DataKey  INTEGER NOT NULL REFERENCES MasterData(DataKey),
-    ChunkNum INTEGER NOT NULL,
-    Rank     INTEGER NOT NULL,
-    Data     TEXT NOT NULL,
-    LogProb  REAL NOT NULL,
-    PRIMARY KEY (DataKey, ChunkNum, Rank)
-);
-
 CREATE TABLE IF NOT EXISTS StaccatoGraph (
     DataKey   INTEGER PRIMARY KEY REFERENCES MasterData(DataKey),
     GraphBlob BLOB NOT NULL
@@ -75,8 +71,8 @@ CREATE TABLE IF NOT EXISTS StaccatoGraph (
 
 -- Compiled evaluation kernels (repro.sfa.kernel), one per line per
 -- automaton approach.  Version tags the blob layout; readers ignore
--- rows from other versions and recompile from the SFA blob instead,
--- so old database files keep working after a format bump.
+-- rows from other versions and recompile a line that still has an
+-- SFA1 blob from it, so old database files keep working.
 CREATE TABLE IF NOT EXISTS CompiledKernel (
     DataKey     INTEGER NOT NULL REFERENCES MasterData(DataKey),
     Approach    TEXT NOT NULL,

@@ -5,9 +5,9 @@ One line of one document becomes:
 * a row in ``MasterData`` (its DataKey is the dataset-global line id);
 * its ground-truth text in ``GroundTruth`` (the paper built manual ground
   truth; our simulated channel gives it exactly);
-* per approach, the corresponding representation rows:
-  k-MAP strings, the FullSFA blob, and/or the Staccato chunk strings plus
-  chunk-graph blob (paper Table 5).
+* per approach, its one stored record (paper Table 5): the k-MAP
+  strings; the FullSFA's compiled kernel; the Staccato chunk graph's
+  compiled kernel, beside the graph's ``SFA1`` blob.
 
 All inserts are batched with ``executemany`` inside transactions.
 
@@ -41,16 +41,21 @@ from ..sfa.kernel import (
     CompiledKernel,
     blob_fingerprint,
     compile_kernel,
+    to_sfa,
 )
-from ..sfa.model import Sfa
+from ..sfa.model import Sfa, SfaError
+from .schema import LEGACY_LINE_TABLES, LINE_TABLES
 
 __all__ = [
+    "APPROACHES",
     "IndexSpec",
     "BuiltBatch",
     "build_dataset",
     "write_batch",
     "ingest_dataset",
     "load_fullsfa",
+    "legacy_tables",
+    "kernel_row",
     "load_kmap",
     "load_staccato",
     "load_kernel_blobs",
@@ -68,16 +73,14 @@ __all__ = [
     "approach_storage_bytes",
 ]
 
-APPROACH_TABLES = {
-    "map": ("kMAPData",),
-    "kmap": ("kMAPData",),
-    "fullsfa": ("FullSFAData",),
-    "staccato": ("StaccatoData", "StaccatoGraph"),
+APPROACHES = ("map", "kmap", "fullsfa", "staccato")
+
+#: Insert statement per per-line table, in write order.
+_INSERTS = {
+    table: f"INSERT INTO {table} ({', '.join(columns)}) "
+    f"VALUES ({', '.join('?' * len(columns))})"
+    for table, columns in LINE_TABLES.items()
 }
-
-
-def _log_prob(prob: float) -> float:
-    return math.log(prob) if prob > 0.0 else -math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,80 +122,45 @@ def _line_representations(
     ocr: SimulatedOcrEngine,
     k: int,
     m: int,
-    want_kmap: bool,
-    want_fullsfa: bool,
-    want_staccato: bool,
+    approaches: tuple[str, ...],
     index: IndexSpec | None = None,
-):
-    """Build one line's representations (runs in worker processes too)."""
+) -> dict[str, list[tuple]]:
+    """Build one line's representations, ``{table: rows}`` (runs in
+    worker processes too)."""
     line_id, doc_id, line_no, text = line
     sfa = ocr.recognize_line(text, line_seed=(doc_id, line_no))
-    kmap_rows = []
+    rows: dict[str, list[tuple]] = {"CompiledKernel": []}
     postings = {}
-    if want_kmap:
+    if "kmap" in approaches or "map" in approaches:
         doc = build_kmap(sfa, k)
-        kmap_rows = [
-            (line_id, rank, string, _log_prob(prob))
+        rows["kMAPData"] = [
+            (line_id, rank, string, math.log(prob) if prob > 0.0 else -math.inf)
             for rank, (string, prob) in enumerate(doc.strings)
         ]
         if index is not None and index.approach == "kmap":
             postings = build_kmap_postings(doc.strings, index.trie)
-    fullsfa_row = (line_id, serialize.to_bytes(sfa)) if want_fullsfa else None
-    staccato_rows = []
-    graph_row = None
-    kernel_rows = []
-    if want_fullsfa:
-        kernel_rows.append(_kernel_row(line_id, "fullsfa", compile_kernel(sfa)))
-    if want_staccato:
+    if "fullsfa" in approaches:
+        rows["CompiledKernel"].append(
+            kernel_row(line_id, "fullsfa", compile_kernel(sfa))
+        )
+    if "staccato" in approaches:
         chunked = staccato_approximate(sfa, m=m, k=k)
-        graph_row = (line_id, serialize.to_bytes(chunked))
+        rows["StaccatoGraph"] = [(line_id, serialize.to_bytes(chunked))]
         kernel = compile_kernel(chunked)
-        kernel_rows.append(_kernel_row(line_id, "staccato", kernel))
+        rows["CompiledKernel"].append(kernel_row(line_id, "staccato", kernel))
         if index is not None and index.approach == "staccato":
             # From the kernel in hand: never from a decoded blob.
             postings = build_kernel_postings(kernel, index.trie)
-        for chunk_num, (u, v) in enumerate(sorted(chunked.edges)):
-            staccato_rows.extend(
-                (line_id, chunk_num, rank, e.string, _log_prob(e.prob))
-                for rank, e in enumerate(chunked.emissions(u, v))
-            )
-    return (
-        kmap_rows,
-        fullsfa_row,
-        staccato_rows,
-        graph_row,
-        kernel_rows,
-        posting_rows(line_id, postings),
-    )
+    rows["InvertedIndex"] = posting_rows(line_id, postings)
+    return rows
 
 
-def _kernel_row(
+def kernel_row(
     line_id: int, approach: str, kernel: CompiledKernel
 ) -> tuple[int, str, int, str, bytes]:
     """One ``CompiledKernel`` insert: the SFA lowered at construction."""
     blob = serialize.kernel_to_bytes(kernel)
     return (line_id, approach, KERNEL_VERSION, blob_fingerprint(blob), blob)
-
-
-#: Insert statement per table, in write order.  Every table but
-#: ``Documents`` is keyed by DataKey in its first column.
-_INSERTS = {
-    "MasterData": "INSERT INTO MasterData (DataKey, DocName, DocId, SFANum) "
-    "VALUES (?, ?, ?, ?)",
-    "GroundTruth": "INSERT INTO GroundTruth (DataKey, Data) VALUES (?, ?)",
-    "kMAPData": "INSERT INTO kMAPData (DataKey, Rank, Data, LogProb) "
-    "VALUES (?, ?, ?, ?)",
-    "FullSFAData": "INSERT INTO FullSFAData (DataKey, SFABlob) VALUES (?, ?)",
-    "StaccatoData": "INSERT INTO StaccatoData "
-    "(DataKey, ChunkNum, Rank, Data, LogProb) VALUES (?, ?, ?, ?, ?)",
-    "StaccatoGraph": "INSERT INTO StaccatoGraph (DataKey, GraphBlob) "
-    "VALUES (?, ?)",
-    "CompiledKernel": "INSERT INTO CompiledKernel "
-    "(DataKey, Approach, Version, Fingerprint, KernelBlob) "
-    "VALUES (?, ?, ?, ?, ?)",
-    "InvertedIndex": "INSERT INTO InvertedIndex "
-    "(DataKey, Term, U, V, Rank, Offset) VALUES (?, ?, ?, ?, ?, ?)",
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,7 +175,7 @@ class BuiltBatch:
     """
 
     documents: list[tuple]
-    rows: dict[str, list[tuple]]  # table (a key of _INSERTS) -> its rows
+    rows: dict[str, list[tuple]]  # table (a key of LINE_TABLES) -> its rows
     index_key: tuple[str, str] | None = None
 
 
@@ -225,7 +193,7 @@ def build_dataset(
     touching a database (arguments as for :func:`ingest_dataset`).  With
     ``index``, the target file's dictionary, each line's postings are
     part of the build."""
-    unknown = set(approaches) - set(APPROACH_TABLES)
+    unknown = set(approaches) - set(APPROACHES)
     if unknown:
         raise ValueError(f"unknown approaches: {sorted(unknown)}")
     lines = dataset.lines()
@@ -240,9 +208,7 @@ def build_dataset(
         ocr=ocr,
         k=k,
         m=m,
-        want_kmap="kmap" in approaches or "map" in approaches,
-        want_fullsfa="fullsfa" in approaches,
-        want_staccato="staccato" in approaches,
+        approaches=approaches,
         index=index,
     )
     if workers and workers > 1:
@@ -250,22 +216,9 @@ def build_dataset(
             built = list(pool.map(build, lines, chunksize=8))
     else:
         built = [build(line) for line in lines]
-    for (
-        line_kmap,
-        fullsfa_row,
-        line_staccato,
-        graph_row,
-        line_kernels,
-        line_postings,
-    ) in built:
-        rows["InvertedIndex"].extend(line_postings)
-        rows["kMAPData"].extend(line_kmap)
-        if fullsfa_row is not None:
-            rows["FullSFAData"].append(fullsfa_row)
-        rows["StaccatoData"].extend(line_staccato)
-        if graph_row is not None:
-            rows["StaccatoGraph"].append(graph_row)
-        rows["CompiledKernel"].extend(line_kernels)
+    for line_rows in built:
+        for table, table_rows in line_rows.items():
+            rows[table].extend(table_rows)
     return BuiltBatch(
         documents=[
             (doc.doc_id, doc.name, doc.year, doc.loss)
@@ -422,14 +375,43 @@ def line_metadata(conn: sqlite3.Connection, data_key: int) -> tuple[int, int]:
     return row
 
 
-def load_fullsfa(conn: sqlite3.Connection, data_key: int) -> Sfa:
-    """Retrieve and deserialize the FullSFA blob of one line."""
-    row = conn.execute(
-        "SELECT SFABlob FROM FullSFAData WHERE DataKey = ?", (data_key,)
-    ).fetchone()
-    if row is None:
-        raise KeyError(f"no FullSFA blob for DataKey {data_key}")
-    return serialize.from_bytes(row[0])
+def load_fullsfa(
+    conn: sqlite3.Connection, data_key: int, legacy: Sequence[str] | None = None
+) -> Sfa:
+    """The FullSFA of one line, rebuilt from its stored kernel; without
+    a readable current-version row, read from the ``SFA1`` copy an older
+    file has in ``FullSFAData`` (``legacy``: the caller's probe of
+    :func:`legacy_tables`).  A row the codec rejects with no such copy
+    behind it is an ``SfaError``, not a missing line."""
+    rejected = None
+    for _, blob in load_kernel_blobs(conn, "fullsfa", [data_key]).values():
+        try:
+            return to_sfa(serialize.kernel_from_bytes(blob))
+        except SfaError as exc:
+            rejected = exc
+    if "FullSFAData" in (legacy_tables(conn) if legacy is None else legacy):
+        row = conn.execute(
+            "SELECT SFABlob FROM FullSFAData WHERE DataKey = ?", (data_key,)
+        ).fetchone()
+        if row is not None:
+            return serialize.from_bytes(row[0])
+    if rejected is not None:
+        raise SfaError(
+            f"unreadable fullsfa kernel of DataKey {data_key}, the only "
+            f"copy of that line's FullSFA: {rejected}"
+        ) from rejected
+    raise KeyError(f"no FullSFA for DataKey {data_key}")
+
+
+def legacy_tables(
+    conn: sqlite3.Connection, schema: str = "main"
+) -> tuple[str, ...]:
+    """Which of ``LEGACY_LINE_TABLES`` the file has: one ``sqlite_master``
+    probe, which a :class:`~repro.db.engine.StaccatoDB` makes as it opens."""
+    names = {
+        name for (name,) in conn.execute(f"SELECT name FROM {schema}.sqlite_master")
+    }
+    return tuple(table for table in LEGACY_LINE_TABLES if table in names)
 
 
 def load_staccato(conn: sqlite3.Connection, data_key: int) -> Sfa:
@@ -532,24 +514,20 @@ def load_ground_truth(conn: sqlite3.Connection, data_key: int) -> str:
 
 
 def approach_storage_bytes(conn: sqlite3.Connection, approach: str) -> int:
-    """Approximate storage footprint of one approach's tables (used by the
-    Table 2 / Figure 20 size reports)."""
+    """Bytes the file holds for one approach (paper Table 2, Figure 20):
+    the k-MAP rows; the ``fullsfa`` kernel blobs (and an older file's
+    ``SFA1`` copies); the ``staccato`` kernel and chunk-graph blobs."""
+    if approach not in APPROACHES:
+        raise ValueError(f"unknown approach {approach!r}")
     if approach in ("map", "kmap"):
-        row = conn.execute(
-            "SELECT COALESCE(SUM(LENGTH(Data) + 16), 0) FROM kMAPData"
-        ).fetchone()
-        return row[0]
-    if approach == "fullsfa":
-        row = conn.execute(
-            "SELECT COALESCE(SUM(LENGTH(SFABlob)), 0) FROM FullSFAData"
-        ).fetchone()
-        return row[0]
-    if approach == "staccato":
-        strings = conn.execute(
-            "SELECT COALESCE(SUM(LENGTH(Data) + 16), 0) FROM StaccatoData"
-        ).fetchone()[0]
-        graphs = conn.execute(
-            "SELECT COALESCE(SUM(LENGTH(GraphBlob)), 0) FROM StaccatoGraph"
-        ).fetchone()[0]
-        return strings + graphs
-    raise ValueError(f"unknown approach {approach!r}")
+        sums = ["SELECT SUM(LENGTH(Data) + 16) FROM kMAPData"]
+    else:
+        sums = [
+            "SELECT SUM(LENGTH(KernelBlob)) FROM CompiledKernel "
+            f"WHERE Approach = '{approach}'"
+        ]
+        if approach == "staccato":
+            sums.append("SELECT SUM(LENGTH(GraphBlob)) FROM StaccatoGraph")
+        elif "FullSFAData" in legacy_tables(conn):
+            sums.append("SELECT SUM(LENGTH(SFABlob)) FROM FullSFAData")
+    return sum(conn.execute(query).fetchone()[0] or 0 for query in sums)

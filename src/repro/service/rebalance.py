@@ -22,6 +22,9 @@ import threading
 from typing import Iterator, Mapping, Sequence
 
 from ..db import storage
+from ..db.schema import LINE_TABLES
+from ..sfa.kernel import KERNEL_VERSION, compile_kernel
+from ..sfa.serialize import from_bytes
 from .jobs import Job, JobCancelled, atomic_write_json
 from .replicas import Replica, ordered_locks
 from .validation import ApiError, validate_rebalance_params
@@ -175,43 +178,61 @@ class MoveGate:
 # ----------------------------------------------------------------------
 _SRC = "rebalance_src"
 
-#: Tables keyed by DataKey (everything but Documents and MasterData,
-#: which go first, explicitly) with their columns; every copied DataKey
-#: is offset past the target's existing keys so the merged file keeps
-#: unique line ids.  A line moves with everything stored of it: its
+#: A line moves with everything stored of it (``LINE_TABLES``): its
 #: compiled kernels too, and -- when source and target index under the
-#: same dictionary (see :func:`copy_docs`) -- its postings.
-_CHILD_TABLES = (
-    ("kMAPData", "DataKey, Rank, Data, LogProb"),
-    ("FullSFAData", "DataKey, SFABlob"),
-    ("StaccatoData", "DataKey, ChunkNum, Rank, Data, LogProb"),
-    ("StaccatoGraph", "DataKey, GraphBlob"),
-    ("CompiledKernel", "DataKey, Approach, Version, Fingerprint, KernelBlob"),
-    ("GroundTruth", "DataKey, Data"),
-    ("InvertedIndex", "Term, DataKey, U, V, Rank, Offset"),
-)
-
-_COPY_CHILDREN = {
-    table: f"INSERT INTO {table}({columns}) SELECT "
+#: same dictionary (see :func:`copy_docs`) -- its postings; every copied
+#: DataKey is offset past the target's existing keys so the merged file
+#: keeps unique line ids.
+_COPY_LINES = {
+    table: f"INSERT INTO {table}({', '.join(columns)}) SELECT "
     + ", ".join(
         "t.DataKey + :offset" if column == "DataKey" else f"t.{column}"
-        for column in columns.split(", ")
+        for column in columns
     )
     + f" FROM {_SRC}.{table} t JOIN {_SRC}.MasterData m "
     "ON m.DataKey = t.DataKey "
     "WHERE m.DocId IN (SELECT DocId FROM _rebalance_ids)"
-    for table, columns in _CHILD_TABLES
+    for table, columns in LINE_TABLES.items()
 }
 
-_DELETE_ROWS = tuple(
-    f"DELETE FROM {table} WHERE DataKey IN "
-    "(SELECT DataKey FROM MasterData WHERE DocId IN "
-    "(SELECT DocId FROM _rebalance_ids))"
-    for table, _ in _CHILD_TABLES
-) + (
-    "DELETE FROM MasterData WHERE DocId IN (SELECT DocId FROM _rebalance_ids)",
-    "DELETE FROM Documents WHERE DocId IN (SELECT DocId FROM _rebalance_ids)",
-)
+
+def _delete_rows(writer) -> None:
+    """Drop the documents of ``_rebalance_ids`` with their lines' rows in
+    every per-line table -- an older build's too, so no later line on a
+    freed DataKey is answered from them; MasterData names the keys and
+    goes last."""
+    for table in (*writer.legacy_tables, *reversed(LINE_TABLES)):
+        writer.conn.execute(
+            f"DELETE FROM {table} WHERE DataKey IN "
+            "(SELECT DataKey FROM MasterData WHERE DocId IN "
+            "(SELECT DocId FROM _rebalance_ids))"
+        )
+    writer.conn.execute(
+        "DELETE FROM Documents WHERE DocId IN (SELECT DocId FROM _rebalance_ids)"
+    )
+
+
+def _compile_legacy_fullsfa(conn, offset: int) -> None:
+    """A moved line of an older source file with a ``FullSFAData`` blob
+    but no current ``fullsfa`` kernel row gets that kernel in the
+    target: only kernels move, and the line keeps its FullSFA."""
+    blobs = conn.execute(
+        f"SELECT DataKey, SFABlob FROM {_SRC}.FullSFAData WHERE DataKey IN "
+        f"(SELECT DataKey FROM {_SRC}.MasterData WHERE DocId IN "
+        f"(SELECT DocId FROM _rebalance_ids)) AND DataKey NOT IN "
+        f"(SELECT DataKey FROM {_SRC}.CompiledKernel "
+        f"WHERE Approach = 'fullsfa' AND Version = {KERNEL_VERSION})"
+    ).fetchall()
+    conn.executemany(
+        "INSERT OR REPLACE INTO CompiledKernel "
+        f"({', '.join(LINE_TABLES['CompiledKernel'])}) VALUES (?, ?, ?, ?, ?)",
+        (
+            storage.kernel_row(
+                key + offset, "fullsfa", compile_kernel(from_bytes(blob))
+            )
+            for key, blob in blobs
+        ),
+    )
 
 
 def _load_ids(conn, doc_ids: Sequence[int]) -> None:
@@ -274,8 +295,7 @@ def copy_docs(
             # Remaining ids are either absent from the target (the
             # deletes no-op) or stale partial copies (cleared for a
             # fresh copy).
-            for statement in _DELETE_ROWS:
-                conn.execute(statement)
+            _delete_rows(writer)
             # DataKeys start at 0 on a fresh file, so the first free
             # key is MAX + 1 (not MAX): every copied key lands past
             # the target's existing range.
@@ -298,16 +318,11 @@ def copy_docs(
                 f"INSERT INTO Documents SELECT * FROM {_SRC}.Documents "
                 f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)"
             )
-            conn.execute(
-                f"INSERT INTO MasterData(DataKey, DocName, DocId, SFANum) "
-                f"SELECT DataKey + :offset, DocName, DocId, SFANum "
-                f"FROM {_SRC}.MasterData "
-                f"WHERE DocId IN (SELECT DocId FROM _rebalance_ids)",
-                {"offset": offset},
-            )
-            for table, statement in _COPY_CHILDREN.items():
+            for table, statement in _COPY_LINES.items():
                 if table != "InvertedIndex" or indexed:
                     conn.execute(statement, {"offset": offset})
+            if "FullSFAData" in storage.legacy_tables(conn, _SRC):
+                _compile_legacy_fullsfa(conn, offset)
             got_docs, got_lines = conn.execute(
                 "SELECT (SELECT COUNT(*) FROM Documents WHERE DocId IN "
                 "(SELECT DocId FROM _rebalance_ids)), "
@@ -334,11 +349,10 @@ def copy_docs(
 
 def delete_docs(replica: Replica, doc_ids: Sequence[int]) -> None:
     """Drop the moved documents from one replica (one transaction)."""
-    conn = replica.writer.conn
-    with conn:
-        _load_ids(conn, doc_ids)
-        for statement in _DELETE_ROWS:
-            conn.execute(statement)
+    writer = replica.writer
+    with writer.conn:
+        _load_ids(writer.conn, doc_ids)
+        _delete_rows(writer)
 
 
 # ----------------------------------------------------------------------

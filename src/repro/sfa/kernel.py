@@ -25,9 +25,10 @@ construction time:
   the absorbing-accept shortcut, forward for the mass injected at an
   index posting's window entry.
 
-The kernel serializes to a versioned columnar blob (``KRN2``) stored
-alongside the ``SFA1`` blobs; its content fingerprint keys the
-cross-request memo in :mod:`repro.query.memo`.
+The kernel serializes to a versioned columnar blob (``KRN2``), the
+stored record of a line under an automaton approach -- :func:`to_sfa`
+rebuilds the graph it was compiled from -- and its content fingerprint
+keys the cross-request memo in :mod:`repro.query.memo`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "KERNEL_VERSION",
     "CompiledKernel",
     "compile_kernel",
+    "to_sfa",
     "kernel_to_bytes",
     "kernel_from_bytes",
     "kernel_fingerprint",
@@ -49,7 +51,8 @@ __all__ = [
 ]
 
 #: Bump when the blob layout or the compiled program semantics change;
-#: loaders recompile from the ``SFA1`` blob on mismatch.
+#: readers ignore rows of another version (a line that still has an
+#: ``SFA1`` blob is recompiled from it).
 KERNEL_VERSION = 2
 
 _MAGIC = b"KRN2"
@@ -211,8 +214,31 @@ def compile_kernel(sfa: Sfa) -> CompiledKernel:
     )
 
 
+def to_sfa(kernel: CompiledKernel) -> Sfa:
+    """The SFA ``kernel`` was compiled from, as ``from_bytes`` returns it
+    from that SFA's ``SFA1`` blob -- nodes (edgeless ones too) in id
+    order, edges added in ``(u, v)`` order, emissions as stored -- so
+    ``to_bytes(to_sfa(compile_kernel(s))) == to_bytes(s)``.  A kernel no
+    SFA compiles to (from a damaged blob: a repeated edge, an empty
+    symbol, a probability outside [0, 1]) raises :class:`SfaError`."""
+    ids, starts = kernel.node_ids, kernel.run_starts
+    sfa = Sfa(ids[kernel.start_pos], ids[kernel.final_pos])
+    for node in sorted(ids):
+        sfa.add_node(node)
+    runs = sorted(
+        (node, ids[kernel.run_dst[run]], run)
+        for t, node in enumerate(ids)
+        for run in range(kernel.node_runs[t], kernel.node_runs[t + 1])
+    )
+    symbols, syms, probs = kernel.symbols, kernel.step_syms, kernel.step_probs
+    for u, v, run in runs:
+        steps = range(starts[run], starts[run + 1])
+        sfa.add_edge(u, v, [(symbols[syms[j]], probs[j]) for j in steps])
+    return sfa
+
+
 # ----------------------------------------------------------------------
-# Blob codec (versioned; loaders recompile on any mismatch)
+# Blob codec (versioned; readers skip rows of another version)
 #
 #   header       magic 'KRN2' | version u16 | nodes n | symbols y |
 #                steps s | runs r | start | final           (u32 each)
@@ -227,10 +253,9 @@ def compile_kernel(sfa: Sfa) -> CompiledKernel:
 #   sym_lens     u32[y]     characters (not bytes) per symbol
 #   symbols      utf-8, concatenated, to the end of the blob
 #
-# Every column is fixed-width and decoded by one bulk unpack.  KRN1's
-# per-step destination is run-length encoded here (a chunk graph has
-# ~40 runs for ~1000 steps), which more than pays for the two new
-# per-node columns.
+# Every column is fixed-width and decoded by one bulk unpack; per-step
+# destinations are run-length encoded (a chunk graph has ~40 runs for
+# ~1000 steps).
 # ----------------------------------------------------------------------
 def _columns(n: int, y: int, s: int, r: int) -> struct.Struct:
     return struct.Struct(f"<{n}q{n + 1}I{n}d{n}d{r}I{r}I{s}I{s}d{y}I")
@@ -278,8 +303,7 @@ def kernel_from_bytes(blob: bytes) -> CompiledKernel:
 
     Everything the evaluators index with is bounds-checked here, so a
     kernel that decodes can be replayed: a damaged blob is an
-    :class:`SfaError` (the engine then recompiles from ``SFA1``), never
-    an ``IndexError`` in the middle of a query.
+    :class:`SfaError`, never an ``IndexError`` in the middle of a query.
     """
     if len(blob) < _HEADER.size:
         raise SfaError("truncated kernel blob")

@@ -1,10 +1,10 @@
 """Binary (de)serialization of SFAs.
 
-The FullSFA baseline stores the entire automaton as a BLOB inside the
-RDBMS (paper Section 3, "Baseline Approaches"); Staccato stores each
-line's chunk graph as a BLOB next to the per-chunk string table (paper
-Appendix G, the ``StaccatoGraph`` table).  This module is the codec both
-use.  The format is a compact little-endian struct layout:
+``SFA1`` is the interchange format of an SFA: the BLOB Staccato stores
+of each line's chunk graph (paper Appendix G, the ``StaccatoGraph``
+table) beside its compiled kernel, what older files hold of the FullSFA
+baseline (paper Section 3), and the bytes two SFAs are compared by.  The
+format is a compact little-endian struct layout:
 
     magic 'SFA1' | n_nodes u32 | n_edges u32 | start u32 | final u32
     node ids      : n_nodes * i64
@@ -14,8 +14,8 @@ use.  The format is a compact little-endian struct layout:
 A JSON codec is provided as well for debugging and test fixtures.
 
 Compiled evaluation kernels (:mod:`repro.sfa.kernel`) have their own
-versioned ``KRN2`` blob layout, stored alongside the ``SFA1`` blobs in
-the ``CompiledKernel`` table; their codec is re-exported here so this
+versioned ``KRN2`` blob layout -- the stored record of a line, in the
+``CompiledKernel`` table; their codec is re-exported here so this
 module stays the single serialization surface of the SFA stack.
 """
 

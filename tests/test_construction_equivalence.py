@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from repro.core.approximate import staccato_approximate
 from repro.core.chunks import collapse, find_min_sfa, region_mass
+from repro.db import storage
 from repro.db.engine import StaccatoDB
 from repro.ocr.corpus import Dataset, Document, make_ca, make_db, make_lt
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.sfa import paths
-from repro.sfa.kernel import compile_kernel
+from repro.sfa.kernel import compile_kernel, to_sfa
 from repro.sfa.model import Sfa
-from repro.sfa.serialize import kernel_to_bytes, to_bytes
+from repro.sfa.serialize import kernel_from_bytes, kernel_to_bytes, to_bytes
 
 from .oracles import construction as oracle
 from .strategies import chain_sfas, dag_sfas, ocr_sfas
@@ -228,6 +229,27 @@ def test_golden_stored_kernel_fingerprints():
     finally:
         db.close()
     assert digest.hexdigest() == GOLDEN_FINGERPRINTS_SHA256
+
+
+def test_golden_corpus_kernels_rebuild_their_sfa1_bytes():
+    """The kernel is the stored record: at the production (m, k), each
+    line's ``fullsfa`` and ``staccato`` ``KRN2`` rows give back, through
+    the codec and ``to_sfa``, the ``SFA1`` bytes of the SFA they were
+    compiled from -- the OCR output, and the stored chunk graph."""
+    ocr = SimulatedOcrEngine(seed=19)
+    corpus = golden_corpus()
+    with StaccatoDB(":memory:", k=25, m=40) as db:
+        db.ingest(corpus, ocr)
+        for data_key, doc_id, line_no, text in corpus.lines():
+            recognized = ocr.recognize_line(text, line_seed=(doc_id, line_no))
+            assert to_bytes(storage.load_fullsfa(db.conn, data_key)) == to_bytes(
+                recognized
+            )
+            (graph_blob,) = db.conn.execute(
+                "SELECT GraphBlob FROM StaccatoGraph WHERE DataKey = ?", (data_key,)
+            ).fetchone()
+            _, kernel_blob = storage.load_kernel_blobs(db.conn, "staccato")[data_key]
+            assert to_bytes(to_sfa(kernel_from_bytes(kernel_blob))) == graph_blob
 
 
 # ----------------------------------------------------------------------

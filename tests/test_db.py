@@ -1,21 +1,27 @@
 """Tests for the RDBMS layer (repro.db): schema, storage, engine."""
 
-import math
+import os
 import sqlite3
 
 import pytest
 
+import repro
 from repro import counters
 from repro.db import storage
 from repro.db.engine import DEFAULT_WINDOW, StaccatoDB
 from repro.db.planner import execute_plan
-from repro.db.schema import TABLES, create_schema
+from repro.db.schema import LINE_TABLES, TABLES, create_schema
 from repro.indexing.projection import projected_match_probability
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
 from repro.query.like import compile_like
+from repro.query.memo import KernelMemo
+from repro.sfa import serialize
 from repro.sfa.kernel import KERNEL_VERSION, kernel_from_bytes
+from repro.sfa.model import SfaError
+
+from .legacy import legacy_copy
 
 
 @pytest.fixture(scope="module")
@@ -30,16 +36,66 @@ def loaded_db():
 
 
 class TestSchema:
+    """The layout guard: what a file holds is what ``schema`` declares,
+    every table of it is read by ``src/``, and a line costs what the
+    ledger says -- so a write-only table fails here, not at a re-anchor."""
+
+    #: One statement under ``src/repro`` that reads each table's payload;
+    #: reviewed when it changes.  A table nothing reads is one to delete.
+    READERS = {
+        "Documents": ("db/sql.py", "FROM Documents"),
+        "MasterData": ("db/storage.py", "SELECT DocId, SFANum FROM MasterData"),
+        "GroundTruth": ("db/engine.py", "SELECT DataKey, Data FROM GroundTruth"),
+        "kMAPData": ("db/storage.py", "SELECT Data, LogProb FROM kMAPData"),
+        "StaccatoGraph": ("db/storage.py", "SELECT GraphBlob FROM StaccatoGraph"),
+        "CompiledKernel": (
+            "db/storage.py",
+            "SELECT DataKey, Fingerprint, KernelBlob FROM CompiledKernel",
+        ),
+        "InvertedIndex": (
+            "db/engine.py",
+            "SELECT DataKey, U, V, Rank, Offset FROM InvertedIndex",
+        ),
+        "IndexTerms": ("db/engine.py", "SELECT Term FROM IndexTerms"),
+        "IndexMeta": ("db/storage.py", "SELECT Key, Value FROM {schema}.IndexMeta"),
+    }
+
     def test_tables_created(self):
         conn = sqlite3.connect(":memory:")
         create_schema(conn)
-        names = {
+        names = [
             row[0]
             for row in conn.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table'"
             )
-        }
-        assert set(TABLES) <= names
+        ]
+        assert sorted(names) == sorted(TABLES)
+        assert storage.legacy_tables(conn) == ()
+        for table, columns in LINE_TABLES.items():
+            declared = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
+            assert columns[0] == "DataKey" and sorted(columns) == sorted(declared)
+
+    def test_every_table_has_a_reader_under_src(self):
+        assert set(self.READERS) == set(TABLES)
+        root = os.path.dirname(repro.__file__)
+        for table, (module, statement) in self.READERS.items():
+            assert table in statement
+            with open(os.path.join(root, module), encoding="utf-8") as source:
+                assert statement in source.read(), (table, module)
+
+    def test_bytes_per_line_at_the_production_parameters(self, tmp_path):
+        path = str(tmp_path / "sized.db")
+        with StaccatoDB(path, k=25, m=40) as db:
+            lines = db.ingest(
+                make_ca(num_docs=3, lines_per_doc=8), SimulatedOcrEngine(seed=7)
+            )
+            assert lines == 24
+            stored = {a: db.storage_bytes(a) for a in ("kmap", "fullsfa", "staccato")}
+        per_line = os.path.getsize(path) / lines
+        assert per_line <= 90 * 1024
+        # Figure 20's order, and the approaches' blobs are most of the file.
+        assert stored["kmap"] < stored["staccato"] < stored["fullsfa"]
+        assert sum(stored.values()) > 0.8 * per_line * lines
 
     def test_idempotent(self):
         conn = sqlite3.connect(":memory:")
@@ -72,6 +128,10 @@ class TestLoaders:
     def test_fullsfa_roundtrip(self, loaded_db):
         sfa = storage.load_fullsfa(loaded_db.conn, 0)
         assert sfa.num_edges > 0
+        line = make_ca(num_docs=2, lines_per_doc=6).documents[0].lines[0]
+        engine = SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=13)
+        recognized = engine.recognize_line(line, line_seed=(0, 0))
+        assert serialize.to_bytes(sfa) == serialize.to_bytes(recognized)
 
     def test_kmap_probabilities_descend(self, loaded_db):
         strings = storage.load_kmap(loaded_db.conn, 0)
@@ -86,21 +146,6 @@ class TestLoaders:
         graph = storage.load_staccato(loaded_db.conn, 0)
         assert graph.num_edges <= 10
         assert graph.max_strings_per_edge() <= 8
-
-    def test_staccato_rows_match_graph(self, loaded_db):
-        graph = storage.load_staccato(loaded_db.conn, 0)
-        rows = loaded_db.conn.execute(
-            "SELECT ChunkNum, Rank, Data, LogProb FROM StaccatoData "
-            "WHERE DataKey = 0 ORDER BY ChunkNum, Rank"
-        ).fetchall()
-        assert len(rows) == graph.num_emissions()
-        by_chunk = {}
-        for chunk, rank, data, log_prob in rows:
-            by_chunk.setdefault(chunk, []).append((data, math.exp(log_prob)))
-        for chunk_num, (u, v) in enumerate(sorted(graph.edges)):
-            stored = by_chunk[chunk_num]
-            graph_strings = [(e.string, e.prob) for e in graph.emissions(u, v)]
-            assert [s for s, _ in stored] == [s for s, _ in graph_strings]
 
     def test_ground_truth(self, loaded_db):
         text = storage.load_ground_truth(loaded_db.conn, 3)
@@ -249,7 +294,8 @@ class TestInvertedIndexPlan:
 
 class TestStoredKernels:
     """Files written before ``KRN2`` (or with no kernel rows at all) keep
-    answering: absent and other-version rows recompile from ``SFA1``."""
+    answering: absent and other-version rows recompile from ``SFA1`` --
+    the chunk graph, and the ``FullSFAData`` copy files of that age have."""
 
     PATTERNS = [r"REGEX:Public Law (8|9)\d", "%the President%", "Public Law 8%"]
 
@@ -277,13 +323,7 @@ class TestStoredKernels:
     ]
 
     def damaged_copy(self, db, tmp_path, damage) -> str:
-        path = str(tmp_path / "old.db")
-        clone = sqlite3.connect(path)
-        db.conn.backup(clone)
-        with clone:
-            clone.execute(damage)
-        clone.close()
-        return path
+        return legacy_copy(db, str(tmp_path / "old.db"), damage)
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_old_or_missing_rows_answer_like_fresh_ones(
@@ -313,6 +353,51 @@ class TestStoredKernels:
         ) as old:
             assert old.build_index(terms) == count
             assert old.conn.execute(rows).fetchall() == fresh
+
+    UNREADABLE = (
+        "UPDATE CompiledKernel SET KernelBlob = x'4b524e31' "
+        "WHERE DataKey = 3 AND Approach = ?"
+    )
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_an_unreadable_fullsfa_kernel_raises_on_a_current_file(
+        self, loaded_db, tmp_path, memo
+    ):
+        """The kernel is the only copy of a FullSFA: a row the codec
+        rejects must fail the query, not shorten its answer.  The same
+        damage to a chunk graph's kernel recovers from ``StaccatoGraph``."""
+        path = str(tmp_path / "current.db")
+        clone = sqlite3.connect(path)
+        loaded_db.conn.backup(clone)
+        with clone:
+            clone.execute(self.UNREADABLE, ("staccato",))
+        fresh = {
+            approach: loaded_db.search("%the%", approach=approach, num_ans=None)
+            for approach in ("staccato", "fullsfa")
+        }
+        assert any(a.line_id == 3 for a in fresh["fullsfa"])
+
+        def scan(db, approach):
+            return db.search("%the%", approach=approach, num_ans=None)
+
+        def reopened():
+            options = {"kernel_memo": KernelMemo()} if memo else {}
+            return StaccatoDB(path, k=8, m=10, **options)
+
+        with reopened() as db:
+            for _ in range(2):  # with a memo, the second scan is a hit
+                assert scan(db, "staccato") == fresh["staccato"]
+                assert scan(db, "fullsfa") == fresh["fullsfa"]
+        with clone:
+            clone.execute(self.UNREADABLE, ("fullsfa",))
+        clone.close()
+        with reopened() as db:
+            for _ in range(2):  # ... and takes the scan image just built
+                with pytest.raises(SfaError, match="DataKey 3"):
+                    scan(db, "fullsfa")
+            with pytest.raises(SfaError):
+                storage.load_fullsfa(db.conn, 3)
+            assert scan(db, "staccato") == fresh["staccato"]
 
     def test_keyed_fetch_returns_only_the_asked_current_rows(self, loaded_db):
         everything = storage.load_kernel_blobs(loaded_db.conn, "staccato")

@@ -20,7 +20,7 @@ from repro.automata.trie import DictionaryTrie
 from repro.db import storage
 from repro.db.engine import StaccatoDB
 from repro.db.planner import execute_plan
-from repro.db.schema import TABLES
+from repro.db.schema import LINE_TABLES
 from repro.ocr.corpus import Dataset, make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
@@ -246,7 +246,7 @@ class TestSingleDatabase:
         db.ingest(docs(0, 1), ocr())
         db.build_index(DICTIONARY)
         with db.conn:
-            for table in set(TABLES) - {"Documents", "IndexTerms", "IndexMeta"}:
+            for table in LINE_TABLES:
                 db.conn.execute(f"DELETE FROM {table} WHERE DataKey >= 4")
         assert covered_through(db) == 7
         db.write_batch(storage.build_dataset(docs(2), ocr(), k=K, m=M))

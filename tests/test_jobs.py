@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from repro.db.schema import LINE_TABLES
 from repro.service import QueryService, start_service
 from repro.service.jobs import JobEngine, JobType
 from repro.service.shards import (
@@ -635,8 +636,7 @@ class TestRebalance:
         # What a move left behind before kernels moved with their lines.
         conn = service.pool.shard(0).writer.conn
         with conn:
-            for table in ("MasterData", "GroundTruth", "kMAPData",
-                          "FullSFAData", "StaccatoData", "StaccatoGraph"):
+            for table in set(LINE_TABLES) - {"CompiledKernel"}:
                 conn.execute(f"DELETE FROM {table} WHERE DataKey >= 2")
         service.close()
         service = ShardedQueryService(shard_dir, 2, **options)

@@ -1,10 +1,13 @@
-"""The ``KRN2`` kernel blob codec: round trip and damage.
+"""The ``KRN2`` kernel blob codec: round trip, damage, losslessness.
 
 A stored kernel is read on every query, so the decoder is the engine's
 exposure to a damaged file.  Its contract: a blob either decodes to a
 kernel the evaluators can replay, or raises :class:`SfaError` (on which
-the engine recompiles the line from its ``SFA1`` blob) -- never another
-exception, at decode time or later in the DP.
+the engine recompiles the line from its ``SFA1`` blob, if the file has
+one) -- never another exception, at decode time or later in the DP.
+
+The kernel is also the only stored copy of a FullSFA, so it must lose
+nothing ``SFA1`` records: ``to_sfa`` gives back the same bytes.
 """
 
 import struct
@@ -22,10 +25,12 @@ from repro.sfa.kernel import (
     compile_kernel,
     kernel_from_bytes,
     kernel_to_bytes,
+    to_sfa,
 )
-from repro.sfa.model import SfaError
+from repro.sfa.model import Sfa, SfaError
+from repro.sfa.serialize import from_bytes, to_bytes
 
-from .strategies import chain_sfas, chunk_sfas, dag_sfas
+from .strategies import chain_sfas, chunk_sfas, dag_sfas, ocr_sfas
 
 any_sfas = st.one_of(
     chain_sfas(max_length=5), chunk_sfas(max_chunks=4), dag_sfas(max_length=6)
@@ -96,6 +101,55 @@ class TestRoundTrip:
         kernel.symbols[0] = "naïve—線"
         decoded = kernel_from_bytes(kernel_to_bytes(kernel))
         assert decoded.symbols == kernel.symbols
+
+
+class TestToSfa:
+    """``KRN2`` is lossless: the rebuilt SFA is the one ``SFA1`` stores,
+    to the last bit of every probability and in every iteration order."""
+
+    @staticmethod
+    def assert_lossless(sfa: Sfa) -> None:
+        blob = to_bytes(sfa)
+        stored = from_bytes(blob)
+        kernel = compile_kernel(sfa)
+        for rebuilt in (
+            to_sfa(kernel),
+            to_sfa(kernel_from_bytes(kernel_to_bytes(kernel))),
+        ):
+            assert to_bytes(rebuilt) == blob
+            assert rebuilt.nodes == stored.nodes
+            assert rebuilt.edges == stored.edges
+            for node in stored.nodes:
+                assert rebuilt.succ(node) == stored.succ(node)
+                assert rebuilt.pred(node) == stored.pred(node)
+
+    @given(st.one_of(any_sfas, ocr_sfas()))
+    @settings(max_examples=150, deadline=None)
+    def test_rebuilds_the_sfa1_bytes(self, sfa):
+        self.assert_lossless(sfa)
+
+    def test_edgeless_nodes_and_unordered_ids_survive(self, figure2):
+        self.assert_lossless(figure2)
+        sfa = Sfa(start=40, final=7)
+        sfa.add_edge(40, 99, [("ab", 0.5), ("a", 0.5)])
+        sfa.add_edge(40, 7, [("x", 0.125)])
+        sfa.add_edge(99, 7, [("é", 1.0)])
+        sfa.add_node(3)  # on no path at all
+        self.assert_lossless(sfa)
+        assert to_sfa(compile_kernel(sfa)).has_node(3)
+
+    @given(any_sfas, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_damaged_kernel_is_an_sfa_error_or_an_sfa(self, sfa, data):
+        blob = bytearray(kernel_to_bytes(compile_kernel(sfa)))
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(
+            st.integers(0, 7)
+        )
+        try:
+            rebuilt = to_sfa(kernel_from_bytes(bytes(blob)))
+        except SfaError:
+            return
+        from_bytes(to_bytes(rebuilt))
 
 
 class TestDamage:

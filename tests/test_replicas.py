@@ -17,6 +17,7 @@ import pytest
 
 from repro.bench.service_load import get_json, post_json
 from repro.db.engine import StaccatoDB
+from repro.db.schema import LINE_TABLES
 from repro.ocr.corpus import make_ca
 from repro.service import QueryService, start_sharded_service
 from repro.service.replicas import (
@@ -307,11 +308,7 @@ class TestFailover:
         assert built == [(M, K)] * len(lines)  # once per line, not per replica
         copies = replicated.pool.shard(0).replicas.replicas()
         assert len(copies) == NUM_REPLICAS
-        tables = (
-            "Documents", "MasterData", "GroundTruth", "kMAPData",
-            "FullSFAData", "StaccatoData", "StaccatoGraph", "CompiledKernel",
-        )
-        for table in tables:
+        for table in ("Documents", *set(LINE_TABLES) - {"InvertedIndex"}):
             first, second = (
                 sorted(replica.writer.conn.execute(f"SELECT * FROM {table}"))
                 for replica in copies

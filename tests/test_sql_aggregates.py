@@ -111,7 +111,7 @@ class TestParallelIngest:
         serial.ingest(dataset, ocr)
         parallel = StaccatoDB(k=5, m=6)
         parallel.ingest(dataset, ocr, workers=2)
-        for table in ("kMAPData", "StaccatoData", "FullSFAData"):
+        for table in ("kMAPData", "CompiledKernel", "StaccatoGraph"):
             a = serial.conn.execute(
                 f"SELECT * FROM {table} ORDER BY DataKey"
             ).fetchall()

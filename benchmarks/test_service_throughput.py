@@ -15,10 +15,6 @@ The rebalance bench is the maintenance counterpart: a background
 ``rebalance`` job moves a DocId range between two live shards while
 the load runs; the bar is zero client-visible errors in every window
 *and* merged ranked answers byte-identical before/after the move.
-
-The backends bench compares the two serving front ends (thread-per-
-request vs asyncio + bounded executor) on the thread-pinning scenario:
-fast indexed queries while slow filescans are held in flight.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.service_load import (
-    run_backend_comparison,
     run_failover_demo,
     run_rebalance_demo,
     run_sharded_comparison,
@@ -82,10 +77,9 @@ def test_service_throughput_worker_procs(report):
     # by per-request HTTP overhead -- where the extra router-to-worker
     # hop is a constant tax.  The floor therefore only guards against
     # the worker topology *collapsing* (deadlocks, respawn storms,
-    # leaked connections); the parallel-scan win on expensive scans is
-    # what the backends bench measures.  A retry absorbs scheduler
-    # noise -- on a loaded single-core box the single-db leg swings by
-    # 2x run to run -- while the committed report shows the margin.
+    # leaked connections).  A retry absorbs scheduler noise -- on a
+    # loaded single-core box the single-db leg swings by 2x run to run
+    # -- while the committed report shows the margin.
     for attempt in range(3):
         comparison = run_sharded_comparison(
             num_shards=2,
@@ -174,50 +168,6 @@ def test_failover_kill_replica_mid_load(report):
         census["healthy"] == census["attached"]
         for census in demo.healthy_after.values()
     )
-
-
-@pytest.mark.slow
-def test_backend_thread_vs_asyncio_under_scan_load(report):
-    # The ROADMAP's thread-pinning scenario: fast indexed queries must
-    # keep flowing while slow fullsfa filescans are held in flight, on
-    # both front ends.  The headline rows are the 'scans' windows.
-    comparison = run_backend_comparison(
-        docs=4,
-        lines=3,
-        slow_inflight=4,
-        fast_requests=20,
-        fast_concurrency=4,
-        k=4,
-        m=6,
-    )
-    rows = []
-    for profile in comparison.profiles:
-        for window, result in [
-            ("alone", profile.fast_alone),
-            ("scans", profile.fast_under_scans),
-        ]:
-            rows.append(
-                [
-                    profile.backend,
-                    window,
-                    f"{result.throughput_rps:.1f}",
-                    f"{result.latency_p50_ms:.1f}",
-                    f"{result.latency_p99_ms:.1f}",
-                    result.errors,
-                ]
-            )
-    report.table(
-        "Serving backends thread vs asyncio under filescan load",
-        ["backend", "window", "req/s", "p50 ms", "p99 ms", "errors"],
-        rows,
-    )
-    assert comparison.clean, rows
-    assert {p.backend for p in comparison.profiles} == {"thread", "asyncio"}
-    for profile in comparison.profiles:
-        # The scans really overlapped the fast window: at least one was
-        # still unfinished when the last fast request returned (else
-        # the 'scans' rows measured an idle service).
-        assert profile.slow_still_inflight >= 1, profile
 
 
 @pytest.mark.slow

@@ -2,8 +2,9 @@
 
 Mirrors examples/quickstart.py for the serving path, in two acts:
 
-1. **Single database** -- start the StaccatoDB query service on an
-   ephemeral port, batch-ingest a small Congress Acts corpus through
+1. **Single database** -- start the StaccatoDB query service over one
+   file on an ephemeral port (the one-shard case of the router: every
+   reply carries ``shards == [0]``), batch-ingest a small Congress Acts corpus through
    ``POST /ingest``, build the dictionary index over the wire with
    ``POST /index``, then ask the paper's style of questions -- a LIKE
    query via ``POST /search`` (twice, to show the result cache), an
@@ -18,11 +19,6 @@ Mirrors examples/quickstart.py for the serving path, in two acts:
    canonical ``POST /jobs`` + ``GET /jobs/<id>`` loop), then a
    ``rebalance`` job moves a DocId range between the live shards and
    the merged ranking comes back unchanged.
-
-A coda re-runs the single-database health/search round-trip on the
-**asyncio front end** (``backend="asyncio"``, the ``serve --backend
-asyncio`` path) and checks the answers match the threaded backend --
-the wire contract is backend-independent.
 
 Every response is checked; any HTTP error exits non-zero, so CI can run
 this file as a smoke test of the README quickstart.
@@ -145,11 +141,15 @@ def single_database_demo(tmp: str, corpus) -> None:
              "wait": True},
         )
         print(f"POST /index -> {reply['postings']} postings over "
-              f"{reply['terms']} terms (pool reloaded: {reply['reloaded']}, "
-              f"job {reply['job_id']})\n")
+              f"{reply['terms']} terms (pool reloaded: "
+              f"{reply['shards']['0']['reloaded']}, job {reply['job_id']})\n")
 
         query = {"pattern": "%President%", "approach": "staccato", "num_ans": 5}
         reply = checked_post(running.base_url, "/search", query)
+        if reply["shards"] != [0]:
+            raise ServiceError(
+                f"a one-file service is the one-shard router, got {reply}"
+            )
         print(f"POST /search {query['pattern']!r} -> {reply['count']} answers "
               f"(plan={reply['plan']}, cached={reply['cached']}):")
         print(answer_table(reply["answers"]))
@@ -259,50 +259,12 @@ def sharded_demo(tmp: str, corpus) -> None:
     print("sharded service stopped")
 
 
-def asyncio_backend_demo(tmp: str, corpus) -> None:
-    # Same database file layout, same API -- only the front end differs:
-    # an event loop owns the connections and the blocking service calls
-    # run on a bounded executor instead of one thread per request.  To
-    # prove the wire contract is backend-independent, run the identical
-    # ingest + query on both front ends and compare the answers.
-    query = {"pattern": "%President%", "approach": "staccato", "num_ans": 5}
-    replies = {}
-    for backend in ("thread", "asyncio"):
-        running = start_service(
-            f"{tmp}/{backend}-coda.db", k=6, m=10, pool_size=2,
-            backend=backend, max_inflight=4,
-        )
-        try:
-            if backend == "asyncio":
-                print(f"\nasyncio-backend service up at {running.base_url}")
-            checked_post(running.base_url, "/ingest", batch_payload(corpus))
-            health = checked_get(running.base_url, "/health")
-            replies[backend] = checked_post(running.base_url, "/search", query)
-            if backend == "asyncio":
-                reply = replies[backend]
-                print(f"GET /health -> {health['status']}, "
-                      f"{health['lines']} lines; POST /search "
-                      f"{query['pattern']!r} -> {reply['count']} answers "
-                      f"(plan={reply['plan']})")
-                print(answer_table(reply["answers"]))
-        finally:
-            running.stop()
-    if replies["thread"]["answers"] != replies["asyncio"]["answers"]:
-        raise ServiceError(
-            "backend divergence: thread and asyncio front ends returned "
-            f"different answers for {query['pattern']!r}"
-        )
-    print("thread and asyncio backends returned identical answers")
-    print("asyncio-backend service stopped")
-
-
 def main() -> int:
     corpus = make_ca(num_docs=3, lines_per_doc=6, seed=7)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             single_database_demo(tmp, corpus)
             sharded_demo(tmp, corpus)
-            asyncio_backend_demo(tmp, corpus)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,8 @@ Two checks:
 2. **HTTP endpoints, both directions** -- every ``METHOD /path`` named
    in docs/API.md must have a handler registered in the route tables
    of ``src/repro/service/http_common.py``, the transport-independent
-   core both serving backends share (exact routes like ``POST /jobs``,
-   or prefix routes like ``GET /jobs/<id>``), **and** every route
+   HTTP core (exact routes like ``POST /jobs``, or prefix routes like
+   ``GET /jobs/<id>``), **and** every route
    those tables register must be named in docs/API.md.  Documenting an
    endpoint the server does not serve -- or shipping one the reference
    never mentions -- is exactly the drift this catches.

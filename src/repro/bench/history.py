@@ -15,7 +15,7 @@ entry last::
         "name": "service_compare",
         "created_at": "2026-08-08T12:00:00+00:00",
         "git_rev": "70dbdc6",
-        "topology": {"shards": 2, "backend": "thread"},
+        "topology": {"shards": 2, "docs": 4, "lines": 3},
         "metrics": {
           "single_throughput_rps": {
             "value": 412.0, "unit": "req/s",
@@ -139,7 +139,7 @@ def record_run(
     """Append one run to ``<history_dir>/BENCH_<name>.json``.
 
     ``metrics`` maps metric name to a :func:`metric` entry; ``topology``
-    records the knobs that shaped the run (shard count, backend, corpus
+    records the knobs that shaped the run (shard count, replicas, corpus
     size) so differently-shaped runs are never compared as equals.
     Returns the history file's path.
     """

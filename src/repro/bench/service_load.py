@@ -38,14 +38,6 @@ retried transparently on a sibling), and the after window runs with
 the replica detached and a fresh copy re-attached via ``POST
 /replicas``.
 
-A fifth *backends mode* (``--mode backends``,
-:func:`run_backend_comparison`) compares the two serving front ends on
-the thread-pinning scenario the ROADMAP names: N slow filescans held
-in flight while fast indexed queries keep arriving.  It reports each
-backend's fast-query latency profile alone and under that load.  The
-other modes also accept ``--backend`` to run their whole scenario on
-either front end.
-
 A fourth *rebalance mode* (``--mode rebalance``,
 :func:`run_rebalance_demo`) measures online shard maintenance: it
 submits a ``rebalance`` background job (``POST /jobs``) that moves a
@@ -78,15 +70,12 @@ __all__ = [
     "ShardedComparison",
     "FailoverDemo",
     "RebalanceDemo",
-    "BackendProfile",
-    "BackendComparison",
     "post_json",
     "get_json",
     "run_search_load",
     "run_sharded_comparison",
     "run_failover_demo",
     "run_rebalance_demo",
-    "run_backend_comparison",
     "main",
 ]
 
@@ -330,7 +319,6 @@ def run_sharded_comparison(
     k: int = 4,
     m: int = 6,
     range_width: int = 1,
-    backend: str = "thread",
     trace_sample: int = 0,
     worker_procs: bool = False,
 ) -> ShardedComparison:
@@ -374,16 +362,13 @@ def run_sharded_comparison(
                 m=m,
                 pool_size=2,
                 range_width=range_width,
-                backend=backend,
                 worker_procs=in_worker_procs,
             )
         )
 
     with tempfile.TemporaryDirectory() as tmp:
         single_result = measure(
-            start_service(
-                f"{tmp}/single.db", k=k, m=m, pool_size=4, backend=backend
-            )
+            start_service(f"{tmp}/single.db", k=k, m=m, pool_size=4)
         )
         sharded_result = sharded_topology("shards", False)
         workers_result = (
@@ -488,7 +473,6 @@ def run_failover_demo(
     kill_shard: int = 0,
     kill_after_s: float = 0.2,
     cooldown_s: float = 0.25,
-    backend: str = "thread",
 ) -> FailoverDemo:
     """Delete one replica file under load; measure the three windows.
 
@@ -524,7 +508,6 @@ def run_failover_demo(
             range_width=range_width,
             replicas=replicas,
             replica_cooldown_s=cooldown_s,
-            backend=backend,
         )
         try:
             _ingest_over_http(running.base_url, corpus)
@@ -726,7 +709,6 @@ def run_rebalance_demo(
     target: int = 1,
     submit_after_s: float = 0.05,
     poll_timeout_s: float = 120.0,
-    backend: str = "thread",
 ) -> RebalanceDemo:
     """Move shard ``source``'s whole DocId stripe to ``target`` mid-load.
 
@@ -760,7 +742,6 @@ def run_rebalance_demo(
             pool_size=2,
             cache_size=0,
             range_width=range_width,
-            backend=backend,
         )
         base = running.base_url
         try:
@@ -825,193 +806,6 @@ def run_rebalance_demo(
     )
 
 
-# ----------------------------------------------------------------------
-# Backends mode: thread-per-request vs asyncio+executor on the ROADMAP's
-# thread-pinning scenario -- fast indexed queries arriving while N slow
-# filescans are held in flight.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class BackendProfile:
-    """One front end's fast-query latency, alone and under scan load."""
-
-    backend: str
-    fast_alone: LoadResult
-    fast_under_scans: LoadResult
-    slow_inflight: int
-    #: Scans still unfinished the moment the fast window completed --
-    #: the proof the two loads really overlapped (0 means the scans
-    #: finished too early and the 'scans' row measured nothing).
-    slow_still_inflight: int
-    slow_window_s: float
-
-
-@dataclass(frozen=True, slots=True)
-class BackendComparison:
-    """Threaded vs asyncio profiles of one identical mixed workload."""
-
-    corpus_lines: int
-    fast_pattern: str
-    profiles: tuple[BackendProfile, ...]
-
-    @property
-    def clean(self) -> bool:
-        return all(
-            p.fast_alone.errors == 0 and p.fast_under_scans.errors == 0
-            for p in self.profiles
-        )
-
-    def report(self) -> str:
-        headers = [
-            "backend", "window", "req/s", "p50 ms", "p95 ms", "p99 ms",
-            "errors",
-        ]
-        lines = ["  ".join(f"{h:>10s}" for h in headers)]
-        for profile in self.profiles:
-            for window, result in (
-                ("alone", profile.fast_alone),
-                ("scans", profile.fast_under_scans),
-            ):
-                lines.append(
-                    "  ".join(
-                        f"{cell:>10}"
-                        for cell in (
-                            profile.backend,
-                            window,
-                            f"{result.throughput_rps:.1f}",
-                            f"{result.latency_p50_ms:.1f}",
-                            f"{result.latency_p95_ms:.1f}",
-                            f"{result.latency_p99_ms:.1f}",
-                            str(result.errors),
-                        )
-                    )
-                )
-        lines.append("")
-        for profile in self.profiles:
-            lines.append(
-                f"{profile.backend}: {profile.slow_inflight} concurrent "
-                f"filescans held the during-window open for "
-                f"{profile.slow_window_s:.2f}s "
-                f"({profile.slow_still_inflight} still in flight when the "
-                "fast window finished)"
-            )
-        lines.append(
-            "headline: 'scans' rows are fast indexed /search latency "
-            "while the filescans were in flight"
-        )
-        return "\n".join(lines)
-
-
-def run_backend_comparison(
-    docs: int = 6,
-    lines: int = 4,
-    slow_inflight: int = 6,
-    fast_requests: int = 40,
-    fast_concurrency: int = 4,
-    k: int = 4,
-    m: int = 6,
-    backends: Sequence[str] = ("thread", "asyncio"),
-) -> BackendComparison:
-    """Measure fast-query latency while slow filescans are in flight.
-
-    Per backend: seed one corpus, build the dictionary index, then (a)
-    run ``fast_requests`` indexed ``/search`` queries alone, and (b)
-    hold ``slow_inflight`` distinct ``fullsfa`` filescans open and run
-    the same fast load through the middle of them.  The result cache is
-    disabled so every fast query is a real index probe and every slow
-    query a real scan; the reader pool is sized past the total
-    concurrency so the difference measured is the front end, not pool
-    starvation.
-    """
-    from ..ocr.corpus import make_ca
-    from ..service import start_service
-
-    corpus = make_ca(num_docs=docs, lines_per_doc=lines, seed=1)
-    fast_pattern = r"REGEX:Public Law (8|9)\d"
-    profiles = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for backend in backends:
-            running = start_service(
-                f"{tmp}/{backend}.db",
-                k=k,
-                m=m,
-                pool_size=slow_inflight + fast_concurrency + 2,
-                cache_size=0,
-                backend=backend,
-                max_inflight=slow_inflight + fast_concurrency + 2,
-            )
-            try:
-                _ingest_over_http(running.base_url, corpus)
-                status, reply = post_json(
-                    running.base_url,
-                    "/index",
-                    {
-                        "terms": ["public", "law", "congress", "president"],
-                        "wait": True,
-                    },
-                )
-                if status != 200:
-                    raise RuntimeError(f"index build failed: {reply}")
-
-                def fast_load() -> LoadResult:
-                    return run_search_load(
-                        running.base_url,
-                        [fast_pattern],
-                        plan="indexed",
-                        num_ans=10,
-                        concurrency=fast_concurrency,
-                        repeats=fast_requests,
-                    )
-
-                alone = fast_load()
-                # Hold the slow filescans open: one thread per scan,
-                # each a distinct pattern (nothing cacheable), fullsfa
-                # being the most expensive representation to evaluate.
-                slow_bodies = [
-                    {
-                        "pattern": f"%unmatchable token {i}%",
-                        "approach": "fullsfa",
-                        "plan": "filescan",
-                        "num_ans": 10,
-                    }
-                    for i in range(slow_inflight)
-                ]
-                slow_started = time.perf_counter()
-                with ThreadPoolExecutor(max_workers=slow_inflight) as scans:
-                    futures = [
-                        scans.submit(
-                            post_json, running.base_url, "/search", body
-                        )
-                        for body in slow_bodies
-                    ]
-                    time.sleep(0.05)  # let the scans reach the service
-                    under = fast_load()
-                    still_inflight = sum(
-                        1 for future in futures if not future.done()
-                    )
-                    for future in futures:
-                        status, reply = future.result()
-                        if status != 200:
-                            raise RuntimeError(f"filescan failed: {reply}")
-                slow_window = time.perf_counter() - slow_started
-            finally:
-                running.stop()
-            profiles.append(
-                BackendProfile(
-                    backend=backend,
-                    fast_alone=alone,
-                    fast_under_scans=under,
-                    slow_inflight=slow_inflight,
-                    slow_still_inflight=still_inflight,
-                    slow_window_s=slow_window,
-                )
-            )
-    return BackendComparison(
-        corpus_lines=corpus.num_lines,
-        fast_pattern=fast_pattern,
-        profiles=tuple(profiles),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI for the sharded-throughput and replica-failover reports."""
     parser = argparse.ArgumentParser(
@@ -1020,23 +814,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("compare", "failover", "rebalance", "backends"),
+        choices=("compare", "failover", "rebalance"),
         default="compare",
         help="compare: single-db vs shards; failover: kill a replica "
         "mid-load; rebalance: move a DocId range between live shards "
-        "mid-load; backends: thread vs asyncio front end under "
-        "concurrent filescan load",
+        "mid-load",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "asyncio"),
-        default="thread",
-        help="serving front end for compare/failover/rebalance modes",
-    )
-    parser.add_argument("--slow-inflight", type=int, default=6,
-                        help="backends mode: filescans held in flight")
-    parser.add_argument("--fast-requests", type=int, default=40,
-                        help="backends mode: fast indexed queries per window")
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--replicas", type=int, default=2,
                         help="read replicas per shard (failover mode)")
@@ -1071,40 +854,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     bench_metrics: dict[str, dict] = {}
-    if args.mode == "backends":
-        comparison = run_backend_comparison(
-            docs=args.docs,
-            lines=args.lines,
-            slow_inflight=args.slow_inflight,
-            fast_requests=args.fast_requests,
-            k=args.k,
-            m=args.m,
-        )
-        title = (
-            f"serving backends: {comparison.corpus_lines}-line corpus, "
-            f"fast indexed '{comparison.fast_pattern}' alone vs while "
-            f"{args.slow_inflight} fullsfa filescans are in flight"
-        )
-        text = f"{title}\n{comparison.report()}\n"
-        failed = not comparison.clean
-        for profile in comparison.profiles:
-            bench_metrics.update(
-                history.load_result_metrics(
-                    profile.fast_alone, f"{profile.backend}_alone_"
-                )
-            )
-            bench_metrics.update(
-                history.load_result_metrics(
-                    profile.fast_under_scans, f"{profile.backend}_scans_"
-                )
-            )
-        topology = {
-            "docs": args.docs,
-            "lines": args.lines,
-            "slow_inflight": args.slow_inflight,
-            "fast_requests": args.fast_requests,
-        }
-    elif args.mode == "rebalance":
+    if args.mode == "rebalance":
         demo = run_rebalance_demo(
             num_shards=args.shards,
             docs=args.docs,
@@ -1113,7 +863,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             repeats=args.repeats,
             k=args.k,
             m=args.m,
-            backend=args.backend,
         )
         title = (
             f"online rebalance: {demo.corpus_lines}-line corpus, "
@@ -1133,7 +882,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         topology = {
             "shards": args.shards,
-            "backend": args.backend,
             "docs": args.docs,
             "lines": args.lines,
         }
@@ -1147,7 +895,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             repeats=args.repeats,
             k=args.k,
             m=args.m,
-            backend=args.backend,
         )
         title = (
             f"replica failover: {demo.corpus_lines}-line corpus, "
@@ -1167,7 +914,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         topology = {
             "shards": args.shards,
             "replicas": args.replicas,
-            "backend": args.backend,
             "docs": args.docs,
             "lines": args.lines,
         }
@@ -1180,7 +926,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             repeats=args.repeats,
             k=args.k,
             m=args.m,
-            backend=args.backend,
             trace_sample=args.trace_sample,
             worker_procs=args.worker_procs,
         )
@@ -1205,7 +950,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         topology = {
             "shards": args.shards,
-            "backend": args.backend,
             "docs": args.docs,
             "lines": args.lines,
             "worker_procs": args.worker_procs,

@@ -18,7 +18,6 @@ Examples::
     python -m repro serve --shards 4 --shard-dir /tmp/shards --port 8080
     python -m repro serve --shards 2 --replicas 2 --shard-dir /tmp/shards
     python -m repro serve --db /tmp/ca.db --workers 4 --warm-start
-    python -m repro serve --db /tmp/ca.db --backend asyncio --max-inflight 16
 
 ``serve`` starts the concurrent query service of :mod:`repro.service`:
 a JSON-over-HTTP server exposing ``POST /ingest`` (atomic
@@ -27,19 +26,16 @@ plans), ``POST /sql`` (the probabilistic SELECT surface), ``POST
 /index`` (dictionary-index rebuild plus pool broadcast), ``GET /stats``
 (request metrics, cache and pool counters) and ``GET /health`` --
 backed by a reader connection pool and an LRU query-result cache that
-ingestion invalidates.  With ``--shards N --shard-dir DIR`` the same
-API is served by the shard router of :mod:`repro.service.shards`:
-documents partition across N StaccatoDB files by DocId range, queries
-fan out and merge.  ``--replicas R`` keeps R read copies of every
+ingestion invalidates.  The service is the shard router of
+:mod:`repro.service.shards`: ``--db`` serves one file, ``--shards N
+--shard-dir DIR`` partitions documents across N StaccatoDB files by
+DocId range, queries fan out and merge, and the replies have one
+shape.  ``--replicas R`` keeps R read copies of every
 shard with circuit-breaker failover (``POST /replicas`` attaches or
 detaches copies at runtime).  ``--workers N`` sizes the background job
 pool (``POST /jobs``: shard ``rebalance``, ``rebuild_index``,
 ``cache_snapshot``) and ``--warm-start`` replays the last cache
-snapshot so a restart does not begin cold.  ``--backend`` picks the
-front end -- ``thread`` (one OS thread per request) or ``asyncio`` (an
-event loop dispatching onto a ``--max-inflight``-wide executor, so
-slow filescans and idle keep-alive connections do not pin threads);
-the wire contract is identical either way.  The installed console
+snapshot so a restart does not begin cold.  The installed console
 script ``staccato`` is an alias for this module's ``main``.
 """
 
@@ -184,19 +180,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.replicas < 1:
         print("error: --replicas must be >= 1", file=sys.stderr)
         return 2
-    if args.replicas > 1 and args.shards <= 0:
-        print("error: --replicas needs a sharded service (--shards)",
-              file=sys.stderr)
-        return 2
     if args.worker_procs and args.shards <= 0:
         print("error: --worker-procs needs a sharded service (--shards)",
               file=sys.stderr)
         return 2
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_inflight < 1:
-        print("error: --max-inflight must be >= 1", file=sys.stderr)
         return 2
     if args.trace_ring < 1:
         print("error: --trace-ring must be >= 1", file=sys.stderr)
@@ -207,9 +196,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.profile_hz < 0:
         print("error: --profile-hz must be >= 0", file=sys.stderr)
         return 2
-    if args.scan_procs is not None and args.scan_procs < 1:
-        print("error: --scan-procs must be >= 1", file=sys.stderr)
-        return 2
     serve_forever(
         args.db,
         host=args.host,
@@ -219,8 +205,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard_dir=args.shard_dir,
         replicas=args.replicas,
         warm_start=args.warm_start,
-        backend=args.backend,
-        max_inflight=args.max_inflight,
         worker_procs=args.worker_procs,
         k=args.k,
         m=args.m,
@@ -234,7 +218,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_log_path=args.slow_query_log,
         access_log_path=args.access_log,
         profile_hz=args.profile_hz,
-        scan_procs=args.scan_procs,
     )
     return 0
 
@@ -313,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shard-dir", default=None,
                        help="directory holding the shard-NNNN.db files")
     serve.add_argument("--replicas", type=int, default=1,
-                       help="read replicas per shard (sharded mode only)")
+                       help="read replicas per shard (or of the one --db)")
     serve.add_argument("--worker-procs", action="store_true",
                        help="run each shard in its own worker subprocess "
                             "behind the fan-out router (sharded mode only)")
@@ -322,16 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--warm-start", action="store_true",
                        help="reload the last cache_snapshot job's output "
                             "so the result cache does not start cold")
-    serve.add_argument(
-        "--backend", choices=("thread", "asyncio"), default="thread",
-        help="serving front end: one OS thread per request, or an "
-             "asyncio event loop dispatching onto a bounded executor",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=8,
-        help="asyncio backend: blocking service calls running at once "
-             "(further requests queue on the event loop, not threads)",
-    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0 picks a free one)")
@@ -370,11 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-hz", type=float, default=0.0,
         help="sampling profiler frequency in samples/second "
              "(0 disables; results at GET /profile)",
-    )
-    serve.add_argument(
-        "--scan-procs", type=int, default=None, metavar="N",
-        help="spill filescans longer than the threshold across N "
-             "processes (unset or 1: scan in-process)",
     )
     serve.set_defaults(func=_cmd_serve)
     return parser

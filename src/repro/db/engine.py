@@ -31,7 +31,6 @@ import os
 import re
 import sqlite3
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable
 
 from .. import counters
@@ -113,32 +112,6 @@ def discover_shard_paths(shard_dir: str) -> list[str]:
 #: few chunks beyond the anchor in the workloads we reproduce.
 DEFAULT_WINDOW = 24
 
-#: Filescans shorter than this stay in-process even with ``scan_procs``
-#: set: below it, per-task pickling outweighs the freed GIL time.
-DEFAULT_SCAN_SPILL_THRESHOLD = 64
-
-
-def _scan_worker(
-    args: tuple[str, int, int, str, str, list[int]]
-) -> tuple[dict[int, float], dict[str, int]]:
-    """One ``--scan-procs`` spill task: scan a key slice in a fresh process.
-
-    Opens its own connection (SQLite handles don't cross fork) and
-    returns the slice's probabilities plus the exact engine counters its
-    work produced, which the parent folds back in -- so a spilled scan
-    reports byte-identical counters to an in-process one.
-    """
-    path, k, m, pattern, approach, keys = args
-    db = StaccatoDB(path, k=k, m=m)
-    try:
-        query = compile_like(pattern)
-        with counters.collect() as counts:
-            probs = db._scan_probabilities(pattern, query, approach, keys)
-        return probs, dict(counts)
-    finally:
-        db.close()
-
-
 class StaccatoDB:
     """Probabilistic OCR data management on top of SQLite."""
 
@@ -151,8 +124,6 @@ class StaccatoDB:
         check_same_thread: bool = True,
         timeout: float = 30.0,
         kernel_memo: KernelMemo | None = None,
-        scan_procs: int | None = None,
-        scan_spill_threshold: int = DEFAULT_SCAN_SPILL_THRESHOLD,
     ) -> None:
         self.path = path
         self.conn = sqlite3.connect(
@@ -165,9 +136,6 @@ class StaccatoDB:
         #: Cross-request memo, shared across a pool's connections so any
         #: reader benefits from any other reader's evaluations.
         self.kernel_memo = kernel_memo
-        self.scan_procs = scan_procs
-        self.scan_spill_threshold = scan_spill_threshold
-        self._scan_pool: ProcessPoolExecutor | None = None
         #: False until this handle's first committed write has dropped
         #: kernel rows of lines that no longer exist (files an earlier
         #: rebalance left them in; see ``storage.drop_orphan_kernels``).
@@ -179,9 +147,6 @@ class StaccatoDB:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the underlying SQLite connection."""
-        if self._scan_pool is not None:
-            self._scan_pool.shutdown(wait=False, cancel_futures=True)
-            self._scan_pool = None
         self.conn.close()
 
     def __enter__(self) -> "StaccatoDB":
@@ -577,39 +542,6 @@ class StaccatoDB:
             )
         return answers
 
-    def _spilled_scan(
-        self, pattern: str, approach: str, keys: list[int]
-    ) -> dict[int, float]:
-        """Route a long filescan through the process pool (``--scan-procs``).
-
-        Keys are split into contiguous slices, one per process; each
-        worker opens its own connection, scans its slice and ships back
-        (probabilities, counters).  Folding the counters here keeps the
-        parent's totals exactly equal to an in-process scan.
-        """
-        procs = self.scan_procs or 1
-        if self._scan_pool is None:
-            self._scan_pool = ProcessPoolExecutor(max_workers=procs)
-        step = (len(keys) + procs - 1) // procs
-        slices = [
-            keys[i : i + step] for i in range(0, len(keys), step)
-        ]
-        futures = [
-            self._scan_pool.submit(
-                _scan_worker,
-                (self.path, self.k, self.m, pattern, approach, part),
-            )
-            for part in slices
-            if part
-        ]
-        probs: dict[int, float] = {}
-        for future in futures:
-            part_probs, part_counts = future.result()
-            probs.update(part_probs)
-            if part_counts:
-                counters.add(**part_counts)
-        return probs
-
     def search(
         self,
         like: str,
@@ -624,29 +556,16 @@ class StaccatoDB:
             if data_keys is not None
             else storage.all_data_keys(self.conn)
         )
-        spill = (
-            self.scan_procs is not None
-            and self.scan_procs > 1
-            and len(keys) >= self.scan_spill_threshold
-            and self.path != ":memory:"
-        )
         with _span(
-            "engine_scan",
-            approach=approach,
-            spilled=spill,
-            image="none",
-            image_lines=0,
+            "engine_scan", approach=approach, image="none", image_lines=0
         ) as scan:
             # Collect the DP work done by this scan so the span can carry
             # exact per-request counters; collect() re-folds them into the
             # process aggregate on exit, so /metrics still sees everything.
             with counters.collect() as counts:
-                if spill:
-                    probs = self._spilled_scan(like, approach, keys)
-                else:
-                    probs = self._scan_probabilities(
-                        like, query, approach, keys, scan=scan
-                    )
+                probs = self._scan_probabilities(
+                    like, query, approach, keys, scan=scan
+                )
                 answers = self._answers(keys, probs)
                 counters.add(
                     lines_scanned=len(keys), lines_matched=len(answers)

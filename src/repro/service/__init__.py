@@ -3,18 +3,11 @@
 The paper stores OCR transducer approximations in an RDBMS so
 applications can query them like any other relation; this subsystem is
 the serving tier that promise implies -- a stdlib-only HTTP server (no
-dependencies beyond the standard library) in front of one StaccatoDB
-file, or a shard router over many (see :mod:`repro.service.shards`).
-Two interchangeable front ends speak the same wire contract (routing,
-framing and payloads live in :mod:`repro.service.http_common`): the
-default thread-per-request backend (``http.server``) and an asyncio
-event-loop backend (:mod:`repro.service.aio`) that runs blocking
-service calls on a bounded executor, so idle keep-alive connections
-and queued slow filescans cost coroutines, not threads.  Start it
-with::
+dependencies beyond the standard library) in front of one service core:
+the shard router of :mod:`repro.service.shards`, over one StaccatoDB
+file or over many.  Start it with::
 
     python -m repro serve --db /tmp/ca.db --port 8080
-    python -m repro serve --db /tmp/ca.db --backend asyncio --max-inflight 16
     python -m repro serve --shards 4 --shard-dir /tmp/shards --port 8080
 
 or in-process (tests, examples)::
@@ -63,14 +56,14 @@ HTTP API (all bodies and responses are JSON):
     the reader pool(s).  Body: ``{"terms": ["public",
     "law", ...], "approach": "staccato"}``.
 
-On a sharded service (``serve --shards N``) ``/search``/``/sql`` fan
-out over all shards (or a ``"shards": [0, 2]`` scope) and merge the
-ranked relations; ``/ingest`` routes documents to their owning shard by
-DocId range.  With ``--replicas R`` each shard keeps R read copies
-(writes re-apply to every copy in lockstep): reads round-robin over the
-healthy replicas, a failing replica trips a circuit breaker and its
-query retries transparently on a sibling, and ``POST /replicas``
-attaches/detaches copies at runtime.  See :mod:`repro.service.shards`,
+``/search``/``/sql`` fan out over all shards (or a ``"shards": [0, 2]``
+scope) and merge the ranked relations; ``/ingest`` routes documents to
+their owning shard by DocId range; ``serve --db`` is the one-shard case
+and answers in the same shape.  With ``--replicas R`` each shard keeps
+R read copies (writes re-apply to every copy in lockstep): reads
+round-robin over the healthy replicas, a failing replica trips a circuit
+breaker and its query retries transparently on a sibling, and ``POST
+/replicas`` attaches/detaches copies at runtime.  See :mod:`repro.service.shards`,
 :mod:`repro.service.replicas` and ``docs/API.md``.
 
 ``POST /jobs`` / ``GET /jobs`` / ``GET /jobs/<id>`` / ``DELETE
@@ -85,17 +78,16 @@ attaches/detaches copies at runtime.  See :mod:`repro.service.shards`,
 Errors come back as ``{"error": {"code": ..., "message": ...}}`` with
 a 4xx/5xx status.
 
-Architecture: reads fan out over a :class:`~repro.service.pool.
+Architecture: per shard, reads go through a :class:`~repro.service.pool.
 ConnectionPool` of ``check_same_thread=False`` SQLite connections (one
-lock per connection); writes serialize through a single writer
+lock per connection) and writes serialize through a single writer
 connection in WAL mode; identical queries are served from a
 thread-safe LRU :class:`~repro.service.cache.QueryCache` keyed on
-``(db, pattern, approach, plan, num_ans)``; and a
+``(scope, generations, pattern, approach, plan, num_ans)``; and a
 :class:`~repro.service.metrics.ServiceMetrics` registry feeds
 ``/stats``.
 """
 
-from .app import QueryService
 from .cache import QueryCache
 from .jobs import Job, JobCancelled, JobEngine, JobType
 from .metrics import ServiceMetrics
@@ -107,9 +99,7 @@ from .replicas import (
     ordered_locks,
     replica_path,
 )
-from .aio import AsyncHTTPServer
 from .server import (
-    BACKENDS,
     RunningService,
     build_server,
     serve_forever,
@@ -117,6 +107,7 @@ from .server import (
     start_sharded_service,
 )
 from .shards import (
+    QueryService,
     RoutingTable,
     ShardedPool,
     ShardedQueryService,
@@ -146,8 +137,6 @@ __all__ = [
     "ConnectionPool",
     "PoolClosed",
     "ApiError",
-    "AsyncHTTPServer",
-    "BACKENDS",
     "RunningService",
     "build_server",
     "serve_forever",

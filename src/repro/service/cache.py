@@ -115,7 +115,7 @@ class QueryCache:
     def invalidate_where(self, predicate) -> int:
         """Drop only the entries whose key satisfies ``predicate``.
 
-        The sharded service keys entries with the shard scope they were
+        The router keys entries with the shard scope they were
         computed over, so an ingest routed to one shard evicts only the
         results that depended on it; returns the number dropped.  Each
         dropped entry counts toward ``invalidations`` -- counting 1 per

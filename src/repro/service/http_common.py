@@ -1,9 +1,7 @@
 """The transport-independent core of the HTTP layer.
 
-Both serving front ends -- the thread-per-request backend in
-:mod:`repro.service.server` and the event-loop backend in
-:mod:`repro.service.aio` -- speak the same JSON API over the same
-routes.  Everything that defines that wire contract lives here, once:
+Everything that defines the wire contract of the JSON API lives here,
+once:
 
 * the route tables (exact paths and ``/jobs/<id>``-style prefixes);
 * request-target splitting (the query string is not part of the route);
@@ -15,10 +13,8 @@ routes.  Everything that defines that wire contract lives here, once:
   mapped to structured error bodies;
 * metrics observation and response encoding.
 
-A backend owns only the transport: socket accept/read/write, timeouts,
-and where the blocking service call runs (the request thread, or a
-bounded executor behind an event loop).  Responses are byte-identical
-across backends because every payload is produced here.
+The front end (:mod:`repro.service.server`) owns only the transport:
+socket accept/read/write and timeouts.
 """
 
 from __future__ import annotations
@@ -133,14 +129,11 @@ class TextPayload:
 
 @dataclass(slots=True)
 class HttpResponse:
-    """A fully rendered response, ready for either transport to write."""
+    """A fully rendered response, ready for the transport to write."""
 
     status: int
     body: bytes
     headers: list[tuple[str, str]] = field(default_factory=list)
-    #: The transport must not reuse the connection (framing is, or may
-    #: be, desynchronized -- e.g. a request body was left unread).
-    close: bool = False
 
 
 def split_path(target: str) -> str:
@@ -179,10 +172,9 @@ def not_found(path: str) -> ApiError:
 def method_not_allowed(method: str) -> ApiError:
     """The JSON 405 for PUT/PATCH/HEAD/anything else.
 
-    Without this, the thread backend would fall through to
-    ``http.server``'s default HTML 501 page, breaking the JSON-only
-    contract.  Transports add ``Allow: DELETE, GET, POST`` whenever
-    they write a 405 (see :func:`respond`).
+    Without this, the request would fall through to ``http.server``'s
+    default HTML 501 page, breaking the JSON-only contract.
+    :func:`respond` adds ``Allow: DELETE, GET, POST`` to every 405.
     """
     return ApiError(
         405,
@@ -209,7 +201,7 @@ def resolve(
     routes a *specific service instance* serves beyond the public
     contract -- the shard worker processes of
     :mod:`repro.service.workers` expose their internal ``/worker/*``
-    RPC surface this way (transports read it off
+    RPC surface this way (the handler reads it off
     ``service.EXTRA_ROUTES``).  Keeping these out of the module-level
     tables keeps the public wire contract -- and the docs that are
     checked against it -- unchanged.
@@ -389,7 +381,6 @@ def respond(
     status: int,
     payload: dict,
     started: float,
-    close: bool = False,
 ) -> HttpResponse:
     """Time the request into the metrics registry, render the body, and
     -- when the request is being traced -- close out its span tree
@@ -416,4 +407,4 @@ def respond(
         tracer.finish_request(root, status=status)
         if root.trace_id:
             headers.append((trace.TRACE_HEADER, root.trace_id))
-    return HttpResponse(status=status, body=body, headers=headers, close=close)
+    return HttpResponse(status=status, body=body, headers=headers)

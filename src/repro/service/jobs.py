@@ -2,8 +2,8 @@
 
 Everything expensive the service does today -- index rebuilds, shard
 maintenance -- runs inline on an HTTP handler thread, pinning it for the
-duration.  This module gives both service flavours a place to run
-long-lived work instead:
+duration.  This module gives the service a place to run long-lived
+work instead:
 
 * a fixed pool of **worker threads** (``serve --workers N``) consuming a
   FIFO queue of :class:`Job` records;
@@ -15,8 +15,9 @@ long-lived work instead:
   :meth:`Job.check_cancelled` checkpoint, unwinds (jobs undo partial
   work -- see the rebalance phases in :mod:`repro.service.shards`), and
   lands in ``cancelled``;
-* a **JSON sidecar journal** next to the database
-  (``<db>.jobs.json`` / ``<shard_dir>/jobs.json``) rewritten atomically
+* a **JSON sidecar journal** next to the data
+  (``<shard_dir>/jobs.json``; ``<db>.jobs.json`` beside a one-file
+  service's database) rewritten atomically
   on every state transition, so jobs survive restarts: a job that was
   queued or running when the process died is *reported* on the next
   start, and re-queued automatically when its type is idempotent
@@ -28,9 +29,9 @@ long-lived work instead:
   cold cache (it would clobber the previous good snapshot).
 
 The engine is service-agnostic: a job type's runner is looked up as the
-``job_<type>`` method of the owning service (so ``rebalance`` only
-exists on the sharded service), or supplied directly when registering a
-custom :class:`JobType` (tests do this to exercise crash paths).
+``job_<type>`` method of the owning service, or supplied directly when
+registering a custom :class:`JobType` (tests do this to exercise crash
+paths).
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class JobType:
 
 
 #: The shipped job types.  ``rebalance`` moves a DocId range between two
-#: live shards (sharded service only); ``rebuild_index`` is the
+#: live shards; ``rebuild_index`` is the
 #: ``POST /index`` work rehomed off the request thread;
 #: ``cache_snapshot`` serializes the query cache for warm starts.
 #: ``cache_snapshot`` is deliberately NOT restart-resumed even though
@@ -553,12 +554,11 @@ class JobEngine:
 
 
 class JobsApi:
-    """The ``/jobs`` endpoint surface, shared by both service flavours.
+    """The ``/jobs`` endpoint surface of the service.
 
     The concrete service supplies ``self.jobs`` (a :class:`JobEngine`),
-    a ``validate_job_params(type, params)`` hook (where ``rebalance``
-    is refused on the single-database service) and the ``job_<type>``
-    runner methods.
+    extends ``validate_job_params(type, params)`` for its own job types
+    and defines the ``job_<type>`` runner methods.
     """
 
     jobs: JobEngine
@@ -631,13 +631,12 @@ class JobsApi:
     def validate_job_params(
         self, job_type: str, params: Mapping[str, Any]
     ) -> dict[str, Any]:
-        """Submit-time validation shared by both services.
+        """Submit-time validation.
 
         ``rebuild_index`` re-uses the ``/index`` validator so a bad
         payload is a 400 at submission, not a failed job later;
-        ``cache_snapshot`` takes no parameters.  Subclasses extend this
-        (the sharded service validates ``rebalance``; the single
-        service refuses it).
+        ``cache_snapshot`` takes no parameters.  The router extends this
+        with ``rebalance``.
         """
         if job_type == "rebuild_index":
             validate_index(params)

@@ -148,7 +148,6 @@ class LocalLeg:
         index_approach: str = "staccato",
         num_replicas: int = 1,
         cooldown_s: float = DEFAULT_COOLDOWN_S,
-        scan_procs: int | None = None,
     ) -> None:
         self.index = index
         self.path = path
@@ -170,7 +169,6 @@ class LocalLeg:
             index_approach=index_approach,
             cooldown_s=cooldown_s,
             kernel_memo=self.kernel_memo,
-            scan_procs=scan_procs,
         )
 
     @staticmethod

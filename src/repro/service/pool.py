@@ -10,15 +10,14 @@ connections are removed from the free list *and* hold their per
 connection lock until released, so no two threads ever interleave on the
 same cursor.
 
-Writes never go through the pool -- the service keeps one dedicated
-writer connection behind a write lock (see :mod:`repro.service.app`);
-pooled readers run in SQLite autocommit mode and therefore observe each
-committed batch immediately.
+Writes never go through the pool -- each replica keeps one dedicated
+writer connection, used under its shard's write lock (see
+:mod:`repro.service.replicas`); pooled readers run in SQLite autocommit
+mode and therefore observe each committed batch immediately.
 
-A replicated shard keeps one pool per replica file (see
-:mod:`repro.service.replicas`); the ``label`` tells the pools apart in
-``/stats`` (``shard-0/r1``), and ``stats`` reports the backing ``path``
-so a replica's occupancy is attributable to its file.
+A shard keeps one pool per replica file; the ``label`` tells the pools
+apart in ``/stats`` (``shard-0/r1``), and ``stats`` reports the backing
+``path`` so a replica's occupancy is attributable to its file.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class ConnectionPool:
         index_approach: str = "staccato",
         label: str | None = None,
         kernel_memo: KernelMemo | None = None,
-        scan_procs: int | None = None,
     ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
@@ -79,7 +77,6 @@ class ConnectionPool:
                     m=m,
                     check_same_thread=False,
                     kernel_memo=kernel_memo,
-                    scan_procs=scan_procs,
                 )
             )
             for _ in range(size)

@@ -202,7 +202,6 @@ class Replica:
         cooldown_s: float,
         clock: Callable[[], float],
         kernel_memo: KernelMemo | None = None,
-        scan_procs: int | None = None,
     ) -> None:
         self.shard_index = shard_index
         self.replica_index = replica_index
@@ -227,7 +226,6 @@ class Replica:
             index_approach=index_approach,
             label=f"shard-{shard_index}/r{replica_index}",
             kernel_memo=kernel_memo,
-            scan_procs=scan_procs,
         )
         self.breaker = CircuitBreaker(cooldown_s=cooldown_s, clock=clock)
         #: A stale replica missed a write that committed on a sibling;
@@ -285,7 +283,6 @@ class ReplicaSet:
         cooldown_s: float = DEFAULT_COOLDOWN_S,
         clock: Callable[[], float] = time.monotonic,
         kernel_memo: KernelMemo | None = None,
-        scan_procs: int | None = None,
     ) -> None:
         if count < 1:
             raise ValueError("a shard needs at least one replica")
@@ -298,7 +295,6 @@ class ReplicaSet:
         self._cooldown_s = cooldown_s
         self._clock = clock
         self._kernel_memo = kernel_memo
-        self._scan_procs = scan_procs
         self._lock = threading.Lock()
         self._rr = 0
         self._next_index = count
@@ -375,7 +371,6 @@ class ReplicaSet:
             self._cooldown_s,
             self._clock,
             kernel_memo=self._kernel_memo,
-            scan_procs=self._scan_procs,
         )
 
     def _clone(self, source: Replica, replica_index: int) -> Replica:

@@ -1,14 +1,10 @@
-"""The threaded HTTP front end, plus backend-agnostic server lifecycle.
+"""The HTTP front end and the server lifecycle.
 
-The thread-per-request backend: a thin shim over the stdlib
-``ThreadingHTTPServer`` (one daemonic thread per request).  Routing,
-JSON framing and response rendering live in the shared
-:mod:`repro.service.http_common` core, so this handler and the asyncio
-front end of :mod:`repro.service.aio` produce byte-identical payloads;
-only the transport differs.
+A thin shim over the stdlib ``ThreadingHTTPServer`` (one daemonic thread
+per request).  Routing, JSON framing and response rendering live in
+:mod:`repro.service.http_common`; this module owns the transport.
 
-Two entry points drive either backend (``backend="thread"`` or
-``"asyncio"``):
+Two entry points:
 
 * :func:`start_service` / :func:`start_sharded_service` -- start in a
   background thread on an ephemeral port, returning a
@@ -27,8 +23,6 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import trace
-from .aio import DEFAULT_MAX_INFLIGHT, AsyncHTTPServer
-from .app import QueryService
 from .http_common import (
     MAX_BODY_BYTES,  # noqa: F401  (re-exported; the historical home)
     UNTRACED_ENDPOINTS,
@@ -43,11 +37,10 @@ from .http_common import (
     split_query,
     unread_body,
 )
-from .shards import ShardedQueryService
+from .shards import QueryService, ShardedQueryService
 from .validation import ApiError
 
 __all__ = [
-    "BACKENDS",
     "build_server",
     "start_service",
     "start_sharded_service",
@@ -55,12 +48,9 @@ __all__ = [
     "RunningService",
 ]
 
-#: The serving front ends ``serve --backend`` can pick.
-BACKENDS = ("thread", "asyncio")
-
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the owning server's QueryService."""
+    """Routes HTTP requests onto the owning server's service."""
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
@@ -198,7 +188,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the QueryService for its handlers."""
+    """ThreadingHTTPServer carrying the service for its handlers."""
 
     daemon_threads = True
     #: The socketserver default backlog of 5 drops SYNs under a burst of
@@ -208,7 +198,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        service: QueryService | ShardedQueryService,
+        service: ShardedQueryService,
         verbose: bool = False,
     ) -> None:
         super().__init__(address, ServiceRequestHandler)
@@ -217,27 +207,21 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 
 def build_server(
-    service: QueryService | ShardedQueryService,
+    service: ShardedQueryService,
     host: str = "127.0.0.1",
     port: int = 0,
     verbose: bool = False,
 ) -> ServiceHTTPServer:
-    """Bind (but do not run) the threaded server; port 0 picks one free."""
+    """Bind (but do not run) the server; port 0 picks one free."""
     return ServiceHTTPServer((host, port), service, verbose=verbose)
 
 
 @dataclass
 class RunningService:
-    """A service running in a background thread, with clean shutdown.
+    """A service running in a background thread, with clean shutdown."""
 
-    ``server`` is either a :class:`ServiceHTTPServer` (thread backend)
-    or an :class:`~repro.service.aio.AsyncHTTPServer` (asyncio
-    backend); both expose ``server_address``, ``shutdown()`` and
-    ``server_close()``.
-    """
-
-    service: QueryService | ShardedQueryService
-    server: ServiceHTTPServer | AsyncHTTPServer
+    service: ShardedQueryService
+    server: ServiceHTTPServer
     thread: threading.Thread
 
     @property
@@ -263,27 +247,9 @@ class RunningService:
         self.stop()
 
 
-def _check_backend(backend: str) -> None:
-    """Reject a bad backend name *before* any service is constructed --
-    the error path must not leak an open connection pool."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-
-
 def _start_in_thread(
-    service: QueryService | ShardedQueryService,
-    host: str,
-    port: int,
-    backend: str = "thread",
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
+    service: ShardedQueryService, host: str, port: int
 ) -> RunningService:
-    _check_backend(backend)
-    if backend == "asyncio":
-        aio = AsyncHTTPServer(
-            service, host=host, port=port, max_inflight=max_inflight
-        )
-        thread = aio.start()
-        return RunningService(service=service, server=aio, thread=thread)
     server = build_server(service, host=host, port=port)
     thread = threading.Thread(
         target=server.serve_forever, name="staccato-service", daemon=True
@@ -296,19 +262,10 @@ def start_service(
     db_path: str,
     host: str = "127.0.0.1",
     port: int = 0,
-    backend: str = "thread",
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
     **service_kwargs,
 ) -> RunningService:
-    """Start a query service in a daemon thread; returns its handle."""
-    _check_backend(backend)
-    return _start_in_thread(
-        QueryService(db_path, **service_kwargs),
-        host,
-        port,
-        backend=backend,
-        max_inflight=max_inflight,
-    )
+    """Start a service over one database file in a daemon thread."""
+    return _start_in_thread(QueryService(db_path, **service_kwargs), host, port)
 
 
 def _shard_router(worker_procs: bool) -> type[ShardedQueryService]:
@@ -326,8 +283,6 @@ def start_sharded_service(
     num_shards: int,
     host: str = "127.0.0.1",
     port: int = 0,
-    backend: str = "thread",
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
     worker_procs: bool = False,
     **service_kwargs,
 ) -> RunningService:
@@ -337,14 +292,9 @@ def start_sharded_service(
     :mod:`repro.service.workers`) behind the same router and the same
     wire contract.
     """
-    _check_backend(backend)
     router = _shard_router(worker_procs)
     return _start_in_thread(
-        router(shard_dir, num_shards, **service_kwargs),
-        host,
-        port,
-        backend=backend,
-        max_inflight=max_inflight,
+        router(shard_dir, num_shards, **service_kwargs), host, port
     )
 
 
@@ -357,32 +307,26 @@ def serve_forever(
     shard_dir: str | None = None,
     replicas: int = 1,
     warm_start: bool = False,
-    backend: str = "thread",
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
     worker_procs: bool = False,
     **service_kwargs,
 ) -> None:
     """Run the service in the foreground until interrupted (CLI path).
 
-    Pass ``db_path`` for the single-database service, or ``shards`` and
-    ``shard_dir`` for the shard router of :mod:`repro.service.shards`
-    (optionally with ``replicas`` read copies per shard).
-    ``worker_procs`` promotes each shard to a worker subprocess (see
-    :mod:`repro.service.workers`) behind the same router.
-    ``warm_start`` replays the last ``cache_snapshot`` job's output so
-    the restarted service does not begin with a cold result cache.
-    ``backend`` picks the front end: ``"thread"`` (one OS thread per
-    request) or ``"asyncio"`` (event loop + a ``max_inflight``-wide
-    executor for the blocking service calls).
+    Pass ``db_path`` to serve one database file, or ``shards`` and
+    ``shard_dir`` for a shard layout; either way the service is the
+    router of :mod:`repro.service.shards`, with ``replicas`` read copies
+    per shard.  ``worker_procs`` promotes each shard of a layout to a
+    worker subprocess (see :mod:`repro.service.workers`) behind the same
+    router.  ``warm_start`` replays the last ``cache_snapshot`` job's
+    output so the restarted service does not begin with a cold result
+    cache.
     """
-    _check_backend(backend)
     if worker_procs and shards <= 0:
         raise ValueError("--worker-procs needs a sharded service (--shards)")
     if shards > 0:
         if shard_dir is None:
             raise ValueError("sharded serving needs --shard-dir")
-        router = _shard_router(worker_procs)
-        service: QueryService | ShardedQueryService = router(
+        service = _shard_router(worker_procs)(
             shard_dir, shards, replicas=replicas, **service_kwargs
         )
         target = f"shards={shards} dir={shard_dir} replicas={replicas}"
@@ -391,26 +335,16 @@ def serve_forever(
     else:
         if db_path is None:
             raise ValueError("serving needs --db (or --shards/--shard-dir)")
-        if replicas > 1:
-            raise ValueError("replicas need a sharded service (--shards)")
-        service = QueryService(db_path, **service_kwargs)
-        target = f"db={db_path}"
+        service = QueryService(db_path, replicas=replicas, **service_kwargs)
+        target = f"db={db_path} replicas={replicas}"
     if warm_start:
         loaded = service.warm_start()
         print(f"warm start: {loaded} cached result(s) restored")
-    if backend == "asyncio":
-        server: ServiceHTTPServer | AsyncHTTPServer = AsyncHTTPServer(
-            service, host=host, port=port,
-            max_inflight=max_inflight, verbose=verbose,
-        )
-        loop_thread = server.start()
-    else:
-        server = build_server(service, host=host, port=port, verbose=verbose)
-        loop_thread = None
+    server = build_server(service, host=host, port=port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
     print(
         f"staccato service listening on http://{bound_host}:{bound_port} "
-        f"({target}, backend={backend})"
+        f"({target})"
     )
     print("endpoints: " + ", ".join(known_endpoints()))
     # SIGTERM must take the same graceful path as Ctrl-C: the finally
@@ -423,14 +357,9 @@ def serve_forever(
     with contextlib.suppress(ValueError):  # signal needs the main thread
         signal.signal(signal.SIGTERM, _graceful_term)
     try:
-        if loop_thread is not None:
-            loop_thread.join()
-        else:
-            server.serve_forever()
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        if loop_thread is not None:
-            server.shutdown()
         server.server_close()
         service.close()

@@ -1,11 +1,13 @@
-"""Sharded serving: one router over many StaccatoDB shards.
+"""The service core: one router over N StaccatoDB shards, N >= 1.
 
 One SQLite file stops scaling long before an OCR corpus does, so the
-service can run over N shards, each a complete StaccatoDB file holding a
+service runs over N shards, each a complete StaccatoDB file holding a
 disjoint subset of the documents.  The paper's answer is a ranked
 relation cut at ``NumAns``, evaluated line by line with no cross-line
 state, so partitioning by DocId is semantically invisible: every
-topology is "top-``NumAns`` merge of per-shard rankings".
+topology is "top-``NumAns`` merge of per-shard rankings" -- and
+``serve --db`` is the N = 1 case (:class:`QueryService`: the same router
+over that one file, its sidecars beside it), not a second service.
 
 :class:`ShardedQueryService` is that router, written once against the
 :class:`~repro.service.legs.ShardLeg` seam -- the only code that knows
@@ -40,10 +42,6 @@ see :mod:`repro.service.legs` and :mod:`repro.service.workers`):
   shards, :func:`merge_ranked` de-duplicates by (DocId, LineNo) and
   ``/sql`` switches to a full-row plan whose aggregates the router
   recomputes, so answers stay exact through every phase.
-
-:class:`ShardedQueryService` duck-types :class:`~repro.service.app.
-QueryService` (same endpoint methods, same metrics registry), so the
-HTTP layer in :mod:`repro.service.server` serves either unchanged.
 """
 
 from __future__ import annotations
@@ -93,6 +91,7 @@ __all__ = [
     "RoutingTable",
     "ShardedPool",
     "ShardedQueryService",
+    "QueryService",
 ]
 
 #: DocIds per contiguous routing range.  Ranges stripe across shards
@@ -103,10 +102,10 @@ DEFAULT_RANGE_WIDTH = 64
 #: In-flight placement entries retained (see ``_placements``).
 _PLACEMENTS_CAP = 65536
 
-#: Where the shard router persists its routing overrides.
+#: Sidecar files (see :meth:`ShardedQueryService.sidecar`): the routing
+#: overrides, the job journal and the warm-start snapshot (the pending
+#: moves are named by :mod:`repro.service.rebalance`).
 ROUTING_FILE = "routing.json"
-
-#: Sidecar files of the jobs subsystem inside the shard directory.
 JOBS_JOURNAL_FILE = "jobs.json"
 CACHE_SNAPSHOT_FILE = "cache-snapshot.json"
 
@@ -209,7 +208,7 @@ class RoutingTable:
 
     @classmethod
     def load(
-        cls, shard_dir: str, num_shards: int, range_width: int
+        cls, path: str, num_shards: int, range_width: int
     ) -> "RoutingTable":
         """The persisted table of a previous run, or a fresh striped one.
 
@@ -218,7 +217,6 @@ class RoutingTable:
         the new geometry, and plain striping plus owner-probing keeps
         every existing document readable.
         """
-        path = os.path.join(shard_dir, ROUTING_FILE)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -235,11 +233,9 @@ class RoutingTable:
             pass
         return cls(num_shards, range_width)
 
-    def save(self, shard_dir: str) -> None:
+    def save(self, path: str) -> None:
         try:
-            atomic_write_json(
-                os.path.join(shard_dir, ROUTING_FILE), self.to_json()
-            )
+            atomic_write_json(path, self.to_json())
         except OSError:
             pass  # persistence is best-effort; the live table is in memory
 
@@ -316,6 +312,11 @@ class ShardedPool:
     def shard(self, index: int) -> ShardLeg:
         return self.shards[index]
 
+    def acquire(self, shard: int = 0):
+        """Check out a pooled reader of one in-process shard: the very
+        connections (and kernel memo) its leg serves requests from."""
+        return self.shards[shard].pool.acquire()
+
     # ------------------------------------------------------------------
     def generations(self, scope: Sequence[int]) -> tuple[int, ...]:
         """Snapshot of the scoped shards' generation counters."""
@@ -370,15 +371,12 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         access_log_path: str | None = None,
         profile_hz: float = 0.0,
         paths: Sequence[str] | None = None,
-        scan_procs: int | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("a sharded service needs at least one shard")
         if replicas < 1:
             raise ValueError("each shard needs at least one replica")
-        os.makedirs(shard_dir, exist_ok=True)
-        #: Also where the sidecars live: routing table, job journal,
-        #: cache snapshot, pending moves.
+        #: Also where the sidecars live (see :meth:`sidecar`).
         self.shard_dir = shard_dir
         self.num_shards = num_shards
         self.range_width = range_width
@@ -394,6 +392,8 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             raise ValueError(
                 f"got {len(self.paths)} shard paths for {num_shards} shards"
             )
+        if not self._one_file:
+            os.makedirs(shard_dir, exist_ok=True)
         self.cache = QueryCache(cache_size)
         self.metrics = ServiceMetrics()
         self.tracer = Tracer(
@@ -412,7 +412,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 index_approach=index_approach,
                 num_replicas=replicas,
                 cooldown_s=replica_cooldown_s,
-                scan_procs=scan_procs,
             )
         except Exception:
             self.tracer.close()
@@ -448,9 +447,11 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         # Ownership: one immutable table, swapped whole under the lock
         # (readers take ``self.routing`` by reference -- atomic publish).
         self._routing_lock = threading.Lock()
-        self._routing = RoutingTable.load(shard_dir, num_shards, range_width)
+        self._routing = RoutingTable.load(
+            self.sidecar(ROUTING_FILE), num_shards, range_width
+        )
         self.move_gate = rebalance.MoveGate(
-            os.path.join(shard_dir, rebalance.PENDING_MOVES_FILE)
+            self.sidecar(rebalance.PENDING_MOVES_FILE)
         )
         #: Test hook: called between the copy and the swap of a
         #: rebalance (None = no-op), so cancellation mid-move is
@@ -458,12 +459,27 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         self._rebalance_after_copy: Callable[[Job], None] | None = None
         self.jobs = JobEngine(
             self,
-            os.path.join(shard_dir, JOBS_JOURNAL_FILE),
+            self.sidecar(JOBS_JOURNAL_FILE),
             workers=workers,
             metrics=self.metrics,
             tracer=self.tracer,
         )
         self.profiler.start()
+
+    @property
+    def _one_file(self) -> bool:
+        """A service over one database names that file as its
+        ``shard_dir`` (:class:`QueryService`): nothing is created next
+        to it and its sidecars carry its name."""
+        return self.paths == [self.shard_dir]
+
+    def sidecar(self, name: str) -> str:
+        """Where this service keeps the sidecar ``name``: inside the
+        shard directory, or beside a one-file service's database as
+        ``<db>.<name>`` (``<db>.jobs.json``)."""
+        if self._one_file:
+            return f"{self.shard_dir}.{name}"
+        return os.path.join(self.shard_dir, name)
 
     def _open_legs(self, **storage) -> list[ShardLeg]:
         """One leg per shard path -- the topology's single decision."""
@@ -497,7 +513,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         """Atomically swap the routing table and persist the overrides."""
         with self._routing_lock:
             self._routing = table
-            table.save(self.shard_dir)
+            table.save(self.sidecar(ROUTING_FILE))
 
     def forget_placements(self, doc_ids: Iterable[int]) -> None:
         """Drop in-flight placements a rebalance just made obsolete."""
@@ -1042,7 +1058,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
     @property
     def snapshot_path(self) -> str:
         """The warm-start sidecar the ``cache_snapshot`` job writes."""
-        return os.path.join(self.shard_dir, CACHE_SNAPSHOT_FILE)
+        return self.sidecar(CACHE_SNAPSHOT_FILE)
 
     def _lines_and_index(self, index: int) -> tuple[int, object]:
         return self.call_leg(index, "stats", lambda leg: leg.lines_and_index())
@@ -1258,3 +1274,22 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             **census,
             "uptime_s": self.metrics.uptime_s,
         }
+
+
+class QueryService(ShardedQueryService):
+    """``serve --db``: the router over one database file.
+
+    A constructor and nothing else -- every endpoint, job and sidecar
+    rule is the router's, so a reply has the router's shape (``shards``
+    is ``[0]``).
+    """
+
+    def __init__(self, path: str, pool_size: int = 4, **options) -> None:
+        if path == ":memory:":
+            raise ValueError(
+                "the service needs a database file shared across "
+                "connections; ':memory:' databases are per-connection"
+            )
+        super().__init__(
+            path, 1, pool_size=pool_size, paths=[path], **options
+        )

@@ -395,7 +395,7 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# The HTTP surface, mixed into both service flavours
+# The HTTP surface, mixed into the router and the worker service
 # ----------------------------------------------------------------------
 def _query_flag(query: Mapping[str, str], key: str) -> bool | None:
     raw = query.get(key)
@@ -448,9 +448,10 @@ def _query_int(
 class ObservabilityApi:
     """``GET /traces``, ``GET /traces/<id>`` and ``GET /metrics``.
 
-    Mixed into both :class:`~repro.service.app.QueryService` and
-    :class:`~repro.service.shards.ShardedQueryService`; relies only on
-    their ``tracer`` and ``metrics`` attributes and ``kernel_memos``.
+    Mixed into :class:`~repro.service.shards.ShardedQueryService` and
+    the per-shard :class:`~repro.service.workers.ShardWorkerService`;
+    relies only on their ``tracer`` and ``metrics`` attributes and
+    ``kernel_memos``.
     """
 
     tracer: Tracer

@@ -13,6 +13,7 @@ scraping messages.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -49,7 +50,7 @@ INGEST_APPROACHES = ("map", "kmap", "fullsfa", "staccato")
 #: Representations the dictionary index may cover (paper Section 4).
 INDEX_APPROACHES = ("kmap", "staccato")
 
-#: How a sharded service assigns ingested documents to shards.
+#: How the router assigns ingested documents to shards.
 ROUTES = ("range", "round_robin")
 
 #: What ``POST /replicas`` can do to one shard's replica set.
@@ -181,12 +182,20 @@ def _optional_int(
     return value
 
 
-def _optional_shards(payload: Mapping[str, Any]) -> tuple[int, ...] | None:
-    """The optional ``shards`` scope: a list of shard indices, or None.
+def _stored_int(
+    payload: Mapping[str, Any], key: str, default: int | None
+) -> int | None:
+    """An integer bound for an SQLite INTEGER column: past 64 bits the
+    driver raises ``OverflowError`` mid-transaction, so refuse it here."""
+    value = _optional_int(payload, key, default)
+    if value is not None and not -(2**63) <= value < 2**63:
+        raise ApiError(400, f"{key!r} must fit a signed 64-bit integer")
+    return value
 
-    Only a sharded service honours the scope; the single-database service
-    rejects a scoped request with ``not_sharded``.
-    """
+
+def _optional_shards(payload: Mapping[str, Any]) -> tuple[int, ...] | None:
+    """The optional ``shards`` scope: a list of shard indices, or None
+    (range-checked by the router, which knows how many shards it has)."""
     value = payload.get("shards")
     if value is None:
         return None
@@ -264,9 +273,8 @@ def validate_job_submit(payload: Any) -> JobSubmitRequest:
     """``POST /jobs`` body -> JobSubmitRequest.
 
     Membership of ``type`` in the registry -- and the shape of
-    ``params`` -- are the owning service's call (``rebalance`` only
-    exists on the sharded service), so only the envelope is checked
-    here.
+    ``params`` -- are the owning service's call, so only the envelope
+    is checked here.
     """
     body = _mapping(payload)
     job_type = _required_str(body, "type")
@@ -282,7 +290,7 @@ def validate_job_submit(payload: Any) -> JobSubmitRequest:
 def validate_rebalance_params(
     params: Mapping[str, Any], num_shards: int
 ) -> RebalanceParams:
-    """``rebalance`` job params -> RebalanceParams (sharded service)."""
+    """``rebalance`` job params -> RebalanceParams."""
     body = _mapping(params)
     doc_lo = _optional_int(body, "doc_lo", default=None, minimum=0)
     doc_hi = _optional_int(body, "doc_hi", default=None, minimum=0)
@@ -326,7 +334,7 @@ def validate_ingest(payload: Any) -> IngestRequest:
     seen_ids: set[int] = set()
     for position, raw in enumerate(raw_docs):
         doc = _mapping(raw)
-        doc_id = _optional_int(doc, "doc_id", default=None)
+        doc_id = _stored_int(doc, "doc_id", default=None)
         if doc_id is None:
             raise ApiError(400, f"documents[{position}] needs an integer 'doc_id'")
         if doc_id in seen_ids:
@@ -345,6 +353,17 @@ def validate_ingest(payload: Any) -> IngestRequest:
         loss = doc.get("loss", 0.0)
         if isinstance(loss, bool) or not isinstance(loss, (int, float)):
             raise ApiError(400, f"documents[{position}].loss must be a number")
+        # json.loads accepts NaN and reads 1e400 as inf; the relation
+        # can hold neither (NaN is stored as NULL, inf is served back as
+        # the non-JSON token Infinity), and a huge int does not convert.
+        try:
+            loss = float(loss)
+        except OverflowError:
+            loss = math.inf
+        if not math.isfinite(loss):
+            raise ApiError(
+                400, f"documents[{position}].loss must be a finite number"
+            )
         doc_name = doc.get("name", f"doc-{doc_id}")
         if not isinstance(doc_name, str):
             raise ApiError(400, f"documents[{position}].name must be a string")
@@ -352,8 +371,8 @@ def validate_ingest(payload: Any) -> IngestRequest:
             Document(
                 doc_id=doc_id,
                 name=doc_name,
-                year=_optional_int(doc, "year", default=0) or 0,
-                loss=float(loss),
+                year=_stored_int(doc, "year", default=0) or 0,
+                loss=loss,
                 lines=tuple(lines),
             )
         )

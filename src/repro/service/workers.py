@@ -202,7 +202,7 @@ class ShardWorkerService(ObservabilityApi):
     """
 
     #: The private RPC surface the router's ``WorkerLeg`` drives
-    #: (transports read this off the service instance; the public route
+    #: (the handler reads this off the service instance; the public route
     #: tables are untouched, and public routes this process does not
     #: implement answer 404).
     EXTRA_ROUTES = _WORKER_ROUTES
@@ -365,7 +365,6 @@ def run_worker(args: argparse.Namespace) -> int:
         pool_size=args.pool_size,
         index_approach=args.index_approach,
         cooldown_s=args.replica_cooldown,
-        scan_procs=args.scan_procs,
     )
     server = WorkerHTTPServer((args.host, args.port), service)
     stop = threading.Event()
@@ -434,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-trace", action="store_true")
     parser.add_argument("--profile-hz", type=float, default=0.0)
-    parser.add_argument("--scan-procs", type=int, default=None)
     return parser
 
 
@@ -1149,8 +1147,7 @@ class WorkerRouterService(ShardedQueryService):
         super().__init__(shard_dir, num_shards, **router_options)
 
     def _open_legs(
-        self, k, m, pool_size, index_approach, num_replicas, cooldown_s,
-        scan_procs,
+        self, k, m, pool_size, index_approach, num_replicas, cooldown_s
     ) -> list[WorkerLeg]:
         if self.paths != shard_paths(self.shard_dir, self.num_shards):
             raise ValueError(
@@ -1168,8 +1165,6 @@ class WorkerRouterService(ShardedQueryService):
         ]
         if not self.tracer.enabled:
             spawn_flags.append("--no-trace")
-        if scan_procs is not None:
-            spawn_flags.extend(["--scan-procs", str(scan_procs)])
         self._workers = WorkerPool(
             self.shard_dir,
             self.num_shards,

@@ -303,11 +303,12 @@ class TestRoutingTable:
 
     def test_save_load_round_trip(self, tmp_path):
         table = RoutingTable(2, range_width=3).with_move(0, 2, 1)
-        table.save(str(tmp_path))
-        loaded = RoutingTable.load(str(tmp_path), 2, 3)
+        path = str(tmp_path / ROUTING_FILE)
+        table.save(path)
+        loaded = RoutingTable.load(path, 2, 3)
         assert loaded.overrides == table.overrides
         # A different geometry ignores the stale sidecar.
-        other = RoutingTable.load(str(tmp_path), 4, 3)
+        other = RoutingTable.load(path, 4, 3)
         assert other.overrides == ()
 
     def test_overlapping_overrides_rejected(self):
@@ -381,7 +382,8 @@ class TestJobsHttp:
             {"type": "rebalance",
              "params": {"doc_lo": 0, "doc_hi": 1, "source": 0, "target": 1}},
         )
-        assert status == 400 and body["error"]["code"] == "not_sharded"
+        # A one-file service is the 1-shard router: there is no shard 1.
+        assert status == 400 and body["error"]["code"] == "unknown_shard"
         status, body = get_json(running.base_url, "/jobs/missing")
         assert status == 404 and body["error"]["code"] == "unknown_job"
         request = urllib.request.Request(
@@ -437,7 +439,7 @@ class TestRebalance:
         assert all(a["shard"] == 1 for a in after["answers"])
         # The routing table survived to disk for the next process.
         persisted = json.loads(
-            open(os.path.join(cluster.shard_dir, ROUTING_FILE)).read()
+            open(cluster.sidecar(ROUTING_FILE)).read()
         )
         assert persisted["overrides"] == [[0, 1, 1]]
 
@@ -712,6 +714,11 @@ class TestWarmStart:
         assert row["state"] == "succeeded"
         assert row["result"]["entries"] >= 1
         service.close()
+        # Sidecars sit beside the file, as files, under its name.
+        assert row["result"]["path"] == f"{path}.cache-snapshot.json"
+        assert sorted(os.listdir(tmp_path)) == [
+            "warm.db", "warm.db.cache-snapshot.json", "warm.db.jobs.json",
+        ]
 
         revived = QueryService(path, k=4, m=6, pool_size=2)
         try:

@@ -4,9 +4,8 @@ The batched scan must report exactly the counters a per-line scan
 would have: ``dp_cells``/``dp_transitions`` are the same DP executed
 in a different order, and ``lines_scanned``/``lines_matched`` are
 scan facts independent of batching.  That parity must hold through
-every execution topology -- the in-process scan, the ``scan_procs``
-process spill, and the subprocess-worker router -- and through the
-cross-request kernel memo (hits replay the memoized probability
+every execution topology -- the in-process scan and the
+subprocess-worker router -- and through the cross-request kernel memo (hits replay the memoized probability
 without re-reporting DP work, so a memo-warm scan shows zero cells).
 """
 
@@ -22,8 +21,7 @@ from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
 from repro.query.memo import KernelMemo
-from repro.service.app import QueryService
-from repro.service.server import start_sharded_service
+from repro.service import QueryService, start_sharded_service
 
 from .test_service import _batch_payload, K, M
 
@@ -119,31 +117,10 @@ class TestMemoCounters:
     def test_service_stats_expose_memo_block(self, tmp_path):
         service = QueryService(str(tmp_path / "ca.db"), k=K, m=M, pool_size=2)
         try:
-            block = service.stats()["kernel_memo"]
+            block = service.stats()["shards"][0]["kernel_memo"]
             assert {"size", "hits", "misses", "generation"} <= set(block)
         finally:
             service.close()
-
-
-class TestScanProcsParity:
-    def test_spilled_scan_matches_in_process(self, tmp_path):
-        """The process-pool spill changes nothing but wall-clock."""
-        path = str(tmp_path / "ca.db")
-        db = StaccatoDB(path, k=8, m=10)
-        _ingest(db)
-        expected, expected_counts = _scan(db, "staccato")
-        db.close()
-        spill_db = StaccatoDB(
-            path, k=8, m=10, scan_procs=3, scan_spill_threshold=4
-        )
-        try:
-            spilled, spilled_counts = _scan(spill_db, "staccato")
-            # The spill condition really engaged (pool was created).
-            assert spill_db._scan_pool is not None
-            assert spilled == expected
-            assert spilled_counts == expected_counts
-        finally:
-            spill_db.close()
 
 
 class TestWorkerTopologyParity:

@@ -25,7 +25,6 @@ import pytest
 from repro.bench.service_load import get_json, post_json, run_search_load
 from repro.ocr.corpus import make_ca
 from repro.service import (
-    BACKENDS,
     ServiceMetrics,
     start_service,
     start_sharded_service,
@@ -292,14 +291,13 @@ class TestPrometheusRender:
 
 
 # ----------------------------------------------------------------------
-# Live servers: both front ends must expose the same tracing surface.
+# A live server: the tracing surface over the wire.  (The one-value
+# ``thread`` parameter keeps the test ids the tier-1 floor tracks.)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=list(BACKENDS))
-def live(request, tmp_path_factory):
+@pytest.fixture(scope="module", params=["thread"])
+def live(tmp_path_factory):
     db_path = str(tmp_path_factory.mktemp("obs") / "ca.db")
-    running = start_service(
-        db_path, k=K, m=M, pool_size=3, cache_size=64, backend=request.param
-    )
+    running = start_service(db_path, k=K, m=M, pool_size=3, cache_size=64)
     corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
     status, _ = post_json(running.base_url, "/ingest", _batch_payload(corpus))
     assert status == 200
@@ -479,9 +477,8 @@ class TestTracingDisabled:
 # for by its children.
 # ----------------------------------------------------------------------
 class TestShardedAcceptanceTrace:
-    @pytest.mark.parametrize("backend", list(BACKENDS))
-    def test_failover_span_tree(self, tmp_path, backend):
-        shard_dir = str(tmp_path / f"shards-{backend}")
+    def test_failover_span_tree(self, tmp_path):
+        shard_dir = str(tmp_path / "shards")
         running = start_sharded_service(
             shard_dir,
             2,
@@ -490,7 +487,6 @@ class TestShardedAcceptanceTrace:
             replicas=2,
             range_width=1,
             cache_size=0,
-            backend=backend,
         )
         try:
             corpus = make_ca(num_docs=4, lines_per_doc=3, seed=1)

@@ -32,7 +32,6 @@ from repro.bench.fig10 import run_fig10
 from repro.bench.service_load import LoadResult, get_json, post_json
 from repro.ocr.corpus import make_ca
 from repro.service import (
-    BACKENDS,
     start_service,
     start_sharded_service,
 )
@@ -113,10 +112,11 @@ class TestCounterPrimitives:
 
 
 # ----------------------------------------------------------------------
-# Live single-database servers (both front ends, profiler on)
+# A live one-file server, profiler on.  (The one-value ``thread``
+# parameter keeps the test ids the tier-1 floor tracks.)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=list(BACKENDS))
-def live(request, tmp_path_factory):
+@pytest.fixture(scope="module", params=["thread"])
+def live(tmp_path_factory):
     db_path = str(tmp_path_factory.mktemp("perf") / "ca.db")
     running = start_service(
         db_path,
@@ -124,7 +124,6 @@ def live(request, tmp_path_factory):
         m=M,
         pool_size=3,
         cache_size=64,
-        backend=request.param,
         profile_hz=50.0,
     )
     corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
@@ -205,7 +204,7 @@ class TestEngineCountersOverHttp:
 
 
 # ----------------------------------------------------------------------
-# GET /traces parameter validation (both backends via the live fixture)
+# GET /traces parameter validation (over the wire via the live fixture)
 # ----------------------------------------------------------------------
 class TestTracesValidation:
     @pytest.mark.parametrize(

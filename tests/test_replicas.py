@@ -4,7 +4,8 @@ The acceptance bar: with 2 shards x 2 replicas, killing one replica's
 file mid-query must be invisible to clients (the retry serves from a
 sibling), ``POST /replicas`` must attach/detach copies at runtime, and
 the replicated topology must answer exactly like a single database
-over the same corpus.
+over the same corpus -- a plain ``StaccatoDB`` handle, code the router
+does not run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import pytest
 from repro.bench.service_load import get_json, post_json
 from repro.db.engine import StaccatoDB
 from repro.db.schema import LINE_TABLES
+from repro.db.sql import execute_select
 from repro.ocr.corpus import make_ca
+from repro.ocr.engine import SimulatedOcrEngine
 from repro.service import QueryService, start_sharded_service
 from repro.service.replicas import (
     CircuitBreaker,
@@ -141,10 +144,9 @@ def corpus():
 def single(tmp_path_factory, corpus):
     """The ground truth: one database over the whole corpus."""
     db_path = str(tmp_path_factory.mktemp("single") / "ca.db")
-    service = QueryService(db_path, k=K, m=M, pool_size=2)
-    service.ingest(_batch_payload(corpus))
-    yield service
-    service.close()
+    with StaccatoDB(db_path, k=K, m=M) as db:
+        db.ingest(corpus, SimulatedOcrEngine(seed=0))
+        yield db
 
 
 @pytest.fixture
@@ -208,25 +210,42 @@ class TestReplicaSync:
             assert all(count > 0 for count in served)
 
 
+def _kill_a_replica_and_keep_serving(service) -> None:
+    victim = service.pool.shard(0).replicas.replicas()[1]
+    before = service.search({"pattern": "%annual%", "num_ans": 50})
+    os.remove(victim.path)
+    for _ in range(8):
+        after = service.search({"pattern": "%annual%", "num_ans": 50})
+        assert after["count"] == before["count"]
+    assert victim.breaker.state == "open"
+    assert "FileNotFoundError" in victim.breaker.last_error
+    # The survivor absorbed the load; no request-level error counted,
+    # and the vanished file was caught before any evaluation started.
+    snapshot = service.metrics.snapshot()
+    assert snapshot["total_errors"] == 0
+    attempted_errors = sum(
+        endpoints.get("search", {}).get("errors", 0)
+        for endpoints in snapshot["replicas"]["0"].values()
+    )
+    assert attempted_errors == 0
+
+
 class TestFailover:
     def test_killed_replica_file_fails_over_silently(self, replicated):
-        victim = replicated.pool.shard(0).replicas.replicas()[1]
-        before = replicated.search({"pattern": "%annual%", "num_ans": 50})
-        os.remove(victim.path)
-        for _ in range(8):
-            after = replicated.search({"pattern": "%annual%", "num_ans": 50})
-            assert after["count"] == before["count"]
-        assert victim.breaker.state == "open"
-        assert "FileNotFoundError" in victim.breaker.last_error
-        # The survivor absorbed the load; no request-level error counted,
-        # and the vanished file was caught before any evaluation started.
-        snapshot = replicated.metrics.snapshot()
-        assert snapshot["total_errors"] == 0
-        attempted_errors = sum(
-            endpoints.get("search", {}).get("errors", 0)
-            for endpoints in snapshot["replicas"]["0"].values()
-        )
-        assert attempted_errors == 0
+        _kill_a_replica_and_keep_serving(replicated)
+
+    def test_killed_replica_of_a_one_file_service_fails_over_silently(
+        self, tmp_path, corpus
+    ):
+        # ``serve --db x.db --replicas 2``: the copy lands beside the file.
+        path = str(tmp_path / "one.db")
+        with QueryService(
+            path, k=K, m=M, cache_size=0, replicas=2,
+            replica_cooldown_s=COOLDOWN,
+        ) as service:
+            service.ingest(_batch_payload(corpus))
+            assert os.path.exists(replica_path(path, 1))
+            _kill_a_replica_and_keep_serving(service)
 
     def test_replica_error_mid_query_retries_on_sibling(self, replicated):
         shard = replicated.pool.shard(0)
@@ -396,8 +415,7 @@ def cluster(tmp_path_factory, corpus):
 
 def _rows(answers) -> list[tuple[int, int, float]]:
     return [
-        (a["doc_id"], a["line_no"], pytest.approx(a["probability"]))
-        for a in answers
+        (a.doc_id, a.line_no, pytest.approx(a.probability)) for a in answers
     ]
 
 
@@ -405,22 +423,22 @@ class TestReplicatedEquivalence:
     @pytest.mark.parametrize("pattern", ["%Congress%", "%Law%", "%President%"])
     def test_search_matches_single_db(self, single, cluster, pattern):
         query = {"pattern": pattern, "approach": "staccato", "num_ans": 20}
-        expected = single.search(query)
+        expected = single.search(pattern, approach="staccato", num_ans=20)
         status, body = post_json(cluster.base_url, "/search", query)
         assert status == 200
-        assert body["count"] == expected["count"]
-        assert _rows(expected["answers"]) == [
+        assert body["count"] == len(expected)
+        assert _rows(expected) == [
             (a["doc_id"], a["line_no"], a["probability"])
             for a in body["answers"]
         ]
 
     def test_sql_matches_single_db(self, single, cluster):
         sql = "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'"
-        expected = single.sql({"query": sql})
+        expected = execute_select(single, sql)
         status, body = post_json(cluster.base_url, "/sql", {"query": sql})
         assert status == 200
-        assert body["count"] == expected["count"]
-        for got, want in zip(body["rows"], expected["rows"]):
+        assert body["count"] == len(expected)
+        for got, want in zip(body["rows"], expected):
             assert got["DocId"] == want["DocId"]
             assert got["Probability"] == pytest.approx(want["Probability"])
 
@@ -515,13 +533,14 @@ class TestLiveFailover:
             assert excinfo.value.status == 409
             assert excinfo.value.code == "last_replica"
 
-    def test_single_service_rejects_replicas_endpoint(self, tmp_path):
-        from repro.service.validation import ApiError
-
-        with QueryService(str(tmp_path / "one.db"), k=K, m=M) as service:
-            with pytest.raises(ApiError) as excinfo:
-                service.replicas({"action": "attach", "shard": 0})
-            assert excinfo.value.code == "not_sharded"
+    def test_one_file_service_attaches_a_replica_beside_the_file(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "one.db")
+        with QueryService(path, k=K, m=M) as service:
+            reply = service.replicas({"action": "attach", "shard": 0})
+            assert reply["path"] == replica_path(path, 1)
+            assert len(reply["replicas"]) == 2
 
     def test_stats_expose_per_replica_health_and_latency(self, cluster):
         post_json(cluster.base_url, "/search", {"pattern": "%Law%"})

@@ -29,7 +29,7 @@ from repro.ocr.engine import SimulatedOcrEngine
 from repro.query import memo as memo_module
 from repro.query.eval_kernel import HAVE_NUMPY, KernelBatch, KernelEvaluator
 from repro.query.memo import KernelMemo
-from repro.service.app import QueryService
+from repro.service import QueryService
 from repro.service.trace import Span, attach
 from repro.sfa.kernel import compile_kernel, kernel_from_bytes
 
@@ -497,7 +497,7 @@ class TestObservability:
         try:
             for pattern in PATTERNS[:3]:
                 service.search({"pattern": pattern})
-            block = service.stats()["kernel_memo"]["scan_image"]
+            block = service.stats()["shards"][0]["kernel_memo"]["scan_image"]
             assert block == {
                 APPROACH: {
                     "lines": 12,
@@ -575,7 +575,8 @@ def test_distinct_patterns_beside_ingests(path):
                     (row["line_id"], row["probability"])
                     for row in reply["answers"]
                 ] == [(a.line_id, a.probability) for a in expected], pattern
-        stats = service.stats()["kernel_memo"]["scan_image"][APPROACH]
+        (shard,) = service.stats()["shards"]
+        stats = shard["kernel_memo"]["scan_image"][APPROACH]
         assert stats["lines"] == 18
         # One build per table state a scan saw, plus racing builders.
         assert 1 <= stats["builds"] <= 4 + 3 * 4

@@ -1,13 +1,12 @@
 """Tests for the query service (repro.service).
 
-Unit tests cover the cache, metrics, pool and the shared HTTP core in
-isolation; the integration tests run a live server on an ephemeral
-port -- parameterized over **both** serving front ends (the threaded
-``http.server`` backend and the asyncio backend of
-:mod:`repro.service.aio`) -- and exercise ingest -> search -> sql
-round-trips over real HTTP, including cache hit/miss behaviour,
-invalidation on ingest, concurrent clients, malformed-request handling
-and cross-backend response equivalence.
+Unit tests cover the cache, metrics, pool and the HTTP core in
+isolation; the integration tests run a live one-file service on an
+ephemeral port and exercise ingest -> search -> sql round-trips over
+real HTTP, including cache hit/miss behaviour, invalidation on ingest,
+concurrent clients and malformed-request handling.  The last class pins
+that ``--db`` is the one-shard case of the router: the same transcript
+against ``start_service(db)`` and ``start_sharded_service(dir, 1)``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import http.client
 import json
 import socket
 import threading
-import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,13 +25,13 @@ from repro.db.engine import StaccatoDB
 from repro.db.sql import execute_select
 from repro.ocr.corpus import make_ca
 from repro.service import (
-    BACKENDS,
     ConnectionPool,
     PoolClosed,
     QueryCache,
     QueryService,
     ServiceMetrics,
     start_service,
+    start_sharded_service,
 )
 from repro.service import http_common
 from repro.service.metrics import percentile
@@ -205,18 +203,14 @@ def _batch_payload(corpus) -> dict:
     }
 
 
-@pytest.fixture(scope="module", params=list(BACKENDS))
-def live(request, tmp_path_factory):
-    """A running service with one small CA batch already ingested.
-
-    Parameterized over both serving front ends, so every HTTP
-    round-trip below is proof that the two backends honour the same
-    wire contract.
-    """
+# The one-value ``thread`` parameter keeps the ids these tests had while
+# there were two front ends (``test_health[thread]``): the tier-1 floor
+# tracks tests by id.
+@pytest.fixture(scope="module", params=["thread"])
+def live(tmp_path_factory):
+    """A running service with one small CA batch already ingested."""
     db_path = str(tmp_path_factory.mktemp("service") / "ca.db")
-    running = start_service(
-        db_path, k=K, m=M, pool_size=3, cache_size=64, backend=request.param
-    )
+    running = start_service(db_path, k=K, m=M, pool_size=3, cache_size=64)
     corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
     status, reply = post_json(running.base_url, "/ingest", _batch_payload(corpus))
     assert status == 200 and reply["ingested_lines"] == 6
@@ -239,7 +233,7 @@ class TestEndpoints:
             {"pattern": pattern, "approach": "staccato", "num_ans": 20},
         )
         assert status == 200 and body["plan"] == "filescan"
-        with StaccatoDB(live.service.path, k=K, m=M) as db:
+        with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
             expected = db.search(pattern, approach="staccato", num_ans=20)
         assert [a["line_id"] for a in body["answers"]] == [
             e.line_id for e in expected
@@ -256,7 +250,7 @@ class TestEndpoints:
             {"pattern": "%Law%", "approach": approach},
         )
         assert status == 200
-        with StaccatoDB(live.service.path, k=K, m=M) as db:
+        with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
             expected = db.search("%Law%", approach=approach)
         assert [a["line_id"] for a in body["answers"]] == [
             e.line_id for e in expected
@@ -266,7 +260,7 @@ class TestEndpoints:
         sql = "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'"
         status, body = post_json(live.base_url, "/sql", {"query": sql})
         assert status == 200
-        with StaccatoDB(live.service.path, k=K, m=M) as db:
+        with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
             expected = execute_select(db, sql, approach="staccato")
         assert body["count"] == len(expected)
         for got, want in zip(body["rows"], expected):
@@ -287,11 +281,11 @@ class TestEndpoints:
         # paper's anchored query class is a regex whose literal prefix
         # starts with a dictionary word.
         pattern = r"REGEX:Public Law (8|9)\d"
-        with StaccatoDB(live.service.path, k=K, m=M) as db:
+        with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
             db.build_index(["public", "law", "congress", "president"])
             expected = db.indexed_search(pattern, num_ans=20)
             assert db.index_covers(pattern, "staccato")
-        live.service.pool.reload_index()
+        live.service.pool.shard(0).pool.reload_index()
         status, body = post_json(
             live.base_url,
             "/search",
@@ -309,9 +303,9 @@ class TestEndpoints:
         first word is a dictionary term) but cannot project.  It used to
         be a 500; its candidates are evaluated full-line, so both index
         plans answer exactly what the filescan answers."""
-        with StaccatoDB(live.service.path, k=K, m=M) as db:
+        with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
             db.build_index(["public", "law", "congress", "president"])
-        live.service.pool.reload_index()
+        live.service.pool.shard(0).pool.reload_index()
         for pattern in ("Public Law%", "Public Law 8%"):
             replies = {}
             for plan in ("filescan", "indexed", "auto"):
@@ -390,7 +384,7 @@ class TestCaching:
 class TestConcurrency:
     def test_concurrent_mixed_queries(self, live):
         patterns = ["%Congress%", "%Law%", "%President%", "%employment%"]
-        with StaccatoDB(live.service.path, k=K, m=M) as db:
+        with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
             expected = {
                 p: [a.line_id for a in db.search(p, approach="staccato")]
                 for p in patterns
@@ -487,6 +481,32 @@ class TestErrors:
         assert status == 400
         assert "duplicate" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("loss", "NaN"),  # ran OCR, then died as an IntegrityError
+            ("loss", "1e400"),  # stored as inf, served as ``Infinity``
+            ("doc_id", str(2**70)),  # OverflowError binding the INTEGER
+            ("year", str(2**70)),
+        ],
+    )
+    def test_ingest_rejects_values_the_relation_cannot_hold(
+        self, live, field, value
+    ):
+        doc = {"doc_id": "7001", "lines": '["a line"]', field: value}
+        raw = '{"documents": [{%s}]}' % ", ".join(
+            f'"{key}": {token}' for key, token in doc.items()
+        )
+        request = urllib.request.Request(
+            live.base_url + "/ingest", data=raw.encode("utf-8"), method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"]["code"] == "bad_request"
+        assert field in body["error"]["message"]
+
     def test_errors_counted_in_stats(self, live):
         post_json(live.base_url, "/search", {})
         _, stats = get_json(live.base_url, "/stats")
@@ -494,8 +514,8 @@ class TestErrors:
 
 
 # ----------------------------------------------------------------------
-# The shared HTTP core (repro.service.http_common): the routing and
-# framing decisions both front ends delegate to.
+# The HTTP core (repro.service.http_common): the routing and framing
+# decisions the front end delegates to.
 # ----------------------------------------------------------------------
 class TestHttpCommon:
     def test_split_path_drops_query_string(self):
@@ -561,7 +581,7 @@ class TestHttpCommon:
 
 
 # ----------------------------------------------------------------------
-# HTTP-layer regressions, run against both backends via `live`.
+# HTTP-layer regressions, over the wire via `live`.
 # ----------------------------------------------------------------------
 class TestHttpLayerRegressions:
     def test_query_string_does_not_404(self, live):
@@ -684,18 +704,19 @@ def _raw_http(port: int, request: bytes) -> tuple[int, dict, bytes]:
 
 
 # ----------------------------------------------------------------------
-# Cross-backend equivalence: the same request sequence against a
-# thread-backed and an asyncio-backed service must produce
-# byte-identical payloads (volatile fields like timings masked).
+# ``serve --db`` is the one-shard router: the same request sequence
+# against start_service(db) and start_sharded_service(dir, 1) produces
+# identical payloads (volatile fields like timings and paths masked).
 # ----------------------------------------------------------------------
 #: Values that legitimately differ across two service instances or two
-#: runs: timings, absolute paths, and generated job ids.
+#: runs: timings, absolute paths, trace ids and generated job ids.
 _VOLATILE_KEYS = {
     "elapsed_s", "uptime_s", "latency_ms", "journal", "created_at",
-    "started_at", "finished_at", "id", "job_id", "path", "db", "bytes",
-    # Process-lifetime engine work counters: both backends run inside
-    # one pytest process, so the second service instance starts with
-    # whatever totals the first already accumulated.
+    "started_at", "finished_at", "id", "job_id", "path", "db",
+    "shard_dir", "bytes", "trace_id", "start_ms", "duration_ms",
+    # Process-lifetime engine work counters: both services run inside
+    # one pytest process, so the second starts with whatever totals the
+    # first already accumulated.
     "engine",
 }
 
@@ -714,31 +735,42 @@ def _canonical(payload: object) -> bytes:
     return json.dumps(mask(payload), sort_keys=True).encode("utf-8")
 
 
-#: One request per endpoint and per error family, including the routes
-#: the bugfix sweep touched (query strings, embedded slashes).
-_EQUIVALENCE_CASES = [
+_CLAIMS = "FROM Claims WHERE DocData LIKE '%Congress%'"
+
+#: ingest -> index -> search on three plans -> sql (projection,
+#: aggregate, limit) -> every error family, plus the admin surface.
+_TRANSCRIPT = [
     ("GET", "/health", None),
-    ("GET", "/health?probe=1", None),
-    ("GET", "/stats", None),
+    ("POST", "/index", {"terms": ["public", "law"], "wait": True}),
     ("POST", "/search", {"pattern": "%Congress%", "num_ans": 10}),
-    ("POST", "/search", {"pattern": "%Law%", "plan": "indexed"}),
+    ("POST", "/search", {"pattern": r"REGEX:Public Law (8|9)\d", "plan": "indexed"}),
+    ("POST", "/search", {"pattern": "Public Law%", "plan": "auto"}),
+    ("POST", "/search", {"pattern": "%Law%", "shards": [0], "trace": True}),
+    ("POST", "/search", {"pattern": "%Congress%", "num_ans": 10}),  # LRU hit
+    ("POST", "/sql", {"query": f"SELECT DocId, Loss {_CLAIMS}"}),
+    ("POST", "/sql", {"query": f"SELECT COUNT(*), SUM(Loss), AVG(Loss) {_CLAIMS}"}),
+    ("POST", "/sql",
+     {"query": f"SELECT DocId {_CLAIMS} ORDER BY DocId LIMIT 1", "num_ans": 3}),
     ("POST", "/search", {"pattern": "%a%", "approach": "nope"}),
     ("POST", "/search", {}),
-    ("POST", "/search", {"pattern": "%a%", "shards": [0]}),
-    ("POST", "/sql",
-     {"query": "SELECT DocId FROM Claims WHERE DocData LIKE '%Congress%'"}),
+    ("POST", "/search", {"pattern": "REGEX:(", "plan": "auto"}),
+    ("POST", "/search", {"pattern": "%a%", "shards": [1]}),
     ("POST", "/sql", {"query": "DELETE FROM Claims"}),
-    ("POST", "/replicas", {"action": "attach", "shard": 0}),
-    ("GET", "/jobs", None),
+    ("POST", "/sql", {"query": f"SELECT DocId {_CLAIMS}", "shards": [3]}),
+    ("POST", "/ingest", {"documents": [{"doc_id": 1, "loss": 1e400, "lines": ["x"]}]}),
+    ("POST", "/replicas", {"action": "detach", "shard": 0, "replica": 0}),
+    ("POST", "/replicas", {"action": "attach", "shard": 4}),
+    ("POST", "/jobs", {"type": "nope", "params": {}}),
+    ("POST", "/jobs",
+     {"type": "rebalance",
+      "params": {"doc_lo": 0, "doc_hi": 9, "source": 0, "target": 1}}),
+    ("POST", "/jobs", {"type": "cache_snapshot", "wait": True}),
     ("GET", "/jobs/zzz", None),
     ("GET", "/jobs/abc/def", None),
     ("DELETE", "/jobs/zzz", None),
-    ("POST", "/jobs", {"type": "nope", "params": {}}),
     ("GET", "/nope", None),
     ("PUT", "/search", {}),
-    ("PATCH", "/health", {}),
-    ("POST", "/index",
-     {"terms": ["public", "law"], "wait": True}),
+    ("GET", "/stats", None),
 ]
 
 
@@ -756,104 +788,43 @@ def _http_case(base_url: str, method: str, path: str, body):
         return exc.code, json.loads(exc.read())
 
 
-class TestBackendEquivalence:
-    def test_byte_identical_payloads_across_backends(self, tmp_path):
-        """Every endpoint (and error) answers identically on both backends.
+class TestOneFileIsTheOneShardRouter:
+    def test_db_and_one_shard_transcripts_are_equal(self, tmp_path):
+        """Every endpoint (and error) answers identically on ``--db``
+        and ``--shards 1``: one service core, one wire shape.
 
-        Two fresh services over identically ingested databases (the OCR
+        Two fresh services over identically ingested data (the OCR
         channel is deterministic) receive the same request sequence;
-        the collected payloads must match byte for byte once volatile
-        fields (timings, paths, job ids) are masked.
+        the collected payloads must match once volatile fields
+        (timings, paths, trace and job ids) are masked.
         """
         corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
+        options = dict(k=K, m=M, pool_size=2, cache_size=16)
+        services = {
+            "db": lambda: start_service(str(tmp_path / "one.db"), **options),
+            "shards": lambda: start_sharded_service(
+                str(tmp_path / "shards"), 1, **options
+            ),
+        }
         transcripts = {}
-        for backend in BACKENDS:
-            running = start_service(
-                str(tmp_path / f"{backend}.db"),
-                k=K, m=M, pool_size=2, cache_size=0, backend=backend,
-            )
-            try:
+        for name, start in services.items():
+            with start() as running:
                 status, reply = post_json(
                     running.base_url, "/ingest", _batch_payload(corpus)
                 )
                 transcript = [("ingest", status, _canonical(reply))]
-                for method, path, body in _EQUIVALENCE_CASES:
+                for method, path, body in _TRANSCRIPT:
                     status, reply = _http_case(
                         running.base_url, method, path, body
                     )
                     transcript.append(
-                        (f"{method} {path}", status, _canonical(reply))
+                        (f"{method} {path} {body}", status, _canonical(reply))
                     )
-            finally:
-                running.stop()
-            transcripts[backend] = transcript
-        thread_t, asyncio_t = (transcripts[b] for b in BACKENDS)
-        assert len(thread_t) == len(asyncio_t)
-        for threaded, eventloop in zip(thread_t, asyncio_t):
-            assert threaded == eventloop, (
-                f"backend divergence on {threaded[0]}"
-            )
-
-
-# ----------------------------------------------------------------------
-# Concurrency: slow filescans must not block fast queries on the
-# asyncio backend (the thread-pinning scenario from the ROADMAP).
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-class TestSlowScansDoNotBlockFast:
-    def test_fast_search_completes_while_slow_scans_in_flight(self, tmp_path):
-        slow_inflight = 4
-        running = start_service(
-            str(tmp_path / "aio.db"),
-            k=K, m=M,
-            pool_size=slow_inflight + 2,
-            cache_size=64,
-            backend="asyncio",
-            max_inflight=slow_inflight + 2,
-        )
-        try:
-            corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
-            status, _ = post_json(
-                running.base_url, "/ingest", _batch_payload(corpus)
-            )
-            assert status == 200
-            # Deterministic slowness: wrap the service's search so the
-            # marker pattern sleeps on its executor thread, exactly like
-            # a multi-second filescan would.
-            original = running.service.search
-            hold_s = 5.0
-
-            def search_with_slow_marker(payload):
-                if "SLOWSCAN" in str(payload.get("pattern", "")):
-                    time.sleep(hold_s)
-                return original(payload)
-
-            running.service.search = search_with_slow_marker
-            with ThreadPoolExecutor(max_workers=slow_inflight) as scans:
-                futures = [
-                    scans.submit(
-                        post_json,
-                        running.base_url,
-                        "/search",
-                        {"pattern": f"%SLOWSCAN {i}%"},
-                    )
-                    for i in range(slow_inflight)
-                ]
-                time.sleep(0.5)  # let every slow request reach a worker
-                started = time.perf_counter()
-                status, body = post_json(
-                    running.base_url, "/search", {"pattern": "%Congress%"}
-                )
-                fast_elapsed = time.perf_counter() - started
-                still_running = [f for f in futures if not f.done()]
-                # The fast query finished while every slow scan was
-                # still held open -- no thread-pinning, no queueing
-                # behind the scans.
-                assert status == 200
-                assert fast_elapsed < hold_s / 2, fast_elapsed
-                assert len(still_running) == slow_inflight
-                for future in futures:
-                    status, _ = future.result()
-                    assert status == 200
-        finally:
-            running.stop()
+            transcripts[name] = transcript
+        for one_file, one_shard in zip(transcripts["db"], transcripts["shards"]):
+            assert one_file == one_shard, f"divergence on {one_file[0]}"
+        # The transcript really exercised the shapes it claims to pin.
+        statuses = [status for _, status, _ in transcripts["db"]]
+        assert statuses.count(200) >= 13 and statuses.count(400) >= 9
+        reply = json.loads(transcripts["db"][3][2])
+        assert reply["shards"] == [0] and reply["plans"] == {"0": "filescan"}

@@ -1,11 +1,12 @@
 """Tests for the shard router (repro.service.shards).
 
 The acceptance bar: a 2-shard service must answer queries with results
-*identical* -- same answers, same ranking -- to a single-database
-service over the same corpus.  Unit tests cover routing and merging;
-the live tests run both topologies (the sharded one over real HTTP)
-against the same corpus, and exercise routed ingest with per-shard
-cache invalidation plus the ``POST /index`` round-trip.
+*identical* -- same answers, same ranking -- to one database holding
+the whole corpus.  The reference is a plain ``StaccatoDB`` handle
+(``db.search`` / ``execute_select``), code the router does not run.
+Unit tests cover routing and merging; the live tests run the sharded
+service over real HTTP, and exercise routed ingest with per-shard cache
+invalidation plus the ``POST /index`` round-trip.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ from repro.db.engine import (
     shard_path,
     shard_paths,
 )
-from repro.db.sql import merge_shard_rows, parse_select, shard_select
+from repro.db.sql import (
+    execute_select,
+    merge_shard_rows,
+    parse_select,
+    shard_select,
+)
 from repro.ocr.corpus import make_ca
+from repro.ocr.engine import SimulatedOcrEngine
 from repro.query.answers import Answer
 from repro.service import QueryService, start_sharded_service
 from repro.service.shards import DEFAULT_RANGE_WIDTH, merge_ranked, shard_for_doc
@@ -166,12 +173,11 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def single(tmp_path_factory, corpus):
-    """An in-process single-database service over the whole corpus."""
+    """The reference: one plain database handle over the whole corpus."""
     db_path = str(tmp_path_factory.mktemp("single") / "ca.db")
-    service = QueryService(db_path, k=K, m=M, pool_size=2)
-    service.ingest(_batch_payload(corpus))
-    yield service
-    service.close()
+    with StaccatoDB(db_path, k=K, m=M) as db:
+        db.ingest(corpus, SimulatedOcrEngine(seed=0))
+        yield db
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +202,9 @@ def cluster(tmp_path_factory, corpus):
 
 
 def _rows(answers) -> list[tuple[int, int, float]]:
+    """Engine answers as the placement-independent projection."""
     return [
-        (a["doc_id"], a["line_no"], pytest.approx(a["probability"]))
-        for a in answers
+        (a.doc_id, a.line_no, pytest.approx(a.probability)) for a in answers
     ]
 
 
@@ -206,11 +212,11 @@ class TestCrossShardSearch:
     @pytest.mark.parametrize("pattern", ["%Congress%", "%Law%", "%President%"])
     def test_merged_ranking_matches_single_db(self, single, cluster, pattern):
         query = {"pattern": pattern, "approach": "staccato", "num_ans": 20}
-        expected = single.search(query)
+        expected = single.search(pattern, approach="staccato", num_ans=20)
         status, body = post_json(cluster.base_url, "/search", query)
         assert status == 200
-        assert body["count"] == expected["count"]
-        assert _rows(expected["answers"]) == [
+        assert body["count"] == len(expected)
+        assert _rows(expected) == [
             (a["doc_id"], a["line_no"], a["probability"])
             for a in body["answers"]
         ]
@@ -262,11 +268,11 @@ class TestCrossShardSearch:
 class TestCrossShardSql:
     def test_projection_matches_single_db(self, single, cluster):
         sql = "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'"
-        expected = single.sql({"query": sql})
+        expected = execute_select(single, sql)
         status, body = post_json(cluster.base_url, "/sql", {"query": sql})
         assert status == 200
-        assert body["count"] == expected["count"]
-        for got, want in zip(body["rows"], expected["rows"]):
+        assert body["count"] == len(expected)
+        for got, want in zip(body["rows"], expected):
             assert got["DocId"] == want["DocId"]
             assert got["Loss"] == want["Loss"]
             assert got["Probability"] == pytest.approx(want["Probability"])
@@ -276,7 +282,7 @@ class TestCrossShardSql:
             "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims "
             "WHERE DocData LIKE '%the%'"
         )
-        (want,) = single.sql({"query": sql})["rows"]
+        (want,) = execute_select(single, sql)
         status, body = post_json(cluster.base_url, "/sql", {"query": sql})
         assert status == 200
         (got,) = body["rows"]
@@ -285,12 +291,12 @@ class TestCrossShardSql:
 
     def test_order_by_limit_matches_single_db(self, single, cluster):
         sql = "SELECT DocId FROM Claims ORDER BY Loss DESC LIMIT 2"
-        expected = single.sql({"query": sql})
+        expected = execute_select(single, sql)
         status, body = post_json(cluster.base_url, "/sql", {"query": sql})
         assert status == 200
         assert body["rows"] == [
             {**row, "Probability": pytest.approx(row["Probability"])}
-            for row in expected["rows"]
+            for row in expected
         ]
 
     def test_sql_error_is_structured(self, cluster):
@@ -331,14 +337,13 @@ class TestIndexEndpoint:
         assert set(reply["shards"]) == {"0", "1"}
         assert all(s["reloaded"] for s in reply["shards"].values())
 
-        expected = single.index({"terms": terms})
-        assert expected["postings"] == reply["postings"]
-        want = single.search(query)
+        assert single.build_index(terms) == reply["postings"]
+        want = single.indexed_search(pattern, num_ans=20)
 
         status, body = post_json(cluster.base_url, "/search", query)
         assert status == 200
         assert body["plan"] == "indexed"
-        assert _rows(want["answers"]) == [
+        assert _rows(want) == [
             (a["doc_id"], a["line_no"], a["probability"])
             for a in body["answers"]
         ]
@@ -526,12 +531,21 @@ class TestShardedOps:
         shard_metrics = stats["requests"]["shards"]
         assert "search" in shard_metrics["0"] and "search" in shard_metrics["1"]
 
-    def test_single_service_rejects_shard_scope(self, single):
+    def test_one_file_service_is_the_one_shard_router(self, tmp_path):
+        """``QueryService`` honours a ``[0]`` scope and refuses any other
+        with the router's own error -- there is no second service."""
         from repro.service.validation import ApiError
 
-        with pytest.raises(ApiError) as excinfo:
-            single.search({"pattern": "%x%", "shards": [0]})
-        assert excinfo.value.code == "not_sharded"
+        with QueryService(str(tmp_path / "one.db"), k=K, m=M) as service:
+            reply = service.search({"pattern": "%x%", "shards": [0]})
+            assert reply["shards"] == [0]
+            with pytest.raises(ApiError) as excinfo:
+                service.search({"pattern": "%x%", "shards": [1]})
+            assert excinfo.value.code == "unknown_shard"
+            assert type(service).__dict__.keys() <= {
+                "__module__", "__doc__", "__init__", "__qualname__",
+                "__firstlineno__", "__static_attributes__",
+            }
 
     def test_single_service_index_endpoint(self, tmp_path):
         service = QueryService(str(tmp_path / "one.db"), k=K, m=M, pool_size=1)
@@ -545,74 +559,11 @@ class TestShardedOps:
                 }
             )
             reply = service.index({"terms": ["public", "law"]})
-            assert reply["reloaded"] is True and reply["postings"] > 0
+            assert reply["shards"]["0"]["reloaded"] is True
+            assert reply["postings"] > 0
             body = service.search(
                 {"pattern": r"REGEX:Public Law 8\d", "plan": "indexed"}
             )
             assert body["plan"] == "indexed"
         finally:
             service.close()
-
-
-# ----------------------------------------------------------------------
-# The asyncio front end serves the sharded flavour too: same merged
-# ranking as the threaded cluster, and the admin surface (/replicas,
-# /jobs) answers through the event loop + executor path.
-# ----------------------------------------------------------------------
-class TestAsyncioBackendServesShards:
-    def test_sharded_service_on_asyncio_backend(self, tmp_path, corpus, single):
-        shard_dir = str(tmp_path / "aio-shards")
-        running = start_sharded_service(
-            shard_dir,
-            NUM_SHARDS,
-            k=K,
-            m=M,
-            pool_size=2,
-            cache_size=64,
-            range_width=RANGE_WIDTH,
-            backend="asyncio",
-        )
-        try:
-            status, reply = post_json(
-                running.base_url, "/ingest", _batch_payload(corpus)
-            )
-            assert status == 200
-            assert reply["ingested_lines"] == corpus.num_lines
-
-            query = {"pattern": "%Congress%", "approach": "staccato",
-                     "num_ans": 20}
-            expected = single.search(query)
-            status, body = post_json(running.base_url, "/search", query)
-            assert status == 200 and body["count"] == expected["count"]
-            assert [
-                (a["doc_id"], a["line_no"], a["probability"])
-                for a in body["answers"]
-            ] == [
-                (a["doc_id"], a["line_no"], pytest.approx(a["probability"]))
-                for a in expected["answers"]
-            ]
-
-            # /replicas: attach one copy to shard 0 at runtime.
-            status, body = post_json(
-                running.base_url, "/replicas", {"action": "attach", "shard": 0}
-            )
-            assert status == 200 and body["action"] == "attach"
-            assert len(body["replicas"]) >= 2
-
-            # /jobs: a rebuild_index job through the executor path.
-            status, row = post_json(
-                running.base_url,
-                "/jobs",
-                {"type": "rebuild_index",
-                 "params": {"terms": ["public", "law"]},
-                 "wait": True},
-            )
-            assert status == 200 and row["state"] == "succeeded"
-            status, listing = get_json(running.base_url, "/jobs")
-            assert status == 200
-            assert any(job["id"] == row["id"] for job in listing["jobs"])
-
-            status, health = get_json(running.base_url, "/health?verbose=1")
-            assert status == 200 and health["num_shards"] == NUM_SHARDS
-        finally:
-            running.stop()

@@ -37,16 +37,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.service_load import get_json, post_json
+from repro.db.engine import StaccatoDB
+from repro.db.sql import execute_select
 from repro.ocr.corpus import make_ca
-from repro.service.server import (
-    start_service,
-    start_sharded_service,
-)
+from repro.ocr.engine import SimulatedOcrEngine
+from repro.service.server import start_sharded_service
 from repro.service.shards import RoutingTable, shard_for_doc
 
 from .strategies import routing_moves, routing_tables
 from .test_service import (
-    _EQUIVALENCE_CASES,
     _batch_payload,
     _canonical,
     _http_case,
@@ -149,6 +148,34 @@ def _strip_topology(node):
     return node
 
 
+#: One request per endpoint and per error family, including the routes
+#: the HTTP bugfix sweep touched (query strings, embedded slashes).
+_EQUIVALENCE_CASES = [
+    ("GET", "/health", None),
+    ("GET", "/health?probe=1", None),
+    ("GET", "/stats", None),
+    ("POST", "/search", {"pattern": "%Congress%", "num_ans": 10}),
+    ("POST", "/search", {"pattern": "%Law%", "plan": "indexed"}),
+    ("POST", "/search", {"pattern": "%a%", "approach": "nope"}),
+    ("POST", "/search", {}),
+    ("POST", "/search", {"pattern": "%a%", "shards": [0]}),
+    ("POST", "/sql",
+     {"query": "SELECT DocId FROM Claims WHERE DocData LIKE '%Congress%'"}),
+    ("POST", "/sql", {"query": "DELETE FROM Claims"}),
+    ("POST", "/replicas", {"action": "attach", "shard": 0}),
+    ("GET", "/jobs", None),
+    ("GET", "/jobs/zzz", None),
+    ("GET", "/jobs/abc/def", None),
+    ("DELETE", "/jobs/zzz", None),
+    ("POST", "/jobs", {"type": "nope", "params": {}}),
+    ("GET", "/nope", None),
+    ("PUT", "/search", {}),
+    ("PATCH", "/health", {}),
+    ("POST", "/index",
+     {"terms": ["public", "law"], "wait": True}),
+]
+
+
 def _transcript(running, corpus):
     status, reply = post_json(
         running.base_url, "/ingest", _batch_payload(corpus)
@@ -162,27 +189,11 @@ def _transcript(running, corpus):
     return out
 
 
-#: The placement-independent projection the single-database service
-#: must agree on: status and error codes, answer identities (not
-#: line_ids -- those are per-shard-local), and SQL result rows.
-_PROJECTION_CASES = [
-    ("GET", "/health", None),
-    ("POST", "/search", {"pattern": "%Congress%", "num_ans": 10}),
-    ("POST", "/search", {"pattern": "%Law%", "plan": "indexed"}),
-    ("POST", "/search", {"pattern": "%a%", "approach": "nope"}),
-    ("POST", "/search", {}),
-    ("POST", "/sql",
-     {"query": "SELECT DocId FROM Claims WHERE DocData LIKE '%Congress%'"}),
-    ("POST", "/sql", {"query": "DELETE FROM Claims"}),
-]
+_SQL = "SELECT DocId FROM Claims WHERE DocData LIKE '%Congress%'"
 
 
 def _projection(status, reply):
-    if not isinstance(reply, dict):
-        return (status, reply)
-    error = reply.get("error")
-    if isinstance(error, dict):
-        return (status, error.get("code"))
+    """What placement cannot change about a successful reply."""
     if "answers" in reply:
         return (
             status,
@@ -194,9 +205,7 @@ def _projection(status, reply):
         )
     if "rows" in reply:
         return (status, reply.get("count"), reply["rows"])
-    if "lines" in reply:  # /health
-        return (status, reply.get("status"), reply.get("lines"))
-    return (status,)
+    return (status, reply.get("status"), reply.get("lines"))  # /health
 
 
 class TestTopologyEquivalence:
@@ -232,44 +241,43 @@ class TestTopologyEquivalence:
     def test_single_db_agrees_on_placement_independent_projection(
         self, tmp_path
     ):
+        """The worker topology against one plain database handle -- code
+        no router runs -- on what placement cannot change: answer
+        identities (not line ids, those are shard-local) and SQL rows."""
         corpus = make_ca(num_docs=4, lines_per_doc=3, seed=1)
-        projections = {}
-        for name, running in (
-            (
-                "single",
-                start_service(
-                    str(tmp_path / "single.db"),
-                    k=K, m=M, pool_size=2, cache_size=0,
-                ),
-            ),
-            (
-                "workers",
-                start_sharded_service(
-                    str(tmp_path / "workers"), 2,
-                    k=K, m=M, pool_size=2, cache_size=0, range_width=2,
-                    worker_procs=True,
-                ),
-            ),
-        ):
-            try:
-                status, reply = post_json(
-                    running.base_url, "/ingest", _batch_payload(corpus)
+        with StaccatoDB(str(tmp_path / "single.db"), k=K, m=M) as db:
+            db.ingest(corpus, SimulatedOcrEngine(seed=0))
+            lines = db.num_lines
+            searches = {
+                pattern: sorted(
+                    (a.doc_id, a.line_no, round(a.probability, 9))
+                    for a in db.search(pattern, num_ans=10)
                 )
-                rows = [("ingest", status, reply.get("ingested_lines"))]
-                for method, path, body in _PROJECTION_CASES:
-                    status, reply = _http_case(
-                        running.base_url, method, path, body
+                for pattern in ("%Congress%", "%Law%")
+            }
+            rows = execute_select(db, _SQL)
+        running = start_sharded_service(
+            str(tmp_path / "workers"), 2,
+            k=K, m=M, pool_size=2, cache_size=0, range_width=2,
+            worker_procs=True,
+        )
+        try:
+            url = running.base_url
+            status, reply = post_json(url, "/ingest", _batch_payload(corpus))
+            assert (status, reply["ingested_lines"]) == (200, lines)
+            assert _projection(*get_json(url, "/health")) == (200, "ok", lines)
+            for pattern, expected in searches.items():
+                # No index yet: the indexed plan falls back to the scan.
+                for plan in ("filescan", "indexed"):
+                    body = {"pattern": pattern, "num_ans": 10, "plan": plan}
+                    assert _projection(*post_json(url, "/search", body)) == (
+                        200, len(expected), expected
                     )
-                    rows.append(
-                        (f"{method} {path}", _projection(status, reply))
-                    )
-            finally:
-                running.stop()
-            projections[name] = rows
-        for single, workers in zip(
-            projections["single"], projections["workers"]
-        ):
-            assert single == workers, f"projection divergence on {single[0]}"
+            assert _projection(*post_json(url, "/sql", {"query": _SQL})) == (
+                200, len(rows), rows
+            )
+        finally:
+            running.stop()
 
 
 # ----------------------------------------------------------------------

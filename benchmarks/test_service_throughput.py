@@ -1,143 +1,33 @@
-"""BENCH: serving throughput, single database vs the shard router.
+"""BENCH: the serving path under injected faults.
 
-Not a paper figure -- a repo-scaling metric the ROADMAP asks for: track
-req/s and tail latency of the HTTP serving path across PRs, and show
-what DocId-range sharding (repro.service.shards) does to both.  The
-corpus is small so the run stays cheap; the interesting signal is the
-relative shape (fan-out overhead vs scan parallelism), not absolute
-req/s on CI hardware.
+Not a paper figure.  Serving speed is measured by ``benchmarks/e2e/``
+(paired runs, medians in ``benchmarks/history/BENCH_e2e.json``); these
+two benches gate on availability, with the req/s and latency of each
+window printed beside the verdict.  The corpus is small so the runs
+stay cheap.
 
-The failover bench is the availability counterpart: 2 shards x 2
-replicas, one replica file deleted while the load is running; the bar
-is zero client-visible errors in every window.
+The failover bench: 2 shards x 2 replicas, one replica file deleted
+while the load is running; the bar is zero client-visible errors in
+every window.
 
-The rebalance bench is the maintenance counterpart: a background
-``rebalance`` job moves a DocId range between two live shards while
-the load runs; the bar is zero client-visible errors in every window
-*and* merged ranked answers byte-identical before/after the move.
+The rebalance bench: a background ``rebalance`` job moves a DocId
+range between two live shards while the load runs; the bar is zero
+client-visible errors in every window *and* merged ranked answers
+byte-identical before/after the move.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.service_load import (
-    run_failover_demo,
-    run_rebalance_demo,
-    run_sharded_comparison,
-)
+from repro.bench.service_load import run_failover_demo, run_rebalance_demo
+
+WINDOW_HEADERS = ["phase", "req/s", "p50 ms", "p95 ms", "p99 ms", "errors"]
 
 
-def test_service_throughput_single_vs_sharded(report):
-    comparison = run_sharded_comparison(
-        num_shards=2,
-        docs=4,
-        lines=3,
-        concurrency=8,
-        repeats=4,
-        k=4,
-        m=6,
-    )
-    report.table(
-        "Service throughput single-db vs 2 shards",
-        ["topology", "req/s", "p50 ms", "p95 ms", "p99 ms", "errors"],
-        [
-            [
-                "single-db",
-                f"{comparison.single.throughput_rps:.1f}",
-                f"{comparison.single.latency_p50_ms:.1f}",
-                f"{comparison.single.latency_p95_ms:.1f}",
-                f"{comparison.single.latency_p99_ms:.1f}",
-                comparison.single.errors,
-            ],
-            [
-                "2-shard",
-                f"{comparison.sharded.throughput_rps:.1f}",
-                f"{comparison.sharded.latency_p50_ms:.1f}",
-                f"{comparison.sharded.latency_p95_ms:.1f}",
-                f"{comparison.sharded.latency_p99_ms:.1f}",
-                comparison.sharded.errors,
-            ],
-        ],
-    )
-    assert comparison.single.errors == 0
-    assert comparison.sharded.errors == 0
-    assert comparison.single.throughput_rps > 0
-    assert comparison.sharded.throughput_rps > 0
-
-
-@pytest.mark.slow
-def test_service_throughput_worker_procs(report):
-    # The subprocess-worker topology (repro.service.workers): each shard
-    # in its own process behind the fan-out router.  The premise used to
-    # be that scans at this corpus size cost real milliseconds, so
-    # partitioned per-worker scans beat the single-db service; the
-    # compiled-kernel batch plus the kernel memo moved these tiny scans
-    # well under a millisecond, leaving duplicate-heavy load dominated
-    # by per-request HTTP overhead -- where the extra router-to-worker
-    # hop is a constant tax.  The floor therefore only guards against
-    # the worker topology *collapsing* (deadlocks, respawn storms,
-    # leaked connections).  A retry absorbs scheduler noise -- on a
-    # loaded single-core box the single-db leg swings by 2x run to run
-    # -- while the committed report shows the margin.
-    for attempt in range(3):
-        comparison = run_sharded_comparison(
-            num_shards=2,
-            docs=8,
-            lines=6,
-            concurrency=8,
-            repeats=6,
-            k=4,
-            m=6,
-            worker_procs=True,
-        )
-        if (
-            comparison.workers.throughput_rps
-            >= comparison.single.throughput_rps
-        ):
-            break
-    rows = [
-        [
-            name,
-            f"{result.throughput_rps:.1f}",
-            f"{result.latency_p50_ms:.1f}",
-            f"{result.latency_p95_ms:.1f}",
-            f"{result.latency_p99_ms:.1f}",
-            result.errors,
-        ]
-        for name, result in [
-            ("single-db", comparison.single),
-            ("2-shard", comparison.sharded),
-            ("2-worker", comparison.workers),
-        ]
-    ]
-    report.table(
-        "Service throughput single-db vs 2 shards vs 2 worker procs",
-        ["topology", "req/s", "p50 ms", "p95 ms", "p99 ms", "errors"],
-        rows,
-    )
-    assert comparison.single.errors == 0
-    assert comparison.sharded.errors == 0
-    assert comparison.workers.errors == 0
-    assert (
-        comparison.workers.throughput_rps
-        >= 0.5 * comparison.single.throughput_rps
-    ), rows
-
-
-def test_failover_kill_replica_mid_load(report):
-    demo = run_failover_demo(
-        num_shards=2,
-        replicas=2,
-        docs=4,
-        lines=3,
-        concurrency=8,
-        repeats=12,
-        k=4,
-        m=6,
-        kill_after_s=0.05,  # well inside the during window
-    )
-    rows = [
+def window_rows(demo) -> list[list]:
+    """One table row per load window of a fault-injection run."""
+    return [
         [
             phase,
             f"{result.throughput_rps:.1f}",
@@ -152,10 +42,24 @@ def test_failover_kill_replica_mid_load(report):
             ("after", demo.after),
         ]
     ]
+
+
+def test_failover_kill_replica_mid_load(report):
+    demo = run_failover_demo(
+        num_shards=2,
+        replicas=2,
+        docs=4,
+        lines=3,
+        concurrency=8,
+        repeats=12,
+        k=4,
+        m=6,
+        kill_after_s=0.05,  # well inside the during window
+    )
     report.table(
         "Service failover 2 shards x2 replicas kill one mid-load",
-        ["phase", "req/s", "p50 ms", "p95 ms", "p99 ms", "errors"],
-        rows,
+        WINDOW_HEADERS,
+        window_rows(demo),
     )
     assert demo.zero_downtime, (demo.before, demo.during, demo.after)
     # The killed copy (shard 0's) really left the rotation...
@@ -185,25 +89,10 @@ def test_rebalance_under_load(report):
         k=4,
         m=6,
     )
-    rows = [
-        [
-            phase,
-            f"{result.throughput_rps:.1f}",
-            f"{result.latency_p50_ms:.1f}",
-            f"{result.latency_p95_ms:.1f}",
-            f"{result.latency_p99_ms:.1f}",
-            result.errors,
-        ]
-        for phase, result in [
-            ("before", demo.before),
-            ("during", demo.during),
-            ("after", demo.after),
-        ]
-    ]
     report.table(
         "Service rebalance move a DocId range between shards mid-load",
-        ["phase", "req/s", "p50 ms", "p95 ms", "p99 ms", "errors"],
-        rows,
+        WINDOW_HEADERS,
+        window_rows(demo),
     )
     assert demo.job_state == "succeeded"
     assert demo.moved_docs > 0 and demo.moved_lines > 0

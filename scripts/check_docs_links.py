@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the docs drift from reality.
 
-Two checks:
+Three checks:
 
 1. **Relative links** -- every markdown link and image target in
    README.md / docs/*.md must resolve to an existing file or directory
@@ -14,8 +14,15 @@ Two checks:
    those tables register must be named in docs/API.md.  Documenting an
    endpoint the server does not serve -- or shipping one the reference
    never mentions -- is exactly the drift this catches.
+3. **Commands** -- every ``python -m repro.<module>`` and
+   ``scripts/<name>.py`` named in README.md or docs/*.md must name a
+   runnable module under ``src/`` (a package with ``__main__.py`` or a
+   module with a ``__main__`` guard) or an existing script.  CHANGES.md
+   and ROADMAP.md are not checked: they record history, and a command
+   a past change deleted stays named there.
 
-Exits 1 listing every broken link / served-vs-documented mismatch.
+Exits 1 listing every broken link / served-vs-documented mismatch /
+dead command.
 
 Run:  python scripts/check_docs_links.py
 """
@@ -141,16 +148,50 @@ def check_served_documented() -> list[str]:
     return problems
 
 
+#: ``python -m repro[.sub.module]`` and ``scripts/<name>.py`` mentions.
+MODULE_COMMAND = re.compile(r"\bpython3? -m (repro(?:\.\w+)*)")
+SCRIPT = re.compile(r"\bscripts/[\w.-]+\.py\b")
+
+
+def runnable_module(module: str) -> bool:
+    """Whether ``python -m <module>`` would run something under src/."""
+    path = REPO_ROOT / "src" / pathlib.Path(*module.split("."))
+    if (path / "__main__.py").is_file():
+        return True
+    source = path.with_suffix(".py")
+    return source.is_file() and '__name__ == "__main__"' in source.read_text()
+
+
+def check_commands() -> list[str]:
+    """Every command README.md and docs/*.md name must still exist."""
+    files = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    problems = []
+    for path in files:
+        text = path.read_text()
+        where = path.relative_to(REPO_ROOT)
+        for module in sorted(set(MODULE_COMMAND.findall(text))):
+            if not runnable_module(module):
+                problems.append(
+                    f"{where}: dead command python -m {module} "
+                    "(no runnable module under src/)"
+                )
+        for script in sorted(set(SCRIPT.findall(text))):
+            if not (REPO_ROOT / script).is_file():
+                problems.append(f"{where}: dead command {script} (no such file)")
+    return problems
+
+
 def main() -> int:
     files = doc_files()
     broken = [problem for path in files for problem in check_file(path)]
     broken += check_endpoints()
     broken += check_served_documented()
+    broken += check_commands()
     for problem in broken:
         print(problem, file=sys.stderr)
     print(
         f"checked {len(files)} markdown files + docs/API.md endpoints "
-        f"(both directions): "
+        f"(both directions) + named commands: "
         f"{'OK' if not broken else f'{len(broken)} problems'}"
     )
     return 1 if broken else 0

@@ -1,8 +1,9 @@
 """Experiment harness: metrics, workload, runners and reporting.
 
-Also home to the serving-throughput driver
-(:mod:`repro.bench.service_load`), which fires concurrent HTTP requests
-at a running :mod:`repro.service` instance.
+Also home to the HTTP client helpers and fault-injection load drivers
+for a running :mod:`repro.service` instance
+(:mod:`repro.bench.service_load`), and to the benchmark history writer
+(:mod:`repro.bench.history`).
 """
 
 from .harness import MAX_CHUNKS, CorpusBench, ExperimentResult

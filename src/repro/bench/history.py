@@ -1,35 +1,37 @@
 """Machine-readable benchmark history (``benchmarks/history/``).
 
 The text reports under ``benchmarks/reports/`` are for humans; nothing
-can diff them across commits.  This module gives every bench driver one
-call -- :func:`record_run` -- that appends a schema-versioned JSON entry
-to ``benchmarks/history/BENCH_<name>.json``, so a checked-in baseline
-and ``scripts/bench_check.py`` can detect regressions mechanically.
+can diff them across commits.  :func:`record_run` appends a
+schema-versioned JSON entry to ``benchmarks/history/BENCH_<name>.json``;
+the committed ``BENCH_e2e.json`` holds the medians of every paired
+parent/change run of ``benchmarks/e2e/run.py`` a change was judged on.
 
-One history file per bench name holds a bounded JSON array, newest
-entry last::
+One history file per bench name holds a JSON array, newest entry last::
 
     [
       {
         "schema": 1,
-        "name": "service_compare",
+        "name": "e2e",
         "created_at": "2026-08-08T12:00:00+00:00",
         "git_rev": "70dbdc6",
-        "topology": {"shards": 2, "docs": 4, "lines": 3},
+        "topology": {"workload": "scan_cold", "seed": 7, "side": "change",
+                     "runs": 6, "statistic": "median (q1, q3 beside it)"},
         "metrics": {
-          "single_throughput_rps": {
-            "value": 412.0, "unit": "req/s",
-            "direction": "higher_is_better"
+          "query_p50_ms": {
+            "value": 8.05, "q1": 7.91, "q3": 8.22,
+            "unit": "ms", "direction": "lower_is_better"
           },
           ...
         }
       }
     ]
 
-``direction`` makes the regression check self-describing: the checker
-never needs a table mapping metric names to "which way is worse".
-Writes are atomic (temp file + ``os.replace``) so a crashed bench run
-cannot leave a half-written history behind.
+``direction`` makes every entry self-describing: a reader never needs a
+table mapping metric names to "which way is worse".  The file is
+evidence, so every entry is kept, and a file that is not a JSON list is
+refused rather than replaced.  Writes are atomic (temp file +
+``os.replace``) so a crashed run cannot leave a half-written history
+behind.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ __all__ = [
     "DIRECTIONS",
     "DEFAULT_HISTORY_DIR",
     "metric",
-    "load_result_metrics",
+    "check_metrics",
     "record_run",
-    "latest_entry",
 ]
 
 SCHEMA_VERSION = 1
@@ -58,11 +59,6 @@ SCHEMA_VERSION = 1
 DIRECTIONS = ("higher_is_better", "lower_is_better")
 
 DEFAULT_HISTORY_DIR = "benchmarks/history"
-
-#: Entries kept per history file (oldest dropped first).  Bounded so a
-#: long-lived checkout running the bench-smoke CI job on every push
-#: cannot grow the file without limit.
-MAX_ENTRIES = 200
 
 
 def metric(
@@ -76,22 +72,20 @@ def metric(
     return {"value": float(value), "unit": unit, "direction": direction}
 
 
-def load_result_metrics(result, prefix: str = "") -> dict[str, dict[str, Any]]:
-    """A :class:`~repro.bench.service_load.LoadResult` as metric entries.
+def check_metrics(metrics: Mapping[str, Mapping[str, Any]]) -> None:
+    """Raise ``ValueError`` unless every entry has a direction and a number.
 
-    ``prefix`` namespaces the window or topology the result measured
-    (``"single_"``, ``"during_"``, ...) so one bench entry can hold
-    several LoadResults side by side.
+    The one definition of a well-formed metric entry: :func:`record_run`
+    applies it on write, and the tier-1 suite applies it to every entry
+    of the committed history files.
     """
-    return {
-        f"{prefix}throughput_rps": metric(
-            result.throughput_rps, "req/s", "higher_is_better"
-        ),
-        f"{prefix}latency_p50_ms": metric(result.latency_p50_ms, "ms"),
-        f"{prefix}latency_p95_ms": metric(result.latency_p95_ms, "ms"),
-        f"{prefix}latency_p99_ms": metric(result.latency_p99_ms, "ms"),
-        f"{prefix}errors": metric(result.errors, "count"),
-    }
+    for key, entry in metrics.items():
+        if entry.get("direction") not in DIRECTIONS:
+            raise ValueError(
+                f"metric {key!r} needs a direction in {list(DIRECTIONS)}"
+            )
+        if not isinstance(entry.get("value"), (int, float)):
+            raise ValueError(f"metric {key!r} needs a numeric value")
 
 
 def _git_rev() -> str:
@@ -134,35 +128,30 @@ def record_run(
     topology: Mapping[str, Any] | None = None,
     history_dir: str | os.PathLike = DEFAULT_HISTORY_DIR,
     created_at: str | None = None,
-    max_entries: int = MAX_ENTRIES,
 ) -> pathlib.Path:
     """Append one run to ``<history_dir>/BENCH_<name>.json``.
 
     ``metrics`` maps metric name to a :func:`metric` entry; ``topology``
-    records the knobs that shaped the run (shard count, replicas, corpus
-    size) so differently-shaped runs are never compared as equals.
-    Returns the history file's path.
+    records the knobs that shaped the run (workload, seed, corpus size)
+    so differently-shaped runs are never compared as equals.  Every
+    earlier entry is kept.  Raises ``ValueError`` -- leaving the file
+    untouched -- when the existing file is not a JSON list.  Returns the
+    history file's path.
     """
     if not name or any(ch in name for ch in "/\\"):
         raise ValueError(f"bench name must be a bare label, got {name!r}")
-    for key, entry in metrics.items():
-        if entry.get("direction") not in DIRECTIONS:
-            raise ValueError(
-                f"metric {key!r} needs a direction in {list(DIRECTIONS)}"
-            )
-        if not isinstance(entry.get("value"), (int, float)):
-            raise ValueError(f"metric {key!r} needs a numeric value")
+    check_metrics(metrics)
     directory = pathlib.Path(history_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
     entries: list[dict[str, Any]] = []
     if path.exists():
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(loaded, list):
-                entries = loaded
-        except (OSError, json.JSONDecodeError):
-            entries = []  # a corrupt history restarts; runs are cheap
+            entries = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path} is not a JSON list: {exc}") from exc
+        if not isinstance(entries, list):
+            raise ValueError(f"{path} is not a JSON list")
     entries.append(
         {
             "schema": SCHEMA_VERSION,
@@ -174,22 +163,5 @@ def record_run(
             "metrics": {key: dict(entry) for key, entry in metrics.items()},
         }
     )
-    _atomic_write_json(path, entries[-max_entries:])
+    _atomic_write_json(path, entries)
     return path
-
-
-def latest_entry(
-    name: str, history_dir: str | os.PathLike = DEFAULT_HISTORY_DIR
-) -> dict[str, Any] | None:
-    """The newest recorded entry for ``name``, or None."""
-    path = pathlib.Path(history_dir) / f"BENCH_{name}.json"
-    if not path.exists():
-        return None
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(entries, list) or not entries:
-        return None
-    tail = entries[-1]
-    return tail if isinstance(tail, dict) else None

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.bench.service_load import get_json, post_json, run_search_load
+from repro.bench.service_load import get_json, post_json
 from repro.ocr.corpus import make_ca
 from repro.service import (
     ServiceMetrics,
@@ -527,26 +527,5 @@ class TestShardedAcceptanceTrace:
             # (sequential) direct children.
             child_ms = sum(c["duration_ms"] for c in tree["children"])
             assert child_ms >= 0.9 * tree["duration_ms"]
-        finally:
-            running.stop()
-
-
-class TestTraceSampledLoad:
-    def test_span_breakdown_aggregated(self, tmp_path):
-        running = start_service(str(tmp_path / "ca.db"), k=K, m=M)
-        try:
-            corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
-            post_json(running.base_url, "/ingest", _batch_payload(corpus))
-            result = run_search_load(
-                running.base_url,
-                ["%Law%", "%Congress%"],
-                concurrency=4,
-                repeats=3,
-                trace_sample=2,
-            )
-            assert result.errors == 0
-            assert result.span_breakdown is not None
-            assert "handler" in result.span_breakdown
-            assert "span means:" in result.summary()
         finally:
             running.stop()

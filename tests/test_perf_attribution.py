@@ -1,10 +1,11 @@
 """Tests for the performance-attribution layer: engine work counters,
 the sampling profiler, cross-process trace stitching, and the
-machine-readable bench history with its regression checker.
+machine-readable bench history.
 
 Unit tests cover the counter collector (context-local nesting, the
 process-global fold, exact totals under concurrent writers), the
-profiler's sampling/tagging/bounding, and the history schema.  The
+profiler's sampling/tagging/bounding, the history schema, and every
+committed ``benchmarks/history/BENCH_*.json`` entry against it.  The
 integration tests run live servers -- including the subprocess-worker
 topology -- and assert the wire surface: ``staccato_engine_*`` counter
 families on ``GET /metrics``, per-shard engine blocks on ``/stats``,
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-import subprocess
-import sys
 import threading
 import time
 import urllib.request
@@ -28,8 +27,7 @@ import pytest
 
 from repro import counters
 from repro.bench import history
-from repro.bench.fig10 import run_fig10
-from repro.bench.service_load import LoadResult, get_json, post_json
+from repro.bench.service_load import get_json, post_json
 from repro.ocr.corpus import make_ca
 from repro.service import (
     start_service,
@@ -42,10 +40,6 @@ from repro.service.validation import ApiError
 from .test_observability import _batch_payload, _raw_get, _raw_post, find_spans
 
 K, M = 4, 6
-
-BENCH_CHECK = str(
-    Path(__file__).resolve().parent.parent / "scripts" / "bench_check.py"
-)
 
 
 # ----------------------------------------------------------------------
@@ -566,8 +560,11 @@ class TestCrossProcessStitching:
 
 
 # ----------------------------------------------------------------------
-# Bench history + regression checking
+# Bench history
 # ----------------------------------------------------------------------
+HISTORY_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "history"
+
+
 class TestBenchHistory:
     def test_record_run_schema_and_append(self, tmp_path):
         metrics = {"p50_ms": history.metric(12.5, "ms")}
@@ -588,19 +585,36 @@ class TestBenchHistory:
             "value": 12.5, "unit": "ms", "direction": "lower_is_better"
         }
         assert isinstance(entry["git_rev"], str) and entry["git_rev"]
-        latest = history.latest_entry("demo", history_dir=tmp_path)
-        assert latest == entries[-1]
 
-    def test_history_is_bounded(self, tmp_path):
-        for index in range(5):
+    def test_history_keeps_every_entry(self, tmp_path):
+        # The committed history is evidence: nothing ages out of it.
+        path = tmp_path / "BENCH_demo.json"
+        path.write_text(json.dumps([
+            {"schema": 1, "name": "demo", "created_at": "t", "git_rev": "r",
+             "topology": {}, "metrics": {"v": history.metric(index, "n")}}
+            for index in range(200)
+        ]))
+        for index in range(200, 205):
             history.record_run(
-                "demo",
-                {"v": history.metric(index, "n")},
-                history_dir=tmp_path,
-                max_entries=3,
+                "demo", {"v": history.metric(index, "n")}, history_dir=tmp_path
             )
-        entries = json.loads((tmp_path / "BENCH_demo.json").read_text())
-        assert [e["metrics"]["v"]["value"] for e in entries] == [2.0, 3.0, 4.0]
+        entries = json.loads(path.read_text())
+        assert [e["metrics"]["v"]["value"] for e in entries] == [
+            float(index) for index in range(205)
+        ]
+
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b'{"an": "object"}', b"\xff\xfe", b""]
+    )
+    def test_unreadable_history_is_refused_untouched(self, tmp_path, content):
+        path = tmp_path / "BENCH_demo.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="BENCH_demo.json"):
+            history.record_run(
+                "demo", {"v": history.metric(1, "n")}, history_dir=tmp_path
+            )
+        assert path.read_bytes() == content
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_demo.json"]
 
     def test_invalid_inputs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -613,127 +627,24 @@ class TestBenchHistory:
             history.record_run(
                 "demo", {"v": {"value": 1}}, history_dir=tmp_path
             )
+        with pytest.raises(ValueError):
+            history.check_metrics(
+                {"v": {"value": "1", "direction": "lower_is_better"}}
+            )
 
-    def test_load_result_metrics_directions(self):
-        result = LoadResult(
-            requests=10, errors=1, elapsed_s=1.0, throughput_rps=10.0,
-            latency_p50_ms=1.0, latency_p95_ms=2.0, latency_p99_ms=3.0,
-        )
-        metrics = history.load_result_metrics(result, "single_")
-        assert metrics["single_throughput_rps"]["direction"] == (
-            "higher_is_better"
-        )
-        assert metrics["single_latency_p99_ms"] == {
-            "value": 3.0, "unit": "ms", "direction": "lower_is_better"
-        }
-        assert metrics["single_errors"]["value"] == 1.0
-
-    def test_fig10_driver_emits_metrics(self, tmp_path):
-        metrics = run_fig10(sizes=[6], repeats=1, workers=1)
-        assert set(metrics) == {
-            "map_runtime_ms_6", "staccato_runtime_ms_6",
-            "staccato40_runtime_ms_6", "fullsfa_runtime_ms_6",
-        }
-        assert all(m["value"] > 0 for m in metrics.values())
-        path = history.record_run("fig10", metrics, history_dir=tmp_path)
-        assert json.loads(path.read_text())[0]["metrics"] == metrics
-
-
-def _write_check_fixture(
-    tmp_path, value: float, baseline_value: float, direction: str
-) -> Path:
-    hist = tmp_path / "history"
-    hist.mkdir(exist_ok=True)
-    entry = {
-        "schema": 1, "name": "demo", "created_at": "t", "git_rev": "abc",
-        "topology": {},
-        "metrics": {"m": {"value": value, "unit": "ms",
-                          "direction": direction}},
-    }
-    (hist / "BENCH_demo.json").write_text(json.dumps([entry]))
-    (hist / "baseline.json").write_text(json.dumps({
-        "demo": {"m": {"value": baseline_value, "unit": "ms",
-                       "direction": direction}},
-    }))
-    return hist
-
-
-def _bench_check(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, BENCH_CHECK, *argv], capture_output=True, text=True
-    )
-
-
-class TestBenchCheck:
-    def test_passes_on_baseline(self, tmp_path):
-        hist = _write_check_fixture(tmp_path, 100.0, 100.0, "lower_is_better")
-        proc = _bench_check("--history-dir", str(hist))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "no regressions" in proc.stdout
-
-    def test_fails_on_injected_regression(self, tmp_path):
-        hist = _write_check_fixture(tmp_path, 150.0, 100.0, "lower_is_better")
-        proc = _bench_check("--history-dir", str(hist))
-        assert proc.returncode == 1
-        assert "REGRESSION demo.m" in proc.stdout
-
-    def test_direction_aware_higher_is_better(self, tmp_path):
-        # Throughput dropping 30% regresses; rising 30% never does.
-        hist = _write_check_fixture(tmp_path, 70.0, 100.0, "higher_is_better")
-        assert _bench_check("--history-dir", str(hist)).returncode == 1
-        hist = _write_check_fixture(tmp_path, 130.0, 100.0, "higher_is_better")
-        assert _bench_check("--history-dir", str(hist)).returncode == 0
-
-    def test_zero_baseline_flags_any_error(self, tmp_path):
-        hist = _write_check_fixture(tmp_path, 1.0, 0.0, "lower_is_better")
-        assert _bench_check("--history-dir", str(hist)).returncode == 1
-
-    def test_report_only_and_threshold(self, tmp_path):
-        hist = _write_check_fixture(tmp_path, 150.0, 100.0, "lower_is_better")
-        proc = _bench_check("--history-dir", str(hist), "--report-only")
-        assert proc.returncode == 0
-        assert "REGRESSION" in proc.stdout
-        proc = _bench_check("--history-dir", str(hist), "--threshold", "0.6")
-        assert proc.returncode == 0
-
-    def test_update_baseline_blesses_latest(self, tmp_path):
-        hist = _write_check_fixture(tmp_path, 150.0, 100.0, "lower_is_better")
-        proc = _bench_check("--history-dir", str(hist), "--update-baseline")
-        assert proc.returncode == 0
-        blessed = json.loads((hist / "baseline.json").read_text())
-        assert blessed["demo"]["m"]["value"] == 150.0
-        assert _bench_check("--history-dir", str(hist)).returncode == 0
-
-    def test_new_metric_is_noted_not_failed(self, tmp_path):
-        hist = _write_check_fixture(tmp_path, 100.0, 100.0, "lower_is_better")
-        baseline = json.loads((hist / "baseline.json").read_text())
-        del baseline["demo"]["m"]
-        baseline["demo"]["gone_ms"] = {
-            "value": 1.0, "unit": "ms", "direction": "lower_is_better"
-        }
-        (hist / "baseline.json").write_text(json.dumps(baseline))
-        proc = _bench_check("--history-dir", str(hist))
-        assert proc.returncode == 0
-        assert "new metric" in proc.stdout
-        assert "missing from run" in proc.stdout
-
-
-# ----------------------------------------------------------------------
-# The service_load CLI appends history entries
-# ----------------------------------------------------------------------
-class TestServiceLoadHistoryHook:
-    @pytest.mark.slow
-    def test_compare_mode_appends_history(self, tmp_path):
-        from repro.bench.service_load import main as service_load_main
-
-        code = service_load_main([
-            "--mode", "compare", "--repeats", "1", "--concurrency", "2",
-            "--out", "-", "--history-dir", str(tmp_path),
-        ])
-        assert code == 0
-        entry = history.latest_entry("service_compare", history_dir=tmp_path)
-        assert entry is not None
-        assert entry["topology"]["shards"] == 2
-        for leg in ("single", "sharded"):
-            assert entry["metrics"][f"{leg}_throughput_rps"]["value"] > 0
-            assert entry["metrics"][f"{leg}_errors"]["value"] == 0
+    def test_committed_history_is_well_formed(self):
+        files = sorted(HISTORY_DIR.glob("BENCH_*.json"))
+        assert files, HISTORY_DIR
+        for path in files:
+            entries = json.loads(path.read_text(encoding="utf-8"))
+            assert isinstance(entries, list) and entries, path.name
+            name = path.stem.removeprefix("BENCH_")
+            for index, entry in enumerate(entries):
+                where = f"{path.name}[{index}]"
+                assert entry["schema"] == history.SCHEMA_VERSION, where
+                assert entry["name"] == name, where
+                assert entry["metrics"], where
+                try:
+                    history.check_metrics(entry["metrics"])
+                except ValueError as exc:
+                    pytest.fail(f"{where}: {exc}")

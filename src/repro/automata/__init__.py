@@ -1,6 +1,6 @@
 """Query automata: the paper's pattern language, NFAs, DFAs and tries."""
 
-from .dfa import DEAD, Dfa, MaterializedDfa, dfa_for_pattern, minimize
+from .dfa import DEAD, Dfa, dfa_for_pattern
 from .nfa import CharMatcher, Nfa, compile_pattern
 from .regex import (
     Alternation,
@@ -20,9 +20,7 @@ from .trie import DictionaryTrie
 __all__ = [
     "DEAD",
     "Dfa",
-    "MaterializedDfa",
     "dfa_for_pattern",
-    "minimize",
     "CharMatcher",
     "Nfa",
     "compile_pattern",

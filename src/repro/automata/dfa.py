@@ -1,101 +1,154 @@
-"""Deterministic automata via (lazy) subset construction.
+"""Deterministic query automata, determinized once over character classes.
 
-Queries are evaluated as DFAs over SFA data (paper Section 2.2): the
-evaluation DP is cubic in the number of DFA states, so we keep the DFA
-small two ways:
+Queries are evaluated as DFAs over SFA data (paper Section 2.2), and the
+evaluation DP is cubic in the number of DFA states (Table 1's
+``q^3(m-1)``), so the DFA is kept small and bounded:
 
-* **lazy construction** -- subsets are materialized only for characters
-  actually seen in the data;
+* **character classes** -- a pattern's matchers (literal sets, ``\\d``,
+  ``\\x``) split the alphabet into a handful of classes no transition
+  tells apart: one per literal-set signature, one for the digits outside
+  every literal set, one (class 0) for everything else.  Subset
+  construction runs once, eagerly, over the classes, and the result is
+  an immutable ``state x class`` table: a step is two lookups;
 * **absorbing accept** -- for the ``LIKE '%p%'`` (match-anywhere)
   semantics, acceptance of a factor is monotone, so every accepting
-  subset collapses into one absorbing accept state.
-
-A materialized + minimized form is provided for the cost-model benches
-(``q`` in Table 1) and for equivalence testing.
+  subset collapses into one absorbing accept state;
+* **a state budget** -- construction stops past :data:`MAX_STATES`
+  states with :class:`QueryTooComplex`, so a pattern whose DFA would blow
+  up is refused from the pattern alone, before any data is read.
 """
 
 from __future__ import annotations
 
 from .nfa import Nfa, compile_pattern
-from .regex import Node
+from .regex import DIGITS, Node
 
-__all__ = ["Dfa", "MaterializedDfa", "dfa_for_pattern", "minimize"]
+__all__ = ["DEAD", "MAX_STATES", "Dfa", "QueryTooComplex", "dfa_for_pattern"]
 
 DEAD = -1
 _ACCEPT = 0  # the absorbing accept state id (match-anywhere mode)
 
+#: The most states a query DFA may have.  The evaluation's own patterns
+#: need far fewer: at most 34 over the 2 200 distinct patterns the four
+#: e2e workloads draw on seeds 0-5, at most 15 over figure 17's ``\d``
+#: and ``(\x)*`` sweeps and the Table 4/6 regexes.  Past it the DP's
+#: ``q^3`` term, not the data, decides the cost: ``e``, n ``\x``, ``s``
+#: needs 2^(n+1) + 1 states, 16 385 at n = 13.
+MAX_STATES = 256
+
+
+class QueryTooComplex(ValueError):
+    """The pattern's DFA needs more than :data:`MAX_STATES` states."""
+
 
 class Dfa:
-    """A lazily-determinized view of an NFA.
+    """The subset-construction DFA of an NFA, complete over its classes.
 
     ``match_anywhere=True`` gives the ``Sigma* L Sigma*`` semantics the
     paper's LIKE predicate uses: matching restarts at every offset and
     acceptance absorbs.  ``match_anywhere=False`` gives plain whole-string
-    acceptance.
+    acceptance, with ``DEAD`` for the empty subset.
     """
 
     def __init__(self, nfa: Nfa, match_anywhere: bool = True) -> None:
-        self._nfa = nfa
         self._match_anywhere = match_anywhere
-        self._start_closure = nfa.epsilon_closure(frozenset((nfa.start,)))
-        self._subsets: list[frozenset[int] | None] = []
-        self._ids: dict[frozenset[int], int] = {}
-        self._accepting: set[int] = set()
-        self._cache: dict[tuple[int, str], int] = {}
-        if match_anywhere:
-            self._subsets.append(None)  # id 0: the absorbing accept state
-            self._accepting.add(_ACCEPT)
-        self.start = self._intern(self._start_closure)
+        edges = [
+            (src, matcher, dst)
+            for src, labelled in nfa.transitions.items()
+            for matcher, dst in labelled
+        ]
+        # A character's class is the set of edges it takes besides the
+        # ``\x`` ones; characters no literal set or ``\d`` names take
+        # only those, and are class 0.
+        named: dict[str, list[int]] = {}
+        for i, (_, matcher, _) in enumerate(edges):
+            if matcher.kind != "any":
+                chars = DIGITS if matcher.kind == "digit" else matcher.chars
+                for ch in chars:
+                    named.setdefault(ch, []).append(i)
+        classes: dict[tuple[int, ...], int] = {(): 0}
+        #: character -> class; characters not listed are class 0.
+        self._class_of = {
+            ch: classes.setdefault(tuple(named[ch]), len(classes))
+            for ch in sorted(named)
+        }
+        taken_by: list[list[int]] = [[] for _ in edges]
+        for signature, cls in classes.items():
+            for i in signature:
+                taken_by[i].append(cls)
+        # NFA subsets are bitsets.  Per source state: (the classes an
+        # edge takes, the epsilon closure of its target).
+        out: dict[int, list[tuple[list[int], int]]] = {}
+        for i, (src, matcher, dst) in enumerate(edges):
+            takes = list(classes.values()) if matcher.kind == "any" else taken_by[i]
+            out.setdefault(src, []).append((takes, nfa.epsilon_closure(dst)))
+        movers = sum(1 << src for src in out)
+        accept_bit = 1 << nfa.accept
+        start_bits = nfa.epsilon_closure(nfa.start)
+        restart = start_bits if match_anywhere else 0
+        subsets: list[int] = [0] if match_anywhere else []  # 0: _ACCEPT
+        ids: dict[int, int] = {}
+        accepting = {_ACCEPT} if match_anywhere else set()
+
+        def intern(subset: int) -> int:
+            if match_anywhere and subset & accept_bit:
+                return _ACCEPT
+            if not subset:
+                return DEAD
+            state = ids.get(subset)
+            if state is None:
+                if len(subsets) == MAX_STATES:
+                    raise QueryTooComplex(
+                        f"the query automaton needs more than {MAX_STATES} states"
+                    )
+                state = ids[subset] = len(subsets)
+                subsets.append(subset)
+                if subset & accept_bit:
+                    accepting.add(state)
+            return state
+
+        self.start = intern(start_bits)
+        # A class no edge of the subset takes leads to the restart.
+        fallback = intern(restart)
+        table: list[tuple[int, ...]] = []
+        while len(table) < len(subsets):
+            subset = subsets[len(table)]
+            if not subset:  # the absorbing accept
+                table.append((_ACCEPT,) * len(classes))
+                continue
+            moved: dict[int, int] = {}
+            active = subset & movers
+            while active:
+                low = active & -active
+                active ^= low
+                for takes, target in out[low.bit_length() - 1]:
+                    for cls in takes:
+                        moved[cls] = moved.get(cls, restart) | target
+            row = [fallback] * len(classes)
+            for cls, nxt in moved.items():
+                row[cls] = intern(nxt)
+            table.append(tuple(row))
+        # Row -1 is DEAD's: a sink, so DEAD indexes the table like any state.
+        table.append((DEAD,) * len(classes))
+        #: ``table[state][cls]``: the transition function, ``DEAD`` included.
+        self.table: tuple[tuple[int, ...], ...] = tuple(table)
+        self._accepting = frozenset(accepting)
 
     # ------------------------------------------------------------------
-    def _is_nfa_accepting(self, subset: frozenset[int]) -> bool:
-        return self._nfa.accept in subset
+    def char_class(self, ch: str) -> int:
+        """The class of character ``ch`` (the table's column)."""
+        return self._class_of.get(ch, 0)
 
-    def _intern(self, subset: frozenset[int]) -> int:
-        if self._match_anywhere and self._is_nfa_accepting(subset):
-            return _ACCEPT
-        existing = self._ids.get(subset)
-        if existing is not None:
-            return existing
-        state = len(self._subsets)
-        self._subsets.append(subset)
-        self._ids[subset] = state
-        if not self._match_anywhere and self._is_nfa_accepting(subset):
-            self._accepting.add(state)
-        return state
-
-    # ------------------------------------------------------------------
     def step(self, state: int, ch: str) -> int:
         """The transition function; ``DEAD`` is a sink for dead ends."""
-        if state == DEAD:
-            return DEAD
-        if self._match_anywhere and state == _ACCEPT:
-            return _ACCEPT
-        key = (state, ch)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        subset = self._subsets[state]
-        assert subset is not None
-        moved = self._nfa.move(subset, ch)
-        nxt_subset = self._nfa.epsilon_closure(moved)
-        if self._match_anywhere:
-            nxt_subset = nxt_subset | self._start_closure
-        nxt = self._intern(nxt_subset) if nxt_subset else DEAD
-        if self._match_anywhere and nxt == DEAD:
-            # The restart closure is always live in match-anywhere mode.
-            nxt = self._intern(self._start_closure)
-        self._cache[key] = nxt
-        return nxt
+        return self.table[state][self._class_of.get(ch, 0)]
 
     def step_string(self, state: int, text: str) -> int:
         """Run the DFA over ``text`` from ``state``."""
+        table = self.table
+        class_of = self._class_of
         for ch in text:
-            state = self.step(state, ch)
-            if state == DEAD:
-                return DEAD
-            if self._match_anywhere and state == _ACCEPT:
-                return _ACCEPT
+            state = table[state][class_of.get(ch, 0)]
         return state
 
     def is_accepting(self, state: int) -> bool:
@@ -108,120 +161,23 @@ class Dfa:
 
     @property
     def num_states(self) -> int:
-        """Number of states materialized so far (the lazy ``q``)."""
-        return len(self._subsets)
+        """Number of live states (the ``q`` of Table 1), ``DEAD`` excluded."""
+        return len(self.table) - 1
+
+    @property
+    def num_classes(self) -> int:
+        """Number of character classes (the table's columns)."""
+        return len(self.table[0])
 
     @property
     def match_anywhere(self) -> bool:
         """Whether this DFA uses substring (Sigma* L Sigma*) semantics."""
         return self._match_anywhere
 
-    # ------------------------------------------------------------------
-    def materialize(self, alphabet: str) -> "MaterializedDfa":
-        """Force every transition over ``alphabet`` and return a complete
-        transition-table DFA (plus a dead sink)."""
-        pending = [self.start]
-        seen = {self.start}
-        while pending:
-            state = pending.pop()
-            for ch in alphabet:
-                nxt = self.step(state, ch)
-                if nxt != DEAD and nxt not in seen:
-                    seen.add(nxt)
-                    pending.append(nxt)
-        states = sorted(seen)
-        index = {s: i for i, s in enumerate(states)}
-        dead = len(states)
-        table = [[dead] * len(alphabet) for _ in range(dead + 1)]
-        for state in states:
-            for j, ch in enumerate(alphabet):
-                nxt = self.step(state, ch)
-                table[index[state]][j] = dead if nxt == DEAD else index[nxt]
-        accepting = frozenset(
-            index[s] for s in states if self.is_accepting(s)
-        )
-        return MaterializedDfa(
-            alphabet=alphabet,
-            table=table,
-            start=index[self.start],
-            accepting=accepting,
-            dead=dead,
-        )
-
-
-class MaterializedDfa:
-    """A complete transition-table DFA over an explicit alphabet."""
-
-    def __init__(
-        self,
-        alphabet: str,
-        table: list[list[int]],
-        start: int,
-        accepting: frozenset[int],
-        dead: int,
-    ) -> None:
-        self.alphabet = alphabet
-        self._index = {ch: i for i, ch in enumerate(alphabet)}
-        self.table = table
-        self.start = start
-        self.accepting = accepting
-        self.dead = dead
-
-    @property
-    def num_states(self) -> int:
-        """Total states including the dead sink."""
-        return len(self.table)
-
-    def step(self, state: int, ch: str) -> int:
-        """Table-lookup transition; unknown characters go dead."""
-        col = self._index.get(ch)
-        if col is None:
-            return self.dead
-        return self.table[state][col]
-
-    def is_accepting(self, state: int) -> bool:
-        """True for accepting states."""
-        return state in self.accepting
-
-    def accepts(self, text: str) -> bool:
-        """Whole-string acceptance over the materialized table."""
-        state = self.start
-        for ch in text:
-            state = self.step(state, ch)
-        return state in self.accepting
-
-
-def minimize(dfa: MaterializedDfa) -> MaterializedDfa:
-    """Moore partition-refinement minimization of a materialized DFA."""
-    n = dfa.num_states
-    # Initial partition: accepting vs non-accepting.
-    block = [1 if s in dfa.accepting else 0 for s in range(n)]
-    while True:
-        signatures: dict[tuple[int, ...], int] = {}
-        new_block = [0] * n
-        for state in range(n):
-            signature = (block[state],) + tuple(
-                block[dfa.table[state][j]] for j in range(len(dfa.alphabet))
-            )
-            new_block[state] = signatures.setdefault(signature, len(signatures))
-        if new_block == block:
-            break
-        block = new_block
-    num_blocks = max(block) + 1
-    table = [[0] * len(dfa.alphabet) for _ in range(num_blocks)]
-    for state in range(n):
-        for j in range(len(dfa.alphabet)):
-            table[block[state]][j] = block[dfa.table[state][j]]
-    accepting = frozenset(block[s] for s in dfa.accepting)
-    return MaterializedDfa(
-        alphabet=dfa.alphabet,
-        table=table,
-        start=block[dfa.start],
-        accepting=accepting,
-        dead=block[dfa.dead],
-    )
-
 
 def dfa_for_pattern(pattern: str | Node, match_anywhere: bool = True) -> Dfa:
-    """Compile a query pattern straight to its (lazy) DFA."""
+    """Compile a query pattern straight to its DFA.
+
+    Raises :class:`QueryTooComplex` past :data:`MAX_STATES` states.
+    """
     return Dfa(compile_pattern(pattern), match_anywhere=match_anywhere)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import regex
-from .regex import DIGITS, Node
+from .regex import Node
 
 __all__ = ["CharMatcher", "Nfa", "compile_pattern"]
 
@@ -25,14 +25,6 @@ class CharMatcher:
 
     kind: str
     chars: frozenset[str] = frozenset()
-
-    def matches(self, ch: str) -> bool:
-        """Whether this label matches character ``ch``."""
-        if self.kind == "any":
-            return True
-        if self.kind == "digit":
-            return ch in DIGITS
-        return ch in self.chars
 
 
 ANY = CharMatcher("any")
@@ -82,39 +74,17 @@ class Nfa:
         """Number of allocated states."""
         return self._next_state
 
-    def epsilon_closure(self, states: frozenset[int]) -> frozenset[int]:
-        """All states reachable from ``states`` via epsilon moves."""
-        closure = set(states)
-        stack = list(states)
+    def epsilon_closure(self, state: int) -> int:
+        """The states reachable from ``state`` via epsilon moves, as a
+        bitset (bit ``s`` set for state ``s``)."""
+        bits = 1 << state
+        stack = [state]
         while stack:
-            state = stack.pop()
-            for nxt in self.epsilon[state]:
-                if nxt not in closure:
-                    closure.add(nxt)
+            for nxt in self.epsilon[stack.pop()]:
+                if not bits >> nxt & 1:
+                    bits |= 1 << nxt
                     stack.append(nxt)
-        return frozenset(closure)
-
-    def move(self, states: frozenset[int], ch: str) -> frozenset[int]:
-        """States reachable from ``states`` by consuming ``ch`` (without the
-        trailing epsilon closure)."""
-        return frozenset(
-            dst
-            for state in states
-            for matcher, dst in self.transitions[state]
-            if matcher.matches(ch)
-        )
-
-    def outgoing_matchers(self, states: frozenset[int]) -> list[CharMatcher]:
-        """The distinct matchers leaving a state set (drives the lazy DFA's
-        alphabet partitioning)."""
-        seen: set[CharMatcher] = set()
-        out: list[CharMatcher] = []
-        for state in states:
-            for matcher, _ in self.transitions[state]:
-                if matcher not in seen:
-                    seen.add(matcher)
-                    out.append(matcher)
-        return out
+        return bits
 
 
 def _build(nfa: Nfa, node: Node) -> tuple[int, int]:

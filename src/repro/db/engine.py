@@ -267,11 +267,10 @@ class StaccatoDB:
         else rebuilds it from one bulk blob read.  The DP then runs over
         the image seeded at the pending lines only.
 
-        Without a memo (library use, ``--scan-procs`` workers, the
-        benches) and for ``keyed`` scans (an index plan's few
-        candidates) nothing is kept between queries: blobs come from one
-        bulk or keyed read and are decoded and laid out per query -- the
-        paper's filescan.
+        Without a memo (library use, the CLI, the benches) and for
+        ``keyed`` scans (an index plan's few candidates) nothing is kept
+        between queries: blobs come from one bulk or keyed read and are
+        decoded and laid out per query -- the paper's filescan.
 
         Either way, a line without a current-version row (old database
         files) or whose blob the codec rejects is recompiled from its
@@ -341,6 +340,8 @@ class StaccatoDB:
             beside.append((data_key, fingerprint, kernel))
         cells = transitions = 0
         if in_image or beside:
+            if query is None:
+                query = compile_like(pattern)
             evaluator = KernelEvaluator(query)
             results = []
             if in_image:
@@ -498,12 +499,16 @@ class StaccatoDB:
 
         Automaton approaches go through the batched kernel scan; the
         string approaches (map/kmap) evaluate per line as before.  Lines
-        deleted concurrently are absent from the result.
+        deleted concurrently are absent from the result.  ``query`` is
+        ``pattern`` compiled, or ``None`` to compile it only when a line
+        needs evaluating: a scan the memo answers whole compiles nothing.
         """
         if approach in ("staccato", "fullsfa"):
             return self._kernel_scan(
                 pattern, query, approach, keys, keyed, scan
             )
+        if query is None:
+            query = compile_like(pattern)
         probs: dict[int, float] = {}
         for data_key in keys:
             try:
@@ -550,7 +555,6 @@ class StaccatoDB:
         data_keys: Iterable[int] | None = None,
     ) -> list[Answer]:
         """Filescan query plan: evaluate the predicate on every line."""
-        query = compile_like(like)
         keys = (
             list(data_keys)
             if data_keys is not None
@@ -564,7 +568,7 @@ class StaccatoDB:
             # process aggregate on exit, so /metrics still sees everything.
             with counters.collect() as counts:
                 probs = self._scan_probabilities(
-                    like, query, approach, keys, scan=scan
+                    like, None, approach, keys, scan=scan
                 )
                 answers = self._answers(keys, probs)
                 counters.add(

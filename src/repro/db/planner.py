@@ -24,14 +24,15 @@ Both plans evaluate compiled kernels (:mod:`repro.query.eval_kernel`):
 the scan as one lockstep batch over every line, the probe as a
 projected replay of each candidate's kernel on the windows of its
 postings, after one keyed read of the candidates' rows.  Measured at
-``m=40, k=25`` on 96 lines: a projected candidate costs ~0.42 ms on top
-of ~1.1 ms per probe (keyed fetch + decode + python replay), whichever
-handle runs it.  A scanned line costs ~0.47 ms on a plain handle (fetch,
-decode and layout per query), which is where the 0.8 threshold came
-from, but ~0.09 ms on a service handle, whose scan image
+``m=40, k=25`` on the 96 lines of the end-to-end corpus (2 vCPUs,
+numpy): a projected candidate costs ~0.36 ms (keyed fetch + decode +
+python replay) on top of ~0.43 ms per probe, whichever handle runs it.
+A scanned line costs ~0.45 ms on a plain handle (fetch, decode and
+layout per query), which is where the 0.8 threshold came from, but
+~0.07 ms on a service handle, whose scan image
 (:mod:`repro.query.memo`) leaves only the DP: there the plans cross at
-~18 candidates of 96, a selectivity of ~0.19, and between 0.19 and 0.8
-the probe is now the slower plan (12-26 ms against a 9 ms scan).  The
+~17 candidates of 96, a selectivity of ~0.18, and between 0.18 and 0.8
+the probe is the slower plan (7-28 ms against a 7 ms scan).  The
 threshold is deliberately not moved with the scan cost: it decides
 whether a request returns projected or full-line probabilities, so
 recalibrating it changes answers and counters and is its own change

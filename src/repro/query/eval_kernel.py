@@ -12,7 +12,8 @@ Two evaluators for the same program (:class:`repro.sfa.kernel.CompiledKernel`):
   DP at once: step ``t`` processes the ``t``-th topological node of every
   line in one set of vectorized operations, and the full
   ``(symbol, state)`` transition table is built up front by composing
-  per-character transition columns, so the per-line python work drops to
+  the query DFA's ``state x class`` table along each distinct class
+  string of the batch's symbols, so the per-line python work drops to
   almost nothing.
 
 A batch laid out once serves every query and any subset of its lines
@@ -94,6 +95,23 @@ def _window_positions(
             break
         frontier = reached
     return seen
+
+
+def _distinct_rows(np, rows, radix: int):
+    """The distinct rows of a 2-D array of ints in ``[0, radix)``, and the
+    index of each row among them: one mixed-radix ``int64`` key per row
+    (renumbered densely whenever the next digit could overflow it), then
+    a 1-D ``np.unique``."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every key is < bound
+    for column in rows.T:
+        if bound * radix > 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max()) + 1
+        key = key * radix + column
+        bound *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 class KernelBatch:
@@ -214,7 +232,8 @@ class KernelBatch:
         self.start_backward = [k.backward[k.start_pos] for k in kernels]
         # Symbol -> character-index decomposition, grouped by symbol
         # length: the query-independent half of the transition-table
-        # build (the query-dependent half composes per-char columns).
+        # build (the query-dependent half maps characters to the
+        # query's classes and composes class columns).
         self.chars = sorted(
             {ch for sym in self.sym_strings for ch in sym}
         )
@@ -500,42 +519,25 @@ class KernelEvaluator:
     def _full_table(self, np, batch: KernelBatch):
         """The complete (symbol, state) transition matrix.
 
-        Built by materializing per-character transition columns to a
-        fixpoint of the lazy DFA, then composing them per symbol with
-        vectorized gathers (the symbol -> character decomposition is
-        precomputed on the batch).  ``DEAD`` is represented by an extra
-        absorbing sentinel row (index ``num_states``) so compositions
-        stay valid array indices; the returned matrix maps
+        Every character of the batch maps to its query character class;
+        each symbol-length group then composes the DFA's class columns
+        along its *distinct* class strings only, with vectorized gathers,
+        and gathers the rows back to its symbols.  ``DEAD`` is an extra
+        absorbing sentinel (index ``num_states``) so compositions stay
+        valid array indices; the returned matrix maps
         ``M[symbol_id, state] -> next state`` with ``dead_id`` standing
         in for ``DEAD``.  Transitions are exactly ``step_string``'s:
         integer function composition, no float involved.
         """
         query = self.query
-        chars = batch.chars
-        columns: dict[str, list[int]] = {ch: [] for ch in chars}
-        filled = 0
-        while True:
-            num_states = query.num_states
-            if filled == num_states:
-                break
-            for ch in chars:
-                column = columns[ch]
-                for state in range(filled, num_states):
-                    column.append(query.step(state, ch))
-            filled = num_states
         num_states = query.num_states
         dead_id = num_states
-        if chars:
-            col_mat = np.empty(
-                (len(chars), num_states + 1), dtype=np.int64
-            )
-            for i, ch in enumerate(chars):
-                col = np.asarray(columns[ch], dtype=np.int64)
-                col[col == _DEAD] = dead_id
-                col_mat[i, :num_states] = col
-            col_mat[:, dead_id] = dead_id
-        else:
-            col_mat = np.full((1, num_states + 1), dead_id, np.int64)
+        # moves[cls, state]; the DFA's DEAD row (-1) becomes column dead_id.
+        moves = np.asarray(query.table, dtype=np.int64).T.copy()
+        moves[moves == _DEAD] = dead_id
+        char_class = np.asarray(
+            [query.char_class(ch) for ch in batch.chars], dtype=np.int64
+        )
         table = np.empty(
             (len(batch.sym_strings), num_states + 1), dtype=np.int64
         )
@@ -543,10 +545,13 @@ class KernelEvaluator:
             if length == 0:  # step_string(state, "") is the identity
                 table[idx] = np.arange(num_states + 1, dtype=np.int64)
                 continue
-            current = col_mat[char_idx[:, 0]]
+            strings, inverse = _distinct_rows(
+                np, char_class[char_idx], query.num_classes
+            )
+            current = moves[strings[:, 0]]
             for pos in range(1, length):
-                current = col_mat[char_idx[:, pos, None], current]
-            table[idx] = current
+                current = moves[strings[:, pos, None], current]
+            table[idx] = current[inverse]
         return table, dead_id
 
     def _numpy_batch(
@@ -712,15 +717,21 @@ class KernelEvaluator:
             if len(k_line) == 0:
                 continue
             lo_dst = int(k_dst.min())
-            hi_dst = int(k_dst.max())
-            if lo_dst == hi_dst:
+            if lo_dst == int(k_dst.max()):
                 pending[lo_dst].append((k_line, k_nxt, k_w))
-            else:
-                for d in np.unique(k_dst).tolist():
-                    sel = k_dst == d
-                    pending[d].append(
-                        (k_line[sel], k_nxt[sel], k_w[sel])
-                    )
+                continue
+            # One contiguous run per destination, entry order kept within
+            # each (a stable sort), destinations ascending.
+            order = np.argsort(k_dst, kind="stable")
+            k_dst = k_dst[order]
+            k_line = k_line[order]
+            k_nxt = k_nxt[order]
+            k_w = k_w[order]
+            cuts = (np.flatnonzero(k_dst[1:] != k_dst[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(k_dst)]):
+                pending[int(k_dst[lo])].append(
+                    (k_line[lo:hi], k_nxt[lo:hi], k_w[lo:hi])
+                )
 
         results = []
         if match_anywhere:

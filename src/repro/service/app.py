@@ -10,6 +10,7 @@ itself -- endpoints, cache, jobs -- is the shard router of
 
 from __future__ import annotations
 
+from ..automata.dfa import QueryTooComplex
 from ..automata.regex import RegexError
 from ..db.engine import StaccatoDB
 from ..db.planner import execute_plan
@@ -26,18 +27,24 @@ __all__ = [
 ]
 
 
-def check_pattern(pattern: str) -> None:
-    """Reject an uncompilable pattern up front, as a structured 400.
+def check_pattern(pattern: str, bad_code: str = "bad_pattern") -> None:
+    """Reject an uncompilable or too complex pattern up front, as a 400.
 
-    Compilation is deterministic, so letting a bad pattern reach the
-    evaluation path would fail *every* replica it touches -- tripping
-    circuit breakers and answering 503 for healthy shards over what is
-    purely a client mistake.
+    Compilation is deterministic and decided by the pattern alone, so
+    letting such a pattern reach the evaluation path would fail *every*
+    replica it touches -- tripping circuit breakers and answering 503 for
+    healthy shards over what is purely a client mistake.  A pattern that
+    does not parse is ``bad_code``; one whose automaton exceeds
+    :data:`~repro.automata.dfa.MAX_STATES` is ``query_too_complex``.
     """
     try:
         compile_like(pattern)
     except RegexError as exc:
-        raise ApiError(400, str(exc), code="bad_pattern") from exc
+        raise ApiError(400, str(exc), code=bad_code) from exc
+    except QueryTooComplex as exc:
+        raise ApiError(
+            400, f"{pattern!r}: {exc}", code="query_too_complex"
+        ) from exc
 
 
 def index_fingerprint(db: StaccatoDB) -> list:

@@ -917,6 +917,8 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 parsed = parse_select(request.query)
             except SqlError as exc:
                 raise ApiError(400, str(exc), code="sql_error") from exc
+            for pattern in parsed.like_patterns:
+                check_pattern(pattern, bad_code="sql_error")
             started = time.perf_counter()
             # While a rebalance is copying, a moved document's rows
             # exist on two shards.  Scalar per-shard aggregates cannot

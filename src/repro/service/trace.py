@@ -4,8 +4,8 @@ Aggregate percentiles (``/stats``) say *that* a request was slow; a
 trace says *where*.  Every handled request records a tree of
 :class:`Span`\\ s -- body read, validation, cache probe, plan choice,
 per-shard fan-out legs, per-replica attempts (with breaker state and
-failover retries), executor queue wait, engine scan detail, merge and
-serialization -- into a bounded in-memory ring queryable over HTTP:
+failover retries), engine scan detail, merge and serialization -- into
+a bounded in-memory ring queryable over HTTP:
 
 * ``GET /traces`` -- recent trace summaries, filterable by
   ``endpoint``, ``min_ms`` and ``error``;
@@ -15,12 +15,11 @@ serialization -- into a bounded in-memory ring queryable over HTTP:
 
 Propagation is a :mod:`contextvars` variable plus an ``X-Trace-Id``
 header.  One subtlety carries the whole design: **context variables do
-not flow across executor hops** -- ``loop.run_in_executor`` and
-``ThreadPoolExecutor.map`` run callables in whatever context the worker
-thread last had.  Every fan-out point therefore captures the caller's
-current span explicitly and re-installs it in the worker via
-:func:`attach` (the sharded fan-out, the asyncio dispatch executor and
-the job workers all do this).
+not flow across executor hops** -- ``ThreadPoolExecutor.map`` runs
+callables in whatever context the worker thread last had.  Every
+fan-out point therefore captures the caller's current span explicitly
+and re-installs it in the worker via :func:`attach` (the sharded
+fan-out and the job workers both do this).
 
 The tracer also owns the two structured logs built on the same span
 data: the slow-query log (``serve --slow-query-ms N``; JSON lines with
@@ -241,9 +240,8 @@ def attach(parent: Span | None) -> Iterator[None]:
 def bind(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Wrap ``fn`` so it runs under the caller's *current* span.
 
-    For handing callables to ``ThreadPoolExecutor.map`` /
-    ``run_in_executor``, which would otherwise run them with no (or a
-    stale) trace context.
+    For handing callables to ``ThreadPoolExecutor.map``, which would
+    otherwise run them with no (or a stale) trace context.
     """
     parent = _CURRENT.get()
     if parent is None:

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro import counters
+from repro.db import engine as engine_module
 from repro.db import storage
 from repro.db.engine import DEFAULT_WINDOW, StaccatoDB
 from repro.db.planner import execute_plan
@@ -191,6 +192,26 @@ class TestSearch:
     def test_unknown_approach(self, loaded_db):
         with pytest.raises(ValueError):
             loaded_db.search("%a%", approach="bogus")
+
+    def test_a_scan_the_memo_answers_compiles_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """The query DFA is built only when some line needs the DP."""
+        path = str(tmp_path / "memo.db")
+        with StaccatoDB(path, k=8, m=10) as db:
+            db.ingest(make_ca(num_docs=1, lines_per_doc=3), SimulatedOcrEngine())
+        compiled = []
+        real = engine_module.compile_like
+        monkeypatch.setattr(
+            engine_module,
+            "compile_like",
+            lambda like: compiled.append(like) or real(like),
+        )
+        with StaccatoDB(path, k=8, m=10, kernel_memo=KernelMemo()) as db:
+            first = db.search("%the%")
+            assert compiled == ["%the%"]
+            assert db.search("%the%") == first
+            assert compiled == ["%the%"]
 
     def test_recall_ordering_regex(self, loaded_db):
         """MAP <= kMAP <= FullSFA recall on a digit-heavy regex."""

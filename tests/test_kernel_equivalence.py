@@ -9,7 +9,8 @@ branching DAGs) against random query DFAs, through both the
 match-anywhere absorbing shortcut and the exact general path, and
 through a ``KRN2`` blob round trip.  The index plan's projected replay
 is held to the same bar against
-:func:`repro.indexing.projection.projected_match_probability`.
+:func:`repro.indexing.projection.projected_match_probability`, and the
+lockstep batch's transition table against ``step_string``.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import counters
-from repro.automata.dfa import dfa_for_pattern
+from repro.automata.dfa import DEAD, dfa_for_pattern
 from repro.query.eval_kernel import (
     HAVE_NUMPY,
     KernelBatch,
@@ -31,7 +32,13 @@ from repro.sfa import serialize
 from repro.sfa.kernel import compile_kernel, kernel_from_bytes, kernel_to_bytes
 from repro.sfa.ops import forward_mass, topological_order
 
-from .strategies import chain_sfas, chunk_sfas, dag_sfas, regex_patterns
+from .strategies import (
+    chain_sfas,
+    chunk_sfas,
+    dag_sfas,
+    ocr_sfas,
+    regex_patterns,
+)
 
 any_sfas = st.one_of(
     chain_sfas(max_length=6), chunk_sfas(max_chunks=5), dag_sfas(max_length=7)
@@ -217,3 +224,31 @@ class TestNumpyPath:
         query = dfa_for_pattern("a", match_anywhere=True)
         with pytest.raises(RuntimeError):
             KernelEvaluator(query).evaluate_batch([], use_numpy=True)
+
+
+class TestTransitionTable:
+    """The lockstep batch's ``(symbol, state)`` table, composed over the
+    query's character classes, is ``step_string`` on every cell."""
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
+    @given(
+        st.lists(st.one_of(any_sfas, ocr_sfas()), min_size=1, max_size=3),
+        regex_patterns(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_row_is_step_string(self, sfas, pattern, anywhere):
+        import numpy as np
+
+        query = dfa_for_pattern(pattern, match_anywhere=anywhere)
+        batch = KernelBatch([compile_kernel(sfa) for sfa in sfas])
+        table, dead_id = KernelEvaluator(query)._full_table(np, batch)
+        assert dead_id == query.num_states
+        for sid, symbol in enumerate(batch.sym_strings):
+            expected = [
+                query.step_string(state, symbol)
+                for state in range(query.num_states)
+            ]
+            assert table[sid].tolist() == [
+                dead_id if nxt == DEAD else nxt for nxt in expected
+            ] + [dead_id]

@@ -6,10 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.dfa import DEAD, Dfa, dfa_for_pattern, minimize
+from repro.automata.dfa import (
+    DEAD,
+    MAX_STATES,
+    QueryTooComplex,
+    dfa_for_pattern,
+)
 from repro.automata.nfa import compile_pattern
 
+from .oracles.automata import materialize, minimize
 from .strategies import regex_patterns
+
+#: The patterns name ``a``, ``b``, ``c`` and digits; the text also holds
+#: letters and digits they never name and one non-ASCII character, so
+#: the digit class and the "everything else" class 0 are exercised.
+TEXT_ALPHABET = "abc019 xyQ58\u00e9"
 
 
 def _to_python_re(pattern: str) -> str:
@@ -100,14 +111,14 @@ class TestExactMatch:
 
 
 class TestAgainstPythonRe:
-    @given(regex_patterns(), st.text(alphabet="abc019 x", max_size=12))
+    @given(regex_patterns(), st.text(alphabet=TEXT_ALPHABET, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_match_anywhere_equivalence(self, pattern, text):
         ours = dfa_for_pattern(pattern).accepts(text)
         theirs = python_re.search(_to_python_re(pattern), text) is not None
         assert ours == theirs
 
-    @given(regex_patterns(), st.text(alphabet="abc019 x", max_size=12))
+    @given(regex_patterns(), st.text(alphabet=TEXT_ALPHABET, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_exact_equivalence(self, pattern, text):
         ours = dfa_for_pattern(pattern, match_anywhere=False).accepts(text)
@@ -118,14 +129,13 @@ class TestAgainstPythonRe:
 class TestMaterializeAndMinimize:
     def test_materialized_agrees_with_lazy(self):
         # Equivalence holds over the materialized alphabet only.
-        lazy = dfa_for_pattern(r"a(b|c)\d")
-        table = lazy.materialize("abc019 ")
+        dfa = dfa_for_pattern(r"a(b|c)\d")
+        table = materialize(dfa, "abc019 ")
         for text in [" ab1 ", "ac9", "ab", "a b 1", "abc019", "cab0c"]:
-            assert table.accepts(text) == lazy.accepts(text)
+            assert table.accepts(text) == dfa.accepts(text)
 
     def test_minimize_preserves_language(self):
-        lazy = dfa_for_pattern(r"(a|b)(a|b)c")
-        table = lazy.materialize("abc ")
+        table = materialize(dfa_for_pattern(r"(a|b)(a|b)c"), "abc ")
         small = minimize(table)
         assert small.num_states <= table.num_states
         for text in ["aac", "abc", "bbc", "ab", "c", "xxaacxx"[:5]]:
@@ -133,23 +143,60 @@ class TestMaterializeAndMinimize:
 
     def test_minimize_reduces_redundant_states(self):
         # (a|b) twice creates sibling subsets that minimize can merge.
-        table = dfa_for_pattern("(aa|ab)", match_anywhere=False).materialize("ab")
+        dfa = dfa_for_pattern("(aa|ab)", match_anywhere=False)
+        table = materialize(dfa, "ab")
         small = minimize(table)
         assert small.num_states < table.num_states
 
     def test_unknown_character_is_dead(self):
-        table = dfa_for_pattern("a", match_anywhere=False).materialize("a")
+        table = materialize(dfa_for_pattern("a", match_anywhere=False), "a")
         assert table.step(table.start, "z") == table.dead
 
 
-class TestLazyStateCount:
+class TestCharacterClasses:
+    def test_one_class_per_named_character_plus_digits_and_other(self):
+        dfa = dfa_for_pattern(r"ab\d")
+        assert dfa.num_classes == 4  # other, a, b, digits
+        assert dfa.char_class("z") == dfa.char_class("\u00e9") == 0
+        assert len({dfa.char_class(d) for d in "0123456789"}) == 1
+        assert dfa.char_class("a") != dfa.char_class("b")
+
+    def test_a_named_digit_is_its_own_class(self):
+        dfa = dfa_for_pattern(r"1\d")
+        assert dfa.char_class("1") != dfa.char_class("2") != 0
+        assert dfa.char_class("2") == dfa.char_class("9")
+
+    def test_without_digit_matchers_digits_are_other(self):
+        assert dfa_for_pattern(r"a\x").char_class("7") == 0
+
+    @given(regex_patterns(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_table_is_complete_and_closed(self, pattern, anywhere):
+        dfa = dfa_for_pattern(pattern, match_anywhere=anywhere)
+        assert len(dfa.table) == dfa.num_states + 1  # + DEAD's row
+        for row in dfa.table:
+            assert len(row) == dfa.num_classes
+            assert all(DEAD <= nxt < dfa.num_states for nxt in row)
+        assert set(dfa.table[DEAD]) == {DEAD}
+
+
+class TestEagerStateCount:
     def test_keyword_state_count_is_linear(self):
-        dfa = dfa_for_pattern("President")
-        dfa.accepts("the President said President things")
-        # states: one per proper prefix (+ restart overlaps) + accept
-        assert dfa.num_states <= len("President") + 2
+        # Every state is built up front, not only those a text reaches:
+        # one per proper prefix (+ restart overlaps) + accept.
+        assert dfa_for_pattern("President").num_states <= len("President") + 2
 
     def test_nfa_state_count(self):
         nfa = compile_pattern(r"a(b|c)*d")
         assert nfa.num_states > 0
         assert nfa.start != nfa.accept
+
+    def test_state_budget(self):
+        # "e", n wildcards, "s" anywhere in the text: the DFA tracks which
+        # of the last n + 1 characters were an "e", 2^(n+1) subsets.
+        wildcards = "\\x" * 13
+        assert dfa_for_pattern("e" + "\\x" * 6 + "s").num_states <= MAX_STATES
+        with pytest.raises(QueryTooComplex):
+            dfa_for_pattern("e" + wildcards + "s")
+        with pytest.raises(QueryTooComplex):
+            dfa_for_pattern("(\\x)*e" + wildcards + "s", match_anywhere=False)

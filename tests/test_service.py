@@ -15,15 +15,18 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.automata.dfa import QueryTooComplex
 from repro.bench.service_load import get_json, post_json, run_search_load
 from repro.db.engine import StaccatoDB
 from repro.db.sql import execute_select
 from repro.ocr.corpus import make_ca
+from repro.query.like import compile_like
 from repro.service import (
     ConnectionPool,
     PoolClosed,
@@ -511,6 +514,54 @@ class TestErrors:
         post_json(live.base_url, "/search", {})
         _, stats = get_json(live.base_url, "/stats")
         assert stats["requests"]["total_errors"] >= 1
+
+
+#: "e", 13 wildcards, "s": 16 385 DFA states, and seconds of DP per line
+#: had it been evaluated.
+_TOO_COMPLEX = "REGEX:e" + "\\x" * 13 + "s"
+
+
+class TestQueryTooComplex:
+    def test_library_compile_raises(self):
+        with pytest.raises(QueryTooComplex):
+            compile_like(_TOO_COMPLEX)
+
+    @pytest.mark.parametrize("topology", ["db", "shards", "worker_procs"])
+    def test_a_fast_400_on_every_topology(self, tmp_path, topology):
+        """Refused from the pattern alone, before any leg runs: a 400 on
+        ``/search`` and ``/sql`` within 10 ms, and, a client's mistake
+        rather than a replica fault, no breaker opens."""
+        if topology == "db":
+            running = start_service(
+                str(tmp_path / "one.db"), k=K, m=M, pool_size=2
+            )
+        else:
+            running = start_sharded_service(
+                str(tmp_path / "shards"), 2,
+                worker_procs=topology == "worker_procs",
+                k=K, m=M, pool_size=2, range_width=2,
+            )
+        try:
+            url = running.base_url
+            corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
+            assert post_json(url, "/ingest", _batch_payload(corpus))[0] == 200
+            sql = f"SELECT DocId FROM Claims WHERE DocData LIKE '{_TOO_COMPLEX}'"
+            for path, body in (
+                ("/search", {"pattern": _TOO_COMPLEX}),
+                ("/sql", {"query": sql}),
+            ):
+                elapsed = []
+                for _ in range(3):
+                    started = time.perf_counter()
+                    status, reply = post_json(url, path, body)
+                    elapsed.append(time.perf_counter() - started)
+                    assert status == 400, reply
+                    assert reply["error"]["code"] == "query_too_complex"
+                assert min(elapsed) < 0.010, elapsed
+            status, reply = post_json(url, "/search", {"pattern": "%Congress%"})
+            assert status == 200 and reply["count"] > 0
+        finally:
+            running.stop()
 
 
 # ----------------------------------------------------------------------

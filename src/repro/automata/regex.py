@@ -8,11 +8,13 @@ in the evaluation (Tables 4 and 6) consists of:
 * ``\\d`` -- any decimal digit;
 * ``\\x`` -- any character;
 * ``( a | b | ... )`` -- alternation of sub-patterns (``(8|9)``, ``(no|num)``);
-* ``*`` -- Kleene star on the preceding atom (``(\\x)*``);
+* ``*`` -- Kleene star on the preceding atom (``(\\x)*``; stacked stars
+  are one star);
 * ``\\c`` -- escape for a literal ``(``, ``)``, ``|``, ``*`` or ``\\``.
 
 The parser produces a small AST that :mod:`repro.automata.nfa` compiles via
-Thompson's construction.
+Thompson's construction.  Groups nest at most :data:`MAX_NESTING` deep, so
+the parser's and the compiler's recursion stays far inside Python's limit.
 """
 
 from __future__ import annotations
@@ -30,11 +32,16 @@ __all__ = [
     "Alternation",
     "Star",
     "Epsilon",
+    "MAX_NESTING",
     "parse",
     "literal_prefix",
 ]
 
 DIGITS = frozenset(_string.digits)
+
+#: The deepest group nesting a pattern may use.  The evaluation's
+#: patterns nest one deep; each level costs the parser four stack frames.
+MAX_NESTING = 64
 
 
 class RegexError(ValueError):
@@ -97,6 +104,7 @@ class _Parser:
     def __init__(self, pattern: str) -> None:
         self.pattern = pattern
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         if self.pos < len(self.pattern):
@@ -131,16 +139,21 @@ class _Parser:
         atom = self.parse_atom()
         while self.peek() == "*":
             self.take()
-            atom = Star(atom)
+            if not isinstance(atom, Star):  # Star(Star(x)) is Star(x)
+                atom = Star(atom)
         return atom
 
     def parse_atom(self) -> Node:
         ch = self.take()
         if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise RegexError(f"groups nest more than {MAX_NESTING} deep")
             inner = self.parse_alternation()
             if self.peek() != ")":
                 raise RegexError(f"unclosed group in pattern {self.pattern!r}")
             self.take()
+            self.depth -= 1
             return inner
         if ch == "\\":
             escaped = self.peek()

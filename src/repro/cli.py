@@ -193,9 +193,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.slow_query_ms is not None and args.slow_query_ms < 0:
         print("error: --slow-query-ms must be >= 0", file=sys.stderr)
         return 2
-    if args.profile_hz < 0:
-        print("error: --profile-hz must be >= 0", file=sys.stderr)
-        return 2
     serve_forever(
         args.db,
         host=args.host,
@@ -217,7 +214,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_query_ms=args.slow_query_ms,
         slow_log_path=args.slow_query_log,
         access_log_path=args.access_log,
-        profile_hz=args.profile_hz,
     )
     return 0
 
@@ -338,11 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--access-log", default=None, metavar="PATH",
         help="structured JSON access log, one line per request "
              "('-' for stderr)",
-    )
-    serve.add_argument(
-        "--profile-hz", type=float, default=0.0,
-        help="sampling profiler frequency in samples/second "
-             "(0 disables; results at GET /profile)",
     )
     serve.set_defaults(func=_cmd_serve)
     return parser

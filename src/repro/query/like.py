@@ -12,16 +12,32 @@ Beyond standard SQL, a pattern may opt into the paper's full regex
 language with the ``REGEX:`` prefix (used by the evaluation's regex
 queries, e.g. ``REGEX:U.S.C. 2\\d\\d\\d`` -- these are implicitly
 match-anywhere, like all queries in the paper's workload).
+
+A pattern longer than :data:`MAX_PATTERN_CHARS` is refused before it is
+parsed, with the same :class:`~repro.automata.dfa.QueryTooComplex` the
+DFA's state budget raises.
 """
 
 from __future__ import annotations
 
-from ..automata.dfa import Dfa, dfa_for_pattern
+from ..automata.dfa import Dfa, QueryTooComplex, dfa_for_pattern
 
-__all__ = ["escape_literal", "like_to_pattern", "compile_like"]
+__all__ = [
+    "MAX_PATTERN_CHARS",
+    "escape_literal",
+    "like_to_pattern",
+    "compile_like",
+]
 
 _METACHARACTERS = set("()|*\\")
 REGEX_PREFIX = "REGEX:"
+
+#: The longest pattern compiled.  A literal needs a DFA state per
+#: character, so past about 255 characters ``MAX_STATES`` refuses it
+#: anyway -- but only after parsing it and building its NFA, work linear
+#: in its length.  This bound refuses a longer pattern first, in constant
+#: time.
+MAX_PATTERN_CHARS = 4096
 
 
 def escape_literal(text: str) -> str:
@@ -60,5 +76,10 @@ def like_to_pattern(like: str) -> tuple[str, bool]:
 
 def compile_like(like: str) -> Dfa:
     """Compile a LIKE pattern (or ``REGEX:`` pattern) to its query DFA."""
+    if len(like) > MAX_PATTERN_CHARS:
+        raise QueryTooComplex(
+            f"the pattern has {len(like)} characters, more than "
+            f"{MAX_PATTERN_CHARS}"
+        )
     pattern, anywhere = like_to_pattern(like)
     return dfa_for_pattern(pattern, match_anywhere=anywhere)

@@ -34,16 +34,19 @@ def check_pattern(pattern: str, bad_code: str = "bad_pattern") -> None:
     letting such a pattern reach the evaluation path would fail *every*
     replica it touches -- tripping circuit breakers and answering 503 for
     healthy shards over what is purely a client mistake.  A pattern that
-    does not parse is ``bad_code``; one whose automaton exceeds
-    :data:`~repro.automata.dfa.MAX_STATES` is ``query_too_complex``.
+    does not parse is ``bad_code``; one longer than
+    :data:`~repro.query.like.MAX_PATTERN_CHARS` or whose automaton
+    exceeds :data:`~repro.automata.dfa.MAX_STATES` is
+    ``query_too_complex``.
     """
     try:
         compile_like(pattern)
     except RegexError as exc:
         raise ApiError(400, str(exc), code=bad_code) from exc
     except QueryTooComplex as exc:
+        shown = pattern if len(pattern) <= 80 else pattern[:77] + "..."
         raise ApiError(
-            400, f"{pattern!r}: {exc}", code="query_too_complex"
+            400, f"{shown!r}: {exc}", code="query_too_complex"
         ) from exc
 
 

@@ -19,7 +19,6 @@ socket accept/read/write and timeouts.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 import urllib.parse
@@ -67,7 +66,6 @@ GET_ROUTES = {
     "/jobs": "jobs_list",
     "/metrics": "metrics_text",
     "/traces": "traces_list",
-    "/profile": "profile",
 }
 POST_ROUTES = {
     "/ingest": "ingest",
@@ -87,7 +85,7 @@ DELETE_ARG_ROUTES = {"/jobs/": "jobs_cancel"}
 
 #: Endpoints that receive the parsed query string (``?endpoint=search``)
 #: instead of a body or path argument.
-QUERY_ROUTES = {"traces_list", "profile"}
+QUERY_ROUTES = {"traces_list"}
 
 #: The Prometheus text exposition format ``GET /metrics`` serves.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -290,7 +288,7 @@ def decode_json(raw: bytes) -> object:
 #: Endpoints that observe the service rather than serve data: they are
 #: not traced themselves (a scrape loop or trace poll would otherwise
 #: fill the trace ring with its own requests).
-UNTRACED_ENDPOINTS = {"metrics_text", "traces_list", "traces_get", "profile"}
+UNTRACED_ENDPOINTS = {"metrics_text", "traces_list", "traces_get"}
 
 
 def dispatch(
@@ -311,9 +309,7 @@ def dispatch(
     under ``"trace"`` in a successful response; a request that arrived
     with an ``X-Parent-Span-Id`` header (a cross-process hop from the
     worker router) gets the same echo unconditionally, so the caller
-    can graft this process's subtree into its own trace.  A body with
-    ``"profile": true`` echoes the sampling profiler's aggregate under
-    ``"profile"``.
+    can graft this process's subtree into its own trace.
     """
     try:
         method = getattr(service, routed.endpoint, None)
@@ -323,18 +319,14 @@ def dispatch(
             raise ApiError(
                 404, f"{routed.endpoint!r} is not served here", "not_found"
             )
-        profiler = getattr(service, "profiler", None)
-        with contextlib.ExitStack() as stack:
-            if profiler is not None and profiler.enabled:
-                stack.enter_context(profiler.tag(routed.endpoint))
-            if routed.endpoint in QUERY_ROUTES:
-                result = method(query or {})
-            elif routed.with_body:
-                result = method(payload)
-            elif routed.arg is not None:
-                result = method(routed.arg)
-            else:
-                result = method()
+        if routed.endpoint in QUERY_ROUTES:
+            result = method(query or {})
+        elif routed.with_body:
+            result = method(payload)
+        elif routed.arg is not None:
+            result = method(routed.arg)
+        else:
+            result = method()
         if (
             isinstance(result, tuple)
             and len(result) == 2
@@ -357,16 +349,6 @@ def dispatch(
                     "trace_id": root.trace_id,
                     "spans": root.to_dict(),
                 }
-            if (
-                isinstance(payload, Mapping)
-                and payload.get("profile") is True
-            ):
-                result = dict(result)
-                result["profile"] = (
-                    profiler.snapshot()
-                    if profiler is not None
-                    else {"enabled": False, "hz": 0.0, "samples": 0}
-                )
         return status, result
     except ApiError as exc:
         return exc.status, exc.to_payload()
@@ -387,7 +369,7 @@ def respond(
     (serialization span, trace record, slow-query/access log lines,
     ``X-Trace-Id`` response header)."""
     elapsed = time.perf_counter() - started
-    service.metrics.observe(endpoint, elapsed, error=status >= 400)
+    service.metrics.observe("requests", (endpoint,), elapsed, status >= 400)
     with trace.span("serialize"):
         if isinstance(payload, TextPayload):
             body = payload.text.encode("utf-8")

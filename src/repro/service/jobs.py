@@ -515,8 +515,9 @@ class JobEngine:
                 self._done.notify_all()
             self._journal()
             if self._metrics is not None:
-                self._metrics.observe_job(
-                    job.type,
+                self._metrics.observe(
+                    "jobs",
+                    (job.type,),
                     job.finished_at - (job.started_at or job.finished_at),
                     error=state == "failed",
                 )

@@ -194,6 +194,7 @@ class LocalLeg:
         """One read with replica failover and per-replica timing."""
 
         def attempt(replica: Replica) -> object:
+            labels = (self.index, replica.replica_index, endpoint)
             started = time.perf_counter()
             try:
                 with replica.pool.acquire() as db:
@@ -201,19 +202,15 @@ class LocalLeg:
             except ApiError:
                 raise  # client error; not the replica's fault
             except Exception:
-                self.metrics.observe_replica(
-                    self.index,
-                    replica.replica_index,
-                    endpoint,
+                self.metrics.observe(
+                    "replica_attempts",
+                    labels,
                     time.perf_counter() - started,
                     error=True,
                 )
                 raise
-            self.metrics.observe_replica(
-                self.index,
-                replica.replica_index,
-                endpoint,
-                time.perf_counter() - started,
+            self.metrics.observe(
+                "replica_attempts", labels, time.perf_counter() - started
             )
             return result
 

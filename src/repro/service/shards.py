@@ -70,7 +70,6 @@ from .cache import QueryCache, key_from_json, key_to_json
 from .jobs import Job, JobEngine, JobsApi, atomic_write_json
 from .legs import LegDeadline, LocalLeg, ShardLeg
 from .metrics import ServiceMetrics
-from .profiler import SamplingProfiler
 from .replicas import DEFAULT_COOLDOWN_S, ReplicaUnavailable
 from .trace import ObservabilityApi, Tracer
 from .validation import (
@@ -369,7 +368,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         slow_query_ms: float | None = None,
         slow_log_path: str | None = None,
         access_log_path: str | None = None,
-        profile_hz: float = 0.0,
         paths: Sequence[str] | None = None,
     ) -> None:
         if num_shards < 1:
@@ -403,7 +401,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             slow_log_path=slow_log_path,
             access_log_path=access_log_path,
         )
-        self.profiler = SamplingProfiler(hz=profile_hz)
         try:
             legs = self._open_legs(
                 k=k,
@@ -464,7 +461,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.profiler.start()
 
     @property
     def _one_file(self) -> bool:
@@ -490,7 +486,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self.profiler.stop()
         self.jobs.shutdown()
         self._executor.shutdown(wait=True)
         self._write_executor.shutdown(wait=True)
@@ -561,12 +556,16 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         trace span and metrics event.  Anything else a leg raises -- a
         client's ``ApiError``, a storage fault -- passes through.
         """
+        labels = (index, endpoint)
         started = time.perf_counter()
         try:
             result = call(self.pool.shards[index])
         except Exception as exc:
-            self.metrics.observe_shard(
-                index, endpoint, time.perf_counter() - started, error=True
+            self.metrics.observe(
+                "shard_requests",
+                labels,
+                time.perf_counter() - started,
+                error=True,
             )
             if isinstance(exc, ReplicaUnavailable):
                 raise ApiError(
@@ -580,8 +579,8 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                     503, str(exc), code="deadline_exceeded"
                 ) from exc
             raise
-        self.metrics.observe_shard(
-            index, endpoint, time.perf_counter() - started
+        self.metrics.observe(
+            "shard_requests", labels, time.perf_counter() - started
         )
         return result
 

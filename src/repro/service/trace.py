@@ -518,30 +518,3 @@ class ObservabilityApi:
             self.metrics.render_prometheus(gauges=gauges),
             PROMETHEUS_CONTENT_TYPE,
         )
-
-    def profile(self, query: Mapping[str, str]):
-        """The sampling profiler's aggregate (``GET /profile``).
-
-        Default is a JSON summary (top self-time frames plus the
-        heaviest collapsed stacks); ``?format=collapsed`` answers plain
-        collapsed-stack text that flamegraph tools consume directly.
-        ``?top=N`` bounds both listings.
-        """
-        from .http_common import TextPayload
-
-        profiler = getattr(self, "profiler", None)
-        if profiler is None:
-            raise ApiError(
-                404,
-                "this service has no profiler (start with --profile-hz N)",
-                "profiler_disabled",
-            )
-        fmt = query.get("format", "json")
-        if fmt not in ("json", "collapsed"):
-            raise ApiError(
-                400, f"'format' must be 'json' or 'collapsed', got {fmt!r}"
-            )
-        top = _query_int(query, "top", minimum=1)
-        if fmt == "collapsed":
-            return TextPayload(profiler.render_collapsed(top=top))
-        return profiler.snapshot(top=top)

@@ -11,7 +11,7 @@ and gives the *same* router a leg that reaches it over local HTTP:
   :class:`~repro.service.legs.LocalLeg` whose own methods are exposed
   one-to-one as the private ``/worker/<method>`` RPC surface (an
   ``EXTRA_ROUTES`` table; the public route tables are untouched), plus
-  the process's own tracer, metrics and profiler.
+  the process's own tracer and metrics.
 * ``python -m repro.service.workers`` -- the worker entry point: bind
   an ephemeral port, publish it through an atomic **port file**
   handshake, serve until SIGTERM, then drain gracefully (stop
@@ -70,7 +70,6 @@ from .app import answer_row
 from .jobs import atomic_write_json
 from .legs import LegDeadline, LocalLeg
 from .metrics import ServiceMetrics
-from .profiler import SamplingProfiler
 from .replicas import DEFAULT_COOLDOWN_S, ReplicaUnavailable
 from .shards import ShardedQueryService
 from .trace import ObservabilityApi, Tracer
@@ -212,7 +211,6 @@ class ShardWorkerService(ObservabilityApi):
         shard_dir: str,
         shard_index: int,
         trace_enabled: bool = True,
-        profile_hz: float = 0.0,
         **storage,
     ) -> None:
         if shard_index < 0:
@@ -225,11 +223,8 @@ class ShardWorkerService(ObservabilityApi):
             self.metrics,
             **storage,
         )
-        self.profiler = SamplingProfiler(hz=profile_hz)
-        self.profiler.start()
 
     def close(self) -> None:
-        self.profiler.stop()
         self.leg.close()
         self.tracer.close()
 
@@ -358,7 +353,6 @@ def run_worker(args: argparse.Namespace) -> int:
         args.shard_dir,
         args.shard_index,
         trace_enabled=not args.no_trace,
-        profile_hz=args.profile_hz,
         num_replicas=args.replicas,
         k=args.k,
         m=args.m,
@@ -432,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replica-cooldown", type=float, default=DEFAULT_COOLDOWN_S
     )
     parser.add_argument("--no-trace", action="store_true")
-    parser.add_argument("--profile-hz", type=float, default=0.0)
     return parser
 
 
@@ -1161,7 +1154,6 @@ class WorkerRouterService(ShardedQueryService):
             "--pool-size", str(pool_size),
             "--index-approach", index_approach,
             "--replica-cooldown", str(cooldown_s),
-            "--profile-hz", str(self.profiler.hz),
         ]
         if not self.tracer.enabled:
             spawn_flags.append("--no-trace")

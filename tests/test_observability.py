@@ -151,6 +151,15 @@ class TestTracer:
         tracer.release(root)
         assert tracer.records()[-1]["trace_id"] == "abc123"
 
+    def test_tracing_off_is_one_contextvar_read(self):
+        # The --no-trace fast path: begin_request returns None and the
+        # span() instrumentation point reduces to a context-var read
+        # that yields None -- no Span allocation anywhere.
+        tracer = Tracer(enabled=False)
+        assert tracer.begin_request("search", "POST", "/search") is None
+        with trace.span("anything") as node:
+            assert node is None
+
     def test_slow_query_log_threshold(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
         tracer = Tracer(slow_query_ms=10_000.0, slow_log_path=path)
@@ -195,7 +204,7 @@ class TestTracer:
 # ----------------------------------------------------------------------
 class TestMetricsConcurrency:
     def test_concurrent_observers_exact_counts(self):
-        # Many writer threads hammer every observe* family while a
+        # Many writer threads hammer every series family while a
         # reader snapshots and renders concurrently; at the end the
         # counters must be exact and no reader may have raised.
         metrics = ServiceMetrics()
@@ -215,10 +224,12 @@ class TestMetricsConcurrency:
         def write_loop() -> None:
             for index in range(per_thread):
                 error = index % 10 == 0
-                metrics.observe("search", 0.001, error=error)
-                metrics.observe_shard(0, "search", 0.001, error=error)
-                metrics.observe_replica(0, 1, "search", 0.001, error=error)
-                metrics.observe_job("rebalance", 0.001, error=error)
+                metrics.observe("requests", ("search",), 0.001, error)
+                metrics.observe("shard_requests", (0, "search"), 0.001, error)
+                metrics.observe(
+                    "replica_attempts", (0, 1, "search"), 0.001, error
+                )
+                metrics.observe("jobs", ("rebalance",), 0.001, error)
 
         reader = threading.Thread(target=read_loop)
         reader.start()
@@ -244,7 +255,7 @@ class TestMetricsConcurrency:
     def test_snapshot_has_uptime_and_p95(self):
         metrics = ServiceMetrics()
         for millis in range(1, 101):
-            metrics.observe("search", millis / 1000.0)
+            metrics.observe("requests", ("search",), millis / 1000.0)
         snap = metrics.snapshot()
         assert snap["uptime_s"] >= 0.0
         block = snap["endpoints"]["search"]["latency_ms"]
@@ -261,9 +272,9 @@ class TestPrometheusRender:
     def test_text_format_and_histogram_invariants(self):
         metrics = ServiceMetrics()
         for millis in (0.5, 3.0, 30.0, 400.0):
-            metrics.observe("search", millis / 1000.0)
-        metrics.observe("search", 0.002, error=True)
-        metrics.observe_shard(1, "search", 0.004)
+            metrics.observe("requests", ("search",), millis / 1000.0)
+        metrics.observe("requests", ("search",), 0.002, error=True)
+        metrics.observe("shard_requests", (1, "search"), 0.004)
         text = metrics.render_prometheus()
         for line in text.splitlines():
             if not line or line.startswith("#"):
@@ -434,6 +445,16 @@ class TestTracingOverHttp:
         # Scrapes must not trace themselves into the ring.
         status, body = get_json(live.base_url, "/traces?endpoint=metrics_text")
         assert status == 200 and body["count"] == 0
+
+    def test_profile_route_is_gone(self, live):
+        # The service has no in-process profiler: /profile is an
+        # ordinary unknown path, and a "profile" flag is not echoed.
+        status, body = get_json(live.base_url, "/profile")
+        assert status == 404 and body["error"]["code"] == "not_found"
+        status, _, body = _raw_post(
+            live.base_url, "/search", {"pattern": "%Law%", "profile": True}
+        )
+        assert status == 200 and "profile" not in body
 
     def test_job_runs_get_their_own_trace(self, live):
         status, _ = post_json(

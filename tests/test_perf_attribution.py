@@ -1,17 +1,15 @@
 """Tests for the performance-attribution layer: engine work counters,
-the sampling profiler, cross-process trace stitching, and the
-machine-readable bench history.
+cross-process trace stitching, and the machine-readable bench history.
 
 Unit tests cover the counter collector (context-local nesting, the
-process-global fold, exact totals under concurrent writers), the
-profiler's sampling/tagging/bounding, the history schema, and every
-committed ``benchmarks/history/BENCH_*.json`` entry against it.  The
-integration tests run live servers -- including the subprocess-worker
-topology -- and assert the wire surface: ``staccato_engine_*`` counter
-families on ``GET /metrics``, per-shard engine blocks on ``/stats``,
-``GET /profile``, strict ``GET /traces`` parameter validation, and the
-acceptance criterion of this layer: one coherent span tree across the
-router/worker process boundary.
+process-global fold, exact totals under concurrent writers), the history
+schema, and every committed ``benchmarks/history/BENCH_*.json`` entry
+against it.  The integration tests run live servers -- including the
+subprocess-worker topology -- and assert the wire surface:
+``staccato_engine_*`` counter families on ``GET /metrics``, per-shard
+engine blocks on ``/stats``, strict ``GET /traces`` parameter
+validation, and the acceptance criterion of this layer: one coherent
+span tree across the router/worker process boundary.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -33,9 +29,6 @@ from repro.service import (
     start_service,
     start_sharded_service,
 )
-from repro.service.profiler import SamplingProfiler
-from repro.service.trace import ObservabilityApi
-from repro.service.validation import ApiError
 
 from .test_observability import _batch_payload, _raw_get, _raw_post, find_spans
 
@@ -106,20 +99,13 @@ class TestCounterPrimitives:
 
 
 # ----------------------------------------------------------------------
-# A live one-file server, profiler on.  (The one-value ``thread``
-# parameter keeps the test ids the tier-1 floor tracks.)
+# A live one-file server.  (The one-value ``thread`` parameter keeps
+# the test ids the tier-1 floor tracks.)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=["thread"])
 def live(tmp_path_factory):
     db_path = str(tmp_path_factory.mktemp("perf") / "ca.db")
-    running = start_service(
-        db_path,
-        k=K,
-        m=M,
-        pool_size=3,
-        cache_size=64,
-        profile_hz=50.0,
-    )
+    running = start_service(db_path, k=K, m=M, pool_size=3, cache_size=64)
     corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
     status, _ = post_json(running.base_url, "/ingest", _batch_payload(corpus))
     assert status == 200
@@ -224,192 +210,6 @@ class TestTracesValidation:
         assert status == 200 and len(body["traces"]) == 1
         status, body = get_json(live.base_url, "/traces?min_ms=1e12")
         assert status == 200 and body["count"] == 0
-
-
-# ----------------------------------------------------------------------
-# The sampling profiler
-# ----------------------------------------------------------------------
-class TestProfilerUnit:
-    def test_disabled_profiler_has_no_thread(self):
-        profiler = SamplingProfiler(hz=0.0)
-        assert not profiler.enabled
-        profiler.start()
-        assert profiler._thread is None
-        snap = profiler.snapshot()
-        assert snap == {
-            "enabled": False,
-            "hz": 0.0,
-            "samples": 0,
-            "distinct_stacks": 0,
-            "endpoints": {},
-            "top_self": [],
-            "top_stacks": [],
-        }
-        profiler.stop()
-
-    def test_negative_hz_rejected(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(hz=-1.0)
-
-    def test_tagged_thread_is_sampled_with_label_first(self):
-        profiler = SamplingProfiler(hz=10.0)  # enabled; thread not started
-        with profiler.tag("search"):
-            seen = profiler.sample_once()
-        assert seen == 1
-        snap = profiler.snapshot()
-        assert snap["samples"] == 1
-        assert snap["endpoints"] == {"search": 1}
-        (entry,) = snap["top_stacks"]
-        assert entry["stack"].startswith("search;")
-        assert "sample_once" in entry["stack"]  # the leaf was this test
-        collapsed = profiler.render_collapsed()
-        assert collapsed.endswith(" 1\n")
-        assert collapsed.startswith("search;")
-
-    def test_untagged_threads_are_not_sampled(self):
-        profiler = SamplingProfiler(hz=10.0)
-        assert profiler.sample_once() == 0
-        assert profiler.snapshot()["samples"] == 0
-
-    def test_store_bound_folds_into_other(self):
-        profiler = SamplingProfiler(hz=10.0, max_stacks=1)
-
-        def distinct_stack(depth: int) -> None:
-            if depth > 0:
-                distinct_stack(depth - 1)
-            else:
-                profiler.sample_once()
-
-        with profiler.tag("search"):
-            for depth in range(4):
-                distinct_stack(depth)
-        snap = profiler.snapshot()
-        assert snap["samples"] == 4
-        assert snap["distinct_stacks"] <= 2  # first stack + the fold bucket
-        folded = [
-            e for e in snap["top_stacks"] if e["stack"] == "search;(other)"
-        ]
-        assert folded and folded[0]["samples"] == 3
-
-    def test_nested_tags_restore_previous_label(self):
-        profiler = SamplingProfiler(hz=10.0)
-        with profiler.tag("outer"):
-            with profiler.tag("inner"):
-                profiler.sample_once()
-            profiler.sample_once()
-        snap = profiler.snapshot()
-        assert snap["endpoints"] == {"inner": 1, "outer": 1}
-
-    def test_sampler_thread_collects_from_live_worker(self):
-        profiler = SamplingProfiler(hz=200.0)
-        profiler.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            with profiler.tag("busy"):
-                while (
-                    profiler.snapshot()["samples"] == 0
-                    and time.monotonic() < deadline
-                ):
-                    sum(i * i for i in range(1000))
-            snap = profiler.snapshot()
-        finally:
-            profiler.stop()
-        assert snap["samples"] > 0
-        assert "busy" in snap["endpoints"]
-        assert profiler._thread is None  # stop() joined it
-
-    def test_overhead_guard_tag_path_within_budget(self):
-        # The dispatch-layer cost of profiling is one tag() enter/exit
-        # around the handler; with the sampler running the handler
-        # thread itself does no extra work.  Guard the p50 of a small
-        # fixed workload: profiling on must stay within 10% of off
-        # (plus an absolute epsilon for scheduler noise).
-        def workload() -> int:
-            return sum(i * i for i in range(3000))
-
-        def p50(profiler: SamplingProfiler | None) -> float:
-            times = []
-            for _ in range(80):
-                t0 = time.perf_counter()
-                if profiler is not None and profiler.enabled:
-                    with profiler.tag("search"):
-                        workload()
-                else:
-                    workload()
-                times.append(time.perf_counter() - t0)
-            times.sort()
-            return times[len(times) // 2]
-
-        p50(None)  # warm up the interpreter/allocator
-        off = p50(None)
-        profiler = SamplingProfiler(hz=50.0)
-        profiler.start()
-        try:
-            on = p50(profiler)
-        finally:
-            profiler.stop()
-        assert on <= off * 1.10 + 1e-4, (on, off)
-
-    def test_tracing_off_is_one_contextvar_read(self):
-        # The --no-trace fast path: begin_request returns None and the
-        # span() instrumentation point reduces to a context-var read
-        # that yields None -- no Span allocation anywhere.
-        from repro.service import trace as trace_mod
-        from repro.service.trace import Tracer
-
-        tracer = Tracer(enabled=False)
-        assert tracer.begin_request("search", "POST", "/search") is None
-        with trace_mod.span("anything") as node:
-            assert node is None
-
-
-class TestProfileEndpoint:
-    def test_profile_json_surface(self, live):
-        status, body = get_json(live.base_url, "/profile")
-        assert status == 200
-        assert body["enabled"] is True and body["hz"] == 50.0
-        for key in ("samples", "distinct_stacks", "endpoints", "top_self",
-                    "top_stacks"):
-            assert key in body
-
-    def test_profile_collapsed_is_plain_text(self, live):
-        status, headers, raw = _raw_get(
-            live.base_url, "/profile?format=collapsed&top=5"
-        )
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/plain")
-        for line in raw.decode("utf-8").splitlines():
-            assert re.fullmatch(r".+ \d+", line), line
-
-    @pytest.mark.parametrize(
-        "params", ["format=flame", "top=0", "top=-3", "top=abc"]
-    )
-    def test_profile_bad_parameters_are_400(self, live, params):
-        status, body = get_json(live.base_url, f"/profile?{params}")
-        assert status == 400
-        assert body["error"]["code"] == "bad_request"
-
-    def test_profile_scrape_is_untraced(self, live):
-        get_json(live.base_url, "/profile")
-        status, body = get_json(live.base_url, "/traces?endpoint=profile")
-        assert status == 200 and body["count"] == 0
-
-    def test_inline_profile_echo(self, live):
-        status, _, body = _raw_post(
-            live.base_url, "/search", {"pattern": "%Law%", "profile": True}
-        )
-        assert status == 200
-        assert body["profile"]["enabled"] is True
-        assert body["profile"]["hz"] == 50.0
-
-    def test_missing_profiler_is_404(self):
-        class Bare(ObservabilityApi):
-            pass
-
-        with pytest.raises(ApiError) as info:
-            Bare().profile({})
-        assert info.value.status == 404
-        assert info.value.code == "profiler_disabled"
 
 
 # ----------------------------------------------------------------------

@@ -22,11 +22,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.automata.dfa import QueryTooComplex
+from repro.automata.regex import MAX_NESTING, RegexError
 from repro.bench.service_load import get_json, post_json, run_search_load
 from repro.db.engine import StaccatoDB
 from repro.db.sql import execute_select
 from repro.ocr.corpus import make_ca
-from repro.query.like import compile_like
+from repro.query.like import MAX_PATTERN_CHARS, compile_like
 from repro.service import (
     ConnectionPool,
     PoolClosed,
@@ -120,8 +121,8 @@ class TestServiceMetrics:
 
     def test_snapshot_counts_and_errors(self):
         metrics = ServiceMetrics()
-        metrics.observe("search", 0.010)
-        metrics.observe("search", 0.030, error=True)
+        metrics.observe("requests", ("search",), 0.010)
+        metrics.observe("requests", ("search",), 0.030, error=True)
         snap = metrics.snapshot()
         assert snap["total"] == 2 and snap["total_errors"] == 1
         search = snap["endpoints"]["search"]
@@ -560,6 +561,71 @@ class TestQueryTooComplex:
                 assert min(elapsed) < 0.010, elapsed
             status, reply = post_json(url, "/search", {"pattern": "%Congress%"})
             assert status == 200 and reply["count"] > 0
+        finally:
+            running.stop()
+
+
+#: Hostile patterns and the 400 each must get on ``/search`` and ``/sql``:
+#: groups nested past the parser's bound, stacked stars and a literal
+#: past the length cap.  Each was a 500 ``RecursionError`` or seconds of
+#: compilation before either bound existed.
+_HOSTILE = [
+    ("REGEX:" + "(" * 500 + "a" + ")" * 500, "bad_pattern", "sql_error"),
+    ("REGEX:" + "(a|" * 400 + "a" + ")" * 400, "bad_pattern", "sql_error"),
+    ("REGEX:a" + "*" * 5000, "query_too_complex", "query_too_complex"),
+    ("%" + "a" * 200_000 + "%", "query_too_complex", "query_too_complex"),
+]
+
+
+class TestHostilePatterns:
+    def test_library_bounds(self):
+        with pytest.raises(RegexError, match="nest"):
+            compile_like(_HOSTILE[0][0])
+        deepest = "REGEX:" + "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+        assert compile_like(deepest).accepts("a")
+        with pytest.raises(QueryTooComplex, match="characters"):
+            compile_like("%" + "a" * MAX_PATTERN_CHARS + "%")
+        # Below the cap, a run of stars is one star.
+        assert compile_like("REGEX:ab" + "*" * 1000).accepts("a")
+
+    @pytest.mark.parametrize("topology", ["db", "shards"])
+    def test_a_fast_400_not_a_500(self, tmp_path, topology):
+        if topology == "db":
+            running = start_service(
+                str(tmp_path / "one.db"), k=K, m=M, pool_size=2
+            )
+        else:
+            running = start_sharded_service(
+                str(tmp_path / "shards"), 2,
+                k=K, m=M, pool_size=2, range_width=2,
+            )
+        try:
+            url = running.base_url
+            corpus = make_ca(num_docs=2, lines_per_doc=3, seed=1)
+            assert post_json(url, "/ingest", _batch_payload(corpus))[0] == 200
+            for pattern, search_code, sql_code in _HOSTILE:
+                sql = f"SELECT DocId FROM Claims WHERE DocData LIKE '{pattern}'"
+                for path, body, code in (
+                    ("/search", {"pattern": pattern}, search_code),
+                    ("/sql", {"query": sql}, sql_code),
+                ):
+                    elapsed = []
+                    for _ in range(3):
+                        started = time.perf_counter()
+                        status, reply = post_json(url, path, body)
+                        elapsed.append(time.perf_counter() - started)
+                        assert status == 400, reply
+                        assert reply["error"]["code"] == code
+                    assert min(elapsed) < 0.010, (path, elapsed)
+            status, stars = post_json(
+                url, "/search", {"pattern": "REGEX:Congress" + "*" * 1000}
+            )
+            assert status == 200
+            status, star = post_json(
+                url, "/search", {"pattern": "REGEX:Congress*"}
+            )
+            assert status == 200 and star["count"] > 0
+            assert stars["answers"] == star["answers"]
         finally:
             running.stop()
 

@@ -14,6 +14,12 @@ output is a probabilistic relation: the projected columns plus a
 line probabilities as independent events:
 ``P(doc) = 1 - prod(1 - p_line)``.
 
+Evaluation is two steps, shared by every caller: :func:`document_relation`
+selects the per-document relation from one database, and
+:func:`finish_select` turns a relation into the answer.  A plain handle
+runs one after the other; the shard router finishes the de-duplicated
+union of its shards' relations, so every topology answers identically.
+
 Beyond the paper's prototype, the layer also supports *expected
 aggregates* over the probabilistic relation -- the direction the paper's
 Section 7 names as future work ("using aggregation with a probabilistic
@@ -34,12 +40,15 @@ __all__ = [
     "SqlError",
     "ParsedSelect",
     "parse_select",
+    "document_relation",
+    "finish_select",
     "execute_select",
-    "shard_select",
-    "shard_select_rows",
-    "merge_shard_rows",
-    "aggregate_full_rows",
 ]
+
+#: Conjuncts a WHERE clause may hold, comparisons and LIKEs together:
+#: every LIKE is a scan of the selected documents' lines, and SQLite
+#: refuses a deep enough comparison tree as an internal error.
+MAX_SQL_PREDICATES = 32
 
 DOC_COLUMNS = {"docid", "docname", "year", "loss"}
 #: Canonical spellings of the scalar document columns, keyed lowercase.
@@ -183,6 +192,10 @@ def parse_select(sql: str) -> ParsedSelect:
     kind, table = stream.take()
     if kind != "word":
         raise SqlError(f"bad table name {table!r}")
+    if columns != ["*"]:
+        for column in columns:
+            if column.lower() not in DOC_COLUMNS:
+                raise SqlError(f"unknown projection column {column!r}")
     parsed = ParsedSelect(columns=columns, table=table, aggregates=aggregates)
     nxt = stream.peek()
     if nxt is not None and nxt[0] == "word" and nxt[1].lower() == "where":
@@ -215,6 +228,13 @@ def parse_select(sql: str) -> ParsedSelect:
                 parsed.scalar_predicates.append((column, op, value))
             else:
                 raise SqlError(f"unsupported operator {op!r}")
+            if (
+                len(parsed.scalar_predicates) + len(parsed.like_patterns)
+                > MAX_SQL_PREDICATES
+            ):
+                raise SqlError(
+                    f"WHERE has more than {MAX_SQL_PREDICATES} conjuncts"
+                )
             nxt = stream.peek()
             if nxt is None or nxt[0] != "word" or nxt[1].lower() != "and":
                 break
@@ -253,24 +273,17 @@ def _parse_trailing_clauses(stream: _TokenStream, parsed: ParsedSelect) -> None:
         parsed.limit = int(literal)
 
 
-def execute_select(
-    db: StaccatoDB,
-    sql: str,
-    approach: str = "staccato",
-    num_ans: int | None = 100,
-    parsed: ParsedSelect | None = None,
+def document_relation(
+    db: StaccatoDB, parsed: ParsedSelect, approach: str = "staccato"
 ) -> list[dict[str, object]]:
-    """Run a select-project query, returning a probabilistic relation.
+    """The per-document relation ``parsed`` selects, before any answer
+    shaping: every scalar column plus ``Probability``, one row per
+    document with probability > 0, in DocId order.
 
-    Rows are per *document* (as in the Figure 1(C) claims query): the
-    projected columns plus ``Probability``, sorted by descending
-    probability.  ``parsed`` overrides the parse of ``sql`` -- the shard
-    router passes the widened per-shard plan of :func:`shard_select`
-    here so every shard evaluates the same predicates but returns the
-    mergeable full relation.
+    No projection, aggregate, ORDER BY, LIMIT or ``num_ans`` applies
+    here -- :func:`finish_select` does that, on this relation from one
+    handle or on the union of several shards' relations.
     """
-    if parsed is None:
-        parsed = parse_select(sql)
     where = " AND ".join(
         f"{col} {'!=' if op == '<>' else op} ?"
         for col, op, _ in parsed.scalar_predicates
@@ -281,18 +294,9 @@ def execute_select(
         doc_sql += f" WHERE {where}"
     docs = {
         row[0]: {"DocId": row[0], "DocName": row[1], "Year": row[2], "Loss": row[3]}
-        for row in db.conn.execute(doc_sql, params)
+        for row in db.conn.execute(doc_sql + " ORDER BY DocId", params)
     }
     if not docs:
-        if parsed.is_aggregate:
-            return [
-                {
-                    "COUNT(*)"
-                    if func == "count"
-                    else f"{func.upper()}({CANONICAL_COLUMNS[arg.lower()]})": 0.0
-                    for func, arg in parsed.aggregates
-                }
-            ]
         return []
 
     # Combine the LIKE predicates: each yields per-line probabilities that
@@ -316,19 +320,36 @@ def execute_select(
                     miss_prob[answer.doc_id] *= 1.0 - answer.probability
             for doc_id in docs:
                 doc_probs[doc_id] *= 1.0 - miss_prob[doc_id]
+    return [
+        {**row, "Probability": doc_probs[doc_id]}
+        for doc_id, row in docs.items()
+        if doc_probs[doc_id] > 0.0
+    ]
 
+
+def finish_select(
+    parsed: ParsedSelect,
+    relation: list[dict[str, object]],
+    num_ans: int | None = 100,
+) -> list[dict[str, object]]:
+    """The answer to ``parsed`` from its document relation (DocId order,
+    as :func:`document_relation` returns it): one row of expected
+    aggregates, or the rows sorted (descending probability unless ORDER
+    BY says otherwise; ties by DocId), projected and cut at LIMIT and
+    ``num_ans``.  Every sum runs in DocId order, so the answer depends
+    only on the relation, never on where its rows came from.
+    """
     if parsed.is_aggregate:
+        expected_count = sum((row["Probability"] for row in relation), 0.0)  # type: ignore[misc]
         result: dict[str, object] = {}
-        expected_count = sum(doc_probs.values())
         for func, argument in parsed.aggregates:
             if func == "count":
                 result["COUNT(*)"] = expected_count
                 continue
-            lookup = {name.lower(): name for name in next(iter(docs.values()))}
-            actual = lookup[argument.lower()]
+            actual = CANONICAL_COLUMNS[argument.lower()]
             expected_sum = sum(
-                doc_probs[doc_id] * float(row[actual])  # type: ignore[arg-type]
-                for doc_id, row in docs.items()
+                (row["Probability"] * float(row[actual]) for row in relation),  # type: ignore[operator, arg-type]
+                0.0,
             )
             if func == "sum":
                 result[f"SUM({actual})"] = expected_sum
@@ -338,213 +359,36 @@ def execute_select(
                 )
         return [result]
 
-    projected = []
-    for doc_id, row in docs.items():
-        prob = doc_probs[doc_id]
-        if prob <= 0.0:
-            continue
-        if parsed.columns == ["*"]:
-            out = dict(row)
-        else:
-            lookup = {name.lower(): name for name in row}
-            out = {}
-            for col in parsed.columns:
-                actual = lookup.get(col.lower())
-                if actual is None:
-                    raise SqlError(f"unknown projection column {col!r}")
-                out[actual] = row[actual]
-        out["Probability"] = prob
-        projected.append((doc_id, out))
-
+    rows = list(relation)
     if parsed.order_by is not None:
         column, descending = parsed.order_by
-        if column.lower() == "probability":
-            projected.sort(
-                key=lambda item: item[1]["Probability"], reverse=descending
-            )
-        else:
-            lookup = {name.lower(): name for name in ("DocId", "DocName", "Year", "Loss")}
-            actual = lookup[column.lower()]
-            projected.sort(
-                key=lambda item: docs[item[0]][actual],  # type: ignore[index]
-                reverse=descending,
-            )
+        # parse_select allows Probability or a document column here.
+        key = CANONICAL_COLUMNS.get(column.lower(), "Probability")
+        rows.sort(key=lambda row: row[key], reverse=descending)  # type: ignore[arg-type, return-value]
     else:
-        projected.sort(
-            key=lambda item: (-float(item[1]["Probability"]), item[0])
-        )
-    rows_out = [out for _, out in projected]
+        rows.sort(key=lambda row: (-row["Probability"], row["DocId"]))  # type: ignore[operator, return-value]
     if parsed.limit is not None:
-        rows_out = rows_out[: parsed.limit]
+        rows = rows[: parsed.limit]
     if num_ans is not None:
-        rows_out = rows_out[:num_ans]
-    return rows_out
+        rows = rows[:num_ans]
+    if parsed.columns == ["*"]:
+        return [dict(row) for row in rows]
+    columns = [CANONICAL_COLUMNS[col.lower()] for col in parsed.columns]
+    columns.append("Probability")
+    return [{col: row[col] for col in columns} for row in rows]
 
 
-# ----------------------------------------------------------------------
-# Sharded execution: each shard holds a disjoint set of documents, so a
-# select-project query distributes as "run everywhere, merge".  The
-# per-shard plan must return enough to merge losslessly: the full scalar
-# row (the ORDER BY column may not be projected) with no LIMIT/NumAns
-# cutoff, and for aggregates the *base* expectations (COUNT/SUM) that
-# AVG is a ratio of -- per-shard averages do not combine.
-# ----------------------------------------------------------------------
-def shard_select(parsed: ParsedSelect) -> ParsedSelect:
-    """The widened plan one shard runs so the router can merge exactly."""
-    if parsed.is_aggregate:
-        base: list[tuple[str, str]] = []
-        for func, argument in parsed.aggregates:
-            if func == "avg":
-                needed = [("count", "*"), ("sum", argument)]
-            else:
-                needed = [(func, argument)]
-            for agg in needed:
-                if agg not in base:
-                    base.append(agg)
-        aggregates, columns = base, []
-    else:
-        aggregates, columns = [], ["*"]
-    return ParsedSelect(
-        columns=columns,
-        table=parsed.table,
-        scalar_predicates=list(parsed.scalar_predicates),
-        like_patterns=list(parsed.like_patterns),
-        aggregates=aggregates,
-        order_by=None,
-        limit=None,
-    )
-
-
-def shard_select_rows(parsed: ParsedSelect) -> ParsedSelect:
-    """The rebalance-safe per-shard plan: always full document rows.
-
-    While a shard rebalance is mid-flight a document's rows may briefly
-    exist on two shards (copied to the target, not yet deleted from the
-    source).  Per-shard *scalar* aggregates cannot be de-duplicated
-    after the fact, so during a move the router asks every shard for
-    the full per-document relation instead, de-duplicates by DocId
-    (copies are byte-identical), and computes aggregates itself with
-    :func:`aggregate_full_rows`.
-    """
-    return ParsedSelect(
-        columns=["*"],
-        table=parsed.table,
-        scalar_predicates=list(parsed.scalar_predicates),
-        like_patterns=list(parsed.like_patterns),
-        aggregates=[],
-        order_by=None,
-        limit=None,
-    )
-
-
-def aggregate_full_rows(
-    parsed: ParsedSelect, rows: list[dict[str, object]]
-) -> list[dict[str, object]]:
-    """Expected aggregates recomputed at the router from full rows.
-
-    Mirrors the aggregate arm of :func:`execute_select`: the expected
-    COUNT is the sum of document probabilities, expected SUM weights
-    each document's column by its probability, AVG is their ratio.
-    """
-    expected_count = sum(float(row["Probability"]) for row in rows)  # type: ignore[arg-type]
-    result: dict[str, object] = {}
-    for func, argument in parsed.aggregates:
-        if func == "count":
-            result["COUNT(*)"] = expected_count
-            continue
-        actual = CANONICAL_COLUMNS[argument.lower()]
-        expected_sum = sum(
-            float(row["Probability"]) * float(row[actual])  # type: ignore[arg-type]
-            for row in rows
-        )
-        if func == "sum":
-            result[f"SUM({actual})"] = expected_sum
-        else:
-            result[f"AVG({actual})"] = (
-                expected_sum / expected_count if expected_count else 0.0
-            )
-    return [result]
-
-
-def _aggregate_key(func: str, argument: str) -> str:
-    if func == "count":
-        return "COUNT(*)"
-    return f"{func.upper()}({CANONICAL_COLUMNS[argument.lower()]})"
-
-
-def merge_shard_rows(
-    parsed: ParsedSelect,
-    shard_rows: list[list[dict[str, object]]],
+def execute_select(
+    db: StaccatoDB,
+    sql: str,
+    approach: str = "staccato",
     num_ans: int | None = 100,
 ) -> list[dict[str, object]]:
-    """Merge per-shard :func:`shard_select` relations into the final one.
+    """Run a select-project query, returning a probabilistic relation.
 
-    Documents are disjoint across shards, so expected aggregates add by
-    linearity and row merging is a concatenate-sort-project.  The result
-    matches ``execute_select`` over one database holding the union,
-    provided documents were ingested in DocId order there (the single
-    database breaks scalar ORDER BY ties by insertion order; the merge
-    breaks them by DocId).
+    Rows are per *document* (as in the Figure 1(C) claims query): the
+    projected columns plus ``Probability``, sorted by descending
+    probability -- or one row of expected aggregates.
     """
-    if parsed.is_aggregate:
-        totals: dict[str, float] = {}
-        for rows in shard_rows:
-            if not rows:
-                continue
-            (row,) = rows
-            for key, value in row.items():
-                totals[key] = totals.get(key, 0.0) + float(value)  # type: ignore[arg-type]
-        result: dict[str, object] = {}
-        expected_count = totals.get("COUNT(*)", 0.0)
-        for func, argument in parsed.aggregates:
-            if func == "count":
-                result["COUNT(*)"] = expected_count
-            elif func == "sum":
-                result[_aggregate_key(func, argument)] = totals.get(
-                    _aggregate_key("sum", argument), 0.0
-                )
-            else:
-                expected_sum = totals.get(_aggregate_key("sum", argument), 0.0)
-                result[_aggregate_key("avg", argument)] = (
-                    expected_sum / expected_count if expected_count else 0.0
-                )
-        return [result]
-
-    merged = [dict(row) for rows in shard_rows for row in rows]
-    merged.sort(key=lambda row: row["DocId"])  # type: ignore[arg-type, return-value]
-    if parsed.order_by is not None:
-        column, descending = parsed.order_by
-        if column.lower() == "probability":
-            merged.sort(
-                key=lambda row: row["Probability"],  # type: ignore[arg-type, return-value]
-                reverse=descending,
-            )
-        else:
-            actual = CANONICAL_COLUMNS[column.lower()]
-            merged.sort(
-                key=lambda row: row[actual],  # type: ignore[arg-type, return-value]
-                reverse=descending,
-            )
-    else:
-        merged.sort(
-            key=lambda row: (-float(row["Probability"]), row["DocId"])  # type: ignore[arg-type, return-value]
-        )
-
-    rows_out: list[dict[str, object]] = []
-    for row in merged:
-        if parsed.columns == ["*"]:
-            out = dict(row)
-        else:
-            out = {}
-            for col in parsed.columns:
-                actual = CANONICAL_COLUMNS.get(col.lower())
-                if actual is None or actual not in row:
-                    raise SqlError(f"unknown projection column {col!r}")
-                out[actual] = row[actual]
-            out["Probability"] = row["Probability"]
-        rows_out.append(out)
-    if parsed.limit is not None:
-        rows_out = rows_out[: parsed.limit]
-    if num_ans is not None:
-        rows_out = rows_out[:num_ans]
-    return rows_out
+    parsed = parse_select(sql)
+    return finish_select(parsed, document_relation(db, parsed, approach), num_ans)

@@ -13,7 +13,7 @@ work instead:
 * **cooperative cancellation** (``DELETE /jobs/<id>``): a queued job is
   dropped immediately; a running job sees the request at its next
   :meth:`Job.check_cancelled` checkpoint, unwinds (jobs undo partial
-  work -- see the rebalance phases in :mod:`repro.service.shards`), and
+  work -- see the rebalance phases in :mod:`repro.service.rebalance`), and
   lands in ``cancelled``;
 * a **JSON sidecar journal** next to the data
   (``<shard_dir>/jobs.json``; ``<db>.jobs.json`` beside a one-file
@@ -23,7 +23,7 @@ work instead:
   start, and re-queued automatically when its type is idempotent
   (``rebuild_index``); other jobs are marked ``failed`` with an
   interruption notice -- an interrupted ``rebalance`` leaves queries
-  correct (the read paths de-duplicate) and re-submitting the same move
+  correct (every read merge de-duplicates) and re-submitting the same move
   converges whatever phase the crash interrupted, while an interrupted
   ``cache_snapshot`` must *not* re-run against the restarted process's
   cold cache (it would clobber the previous good snapshot).
@@ -64,7 +64,7 @@ def atomic_write_json(path: str, payload: Any, default=None) -> int:
     """Serialize ``payload`` and atomically replace ``path`` with it.
 
     The one write-temp-then-``os.replace`` implementation every sidecar
-    (job journal, routing table, pending moves, cache snapshots) shares:
+    (job journal, routing table, cache snapshot) shares:
     a crash mid-write leaves the previous file intact.  Raises ``OSError``
     (and serialization errors) to the caller -- jobs want the failure on
     their row, best-effort callers wrap it.  Returns the encoded size.

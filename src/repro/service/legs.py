@@ -30,13 +30,7 @@ from typing import Callable, Protocol, Sequence
 from ..automata.regex import RegexError
 from ..db import storage
 from ..db.engine import APPROACHES, StaccatoDB
-from ..db.sql import (
-    SqlError,
-    execute_select,
-    parse_select,
-    shard_select,
-    shard_select_rows,
-)
+from ..db.sql import SqlError, document_relation, parse_select
 from ..ocr.corpus import Dataset, Document
 from ..ocr.engine import SimulatedOcrEngine
 from ..query.answers import Answer
@@ -82,11 +76,9 @@ class ShardLeg(Protocol):
     def search(self, request: SearchRequest) -> tuple[str, list[Answer]]:
         """The shard's ranked answers plus the plan label it used."""
 
-    def sql(
-        self, query: str, approach: str, full_rows: bool
-    ) -> list[dict[str, object]]:
-        """The widened per-shard SELECT (no cutoff); ``full_rows`` picks
-        the per-document plan the router de-duplicates mid-rebalance."""
+    def sql(self, query: str, approach: str) -> list[dict[str, object]]:
+        """The shard's :func:`~repro.db.sql.document_relation` for the
+        SELECT: full rows in DocId order, no answer shaping."""
 
     def ingest(
         self, docs: Sequence[Document], request: IngestRequest
@@ -220,21 +212,16 @@ class LocalLeg:
     def search(self, request: SearchRequest) -> tuple[str, list[Answer]]:
         return self._read("search", lambda db: run_search_plan(db, request))
 
-    def sql(
-        self, query: str, approach: str, full_rows: bool
-    ) -> list[dict[str, object]]:
+    def sql(self, query: str, approach: str) -> list[dict[str, object]]:
         try:
             parsed = parse_select(query)
         except SqlError as exc:
             raise ApiError(400, str(exc), code="sql_error") from exc
-        base = shard_select_rows(parsed) if full_rows else shard_select(parsed)
 
         def evaluate(db: StaccatoDB) -> list[dict[str, object]]:
             try:
-                return execute_select(
-                    db, query, approach=approach, num_ans=None, parsed=base
-                )
-            except (SqlError, RegexError) as exc:
+                return document_relation(db, parsed, approach)
+            except RegexError as exc:
                 # A query error, not a replica fault: surface it as the
                 # structured 400 instead of failing over.
                 raise ApiError(400, str(exc), code="sql_error") from exc

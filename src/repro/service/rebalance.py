@@ -3,9 +3,8 @@
 Everything a move needs beyond the router's ordinary read/write paths
 lives here:
 
-* :class:`MoveGate` -- the active-move list ``/sql`` consults, the drain
-  barriers that order readers against the copy and the delete, and the
-  crash-surviving record of moves that may have left rows on two shards;
+* :class:`MoveGate` -- the drain barrier that orders the source delete
+  after every read fan-out that may have missed the copy;
 * :func:`copy_docs` / :func:`delete_docs` -- the per-replica SQL
   primitives (one verified transaction each) the in-process leg runs,
   either directly or, inside a worker process, on the router's behalf;
@@ -17,7 +16,6 @@ lives here:
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 from typing import Iterator, Mapping, Sequence
 
@@ -25,113 +23,41 @@ from ..db import storage
 from ..db.schema import LINE_TABLES
 from ..sfa.kernel import KERNEL_VERSION, compile_kernel
 from ..sfa.serialize import from_bytes
-from .jobs import Job, JobCancelled, atomic_write_json
+from .jobs import Job, JobCancelled
 from .replicas import Replica, ordered_locks
 from .validation import ApiError, validate_rebalance_params
 
-__all__ = ["PENDING_MOVES_FILE", "MoveGate", "copy_docs", "delete_docs", "run"]
-
-#: Moves that may have left rows on two shards (recorded before the
-#: copy, cleared on convergence) -- reloaded at startup so ``/sql``
-#: keeps using the de-duplicating plan until a re-run converges.
-PENDING_MOVES_FILE = "rebalance-pending.json"
-
-#: ``(doc_lo, doc_hi, source, target)``.
-Move = tuple[int, int, int, int]
-
-
-def _without_last(moves: Sequence[Move], move: Move) -> tuple[Move, ...]:
-    """``moves`` minus the *last* occurrence of ``move`` (identical
-    entries from an unconverged predecessor must survive)."""
-    for at in range(len(moves) - 1, -1, -1):
-        if moves[at] == move:
-            return tuple(moves[:at]) + tuple(moves[at + 1:])
-    return tuple(moves)
+__all__ = ["MoveGate", "copy_docs", "delete_docs", "run"]
 
 
 class MoveGate:
-    """Active rebalance moves, plus a drain barrier for readers.
+    """A drain barrier between read fan-outs and a rebalance's delete.
 
-    ``/sql`` legs return scalar aggregates that cannot be de-duplicated
-    after the fact, so a request must *know* a move is in flight before
-    any row can exist on two shards.  Readers register under the current
-    epoch and receive the active move list; :meth:`begin` publishes the
-    move, advances the epoch, and waits until every reader from older
-    epochs (who may have missed the move) has finished -- only then may
-    the rebalance start copying rows.
-
-    The gate is the in-memory truth; ``pending_path`` is its
-    crash-surviving shadow for the moves whose copy started
-    (:meth:`record_pending`).  The two are only ever retired together,
-    through :meth:`finish`, so they mirror each other by construction.
+    Every ``/search`` and ``/sql`` fan-out registers under the current
+    epoch (:meth:`read`).  :meth:`barrier` advances the epoch and waits
+    until every reader of an older epoch has finished.  No reader needs
+    to know a move is in flight: the router de-duplicates every merge,
+    so a document on two shards is never counted twice.
     """
 
-    def __init__(self, pending_path: str) -> None:
+    def __init__(self) -> None:
         self._cond = threading.Condition()
         self._epoch = 0
         self._readers: dict[int, int] = {}
-        self._pending_path = pending_path
-        # Unconverged moves from a previous process: rows may still sit
-        # on two shards, so /sql must come back up on the safe plan (no
-        # drain needed -- no request predates a service still starting).
-        self._pending: list[Move] = self._load_pending()
-        self._moves: tuple[Move, ...] = tuple(self._pending)
 
-    # ------------------------------------------------------------------
-    def _load_pending(self) -> list[Move]:
-        try:
-            with open(self._pending_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            return [
-                (int(lo), int(hi), int(src), int(dst))
-                for lo, hi, src, dst in data.get("moves", [])
-            ]
-        except (OSError, json.JSONDecodeError, ValueError, TypeError):
-            return []
-
-    def _save_pending_locked(self) -> None:
-        try:
-            atomic_write_json(
-                self._pending_path,
-                {"moves": [list(m) for m in self._pending]},
-            )
-        except OSError:
-            pass  # best-effort durability; the in-memory gate still holds
-
-    # ------------------------------------------------------------------
     @contextlib.contextmanager
-    def read(self) -> Iterator[tuple[Move, ...]]:
+    def read(self) -> Iterator[None]:
         with self._cond:
             epoch = self._epoch
             self._readers[epoch] = self._readers.get(epoch, 0) + 1
-            moves = self._moves
         try:
-            yield moves
+            yield
         finally:
             with self._cond:
                 self._readers[epoch] -= 1
                 if not self._readers[epoch]:
                     del self._readers[epoch]
                     self._cond.notify_all()
-
-    def _drain_locked(self, timeout: float) -> bool:
-        """Advance the epoch; wait out every reader of older epochs."""
-        self._epoch += 1
-        fence = self._epoch
-        return self._cond.wait_for(
-            lambda: all(epoch >= fence for epoch in self._readers),
-            timeout=timeout,
-        )
-
-    def begin(self, move: Move, timeout: float = 60.0) -> None:
-        with self._cond:
-            self._moves = self._moves + (move,)
-            if not self._drain_locked(timeout):
-                self._moves = _without_last(self._moves, move)
-                raise TimeoutError(
-                    "rebalance could not start: queries from before the "
-                    f"move announcement did not drain within {timeout:.0f}s"
-                )
 
     def barrier(self, timeout: float = 60.0) -> None:
         """Wait until every currently-registered reader has finished.
@@ -144,33 +70,16 @@ class MoveGate:
         shard.
         """
         with self._cond:
-            if not self._drain_locked(timeout):
+            self._epoch += 1
+            fence = self._epoch
+            if not self._cond.wait_for(
+                lambda: all(epoch >= fence for epoch in self._readers),
+                timeout=timeout,
+            ):
                 raise TimeoutError(
                     "queries in flight before the ownership swap did not "
                     f"drain within {timeout:.0f}s"
                 )
-
-    def record_pending(self, move: Move) -> None:
-        """Persist that rows of ``move`` may exist on two shards."""
-        with self._cond:
-            self._pending.append(move)
-            self._save_pending_locked()
-
-    def finish(self, move: Move, converged: bool) -> None:
-        """Retire a move from the gate AND the persisted pending record.
-
-        A converged move clears every matching entry a failed
-        predecessor (or crash) left behind; an abandoned attempt removes
-        only its own, so a predecessor's survive.
-        """
-        with self._cond:
-            if converged:
-                self._moves = tuple(m for m in self._moves if m != move)
-                self._pending = [m for m in self._pending if m != move]
-            else:
-                self._moves = _without_last(self._moves, move)
-                self._pending = list(_without_last(self._pending, move))
-            self._save_pending_locked()
 
 
 # ----------------------------------------------------------------------
@@ -375,36 +284,35 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
     routing swap undoes the copy and leaves the cluster exactly as it
     was):
 
-    1. **announce** -- register the move and drain SQL readers that
-       predate it (they could not know to de-duplicate);
-    2. **snapshot** -- under both shards' write locks (acquired in
+    1. **snapshot** -- under both shards' write locks (acquired in
        shard-index order via the shared ``ordered_locks`` helper), list
        the documents the source holds in the range;
-    3. **copy + verify** -- one verified transaction per target
+    2. **copy + verify** -- one verified transaction per target
        replica, keyed off a healthy source copy;
-    4. **swap** -- publish the successor routing table (single atomic
+    3. **swap** -- publish the successor routing table (single atomic
        reference swap) and persist it;
-    5. **delete** -- drop the moved rows from every source replica;
-    6. **invalidate** -- bump both shards' generations and evict cache
+    4. **delete** -- after the move gate's barrier, drop the moved rows
+       from every source replica;
+    5. **invalidate** -- bump both shards' generations and evict cache
        entries whose scope touches them (moved line ids and shard tags
        changed even though probabilities did not).
+
+    Between the copy and the delete a moved document is on both shards;
+    readers de-duplicate, so answers stay exact.  A run that fails in
+    that window says so (``rebalance_incomplete``), and re-submitting
+    the same move converges it.
     """
     request = validate_rebalance_params(params, router.num_shards)
     lo, hi = request.doc_lo, request.doc_hi
     src, dst = request.source, request.target
-    gate: MoveGate = router.move_gate
 
     def on(index: int, call):
         return router.call_leg(index, "rebalance", call)
 
     job.check_cancelled()
-    move = (lo, hi, src, dst)
-    gate.begin(move)
     moved_docs: list[int] = []
     moved_lines = 0
     evicted = 0
-    delete_incomplete = False
-    converged = False
     copy_landed = False
     try:
         with ordered_locks(
@@ -419,10 +327,6 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
             job.check_cancelled()
             copied_docs: list[int] = []
             if moved_docs:
-                # From here rows may exist on two shards; persist that
-                # fact so a crash restarts /sql on the safe
-                # de-duplicating plan.
-                gate.record_pending(move)
                 copied_docs = on(
                     dst,
                     lambda leg: leg.rebalance_copy(source_path, moved_docs),
@@ -441,11 +345,9 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
                         on(dst, lambda leg: leg.rebalance_delete(copied_docs))
                     except Exception as exc:
                         # The committed copies could not be rolled back:
-                        # rows sit on two shards, so this is the same
-                        # unconverged state as a failed source delete --
-                        # keep the gate entry and pending record,
-                        # converge by re-running.
-                        delete_incomplete = True
+                        # rows sit on two shards, the same unconverged
+                        # state as a failed source delete -- converge by
+                        # re-running.
                         raise _incomplete(
                             exc,
                             f"rebalance {job.id} was cancelled but could "
@@ -465,17 +367,14 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
                     # *before* the copy landed must finish before a row
                     # leaves the source, or one request could see the
                     # moved documents on neither shard.
-                    gate.barrier()
+                    router.move_gate.barrier()
                     on(src, lambda leg: leg.rebalance_delete(moved_docs))
                 except Exception as exc:
                     # Ownership already switched; the copies are live
                     # on the target but the source still holds the
-                    # rows.  Keep the move registered so ``/sql`` stays
-                    # on the de-duplicating full-row plan, and tell the
-                    # operator the convergence recipe: re-submitting the
-                    # same move skips the already-copied documents and
-                    # retries the delete.
-                    delete_incomplete = True
+                    # rows.  Tell the operator the convergence recipe:
+                    # re-submitting the same move skips the
+                    # already-copied documents and retries the delete.
                     raise _incomplete(
                         exc,
                         f"rebalance switched ownership of [{lo}, {hi}] to "
@@ -486,7 +385,6 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
                     ) from exc
             job.update(progress=0.9)
         router.forget_placements(moved_docs)
-        converged = True
     finally:
         if copy_landed:
             # The target's committed contents changed on every path
@@ -495,11 +393,6 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
             # cached -- so both shards' generations move and their
             # cache entries go, success or not.
             evicted = router.shards_changed({src, dst})
-        if not delete_incomplete:
-            # (An incomplete delete keeps the gate entry and the
-            # persisted record: rows sit on two shards until a re-run
-            # converges, across restarts too.)
-            gate.finish(move, converged)
     job.update(progress=1.0, evicted_cache_entries=evicted)
     return {
         "doc_lo": lo,

@@ -38,10 +38,11 @@ see :mod:`repro.service.legs` and :mod:`repro.service.workers`):
   live shards under traffic; ownership flips in a **single atomic
   publish** of one immutable :class:`RoutingTable` (readers grab the
   whole table by reference; they can never observe a range owned by
-  both -- or neither -- shard).  While copies transiently exist on two
-  shards, :func:`merge_ranked` de-duplicates by (DocId, LineNo) and
-  ``/sql`` switches to a full-row plan whose aggregates the router
-  recomputes, so answers stay exact through every phase.
+  both -- or neither -- shard).  A moved document's rows exist on two
+  shards between the copy and the source delete (or until a re-run
+  converges a move that failed in between); every read merge
+  de-duplicates -- :func:`merge_ranked` by (DocId, LineNo),
+  :func:`merge_relations` by DocId -- so answers stay exact throughout.
 """
 
 from __future__ import annotations
@@ -56,12 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from ..db.engine import shard_paths
-from ..db.sql import (
-    SqlError,
-    aggregate_full_rows,
-    merge_shard_rows,
-    parse_select,
-)
+from ..db.sql import SqlError, finish_select, parse_select
 from ..ocr.corpus import Document
 from ..query.answers import Answer
 from . import rebalance, trace
@@ -87,6 +83,7 @@ __all__ = [
     "ROUTING_FILE",
     "shard_for_doc",
     "merge_ranked",
+    "merge_relations",
     "RoutingTable",
     "ShardedPool",
     "ShardedQueryService",
@@ -102,8 +99,7 @@ DEFAULT_RANGE_WIDTH = 64
 _PLACEMENTS_CAP = 65536
 
 #: Sidecar files (see :meth:`ShardedQueryService.sidecar`): the routing
-#: overrides, the job journal and the warm-start snapshot (the pending
-#: moves are named by :mod:`repro.service.rebalance`).
+#: overrides, the job journal and the warm-start snapshot.
 ROUTING_FILE = "routing.json"
 JOBS_JOURNAL_FILE = "jobs.json"
 CACHE_SNAPSHOT_FILE = "cache-snapshot.json"
@@ -254,9 +250,9 @@ def merge_ranked(
 
     Duplicate (DocId, LineNo) rows are dropped, keeping the first in
     sort order: a document lives wholly on one shard, so a duplicate
-    only appears mid-rebalance, while a moved line transiently exists on
-    both the source and the target -- with the *same* probability (the
-    OCR channel is placement-independent), so de-duplication keeps the
+    only appears while a moved line exists on both the source and the
+    target of a rebalance -- with the *same* probability (the OCR
+    channel is placement-independent), so de-duplication keeps the
     merged relation exact through every phase of a move.
     """
     rows = [
@@ -282,6 +278,26 @@ def merge_ranked(
         deduped = deduped[:num_ans]
     return deduped
 
+
+def merge_relations(
+    relations: Iterable[Sequence[dict[str, object]]],
+) -> list[dict[str, object]]:
+    """The union of per-shard :func:`~repro.db.sql.document_relation`
+    results, one row per DocId, in DocId order.
+
+    ``relations`` come in scope order and the first row of a DocId wins.
+    A document is seen twice only while a rebalance has it on both its
+    source and its target (or after a move failed between the copy and
+    the source delete), and both copies answer alike, so the union is
+    the relation one database over the documents would select -- and
+    :func:`~repro.db.sql.finish_select` over it is that database's
+    answer, aggregates included.
+    """
+    first: dict[object, dict[str, object]] = {}
+    for rows in relations:
+        for row in rows:
+            first.setdefault(row["DocId"], row)
+    return [first[doc_id] for doc_id in sorted(first)]  # type: ignore[type-var]
 
 
 class ShardedPool:
@@ -447,9 +463,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         self._routing = RoutingTable.load(
             self.sidecar(ROUTING_FILE), num_shards, range_width
         )
-        self.move_gate = rebalance.MoveGate(
-            self.sidecar(rebalance.PENDING_MOVES_FILE)
-        )
+        self.move_gate = rebalance.MoveGate()
         #: Test hook: called between the copy and the swap of a
         #: rebalance (None = no-op), so cancellation mid-move is
         #: deterministic to exercise.
@@ -853,11 +867,10 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
 
         def compute() -> dict[str, object]:
             started = time.perf_counter()
-            # Registered with the move gate (the move list itself is
-            # unused here -- merge_ranked de-duplicates unconditionally)
-            # so a rebalance's pre-delete barrier can wait for this
-            # fan-out: the source rows must not disappear under a
-            # request whose target leg read before the copy landed.
+            # Registered with the move gate so a rebalance's pre-delete
+            # barrier can wait for this fan-out: the source rows must
+            # not disappear under a request whose target leg read
+            # before the copy landed.
             with self.move_gate.read():
                 with trace.span("router", shards=len(scope)):
                     results = self._fan_out(
@@ -893,11 +906,12 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
 
     # ------------------------------------------------------------------
     def sql(self, payload: object) -> dict[str, object]:
-        """Distribute a probabilistic SELECT and merge exactly.
+        """Distribute a probabilistic SELECT and answer it once.
 
-        Every shard runs the widened :func:`~repro.db.sql.shard_select`
-        plan (full rows, base aggregates, no cutoff); the router merges
-        with :func:`~repro.db.sql.merge_shard_rows`.
+        Every shard returns its document relation; the router takes
+        their :func:`merge_relations` union and runs
+        :func:`~repro.db.sql.finish_select` over it -- the same finisher
+        a plain handle runs over its own relation.
         """
         with trace.span("validate"):
             request = validate_sql(payload)
@@ -919,55 +933,19 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             for pattern in parsed.like_patterns:
                 check_pattern(pattern, bad_code="sql_error")
             started = time.perf_counter()
-            # While a rebalance is copying, a moved document's rows
-            # exist on two shards.  Scalar per-shard aggregates cannot
-            # be un-counted, so inside an active move the legs return
-            # the full per-document relation instead; the router
-            # de-duplicates by DocId (copies are byte-identical) and
-            # recomputes the aggregates itself.  The move gate
-            # guarantees the flag is seen before any row can be doubled:
-            # a rebalance drains pre-announcement readers first.  Only a
-            # scope spanning BOTH sides of some active move can see a
-            # document twice, so queries scoped away from the move (and
-            # all queries, once no move is pending) keep the fast scalar
-            # plan.
-            scope_set = set(scope)
-            with self.move_gate.read() as moves:
-                full_rows = any(
-                    src in scope_set and dst in scope_set
-                    for _, _, src, dst in moves
-                )
+            # Registered with the move gate for the same reason as
+            # /search: the pre-delete barrier waits for this fan-out.
+            with self.move_gate.read():
                 with trace.span("router", shards=len(scope)):
-                    shard_rows = self._fan_out(
+                    relations = self._fan_out(
                         scope,
                         "sql",
-                        lambda leg: leg.sql(
-                            request.query, request.approach, full_rows
-                        ),
+                        lambda leg: leg.sql(request.query, request.approach),
                     )
-            try:
-                with trace.span("merge"):
-                    if full_rows:
-                        seen_docs: set[object] = set()
-                        deduped: list[dict[str, object]] = []
-                        for rows_ in shard_rows:
-                            for row in rows_:
-                                if row["DocId"] in seen_docs:
-                                    continue
-                                seen_docs.add(row["DocId"])
-                                deduped.append(row)
-                        if parsed.is_aggregate:
-                            rows = aggregate_full_rows(parsed, deduped)
-                        else:
-                            rows = merge_shard_rows(
-                                parsed, [deduped], num_ans=request.num_ans
-                            )
-                    else:
-                        rows = merge_shard_rows(
-                            parsed, shard_rows, num_ans=request.num_ans
-                        )
-            except SqlError as exc:
-                raise ApiError(400, str(exc), code="sql_error") from exc
+            with trace.span("merge"):
+                rows = finish_select(
+                    parsed, merge_relations(relations), request.num_ans
+                )
             return {
                 "query": request.query,
                 "approach": request.approach,

@@ -260,13 +260,7 @@ class ShardWorkerService(ObservabilityApi):
         query = body.get("query")
         if not isinstance(query, str) or not query.strip():
             raise ApiError(400, "'query' must be a non-empty string")
-        return {
-            "rows": self.leg.sql(
-                query,
-                body.get("approach", "staccato"),
-                bool(body.get("full_rows")),
-            )
-        }
+        return {"rows": self.leg.sql(query, body.get("approach", "staccato"))}
 
     @_face("POST")
     def present(self, body) -> dict[str, object]:
@@ -874,10 +868,8 @@ class WorkerLeg:
         ]
         return result["plan"], answers
 
-    def sql(
-        self, query: str, approach: str, full_rows: bool
-    ) -> list[dict[str, object]]:
-        body = {"query": query, "approach": approach, "full_rows": full_rows}
+    def sql(self, query: str, approach: str) -> list[dict[str, object]]:
+        body = {"query": query, "approach": approach}
         return self._rpc("sql", body, hedge=True)["rows"]
 
     def present(self, doc_ids: Sequence[int], relation: str) -> set[int]:

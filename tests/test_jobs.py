@@ -50,6 +50,7 @@ def _batch(doc_ids, lines_per_doc=2):
         "documents": [
             {
                 "doc_id": doc_id,
+                "loss": 1000.25 * (doc_id + 1),
                 "lines": [
                     f"Congress line {doc_id}-{n} of public law"
                     for n in range(lines_per_doc)
@@ -536,6 +537,56 @@ class TestRebalance:
         assert cluster.pool.shard(1).writer.num_lines == 8
         after = cluster.search({"pattern": "%Congress%", "num_ans": 50})
         assert _rows(before["answers"]) == _rows(after["answers"])
+
+    def test_unregistered_duplicates_answer_like_one_database(
+        self, cluster, tmp_path
+    ):
+        """Docs 0-1 on both shards with no move running -- what a crash
+        between copy and delete leaves.  ``/sql`` answers as one plain
+        database over the corpus, before and after a restart."""
+        from repro.db.engine import StaccatoDB
+        from repro.db.sql import execute_select
+        from repro.ocr.engine import SimulatedOcrEngine
+        from repro.service.validation import validate_ingest
+
+        source, target = cluster.pool.shard(0), cluster.pool.shard(1)
+        target.rebalance_copy(source.path, [0, 1])
+        assert target.writer.num_lines == 8  # duplicates live on both
+        request = validate_ingest(_batch([0, 1, 2, 3]))
+        queries = [
+            "SELECT * FROM Claims",
+            "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'",
+            "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims "
+            "WHERE DocData LIKE '%line%'",
+            "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims "
+            "WHERE DocData LIKE '%Congress%'",
+        ]
+        with StaccatoDB(str(tmp_path / "plain.db"), k=4, m=6) as plain:
+            plain.ingest(
+                request.dataset, SimulatedOcrEngine(seed=request.ocr_seed)
+            )
+            expected = [execute_select(plain, sql) for sql in queries]
+        assert [row["DocId"] for row in expected[0]] == [0, 1, 2, 3]
+
+        def answers(service):
+            return [service.sql({"query": sql})["rows"] for sql in queries]
+
+        assert answers(cluster) == expected
+        cluster.close()
+        # A pending-moves file an older build left behind is ignored:
+        # never read, never rewritten.
+        stale = os.path.join(cluster.shard_dir, "rebalance-pending.json")
+        assert not os.path.exists(stale)
+        with open(stale, "w", encoding="utf-8") as handle:
+            json.dump({"moves": [[0, 1, 0, 1]]}, handle)
+        with ShardedQueryService(
+            cluster.shard_dir, 2, k=4, m=6, pool_size=2, range_width=2
+        ) as reopened:
+            assert answers(reopened) == expected
+            assert reopened.jobs_submit(self.MOVE)["state"] == "succeeded"
+            assert answers(reopened) == expected
+        with open(stale, encoding="utf-8") as handle:
+            assert json.load(handle) == {"moves": [[0, 1, 0, 1]]}
 
     def test_cancel_of_repair_run_never_unwinds_preexisting_copies(
         self, cluster

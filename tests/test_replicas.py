@@ -433,14 +433,16 @@ class TestReplicatedEquivalence:
         ]
 
     def test_sql_matches_single_db(self, single, cluster):
-        sql = "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'"
-        expected = execute_select(single, sql)
-        status, body = post_json(cluster.base_url, "/sql", {"query": sql})
-        assert status == 200
-        assert body["count"] == len(expected)
-        for got, want in zip(body["rows"], expected):
-            assert got["DocId"] == want["DocId"]
-            assert got["Probability"] == pytest.approx(want["Probability"])
+        """Bit for bit: the ``repr`` of every value, aggregates included."""
+        for sql in (
+            "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'",
+            "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims "
+            "WHERE DocData LIKE '%a%'",
+        ):
+            expected = execute_select(single, sql)
+            status, body = post_json(cluster.base_url, "/sql", {"query": sql})
+            assert status == 200
+            assert repr(body["rows"]) == repr(expected)
 
 
 class TestLiveFailover:

@@ -2,15 +2,16 @@
 
 ``ShardedQueryService`` is written against the ``ShardLeg`` seam, so its
 own logic -- singleflight, error mapping, partial-write invalidation,
-the move-safe ``/sql`` plan -- is testable with no SQLite file and no
-subprocess behind it.  These tests are the seam earning its keep; the
-structural guard at the end keeps the worker topology from growing a
-second copy of any endpoint.
+the ``/sql`` merge -- is testable with no SQLite file and no subprocess
+behind it.  These tests are the seam earning its keep; the structural
+guards at the end keep the worker topology from growing a second copy
+of any endpoint, and the two legs from drifting apart on the seam.
 """
 
 from __future__ import annotations
 
 import collections
+import inspect
 import itertools
 import threading
 import time
@@ -19,11 +20,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.query.answers import Answer
-from repro.service.legs import LegDeadline
+from repro.service.legs import LegDeadline, LocalLeg, ShardLeg
 from repro.service.replicas import ReplicaUnavailable
 from repro.service.shards import ShardedQueryService
 from repro.service.validation import ApiError
-from repro.service.workers import WorkerRouterService
+from repro.service.workers import WorkerLeg, WorkerRouterService
 
 WAIT = 30.0
 
@@ -36,7 +37,6 @@ class FakeLeg:
         self.path = f"fake-{index}"
         self.write_lock = threading.Lock()
         self.calls: collections.Counter = collections.Counter()
-        self.full_rows_seen: list[bool] = []
         #: Set to an exception instance to make the next calls fail.
         self.fail: Exception | None = None
         #: Set to an Event to park ``search`` until it is released.
@@ -60,10 +60,16 @@ class FakeLeg:
         )
         return "filescan", [answer]
 
-    def sql(self, query, approach, full_rows):
+    def sql(self, query, approach):
+        """Documents ``index`` and ``index + 1``: neighbouring legs
+        overlap by one DocId, as a copied-but-not-deleted move leaves
+        them.  ``DocName`` names the leg that answered."""
         self._enter("sql")
-        self.full_rows_seen.append(full_rows)
-        return []
+        return [
+            {"DocId": doc_id, "DocName": f"leg-{self.index}", "Year": 2000,
+             "Loss": 10.0 * (doc_id + 1), "Probability": 0.25 * (doc_id + 1)}
+            for doc_id in (self.index, self.index + 1)
+        ]
 
     def ingest(self, docs, request):
         self._enter("ingest")
@@ -182,32 +188,38 @@ class TestMoveSafeSql:
     #: A fresh query per call, so every call misses the result cache.
     serial = itertools.count()
 
-    def _plans(self, router, shards) -> set[bool]:
-        for leg in router.pool.shards:
-            leg.full_rows_seen.clear()
+    def _sql(self, router, select, shards):
         query = (
-            "SELECT DocId FROM Claims "
-            f"WHERE DocData LIKE '%x{next(self.serial)}%'"
+            f"{select} FROM Claims WHERE DocData LIKE '%x{next(self.serial)}%'"
         )
-        router.sql({"query": query, "shards": shards})
-        seen = [
-            flag for leg in router.pool.shards for flag in leg.full_rows_seen
-        ]
-        assert len(seen) == len(shards)
-        return set(seen)
+        return router.sql({"query": query, "shards": shards})["rows"]
 
-    def test_full_row_plan_iff_scope_spans_a_registered_move(self, router):
-        assert self._plans(router, [0, 1, 2]) == {False}
-        move = (0, 10, 0, 1)  # DocIds [0, 10]: shard 0 -> shard 1
-        router.move_gate.begin(move)
-        assert self._plans(router, [0, 1, 2]) == {True}
-        assert self._plans(router, [0, 1]) == {True}
-        # Only one side of the move in scope: no document can be seen
-        # twice, so the fast scalar plan stays.
-        assert self._plans(router, [0]) == {False}
-        assert self._plans(router, [1, 2]) == {False}
-        router.move_gate.finish(move, converged=True)
-        assert self._plans(router, [0, 1, 2]) == {False}
+    @pytest.mark.parametrize(
+        "shards", [[0, 1, 2], [0, 1], [1, 2], [2, 0], [0], [2]]
+    )
+    def test_overlapping_legs_answer_each_docid_once(self, router, shards):
+        """No move is registered: the router de-duplicates anyway."""
+        rows = self._sql(router, "SELECT DocId, DocName", shards)
+        docs = {doc_id for index in shards for doc_id in (index, index + 1)}
+        assert sorted(row["DocId"] for row in rows) == sorted(docs)
+        # The first leg in scope order answers for a shared DocId.
+        owner = {}
+        for index in shards:
+            for doc_id in (index, index + 1):
+                owner.setdefault(doc_id, f"leg-{index}")
+        assert {row["DocId"]: row["DocName"] for row in rows} == owner
+        (count,) = self._sql(router, "SELECT COUNT(*)", shards)
+        assert count == {"COUNT(*)": sum(0.25 * (d + 1) for d in sorted(docs))}
+
+    def test_bad_projection_never_reaches_a_leg(self, router):
+        for query in (
+            "SELECT Bogus FROM Claims",
+            "SELECT Bogus FROM Claims WHERE Year = 1900",
+        ):
+            with pytest.raises(ApiError) as caught:
+                router.sql({"query": query})
+            assert (caught.value.status, caught.value.code) == (400, "sql_error")
+        assert [leg.calls["sql"] for leg in router.pool.shards] == [0, 0, 0]
 
 
 #: Every endpoint and job the router defines exactly once.
@@ -229,3 +241,25 @@ def test_worker_topology_defines_no_endpoint_of_its_own():
         assert getattr(WorkerRouterService, name) is getattr(
             ShardedQueryService, name
         )
+
+
+def _seam_methods() -> list[str]:
+    return [
+        name
+        for name, value in vars(ShardLeg).items()
+        if not name.startswith("_") and callable(value)
+    ]
+
+
+def _parameters(leg_type, name: str) -> list[tuple]:
+    signature = inspect.signature(getattr(leg_type, name))
+    return [
+        (p.name, p.kind, p.default) for p in signature.parameters.values()
+    ]
+
+
+@pytest.mark.parametrize("name", _seam_methods())
+def test_both_legs_implement_the_seam_alike(name):
+    """A seam change lands on every leg or fails here."""
+    assert _parameters(LocalLeg, name) == _parameters(ShardLeg, name)
+    assert _parameters(WorkerLeg, name) == _parameters(ShardLeg, name)

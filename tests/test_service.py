@@ -261,15 +261,18 @@ class TestEndpoints:
         ]
 
     def test_sql_round_trip(self, live):
-        sql = "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'"
-        status, body = post_json(live.base_url, "/sql", {"query": sql})
-        assert status == 200
-        with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
-            expected = execute_select(db, sql, approach="staccato")
-        assert body["count"] == len(expected)
-        for got, want in zip(body["rows"], expected):
-            assert got["DocId"] == want["DocId"]
-            assert got["Probability"] == pytest.approx(want["Probability"])
+        """Bit for bit: the ``repr`` of every value, aggregates included."""
+        for sql in (
+            "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'",
+            "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims "
+            "WHERE DocData LIKE '%a%'",
+        ):
+            status, body = post_json(live.base_url, "/sql", {"query": sql})
+            assert status == 200
+            with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
+                expected = execute_select(db, sql, approach="staccato")
+            assert body["count"] == len(expected)
+            assert repr(body["rows"]) == repr(expected)
 
     def test_indexed_plan_reports_fallback_without_index(self, live):
         status, body = post_json(

@@ -23,16 +23,21 @@ from repro.db.engine import (
     shard_paths,
 )
 from repro.db.sql import (
+    MAX_SQL_PREDICATES,
     execute_select,
-    merge_shard_rows,
+    finish_select,
     parse_select,
-    shard_select,
 )
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.query.answers import Answer
 from repro.service import QueryService, start_sharded_service
-from repro.service.shards import DEFAULT_RANGE_WIDTH, merge_ranked, shard_for_doc
+from repro.service.shards import (
+    DEFAULT_RANGE_WIDTH,
+    merge_ranked,
+    merge_relations,
+    shard_for_doc,
+)
 
 K, M = 4, 6
 NUM_SHARDS = 2
@@ -107,45 +112,58 @@ class TestMergeRanked:
         assert [(s, x.line_no) for s, x in merged] == [(0, 1), (1, 2)]
 
 
-class TestShardSelectPlan:
-    def test_avg_needs_count_and_sum(self):
-        parsed = parse_select("SELECT AVG(Loss) FROM Claims")
-        base = shard_select(parsed)
-        assert base.aggregates == [("count", "*"), ("sum", "Loss")]
-        assert base.limit is None
+def _doc(doc_id, loss, probability, name="a"):
+    return {"DocId": doc_id, "DocName": name, "Year": 1, "Loss": loss,
+            "Probability": probability}
 
-    def test_projection_widens_to_star_without_cutoffs(self):
-        parsed = parse_select(
-            "SELECT DocId FROM Claims WHERE Year = 2010 "
-            "AND DocData LIKE '%x%' ORDER BY Loss DESC LIMIT 3"
-        )
-        base = shard_select(parsed)
-        assert base.columns == ["*"]
-        assert base.order_by is None and base.limit is None
-        assert base.scalar_predicates == parsed.scalar_predicates
-        assert base.like_patterns == parsed.like_patterns
 
-    def test_merge_applies_order_limit_and_projection(self):
+class TestRouterMerge:
+    """``merge_relations`` + ``finish_select``: what the router answers
+    from its legs' document relations."""
+
+    #: Shard 1 also holds DocId 1 (a copy a move has not deleted yet).
+    RELATIONS = [
+        [_doc(1, 5.0, 0.5, "first"), _doc(4, 2.0, 0.2)],
+        [_doc(1, 5.0, 0.5, "second"), _doc(2, 9.0, 0.1), _doc(3, 1.0, 0.9)],
+    ]
+
+    def test_dedupe_keeps_the_first_row_in_scope_order(self):
+        merged = merge_relations(self.RELATIONS)
+        assert [row["DocId"] for row in merged] == [1, 2, 3, 4]
+        assert merged[0]["DocName"] == "first"
+        assert merge_relations(self.RELATIONS[::-1])[0]["DocName"] == "second"
+
+    def test_order_limit_and_projection_apply_after_dedupe(self):
         parsed = parse_select(
-            "SELECT DocId FROM Claims ORDER BY Loss DESC LIMIT 2"
+            "SELECT DocId FROM Claims ORDER BY Loss DESC LIMIT 3"
         )
-        shard_rows = [
-            [
-                {"DocId": 1, "DocName": "a", "Year": 1, "Loss": 5.0,
-                 "Probability": 0.5},
-            ],
-            [
-                {"DocId": 2, "DocName": "b", "Year": 1, "Loss": 9.0,
-                 "Probability": 0.1},
-                {"DocId": 3, "DocName": "c", "Year": 1, "Loss": 1.0,
-                 "Probability": 0.9},
-            ],
-        ]
-        rows = merge_shard_rows(parsed, shard_rows, num_ans=100)
+        rows = finish_select(parsed, merge_relations(self.RELATIONS))
         assert rows == [
             {"DocId": 2, "Probability": 0.1},
             {"DocId": 1, "Probability": 0.5},
+            {"DocId": 4, "Probability": 0.2},
         ]
+        default = parse_select("SELECT * FROM Claims")
+        rows = finish_select(default, merge_relations(self.RELATIONS), 2)
+        assert [row["DocId"] for row in rows] == [3, 1]
+        assert rows[1] == _doc(1, 5.0, 0.5, "first")
+
+    def test_aggregates_count_each_document_once(self):
+        parsed = parse_select(
+            "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims"
+        )
+        (row,) = finish_select(parsed, merge_relations(self.RELATIONS))
+        count = 0.5 + 0.1 + 0.9 + 0.2  # DocId order
+        total = 0.5 * 5.0 + 0.1 * 9.0 + 0.9 * 1.0 + 0.2 * 2.0
+        assert row == {
+            "COUNT(*)": count, "SUM(Loss)": total, "AVG(Loss)": total / count,
+        }
+
+    def test_empty_union(self):
+        parsed = parse_select("SELECT COUNT(*), AVG(Year) FROM Claims")
+        assert merge_relations([[], []]) == []
+        assert finish_select(parsed, []) == [{"COUNT(*)": 0.0, "AVG(Year)": 0.0}]
+        assert finish_select(parse_select("SELECT DocId FROM Claims"), []) == []
 
 
 # ----------------------------------------------------------------------
@@ -265,39 +283,34 @@ class TestCrossShardSearch:
         assert body["error"]["code"] == "unknown_shard"
 
 
+def _same_answer(cluster, single, sql: str) -> None:
+    """``/sql`` is ``execute_select`` on a plain handle, bit for bit."""
+    expected = execute_select(single, sql)
+    status, body = post_json(cluster.base_url, "/sql", {"query": sql})
+    assert status == 200
+    assert body["count"] == len(expected)
+    assert repr(body["rows"]) == repr(expected)
+
+
 class TestCrossShardSql:
     def test_projection_matches_single_db(self, single, cluster):
-        sql = "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'"
-        expected = execute_select(single, sql)
-        status, body = post_json(cluster.base_url, "/sql", {"query": sql})
-        assert status == 200
-        assert body["count"] == len(expected)
-        for got, want in zip(body["rows"], expected):
-            assert got["DocId"] == want["DocId"]
-            assert got["Loss"] == want["Loss"]
-            assert got["Probability"] == pytest.approx(want["Probability"])
+        _same_answer(
+            cluster, single,
+            "SELECT DocId, Loss FROM Claims WHERE DocData LIKE '%Congress%'",
+        )
 
     def test_expected_aggregates_merge_exactly(self, single, cluster):
-        sql = (
-            "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims "
-            "WHERE DocData LIKE '%the%'"
-        )
-        (want,) = execute_select(single, sql)
-        status, body = post_json(cluster.base_url, "/sql", {"query": sql})
-        assert status == 200
-        (got,) = body["rows"]
-        for key in ("COUNT(*)", "SUM(Loss)", "AVG(Loss)"):
-            assert got[key] == pytest.approx(want[key])
+        for like in ("%the%", "%Congress%", "%a%"):
+            _same_answer(
+                cluster, single,
+                "SELECT COUNT(*), SUM(Loss), AVG(Loss), SUM(Year) FROM Claims "
+                f"WHERE DocData LIKE '{like}'",
+            )
 
     def test_order_by_limit_matches_single_db(self, single, cluster):
-        sql = "SELECT DocId FROM Claims ORDER BY Loss DESC LIMIT 2"
-        expected = execute_select(single, sql)
-        status, body = post_json(cluster.base_url, "/sql", {"query": sql})
-        assert status == 200
-        assert body["rows"] == [
-            {**row, "Probability": pytest.approx(row["Probability"])}
-            for row in expected
-        ]
+        _same_answer(
+            cluster, single, "SELECT DocId FROM Claims ORDER BY Loss DESC LIMIT 2"
+        )
 
     def test_sql_error_is_structured(self, cluster):
         status, body = post_json(
@@ -307,13 +320,43 @@ class TestCrossShardSql:
         assert body["error"]["code"] == "sql_error"
 
     def test_unknown_projection_column_is_400_not_500(self, cluster):
-        # The widened per-shard plan selects *, so the bad column only
-        # surfaces at merge time -- it must still map to sql_error.
+        for query in (
+            "SELECT Bogus FROM Claims",
+            "SELECT Bogus FROM Claims WHERE Year = 1900",
+        ):
+            status, body = post_json(cluster.base_url, "/sql", {"query": query})
+            assert status == 400
+            assert body["error"]["code"] == "sql_error"
+
+    def test_long_where_clause_is_400_never_breaker_food(self, cluster):
+        """1 200 conjuncts once overflowed SQLite's expression tree on
+        the leg, which failed the replica: 503 now and for the rest of
+        the cooldown.  The parser refuses them before any leg runs."""
+        clause = " AND ".join(["Year > 0"] * 1200)
         status, body = post_json(
-            cluster.base_url, "/sql", {"query": "SELECT Bogus FROM Claims"}
+            cluster.base_url,
+            "/sql",
+            {"query": f"SELECT DocId FROM Claims WHERE {clause}"},
         )
         assert status == 400
         assert body["error"]["code"] == "sql_error"
+        assert str(MAX_SQL_PREDICATES) in body["error"]["message"]
+        status, _ = post_json(
+            cluster.base_url,
+            "/sql",
+            {"query": "SELECT DocId FROM Claims WHERE Year > 0"},
+        )
+        assert status == 200
+        status, stats = get_json(cluster.base_url, "/stats")
+        assert status == 200
+        breakers = [
+            replica["breaker"]
+            for shard in stats["shards"]
+            for replica in shard["replicas"]
+        ]
+        assert breakers and all(
+            (b["state"], b["trips"]) == ("closed", 0) for b in breakers
+        )
 
 
 class TestIndexEndpoint:

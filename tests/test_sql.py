@@ -3,7 +3,12 @@
 import pytest
 
 from repro.db.engine import StaccatoDB
-from repro.db.sql import SqlError, execute_select, parse_select
+from repro.db.sql import (
+    MAX_SQL_PREDICATES,
+    SqlError,
+    execute_select,
+    parse_select,
+)
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
@@ -70,6 +75,31 @@ class TestParseErrors:
         with pytest.raises(SqlError):
             parse_select(sql)
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT Bogus FROM Claims",
+            "SELECT DocId, Probability FROM Claims",
+            "SELECT *, DocId FROM Claims",
+        ],
+    )
+    def test_projection_names_document_columns(self, sql):
+        with pytest.raises(SqlError, match="projection column"):
+            parse_select(sql)
+
+    def test_where_clause_is_bounded(self):
+        def conjuncts(n: int) -> str:
+            terms = ["Year > 0", "DocData LIKE '%a%'"] * n
+            return "SELECT DocId FROM Claims WHERE " + " AND ".join(terms[:n])
+
+        parsed = parse_select(conjuncts(MAX_SQL_PREDICATES))
+        assert len(parsed.scalar_predicates) + len(parsed.like_patterns) == (
+            MAX_SQL_PREDICATES
+        )
+        for n in (MAX_SQL_PREDICATES + 1, 1200):
+            with pytest.raises(SqlError, match="conjuncts"):
+                parse_select(conjuncts(n))
+
 
 @pytest.fixture(scope="module")
 def sql_db():
@@ -127,6 +157,9 @@ class TestExecution:
     def test_unknown_projection_column(self, sql_db):
         with pytest.raises(SqlError):
             execute_select(sql_db, "SELECT Bogus FROM Claims")
+        # Whatever the data: no document matches here.
+        with pytest.raises(SqlError):
+            execute_select(sql_db, "SELECT Bogus FROM Claims WHERE Year = 1900")
 
     def test_no_matching_docs(self, sql_db):
         rows = execute_select(

@@ -190,6 +190,9 @@ def _transcript(running, corpus):
 
 
 _SQL = "SELECT DocId FROM Claims WHERE DocData LIKE '%Congress%'"
+_AGGREGATE_SQL = (
+    "SELECT COUNT(*), SUM(Loss), AVG(Loss) FROM Claims WHERE DocData LIKE '%a%'"
+)
 
 
 def _projection(status, reply):
@@ -256,6 +259,7 @@ class TestTopologyEquivalence:
                 for pattern in ("%Congress%", "%Law%")
             }
             rows = execute_select(db, _SQL)
+            aggregates = execute_select(db, _AGGREGATE_SQL)
         running = start_sharded_service(
             str(tmp_path / "workers"), 2,
             k=K, m=M, pool_size=2, cache_size=0, range_width=2,
@@ -276,6 +280,10 @@ class TestTopologyEquivalence:
             assert _projection(*post_json(url, "/sql", {"query": _SQL})) == (
                 200, len(rows), rows
             )
+            # Bit for bit: the repr of every value, aggregates included.
+            for sql, expected in ((_SQL, rows), (_AGGREGATE_SQL, aggregates)):
+                status, reply = post_json(url, "/sql", {"query": sql})
+                assert (status, repr(reply["rows"])) == (200, repr(expected))
         finally:
             running.stop()
 

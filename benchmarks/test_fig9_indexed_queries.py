@@ -6,6 +6,11 @@ as a fraction of the filescan runtime compared with the anchor term's
 selectivity.  The paper's findings: the index gives substantial speedups;
 as m and k grow the term appears in more lines (selectivity rises) and
 the speedup erodes.
+
+The engine's filescan skips lines that cannot spell the pattern's
+literal runs, which the paper's filescan does not; the work comparison
+measures the paper's filescan through the unpruned batch evaluator
+(``CorpusBench``), as figure 10 does.
 """
 
 import time
@@ -13,6 +18,7 @@ import time
 import pytest
 
 from repro import counters
+from repro.bench.harness import CorpusBench
 from repro.db.engine import StaccatoDB
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
@@ -23,13 +29,15 @@ from .conftest import DICTIONARY
 pytestmark = pytest.mark.slow
 
 PATTERN = r"REGEX:Public Law (8|9)\d"
+DATASET = make_ca(num_docs=4, lines_per_doc=10)
+OCR_SEED = 41
 
 
 @pytest.fixture(scope="module")
 def dbs():
     """StaccatoDBs ingested at several (m, k) points."""
-    dataset = make_ca(num_docs=4, lines_per_doc=10)
-    ocr = SimulatedOcrEngine(seed=41)
+    dataset = DATASET
+    ocr = SimulatedOcrEngine(seed=OCR_SEED)
     instances = {}
     for m, k in [(10, 5), (10, 25), (40, 5), (40, 25)]:
         db = StaccatoDB(k=k, m=m)
@@ -84,16 +92,23 @@ def test_index_speedup_exists(benchmark, dbs, report):
     with counters.collect() as index_work:
         db.indexed_search(PATTERN)
     index_time = time.perf_counter() - started
+    with counters.collect() as paper_work:
+        CorpusBench(DATASET, SimulatedOcrEngine(seed=OCR_SEED)).search(
+            PATTERN, "staccato", m=40, k=25
+        )
     report.note(
         "Figure 9 speedup",
         f"indexed plan = {index_time / scan_time:.0%} of filescan "
         f"({scan_time / max(index_time, 1e-9):.1f}x faster) at m=40 k=25; "
-        f"{index_work['dp_transitions']} of {scan_work['dp_transitions']} "
-        "DP transitions",
+        f"{index_work['dp_transitions']} of {paper_work['dp_transitions']} "
+        "DP transitions of the paper's filescan (the engine's, which "
+        f"skips {scan_work['lines_pruned']} lines that cannot spell the "
+        f"pattern: {scan_work.get('dp_transitions', 0)})",
     )
     # Work, not wall clock: the probe's windows relax fewer transitions
-    # than the whole table, however loaded the box is.
-    assert index_work["dp_transitions"] < scan_work["dp_transitions"]
+    # than the paper's filescan of the whole table, however loaded the
+    # box is.
+    assert index_work["dp_transitions"] < paper_work["dp_transitions"]
     benchmark.pedantic(
         db.search, args=(PATTERN,), kwargs={"approach": "staccato"},
         rounds=2, iterations=1,

@@ -21,7 +21,7 @@ evaluation DP is cubic in the number of DFA states (Table 1's
 from __future__ import annotations
 
 from .nfa import Nfa, compile_pattern
-from .regex import DIGITS, Node
+from .regex import DIGITS, Node, parse, required_pairs
 
 __all__ = ["DEAD", "MAX_STATES", "Dfa", "QueryTooComplex", "dfa_for_pattern"]
 
@@ -50,8 +50,17 @@ class Dfa:
     acceptance, with ``DEAD`` for the empty subset.
     """
 
-    def __init__(self, nfa: Nfa, match_anywhere: bool = True) -> None:
+    def __init__(
+        self,
+        nfa: Nfa,
+        match_anywhere: bool = True,
+        required_pairs: frozenset[str] = frozenset(),
+    ) -> None:
         self._match_anywhere = match_anywhere
+        #: Character pairs every accepted string contains
+        #: (:func:`~repro.automata.regex.required_pairs` of the pattern);
+        #: empty when unknown.  Acceptance never depends on it.
+        self.required_pairs = required_pairs
         edges = [
             (src, matcher, dst)
             for src, labelled in nfa.transitions.items()
@@ -176,8 +185,10 @@ class Dfa:
 
 
 def dfa_for_pattern(pattern: str | Node, match_anywhere: bool = True) -> Dfa:
-    """Compile a query pattern straight to its DFA.
+    """Compile a query pattern straight to its DFA, carrying the pattern's
+    required character pairs.
 
     Raises :class:`QueryTooComplex` past :data:`MAX_STATES` states.
     """
-    return Dfa(compile_pattern(pattern), match_anywhere=match_anywhere)
+    node = parse(pattern) if isinstance(pattern, str) else pattern
+    return Dfa(compile_pattern(node), match_anywhere, required_pairs(node))

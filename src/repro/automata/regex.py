@@ -35,6 +35,7 @@ __all__ = [
     "MAX_NESTING",
     "parse",
     "literal_prefix",
+    "required_pairs",
 ]
 
 DIGITS = frozenset(_string.digits)
@@ -203,6 +204,39 @@ def literal_prefix(node: Node) -> str:
                 break
         return "".join(prefix)
     return ""
+
+
+def required_pairs(node: Node) -> frozenset[str]:
+    """The adjacent character pairs every match of a pattern contains.
+
+    A pattern's mandatory literal runs -- literals concatenated with
+    nothing but empty groups between them, at any group depth -- appear
+    verbatim in every string it matches, so each adjacent pair of a run
+    does too: ``Public Law (8|9)\\d`` requires ``Pu``, ``ub``, ..., ``w `` and
+    ``(ab)c`` requires ``ab`` and ``bc``.  ``\\d``, ``\\x``, an alternation
+    and a star end a run and contribute nothing (options need not share
+    a run; a star may repeat zero times).  A filescan skips the DP of a
+    line that cannot spell one of these pairs: its probability is 0.
+    """
+    pairs = set()
+    previous = None
+    for char in _run_chars(node):
+        if previous is not None and char is not None:
+            pairs.add(previous + char)
+        previous = char
+    return frozenset(pairs)
+
+
+def _run_chars(node: Node):
+    """The pattern's top-level concatenation flattened: each literal's
+    character, and ``None`` for every part that ends a run."""
+    if isinstance(node, Literal):
+        yield node.char
+    elif isinstance(node, Concat):
+        for part in node.parts:
+            yield from _run_chars(part)
+    elif not isinstance(node, Epsilon):
+        yield None
 
 
 def _is_pure_literal(node: Node) -> bool:

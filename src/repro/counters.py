@@ -50,13 +50,14 @@ COUNTER_NAMES: dict[str, str] = {
     "dp_transitions": "Chunk/character transitions relaxed by the DP.",
     "lines_scanned": "Lines whose representation was evaluated.",
     "lines_matched": "Lines whose match probability cleared the cutoff.",
+    "lines_pruned": "Lines a scan skipped: they cannot spell the pattern.",
     "strings_evaluated": "Stored k-MAP strings run through the query DFA.",
     "postings_probed": "Dictionary-index posting entries materialized.",
     "index_candidates": "Candidate lines produced by index probes.",
     "plan_index": "Planner decisions that chose the index probe.",
     "plan_scan": "Planner decisions that chose the filescan.",
     "memo_hits": "Kernel evaluations served from the cross-request memo.",
-    "memo_misses": "Kernel evaluations that had to run the DP.",
+    "memo_misses": "Kernel evaluations the memo could not answer.",
 }
 
 _global_lock = threading.Lock()

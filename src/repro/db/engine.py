@@ -41,7 +41,7 @@ from ..indexing.postings import Posting
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
 from ..query.answers import Answer, rank_answers
-from ..query.eval_kernel import KernelBatch, KernelEvaluator
+from ..query.eval_kernel import KernelBatch, KernelEvaluator, LineResult
 from ..query.eval_strings import match_probability_strings
 from ..query.like import compile_like
 from ..query.memo import KernelMemo, ScanImage, query_fingerprint
@@ -111,6 +111,11 @@ def discover_shard_paths(shard_dir: str) -> list[str]:
 #: Default BFS depth for projected evaluation: matches can span at most a
 #: few chunks beyond the anchor in the workloads we reproduce.
 DEFAULT_WINDOW = 24
+
+#: The result of a line the character-pair filter rules out: probability
+#: 0, no DP work; memoized as this one object.
+_PRUNED = LineResult(0.0, 0, 0)
+
 
 class StaccatoDB:
     """Probabilistic OCR data management on top of SQLite."""
@@ -264,18 +269,24 @@ class StaccatoDB:
         are left does it need kernels, and then it takes the shard's
         *scan image* -- every stored kernel decoded and laid out once --
         if the listing just read is the one the image was built from,
-        else rebuilds it from one bulk blob read.  The DP then runs over
-        the image seeded at the pending lines only.
+        else rebuilds it from one bulk blob read.
 
         Without a memo (library use, the CLI, the benches) and for
         ``keyed`` scans (an index plan's few candidates) nothing is kept
         between queries: blobs come from one bulk or keyed read and are
-        decoded and laid out per query -- the paper's filescan.
+        decoded and laid out per query.
 
         Either way, a line without a current-version row (old database
         files) or whose blob the codec rejects is recompiled from its
         ``SFA1`` blob and evaluated beside the rest (a rejected blob
         that is the line's only copy fails the scan instead).
+
+        Before the DP, every pending line is checked against the
+        pattern's required character pairs (``KernelBatch.spells``): a
+        line that cannot spell one has probability exactly 0, is
+        memoized as ``(0.0, 0, 0)`` and counted in ``lines_pruned``.
+        The DP runs over the batch seeded at the other pending lines
+        only, so their probabilities are unchanged.
 
         Counters stay exact: ``dp_cells``/``dp_transitions`` are summed
         from the per-line results of the DP actually executed (memo hits
@@ -338,36 +349,46 @@ class StaccatoDB:
                 if kernel is None:
                     continue
             beside.append((data_key, fingerprint, kernel))
-        cells = transitions = 0
-        if in_image or beside:
+        groups = []
+        if in_image:
+            lines = [line for _, _, line in in_image]
+            groups.append((in_image, image.batch, lines))
+        if beside:
+            batch = KernelBatch([kernel for _, _, kernel in beside])
+            groups.append((beside, batch, range(len(beside))))
+        if groups:
             if query is None:
                 query = compile_like(pattern)
             evaluator = KernelEvaluator(query)
-            results = []
-            if in_image:
-                results += evaluator.evaluate_batch(
-                    image.batch, lines=[line for _, _, line in in_image]
+        cells = transitions = pruned = 0
+        for jobs, batch, lines in groups:
+            # A line that cannot spell a pair every match contains has
+            # probability exactly 0: it skips the DP.
+            spelled = batch.spells(query.required_pairs, lines)
+            results = iter(
+                evaluator.evaluate_batch(
+                    batch, lines=[ln for ln, ok in zip(lines, spelled) if ok]
                 )
-            if beside:
-                results += evaluator.evaluate_batch(
-                    [kernel for _, _, kernel in beside]
-                )
-            for (data_key, fingerprint, _), result in zip(
-                in_image + beside, results
-            ):
+            )
+            for (data_key, fingerprint, _), ok in zip(jobs, spelled):
+                result = next(results) if ok else _PRUNED
+                pruned += not ok
                 probs[data_key] = result.probability
                 cells += result.dp_cells
                 transitions += result.dp_transitions
                 if memo is not None:
-                    memo.put(
-                        fingerprint, query_fp, tuple(result), generation
-                    )
+                    # Pruned lines share one value: most misses are pruned.
+                    value = tuple(result) if ok else _PRUNED
+                    memo.put(fingerprint, query_fp, value, generation)
         counters.add(
             dp_cells=cells,
             dp_transitions=transitions,
+            lines_pruned=pruned,
             memo_hits=hits,
             memo_misses=misses,
         )
+        if scan is not None:
+            scan.annotate(pruned=pruned)
         return probs
 
     def _scan_image(self, approach: str, listing, scan) -> ScanImage:
@@ -561,7 +582,11 @@ class StaccatoDB:
             else storage.all_data_keys(self.conn)
         )
         with _span(
-            "engine_scan", approach=approach, image="none", image_lines=0
+            "engine_scan",
+            approach=approach,
+            image="none",
+            image_lines=0,
+            pruned=0,
         ) as scan:
             # Collect the DP work done by this scan so the span can carry
             # exact per-request counters; collect() re-folds them into the

@@ -19,6 +19,9 @@ Two evaluators for the same program (:class:`repro.sfa.kernel.CompiledKernel`):
 A batch laid out once serves every query and any subset of its lines
 (``evaluate_batch(batch, lines=...)`` seeds only those): the engine keeps
 one per shard and approach as its *scan image* (:mod:`repro.query.memo`).
+The layout also records the character pairs each line can spell, so
+:meth:`KernelBatch.spells` leaves out of that subset, before any DP, the
+lines that cannot spell a pattern's required pairs.
 
 The index plan evaluates its candidates with the python replay
 restricted to the windows of their postings
@@ -57,13 +60,21 @@ else:
 
 HAVE_NUMPY = _np is not None
 
-__all__ = ["HAVE_NUMPY", "LineResult", "KernelBatch", "KernelEvaluator"]
+__all__ = [
+    "HAVE_NUMPY",
+    "LineResult",
+    "KernelBatch",
+    "KernelEvaluator",
+    "spelled_pairs",
+]
 
 _DEAD = _dfa.DEAD
 _ACCEPT = _dfa._ACCEPT
 #: Sentinel for a not-yet-computed transition in the python row cache;
 #: distinct from ``DEAD`` (-1), which is a legitimate transition.
 _UNFILLED = -2
+#: Lines per block of the pair-bitmap build (:func:`_pair_bitmap`).
+PAIR_BLOCK_LINES = 8
 
 
 class LineResult(NamedTuple):
@@ -97,6 +108,121 @@ def _window_positions(
     return seen
 
 
+def spelled_pairs(kernel: CompiledKernel) -> frozenset[str] | None:
+    """Every adjacent character pair a path of the kernel can spell.
+
+    A pair is spelled inside one step's symbol, or across a node: a last
+    character of a symbol into the node, then a first character of a
+    symbol out of it.  A path's string is its symbols concatenated, so
+    each of its pairs is in this set.  A kernel with an empty symbol on
+    a step (from a damaged blob; no SFA emits one) can carry a pair
+    across several nodes and gets ``None``: every pair.
+    """
+    symbols = kernel.symbols
+    used = [symbols[sid] for sid in set(kernel.step_syms)]
+    if not all(used):
+        return None
+    pairs = {sym[i : i + 2] for sym in used for i in range(len(sym) - 1)}
+    syms = kernel.step_syms
+    run_starts = kernel.run_starts
+    firsts: list[set[str]] = [set() for _ in range(kernel.num_nodes)]
+    lasts: list[set[str]] = [set() for _ in range(kernel.num_nodes)]
+    for t in range(kernel.num_nodes):
+        for run in range(kernel.node_runs[t], kernel.node_runs[t + 1]):
+            into = lasts[kernel.run_dst[run]]
+            for j in range(run_starts[run], run_starts[run + 1]):
+                sym = symbols[syms[j]]
+                firsts[t].add(sym[0])
+                into.add(sym[-1])
+    for ends, starts in zip(lasts, firsts):
+        pairs.update(a + b for a in ends for b in starts)
+    return frozenset(pairs)
+
+
+def _pair_bitmap(np, batch: "KernelBatch"):
+    """:func:`spelled_pairs` of every line of a numpy layout, as bits,
+    read off the finished layout: ``bits[line, a, b >> 6] >> (b & 63) &
+    1`` says whether the line spells ``chars[a] + chars[b]``, and
+    ``any_pair[line]`` whether it has an empty symbol on a step.
+
+    Built per block of :data:`PAIR_BLOCK_LINES` lines, so temporaries
+    stay a few hundred KB whatever the batch size, and without BLAS.
+    Across a node: the first characters out of the node form a bit row,
+    and each character that ends a symbol into the node ORs that row
+    into its own.  Inside symbols: the pairs of each step's symbol.
+    """
+    num_chars, num_syms = len(batch.chars), len(batch.sym_strings)
+    words = max(1, -(-num_chars // 64))
+    width = 64 * words
+    first = np.full(num_syms, -1, dtype=np.int64)
+    last = np.full(num_syms, -1, dtype=np.int64)
+    inner_count = np.zeros(num_syms, dtype=np.int64)
+    for length, idx, char_idx in batch.compose_plan:
+        if length:
+            first[idx] = char_idx[:, 0]
+            last[idx] = char_idx[:, -1]
+            inner_count[idx] = length - 1
+    # Every symbol's inner pairs, as ``a * width + b``, symbol by symbol.
+    inner_start = np.concatenate(([0], np.cumsum(inner_count)))
+    inner = np.empty(int(inner_start[-1]), dtype=np.int64)
+    for length, idx, char_idx in batch.compose_plan:
+        if length > 1:
+            inner[inner_start[idx][:, None] + np.arange(length - 1)] = (
+                char_idx[:, :-1] * width + char_idx[:, 1:]
+            )
+    steps = batch.e_counts  # (node, line), step-major like the layout
+    num_nodes, num_lines = steps.shape
+    # Where each (node, line) segment starts in the layout.
+    seg_start = np.asarray(batch.step_bounds[:-1], dtype=np.int64)[:, None]
+    seg_start = seg_start + np.cumsum(steps, axis=1) - steps
+    bits = np.empty((num_lines, num_chars, words), dtype=np.uint64)
+    any_pair = np.zeros(num_lines, dtype=bool)
+    for lo in range(0, num_lines, PAIR_BLOCK_LINES):
+        size = min(PAIR_BLOCK_LINES, num_lines - lo)
+        block = steps[:, lo : lo + size]
+        counts = block.ravel()
+        # The block's steps: per node, its lines' segments are adjacent.
+        at = np.repeat(
+            seg_start[:, lo : lo + size].ravel() - (np.cumsum(counts) - counts),
+            counts,
+        )
+        at += np.arange(len(at))
+        gsyms = batch.syms_flat[at]
+        dst = batch.dst_flat[at]
+        line = np.repeat(np.tile(np.arange(size), num_nodes), counts)
+        src = np.repeat(np.arange(num_nodes), block.sum(axis=1))
+        heads, tails = first[gsyms], last[gsyms]
+        if (heads < 0).any():
+            # Empty symbols have no first or last character: their lines
+            # spell any pair.
+            spelt = heads >= 0
+            any_pair[lo + np.unique(line[~spelt])] = True
+            gsyms, heads, tails = gsyms[spelt], heads[spelt], tails[spelt]
+            line, src, dst = line[spelt], src[spelt], dst[spelt]
+        # Flat indices into the block's (line, node, character) planes:
+        # first characters out of each node, last characters into it.
+        out = np.zeros((size, num_nodes, width), dtype=bool)
+        out.reshape(-1)[(line * num_nodes + src) * width + heads] = True
+        into = np.zeros((size, num_chars, num_nodes), dtype=bool)
+        into.reshape(-1)[(line * num_chars + tails) * num_nodes + dst] = True
+        out_rows = np.packbits(out, axis=-1, bitorder="little").view("<u8")
+        spelled = bits[lo : lo + size]
+        for word in range(words):
+            spelled[..., word] = np.bitwise_or.reduce(
+                np.where(into, out_rows[:, None, :, word], np.uint64(0)),
+                axis=2,
+            )
+        counts = inner_count[gsyms]
+        at = np.repeat(inner_start[gsyms] - (np.cumsum(counts) - counts), counts)
+        within = np.zeros((size, num_chars, width), dtype=bool)
+        within.reshape(-1)[
+            np.repeat(line * (num_chars * width), counts)
+            + inner[at + np.arange(len(at))]
+        ] = True
+        spelled |= np.packbits(within, axis=-1, bitorder="little").view("<u8")
+    return bits, any_pair
+
+
 def _distinct_rows(np, rows, radix: int):
     """The distinct rows of a 2-D array of ints in ``[0, radix)``, and the
     index of each row among them: one mixed-radix ``int64`` key per row
@@ -126,6 +252,11 @@ class KernelBatch:
     kernels it was built from are not retained (``kernels`` is ``None``).
     Without numpy (or with ``use_numpy=False``) only the kernel list is
     kept, for the per-line python replay.
+
+    Either way the layout records which character pairs each line can
+    spell (:func:`spelled_pairs`; as packed bits over ``chars`` in a
+    numpy layout), so :meth:`spells` tells a scan, before any DP, which
+    lines a pattern's required pairs rule out.
     """
 
     __slots__ = (
@@ -143,7 +274,11 @@ class KernelBatch:
         "final_pos",
         "start_backward",
         "chars",
+        "char_ids",
         "compose_plan",
+        "pair_bits",
+        "any_pair",
+        "line_pairs",
         "nbytes",
     )
 
@@ -165,7 +300,10 @@ class KernelBatch:
         self.sym_strings: list[str] = []
         #: Bytes held by the layout's arrays (0 for a python batch).
         self.nbytes = 0
+        #: Per line, :func:`spelled_pairs` (a python batch only).
+        self.line_pairs: list[frozenset[str] | None] | None = None
         if not use_numpy or not kernels:
+            self.line_pairs = [spelled_pairs(kernel) for kernel in kernels]
             return
         np = _np
         gid: dict[str, int] = {}
@@ -237,7 +375,7 @@ class KernelBatch:
         self.chars = sorted(
             {ch for sym in self.sym_strings for ch in sym}
         )
-        char_id = {ch: i for i, ch in enumerate(self.chars)}
+        self.char_ids = {ch: i for i, ch in enumerate(self.chars)}
         lengths = np.asarray(
             [len(sym) for sym in self.sym_strings], dtype=np.int64
         )
@@ -246,12 +384,16 @@ class KernelBatch:
             idx = np.flatnonzero(lengths == length)
             char_idx = np.asarray(
                 [
-                    [char_id[ch] for ch in self.sym_strings[i]]
+                    [self.char_ids[ch] for ch in self.sym_strings[i]]
                     for i in idx.tolist()
                 ],
                 dtype=np.int64,
             )
             self.compose_plan.append((length, idx, char_idx))
+        # The per-kernel copies go before the bitmap's temporaries come.
+        del per_kernel, syms_parts, probs_parts, dst_parts, back_parts
+        #: ``any_pair`` marks lines with an empty symbol on a step.
+        self.pair_bits, self.any_pair = _pair_bitmap(np, self)
         # The layout is shared by every query (and, as a scan image, by
         # every thread of a shard): immutable from here on.
         arrays = [
@@ -262,6 +404,8 @@ class KernelBatch:
             self.e_counts,
             self.start_pos,
             self.final_pos,
+            self.pair_bits,
+            self.any_pair,
         ]
         for _length, idx, char_idx in self.compose_plan:
             arrays += (idx, char_idx)
@@ -274,6 +418,31 @@ class KernelBatch:
     def laid_out(self) -> bool:
         """True for a numpy layout, False for a python-replay batch."""
         return self.kernels is None
+
+    def spells(self, pairs: frozenset[str], lines: Sequence[int]) -> list[bool]:
+        """Per line of ``lines``: whether it can spell every pair of
+        ``pairs``.  A line that cannot has probability exactly 0 for a
+        pattern that requires them (:func:`~repro.automata.regex.required_pairs`),
+        so a scan skips its DP.  Both layouts decide alike."""
+        if not pairs:
+            return [True] * len(lines)
+        if not self.laid_out:
+            line_pairs = self.line_pairs
+            return [
+                line_pairs[ln] is None or pairs <= line_pairs[ln] for ln in lines
+            ]
+        np = _np
+        rows = np.asarray(lines, dtype=np.int64)
+        spelled = np.ones(len(rows), dtype=bool)
+        for pair in pairs:
+            a = self.char_ids.get(pair[0])
+            b = self.char_ids.get(pair[1])
+            if a is None or b is None:  # no line has the character
+                spelled[:] = False
+                break
+            word = self.pair_bits[rows, a, b >> 6]
+            spelled &= (word >> np.uint64(b & 63) & np.uint64(1)).astype(bool)
+        return (spelled | self.any_pair[rows]).tolist()
 
 
 class KernelEvaluator:

@@ -7,6 +7,9 @@ scan facts independent of batching.  That parity must hold through
 every execution topology -- the in-process scan and the
 subprocess-worker router -- and through the cross-request kernel memo (hits replay the memoized probability
 without re-reporting DP work, so a memo-warm scan shows zero cells).
+Every scan drops the lines that cannot spell the pattern's required
+character pairs before the DP (``lines_pruned``), whichever path its
+kernels came from, so the pruned count is part of the parity too.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.db.engine import StaccatoDB, shard_paths
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
+from repro.query.eval_kernel import KernelEvaluator
 from repro.query.memo import KernelMemo
 from repro.service import QueryService, start_sharded_service
 
@@ -30,7 +34,13 @@ PATTERN = "%Congress%"
 #: Counter names whose totals must be identical across topologies.
 #: Memo traffic is intentionally excluded: a memo-equipped engine
 #: reports misses a memo-less reference scan never performs.
-PARITY = ("dp_cells", "dp_transitions", "lines_scanned", "lines_matched")
+PARITY = (
+    "dp_cells",
+    "dp_transitions",
+    "lines_scanned",
+    "lines_matched",
+    "lines_pruned",
+)
 
 
 def _ingest(db: StaccatoDB, num_docs: int = 2, lines_per_doc: int = 6) -> None:
@@ -75,6 +85,8 @@ class TestInProcessParity:
         assert sorted(batched, key=lambda a: a.line_id) == expected
         assert batched_counts == expected_counts
         assert batched_counts["lines_scanned"] == loaded_db.num_lines
+        if approach in ("staccato", "fullsfa"):
+            assert 0 < batched_counts["lines_pruned"] < loaded_db.num_lines
 
 
 class TestMemoCounters:
@@ -96,6 +108,47 @@ class TestMemoCounters:
         assert warm_counts["lines_scanned"] == cold_counts["lines_scanned"]
         assert warm_counts["lines_matched"] == cold_counts["lines_matched"]
         db.close()
+
+    def test_pruned_plus_evaluated_lines_are_the_misses(self, monkeypatch):
+        """Every memo miss is either ruled out by the pair filter or
+        evaluated by the DP, never both; both are memoized."""
+        evaluated = []
+        evaluate_batch = KernelEvaluator.evaluate_batch
+
+        def spy(self, batch, use_numpy=None, lines=None):
+            evaluated.append(len(lines))
+            return evaluate_batch(self, batch, use_numpy, lines)
+
+        monkeypatch.setattr(KernelEvaluator, "evaluate_batch", spy)
+        db = StaccatoDB(k=8, m=10, kernel_memo=KernelMemo())
+        _ingest(db)
+        for pattern in (PATTERN, "%the%", "REGEX:Con\\x", "%shall%"):
+            del evaluated[:]
+            with counters.collect() as counts:
+                db.search(pattern, "staccato", num_ans=None)
+            assert counts["memo_misses"] == db.num_lines
+            pruned = counts.get("lines_pruned", 0)
+            assert pruned + sum(evaluated) == counts["memo_misses"]
+            with counters.collect() as again:
+                db.search(pattern, "staccato", num_ans=None)
+            assert again["memo_hits"] == db.num_lines
+            assert "lines_pruned" not in again
+        db.close()
+
+    def test_a_character_no_symbol_has_runs_no_dp(self, monkeypatch):
+        def no_table(self, np, batch):
+            raise AssertionError("a transition table was built")
+
+        monkeypatch.setattr(KernelEvaluator, "_full_table", no_table)
+        for memo in (KernelMemo(), None):
+            db = StaccatoDB(k=8, m=10, kernel_memo=memo)
+            _ingest(db)
+            with counters.collect() as counts:
+                assert db.search("%Con~gress%", "staccato") == []
+            assert counts["lines_pruned"] == db.num_lines
+            assert counts.get("dp_cells", 0) == 0
+            assert counts.get("dp_transitions", 0) == 0
+            db.close()
 
     def test_ingest_invalidates(self):
         """A write advances the generation clock and empties the memo."""

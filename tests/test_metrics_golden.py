@@ -6,7 +6,8 @@ need escaping, lifecycle events, engine counters and caller gauges --
 goes through :class:`ServiceMetrics`.  ``snapshot()`` (as JSON, key order
 included) and ``render_prometheus()`` must reproduce the literals below,
 which were captured from the registry before its four per-family stores
-became one labelled table.  Only ``uptime`` is masked.
+became one labelled table, plus the ``lines_pruned`` engine counter added
+since.  Only ``uptime`` is masked.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ SNAPSHOT = """\
     "dp_transitions": 0,
     "lines_scanned": 4,
     "lines_matched": 0,
+    "lines_pruned": 0,
     "strings_evaluated": 0,
     "postings_probed": 0,
     "index_candidates": 0,
@@ -349,13 +351,16 @@ staccato_engine_index_candidates_total 0
 # HELP staccato_engine_lines_matched_total Lines whose match probability cleared the cutoff.
 # TYPE staccato_engine_lines_matched_total counter
 staccato_engine_lines_matched_total 0
+# HELP staccato_engine_lines_pruned_total Lines a scan skipped: they cannot spell the pattern.
+# TYPE staccato_engine_lines_pruned_total counter
+staccato_engine_lines_pruned_total 0
 # HELP staccato_engine_lines_scanned_total Lines whose representation was evaluated.
 # TYPE staccato_engine_lines_scanned_total counter
 staccato_engine_lines_scanned_total 4
 # HELP staccato_engine_memo_hits_total Kernel evaluations served from the cross-request memo.
 # TYPE staccato_engine_memo_hits_total counter
 staccato_engine_memo_hits_total 0
-# HELP staccato_engine_memo_misses_total Kernel evaluations that had to run the DP.
+# HELP staccato_engine_memo_misses_total Kernel evaluations the memo could not answer.
 # TYPE staccato_engine_memo_misses_total counter
 staccato_engine_memo_misses_total 0
 # HELP staccato_engine_plan_index_total Planner decisions that chose the index probe.

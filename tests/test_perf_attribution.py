@@ -150,15 +150,19 @@ class TestEngineCountersOverHttp:
         _, _, raw = _raw_get(live.base_url, "/metrics")
         before = _engine_totals(raw.decode("utf-8"))
         for index in range(3):
-            # Distinct patterns so the result cache cannot absorb them.
-            status, _, _ = _raw_post(
-                live.base_url, "/search", {"pattern": f"%mono{index}%"}
-            )
-            assert status == 200
+            # Distinct patterns so the result cache cannot absorb them:
+            # no line spells "mo", so the first skips the DP on every
+            # line; the second requires no pair and runs it on all.
+            for pattern in (f"%mono{index}%", f"%e_{index}%"):
+                status, _, _ = _raw_post(
+                    live.base_url, "/search", {"pattern": pattern}
+                )
+                assert status == 200
         _, _, raw = _raw_get(live.base_url, "/metrics")
         after = _engine_totals(raw.decode("utf-8"))
         assert all(after[name] >= before[name] for name in before)
         assert after["lines_scanned"] > before["lines_scanned"]
+        assert after["lines_pruned"] > before["lines_pruned"]
         assert after["dp_cells"] > before["dp_cells"]
 
     def test_stats_surfaces_engine_block(self, live):
@@ -169,16 +173,18 @@ class TestEngineCountersOverHttp:
         assert engine["dp_cells"] >= 0
 
     def test_engine_scan_span_carries_counters(self, live):
+        # No two literals are adjacent: no line can be pruned, so every
+        # line runs the DP.
         status, _, body = _raw_post(
             live.base_url,
             "/search",
-            {"pattern": "%span counters%", "plan": "filescan", "trace": True},
+            {"pattern": "%s_a_n%", "plan": "filescan", "trace": True},
         )
         assert status == 200
         scans = find_spans(body["trace"]["spans"], "engine_scan")
         assert scans
         attrs = scans[0]["attrs"]
-        assert attrs["lines"] > 0
+        assert attrs["lines"] > 0 and attrs["pruned"] == 0
         assert attrs["counters"]["dp_cells"] > 0
         assert attrs["counters"]["lines_scanned"] == attrs["lines"]
 

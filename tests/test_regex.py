@@ -14,7 +14,9 @@ from repro.automata.regex import (
     Star,
     literal_prefix,
     parse,
+    required_pairs,
 )
+from repro.query.like import compile_like
 
 
 class TestParsing:
@@ -113,3 +115,56 @@ class TestLiteralPrefix:
     def test_helper_is_pure_literal(self):
         assert regex._is_pure_literal(parse("abc"))
         assert not regex._is_pure_literal(parse(r"a\d"))
+
+
+def pairs_of(pattern: str) -> set[str]:
+    return set(required_pairs(parse(pattern)))
+
+
+class TestRequiredPairs:
+    def test_keyword_body(self):
+        assert pairs_of("Ford") == {"Fo", "or", "rd"}
+        assert pairs_of("aaa") == {"aa"}
+        assert pairs_of("a") == set()
+        assert pairs_of("") == set()
+
+    def test_digit_and_any_break_a_run(self):
+        assert pairs_of(r"ab\dcd") == {"ab", "cd"}
+        assert pairs_of(r"ab\xcd") == {"ab", "cd"}
+        assert pairs_of(r"U.S.C. 2\d\d\d") == {
+            "U.", ".S", "S.", ".C", "C.", ". ", " 2"
+        }
+
+    def test_like_wildcards_break_a_run(self):
+        for like in ("%ab_cd%", "%ab%cd%", "ab%cd", "ab_cd"):
+            assert compile_like(like).required_pairs == {"ab", "cd"}, like
+
+    def test_groups_flatten(self):
+        assert pairs_of("(ab)c") == {"ab", "bc"}
+        assert pairs_of("a((b)c)") == {"ab", "bc"}
+        assert pairs_of("a()b") == {"ab"}
+
+    def test_alternation_and_star_contribute_nothing(self):
+        assert pairs_of("(ab|cd)") == set()
+        assert pairs_of("x(ab|cd)y") == set()
+        assert pairs_of("(ab)*") == set()
+        assert pairs_of("xa(bc)*dy") == {"xa", "dy"}
+        assert pairs_of(r"Public(\x)*Law") == {
+            "Pu", "ub", "bl", "li", "ic", "La", "aw"
+        }
+
+    def test_escaped_metacharacter_is_a_literal(self):
+        assert pairs_of(r"a\(b") == {"a(", "(b"}
+        assert pairs_of(r"\*\*") == {"**"}
+
+    def test_whole_string_like_requires_the_same_pairs(self):
+        for body in ("Congress", "ab_cd", "x%y"):
+            assert (
+                compile_like(body).required_pairs
+                == compile_like(f"%{body}%").required_pairs
+            ), body
+
+    def test_the_dfa_carries_them(self):
+        assert compile_like(r"REGEX:Public Law (8|9)\d").required_pairs == (
+            pairs_of("Public Law ")
+        )

@@ -448,6 +448,8 @@ def test_image_arrays_refuse_writes(path):
             batch.e_counts,
             batch.start_pos,
             batch.final_pos,
+            batch.pair_bits,
+            batch.any_pair,
         ]
         for _, idx, char_idx in batch.compose_plan:
             arrays += [idx, char_idx]

@@ -39,7 +39,7 @@ from repro.service import (
 )
 from repro.service import http_common
 from repro.service.metrics import percentile
-from repro.service.validation import ApiError
+from repro.service.validation import MAX_LINE_CHARS, ApiError
 
 K, M = 4, 6
 
@@ -513,6 +513,30 @@ class TestErrors:
         body = json.loads(excinfo.value.read())
         assert body["error"]["code"] == "bad_request"
         assert field in body["error"]["message"]
+
+    def test_ingest_refuses_lines_it_cannot_build(self, live):
+        """An empty line (the OCR engine's ``ValueError``, a 500 before)
+        and one past ``MAX_LINE_CHARS`` (seconds of construction under
+        the write lock) are 400s; nothing of their batch is stored."""
+        _, health = get_json(live.base_url, "/health")
+        before = health["lines"]
+        for line in ("", "a" * (MAX_LINE_CHARS + 1)):
+            status, body = post_json(
+                live.base_url,
+                "/ingest",
+                {"documents": [{"doc_id": 300, "lines": ["a line", line]}]},
+            )
+            assert status == 400, body
+            assert body["error"]["code"] == "bad_request"
+            assert "lines[1]" in body["error"]["message"]
+        _, health = get_json(live.base_url, "/health")
+        assert health["lines"] == before
+        status, reply = post_json(
+            live.base_url,
+            "/ingest",
+            {"documents": [{"doc_id": 300, "lines": ["a line"]}]},
+        )
+        assert status == 200 and reply["total_lines"] == before + 1
 
     def test_errors_counted_in_stats(self, live):
         post_json(live.base_url, "/search", {})

@@ -73,12 +73,18 @@ def test_ablation_greedy_mass_scoring(benchmark, ca_bench, report):
 def test_ablation_absorbing_accept_dp(benchmark, ca_bench, report):
     query = dfa_for_pattern("President")
     sfas = ca_bench.sfas()[:20]
-    started = time.perf_counter()
-    fast = [match_probability(sfa, query) for sfa in sfas]
-    fast_time = time.perf_counter() - started
-    started = time.perf_counter()
-    general = [match_probability_exact(sfa, query) for sfa in sfas]
-    general_time = time.perf_counter() - started
+    # The fastest of three interleaved passes each: a single pass can
+    # absorb a stall (a process the previous test left exiting) that
+    # says nothing about the evaluator, and interleaving exposes both
+    # evaluators to the same background.
+    fast_time = general_time = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        fast = [match_probability(sfa, query) for sfa in sfas]
+        fast_time = min(fast_time, time.perf_counter() - started)
+        started = time.perf_counter()
+        general = [match_probability_exact(sfa, query) for sfa in sfas]
+        general_time = min(general_time, time.perf_counter() - started)
     for a, b in zip(fast, general):
         assert abs(a - b) < 1e-9
     report.table(

@@ -17,9 +17,11 @@ Three checks:
 3. **Commands** -- every ``python -m repro.<module>`` and
    ``scripts/<name>.py`` named in README.md or docs/*.md must name a
    runnable module under ``src/`` (a package with ``__main__.py`` or a
-   module with a ``__main__`` guard) or an existing script.  CHANGES.md
-   and ROADMAP.md are not checked: they record history, and a command
-   a past change deleted stays named there.
+   module with a ``__main__`` guard) or an existing script, and every
+   ``--flag`` on a ``python -m repro <subcommand> ...`` line must be an
+   option of that subcommand's parser.  CHANGES.md and ROADMAP.md are
+   not checked: they record history, and a command or flag a past
+   change deleted stays named there.
 
 Exits 1 listing every broken link / served-vs-documented mismatch /
 dead command.
@@ -29,6 +31,7 @@ Run:  python scripts/check_docs_links.py
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
 import sys
@@ -152,6 +155,14 @@ def check_served_documented() -> list[str]:
 MODULE_COMMAND = re.compile(r"\bpython3? -m (repro(?:\.\w+)*)")
 SCRIPT = re.compile(r"\bscripts/[\w.-]+\.py\b")
 
+#: A CLI invocation: the subcommand, then its arguments up to the end of
+#: the command (a comment, an inline-code close, a pipe or a new line;
+#: a trailing backslash continues onto the next line).
+CLI_COMMAND = re.compile(
+    r"\bpython3? -m repro ([a-z][\w-]*)((?:[^`#|;&\n\\]|\\\n)*)"
+)
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
 
 def runnable_module(module: str) -> bool:
     """Whether ``python -m <module>`` would run something under src/."""
@@ -162,13 +173,42 @@ def runnable_module(module: str) -> bool:
     return source.is_file() and '__name__ == "__main__"' in source.read_text()
 
 
+def cli_options() -> dict[str, set[str]]:
+    """Per ``python -m repro`` subcommand: its ``--`` option strings."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.cli import build_parser
+
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: set(parser._option_string_actions)
+        for name, parser in subparsers.choices.items()
+    }
+
+
 def check_commands() -> list[str]:
     """Every command README.md and docs/*.md name must still exist."""
     files = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    options = cli_options()
     problems = []
     for path in files:
         text = path.read_text()
         where = path.relative_to(REPO_ROOT)
+        for command, arguments in CLI_COMMAND.findall(text):
+            if command not in options:
+                problems.append(
+                    f"{where}: dead command python -m repro {command} "
+                    "(no such subcommand)"
+                )
+                continue
+            for flag in sorted(set(FLAG.findall(arguments)) - options[command]):
+                problems.append(
+                    f"{where}: dead flag python -m repro {command} {flag} "
+                    "(not an option of that subcommand)"
+                )
         for module in sorted(set(MODULE_COMMAND.findall(text))):
             if not runnable_module(module):
                 problems.append(

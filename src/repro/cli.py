@@ -17,7 +17,7 @@ Examples::
     python -m repro serve --db /tmp/ca.db --port 8080
     python -m repro serve --shards 4 --shard-dir /tmp/shards --port 8080
     python -m repro serve --shards 2 --replicas 2 --shard-dir /tmp/shards
-    python -m repro serve --db /tmp/ca.db --workers 4 --warm-start
+    python -m repro serve --db /tmp/ca.db --workers 4
 
 ``serve`` starts the concurrent query service of :mod:`repro.service`:
 a JSON-over-HTTP server exposing ``POST /ingest`` (atomic
@@ -33,10 +33,9 @@ DocId range, queries fan out and merge, and the replies have one
 shape.  ``--replicas R`` keeps R read copies of every
 shard with circuit-breaker failover (``POST /replicas`` attaches or
 detaches copies at runtime).  ``--workers N`` sizes the background job
-pool (``POST /jobs``: shard ``rebalance``, ``rebuild_index``,
-``cache_snapshot``) and ``--warm-start`` replays the last cache
-snapshot so a restart does not begin cold.  The installed console
-script ``staccato`` is an alias for this module's ``main``.
+pool (``POST /jobs``: shard ``rebalance`` and ``rebuild_index``).
+The installed console script ``staccato`` is an alias for this
+module's ``main``.
 """
 
 from __future__ import annotations
@@ -201,7 +200,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shards=args.shards,
         shard_dir=args.shard_dir,
         replicas=args.replicas,
-        warm_start=args.warm_start,
         worker_procs=args.worker_procs,
         k=args.k,
         m=args.m,
@@ -298,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "behind the fan-out router (sharded mode only)")
     serve.add_argument("--workers", type=int, default=2,
                        help="background job worker threads (POST /jobs)")
-    serve.add_argument("--warm-start", action="store_true",
-                       help="reload the last cache_snapshot job's output "
-                            "so the result cache does not start cold")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0 picks a free one)")

@@ -70,9 +70,8 @@ breaker and its query retries transparently on a sibling, and ``POST
 /jobs/<id>``
     The background job engine (:mod:`repro.service.jobs`): submit work
     by type (``rebalance`` moves a DocId range between live shards,
-    ``rebuild_index`` is the index rebuild off the request path,
-    ``cache_snapshot`` serializes the result cache for ``serve
-    --warm-start``), poll status/progress, cancel cooperatively.  Jobs
+    ``rebuild_index`` is the index rebuild off the request path), poll
+    status/progress, cancel cooperatively.  Jobs
     survive restarts via a JSON journal next to the database.
 
 Errors come back as ``{"error": {"code": ..., "message": ...}}`` with

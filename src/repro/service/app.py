@@ -2,8 +2,8 @@
 
 The helpers every topology shares, whichever leg reaches the file (see
 :mod:`repro.service.legs`): the up-front pattern check, the plan a
-``/search`` request runs on one pooled connection, the JSON shape of one
-answer row, and the index digest a warm start compares.  The service
+``/search`` request runs on one pooled connection, and the JSON shape
+of one answer row.  The service
 itself -- endpoints, cache, jobs -- is the shard router of
 :mod:`repro.service.shards`, over one file or many.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "run_search_plan",
     "answer_row",
     "check_pattern",
-    "index_fingerprint",
 ]
 
 
@@ -48,28 +47,6 @@ def check_pattern(pattern: str, bad_code: str = "bad_pattern") -> None:
         raise ApiError(
             400, f"{shown!r}: {exc}", code="query_too_complex"
         ) from exc
-
-
-def index_fingerprint(db: StaccatoDB) -> list:
-    """A cheap digest of the persisted dictionary index.
-
-    Line counts alone cannot tell a warm start that ``POST /index`` ran
-    between snapshot and restart -- a rebuild changes plan labels and
-    projected evaluations without touching ``MasterData``.  The digest
-    covers the postings (count plus key/offset sums) and the ``IndexMeta``
-    record; a rebuild over different terms or approach changes it, while
-    an identical rebuild (deterministic postings) legitimately keeps
-    cached results valid.  Shaped as nested lists so it JSON round-trips
-    comparably.
-    """
-    totals = db.conn.execute(
-        "SELECT COUNT(*), COALESCE(SUM(DataKey), 0), COALESCE(SUM(Offset), 0) "
-        "FROM InvertedIndex"
-    ).fetchone()
-    meta = db.conn.execute(
-        "SELECT Key, Value FROM IndexMeta ORDER BY Key"
-    ).fetchall()
-    return [list(totals), [list(row) for row in meta]]
 
 
 def answer_row(answer: Answer) -> dict[str, object]:

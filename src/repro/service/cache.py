@@ -21,21 +21,7 @@ from typing import Any, Hashable
 
 from . import trace
 
-__all__ = ["QueryCache", "key_to_json", "key_from_json"]
-
-
-def key_to_json(key: Any) -> Any:
-    """A cache key (nested tuples of scalars) as JSON-safe nested lists."""
-    if isinstance(key, tuple):
-        return [key_to_json(part) for part in key]
-    return key
-
-
-def key_from_json(obj: Any) -> Any:
-    """Invert :func:`key_to_json`: every list becomes a tuple again."""
-    if isinstance(obj, list):
-        return tuple(key_from_json(part) for part in obj)
-    return obj
+__all__ = ["QueryCache"]
 
 
 class QueryCache:
@@ -56,7 +42,6 @@ class QueryCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.warm_loaded = 0
 
     @property
     def generation(self) -> int:
@@ -132,38 +117,6 @@ class QueryCache:
             self.invalidations += len(doomed)
             return len(doomed)
 
-    # ------------------------------------------------------------------
-    def export_entries(self) -> list[tuple[Hashable, Any]]:
-        """Snapshot every entry, LRU-first, for the ``cache_snapshot`` job.
-
-        Keys are the tuple keys the services build (strings, ints, None
-        and nested tuples only), so the caller can serialize them as
-        nested JSON arrays and restore with :meth:`load_entries`.
-        """
-        with self._lock:
-            return list(self._data.items())
-
-    def load_entries(self, entries: list[tuple[Hashable, Any]]) -> int:
-        """Warm-start: pre-populate from a snapshot, counting what landed.
-
-        The caller has already dropped stale-generation entries; this
-        only enforces capacity (newest-listed entries win, matching the
-        LRU-first export order) and keeps the ``warm_loaded`` counter
-        ``/stats`` reports.
-        """
-        if self.capacity <= 0:
-            return 0
-        loaded = 0
-        with self._lock:
-            for key, value in entries:
-                self._data[key] = value
-                self._data.move_to_end(key)
-                loaded += 1
-                while len(self._data) > self.capacity:
-                    self._data.popitem(last=False)
-            self.warm_loaded += loaded
-        return loaded
-
     def stats(self) -> dict[str, float | int]:
         """Counter snapshot for the ``/stats`` endpoint."""
         with self._lock:
@@ -176,5 +129,4 @@ class QueryCache:
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "warm_loaded": self.warm_loaded,
             }

@@ -24,9 +24,8 @@ work instead:
   (``rebuild_index``); other jobs are marked ``failed`` with an
   interruption notice -- an interrupted ``rebalance`` leaves queries
   correct (every read merge de-duplicates) and re-submitting the same move
-  converges whatever phase the crash interrupted, while an interrupted
-  ``cache_snapshot`` must *not* re-run against the restarted process's
-  cold cache (it would clobber the previous good snapshot).
+  converges whatever phase the crash interrupted.  A journal row of a
+  type this build does not know is reported the same way.
 
 The engine is service-agnostic: a job type's runner is looked up as the
 ``job_<type>`` method of the owning service, or supplied directly when
@@ -64,7 +63,7 @@ def atomic_write_json(path: str, payload: Any, default=None) -> int:
     """Serialize ``payload`` and atomically replace ``path`` with it.
 
     The one write-temp-then-``os.replace`` implementation every sidecar
-    (job journal, routing table, cache snapshot) shares:
+    (job journal, routing table) shares:
     a crash mid-write leaves the previous file intact.  Raises ``OSError``
     (and serialization errors) to the caller -- jobs want the failure on
     their row, best-effort callers wrap it.  Returns the encoded size.
@@ -115,18 +114,11 @@ class JobType:
 
 
 #: The shipped job types.  ``rebalance`` moves a DocId range between two
-#: live shards; ``rebuild_index`` is the
-#: ``POST /index`` work rehomed off the request thread;
-#: ``cache_snapshot`` serializes the query cache for warm starts.
-#: ``cache_snapshot`` is deliberately NOT restart-resumed even though
-#: running it twice is harmless in a live process: re-running it right
-#: after a restart would snapshot the still-cold cache, atomically
-#: replacing the previous good snapshot before ``--warm-start`` could
-#: load it.
+#: live shards; ``rebuild_index`` is the ``POST /index`` work rehomed off
+#: the request thread.
 DEFAULT_JOB_TYPES = (
     JobType("rebalance", idempotent=False, conflicts=_overlaps),
     JobType("rebuild_index", idempotent=True),
-    JobType("cache_snapshot", idempotent=False, conflicts=lambda a, b: True),
 )
 
 
@@ -635,15 +627,11 @@ class JobsApi:
         """Submit-time validation.
 
         ``rebuild_index`` re-uses the ``/index`` validator so a bad
-        payload is a 400 at submission, not a failed job later;
-        ``cache_snapshot`` takes no parameters.  The router extends this
-        with ``rebalance``.
+        payload is a 400 at submission, not a failed job later.  The
+        router extends this with ``rebalance``.
         """
         if job_type == "rebuild_index":
             validate_index(params)
-            return dict(params)
-        if job_type == "cache_snapshot":
-            return {}
         return dict(params)
 
     def job_rebuild_index(self, job: Job, params: Mapping[str, Any]) -> Any:

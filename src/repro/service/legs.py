@@ -36,7 +36,7 @@ from ..ocr.engine import SimulatedOcrEngine
 from ..query.answers import Answer
 from ..query.memo import KernelMemo
 from . import rebalance
-from .app import index_fingerprint, run_search_plan
+from .app import run_search_plan
 from .metrics import ServiceMetrics
 from .replicas import (
     DEFAULT_COOLDOWN_S,
@@ -93,9 +93,6 @@ class ShardLeg(Protocol):
         self, terms: Sequence[str], approach: str
     ) -> tuple[int, bool]:
         """(Re)build the dictionary index -> (postings, readers reloaded)."""
-
-    def lines_and_index(self) -> tuple[int, object]:
-        """(line count, index fingerprint): the warm-start staleness key."""
 
     def change_replicas(
         self, action: str, replica: int | None
@@ -250,11 +247,6 @@ class LocalLeg:
             return found
 
         return self._read("ingest", probe)
-
-    def lines_and_index(self) -> tuple[int, object]:
-        return self._read(
-            "stats", lambda db: (db.num_lines, index_fingerprint(db))
-        )
 
     # ------------------------------------------------------------------
     def ingest(

@@ -384,7 +384,6 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
                         "writable to converge",
                     ) from exc
             job.update(progress=0.9)
-        router.forget_placements(moved_docs)
     finally:
         if copy_landed:
             # The target's committed contents changed on every path

@@ -306,7 +306,6 @@ def serve_forever(
     shards: int = 0,
     shard_dir: str | None = None,
     replicas: int = 1,
-    warm_start: bool = False,
     worker_procs: bool = False,
     **service_kwargs,
 ) -> None:
@@ -317,9 +316,7 @@ def serve_forever(
     router of :mod:`repro.service.shards`, with ``replicas`` read copies
     per shard.  ``worker_procs`` promotes each shard of a layout to a
     worker subprocess (see :mod:`repro.service.workers`) behind the same
-    router.  ``warm_start`` replays the last ``cache_snapshot`` job's
-    output so the restarted service does not begin with a cold result
-    cache.
+    router.
     """
     if worker_procs and shards <= 0:
         raise ValueError("--worker-procs needs a sharded service (--shards)")
@@ -337,9 +334,6 @@ def serve_forever(
             raise ValueError("serving needs --db (or --shards/--shard-dir)")
         service = QueryService(db_path, replicas=replicas, **service_kwargs)
         target = f"db={db_path} replicas={replicas}"
-    if warm_start:
-        loaded = service.warm_start()
-        print(f"warm start: {loaded} cached result(s) restored")
     server = build_server(service, host=host, port=port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
     print(

@@ -18,10 +18,9 @@ see :mod:`repro.service.legs` and :mod:`repro.service.workers`):
   ``shard_for_doc`` stripes contiguous ranges of ``range_width`` ids
   across the shards, so a document (and every line of it) lives wholly
   on one shard and repeated batches for the same document land in the
-  same file.  ``/ingest`` may instead ask for ``"route":
-  "round_robin"`` when placement does not matter; either way a document
-  already present on some shard is routed back to that owner, so
-  re-ingestion can never split one document across shards.
+  same file.  A document already present on some shard is routed
+  back to that owner, so re-ingestion can never split one document
+  across shards.
 * **Fan-out** -- ``/search`` and ``/sql`` execute on every scoped shard
   concurrently (one leg per shard) and the per-shard ranked relations
   are merged by probability with stable (DocId, LineNo, shard)
@@ -52,7 +51,6 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -62,7 +60,7 @@ from ..ocr.corpus import Document
 from ..query.answers import Answer
 from . import rebalance, trace
 from .app import answer_row, check_pattern
-from .cache import QueryCache, key_from_json, key_to_json
+from .cache import QueryCache
 from .jobs import Job, JobEngine, JobsApi, atomic_write_json
 from .legs import LegDeadline, LocalLeg, ShardLeg
 from .metrics import ServiceMetrics
@@ -95,14 +93,10 @@ __all__ = [
 #: spread out while each document still has exactly one owner.
 DEFAULT_RANGE_WIDTH = 64
 
-#: In-flight placement entries retained (see ``_placements``).
-_PLACEMENTS_CAP = 65536
-
 #: Sidecar files (see :meth:`ShardedQueryService.sidecar`): the routing
-#: overrides, the job journal and the warm-start snapshot.
+#: overrides and the job journal.
 ROUTING_FILE = "routing.json"
 JOBS_JOURNAL_FILE = "jobs.json"
-CACHE_SNAPSHOT_FILE = "cache-snapshot.json"
 
 #: Rounds an ingest batch may be re-dispatched when a concurrent
 #: rebalance moves its documents between placement and commit.  One
@@ -344,20 +338,6 @@ class ShardedPool:
             for i in scope:
                 self._generations[i] += 1
 
-    def resume_generations(self, generations: Sequence[int | None]) -> None:
-        """Fast-forward generation clocks to a snapshot's values.
-
-        Warm start calls this so cache keys restored from a snapshot
-        (which embed generation vectors) keep matching future lookups.
-        ``None`` skips a shard; clocks only ever move forward.
-        """
-        with self._gen_lock:
-            for index, generation in enumerate(generations):
-                if generation is not None:
-                    self._generations[index] = max(
-                        self._generations[index], int(generation)
-                    )
-
     def close(self) -> None:
         for leg in self.shards:
             leg.close()
@@ -430,17 +410,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             self.tracer.close()
             raise
         self.pool = ShardedPool(legs)
-        self._rr_lock = threading.Lock()
-        self._rr_next = 0
-        # Placements decided in-process, including writes still in
-        # flight: the shard probe alone cannot see a racing ingest that
-        # has not committed yet, so without this registry two
-        # concurrent batches carrying the same new document could each
-        # pick it a different shard.  Guarded by ``_rr_lock``; bounded
-        # (oldest-first trim) because once a placement's write commits
-        # the probe takes over as the durable source -- only entries
-        # young enough to race an in-flight batch still matter.
-        self._placements: "OrderedDict[int, int]" = OrderedDict()
         self._executor = ThreadPoolExecutor(
             max_workers=legs[0].fanout_width(num_shards),
             thread_name_prefix="shard-fanout",
@@ -523,12 +492,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         with self._routing_lock:
             self._routing = table
             table.save(self.sidecar(ROUTING_FILE))
-
-    def forget_placements(self, doc_ids: Iterable[int]) -> None:
-        """Drop in-flight placements a rebalance just made obsolete."""
-        with self._rr_lock:
-            for doc_id in doc_ids:
-                self._placements.pop(doc_id, None)
 
     def shards_changed(self, touched: set[int]) -> int:
         """A write committed on ``touched``: bump their generations and
@@ -719,10 +682,9 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         flight when this batch picked its owners has fully published its
         routing table by now.  A document whose override names another
         shard is re-dispatched *unless its rows are already here* -- a
-        pre-move resident (e.g. a round-robin placement inside an
-        overridden range) keeps its probe-derived home; the override
-        only redirects documents the move actually took away (and fresh
-        ones, which were placed by the override to begin with).
+        resident the owner probe found keeps its home; the override only
+        redirects documents the move actually took away (and fresh ones
+        placed under the table the move replaced).
         """
         routing = self.routing
         stay: list[Document] = []
@@ -748,35 +710,14 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         owners = self._existing_owners(
             [doc.doc_id for doc in request.dataset.documents]
         )
+        # Committed rows (the probe) win; a new document goes to its
+        # owner in the routing table (striped range, or a rebalance
+        # override).  Concurrent batches carrying the same new document
+        # read the same immutable table, and one that raced a move is
+        # re-dispatched by ``_split_moved`` under the shard's write lock.
         routing = self.routing
-        # Placement is decided under one lock hold per batch: committed
-        # rows (the probe) win, then in-process placements from racing
-        # or in-flight batches, and only genuinely new documents get a
-        # fresh assignment -- a contiguous round-robin stride, or their
-        # routing-table owner (striped range, or a rebalance override).
-        with self._rr_lock:
-            for doc_id, index in self._placements.items():
-                owners.setdefault(doc_id, index)
-            new_docs = [
-                doc
-                for doc in request.dataset.documents
-                if doc.doc_id not in owners
-            ]
-            if request.route == "round_robin":
-                start = self._rr_next
-                self._rr_next = (start + len(new_docs)) % self.num_shards
-                for offset, doc in enumerate(new_docs):
-                    owners[doc.doc_id] = (start + offset) % self.num_shards
-            else:
-                for doc in new_docs:
-                    owners[doc.doc_id] = routing.owner(doc.doc_id)
-            # Remember only the fresh assignments (probed owners are
-            # already durable on disk), trimming the oldest beyond the
-            # cap to keep a long-lived router's memory flat.
-            for doc in new_docs:
-                self._placements[doc.doc_id] = owners[doc.doc_id]
-            while len(self._placements) > _PLACEMENTS_CAP:
-                self._placements.popitem(last=False)
+        for doc in request.dataset.documents:
+            owners.setdefault(doc.doc_id, routing.owner(doc.doc_id))
         groups: dict[int, list[Document]] = {}
         for doc in request.dataset.documents:
             groups.setdefault(owners[doc.doc_id], []).append(doc)
@@ -788,7 +729,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 if stay:
                     count, total = leg.ingest(stay, request)
                 else:
-                    count, total = 0, leg.lines_and_index()[0]
+                    count, total = 0, leg.health()["lines"]
             return count, total, moved
 
         # A rebalance racing this batch can move a document between
@@ -831,7 +772,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             raise first_error
         return {
             "dataset": request.dataset.name,
-            "route": request.route,
             "ingested_lines": sum(ingested.values()),
             "total_lines": self.total_lines(),
             "shards": {
@@ -1032,135 +972,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 "target": request.target,
             }
         return super().validate_job_params(job_type, params)
-
-    # ------------------------------------------------------------------
-    @property
-    def snapshot_path(self) -> str:
-        """The warm-start sidecar the ``cache_snapshot`` job writes."""
-        return self.sidecar(CACHE_SNAPSHOT_FILE)
-
-    def _lines_and_index(self, index: int) -> tuple[int, object]:
-        return self.call_leg(index, "stats", lambda leg: leg.lines_and_index())
-
-    def job_cache_snapshot(self, job: Job, params) -> dict[str, object]:
-        """Runner: serialize the query cache plus its generation vector.
-
-        Sharded keys embed per-shard generation counters, so the
-        snapshot records each shard's generation *and* line count at
-        snapshot time; a warm start replays an entry only when every
-        shard it covers still matches both.
-        """
-        job.check_cancelled()
-        generations = list(
-            self.pool.generations(tuple(range(self.num_shards)))
-        )
-        lines: list[int] = []
-        index_digests: list[object] = []
-        for index in range(self.num_shards):
-            try:
-                shard_lines, digest = self._lines_and_index(index)
-            except ApiError as exc:
-                raise ApiError(
-                    exc.status, f"cannot snapshot: {exc}", code=exc.code
-                ) from exc
-            lines.append(shard_lines)
-            index_digests.append(digest)
-        entries = self.cache.export_entries()
-        payload = {
-            "kind": "sharded",
-            "shard_dir": self.shard_dir,
-            "num_shards": self.num_shards,
-            "range_width": self.range_width,
-            "generations": generations,
-            "lines": lines,
-            "index": index_digests,
-            "created_at": time.time(),
-            "entries": [[key_to_json(key), value] for key, value in entries],
-        }
-        size = atomic_write_json(self.snapshot_path, payload)
-        job.update(progress=1.0, entries=len(entries), bytes=size)
-        return {
-            "path": self.snapshot_path,
-            "entries": len(entries),
-            "bytes": size,
-        }
-
-    def warm_start(self) -> int:
-        """Reload the last ``cache_snapshot`` (``serve --warm-start``).
-
-        Per-shard staleness: a shard whose line count moved since the
-        snapshot drops every entry whose scope includes it, while
-        entries scoped to untouched shards are restored (their
-        generation counters resume at the snapshot values, so restored
-        keys keep matching future lookups).  Returns the entry count
-        loaded; ``/stats`` reports it as ``cache.warm_loaded``.
-        """
-        if not os.path.exists(self.snapshot_path):
-            return 0
-        # Best-effort: any structurally-off snapshot is dropped whole
-        # rather than keeping the service from coming up.
-        try:
-            with open(self.snapshot_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if (
-                data.get("kind") != "sharded"
-                or data.get("num_shards") != self.num_shards
-            ):
-                return 0
-            snap_generations = [
-                int(generation) for generation in data.get("generations") or []
-            ]
-            snap_lines = data.get("lines") or []
-            snap_index = data.get("index") or []
-            if (
-                len(snap_generations) != self.num_shards
-                or len(snap_lines) != self.num_shards
-                or len(snap_index) != self.num_shards
-            ):
-                return 0
-            stale: set[int] = set()
-            for index in range(self.num_shards):
-                try:
-                    current = self._lines_and_index(index)
-                except ApiError:
-                    stale.add(index)
-                    continue
-                # A changed line count *or* a rebuilt index makes the
-                # shard's cached results unreplayable.
-                if list(current) != [snap_lines[index], snap_index[index]]:
-                    stale.add(index)
-            # Resume the fresh shards' generation clocks so restored
-            # keys (which embed generation vectors) match future lookups.
-            self.pool.resume_generations(
-                [
-                    None if index in stale else snap_generations[index]
-                    for index in range(self.num_shards)
-                ]
-            )
-            kept: list[tuple[object, object]] = []
-            for raw_key, value in data.get("entries", []):
-                key = key_from_json(raw_key)
-                if not isinstance(key, tuple) or len(key) < 3:
-                    continue
-                scope, generations = key[1], key[2]
-                if not isinstance(scope, tuple) or not isinstance(
-                    generations, tuple
-                ):
-                    continue
-                if any(
-                    not isinstance(index, int) or index >= self.num_shards
-                    for index in scope
-                ):
-                    continue
-                if any(index in stale for index in scope):
-                    continue
-                if generations != tuple(snap_generations[s] for s in scope):
-                    continue
-                kept.append((key, value))
-        except (OSError, json.JSONDecodeError, ValueError, TypeError,
-                KeyError, AttributeError):
-            return 0
-        return self.cache.load_entries(kept)
 
     # ------------------------------------------------------------------
     def total_lines(self) -> int:

@@ -38,8 +38,8 @@ __all__ = [
     "validate_job_submit",
     "validate_rebalance_params",
     "PLANS",
-    "ROUTES",
     "MAX_LINE_CHARS",
+    "MAX_INGEST_LINES",
     "REPLICA_ACTIONS",
 ]
 
@@ -51,9 +51,6 @@ INGEST_APPROACHES = ("map", "kmap", "fullsfa", "staccato")
 #: Representations the dictionary index may cover (paper Section 4).
 INDEX_APPROACHES = ("kmap", "staccato")
 
-#: How the router assigns ingested documents to shards.
-ROUTES = ("range", "round_robin")
-
 #: What ``POST /replicas`` can do to one shard's replica set.
 REPLICA_ACTIONS = ("attach", "detach")
 
@@ -62,6 +59,12 @@ REPLICA_ACTIONS = ("attach", "detach")
 #: 58-character line takes 0.03 s, a 1 000-character one 2.5 s.  The
 #: corpus generators write at most 91 characters.
 MAX_LINE_CHARS = 512
+
+#: The most lines one ``/ingest`` body may carry, over all its
+#: documents.  The shard's write lock is held for the whole batch, so at
+#: 0.03 s per line this caps one request's hold at about two minutes;
+#: without it only the 32 MiB body cap bounds the count.
+MAX_INGEST_LINES = 4096
 
 
 class ApiError(Exception):
@@ -116,7 +119,6 @@ class IngestRequest:
     ocr_seed: int
     approaches: tuple[str, ...]
     workers: int | None
-    route: str = "range"
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,6 +341,7 @@ def validate_ingest(payload: Any) -> IngestRequest:
         raise ApiError(400, "'dataset' must be a non-empty string")
     documents: list[Document] = []
     seen_ids: set[int] = set()
+    total_lines = 0
     for position, raw in enumerate(raw_docs):
         doc = _mapping(raw)
         doc_id = _stored_int(doc, "doc_id", default=None)
@@ -356,6 +359,13 @@ def validate_ingest(payload: Any) -> IngestRequest:
             raise ApiError(
                 400,
                 f"documents[{position}].lines must be a non-empty list of strings",
+            )
+        total_lines += len(lines)
+        if total_lines > MAX_INGEST_LINES:
+            raise ApiError(
+                400,
+                f"an ingest batch may carry at most {MAX_INGEST_LINES} "
+                "lines in total",
             )
         for number, line in enumerate(lines):
             if not line or len(line) > MAX_LINE_CHARS:
@@ -407,5 +417,4 @@ def validate_ingest(payload: Any) -> IngestRequest:
         ocr_seed=_optional_int(body, "ocr_seed", default=0) or 0,
         approaches=tuple(raw_approaches),
         workers=workers,
-        route=_choice(body, "route", ROUTES, "range"),
     )

@@ -245,11 +245,6 @@ class ShardWorkerService(ObservabilityApi):
             "engine": engine_counters.global_snapshot(),
         }
 
-    @_face("GET")
-    def lines_and_index(self) -> dict[str, object]:
-        lines, digest = self.leg.lines_and_index()
-        return {"lines": lines, "index": digest}
-
     @_face("POST")
     def search(self, body) -> dict[str, object]:
         label, answers = self.leg.search(validate_search(body))
@@ -875,10 +870,6 @@ class WorkerLeg:
     def present(self, doc_ids: Sequence[int], relation: str) -> set[int]:
         body = {"doc_ids": list(doc_ids), "relation": relation}
         return set(self._rpc("present", body)["present"])
-
-    def lines_and_index(self) -> tuple[int, object]:
-        result = self._rpc("lines_and_index")
-        return result["lines"], result["index"]
 
     def ingest(
         self, docs: Sequence[Document], request: IngestRequest

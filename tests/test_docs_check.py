@@ -1,0 +1,51 @@
+"""The docs drift check (``scripts/check_docs_links.py``) as a test.
+
+The docs must pass it, and its command check must catch a ``--flag``
+that the named ``python -m repro`` subcommand does not have.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+import subprocess
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = REPO_ROOT / "scripts" / "check_docs_links.py"
+
+
+def _load_check():
+    spec = importlib.util.spec_from_file_location("check_docs_links", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_docs_pass_the_drift_check():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_dead_serve_flag_is_caught(tmp_path, monkeypatch):
+    check = _load_check()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src").symlink_to(REPO_ROOT / "src")
+    (tmp_path / "README.md").write_text(
+        "```bash\n"
+        "python -m repro serve --shards 2 --shard-dir /tmp/s \\\n"
+        "    --warm-start --port 8080   # --not-a-flag in a comment\n"
+        "```\n"
+        "Or `python -m repro search --db x --pattern '%a%'` inline, "
+        "then --prose-dashes.\n"
+        "python -m repro frobnicate --db x\n"
+    )
+    monkeypatch.setattr(check, "REPO_ROOT", tmp_path)
+    assert check.check_commands() == [
+        "README.md: dead flag python -m repro serve --warm-start "
+        "(not an option of that subcommand)",
+        "README.md: dead command python -m repro frobnicate "
+        "(no such subcommand)",
+    ]

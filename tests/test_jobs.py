@@ -1,4 +1,4 @@
-"""The background job engine: lifecycle, journal, rebalance, warm start.
+"""The background job engine: lifecycle, journal, rebalance.
 
 Four layers:
 
@@ -12,12 +12,11 @@ Four layers:
 * **HTTP tests** exercise ``POST /jobs`` / ``GET /jobs`` /
   ``GET /jobs/<id>`` / ``DELETE /jobs/<id>`` plus the rehomed
   ``POST /index`` on a live server.
-* **Rebalance + warm-start tests** run the flagship jobs in-process on
-  real services: a successful move relocates rows and flips routing
-  with identical answers; a cancel mid-move rolls the target back and
-  leaves routing and source untouched; duplicate moves are refused 409;
-  ``cache_snapshot`` + ``warm_start`` survive a restart and drop stale
-  shards.
+* **Rebalance tests** run the flagship job in-process on real
+  services: a successful move relocates rows and flips routing with
+  identical answers; a cancel mid-move rolls the target back and leaves
+  routing and source untouched; duplicate moves are refused 409; state
+  an older build left behind still opens.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import time
 import pytest
 
 from repro.db.schema import LINE_TABLES
-from repro.service import QueryService, start_service
+from repro.service import start_service
 from repro.service.jobs import JobEngine, JobType
 from repro.service.shards import (
     ROUTING_FILE,
@@ -752,135 +751,59 @@ class TestRebalance:
 
 
 # ----------------------------------------------------------------------
-# Warm start (cache_snapshot + serve --warm-start)
+# State an older build left behind
 # ----------------------------------------------------------------------
-class TestWarmStart:
-    def test_single_db_round_trip(self, tmp_path):
-        path = str(tmp_path / "warm.db")
-        service = QueryService(path, k=4, m=6, pool_size=2)
-        service.ingest(_batch([1, 2]))
-        query = {"pattern": "%Congress%", "num_ans": 10}
-        service.search(query)
-        row = service.jobs_submit({"type": "cache_snapshot", "wait": True})
-        assert row["state"] == "succeeded"
-        assert row["result"]["entries"] >= 1
-        service.close()
-        # Sidecars sit beside the file, as files, under its name.
-        assert row["result"]["path"] == f"{path}.cache-snapshot.json"
-        assert sorted(os.listdir(tmp_path)) == [
-            "warm.db", "warm.db.cache-snapshot.json", "warm.db.jobs.json",
+def test_old_cache_snapshot_state_still_opens(tmp_path):
+    """A database served by a build with the ``cache_snapshot`` job keeps
+    opening: the snapshot sidecar is ignored, interrupted snapshot jobs
+    are reported failed (never run), and the type is refused."""
+    path = tmp_path / "old.db"
+    query = {"pattern": "%Congress%", "num_ans": 10}
+    key = ["search", [0], [0], query["pattern"], "staccato", "filescan", 10]
+    (tmp_path / "old.db.cache-snapshot.json").write_text(
+        json.dumps(
+            {
+                "kind": "sharded",
+                "num_shards": 1,
+                "generations": [0],
+                "entries": [[key, {"count": 99, "answers": []}]],
+            }
+        )
+    )
+    (tmp_path / "old.db.jobs.json").write_text(
+        json.dumps(
+            {
+                "jobs": [
+                    {
+                        "id": f"feedface000{n}",
+                        "type": "cache_snapshot",
+                        "params": {},
+                        "state": state,
+                        "created_at": 1.0,
+                    }
+                    for n, state in enumerate(("queued", "running"))
+                ]
+            }
+        )
+    )
+    with start_service(str(path), k=4, m=6, pool_size=2) as running:
+        status, listing = get_json(running.base_url, "/jobs")
+        assert status == 200
+        assert listing["types"] == ["rebalance", "rebuild_index"]
+        assert sorted(row["id"] for row in listing["jobs"]) == [
+            "feedface0000", "feedface0001",
         ]
+        for row in listing["jobs"]:
+            assert row["state"] == "failed" and row["interrupted"] is True
+            assert "interrupted by a service restart" in row["error"]
 
-        revived = QueryService(path, k=4, m=6, pool_size=2)
-        try:
-            loaded = revived.warm_start()
-            assert loaded >= 1
-            reply = revived.search(query)
-            assert reply["cached"] is True
-            assert revived.stats()["cache"]["warm_loaded"] == loaded
-        finally:
-            revived.close()
-
-    def test_single_db_stale_snapshot_dropped(self, tmp_path):
-        path = str(tmp_path / "stale.db")
-        service = QueryService(path, k=4, m=6, pool_size=2)
-        service.ingest(_batch([1]))
-        service.search({"pattern": "%Congress%", "num_ans": 10})
-        service.jobs_submit({"type": "cache_snapshot", "wait": True})
-        # A write after the snapshot makes every cached answer stale.
-        service.ingest(_batch([2]))
-        service.close()
-
-        revived = QueryService(path, k=4, m=6, pool_size=2)
-        try:
-            assert revived.warm_start() == 0
-            reply = revived.search({"pattern": "%Congress%", "num_ans": 10})
-            assert reply["cached"] is False
-        finally:
-            revived.close()
-
-    def test_sharded_per_shard_staleness(self, tmp_path):
-        shard_dir = str(tmp_path / "shards")
-        service = ShardedQueryService(
-            shard_dir, 2, k=4, m=6, pool_size=2, range_width=2
+        status, body = post_json(
+            running.base_url, "/jobs", {"type": "cache_snapshot"}
         )
-        service.ingest(_batch([0, 1, 2, 3]))
-        full = {"pattern": "%Congress%", "num_ans": 10}
-        scoped = {"pattern": "%Congress%", "num_ans": 10, "shards": [0]}
-        service.search(full)
-        service.search(scoped)
-        row = service.jobs_submit({"type": "cache_snapshot", "wait": True})
-        assert row["state"] == "succeeded" and row["result"]["entries"] == 2
-        # Dirty only shard 1 after the snapshot: the full-scope entry
-        # is now stale, the shard-0-scoped one is not.
-        service.ingest(_batch([2], lines_per_doc=1))
-        service.close()
+        assert status == 400 and body["error"]["code"] == "bad_request"
+        assert "'rebalance'" in body["error"]["message"]
+        assert "'rebuild_index'" in body["error"]["message"]
 
-        revived = ShardedQueryService(
-            shard_dir, 2, k=4, m=6, pool_size=2, range_width=2
-        )
-        try:
-            loaded = revived.warm_start()
-            assert loaded == 1
-            assert revived.search(scoped)["cached"] is True
-            assert revived.search(full)["cached"] is False
-        finally:
-            revived.close()
-
-    def test_index_rebuild_between_snapshot_and_restart_drops_snapshot(
-        self, tmp_path
-    ):
-        path = str(tmp_path / "idx.db")
-        service = QueryService(path, k=4, m=6, pool_size=2)
-        service.ingest(_batch([1]))
-        service.search({"pattern": "%Congress%", "num_ans": 10})
-        service.jobs_submit({"type": "cache_snapshot", "wait": True})
-        # An index rebuild invalidates cached plans without changing the
-        # line count -- the warm start must notice via the fingerprint.
-        service.index({"terms": ["congress", "law"]})
-        service.close()
-
-        revived = QueryService(path, k=4, m=6, pool_size=2)
-        try:
-            assert revived.warm_start() == 0
-        finally:
-            revived.close()
-
-    def test_corrupt_snapshot_never_blocks_startup(self, tmp_path):
-        path = str(tmp_path / "corrupt.db")
-        service = QueryService(path, k=4, m=6, pool_size=2)
-        service.ingest(_batch([1]))
-        service.search({"pattern": "%Congress%", "num_ans": 10})
-        service.jobs_submit({"type": "cache_snapshot", "wait": True})
-        # Structurally broken but valid JSON: entries are not pairs.
-        data = json.loads(open(service.snapshot_path).read())
-        data["entries"] = [["lonely"]]
-        open(service.snapshot_path, "w").write(json.dumps(data))
-        service.close()
-
-        revived = QueryService(path, k=4, m=6, pool_size=2)
-        try:
-            assert revived.warm_start() == 0
-        finally:
-            revived.close()
-
-    def test_sharded_clean_restart_restores_everything(self, tmp_path):
-        shard_dir = str(tmp_path / "shards")
-        service = ShardedQueryService(
-            shard_dir, 2, k=4, m=6, pool_size=2, range_width=2
-        )
-        service.ingest(_batch([0, 1, 2, 3]))
-        full = {"pattern": "%Congress%", "num_ans": 10}
-        service.search(full)
-        service.jobs_submit({"type": "cache_snapshot", "wait": True})
-        service.close()
-
-        revived = ShardedQueryService(
-            shard_dir, 2, k=4, m=6, pool_size=2, range_width=2
-        )
-        try:
-            assert revived.warm_start() == 1
-            assert revived.search(full)["cached"] is True
-            assert revived.stats()["cache"]["warm_loaded"] == 1
-        finally:
-            revived.close()
+        status, reply = post_json(running.base_url, "/search", query)
+        assert status == 200
+        assert reply["cached"] is False and reply["count"] == 0

@@ -458,11 +458,13 @@ class TestTracingOverHttp:
 
     def test_job_runs_get_their_own_trace(self, live):
         status, _ = post_json(
-            live.base_url, "/jobs", {"type": "cache_snapshot", "wait": True}
+            live.base_url,
+            "/jobs",
+            {"type": "rebuild_index", "params": {"terms": ["law"]}, "wait": True},
         )
         assert status == 200
         status, body = get_json(
-            live.base_url, "/traces?endpoint=job:cache_snapshot"
+            live.base_url, "/traces?endpoint=job:rebuild_index"
         )
         assert status == 200 and body["count"] >= 1
         assert body["traces"][0]["method"] == "JOB"

@@ -17,10 +17,10 @@ import threading
 import pytest
 
 from repro.bench.service_load import get_json, post_json
-from repro.db.engine import StaccatoDB
+from repro.db.engine import StaccatoDB, shard_paths
 from repro.db.schema import LINE_TABLES
 from repro.db.sql import execute_select
-from repro.ocr.corpus import make_ca
+from repro.ocr.corpus import Dataset, Document, make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.service import QueryService, start_sharded_service
 from repro.service.replicas import (
@@ -28,7 +28,7 @@ from repro.service.replicas import (
     ReplicaUnavailable,
     replica_path,
 )
-from repro.service.shards import ShardedQueryService
+from repro.service.shards import ShardedQueryService, shard_for_doc
 
 K, M = 4, 6
 NUM_SHARDS = 2
@@ -567,24 +567,26 @@ class TestLiveFailover:
 # ----------------------------------------------------------------------
 class TestRoundRobinOwnerRouting:
     def test_reingest_follows_the_original_owner(self, tmp_path):
-        """Regression: round_robin must not split a known document."""
+        """Regression: a routing override must not split a known document.
+
+        A move's override can name another shard while the document's
+        rows are still on the old one (a move that failed before its
+        source delete); the owner probe keeps re-ingestion there.
+        """
         with ShardedQueryService(
-            str(tmp_path / "rr"), 2, k=K, m=M, pool_size=1
+            str(tmp_path / "own"), 2, k=K, m=M, pool_size=1
         ) as service:
             first = service.ingest(
                 {
                     "dataset": "a",
-                    "route": "round_robin",
                     "documents": [{"doc_id": 7, "lines": ["the first line"]}],
                 }
             )
             (owner,) = (int(s) for s in first["shards"])
-            # The round-robin cursor now points at the other shard; a
-            # naive deal would split doc 7 across both files.
+            service.publish_routing(service.routing.with_move(7, 7, 1 - owner))
             second = service.ingest(
                 {
                     "dataset": "b",
-                    "route": "round_robin",
                     "documents": [{"doc_id": 7, "lines": ["the second line"]}],
                 }
             )
@@ -603,29 +605,6 @@ class TestRoundRobinOwnerRouting:
                 a["shard"] for a in merged["answers"] if a["doc_id"] == 7
             }
             assert tags == {owner}
-
-    def test_in_flight_placements_beat_the_shard_probe(self, tmp_path):
-        """A racing batch's uncommitted placement still routes doc kin.
-
-        The shard probe only sees committed rows; the in-process
-        placement registry is what keeps two concurrent batches
-        carrying the same new document on one shard.  Simulate the
-        race's ordering directly: a placement recorded before the
-        probe could observe any rows must win over a fresh assignment.
-        """
-        with ShardedQueryService(
-            str(tmp_path / "race"), 2, k=K, m=M, pool_size=1
-        ) as service:
-            with service._rr_lock:
-                service._placements[5] = 1
-            reply = service.ingest(
-                {
-                    "dataset": "racer",
-                    "route": "round_robin",  # cursor would pick shard 0
-                    "documents": [{"doc_id": 5, "lines": ["the line"]}],
-                }
-            )
-            assert set(reply["shards"]) == {"1"}
 
     def test_dead_shard_write_is_a_structured_503(self, tmp_path):
         # One shard so the owner probe (which would 503 first on a
@@ -649,28 +628,40 @@ class TestRoundRobinOwnerRouting:
             assert excinfo.value.status == 503
             assert excinfo.value.code == "shard_unavailable"
 
-    def test_range_reingest_follows_a_round_robin_placement(self, tmp_path):
-        """A doc placed by round_robin keeps its owner under route=range."""
-        with ShardedQueryService(
-            str(tmp_path / "mixed"), 2, k=K, m=M, pool_size=1, range_width=1
-        ) as service:
-            service.ingest(
-                {
-                    "dataset": "a",
-                    "route": "round_robin",
-                    "documents": [{"doc_id": 3, "lines": ["first"]}],
-                }
+    def test_reingest_follows_an_off_stripe_owner(self, tmp_path):
+        """A document stored off its stripe -- written straight into the
+        other shard's file, as a rebalance leaves it -- is re-ingested
+        onto the shard that holds it."""
+        shard_dir = tmp_path / "moved"
+        shard_dir.mkdir()
+        natural = shard_for_doc(3, 2, 1)
+        off = 1 - natural
+        paths = shard_paths(str(shard_dir), 2)
+        with StaccatoDB(paths[off], k=K, m=M) as db:
+            db.ingest(
+                Dataset(
+                    name="moved",
+                    documents=[
+                        Document(
+                            doc_id=3, name="doc-3", year=0, loss=0.0,
+                            lines=("first",),
+                        )
+                    ],
+                ),
+                SimulatedOcrEngine(seed=0),
             )
-            natural = 3 % 2  # what range routing alone would pick
-            placed = 0  # round-robin cursor started at shard 0
-            assert natural != placed
+        with ShardedQueryService(
+            str(shard_dir), 2, k=K, m=M, pool_size=1, range_width=1
+        ) as service:
             reply = service.ingest(
                 {
                     "dataset": "b",
                     "documents": [{"doc_id": 3, "lines": ["second"]}],
                 }
             )
-            assert set(reply["shards"]) == {str(placed)}
+            assert set(reply["shards"]) == {str(off)}
+        with StaccatoDB(paths[natural]) as db:
+            assert db.num_lines == 0
 
 
 class TestIncompleteBody:

@@ -225,7 +225,7 @@ class TestMoveSafeSql:
 #: Every endpoint and job the router defines exactly once.
 ROUTER_METHODS = (
     "ingest", "search", "sql", "index", "replicas", "job_rebalance",
-    "job_cache_snapshot", "warm_start", "health", "stats",
+    "health", "stats",
 )
 
 

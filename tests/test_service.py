@@ -39,7 +39,12 @@ from repro.service import (
 )
 from repro.service import http_common
 from repro.service.metrics import percentile
-from repro.service.validation import MAX_LINE_CHARS, ApiError
+from repro.service.validation import (
+    MAX_INGEST_LINES,
+    MAX_LINE_CHARS,
+    ApiError,
+    validate_ingest,
+)
 
 K, M = 4, 6
 
@@ -538,6 +543,31 @@ class TestErrors:
         )
         assert status == 200 and reply["total_lines"] == before + 1
 
+    def test_ingest_refuses_a_batch_over_the_line_cap(self, live):
+        """More than ``MAX_INGEST_LINES`` lines over all documents is a
+        400 before any shard builds a line; a batch of exactly the cap
+        validates (checked without building it)."""
+        _, health = get_json(live.base_url, "/health")
+        half = MAX_INGEST_LINES // 2
+        status, body = post_json(
+            live.base_url,
+            "/ingest",
+            {
+                "documents": [
+                    {"doc_id": 400, "lines": ["a line"] * half},
+                    {"doc_id": 401, "lines": ["a line"] * (half + 1)},
+                ]
+            },
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
+        assert str(MAX_INGEST_LINES) in body["error"]["message"]
+        assert get_json(live.base_url, "/health")[1]["lines"] == health["lines"]
+        request = validate_ingest(
+            {"documents": [{"doc_id": 400, "lines": ["a"] * MAX_INGEST_LINES}]}
+        )
+        assert len(request.dataset.documents[0].lines) == MAX_INGEST_LINES
+
     def test_errors_counted_in_stats(self, live):
         post_json(live.base_url, "/search", {})
         _, stats = get_json(live.base_url, "/stats")
@@ -908,7 +938,8 @@ _TRANSCRIPT = [
     ("POST", "/jobs",
      {"type": "rebalance",
       "params": {"doc_lo": 0, "doc_hi": 9, "source": 0, "target": 1}}),
-    ("POST", "/jobs", {"type": "cache_snapshot", "wait": True}),
+    ("POST", "/jobs",
+     {"type": "rebuild_index", "params": {"terms": ["congress"]}, "wait": True}),
     ("GET", "/jobs/zzz", None),
     ("GET", "/jobs/abc/def", None),
     ("DELETE", "/jobs/zzz", None),

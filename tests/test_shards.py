@@ -11,7 +11,10 @@ invalidation plus the ``POST /index`` round-trip.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -530,28 +533,45 @@ class TestRoutedIngest:
             assert any(a["doc_id"] == 2 for a in after["answers"])
             assert after["count"] == first["count"] + 1
 
-    def test_round_robin_route_spreads_docs(self, tmp_path):
+    def test_concurrent_ingests_of_one_new_doc_share_a_shard(self, tmp_path):
+        """Eight batches racing with the same new DocId: each reads the
+        same routing table, so every row lands on one shard file."""
         from repro.service.shards import ShardedQueryService
 
+        racers = 8
+        barrier = threading.Barrier(racers)
         with ShardedQueryService(
-            str(tmp_path / "rr"), 2, k=K, m=M, pool_size=1
+            str(tmp_path / "race"), 2, k=K, m=M, pool_size=1, range_width=1
         ) as service:
-            reply = service.ingest(
-                {
-                    "dataset": "rr",
-                    "route": "round_robin",
-                    "documents": [
-                        {"doc_id": i, "lines": ["one line here"]}
-                        for i in range(4)
-                    ],
-                }
-            )
-            assert reply["route"] == "round_robin"
-            assert set(reply["shards"]) == {"0", "1"}
-            assert all(
-                entry["ingested_lines"] == 2
-                for entry in reply["shards"].values()
-            )
+
+            def ingest(n: int) -> dict:
+                barrier.wait(30)
+                return service.ingest(
+                    {
+                        "dataset": f"racer-{n}",
+                        "documents": [
+                            {"doc_id": 5, "lines": [f"racing line {n}"]}
+                        ],
+                    }
+                )
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(max_workers=racers) as pool:
+                    replies = list(pool.map(ingest, range(racers), timeout=60))
+            finally:
+                sys.setswitchinterval(interval)
+            assert {shard for r in replies for shard in r["shards"]} == {"1"}
+            rows = []
+            for path in service.paths:
+                with StaccatoDB(path) as db:
+                    rows.append(
+                        db.conn.execute(
+                            "SELECT COUNT(*) FROM MasterData WHERE DocId = 5"
+                        ).fetchone()[0]
+                    )
+            assert rows == [0, racers]
 
 
 class TestShardedOps:

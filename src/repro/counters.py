@@ -50,7 +50,9 @@ COUNTER_NAMES: dict[str, str] = {
     "dp_transitions": "Chunk/character transitions relaxed by the DP.",
     "lines_scanned": "Lines whose representation was evaluated.",
     "lines_matched": "Lines whose match probability cleared the cutoff.",
-    "lines_pruned": "Lines a scan skipped: they cannot spell the pattern.",
+    "lines_pruned": (
+        "Lines or index candidates skipped: they cannot spell the pattern."
+    ),
     "strings_evaluated": "Stored k-MAP strings run through the query DFA.",
     "postings_probed": "Dictionary-index posting entries materialized.",
     "index_candidates": "Candidate lines produced by index probes.",

@@ -448,23 +448,31 @@ class StaccatoDB:
         return image
 
     def _projected_probabilities(
-        self, query, candidates: dict[int, set[Posting]], window: int
+        self, query, candidates: dict[int, set[Posting]], window: int, ev=None
     ) -> dict[int, float]:
         """The index plan's projection (paper Section 4): each candidate's
         kernel replayed on the windows of its postings only.
 
-        One keyed read of the candidates' ``CompiledKernel`` rows, one
+        With a memo, candidates are first judged against the pattern's
+        required character pairs on the shard's scan image
+        (:meth:`_ruled_out`): one that cannot spell them has probability
+        exactly 0 -- a projected match spells a substring of a path of
+        the full kernel -- is counted in ``lines_pruned`` and is never
+        fetched, decoded or replayed.  The rest (every candidate on a
+        memo-less handle) are fetched in one keyed read of their
+        ``CompiledKernel`` rows and replayed by one
         :class:`~repro.query.eval_kernel.KernelEvaluator` -- so the DFA
         transition rows are computed once per query, not per candidate.
         Rows missing or rejected fall back to ``SFA1`` as in the scan.
+        ``ev`` is the enclosing ``engine_eval`` span, if traced.
         """
-        stored = storage.load_kernel_blobs(
-            self.conn, "staccato", list(candidates)
-        )
+        pruned = self._ruled_out(query, candidates, ev)
+        fetched = [key for key in candidates if key not in pruned]
+        stored = storage.load_kernel_blobs(self.conn, "staccato", fetched)
         evaluator = KernelEvaluator(query)
-        probs: dict[int, float] = {}
+        probs = dict.fromkeys(pruned, 0.0)
         cells = transitions = 0
-        for data_key, postings in candidates.items():
+        for data_key in fetched:
             kernel = self._decode_kernel(
                 "staccato", data_key, stored.get(data_key)
             )
@@ -472,15 +480,47 @@ class StaccatoDB:
                 continue  # concurrent delete; not part of the relation
             try:
                 result = evaluator.evaluate_projected(
-                    kernel, {posting.u for posting in postings}, window
+                    kernel,
+                    {posting.u for posting in candidates[data_key]},
+                    window,
                 )
             except KeyError:
                 continue  # postings of a graph this line no longer has
             probs[data_key] = result.probability
             cells += result.dp_cells
             transitions += result.dp_transitions
-        counters.add(dp_cells=cells, dp_transitions=transitions)
+        counters.add(
+            dp_cells=cells, dp_transitions=transitions, lines_pruned=len(pruned)
+        )
         return probs
+
+    def _ruled_out(self, query, candidates, ev) -> set[int]:
+        """The candidates the scan image's pair bits say cannot spell
+        ``query``'s required pairs.
+
+        Only a line the image holds at the fingerprint the table lists
+        now is judged; the image is a hit if current, else built
+        (annotating ``ev``).  Nothing is ruled out on a memo-less
+        handle, for a pattern without required pairs, or once the
+        approach's image has not fit the memo's budget: rebuilding it
+        per index query would cost more than the fetches it saves.
+        """
+        memo = self.kernel_memo
+        pairs = query.required_pairs
+        if memo is None or not pairs or not memo.image_fits("staccato"):
+            return set()
+        listing = storage.kernel_listing(self.conn, "staccato")
+        image = self._scan_image("staccato", listing, ev)
+        listed = dict(listing)
+        judged, lines = [], []
+        for data_key in candidates:
+            line = image.lines.get(data_key)
+            if line is None or listed.get(data_key) != image.fingerprints[line]:
+                continue  # not in the image as the table lists it now
+            judged.append(data_key)
+            lines.append(line)
+        spelled = image.batch.spells(pairs, lines)
+        return {key for key, ok in zip(judged, spelled) if not ok}
 
     def _decode_kernel(
         self, approach: str, data_key: int, row: tuple[str, bytes] | None
@@ -800,7 +840,10 @@ class StaccatoDB:
         candidate set is a filescan of the candidate lines.  Lines the
         index does not cover are always evaluated whole, by a keyed
         scan, so the plan answers over every ingested line.  Either way
-        the stored kernels are what is read, in one keyed fetch.
+        the stored kernels are what is read, in one keyed fetch -- of
+        every candidate, except that a handle with a memo does not fetch
+        the projected candidates its scan image shows cannot spell the
+        pattern's required character pairs (probability 0).
         """
         if probed is not None and self._index_approach == approach:
             anchor, candidates, uncovered = probed
@@ -830,12 +873,18 @@ class StaccatoDB:
             approach == "staccato" and use_projection and query.match_anywhere
         )
         scanned = uncovered if projected else [*candidates, *uncovered]
-        with _span("engine_eval", projected=projected) as ev:
+        with _span(
+            "engine_eval",
+            projected=projected,
+            image="none",
+            image_lines=0,
+            pruned=0,
+        ) as ev:
             with counters.collect() as counts:
                 probs: dict[int, float] = {}
                 if projected and candidates:
                     probs = self._projected_probabilities(
-                        query, candidates, window
+                        query, candidates, window, ev
                     )
                 if scanned:
                     probs.update(
@@ -850,7 +899,9 @@ class StaccatoDB:
                 )
                 if ev is not None:
                     ev.annotate(
-                        matches=len(answers), counters=dict(counts)
+                        matches=len(answers),
+                        pruned=counts.get("lines_pruned", 0),
+                        counters=dict(counts),
                     )
         return rank_answers(answers, num_ans=num_ans)
 

@@ -23,17 +23,15 @@ file with a long uncovered tail is scanned rather than probed.
 Both plans evaluate compiled kernels (:mod:`repro.query.eval_kernel`):
 the scan as one lockstep batch over every line, the probe as a
 projected replay of each candidate's kernel on the windows of its
-postings, after one keyed read of the candidates' rows.  Measured at
-``m=40, k=25`` on the 96 lines of the end-to-end corpus (2 vCPUs,
-numpy): a projected candidate costs ~0.36 ms (keyed fetch + decode +
-python replay) on top of ~0.43 ms per probe, whichever handle runs it.
-A scanned line costs ~0.45 ms on a plain handle (fetch, decode and
-layout per query), which is where the 0.8 threshold came from, but
-~0.07 ms on a service handle, whose scan image
-(:mod:`repro.query.memo`) leaves only the DP: there the plans cross at
-~17 candidates of 96, a selectivity of ~0.18, and between 0.18 and 0.8
-the probe is the slower plan (7-28 ms against a 7 ms scan).  The
-threshold is deliberately not moved with the scan cost: it decides
+postings, after one keyed read of the candidates' rows -- on a handle
+with a memo, of only the candidates whose scan-image pair bits do not
+rule them out.  A scanned line costs ~0.45 ms on a plain handle (fetch,
+decode and layout per query), which is where the 0.8 threshold came
+from (``m=40, k=25``, 96 lines, 2 vCPUs, numpy).  A service handle's
+scan image (:mod:`repro.query.memo`) leaves the scan only the DP and
+spares its probe most fetches, so both plans' constants differ there
+and are to be measured again before the threshold is replaced by a
+cost.  The threshold is deliberately not moved with them: it decides
 whether a request returns projected or full-line probabilities, so
 recalibrating it changes answers and counters and is its own change
 (ROADMAP).

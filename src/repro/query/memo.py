@@ -21,8 +21,10 @@ counters (``/metrics``).
 
 The memo object is also where a shard keeps its **scan images**
 (:class:`ScanImage`): the query-independent half of a filescan -- every
-stored kernel decoded and laid out for the batched DP -- one per
-automaton approach.  It lives here because the memo is already shared by
+stored kernel decoded and laid out for the batched DP, with the
+character pairs each line can spell, which the index plan also reads to
+rule out candidates before fetching them -- one per automaton
+approach.  It lives here because the memo is already shared by
 exactly the connections that may share it (a pool's readers, the writer,
 the replicas of one shard, a worker process's leg).  An image is
 validated by *content*, never by the generation clock: it is current iff
@@ -185,6 +187,14 @@ class KernelMemo:
             if retained:
                 self._images[approach] = image
             return retained
+
+    def image_fits(self, approach: str) -> bool:
+        """False once the approach's last built image was not retained
+        (over :data:`SCAN_IMAGE_BUDGET_BYTES`), True otherwise: a reader
+        that only consults the image, never needs it, does without
+        rather than rebuild it on every query."""
+        with self._lock:
+            return approach in self._images or approach not in self._image_counts
 
     def stats(self) -> dict[str, object]:
         """Snapshot for the ``/stats`` memo block."""

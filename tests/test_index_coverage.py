@@ -24,6 +24,7 @@ from repro.db.schema import LINE_TABLES
 from repro.ocr.corpus import Dataset, make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
+from repro.query.memo import KernelMemo
 from repro.service.shards import ShardedQueryService
 
 from .oracles import indexing as oracle
@@ -257,6 +258,18 @@ class TestSingleDatabase:
 # ----------------------------------------------------------------------
 # The 2-shard in-process router: ingest, /index, rebalance, replicas.
 # ----------------------------------------------------------------------
+class TestSingleDatabaseWithAMemo(TestSingleDatabase):
+    """Every interleaving again on a handle with a memo, whose index plan
+    rules candidates out with the scan image's pair bits."""
+
+    @pytest.fixture()
+    def db(self, tmp_path):
+        with StaccatoDB(
+            str(tmp_path / "lines.db"), k=K, m=M, kernel_memo=KernelMemo()
+        ) as handle:
+            yield handle
+
+
 def _batch(*indexes: int, lines: slice = slice(None)) -> dict:
     return {
         "dataset": "coverage",

@@ -7,7 +7,8 @@ goes through :class:`ServiceMetrics`.  ``snapshot()`` (as JSON, key order
 included) and ``render_prometheus()`` must reproduce the literals below,
 which were captured from the registry before its four per-family stores
 became one labelled table, plus the ``lines_pruned`` engine counter added
-since.  Only ``uptime`` is masked.
+since (its help text now names index candidates too).  Only ``uptime``
+is masked.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ staccato_engine_index_candidates_total 0
 # HELP staccato_engine_lines_matched_total Lines whose match probability cleared the cutoff.
 # TYPE staccato_engine_lines_matched_total counter
 staccato_engine_lines_matched_total 0
-# HELP staccato_engine_lines_pruned_total Lines a scan skipped: they cannot spell the pattern.
+# HELP staccato_engine_lines_pruned_total Lines or index candidates skipped: they cannot spell the pattern.
 # TYPE staccato_engine_lines_pruned_total counter
 staccato_engine_lines_pruned_total 0
 # HELP staccato_engine_lines_scanned_total Lines whose representation was evaluated.

@@ -5,9 +5,11 @@ are in every string it matches; a line's spelled pairs
 (:func:`repro.query.eval_kernel.spelled_pairs`, or the numpy layout's
 bitmap) are the adjacent pairs of the strings its graph emits.  A line
 missing a required pair is skipped by the scan with probability 0, so
-the dict DP must give it exactly 0.  Patterns are cut from the graphs'
-own strings, then mutated with wildcards, groups, alternation and
-stars, so some lines spell them and some do not.
+the dict DP must give it exactly 0 -- and so must the index plan's
+projection of it on any posting windows, which only spells substrings
+of the line's paths.  Patterns are cut from the graphs' own strings,
+then mutated with wildcards, groups, alternation and stars, so some
+lines spell them and some do not.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.dfa import dfa_for_pattern
+from repro.indexing.postings import Posting
+from repro.indexing.projection import projected_match_probability
 from repro.query import eval_kernel
 from repro.query.eval_kernel import HAVE_NUMPY, KernelBatch, spelled_pairs
 from repro.query.eval_sfa import match_probability
@@ -131,6 +135,37 @@ class TestNoLostAnswer:
         like = data.draw(like_mutations(cut))
         for query in (compile_like(like), compile_like(f"%{like}%")):
             assert_pruned_lines_score_zero(sfas, query)
+
+
+class TestNoLostProjectedAnswer:
+    """A candidate the filter rules out scores 0 on every window set."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_entries_and_windows(self, data):
+        sfas, cut = data.draw(graphs_and_cut())
+        pattern = data.draw(regex_mutations(cut))
+        query = dfa_for_pattern(pattern, match_anywhere=True)
+        kernels = [compile_kernel(sfa) for sfa in sfas]
+        decisions = [
+            KernelBatch(kernels, use_numpy=use_numpy).spells(
+                query.required_pairs, range(len(kernels))
+            )
+            for use_numpy in LAYOUTS
+        ]
+        assert all(decision == decisions[0] for decision in decisions)
+        for sfa, spelled in zip(sfas, decisions[0]):
+            if spelled:
+                continue
+            entries = data.draw(
+                st.lists(st.sampled_from(sfa.nodes), min_size=1, unique=True)
+            )
+            window = data.draw(st.integers(0, 8))
+            postings = {Posting(u=u, v=u, rank=0, offset=0) for u in entries}
+            assert (
+                projected_match_probability(sfa, query, postings, window)
+                == 0.0
+            )
 
 
 def path_pairs(sfa) -> set[str]:

@@ -13,15 +13,26 @@ until at most ``m`` edges remain.  Scoring is incremental: with forward
 mass ``F`` and backward mass ``B`` computed once per iteration, collapsing
 region ``R`` changes the total retained mass by exactly
 ``F[entry] * B[exit] * (mass(top-k of R) - mass(R))``, because every path
-touching the region runs entry-to-exit inside it.  Candidate regions are
-cached across iterations and invalidated only when a collapse touches
-their nodes (the paper's "simple optimization").
+touching the region runs entry-to-exit inside it.  Candidate regions and
+their scores are cached across iterations and invalidated only when a
+collapse touches their nodes (the paper's "simple optimization").
+
+A score needs only the *mass* of a region's top k, not its strings.  When
+the pruned line is prefix-free (:func:`~repro.sfa.paths.prefix_free`, once
+per line: no node has two outgoing emissions one a prefix of the other)
+no string is spelled along two paths, and
+:func:`~repro.sfa.paths.k_best_mass` -- the k-best DP on probabilities
+alone -- gives exactly the sum over the ranked strings; a collapse keeps
+the line prefix-free.  Otherwise the region's strings are ranked and
+summed.  Either way the winner's strings are ranked for its new edge, in
+the order it was scored in.
 """
 
 from __future__ import annotations
 
 from ..sfa.model import Sfa
 from ..sfa.ops import sum_product, topological_order
+from ..sfa.paths import k_best_mass, prefix_free
 from .chunks import (
     Reachability,
     Region,
@@ -42,9 +53,7 @@ def prune_edges_to_k(sfa: Sfa, k: int) -> Sfa:
     """
     result = sfa.copy()
     for u, v in result.edges:
-        emissions = result.emissions(u, v)
-        if len(emissions) > k:
-            result.replace_emissions(u, v, emissions[:k])
+        result.truncate_edge(u, v, k)
     return result
 
 
@@ -95,15 +104,18 @@ def staccato_approximate(sfa: Sfa, m: int, k: int) -> Sfa:
     but not this one, and "latest ancestor" and the summation order of
     the masses are defined by it), one reachability table, one forward
     and one backward pass; what it does not touch (regions and their
-    scores away from the collapse) is carried over.
+    scores away from the collapse) is carried over.  Only the winner of
+    an iteration has its strings ranked.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     work = prune_edges_to_k(sfa, k)
-    # region -> (loss, top-k): the winner's ranking is its new edge.
-    score_cache: dict[_Key, tuple[float, list[tuple[str, float]]]] = {}
+    unique = prefix_free(work)
+    # region -> (loss, the span it was scored in): the winner is ranked
+    # in that span to become its new edge.
+    score_cache: dict[_Key, tuple[float, list[int]]] = {}
     region_cache: dict[tuple[int, int, int], tuple[_Key, Region]] = {}
     while work.num_edges > m:
         order = topological_order(work)
@@ -113,25 +125,29 @@ def staccato_approximate(sfa: Sfa, m: int, k: int) -> Sfa:
             break
         forward = sum_product(work, order, work.start)
         backward = sum_product(work, order[::-1], work.final, backward=True)
-        best: tuple[Region, list[tuple[str, float]]] | None = None
+        best: tuple[Region, list[int]] | None = None
         best_delta = float("-inf")
         for key in sorted(candidates):
             region = candidates[key]
             score = score_cache.get(key)
             if score is None:
                 span = reach.span(region)
-                top = region_top_k(work, region, k, span)
-                kept = sum(p for _, p in top)
-                score = (kept - region_mass(work, region, span), top)
+                if unique:
+                    kept = k_best_mass(
+                        work, region.entry, region.exit, k, region.nodes, span
+                    )
+                else:
+                    kept = sum(p for _, p in region_top_k(work, region, k, span))
+                score = (kept - region_mass(work, region, span), span)
                 score_cache[key] = score
-            loss, top = score
+            loss, span = score
             delta = forward[region.entry] * backward[region.exit] * loss
             if delta > best_delta:
                 best_delta = delta
-                best = (region, top)
+                best = (region, span)
         assert best is not None
-        region, top = best
-        collapse_in_place(work, region, top)
+        region, span = best
+        collapse_in_place(work, region, region_top_k(work, region, k, span))
         touched = region.nodes
         score_cache = {
             key: score

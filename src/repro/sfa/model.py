@@ -17,8 +17,9 @@ simply the special case where every emission has length one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = ["Emission", "Sfa", "SfaError"]
 
@@ -27,18 +28,38 @@ class SfaError(ValueError):
     """Raised when an operation would produce a structurally invalid SFA."""
 
 
-@dataclass(frozen=True, slots=True)
-class Emission:
-    """One labeled transition on an edge: emit ``string`` with ``prob``."""
+# The largest probability an emission may carry (summing duplicates may
+# overshoot 1 by rounding).
+_MAX_PROB = 1.0 + 1e-12
 
+
+def _emission_error(string: str, prob: float) -> SfaError:
+    """Why ``(string, prob)`` is not an emission."""
+    if not string:
+        return SfaError("emission string must be non-empty")
+    return SfaError(f"emission probability {prob} outside [0, 1]")
+
+
+class _EmissionFields(NamedTuple):
     string: str
     prob: float
 
-    def __post_init__(self) -> None:
-        if not self.string:
-            raise SfaError("emission string must be non-empty")
-        if not 0.0 <= self.prob <= 1.0 + 1e-12:
-            raise SfaError(f"emission probability {self.prob} outside [0, 1]")
+
+class Emission(_EmissionFields):
+    """One labeled transition on an edge: emit ``string`` with ``prob``.
+
+    A validated tuple: constructing one checks the string and the
+    probability, and :meth:`Sfa.add_edge` builds its emissions from pairs
+    it has already checked without paying for a Python constructor per
+    emission.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, string: str, prob: float) -> "Emission":
+        if not (string and 0.0 <= prob <= _MAX_PROB):
+            raise _emission_error(string, prob)
+        return tuple.__new__(cls, (string, prob))
 
 
 class Sfa:
@@ -91,28 +112,33 @@ class Sfa:
         Emissions are normalized to :class:`Emission` instances and stored
         sorted by descending probability (ties broken by string, so the
         order is deterministic).  Duplicate strings on one edge are merged
-        by summing their probabilities.
+        by summing their probabilities.  Every item and every merged sum
+        is checked as :class:`Emission` checks one.
         """
         if u == v:
             raise SfaError(f"self-loop on node {u} not allowed in a DAG")
         if (u, v) in self._emissions:
             raise SfaError(f"duplicate edge ({u}, {v})")
-        merged: dict[str, Emission] = {}
-        for item in emissions:
-            emission = item if isinstance(item, Emission) else Emission(*item)
-            seen = merged.get(emission.string)
+        merged: dict[str, float] = {}
+        for string, prob in emissions:
+            if not (string and 0.0 <= prob <= _MAX_PROB):
+                raise _emission_error(string, prob)
+            seen = merged.get(string)
             if seen is not None:
-                emission = Emission(seen.string, seen.prob + emission.prob)
-            merged[emission.string] = emission
+                prob = seen + prob
+                if not prob <= _MAX_PROB:
+                    raise _emission_error(string, prob)
+            merged[string] = prob
         if not merged:
             raise SfaError(f"edge ({u}, {v}) must carry at least one emission")
         self.add_node(u)
         self.add_node(v)
         self._succ[u].append(v)
         self._pred[v].append(u)
-        self._emissions[(u, v)] = sorted(
-            merged.values(), key=lambda e: (-e.prob, e.string)
-        )
+        # By string, then (stably) by descending probability.
+        pairs = sorted(merged.items())
+        pairs.sort(key=itemgetter(1), reverse=True)
+        self._emissions[(u, v)] = list(map(tuple.__new__, repeat(Emission), pairs))
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove edge ``(u, v)``; endpoints are kept."""
@@ -142,6 +168,27 @@ class Sfa:
         """Replace the emission list of an existing edge."""
         self.remove_edge(u, v)
         self.add_edge(u, v, emissions)
+
+    def truncate_edge(self, u: int, v: int, k: int) -> None:
+        """Keep only the ``k`` most probable emissions of edge ``(u, v)``.
+
+        Exactly ``replace_emissions(u, v, emissions(u, v)[:k])`` without
+        re-checking and re-sorting a list that already is both: when
+        emissions are dropped the edge moves to the end of ``u``'s
+        successors, ``v``'s predecessors and the edge order.  An edge
+        carrying at most ``k`` emissions is left as it is.
+        """
+        if k < 1:
+            raise SfaError(f"an edge must keep at least one emission, got k={k}")
+        emissions = self._emissions.get((u, v))
+        if emissions is None:
+            raise SfaError(f"edge ({u}, {v}) does not exist")
+        if len(emissions) <= k:
+            return
+        self.remove_edge(u, v)
+        self._succ[u].append(v)
+        self._pred[v].append(u)
+        self._emissions[(u, v)] = emissions[:k]
 
     # ------------------------------------------------------------------
     # Inspection
@@ -238,8 +285,8 @@ class Sfa:
         """An independent structural copy.
 
         Adjacency and emission lists are copied as they stand: they are
-        already validated, merged and sorted, and :class:`Emission` is
-        frozen, so the two sides share nothing mutable.
+        already validated, merged and sorted, and an :class:`Emission` is
+        a tuple, so the two sides share nothing mutable.
         """
         clone = Sfa(self.start, self.final)
         clone._succ = {node: list(succ) for node, succ in self._succ.items()}

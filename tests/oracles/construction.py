@@ -7,11 +7,17 @@ copy) and ``repro.core.approximate`` (``prune_edges_to_k``, the greedy
 loop of ``staccato_approximate``).  It is the reference
 ``tests/test_construction_equivalence.py`` holds the shipped loop to:
 same greedy, same candidate order, every float operation in the same
-order -- only the repeated work (a copy per collapse, a topological
-order per helper, a BFS per probe, a second ranking of the winner, k*k
-products per merge) is what the shipped code drops.  It leans only on
-``Sfa``'s public methods and ``repro.sfa.ops``'s public functions, whose
-results are frozen to the last ulp.
+order.  The shipped code drops only repeated work:
+
+- a copy per collapse, a topological order per helper, a BFS per probe;
+- k*k products per merge;
+- the strings of every candidate region: it scores a region on
+  probabilities alone and ranks the strings of the winner only (once),
+  unless the pruned line fails its prefix-free check;
+- the re-validation and re-sort of each pruned edge.
+
+It leans only on ``Sfa``'s public methods and ``repro.sfa.ops``'s public
+functions, whose results are frozen to the last ulp.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 ``tests/oracles/construction.py`` is the pre-rewrite code, verbatim: a
 copy per collapse, a topological order per helper, a BFS per probe, the
-winner ranked twice, k*k products per merge.  The shipped loop
+strings of every candidate ranked, k*k products per merge.  The shipped loop
 (``repro.core.approximate`` / ``repro.core.chunks`` / ``repro.sfa.paths``)
 drops the repeated work and nothing else, so every comparison here is
 ``==`` on serialized bytes -- the stored probabilities are the answer,
@@ -11,20 +11,34 @@ not an approximation of it.
 
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.approximate import staccato_approximate
-from repro.core.chunks import collapse, find_min_sfa, region_mass
+from repro.core import approximate
+from repro.core.approximate import (
+    _candidate_regions,
+    prune_edges_to_k,
+    staccato_approximate,
+)
+from repro.core.chunks import (
+    Reachability,
+    collapse,
+    find_min_sfa,
+    region_mass,
+    region_top_k,
+)
 from repro.db import storage
 from repro.db.engine import StaccatoDB
 from repro.ocr.corpus import Dataset, Document, make_ca, make_db, make_lt
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.sfa import paths
+from repro.sfa.builder import random_chunk_sfa
 from repro.sfa.kernel import compile_kernel, to_sfa
 from repro.sfa.model import Sfa
+from repro.sfa.ops import topological_order
 from repro.sfa.serialize import kernel_from_bytes, kernel_to_bytes, to_bytes
 
 from .oracles import construction as oracle
@@ -191,6 +205,118 @@ class TestTieSafeCut:
         assert any(merges), "no merge of the tie case needed the full product"
 
 
+def float_bits(value: float) -> bytes:
+    """The IEEE-754 bits of ``value``: ``==`` would let 0.0 match -0.0."""
+    return struct.pack("<d", value)
+
+
+def duplicate_string() -> Sfa:
+    """Two edges leave node 0 emitting ``a``, so ``abc`` and ``abd`` are
+    each spelled by two paths."""
+    sfa = Sfa(start=0, final=1)
+    sfa.add_edge(0, 2, [("a", 0.5), ("x", 0.25)])
+    sfa.add_edge(0, 3, [("a", 0.25)])
+    sfa.add_edge(2, 4, [("b", 1.0)])
+    sfa.add_edge(3, 4, [("b", 1.0)])
+    sfa.add_edge(4, 1, [("c", 0.5), ("d", 0.5)])
+    return sfa
+
+
+def prefix_pair() -> Sfa:
+    """Node 0 emits ``a`` and ``ab``: every string is still spelled by one
+    path, but a per-node check cannot tell."""
+    sfa = Sfa(start=0, final=1)
+    sfa.add_edge(0, 2, [("a", 0.5)])
+    sfa.add_edge(0, 3, [("ab", 0.5)])
+    sfa.add_edge(2, 4, [("x", 0.5), ("y", 0.5)])
+    sfa.add_edge(3, 4, [("z", 1.0)])
+    sfa.add_edge(4, 1, [("c", 0.75), ("e", 0.25)])
+    return sfa
+
+
+@st.composite
+def ambiguous_chains(draw) -> Sfa:
+    """Chains of one- and two-letter strings over ``ab``: most of them
+    spell some string along two paths (``a`` + ``ba`` = ``ab`` + ``a``)."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    chunks = draw(st.integers(min_value=2, max_value=5))
+    return random_chunk_sfa(
+        random.Random(seed), chunks, alphabet="ab", max_chunk_len=2
+    )
+
+
+class TestProbabilitiesOnlyScoring:
+    """The greedy scores a candidate by ``k_best_mass`` when the pruned
+    line is prefix-free, and by the region's ranked strings otherwise."""
+
+    @staticmethod
+    def assert_first_iteration_exact(sfa: Sfa, k: int) -> None:
+        work = prune_edges_to_k(sfa, k)
+        assert paths.prefix_free(work)
+        order = topological_order(work)
+        reach = Reachability(work, order)
+        for region in _candidate_regions(work, reach, {}).values():
+            span = reach.span(region)
+            kept = paths.k_best_mass(
+                work, region.entry, region.exit, k, region.nodes, span
+            )
+            ranked = region_top_k(work, region, k, span)
+            assert float_bits(kept) == float_bits(sum(p for _, p in ranked))
+
+    @given(ocr_sfas(), st.sampled_from(KS))
+    @settings(max_examples=60, deadline=None)
+    def test_simulated_ocr_lines(self, sfa, k):
+        self.assert_first_iteration_exact(sfa, k)
+
+    @given(chain_sfas(), st.sampled_from(KS))
+    @settings(max_examples=60, deadline=None)
+    def test_chains(self, sfa, k):
+        self.assert_first_iteration_exact(sfa, k)
+
+    @pytest.mark.parametrize("make", [duplicate_string, prefix_pair])
+    def test_the_guard_falls_back_to_ranked_strings(self, make, monkeypatch):
+        sfa = make()
+        assert not paths.prefix_free(prune_edges_to_k(sfa, 25))
+        calls = {"mass": 0, "ranked": 0, "collapses": 0}
+
+        def counting(name, real):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(
+            approximate, "k_best_mass", counting("mass", approximate.k_best_mass)
+        )
+        monkeypatch.setattr(
+            approximate, "region_top_k", counting("ranked", region_top_k)
+        )
+        monkeypatch.setattr(
+            approximate,
+            "collapse_in_place",
+            counting("collapses", approximate.collapse_in_place),
+        )
+        for k in (1, 2, 3, 25):
+            for m in range(1, sfa.num_edges):
+                assert_same_construction(sfa, m, k)
+        # Scored by its ranked strings, a winner is ranked again to collapse.
+        assert calls["collapses"] > 0
+        assert calls["ranked"] >= 2 * calls["collapses"]
+        assert calls["mass"] == 0
+
+    @given(ambiguous_chains(), st.data(), st.sampled_from(KS))
+    @settings(max_examples=80, deadline=None)
+    def test_ambiguous_chains(self, sfa, data, k):
+        assert_same_construction(sfa, any_m(data.draw, sfa), k)
+
+    def test_every_golden_line_takes_the_probabilities_only_path(self):
+        ocr = SimulatedOcrEngine(seed=19)
+        for _, doc_id, line_no, text in golden_corpus().lines():
+            sfa = ocr.recognize_line(text, line_seed=(doc_id, line_no))
+            assert paths.prefix_free(prune_edges_to_k(sfa, 25))
+
+
 # ----------------------------------------------------------------------
 # Golden: the stored bytes of a fixed corpus, so a later change cannot
 # drift them silently.  Computed at commit aebfb45 (the parent of the
@@ -198,6 +324,13 @@ class TestTieSafeCut:
 # ----------------------------------------------------------------------
 GOLDEN_FINGERPRINTS_SHA256 = (
     "6593af0c031929220f24135fb5cb750459b066c7474661e7b50ec40e2e59bd11"
+)
+# The golden corpus's kMAPData rows and StaccatoGraph blobs, computed at
+# commit adf83b1: before the probabilities-only scorer, the shared cut
+# rule of repro.sfa.paths and the tuple emissions, all of which these
+# rows pass through.
+GOLDEN_ROWS_SHA256 = (
+    "241b3cf8bcedd1eb530fe004d8446ae9ca0851c5e23d74605ed329aca0fb0a5c"
 )
 
 
@@ -229,6 +362,32 @@ def test_golden_stored_kernel_fingerprints():
     finally:
         db.close()
     assert digest.hexdigest() == GOLDEN_FINGERPRINTS_SHA256
+
+
+def test_golden_stored_rows():
+    db = StaccatoDB(":memory:", k=25, m=40)
+    try:
+        assert db.ingest(golden_corpus(), SimulatedOcrEngine(seed=19)) == 9
+        digest = hashlib.sha256()
+        kmap = db.conn.execute(
+            "SELECT DataKey, Rank, Data, LogProb FROM kMAPData"
+            " ORDER BY DataKey, Rank"
+        ).fetchall()
+        assert len(kmap) == 9 * 25
+        for data_key, rank, string, log_prob in kmap:
+            digest.update(
+                f"{data_key}\t{rank}\t{string}\t{log_prob.hex()}\n".encode("utf-8")
+            )
+        graphs = db.conn.execute(
+            "SELECT DataKey, GraphBlob FROM StaccatoGraph ORDER BY DataKey"
+        ).fetchall()
+        assert len(graphs) == 9
+        for data_key, blob in graphs:
+            digest.update(struct.pack("<qq", data_key, len(blob)))
+            digest.update(blob)
+    finally:
+        db.close()
+    assert digest.hexdigest() == GOLDEN_ROWS_SHA256
 
 
 def test_golden_corpus_kernels_rebuild_their_sfa1_bytes():

@@ -1,8 +1,15 @@
 """Unit tests for the SFA data model (repro.sfa.model)."""
 
+import math
+
 import pytest
 
+from repro.core.approximate import prune_edges_to_k
+from repro.sfa.kernel import compile_kernel
 from repro.sfa.model import Emission, Sfa, SfaError
+from repro.sfa.serialize import kernel_to_bytes, to_bytes
+
+from .oracles import construction as oracle
 
 
 class TestEmission:
@@ -24,6 +31,57 @@ class TestEmission:
     def test_boundary_probabilities_allowed(self):
         assert Emission("a", 0.0).prob == 0.0
         assert Emission("a", 1.0).prob == 1.0
+
+    def test_nan_rejected(self):
+        with pytest.raises(SfaError):
+            Emission("a", math.nan)
+
+    def test_is_an_immutable_pair(self):
+        e = Emission("ab", 0.5)
+        assert tuple(e) == ("ab", 0.5)
+        string, prob = e
+        assert (string, prob) == ("ab", 0.5)
+        with pytest.raises(AttributeError):
+            e.prob = 0.25
+
+
+class TestAddEdgeChecks:
+    """``add_edge`` checks plain ``(string, prob)`` pairs itself: every item,
+    and every sum of a merged duplicate string."""
+
+    @pytest.mark.parametrize(
+        "emissions",
+        [
+            [("", 0.5)],
+            [("a", -0.1)],
+            [("a", 1.5)],
+            [("a", math.nan)],
+            [("a", 0.6), ("b", 0.1), ("a", 0.6)],
+        ],
+        ids=["empty-string", "below-0", "above-1", "nan", "merged-above-1"],
+    )
+    def test_rejected(self, emissions):
+        sfa = Sfa(0, 1)
+        with pytest.raises(SfaError):
+            sfa.add_edge(0, 1, emissions)
+        assert sfa.num_edges == 0 and not sfa.has_edge(0, 1)
+
+    def test_negative_item_rejected_although_the_merged_sum_is_in_range(self):
+        sfa = Sfa(0, 1)
+        with pytest.raises(SfaError, match="-0.1"):
+            sfa.add_edge(0, 1, [("a", 0.5), ("a", -0.1)])
+
+    def test_merged_sum_within_the_rounding_slack_is_kept(self):
+        sfa = Sfa(0, 1)
+        sfa.add_edge(0, 1, [("a", 0.5), ("a", 0.5 + 1e-13)])
+        assert sfa.emissions(0, 1) == [("a", 0.5 + (0.5 + 1e-13))]
+
+    def test_stored_emissions_are_emission_tuples(self):
+        sfa = Sfa(0, 1)
+        sfa.add_edge(0, 1, [Emission("b", 0.25), ("a", 0.25), ("c", 0.5)])
+        stored = sfa.emissions(0, 1)
+        assert all(type(e) is Emission for e in stored)
+        assert stored == [("c", 0.5), ("a", 0.25), ("b", 0.25)]
 
 
 class TestSfaConstruction:
@@ -124,6 +182,75 @@ class TestSfaMutation:
         sfa = Sfa(0, 1)
         sfa.add_edge(0, 1, [("a", 0.3), ("b", 0.45)])
         assert sfa.edge_mass(0, 1) == pytest.approx(0.75)
+
+
+def colliding_successors() -> Sfa:
+    """Node 0's successors 7 and 15 share a bucket of a small set, so
+    ``set(successors(0))`` -- the order ``compile_kernel`` lowers node 0's
+    runs in -- follows their insertion order."""
+    sfa = Sfa(0, 1)
+    sfa.add_edge(0, 7, [("a", 0.4), ("b", 0.3), ("c", 0.2)])
+    sfa.add_edge(0, 15, [("d", 0.05), ("e", 0.05)])
+    sfa.add_edge(7, 1, [("f", 0.5), ("g", 0.3), ("h", 0.2)])
+    sfa.add_edge(15, 1, [("i", 1.0)])
+    return sfa
+
+
+def layout(sfa: Sfa) -> tuple:
+    """Everything whose order ingest stores: adjacency lists, edge order,
+    emissions, and the ``SFA1`` and ``KRN2`` bytes."""
+    return (
+        {node: sfa.successors(node) for node in sfa.nodes},
+        {node: sfa.predecessors(node) for node in sfa.nodes},
+        sfa.edges,
+        {edge: sfa.emissions(*edge) for edge in sfa.edges},
+        to_bytes(sfa),
+        kernel_to_bytes(compile_kernel(sfa)),
+    )
+
+
+class TestTruncateEdge:
+    def test_same_orders_and_bytes_as_replace_emissions(self):
+        truncated, replaced = colliding_successors(), colliding_successors()
+        truncated.truncate_edge(0, 7, 2)
+        replaced.replace_emissions(0, 7, replaced.emissions(0, 7)[:2])
+        assert layout(truncated) == layout(replaced)
+        assert truncated.successors(0) == [15, 7]
+        assert truncated.edges[-1] == (0, 7)
+        assert truncated.edge_mass(0, 7) == 0.4 + 0.3
+
+    def test_the_move_shows_in_the_kernel_bytes(self):
+        """Guard the guard: slicing the list in place (the edge keeps its
+        position) lowers node 0's runs in another order."""
+        moved, in_place = colliding_successors(), colliding_successors()
+        moved.truncate_edge(0, 7, 2)
+        in_place._emissions[(0, 7)] = in_place._emissions[(0, 7)][:2]
+        assert moved.emissions(0, 7) == in_place.emissions(0, 7)
+        assert kernel_to_bytes(compile_kernel(moved)) != kernel_to_bytes(
+            compile_kernel(in_place)
+        )
+
+    def test_an_edge_within_k_stays_put(self):
+        sfa = colliding_successors()
+        before = layout(sfa)
+        sfa.truncate_edge(0, 7, 3)
+        sfa.truncate_edge(15, 1, 1)
+        assert layout(sfa) == before
+
+    def test_bad_arguments(self):
+        sfa = colliding_successors()
+        with pytest.raises(SfaError):
+            sfa.truncate_edge(0, 7, 0)
+        with pytest.raises(SfaError):
+            sfa.truncate_edge(0, 1, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prune_edges_to_k_matches_replace_emissions(self, k):
+        sfa = colliding_successors()
+        assert layout(prune_edges_to_k(sfa, k)) == layout(
+            oracle.prune_edges_to_k(sfa, k)
+        )
+        assert layout(sfa) == layout(colliding_successors())
 
 
 class TestSfaInspection:

@@ -10,15 +10,18 @@ Two evaluators for the same program (:class:`repro.sfa.kernel.CompiledKernel`):
   per line;
 * a **numpy lockstep batch** path that advances many lines through the
   DP at once: step ``t`` processes the ``t``-th topological node of every
-  line in one set of vectorized operations, and the full
-  ``(symbol, state)`` transition table is built up front by composing
-  the query DFA's ``state x class`` table along each distinct class
-  string of the batch's symbols, so the per-line python work drops to
-  almost nothing.
+  seeded line in one set of vectorized operations, and the
+  ``(symbol, state)`` transition table of the symbols those lines emit
+  is built up front by composing the query DFA's ``state x class``
+  table along each distinct class string, so the per-line python work
+  drops to almost nothing.
 
 A batch laid out once serves every query and any subset of its lines
 (``evaluate_batch(batch, lines=...)`` seeds only those): the engine keeps
 one per shard and approach as its *scan image* (:mod:`repro.query.memo`).
+The lockstep walks the seeded lines' program only -- one index of their
+emissions in the layout, derived per query -- so a scan costs what its
+seeded lines cost, not what the image holds.
 The layout also records the character pairs each line can spell, so
 :meth:`KernelBatch.spells` leaves out of that subset, before any DP, the
 lines that cannot spell a pattern's required pairs.
@@ -514,13 +517,19 @@ class KernelEvaluator:
         replay (the A/B tests compare both against the dict DP).  A
         :class:`KernelBatch` already decided when it was built.
 
-        ``lines`` restricts the evaluation to those (distinct) line
-        positions of the batch, any order; results come back in that
-        order.  The other lines are never seeded, so they cost no cell,
-        no transition and no float operation, and the requested lines'
-        results and counters are bit for bit those of evaluating their
-        kernels alone -- per-line accumulation is independent.
+        ``lines`` restricts the evaluation to those line positions of
+        the batch, any order; results come back in that order, and a
+        repeated position is a ``ValueError``.  The other lines are
+        never seeded: on the numpy path the lockstep runs over the
+        seeded lines' program only -- per-step arrays and buckets sized
+        by them, the transition table composed over the symbols they
+        emit -- so the rest of the batch costs no cell, no transition
+        and no float operation.  The requested lines' results and
+        counters are bit for bit those of evaluating their kernels alone:
+        per-line accumulation is independent.
         """
+        if lines is not None and len(set(lines)) != len(lines):
+            raise ValueError("lines repeats a line position")
         if not isinstance(batch, KernelBatch):
             batch = KernelBatch(batch, use_numpy)
         elif use_numpy is not None and use_numpy != batch.laid_out:
@@ -685,8 +694,8 @@ class KernelEvaluator:
     # ------------------------------------------------------------------
     # Numpy lockstep batch
     # ------------------------------------------------------------------
-    def _full_table(self, np, batch: KernelBatch):
-        """The complete (symbol, state) transition matrix.
+    def _full_table(self, np, batch: KernelBatch, symbols=None):
+        """The (symbol, state) transition matrix.
 
         Every character of the batch maps to its query character class;
         each symbol-length group then composes the DFA's class columns
@@ -697,6 +706,10 @@ class KernelEvaluator:
         ``M[symbol_id, state] -> next state`` with ``dead_id`` standing
         in for ``DEAD``.  Transitions are exactly ``step_string``'s:
         integer function composition, no float involved.
+
+        ``symbols`` (sorted, distinct symbol ids) composes only those
+        symbols' rows: row ``i`` is then ``symbols[i]``'s, so every row
+        of the compact matrix is written.
         """
         query = self.query
         num_states = query.num_states
@@ -707,12 +720,23 @@ class KernelEvaluator:
         char_class = np.asarray(
             [query.char_class(ch) for ch in batch.chars], dtype=np.int64
         )
-        table = np.empty(
-            (len(batch.sym_strings), num_states + 1), dtype=np.int64
-        )
+        if symbols is None:
+            num_rows = len(batch.sym_strings)
+        else:
+            num_rows = len(symbols)
+            row_of = np.full(len(batch.sym_strings), -1, dtype=np.int64)
+            row_of[symbols] = np.arange(num_rows, dtype=np.int64)
+        table = np.empty((num_rows, num_states + 1), dtype=np.int64)
         for length, idx, char_idx in batch.compose_plan:
+            rows = idx
+            if symbols is not None:
+                rows = row_of[idx]
+                wanted = rows >= 0
+                if not wanted.any():
+                    continue
+                rows, char_idx = rows[wanted], char_idx[wanted]
             if length == 0:  # step_string(state, "") is the identity
-                table[idx] = np.arange(num_states + 1, dtype=np.int64)
+                table[rows] = np.arange(num_states + 1, dtype=np.int64)
                 continue
             strings, inverse = _distinct_rows(
                 np, char_class[char_idx], query.num_classes
@@ -720,7 +744,7 @@ class KernelEvaluator:
             current = moves[strings[:, 0]]
             for pos in range(1, length):
                 current = moves[strings[:, pos, None], current]
-            table[idx] = current[inverse]
+            table[rows] = current[inverse]
         return table, dead_id
 
     def _numpy_batch(
@@ -729,46 +753,79 @@ class KernelEvaluator:
         np = _np
         query = self.query
         match_anywhere = query.match_anywhere
-        num_lines = batch.num_lines
         if match_anywhere and query.is_accepting(query.start):
             start_backward = batch.start_backward
             return [LineResult(start_backward[ln], 0, 0) for ln in lines]
-        table, dead_id = self._full_table(np, batch)
-        mod = dead_id + 1  # states are < dead_id in every bucket
-        line_ids = np.arange(num_lines, dtype=np.int64)
-        max_steps = batch.max_steps
-        final_pos = batch.final_pos
-        bounds = batch.step_bounds
+        # The seeded lines, renumbered 0..L-1 in batch order, and their
+        # program: step t's emissions of local line l are e_counts[t, l]
+        # entries of the layout, at idx[bounds[t]:bounds[t + 1]] (line-
+        # minor, like the layout).  The unseeded lines never hold mass,
+        # so they are left out of every per-step array.
+        seeded = np.sort(np.asarray(lines, dtype=np.int64))
+        num_seeded = len(seeded)
         e_counts = batch.e_counts
+        syms_flat = batch.syms_flat
+        if num_seeded == batch.num_lines:  # idx is the identity
+            idx = None
+            bounds = batch.step_bounds
+            symbols = row_of = None
+        else:
+            counts = e_counts[:, seeded]
+            seg_start = (
+                np.asarray(batch.step_bounds[:-1], dtype=np.int64)[:, None]
+                + np.cumsum(e_counts, axis=1)
+                - e_counts
+            )[:, seeded].ravel()
+            e_counts = counts
+            counts = counts.ravel()
+            ends = np.cumsum(counts)
+            idx = np.repeat(seg_start - (ends - counts), counts)
+            idx += np.arange(len(idx), dtype=np.int64)
+            bounds = [0, *ends[num_seeded - 1 :: num_seeded].tolist()]
+            # The table covers the symbols these emissions use; row_of
+            # maps a symbol id to its row.
+            used = np.zeros(len(batch.sym_strings), dtype=bool)
+            used[syms_flat[idx]] = True
+            symbols = np.flatnonzero(used)
+            row_of = np.cumsum(used) - 1
+        table, dead_id = self._full_table(np, batch, symbols)
+        mod = dead_id + 1  # states are < dead_id in every bucket
+        table = table.ravel()
+        line_ids = np.arange(num_seeded, dtype=np.int64)
+        max_steps = batch.max_steps
+        final_pos = batch.final_pos[seeded]
 
         # Pending contributions per destination topological position:
         # (line, state, weight) arrays appended in program order, which
         # is the dict evaluator's insertion order into each node's dict.
         pending: list[list] = [[] for _ in range(max_steps + 1)]
-        # Only the requested lines are seeded; the rest of the batch
-        # never holds mass, so every per-step quantity of theirs is 0.
-        seeded = np.sort(np.asarray(lines, dtype=np.int64))
         start_pos = batch.start_pos[seeded]
-        init_state = np.full(len(seeded), query.start, dtype=np.int64)
-        init_mass = np.ones(len(seeded), dtype=np.float64)
+        init_state = np.full(num_seeded, query.start, dtype=np.int64)
+        init_mass = np.ones(num_seeded, dtype=np.float64)
         if int(start_pos.min()) == int(start_pos.max()):
             pending[int(start_pos[0])].append(
-                (seeded, init_state, init_mass)
+                (line_ids, init_state, init_mass)
             )
         else:  # degenerate kernels (tests): route per start position
             for pos in np.unique(start_pos).tolist():
                 sel = start_pos == pos
                 pending[pos].append(
-                    (seeded[sel], init_state[sel], init_mass[sel])
+                    (line_ids[sel], init_state[sel], init_mass[sel])
                 )
 
-        matched = [0.0] * num_lines  # absorbing accumulators (in order)
-        finals: list[tuple[list[int], list[float]] | None] = (
-            [None] * num_lines
+        # Each line's answer: absorbed mass (match-anywhere) or accepted
+        # mass at the final node (general), accumulated in entry order,
+        # which per line is the dict evaluator's order; reached[l] says
+        # whether a general line accepted anything (else its answer is
+        # the dict DP's empty sum, int 0).
+        answer = np.zeros(num_seeded, dtype=np.float64)
+        reached = np.zeros(num_seeded, dtype=bool)
+        accepting = np.asarray(
+            [query.is_accepting(state) for state in range(mod)], dtype=bool
         )
-        cells_per_line = np.zeros(num_lines, dtype=np.int64)
-        trans_per_line = np.zeros(num_lines, dtype=np.int64)
-        num_buckets = num_lines * mod
+        cells_per_line = np.zeros(num_seeded, dtype=np.int64)
+        trans_per_line = np.zeros(num_seeded, dtype=np.int64)
+        num_buckets = num_seeded * mod
 
         for t in range(max_steps):
             segments = pending[t]
@@ -802,89 +859,68 @@ class KernelEvaluator:
             b_state = bkeys % mod
             b_mass = acc[bkeys]
 
-            cells_per_line += np.bincount(b_line, minlength=num_lines)
+            p_arr = np.bincount(b_line, minlength=num_seeded)
+            cells_per_line += p_arr
 
-            # Lines whose final node is position t: capture their dist
-            # (the general path's answer).  The buckets stay in the work
-            # set -- a final node normally has no program steps, and if
-            # a degenerate kernel gives it some, the dict DP processes
-            # them too.
-            at_final = final_pos[b_line] == t
-            if at_final.any():
-                f_line = b_line[at_final]
-                f_state = b_state[at_final]
-                f_mass = b_mass[at_final]
-                # b_line is line-major, so each captured line is one
-                # contiguous run (in its dict-insertion order).
-                run_bounds = np.flatnonzero(np.diff(f_line)) + 1
-                start = 0
-                for end in list(run_bounds.tolist()) + [len(f_line)]:
-                    if end == start:
-                        continue
-                    finals[int(f_line[start])] = (
-                        f_state[start:end].tolist(),
-                        f_mass[start:end].tolist(),
-                    )
-                    start = end
+            if not match_anywhere:
+                # Lines whose final node is position t: their accepting
+                # cells, in dict-insertion order, are the answer.  The
+                # buckets stay in the work set -- a final node normally
+                # has no program steps, and if a degenerate kernel gives
+                # it some, the dict DP processes them too.
+                took = (final_pos[b_line] == t) & accepting[b_state]
+                if took.any():
+                    np.add.at(answer, b_line[took], b_mass[took])
+                    reached[b_line[took]] = True
 
             # Expand to one entry per (line, emission, state), emission-
             # major / state-minor: the dict evaluator's inner order.
-            p_arr = np.bincount(b_line, minlength=num_lines)
             e_arr = e_counts[t]
             counts = e_arr * p_arr
             trans_per_line += counts
             total = int(counts.sum())
             if total == 0:
                 continue
-            sl = slice(bounds[t], bounds[t + 1])
-            syms_cat = batch.syms_flat[sl]
-            probs_cat = batch.probs_flat[sl]
-            dst_cat = batch.dst_flat[sl]
-
-            rep_p = np.repeat(p_arr, e_arr)
-            sym_rep = np.repeat(syms_cat, rep_p)
-            prob_rep = np.repeat(probs_cat, rep_p)
-            dst_rep = np.repeat(dst_cat, rep_p)
+            lo, hi = bounds[t], bounds[t + 1]
+            steps = np.arange(lo, hi) if idx is None else idx[lo:hi]
+            g = np.repeat(steps, np.repeat(p_arr, e_arr))
+            sym_rep = syms_flat[g]
+            if row_of is not None:
+                sym_rep = row_of[sym_rep]
             line_rep = np.repeat(line_ids, counts)
-            bucket_base = np.concatenate(([0], np.cumsum(p_arr)[:-1]))
-            entry_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            entry_start = np.cumsum(counts) - counts
             j_local = np.arange(total, dtype=np.int64) - np.repeat(
                 entry_start, counts
             )
             p_rep = np.repeat(p_arr, counts)
-            bidx = np.repeat(bucket_base, counts) + (j_local % p_rep)
+            bidx = np.repeat(np.cumsum(p_arr) - p_arr, counts) + (
+                j_local % p_rep
+            )
 
-            nxt = table[sym_rep, b_state[bidx]]
-            weights = b_mass[bidx] * prob_rep
+            nxt = table[sym_rep * mod + b_state[bidx]]
+            weights = b_mass[bidx] * batch.probs_flat[g]
 
             if match_anywhere:
                 accepted = nxt == _ACCEPT
                 if accepted.any():
-                    back_rep = np.repeat(batch.back_flat[sl], rep_p)
-                    contrib = weights[accepted] * back_rep[accepted]
-                    # Scalar accumulation in entry order: matched is a
-                    # running python-float sum in the dict evaluator.
-                    for ln, value in zip(
-                        line_rep[accepted].tolist(), contrib.tolist()
-                    ):
-                        matched[ln] += value
+                    np.add.at(
+                        answer,
+                        line_rep[accepted],
+                        weights[accepted] * batch.back_flat[g[accepted]],
+                    )
                 keep = ~accepted
             else:
                 keep = nxt != dead_id
             if keep.all():
-                k_line, k_nxt, k_w, k_dst = (
-                    line_rep,
-                    nxt,
-                    weights,
-                    dst_rep,
-                )
+                k_line, k_nxt, k_w, k_g = line_rep, nxt, weights, g
             else:
                 k_line = line_rep[keep]
                 k_nxt = nxt[keep]
                 k_w = weights[keep]
-                k_dst = dst_rep[keep]
+                k_g = g[keep]
             if len(k_line) == 0:
                 continue
+            k_dst = batch.dst_flat[k_g]
             lo_dst = int(k_dst.min())
             if lo_dst == int(k_dst.max()):
                 pending[lo_dst].append((k_line, k_nxt, k_w))
@@ -902,34 +938,16 @@ class KernelEvaluator:
                     (k_line[lo:hi], k_nxt[lo:hi], k_w[lo:hi])
                 )
 
-        results = []
-        if match_anywhere:
-            for ln in lines:
-                results.append(
-                    LineResult(
-                        matched[ln],
-                        int(cells_per_line[ln]),
-                        int(trans_per_line[ln]),
-                    )
-                )
-        else:
-            is_accepting = query.is_accepting
-            for ln in lines:
-                captured = finals[ln]
-                if captured is None:
-                    probability = sum(())  # dict DP's empty sum: int 0
-                else:
-                    states, ms = captured
-                    probability = sum(
-                        mass
-                        for state, mass in zip(states, ms)
-                        if is_accepting(state)
-                    )
-                results.append(
-                    LineResult(
-                        probability,
-                        int(cells_per_line[ln]),
-                        int(trans_per_line[ln]),
-                    )
-                )
-        return results
+        # Python floats and ints, in the order of ``lines``.
+        probability = answer.tolist()
+        if not match_anywhere:
+            probability = [
+                mass if hit else 0
+                for mass, hit in zip(probability, reached.tolist())
+            ]
+        cells = cells_per_line.tolist()
+        transitions = trans_per_line.tolist()
+        return [
+            LineResult(probability[ln], cells[ln], transitions[ln])
+            for ln in np.searchsorted(seeded, np.asarray(lines)).tolist()
+        ]

@@ -136,7 +136,7 @@ class TestMemoCounters:
         db.close()
 
     def test_a_character_no_symbol_has_runs_no_dp(self, monkeypatch):
-        def no_table(self, np, batch):
+        def no_table(self, np, batch, symbols=None):
             raise AssertionError("a transition table was built")
 
         monkeypatch.setattr(KernelEvaluator, "_full_table", no_table)

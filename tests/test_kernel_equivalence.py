@@ -252,3 +252,37 @@ class TestTransitionTable:
             assert table[sid].tolist() == [
                 dead_id if nxt == DEAD else nxt for nxt in expected
             ] + [dead_id]
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
+    @given(
+        st.lists(st.one_of(any_sfas, ocr_sfas()), min_size=1, max_size=3),
+        regex_patterns(),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_symbol_subset_rows_are_step_string(
+        self, sfas, pattern, anywhere, data
+    ):
+        """Composed over a subset of the symbols (those a seeded scan's
+        lines emit), the table has one row per symbol of the subset, in
+        its order, and each is that symbol's ``step_string`` row."""
+        import numpy as np
+
+        query = dfa_for_pattern(pattern, match_anywhere=anywhere)
+        batch = KernelBatch([compile_kernel(sfa) for sfa in sfas])
+        symbols = sorted(
+            data.draw(st.sets(st.integers(0, len(batch.sym_strings) - 1)))
+        )
+        table, dead_id = KernelEvaluator(query)._full_table(
+            np, batch, np.asarray(symbols, dtype=np.int64)
+        )
+        assert table.shape == (len(symbols), query.num_states + 1)
+        for row, sid in enumerate(symbols):
+            expected = [
+                query.step_string(state, batch.sym_strings[sid])
+                for state in range(query.num_states)
+            ]
+            assert table[row].tolist() == [
+                dead_id if nxt == DEAD else nxt for nxt in expected
+            ] + [dead_id]

@@ -10,6 +10,7 @@ and -- after every way the table can change under the image -- against a
 fresh plain handle, with exactly one rebuild.
 """
 
+import random
 import shutil
 import sqlite3
 import sys
@@ -31,7 +32,9 @@ from repro.query.eval_kernel import HAVE_NUMPY, KernelBatch, KernelEvaluator
 from repro.query.memo import KernelMemo
 from repro.service import QueryService
 from repro.service.trace import Span, attach
+from repro.sfa.builder import random_chain_sfa
 from repro.sfa.kernel import compile_kernel, kernel_from_bytes
+from repro.sfa.model import Sfa
 
 from .strategies import chain_sfas, chunk_sfas, dag_sfas, regex_patterns
 
@@ -67,6 +70,35 @@ def batches_and_subsets(draw):
     return sfas, subset
 
 
+def lead_in(sfa: Sfa, sources: list[tuple[int, str]]) -> Sfa:
+    """``sfa`` plus one source node per ``(target, string)``, with an
+    edge into ``sfa.nodes[target]``: the sources' ids are negative, so
+    they come before the start node in the topological order and move
+    its position.  No mass ever reaches them, but their steps are part
+    of the program."""
+    sfa = sfa.copy()
+    nodes = sfa.nodes
+    for i, (target, string) in enumerate(sources):
+        sfa.add_edge(-1 - i, nodes[target % len(nodes)], [(string, 0.5)])
+    return sfa
+
+
+@st.composite
+def wide_batches(draw):
+    """Up to 20 kernels, some with their start node moved by
+    :func:`lead_in`, and the batch's line positions in a shuffled order."""
+    sources = st.lists(
+        st.tuples(st.integers(0, 20), st.sampled_from(["a", "b", "ab", "x"])),
+        max_size=2,
+    )
+    drawn = draw(
+        st.lists(st.tuples(any_sfas, sources), min_size=1, max_size=20)
+    )
+    kernels = [compile_kernel(lead_in(sfa, extra)) for sfa, extra in drawn]
+    order = draw(st.permutations(range(len(kernels))))
+    return kernels, order
+
+
 class TestSubsetSeeding:
     @given(
         batches_and_subsets(),
@@ -87,6 +119,45 @@ class TestSubsetSeeding:
             assert batch.laid_out == use_numpy
             got = KernelEvaluator(query).evaluate_batch(batch, lines=subset)
             assert got == expected, use_numpy
+
+    @given(wide_batches(), regex_patterns(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_wide_batches_single_lines_and_shuffled_wholes(
+        self, drawn, pattern, anywhere
+    ):
+        """Up to 20 kernels of differing lengths and start positions, so
+        seeded lines end before ``max_steps`` and some steps carry no
+        seeded emission: every single line, and the whole batch in
+        shuffled order (the identity program), equal their kernels
+        evaluated alone."""
+        kernels, order = drawn
+        query = dfa_for_pattern(pattern, match_anywhere=anywhere)
+        expected = [KernelEvaluator(query).evaluate(kernel) for kernel in kernels]
+        layouts = [False, True] if HAVE_NUMPY else [False]
+        for use_numpy in layouts:
+            batch = KernelBatch(kernels, use_numpy=use_numpy)
+            for ln in range(len(kernels)):
+                got = KernelEvaluator(query).evaluate_batch(batch, lines=[ln])
+                assert got == [expected[ln]], (use_numpy, ln)
+            got = KernelEvaluator(query).evaluate_batch(batch, lines=order)
+            assert got == [expected[ln] for ln in order], use_numpy
+
+    def test_a_repeated_line_is_refused(self):
+        """Seeding a line twice is an error on both layouts, not a line
+        counted twice."""
+        kernels = [
+            compile_kernel(random_chain_sfa(random.Random(seed), 6))
+            for seed in range(3)
+        ]
+        evaluator = KernelEvaluator(dfa_for_pattern("a", match_anywhere=True))
+        layouts = [False, True] if HAVE_NUMPY else [False]
+        for use_numpy in layouts:
+            batch = KernelBatch(kernels, use_numpy=use_numpy)
+            for lines in ([1, 1], [0, 2, 0]):
+                with pytest.raises(ValueError):
+                    evaluator.evaluate_batch(batch, lines=lines)
+        with pytest.raises(ValueError):
+            evaluator.evaluate_batch(kernels, lines=[2, 2])
 
     def test_layout_mismatch_is_refused(self):
         batch = KernelBatch([], use_numpy=False)

@@ -7,8 +7,8 @@ best string) misses the claim; keeping the probabilistic model finds it.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import build_kmap, staccato_approximate
-from repro.query import compile_like, match_probability, match_probability_strings
+from repro.core import build_kmap, kmap_sfa, staccato_approximate
+from repro.query import compile_like, match_probability
 from repro.sfa import builder, ops
 
 
@@ -28,7 +28,8 @@ def main() -> None:
     query = compile_like("%Ford%")
 
     print("\nDoes the claim mention 'Ford'?")
-    print(f"  MAP     : {match_probability_strings(map_doc.strings, query):.4f}"
+    # MAP is Staccato at m = 1, k = 1: one chunk holding the best string.
+    print(f"  MAP     : {match_probability(kmap_sfa(map_doc.strings), query):.4f}"
           "   <- the claim is LOST")
     full = match_probability(sfa, query)
     print(f"  FullSFA : {full:.4f}   <- found, with probability ~0.12")

@@ -9,9 +9,9 @@ queries -- works unchanged on word lattices.
 Run:  python examples/speech_lattices.py
 """
 
-from repro.core import build_kmap, staccato_approximate
+from repro.core import build_kmap, kmap_sfa, staccato_approximate
 from repro.ocr.speech import SimulatedSpeechEngine
-from repro.query import compile_like, match_probability, match_probability_strings
+from repro.query import compile_like, match_probability
 from repro.sfa import ops
 
 UTTERANCES = [
@@ -35,7 +35,7 @@ def main() -> None:
         print(f"  lattice: {lattice.num_edges} word slots, "
               f"{ops.string_count(lattice)} candidate transcripts")
 
-        map_hit = match_probability_strings([(best, prob)], query)
+        map_hit = match_probability(kmap_sfa([(best, prob)]), query)
         lattice_hit = match_probability(lattice, query)
         if lattice_hit > 0:
             verdict = "FOUND in lattice" if map_hit == 0 else "found"

@@ -2,7 +2,7 @@
 
 from .approximate import build_staccato, prune_edges_to_k, staccato_approximate
 from .chunks import Region, collapse, find_min_sfa, region_mass, region_top_k
-from .kmap import KMapDoc, build_kmap, build_map
+from .kmap import KMapDoc, build_kmap, build_map, kmap_sfa
 from .staccato_doc import StaccatoDoc
 from .theory import (
     exhaustive_best_selection,
@@ -31,6 +31,7 @@ __all__ = [
     "region_top_k",
     "KMapDoc",
     "build_kmap",
+    "kmap_sfa",
     "build_map",
     "StaccatoDoc",
     "exhaustive_best_selection",

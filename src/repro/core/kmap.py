@@ -5,16 +5,22 @@ tuple per string with its probability; MAP is the k = 1 special case and
 is what production systems like Google Books keep.  Query processing over
 this representation is ordinary text matching plus probability summation
 (each stored string is a disjoint probabilistic event).
+
+k-MAP is also the ``m = 1`` end of Staccato's trade-off: one chunk holding
+the k best strings of the whole line.  :func:`kmap_sfa` builds that
+two-node SFA, which the engine stores and evaluates as a compiled kernel
+like every other approach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..sfa.model import Sfa
 from ..sfa.paths import k_best_strings
 
-__all__ = ["KMapDoc", "build_kmap", "build_map"]
+__all__ = ["KMapDoc", "build_kmap", "build_map", "kmap_sfa"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,3 +50,13 @@ def build_kmap(sfa: Sfa, k: int) -> KMapDoc:
 def build_map(sfa: Sfa) -> KMapDoc:
     """The plain MAP baseline (k = 1)."""
     return build_kmap(sfa, 1)
+
+
+def kmap_sfa(strings: Iterable[tuple[str, float]]) -> Sfa:
+    """The one-chunk SFA of ranked k-MAP strings: one edge from node 0
+    to node 1 carrying them.  The edge keeps :func:`build_kmap`'s rank
+    order (descending probability, ties by string), so its kernel sums
+    a line's accepted strings in the order the strings rank."""
+    sfa = Sfa(0, 1)
+    sfa.add_edge(0, 1, strings)
+    return sfa

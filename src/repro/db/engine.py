@@ -5,16 +5,18 @@ documents (through the OCR channel) into SQLite, then ask ``LIKE`` /
 regex queries against any of the storage approaches:
 
 * ``"map"``      -- rank-0 string only (what Google Books keeps);
-* ``"kmap"``     -- the k best strings per line;
-* ``"fullsfa"``  -- the complete automaton, BLOB per line;
+* ``"kmap"``     -- the k best strings per line: Staccato at m = 1;
+* ``"fullsfa"``  -- the complete automaton;
 * ``"staccato"`` -- the chunked approximation (the contribution).
 
-``search`` is the filescan plan (read every line's representation);
-``indexed_search`` is the index plan of Section 4 (anchor lookup in the
-inverted index, then evaluate only candidate lines, optionally on the
-projected window).  Both evaluate the stored compiled kernels and
-return the ranked probabilistic relation of :class:`repro.query.Answer`
-rows.
+Every approach is evaluated as a compiled kernel: a line stores one per
+approach (``map`` is compiled per query from the rank-0 string of the
+``kmap`` kernel, so it has no copy of its own).  ``search`` is the
+filescan plan (read every line's kernel); ``indexed_search`` is the
+index plan of Section 4 (anchor lookup in the inverted index, then
+evaluate only candidate lines, optionally on the projected window).
+Both return the ranked probabilistic relation of
+:class:`repro.query.Answer` rows.
 
 The index is a fact of the file, not of a handle: ``build_index``
 stores the postings (computed from the stored kernels), the dictionary
@@ -35,14 +37,14 @@ from typing import Iterable
 
 from .. import counters
 from ..automata.trie import DictionaryTrie
+from ..core.kmap import kmap_sfa
 from ..indexing.anchors import anchor_for_query
-from ..indexing.inverted import build_kernel_postings, build_kmap_postings
+from ..indexing.inverted import build_kernel_postings
 from ..indexing.postings import Posting
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
 from ..query.answers import Answer, rank_answers
 from ..query.eval_kernel import KernelBatch, KernelEvaluator, LineResult
-from ..query.eval_strings import match_probability_strings
 from ..query.like import compile_like
 from ..query.memo import KernelMemo, ScanImage, query_fingerprint
 from ..sfa.kernel import compile_kernel, kernel_from_bytes
@@ -115,6 +117,13 @@ DEFAULT_WINDOW = 24
 #: The result of a line the character-pair filter rules out: probability
 #: 0, no DP work; memoized as this one object.
 _PRUNED = LineResult(0.0, 0, 0)
+
+
+def _check_approach(approach: str) -> None:
+    """Where a read enters the engine: an unknown approach is an error
+    on every file, empty or not."""
+    if approach not in APPROACHES:
+        raise ValueError(f"unknown approach {approach!r}")
 
 
 class StaccatoDB:
@@ -225,10 +234,6 @@ class StaccatoDB:
             self.conn, built, sweep_orphans=not self.orphans_swept
         )
         self.orphans_swept = True
-        if self.kernel_memo is not None:
-            # The shard's generation clock: entries computed against the
-            # pre-batch data cannot land after this (put is fenced).
-            self.kernel_memo.invalidate()
         return count
 
     @property
@@ -242,16 +247,6 @@ class StaccatoDB:
         return storage.approach_storage_bytes(self.conn, approach)
 
     # ------------------------------------------------------------------
-    def _strings_probability(self, query, approach: str, data_key: int) -> float:
-        """One line of a string approach (the stored k-MAP strings)."""
-        if approach not in ("map", "kmap"):
-            raise ValueError(f"unknown approach {approach!r}")
-        strings = storage.load_kmap(
-            self.conn, data_key, k=1 if approach == "map" else None
-        )
-        return match_probability_strings(strings, query)
-
-    # ------------------------------------------------------------------
     def _kernel_scan(
         self,
         pattern: str,
@@ -261,7 +256,11 @@ class StaccatoDB:
         keyed: bool = False,
         scan=None,
     ) -> dict[int, float]:
-        """Batched filescan DP over the compiled kernels of ``keys``.
+        """Per-line match probabilities for a filescan over ``keys``: the
+        batched DP over their compiled kernels.  Lines deleted
+        concurrently are absent from the result.  ``query`` is
+        ``pattern`` compiled, or ``None`` to compile it only when a line
+        needs evaluating: a scan the memo answers whole compiles nothing.
 
         With a :class:`~repro.query.memo.KernelMemo` the scan reads the
         table's ``(DataKey, Fingerprint)`` listing first and probes the
@@ -277,9 +276,10 @@ class StaccatoDB:
         decoded and laid out per query.
 
         Either way, a line without a current-version row (old database
-        files) or whose blob the codec rejects is recompiled from its
-        ``SFA1`` blob and evaluated beside the rest (a rejected blob
-        that is the line's only copy fails the scan instead).
+        files; every line under ``map``, which stores none) or whose blob
+        the codec rejects is compiled now (:meth:`_recompile_kernel`) and
+        evaluated beside the rest (a rejected blob that is the line's
+        only copy fails the scan instead).
 
         Before the DP, every pending line is checked against the
         pattern's required character pairs (``KernelBatch.spells``): a
@@ -306,7 +306,6 @@ class StaccatoDB:
             )
             fingerprints = {key: row[0] for key, row in stored.items()}
         query_fp = query_fingerprint(pattern) if memo is not None else None
-        generation = memo.generation if memo is not None else None
         probs: dict[int, float] = {}
         #: (DataKey, fingerprint, kernel if already recompiled)
         pending: list[tuple] = []
@@ -379,7 +378,7 @@ class StaccatoDB:
                 if memo is not None:
                     # Pruned lines share one value: most misses are pruned.
                     value = tuple(result) if ok else _PRUNED
-                    memo.put(fingerprint, query_fp, value, generation)
+                    memo.put(fingerprint, query_fp, value)
         counters.add(
             dp_cells=cells,
             dp_transitions=transitions,
@@ -527,7 +526,7 @@ class StaccatoDB:
     ):
         """The kernel of one ``load_kernel_blobs`` row; a line without a
         row, or with a blob the codec rejects despite its version tag,
-        is recompiled from its ``SFA1`` blob."""
+        is recompiled (:meth:`_recompile_kernel`)."""
         if row is not None:
             try:
                 return kernel_from_bytes(row[1])
@@ -536,49 +535,23 @@ class StaccatoDB:
         return self._recompile_kernel(approach, data_key)
 
     def _recompile_kernel(self, approach: str, data_key: int):
-        """Kernel fallback path: lower the stored ``SFA1`` blob now (the
-        chunk graph; a FullSFA has one only in files of older builds)."""
+        """Kernel fallback path: compile the line's kernel now, from its
+        chunk graph's ``SFA1`` blob, its FullSFA or its k-MAP strings (an
+        older file's copies included) -- for ``map`` the rank-0 string,
+        which is every ``map`` read: it stores no kernel.  ``None`` for
+        a line that is gone."""
+        conn, legacy = self.conn, self.legacy_tables
         try:
             if approach == "staccato":
-                return compile_kernel(storage.load_staccato(self.conn, data_key))
-            return compile_kernel(
-                storage.load_fullsfa(self.conn, data_key, self.legacy_tables)
-            )
+                sfa = storage.load_staccato(conn, data_key)
+            elif approach == "fullsfa":
+                sfa = storage.load_fullsfa(conn, data_key, legacy)
+            else:
+                k = 1 if approach == "map" else None
+                sfa = kmap_sfa(storage.load_kmap(conn, data_key, k))
         except KeyError:
             return None
-
-    def _scan_probabilities(
-        self,
-        pattern: str,
-        query,
-        approach: str,
-        keys: list[int],
-        keyed: bool = False,
-        scan=None,
-    ) -> dict[int, float]:
-        """Per-line match probabilities for a filescan over ``keys``.
-
-        Automaton approaches go through the batched kernel scan; the
-        string approaches (map/kmap) evaluate per line as before.  Lines
-        deleted concurrently are absent from the result.  ``query`` is
-        ``pattern`` compiled, or ``None`` to compile it only when a line
-        needs evaluating: a scan the memo answers whole compiles nothing.
-        """
-        if approach in ("staccato", "fullsfa"):
-            return self._kernel_scan(
-                pattern, query, approach, keys, keyed, scan
-            )
-        if query is None:
-            query = compile_like(pattern)
-        probs: dict[int, float] = {}
-        for data_key in keys:
-            try:
-                probs[data_key] = self._strings_probability(
-                    query, approach, data_key
-                )
-            except KeyError:
-                continue
-        return probs
+        return compile_kernel(sfa)
 
     def _answers(
         self, keys: Iterable[int], probs: dict[int, float]
@@ -616,6 +589,7 @@ class StaccatoDB:
         data_keys: Iterable[int] | None = None,
     ) -> list[Answer]:
         """Filescan query plan: evaluate the predicate on every line."""
+        _check_approach(approach)
         keys = (
             list(data_keys)
             if data_keys is not None
@@ -632,9 +606,7 @@ class StaccatoDB:
             # exact per-request counters; collect() re-folds them into the
             # process aggregate on exit, so /metrics still sees everything.
             with counters.collect() as counts:
-                probs = self._scan_probabilities(
-                    like, None, approach, keys, scan=scan
-                )
+                probs = self._kernel_scan(like, None, approach, keys, scan=scan)
                 answers = self._answers(keys, probs)
                 counters.add(
                     lines_scanned=len(keys), lines_matched=len(answers)
@@ -654,12 +626,11 @@ class StaccatoDB:
         """Construct the dictionary inverted index (paper Section 4).
 
         Always a rebuild: one transaction deletes the old postings,
-        streams the stored representation a line at a time in DataKey
-        order (``staccato``: the ``CompiledKernel`` rows, a line without
-        a current row or with a rejected blob recompiled from ``SFA1``
-        as in the scan; ``kmap``: the stored strings), inserts each
-        line's postings sorted, and records the dictionary, its digest,
-        the approach and the coverage mark.  Returns the number of
+        streams the approach's ``CompiledKernel`` rows a line at a time
+        in DataKey order (a line without a current row or with a
+        rejected blob recompiled as in the scan), inserts each line's
+        postings sorted, and records the dictionary, its digest, the
+        approach and the coverage mark.  Returns the number of
         postings the table now holds.
         """
         if approach not in ("kmap", "staccato"):
@@ -694,14 +665,6 @@ class StaccatoDB:
     def _line_postings(self, approach: str, trie: DictionaryTrie):
         """``(DataKey, term -> postings)`` of every stored line that has
         the approach's representation, in DataKey order."""
-        if approach == "kmap":
-            for data_key in storage.all_data_keys(self.conn):
-                try:
-                    strings = storage.load_kmap(self.conn, data_key)
-                except KeyError:
-                    continue
-                yield data_key, build_kmap_postings(strings, trie)
-            return
         for data_key, blob in storage.iter_kernel_blobs(self.conn, approach):
             kernel = self._decode_kernel(
                 approach, data_key, ("", blob) if blob is not None else None
@@ -845,6 +808,7 @@ class StaccatoDB:
         the projected candidates its scan image shows cannot spell the
         pattern's required character pairs (probability 0).
         """
+        _check_approach(approach)
         if probed is not None and self._index_approach == approach:
             anchor, candidates, uncovered = probed
         else:
@@ -888,7 +852,7 @@ class StaccatoDB:
                     )
                 if scanned:
                     probs.update(
-                        self._scan_probabilities(
+                        self._kernel_scan(
                             like, query, approach, scanned, keyed=True
                         )
                     )

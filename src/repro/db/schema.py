@@ -1,17 +1,15 @@
 """Relational schema for probabilistic OCR storage (paper Appendix G).
 
 Mirrors the paper's Table 5: one master table per dataset plus one
-stored record of a line per approach (``kMAPData`` rows; a
-``CompiledKernel`` row per automaton, the chunk graph's ``SFA1`` blob
+stored record of a line per approach -- a ``CompiledKernel`` row per
+approach (the k-MAP strings are the one-chunk kernel of approach
+``kmap``; MAP reads its rank-0 string), the chunk graph's ``SFA1`` blob
 kept beside its kernel in ``StaccatoGraph`` as the oracles' reference
-copy), and the inverted-index table of Section 5.3 (implemented there as
-"a relational table with a B+-tree on top of it" -- here a SQLite table
-with a B-tree index on the term column).  A ``Documents`` table carries
-the enterprise metadata of the running insurance example
+copy -- and the inverted-index table of Section 5.3 (implemented there
+as "a relational table with a B+-tree on top of it" -- here a SQLite
+table with a B-tree index on the term column).  A ``Documents`` table
+carries the enterprise metadata of the running insurance example
 (``Claims(DocID, Year, Loss, DocData)``).
-
-Probabilities are stored as log-probabilities in FLOAT8 columns, exactly
-as the paper's schema does.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = ["create_schema", "TABLES", "LINE_TABLES", "LEGACY_LINE_TABLES"]
 LINE_TABLES = {
     "MasterData": ("DataKey", "DocName", "DocId", "SFANum"),
     "GroundTruth": ("DataKey", "Data"),
-    "kMAPData": ("DataKey", "Rank", "Data", "LogProb"),
     "StaccatoGraph": ("DataKey", "GraphBlob"),
     "CompiledKernel": (
         "DataKey", "Approach", "Version", "Fingerprint", "KernelBlob",
@@ -37,9 +34,10 @@ LINE_TABLES = {
 TABLES = ["Documents", *LINE_TABLES, "IndexTerms", "IndexMeta"]
 
 #: Per-line tables only files of earlier builds have (a second, ``SFA1``
-#: copy of the FullSFA; a row per chunk string): never created here, read
-#: for a line without a ``fullsfa`` kernel, cleared with a deleted line.
-LEGACY_LINE_TABLES = ("FullSFAData", "StaccatoData")
+#: copy of the FullSFA; the k-MAP strings, a row each with its
+#: log-probability): never created here, read for a line without a
+#: ``fullsfa`` or ``kmap`` kernel, cleared with a deleted line.
+LEGACY_LINE_TABLES = ("FullSFAData", "kMAPData")
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS Documents (
@@ -56,23 +54,15 @@ CREATE TABLE IF NOT EXISTS MasterData (
     SFANum  INTEGER NOT NULL
 );
 
-CREATE TABLE IF NOT EXISTS kMAPData (
-    DataKey INTEGER NOT NULL REFERENCES MasterData(DataKey),
-    Rank    INTEGER NOT NULL,
-    Data    TEXT NOT NULL,
-    LogProb REAL NOT NULL,
-    PRIMARY KEY (DataKey, Rank)
-);
-
 CREATE TABLE IF NOT EXISTS StaccatoGraph (
     DataKey   INTEGER PRIMARY KEY REFERENCES MasterData(DataKey),
     GraphBlob BLOB NOT NULL
 );
 
 -- Compiled evaluation kernels (repro.sfa.kernel), one per line per
--- automaton approach.  Version tags the blob layout; readers ignore
--- rows from other versions and recompile a line that still has an
--- SFA1 blob from it, so old database files keep working.
+-- stored approach (kmap, fullsfa, staccato).  Version tags the blob
+-- layout; readers ignore rows from other versions and recompile a line
+-- from the copy an old file still has, so old files keep working.
 CREATE TABLE IF NOT EXISTS CompiledKernel (
     DataKey     INTEGER NOT NULL REFERENCES MasterData(DataKey),
     Approach    TEXT NOT NULL,

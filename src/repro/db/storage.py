@@ -5,9 +5,10 @@ One line of one document becomes:
 * a row in ``MasterData`` (its DataKey is the dataset-global line id);
 * its ground-truth text in ``GroundTruth`` (the paper built manual ground
   truth; our simulated channel gives it exactly);
-* per approach, its one stored record (paper Table 5): the k-MAP
-  strings; the FullSFA's compiled kernel; the Staccato chunk graph's
-  compiled kernel, beside the graph's ``SFA1`` blob.
+* per approach, its one stored record (paper Table 5), a compiled
+  kernel: the k-MAP strings' one-chunk kernel (MAP reads its rank-0
+  string); the FullSFA's; the Staccato chunk graph's, beside the graph's
+  ``SFA1`` blob.
 
 All inserts are batched with ``executemany`` inside transactions.
 
@@ -30,8 +31,8 @@ from typing import Sequence
 
 from ..automata.trie import DictionaryTrie
 from ..core.approximate import staccato_approximate
-from ..core.kmap import build_kmap
-from ..indexing.inverted import build_kernel_postings, build_kmap_postings
+from ..core.kmap import build_kmap, kmap_sfa
+from ..indexing.inverted import build_kernel_postings
 from ..indexing.postings import Posting
 from ..ocr.corpus import Dataset
 from ..ocr.engine import SimulatedOcrEngine
@@ -130,27 +131,21 @@ def _line_representations(
     line_id, doc_id, line_no, text = line
     sfa = ocr.recognize_line(text, line_seed=(doc_id, line_no))
     rows: dict[str, list[tuple]] = {"CompiledKernel": []}
-    postings = {}
+    kernels = {}
     if "kmap" in approaches or "map" in approaches:
-        doc = build_kmap(sfa, k)
-        rows["kMAPData"] = [
-            (line_id, rank, string, math.log(prob) if prob > 0.0 else -math.inf)
-            for rank, (string, prob) in enumerate(doc.strings)
-        ]
-        if index is not None and index.approach == "kmap":
-            postings = build_kmap_postings(doc.strings, index.trie)
+        kernels["kmap"] = compile_kernel(kmap_sfa(build_kmap(sfa, k).strings))
     if "fullsfa" in approaches:
-        rows["CompiledKernel"].append(
-            kernel_row(line_id, "fullsfa", compile_kernel(sfa))
-        )
+        kernels["fullsfa"] = compile_kernel(sfa)
     if "staccato" in approaches:
         chunked = staccato_approximate(sfa, m=m, k=k)
         rows["StaccatoGraph"] = [(line_id, serialize.to_bytes(chunked))]
-        kernel = compile_kernel(chunked)
-        rows["CompiledKernel"].append(kernel_row(line_id, "staccato", kernel))
-        if index is not None and index.approach == "staccato":
-            # From the kernel in hand: never from a decoded blob.
-            postings = build_kernel_postings(kernel, index.trie)
+        kernels["staccato"] = compile_kernel(chunked)
+    for approach, kernel in kernels.items():
+        rows["CompiledKernel"].append(kernel_row(line_id, approach, kernel))
+    postings = {}
+    if index is not None and index.approach in kernels:
+        # From the kernel in hand: never from a decoded blob.
+        postings = build_kernel_postings(kernels[index.approach], index.trie)
     rows["InvertedIndex"] = posting_rows(line_id, postings)
     return rows
 
@@ -348,8 +343,8 @@ def ingest_dataset(
     insert happens inside a single transaction (atomic per batch), and
     DataKeys are offset past any existing rows so repeated batches append
     rather than collide.  The ``map`` approach is served
-    by the rank-0 rows of ``kMAPData``, so requesting ``"map"`` ensures at
-    least k >= 1 strings are stored.  ``workers`` fans the per-line
+    by the rank-0 string of the ``kmap`` kernel, so requesting ``"map"``
+    stores that kernel.  ``workers`` fans the per-line
     representation building out over a process pool -- construction is
     embarrassingly parallel across SFAs, exactly how the paper ran it on
     Condor (Section 5.2).
@@ -491,16 +486,32 @@ def kernel_listing(
 def load_kmap(
     conn: sqlite3.Connection, data_key: int, k: int | None = None
 ) -> list[tuple[str, float]]:
-    """The ranked k-MAP strings of one line (optionally truncated to k)."""
-    rows = conn.execute(
-        "SELECT Data, LogProb FROM kMAPData WHERE DataKey = ? ORDER BY Rank",
-        (data_key,),
-    ).fetchall()
+    """The ranked k-MAP strings of one line (optionally truncated to k):
+    the steps of its ``kmap`` kernel, in order -- a blob the codec
+    rejects is an ``SfaError``, that kernel is the line's only copy --
+    or, in an older file, its ``kMAPData`` rows, whose probabilities are
+    ``exp`` of the stored log-probabilities."""
+    for _, blob in load_kernel_blobs(conn, "kmap", [data_key]).values():
+        try:
+            kernel = serialize.kernel_from_bytes(blob)
+        except SfaError as exc:
+            raise SfaError(
+                f"unreadable kmap kernel of DataKey {data_key}: {exc}"
+            ) from exc
+        symbols = kernel.symbols
+        return [
+            (symbols[sid], prob)
+            for sid, prob in zip(kernel.step_syms[:k], kernel.step_probs)
+        ]
+    rows = []
+    if "kMAPData" in legacy_tables(conn):
+        rows = conn.execute(
+            "SELECT Data, LogProb FROM kMAPData WHERE DataKey = ? ORDER BY Rank",
+            (data_key,),
+        ).fetchall()
     if not rows:
         raise KeyError(f"no k-MAP strings for DataKey {data_key}")
-    if k is not None:
-        rows = rows[:k]
-    return [(text, math.exp(log_prob)) for text, log_prob in rows]
+    return [(text, math.exp(log_prob)) for text, log_prob in rows[:k]]
 
 
 def load_ground_truth(conn: sqlite3.Connection, data_key: int) -> str:
@@ -513,21 +524,28 @@ def load_ground_truth(conn: sqlite3.Connection, data_key: int) -> str:
     return row[0]
 
 
+#: What an approach's record adds beyond its kernel blobs: the chunk
+#: graph; an older file's copy of a FullSFA or of the k-MAP strings.
+_EXTRA_BYTES = {
+    "staccato": ("StaccatoGraph", "SUM(LENGTH(GraphBlob))"),
+    "fullsfa": ("FullSFAData", "SUM(LENGTH(SFABlob))"),
+    "kmap": ("kMAPData", "SUM(LENGTH(Data) + 16)"),
+}
+
+
 def approach_storage_bytes(conn: sqlite3.Connection, approach: str) -> int:
     """Bytes the file holds for one approach (paper Table 2, Figure 20):
-    the k-MAP rows; the ``fullsfa`` kernel blobs (and an older file's
-    ``SFA1`` copies); the ``staccato`` kernel and chunk-graph blobs."""
+    its kernel blobs, plus the chunk graphs of ``staccato`` and the
+    copies an older file holds (``map`` reads the ``kmap`` record)."""
     if approach not in APPROACHES:
         raise ValueError(f"unknown approach {approach!r}")
-    if approach in ("map", "kmap"):
-        sums = ["SELECT SUM(LENGTH(Data) + 16) FROM kMAPData"]
-    else:
-        sums = [
-            "SELECT SUM(LENGTH(KernelBlob)) FROM CompiledKernel "
-            f"WHERE Approach = '{approach}'"
-        ]
-        if approach == "staccato":
-            sums.append("SELECT SUM(LENGTH(GraphBlob)) FROM StaccatoGraph")
-        elif "FullSFAData" in legacy_tables(conn):
-            sums.append("SELECT SUM(LENGTH(SFABlob)) FROM FullSFAData")
+    if approach == "map":
+        approach = "kmap"
+    sums = [
+        "SELECT SUM(LENGTH(KernelBlob)) FROM CompiledKernel "
+        f"WHERE Approach = '{approach}'"
+    ]
+    table, total = _EXTRA_BYTES[approach]
+    if table in LINE_TABLES or table in legacy_tables(conn):
+        sums.append(f"SELECT {total} FROM {table}")
     return sum(conn.execute(query).fetchone()[0] or 0 for query in sums)

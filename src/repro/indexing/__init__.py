@@ -2,7 +2,7 @@
 
 from .anchors import anchor_for_query, left_anchor_word
 from .direct import direct_posting_count, direct_posting_count_enumerated
-from .inverted import build_kmap_postings, build_sfa_postings
+from .inverted import build_sfa_postings
 from .postings import Posting, PostingIndex
 from .projection import projected_match_probability, projection_nodes
 
@@ -11,7 +11,6 @@ __all__ = [
     "left_anchor_word",
     "direct_posting_count",
     "direct_posting_count_enumerated",
-    "build_kmap_postings",
     "build_sfa_postings",
     "Posting",
     "PostingIndex",

@@ -47,7 +47,6 @@ from .postings import Posting
 __all__ = [
     "build_sfa_postings",
     "build_kernel_postings",
-    "build_kmap_postings",
 ]
 
 #: One edge of the DP's input: ``(u, v, symbol ids in rank order)``.
@@ -222,23 +221,3 @@ def build_sfa_postings(
             edges.append((node, succ, syms))
     return _postings_dp(symbols, edges, trie)
 
-
-def build_kmap_postings(
-    strings: list[tuple[str, float]], trie: DictionaryTrie
-) -> dict[str, set[Posting]]:
-    """Standard text indexing of a k-MAP string list (paper: "indexing
-    k-MAP data is pretty straightforward"): the fresh-run half of the DP.
-
-    Postings use the convention ``u = v = -1`` (there is no graph) with
-    ``rank`` identifying the stored string.
-    """
-    children, term_of = trie.children, trie.term_of
-    lower = not trie.case_sensitive
-    index: dict[str, set[Posting]] = {}
-    for rank, (text, _) in enumerate(strings):
-        hits, _ = _fresh_runs(_normalized(text, lower), children, term_of)
-        for term, start in hits:
-            index.setdefault(term, set()).add(
-                Posting(u=-1, v=-1, rank=rank, offset=start)
-            )
-    return index

@@ -2,7 +2,6 @@
 
 from .answers import Answer, rank_answers
 from .eval_sfa import match_probability, match_probability_exact
-from .eval_strings import match_probability_strings, matching_strings
 from .like import REGEX_PREFIX, compile_like, escape_literal, like_to_pattern
 from .spans import MatchSite, expected_match_count, expected_matches_at
 
@@ -11,8 +10,6 @@ __all__ = [
     "rank_answers",
     "match_probability",
     "match_probability_exact",
-    "match_probability_strings",
-    "matching_strings",
     "REGEX_PREFIX",
     "compile_like",
     "escape_literal",

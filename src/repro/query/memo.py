@@ -5,15 +5,10 @@ query automaton -- is a pure function of ``(kernel content, query)``.
 The memo caches its result keyed on the kernel's content fingerprint
 (:func:`repro.sfa.kernel.kernel_fingerprint`) and the query's pattern
 fingerprint, so repeated probes of hot chunks skip the DP entirely.
-
-Although content-addressed keys can never serve a *wrong* answer, the
-memo still honours the service's write model: :meth:`invalidate` bumps a
-generation clock exactly like :class:`repro.service.cache.QueryCache`,
-and :meth:`put` is generation-fenced so an entry computed against
-pre-ingest data cannot land after the ingest's invalidation.  The engine
-invalidates its memo on every ingest batch; the sharded service gives
-each shard its own memo instance, so the existing per-shard generation
-clocks carry over unchanged.
+Content-addressed keys cannot serve a stale answer, so a write leaves
+the memo alone: after an ingest the lines already stored still hit, and
+only the new lines -- new fingerprints -- miss.  Entries of kernels
+that are gone age out of the LRU.
 
 Hits and misses are reported both through :meth:`stats` (the ``/stats``
 memo block) and the process-wide ``memo_hits``/``memo_misses`` engine
@@ -23,14 +18,14 @@ The memo object is also where a shard keeps its **scan images**
 (:class:`ScanImage`): the query-independent half of a filescan -- every
 stored kernel decoded and laid out for the batched DP, with the
 character pairs each line can spell, which the index plan also reads to
-rule out candidates before fetching them -- one per automaton
+rule out candidates before fetching them -- one per stored
 approach.  It lives here because the memo is already shared by
 exactly the connections that may share it (a pool's readers, the writer,
 the replicas of one shard, a worker process's leg).  An image is
-validated by *content*, never by the generation clock: it is current iff
-the table's ordered ``(DataKey, Fingerprint)`` column equals the listing
-it was built from, which also holds for writes this process never saw (a
-rebalance delete, another process's ingest, a replica's file).
+validated by *content*: it is current iff the table's ordered
+``(DataKey, Fingerprint)`` column equals the listing it was built from,
+which also holds for writes this process never saw (a rebalance delete,
+another process's ingest, a replica's file).
 """
 
 from __future__ import annotations
@@ -100,20 +95,12 @@ class KernelMemo:
         self._data: OrderedDict[
             tuple[str, str], tuple[float, int, int]
         ] = OrderedDict()
-        self._generation = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         self._images: dict[str, ScanImage] = {}
         #: approach -> [builds, hits], kept when the image is not.
         self._image_counts: dict[str, list[int]] = {}
-
-    @property
-    def generation(self) -> int:
-        """Bumped by every invalidation; snapshot before evaluating."""
-        with self._lock:
-            return self._generation
 
     def __len__(self) -> int:
         with self._lock:
@@ -134,30 +121,17 @@ class KernelMemo:
             return value
 
     def put(
-        self,
-        kernel_fp: str,
-        query_fp: str,
-        value: tuple[float, int, int],
-        generation: int | None = None,
+        self, kernel_fp: str, query_fp: str, value: tuple[float, int, int]
     ) -> None:
-        """Store one result; a no-op if an invalidation raced the compute."""
+        """Store one result."""
         if self.capacity <= 0:
             return
         with self._lock:
-            if generation is not None and generation != self._generation:
-                return
             self._data[(kernel_fp, query_fp)] = value
             self._data.move_to_end((kernel_fp, query_fp))
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
-
-    def invalidate(self) -> None:
-        """Drop everything and advance the generation clock (per ingest)."""
-        with self._lock:
-            self._data.clear()
-            self._generation += 1
-            self.invalidations += 1
 
     def scan_image(
         self, approach: str, listing: list[tuple[int, str]]
@@ -216,7 +190,5 @@ class KernelMemo:
                 "misses": self.misses,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "generation": self._generation,
                 "scan_image": scan_image,
             }

@@ -144,9 +144,7 @@ class LocalLeg:
         self._k = k
         self._m = m
         self.write_lock = threading.Lock()
-        # One kernel memo per shard: its generation clock advances with
-        # this shard's writes only, so a busy shard's ingests never cold
-        # the other shards' memos.
+        # One kernel memo per shard, shared by its replicas and pool.
         self.kernel_memo = KernelMemo()
         self.replicas = ReplicaSet(
             index,

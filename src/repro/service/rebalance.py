@@ -16,9 +16,13 @@ lives here:
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
+from ..core.kmap import kmap_sfa
 from ..db import storage
 from ..db.schema import LINE_TABLES
 from ..sfa.kernel import KERNEL_VERSION, compile_kernel
@@ -121,26 +125,43 @@ def _delete_rows(writer) -> None:
     )
 
 
-def _compile_legacy_fullsfa(conn, offset: int) -> None:
-    """A moved line of an older source file with a ``FullSFAData`` blob
-    but no current ``fullsfa`` kernel row gets that kernel in the
-    target: only kernels move, and the line keeps its FullSFA."""
-    blobs = conn.execute(
-        f"SELECT DataKey, SFABlob FROM {_SRC}.FullSFAData WHERE DataKey IN "
-        f"(SELECT DataKey FROM {_SRC}.MasterData WHERE DocId IN "
+def _compile_legacy(conn, offset: int, tables: Sequence[str]) -> None:
+    """A moved line of an older source file (``tables``: its legacy
+    tables) with a copy there of a FullSFA (a ``FullSFAData`` blob) or
+    of the k-MAP strings (``kMAPData`` rows, scored as ``exp`` of their
+    log-probability, as the build that wrote them did) but no current
+    kernel row of that approach gets the kernel in the target, compiled
+    from the copy: only kernels move, and the line keeps its record."""
+    moved = (
+        f"DataKey IN (SELECT DataKey FROM {_SRC}.MasterData WHERE DocId IN "
         f"(SELECT DocId FROM _rebalance_ids)) AND DataKey NOT IN "
         f"(SELECT DataKey FROM {_SRC}.CompiledKernel "
-        f"WHERE Approach = 'fullsfa' AND Version = {KERNEL_VERSION})"
-    ).fetchall()
+        f"WHERE Approach = ? AND Version = {KERNEL_VERSION})"
+    )
+    sfas = []
+    if "FullSFAData" in tables:
+        blobs = conn.execute(
+            f"SELECT DataKey, SFABlob FROM {_SRC}.FullSFAData WHERE {moved}",
+            ("fullsfa",),
+        )
+        sfas += [(key, "fullsfa", from_bytes(blob)) for key, blob in blobs]
+    if "kMAPData" in tables:
+        rows = conn.execute(
+            f"SELECT DataKey, Data, LogProb FROM {_SRC}.kMAPData "
+            f"WHERE {moved} ORDER BY DataKey, Rank",
+            ("kmap",),
+        )
+        sfas += [
+            (key, "kmap", kmap_sfa([(text, math.exp(lp)) for _, text, lp in line]))
+            for key, line in groupby(rows, key=itemgetter(0))
+        ]
     conn.executemany(
         "INSERT OR REPLACE INTO CompiledKernel "
         f"({', '.join(LINE_TABLES['CompiledKernel'])}) VALUES (?, ?, ?, ?, ?)",
-        (
-            storage.kernel_row(
-                key + offset, "fullsfa", compile_kernel(from_bytes(blob))
-            )
-            for key, blob in blobs
-        ),
+        [
+            storage.kernel_row(key + offset, approach, compile_kernel(sfa))
+            for key, approach, sfa in sfas
+        ],
     )
 
 
@@ -230,8 +251,7 @@ def copy_docs(
             for table, statement in _COPY_LINES.items():
                 if table != "InvertedIndex" or indexed:
                     conn.execute(statement, {"offset": offset})
-            if "FullSFAData" in storage.legacy_tables(conn, _SRC):
-                _compile_legacy_fullsfa(conn, offset)
+            _compile_legacy(conn, offset, storage.legacy_tables(conn, _SRC))
             got_docs, got_lines = conn.execute(
                 "SELECT (SELECT COUNT(*) FROM Documents WHERE DocId IN "
                 "(SELECT DocId FROM _rebalance_ids)), "

@@ -210,7 +210,7 @@ class Replica:
         # mode) before any pooled reader connects.  Lockstep writes make
         # all replicas byte-identical, and the kernel memo is
         # content-addressed, so one shard-level memo safely serves every
-        # copy (the writer's ingests bump its generation clock).
+        # copy.
         self.writer = StaccatoDB(
             path, k=k, m=m, check_same_thread=False, kernel_memo=kernel_memo
         )

@@ -1,9 +1,12 @@
-"""Database files as builds before the ``KRN2``-only schema wrote them.
+"""Database files as older builds wrote them.
 
-Until PR 23 a line was also stored as a ``FullSFAData`` row (the
-FullSFA's ``SFA1`` blob) and one ``StaccatoData`` row per chunk string.
-This build creates neither table; it only has to keep opening files
-that have them.  Their DDL lives here and nowhere else.
+Builds before the ``KRN2``-only schema also stored a line as a
+``FullSFAData`` row (the FullSFA's ``SFA1`` blob) and one
+``StaccatoData`` row per chunk string; builds before the one-chunk
+``kmap`` kernel stored its k-MAP strings as ``kMAPData`` rows of
+log-probabilities instead.  This build creates none of these tables; it
+only has to keep opening files that have them.  Their DDL lives here and
+nowhere else.
 """
 
 import math
@@ -26,16 +29,42 @@ CREATE TABLE IF NOT EXISTS StaccatoData (
     LogProb  REAL NOT NULL,
     PRIMARY KEY (DataKey, ChunkNum, Rank)
 );
+
+CREATE TABLE IF NOT EXISTS kMAPData (
+    DataKey INTEGER NOT NULL REFERENCES MasterData(DataKey),
+    Rank    INTEGER NOT NULL,
+    Data    TEXT NOT NULL,
+    LogProb REAL NOT NULL,
+    PRIMARY KEY (DataKey, Rank)
+);
 """
 
 
+def _log(prob: float) -> float:
+    return math.log(prob) if prob > 0.0 else -math.inf
+
+
 def add_legacy_tables(conn: sqlite3.Connection) -> None:
-    """Give a file of this build the two tables, filled as the parent
-    commit's ingest filled them: every line that has a FullSFA gets its
-    ``SFA1`` bytes, every chunk graph its ``(chunk, rank)`` rows."""
+    """Give a file of this build the three tables, filled as older
+    builds' ingest filled them: every line that has a FullSFA gets its
+    ``SFA1`` bytes, every chunk graph its ``(chunk, rank)`` rows, and
+    every line's k-MAP strings become ``(rank, string, log p)`` rows in
+    place of its ``kmap`` kernel, which no file of that age has."""
     with conn:
         conn.executescript(LEGACY_DDL)
         for key in storage.all_data_keys(conn):
+            try:
+                strings = storage.load_kmap(conn, key)
+            except KeyError:
+                pass
+            else:
+                conn.executemany(
+                    "INSERT INTO kMAPData VALUES (?, ?, ?, ?)",
+                    [
+                        (key, rank, string, _log(prob))
+                        for rank, (string, prob) in enumerate(strings)
+                    ],
+                )
             try:
                 blob = serialize.to_bytes(storage.load_fullsfa(conn, key))
             except KeyError:
@@ -49,17 +78,12 @@ def add_legacy_tables(conn: sqlite3.Connection) -> None:
             conn.executemany(
                 "INSERT INTO StaccatoData VALUES (?, ?, ?, ?, ?)",
                 [
-                    (
-                        key,
-                        chunk,
-                        rank,
-                        e.string,
-                        math.log(e.prob) if e.prob > 0.0 else -math.inf,
-                    )
+                    (key, chunk, rank, e.string, _log(e.prob))
                     for chunk, (u, v) in enumerate(sorted(graph.edges))
                     for rank, e in enumerate(graph.emissions(u, v))
                 ],
             )
+        conn.execute("DELETE FROM CompiledKernel WHERE Approach = 'kmap'")
 
 
 def legacy_copy(db, path: str, *damage: str) -> str:

@@ -10,6 +10,7 @@ not an approximation of it.
 """
 
 import hashlib
+import math
 import random
 import struct
 
@@ -325,7 +326,8 @@ class TestProbabilitiesOnlyScoring:
 GOLDEN_FINGERPRINTS_SHA256 = (
     "6593af0c031929220f24135fb5cb750459b066c7474661e7b50ec40e2e59bd11"
 )
-# The golden corpus's kMAPData rows and StaccatoGraph blobs, computed at
+# The golden corpus's k-MAP rows (DataKey, rank, string, log-probability,
+# as the kMAPData table held them) and StaccatoGraph blobs, computed at
 # commit adf83b1: before the probabilities-only scorer, the shared cut
 # rule of repro.sfa.paths and the tuple emissions, all of which these
 # rows pass through.
@@ -354,7 +356,9 @@ def test_golden_stored_kernel_fingerprints():
         assert db.ingest(golden_corpus(), SimulatedOcrEngine(seed=19)) == 9
         digest = hashlib.sha256()
         rows = db.conn.execute(
-            "SELECT Fingerprint FROM CompiledKernel ORDER BY DataKey, Approach"
+            "SELECT Fingerprint FROM CompiledKernel "
+            "WHERE Approach IN ('fullsfa', 'staccato') "
+            "ORDER BY DataKey, Approach"
         ).fetchall()
         assert len(rows) == 18  # a fullsfa and a staccato kernel per line
         for (fingerprint,) in rows:
@@ -369,10 +373,12 @@ def test_golden_stored_rows():
     try:
         assert db.ingest(golden_corpus(), SimulatedOcrEngine(seed=19)) == 9
         digest = hashlib.sha256()
-        kmap = db.conn.execute(
-            "SELECT DataKey, Rank, Data, LogProb FROM kMAPData"
-            " ORDER BY DataKey, Rank"
-        ).fetchall()
+        # The rows the k-MAP table once held, read back from the kernels.
+        kmap = [
+            (key, rank, string, math.log(prob) if prob > 0.0 else -math.inf)
+            for key in storage.all_data_keys(db.conn)
+            for rank, (string, prob) in enumerate(storage.load_kmap(db.conn, key))
+        ]
         assert len(kmap) == 9 * 25
         for data_key, rank, string, log_prob in kmap:
             digest.update(

@@ -11,7 +11,7 @@ from repro.db import engine as engine_module
 from repro.db import storage
 from repro.db.engine import DEFAULT_WINDOW, StaccatoDB
 from repro.db.planner import execute_plan
-from repro.db.schema import LINE_TABLES, TABLES, create_schema
+from repro.db.schema import LEGACY_LINE_TABLES, LINE_TABLES, TABLES, create_schema
 from repro.indexing.projection import projected_match_probability
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
@@ -41,12 +41,14 @@ class TestSchema:
     every table of it is read by ``src/``, and a line costs what the
     ledger says -- so a write-only table fails here, not at a re-anchor."""
 
-    #: One statement under ``src/repro`` that reads each table's payload;
-    #: reviewed when it changes.  A table nothing reads is one to delete.
+    #: One statement under ``src/repro`` that reads each table's payload,
+    #: an older file's tables included; reviewed when it changes.  A table
+    #: nothing reads is one to delete.
     READERS = {
         "Documents": ("db/sql.py", "FROM Documents"),
         "MasterData": ("db/storage.py", "SELECT DocId, SFANum FROM MasterData"),
         "GroundTruth": ("db/engine.py", "SELECT DataKey, Data FROM GroundTruth"),
+        "FullSFAData": ("db/storage.py", "SELECT SFABlob FROM FullSFAData"),
         "kMAPData": ("db/storage.py", "SELECT Data, LogProb FROM kMAPData"),
         "StaccatoGraph": ("db/storage.py", "SELECT GraphBlob FROM StaccatoGraph"),
         "CompiledKernel": (
@@ -77,7 +79,7 @@ class TestSchema:
             assert columns[0] == "DataKey" and sorted(columns) == sorted(declared)
 
     def test_every_table_has_a_reader_under_src(self):
-        assert set(self.READERS) == set(TABLES)
+        assert set(self.READERS) == {*TABLES, *LEGACY_LINE_TABLES}
         root = os.path.dirname(repro.__file__)
         for table, (module, statement) in self.READERS.items():
             assert table in statement
@@ -193,6 +195,16 @@ class TestSearch:
         with pytest.raises(ValueError):
             loaded_db.search("%a%", approach="bogus")
 
+    def test_unknown_approach_on_an_empty_file(self, loaded_db):
+        """Refused where the read enters the engine, on every file: an
+        empty one has no line to fail on, and a loaded one must not be
+        scored under some other approach."""
+        with StaccatoDB(k=8, m=10) as empty:
+            for db in (empty, loaded_db):
+                for plan in (db.search, db.indexed_search):
+                    with pytest.raises(ValueError, match="bogus"):
+                        plan("%a%", approach="bogus")
+
     def test_a_scan_the_memo_answers_compiles_nothing(
         self, tmp_path, monkeypatch
     ):
@@ -305,6 +317,10 @@ class TestInvertedIndexPlan:
 
     def test_kmap_index(self, loaded_db):
         loaded_db.build_index(["public", "law"], approach="kmap")
+        # The postings of the one-chunk kernels: its only edge, (0, 1).
+        assert loaded_db.conn.execute(
+            "SELECT DISTINCT U, V FROM InvertedIndex"
+        ).fetchall() == [(0, 1)]
         pattern = r"REGEX:Public Law (8|9)\d"
         indexed = loaded_db.indexed_search(pattern, approach="kmap")
         scan = loaded_db.search(pattern, approach="kmap")
@@ -419,6 +435,24 @@ class TestStoredKernels:
             with pytest.raises(SfaError):
                 storage.load_fullsfa(db.conn, 3)
             assert scan(db, "staccato") == fresh["staccato"]
+
+    def test_an_unreadable_kmap_kernel_raises_for_kmap_and_map(
+        self, loaded_db, tmp_path
+    ):
+        """The ``kmap`` kernel is a line's only copy of its k-MAP strings,
+        and what MAP reads its rank-0 string from."""
+        path = str(tmp_path / "current.db")
+        clone = sqlite3.connect(path)
+        loaded_db.conn.backup(clone)
+        with clone:
+            clone.execute(self.UNREADABLE, ("kmap",))
+        clone.close()
+        with StaccatoDB(path, k=8, m=10) as db:
+            for approach in ("kmap", "map"):
+                with pytest.raises(SfaError, match="DataKey 3"):
+                    db.search("%the%", approach=approach)
+            with pytest.raises(SfaError):
+                storage.load_kmap(db.conn, 3)
 
     def test_keyed_fetch_returns_only_the_asked_current_rows(self, loaded_db):
         everything = storage.load_kernel_blobs(loaded_db.conn, "staccato")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.automata.trie import DictionaryTrie
 from repro.core.approximate import staccato_approximate
+from repro.core.kmap import kmap_sfa
 from repro.indexing.anchors import anchor_for_query, left_anchor_word
 from repro.indexing.direct import (
     direct_posting_count,
@@ -14,7 +15,6 @@ from repro.indexing.direct import (
 from repro.indexing.inverted import (
     _postings_dp,
     build_kernel_postings,
-    build_kmap_postings,
     build_sfa_postings,
 )
 from repro.indexing.postings import Posting, PostingIndex
@@ -227,11 +227,15 @@ class TestPostingsDpEqualsAlgorithm3:
 
 class TestBuildKmapPostings:
     def test_offsets(self):
+        """k-MAP postings are the one-chunk kernel's: its edge (0, 1),
+        the string's rank, the term's offset in the string."""
         strings = [("public law", 0.6), ("pub1ic law", 0.4)]
-        postings = build_kmap_postings(strings, DictionaryTrie(["law", "public"]))
-        assert {p.rank for p in postings["law"]} == {0, 1}
-        assert {p.offset for p in postings["law"]} == {7}
-        assert len(postings["public"]) == 1  # only rank 0 spells it
+        kernel = compile_kernel(kmap_sfa(strings))
+        postings = build_kernel_postings(kernel, DictionaryTrie(["law", "public"]))
+        assert postings == {
+            "law": {Posting(0, 1, 0, 7), Posting(0, 1, 1, 7)},
+            "public": {Posting(0, 1, 0, 0)},  # only rank 0 spells it
+        }
 
 
 class TestPostingIndex:

@@ -621,7 +621,8 @@ class TestRebalance:
 
     @staticmethod
     def _kernel_orphans(leg):
-        """(kernel rows without a line, lines without both kernel rows)."""
+        """(kernel rows without a line, lines without all three kernel
+        rows: ``kmap``, ``fullsfa``, ``staccato``)."""
         conn = leg.writer.conn
         return (
             conn.execute(
@@ -630,7 +631,7 @@ class TestRebalance:
             ).fetchone()[0],
             conn.execute(
                 "SELECT COUNT(*) FROM MasterData m WHERE (SELECT COUNT(*) "
-                "FROM CompiledKernel c WHERE c.DataKey = m.DataKey) != 2"
+                "FROM CompiledKernel c WHERE c.DataKey = m.DataKey) != 3"
             ).fetchone()[0],
         )
 
@@ -694,7 +695,7 @@ class TestRebalance:
         service = ShardedQueryService(shard_dir, 2, **options)
         try:
             leg = service.pool.shard(0)
-            assert self._kernel_orphans(leg) == (4, 0)
+            assert self._kernel_orphans(leg) == (6, 0)
             # A different document lands on the freed keys.
             assert service.ingest(_batch([1]))["ingested_lines"] == 2
             assert self._kernel_orphans(leg) == (0, 0)

@@ -150,28 +150,28 @@ class TestMemoCounters:
             assert counts.get("dp_transitions", 0) == 0
             db.close()
 
-    def test_ingest_invalidates(self):
-        """A write advances the generation clock and empties the memo."""
-        memo = KernelMemo()
-        db = StaccatoDB(k=8, m=10, kernel_memo=memo)
-        _ingest(db)
-        _scan(db, "staccato")
-        generation = memo.generation
-        assert memo.stats()["size"] > 0
-        db.ingest(make_ca(num_docs=1, lines_per_doc=1, seed=7))
-        assert memo.generation == generation + 1
-        assert memo.stats()["size"] == 0
-        # The next scan recomputes (and re-fills) rather than serving
-        # entries computed against the pre-ingest snapshot.
-        _, counts = _scan(db, "staccato")
-        assert counts["memo_misses"] == db.num_lines
-        db.close()
+    def test_an_ingest_leaves_the_old_lines_memoized(self, tmp_path):
+        """Keys are content fingerprints, so a write drops nothing: after
+        an ingest the old lines hit, only the new lines miss, and the
+        answers are a fresh handle's."""
+        path = str(tmp_path / "memo.db")
+        with StaccatoDB(path, k=8, m=10, kernel_memo=KernelMemo()) as db:
+            _ingest(db)
+            old = db.num_lines
+            _scan(db, "staccato")
+            db.ingest(make_ca(num_docs=1, lines_per_doc=2, seed=7))
+            answers, counts = _scan(db, "staccato")
+            assert counts["memo_hits"] == old
+            assert counts["memo_misses"] == db.num_lines - old == 2
+        with StaccatoDB(path, k=8, m=10) as fresh:
+            assert _scan(fresh, "staccato")[0] == answers
 
     def test_service_stats_expose_memo_block(self, tmp_path):
         service = QueryService(str(tmp_path / "ca.db"), k=K, m=M, pool_size=2)
         try:
             block = service.stats()["shards"][0]["kernel_memo"]
-            assert {"size", "hits", "misses", "generation"} <= set(block)
+            assert {"size", "hits", "misses", "scan_image"} <= set(block)
+            assert not {"generation", "invalidations"} & set(block)
         finally:
             service.close()
 

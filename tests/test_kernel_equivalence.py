@@ -14,11 +14,12 @@ lockstep batch's transition table against ``step_string``.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import counters
 from repro.automata.dfa import DEAD, dfa_for_pattern
+from repro.core.kmap import build_kmap, kmap_sfa
 from repro.query.eval_kernel import (
     HAVE_NUMPY,
     KernelBatch,
@@ -28,6 +29,8 @@ from repro.query.eval_kernel import (
 from repro.indexing.postings import Posting
 from repro.indexing.projection import projected_match_probability
 from repro.query.eval_sfa import match_probability, match_probability_exact
+from repro.query.eval_strings import match_probability_strings
+from repro.query.like import compile_like
 from repro.sfa import serialize
 from repro.sfa.kernel import compile_kernel, kernel_from_bytes, kernel_to_bytes
 from repro.sfa.ops import forward_mass, topological_order
@@ -286,3 +289,113 @@ class TestTransitionTable:
             assert table[row].tolist() == [
                 dead_id if nxt == DEAD else nxt for nxt in expected
             ] + [dead_id]
+
+
+# ----------------------------------------------------------------------
+# k-MAP is Staccato at m = 1: the one-chunk kernel scores strings.
+# ----------------------------------------------------------------------
+@st.composite
+def kmap_queries(draw):
+    """A line's k-MAP strings and a LIKE or REGEX pattern over them: a
+    left-anchored LIKE (a prefix of a stored string, with ``%``/``_``
+    wildcards, or the whole string), a match-anywhere LIKE on one of its
+    substrings, or a random REGEX.  The strings are a line SFA's, or a
+    ranked list of short ones over two letters, whose prefixes of one
+    another make anchored patterns accept strings of several lengths."""
+    if draw(st.booleans()):
+        sfa = draw(st.one_of(ocr_sfas(), any_sfas))
+        strings = build_kmap(sfa, draw(st.integers(1, 30))).strings
+    else:
+        weights = draw(
+            st.dictionaries(
+                st.text("ab", min_size=1, max_size=5),
+                st.floats(0.01, 1.0),
+                min_size=1,
+                max_size=25,
+            )
+        )
+        total = sum(weights.values())
+        strings = sorted(
+            ((text, weight / total) for text, weight in weights.items()),
+            key=lambda item: (-item[1], item[0]),
+        )
+    text = draw(st.sampled_from([string for string, _ in strings]))
+    lo = draw(st.integers(0, len(text)))
+    hi = draw(st.integers(lo, len(text)))
+    # A data % or _ is matched by _.
+    literal = "".join("_" if ch in "%_" else ch for ch in text)
+    wildcard = draw(st.sampled_from(["%", "_%", "%%", "%_", ""]))
+    pattern = draw(
+        st.sampled_from(
+            [
+                literal[:hi] + wildcard,
+                "%" + literal[lo:hi] + "%",
+                "REGEX:" + draw(regex_patterns()),
+            ]
+        )
+    )
+    return strings, pattern
+
+
+def per_state_sum(strings, query) -> float:
+    """The kernel DP's sum, stated over the strings: each accepted
+    string's probability added, in rank order, into the DFA state it
+    ends in, then those states summed in the order they were reached."""
+    cells: dict[int, float] = {}
+    for text, prob in strings:
+        if query.accepts(text):
+            state = query.step_string(query.start, text)
+            cells[state] = cells.get(state, 0.0) + prob
+    return sum(cells.values())
+
+
+class TestOneChunkKmapKernel:
+    """The engine stores a line's k-MAP strings as the kernel of
+    ``kmap_sfa`` and scores ``map``/``kmap`` with the kernel DP.  That
+    is :func:`match_probability_strings` over the same strings, bit for
+    bit, on the python replay and the numpy lockstep: the probabilities
+    are the stored ones and are summed in rank order.  The one exception
+    is a whole-string (anchored) LIKE whose accepted strings end in
+    different DFA states -- ``'ab%'`` accepting both ``ab`` and ``abc``:
+    the DP sums per end state first (:func:`per_state_sum`), a few ulps
+    from the rank-order sum."""
+
+    @given(kmap_queries())
+    # One ulp apart: "ab" and "abb" end in one state, "a" in another.
+    @example(([("ab", 0.4999999999999999), ("a", 1 / 3), ("abb", 1 / 6)], "a%"))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_string_scoring(self, case):
+        strings, pattern = case
+        query = compile_like(pattern)
+        kernel = kernel_from_bytes(
+            kernel_to_bytes(compile_kernel(kmap_sfa(strings)))
+        )
+        results = [KernelEvaluator(query).evaluate(kernel)]
+        if HAVE_NUMPY:
+            results += KernelEvaluator(query).evaluate_batch(
+                KernelBatch([kernel]), use_numpy=True
+            )
+        expected = per_state_sum(strings, query)
+        ends = {
+            query.step_string(query.start, text)
+            for text, _ in strings
+            if query.accepts(text)
+        }
+        if query.match_anywhere or len(ends) <= 1:
+            assert expected == match_probability_strings(strings, query)
+        for result in results:
+            assert result.probability == expected
+
+    @given(st.one_of(ocr_sfas(), any_sfas), st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_the_kernel_holds_the_strings(self, sfa, k):
+        """Rank order and the probabilities themselves, not a round
+        trip through logarithms."""
+        strings = build_kmap(sfa, k).strings
+        kernel = kernel_from_bytes(
+            kernel_to_bytes(compile_kernel(kmap_sfa(strings)))
+        )
+        assert [
+            (kernel.symbols[sid], prob)
+            for sid, prob in zip(kernel.step_syms, kernel.step_probs)
+        ] == list(strings)

@@ -1,13 +1,18 @@
-"""A file the parent commit wrote keeps working, row for row untouched.
+"""A file an older build wrote keeps working, row for row untouched.
 
-The parent stored every line two or three times (``tests/legacy.py``
-holds the two tables this build dropped); files of that age may also
-lack kernel rows.  Each test holds such a file to a current-format file
-of the same corpus: answers, probabilities and ``counters.*`` on every
-plan and approach, ``load_fullsfa`` bytes, the index ``build_index``
-writes, a rebalance move out of it and the reuse of the keys it freed.
+Older builds stored every line two or three times (``tests/legacy.py``
+holds the tables this build dropped) and kept the k-MAP strings as
+``kMAPData`` rows instead of a ``kmap`` kernel; files of that age may
+also lack kernel rows.  Each test holds such a file to a current-format
+file of the same corpus: answers, probabilities and ``counters.*`` on
+every plan and approach, ``load_fullsfa`` bytes, the index
+``build_index`` writes, a rebalance move out of it and the reuse of the
+keys it freed.  ``map`` and ``kmap`` answer from ``kMAPData`` as those
+builds did, scoring ``exp`` of each stored log-probability, so their
+probabilities are held to that scoring, not to the current file's.
 """
 
+import math
 import os
 import sqlite3
 
@@ -21,6 +26,8 @@ from repro.db.schema import LEGACY_LINE_TABLES
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
+from repro.query.eval_strings import match_probability_strings
+from repro.query.like import compile_like
 from repro.service.shards import ShardedQueryService
 from repro.sfa import serialize
 from repro.sfa.kernel import KERNEL_VERSION
@@ -55,20 +62,47 @@ def paths(tmp_path_factory):
     return current, legacy
 
 
+#: The approaches an older file answers from its ``kMAPData`` rows.
+STRINGS = ("map", "kmap")
+
+
 def relation(db: StaccatoDB):
-    """Every plan on every approach, with the work it took."""
+    """Every plan on every approach, ``{(pattern, plan, approach):
+    answers}``, with the work it took."""
     assert db.load_index()
+    answers = {}
     with counters.collect() as counts:
-        answers = [
-            (
-                [db.search(pattern, approach=a, num_ans=None) for a in APPROACHES],
-                db.indexed_search(pattern),
-                db.indexed_search(pattern, use_projection=False),
-                [execute_plan(db, pattern, approach=a)[1] for a in APPROACHES],
+        for pattern in PATTERNS:
+            for a in APPROACHES:
+                answers[pattern, "scan", a] = db.search(
+                    pattern, approach=a, num_ans=None
+                )
+                answers[pattern, "auto", a] = execute_plan(db, pattern, approach=a)[1]
+            answers[pattern, "indexed", "staccato"] = db.indexed_search(pattern)
+            answers[pattern, "unprojected", "staccato"] = db.indexed_search(
+                pattern, use_projection=False
             )
-            for pattern in PATTERNS
-        ]
     return answers, dict(counts)
+
+
+def parent_scores(conn, pattern: str, approach: str) -> dict:
+    """``{DataKey: probability}`` as builds that kept ``kMAPData``
+    scored ``approach``: the line's accepted strings (the rank-0 one
+    alone for ``map``), ``exp`` of each log-probability, summed in rank
+    order."""
+    query = compile_like(pattern)
+    rows = conn.execute(
+        "SELECT DataKey, Data, LogProb FROM kMAPData ORDER BY DataKey, Rank"
+    ).fetchall()
+    lines: dict[int, list] = {}
+    for key, text, log_prob in rows:
+        lines.setdefault(key, []).append((text, math.exp(log_prob)))
+    k = 1 if approach == "map" else None
+    scores = {
+        key: match_probability_strings(strings[:k], query)
+        for key, strings in lines.items()
+    }
+    return {key: prob for key, prob in scores.items() if prob > 0.0}
 
 
 def legacy_rows(path: str) -> list:
@@ -88,7 +122,18 @@ def test_answers_counters_and_fullsfa_bytes_equal_a_current_file(paths):
     with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(legacy, k=K, m=M) as old:
         assert new.legacy_tables == ()
         assert old.legacy_tables == LEGACY_LINE_TABLES
-        assert relation(old) == relation(new)
+        (old_answers, old_counts), (new_answers, counts) = relation(old), relation(new)
+        assert old_counts == counts
+        assert old_answers.keys() == new_answers.keys()
+        for (pattern, plan, approach), answers in new_answers.items():
+            got = old_answers[pattern, plan, approach]
+            if approach not in STRINGS:
+                assert got == answers
+                continue
+            assert [a.line_id for a in got] == [a.line_id for a in answers]
+            assert {a.line_id: a.probability for a in got} == parent_scores(
+                old.conn, pattern, approach
+            )
         for key in storage.all_data_keys(new.conn):
             assert serialize.to_bytes(
                 storage.load_fullsfa(old.conn, key)
@@ -143,24 +188,38 @@ def _cluster(shard_dir: str) -> ShardedQueryService:
     return ShardedQueryService(shard_dir, 2, k=4, m=6, pool_size=2, range_width=2)
 
 
+SEARCHED = ("%Congress%", "%fresh%", "%line 1-%")
+
+
 def _searches(service) -> tuple[list, dict]:
+    """Every pattern, approach and plan: its answers, and the work it
+    took.  ``map``/``kmap`` probabilities are left out: on an older file
+    they are the scoring of :func:`parent_scores`, checked by
+    :func:`test_kmap_and_map_answer_as_older_builds_did_across_a_move`."""
     with counters.collect() as counts:
         replies = [
-            service.search(
-                {
-                    "pattern": pattern,
-                    "approach": approach,
-                    "plan": plan,
-                    "num_ans": 50,
-                }
+            (
+                approach,
+                service.search(
+                    {
+                        "pattern": pattern,
+                        "approach": approach,
+                        "plan": plan,
+                        "num_ans": 50,
+                    }
+                ),
             )
-            for pattern in ("%Congress%", "%fresh%", "%line 1-%")
+            for pattern in SEARCHED
             for approach in APPROACHES
             for plan in ("filescan", "auto")
         ]
     answers = [
-        [(a["doc_id"], a["line_no"], a["shard"], a["probability"]) for a in r["answers"]]
-        for r in replies
+        [
+            (a["doc_id"], a["line_no"], a["shard"])
+            + (() if approach in STRINGS else (a["probability"],))
+            for a in reply["answers"]
+        ]
+        for approach, reply in replies
     ]
     return answers, dict(counts)
 
@@ -223,3 +282,59 @@ def test_a_move_out_and_a_key_reuse_equal_a_current_file(tmp_path):
     assert _move_then_reuse(str(tmp_path / "legacy"), True) == _move_then_reuse(
         str(tmp_path / "current"), False
     )
+
+
+def test_kmap_and_map_answer_as_older_builds_did_across_a_move(tmp_path):
+    """An older shard file's lines answer ``map`` and ``kmap`` as
+    :func:`parent_scores` says, and keep doing so once a move has given
+    them ``kmap`` kernels at the target, compiled from ``kMAPData``."""
+    shard_dir = str(tmp_path / "legacy")
+    service = _cluster(shard_dir)
+    service.ingest(_docs([0, 1, 2]))
+    service.close()
+    for index in (0, 1):
+        _age_shard(shard_dir, index)
+    expected = {}
+    for index in (0, 1):
+        conn = sqlite3.connect(shard_path(shard_dir, index))
+        try:
+            where = {
+                key: (doc_id, line_no)
+                for key, doc_id, line_no in conn.execute(
+                    "SELECT DataKey, DocId, SFANum FROM MasterData"
+                )
+            }
+            for pattern in SEARCHED:
+                for approach in STRINGS:
+                    scores = parent_scores(conn, pattern, approach)
+                    expected.setdefault((pattern, approach), {}).update(
+                        {where[key]: prob for key, prob in scores.items()}
+                    )
+        finally:
+            conn.close()
+    assert any(expected.values())
+
+    def answered():
+        return {
+            (pattern, approach): {
+                (a["doc_id"], a["line_no"]): a["probability"]
+                for a in service.search(
+                    {"pattern": pattern, "approach": approach, "num_ans": 50}
+                )["answers"]
+            }
+            for pattern, approach in expected
+        }
+
+    service = _cluster(shard_dir)
+    try:
+        assert service.pool.shard(0).writer.legacy_tables == LEGACY_LINE_TABLES
+        assert answered() == expected
+        assert service.jobs_submit(MOVE)["state"] == "succeeded"
+        target = service.pool.shard(1).writer
+        # Doc 1's lines moved with a kmap kernel each, built from kMAPData.
+        assert target.conn.execute(
+            "SELECT COUNT(*) FROM CompiledKernel WHERE Approach = 'kmap'"
+        ).fetchone() == (3,)
+        assert answered() == expected
+    finally:
+        service.close()

@@ -561,7 +561,12 @@ class TestObservability:
             none = self.scan_span(plain, PATTERNS[1])
             assert none.attrs["image"] == "none"
             assert none.attrs["image_lines"] == 0
-            assert self.scan_span(held, "%a%", approach="kmap").attrs[
+            # k-MAP strings are a stored kernel too, with their own
+            # image; MAP, compiled per query from them, has none.
+            kmap = self.scan_span(held, "%a%", approach="kmap")
+            assert kmap.attrs["image"] == "built"
+            assert kmap.attrs["image_lines"] == 12
+            assert self.scan_span(held, "%a%", approach="map").attrs[
                 "image"
             ] == "none"
 

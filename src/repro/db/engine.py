@@ -10,9 +10,9 @@ regex queries against any of the storage approaches:
 * ``"staccato"`` -- the chunked approximation (the contribution).
 
 Every approach is evaluated as a compiled kernel: a line stores one per
-approach (``map`` is compiled per query from the rank-0 string of the
-``kmap`` kernel, so it has no copy of its own).  ``search`` is the
-filescan plan (read every line's kernel); ``indexed_search`` is the
+approach (``map`` derives its kernel from the rank-0 string of the
+``kmap`` one as it reads it, so it has no copy of its own).  ``search``
+is the filescan plan (read every line's kernel); ``indexed_search`` is the
 index plan of Section 4 (anchor lookup in the inverted index, then
 evaluate only candidate lines, optionally on the projected window).
 Both return the ranked probabilistic relation of
@@ -47,7 +47,7 @@ from ..query.answers import Answer, rank_answers
 from ..query.eval_kernel import KernelBatch, KernelEvaluator, LineResult
 from ..query.like import compile_like
 from ..query.memo import KernelMemo, ScanImage, query_fingerprint
-from ..sfa.kernel import compile_kernel, kernel_from_bytes
+from ..sfa.kernel import compile_kernel
 from ..sfa.model import SfaError
 from . import storage
 from .schema import create_schema
@@ -276,10 +276,13 @@ class StaccatoDB:
         decoded and laid out per query.
 
         Either way, a line without a current-version row (old database
-        files; every line under ``map``, which stores none) or whose blob
-        the codec rejects is compiled now (:meth:`_recompile_kernel`) and
-        evaluated beside the rest (a rejected blob that is the line's
-        only copy fails the scan instead).
+        files) or whose blob the codec rejects is compiled now
+        (:meth:`_recompile_kernel`) and evaluated beside the rest (a
+        rejected blob that is the line's only copy fails the scan
+        instead).  ``map`` reads the ``kmap`` rows and derives each
+        line's rank-0 kernel as it decodes them
+        (``storage.decode_kernel``), so its image and memo entries are
+        its own.
 
         Before the DP, every pending line is checked against the
         pattern's required character pairs (``KernelBatch.spells``): a
@@ -420,7 +423,7 @@ class StaccatoDB:
             for data_key, fingerprint in listing:
                 blob = stored[data_key][1]
                 try:
-                    kernel = kernel_from_bytes(blob)
+                    kernel = storage.decode_kernel(approach, blob)
                 except SfaError:
                     continue  # each scan recompiles this line from SFA1
                 lines[data_key] = len(kernels)
@@ -529,7 +532,7 @@ class StaccatoDB:
         is recompiled (:meth:`_recompile_kernel`)."""
         if row is not None:
             try:
-                return kernel_from_bytes(row[1])
+                return storage.decode_kernel(approach, row[1])
             except SfaError:
                 pass
         return self._recompile_kernel(approach, data_key)
@@ -537,9 +540,8 @@ class StaccatoDB:
     def _recompile_kernel(self, approach: str, data_key: int):
         """Kernel fallback path: compile the line's kernel now, from its
         chunk graph's ``SFA1`` blob, its FullSFA or its k-MAP strings (an
-        older file's copies included) -- for ``map`` the rank-0 string,
-        which is every ``map`` read: it stores no kernel.  ``None`` for
-        a line that is gone."""
+        older file's copies included; ``map``: the rank-0 string).
+        ``None`` for a line that is gone."""
         conn, legacy = self.conn, self.legacy_tables
         try:
             if approach == "staccato":
@@ -548,7 +550,7 @@ class StaccatoDB:
                 sfa = storage.load_fullsfa(conn, data_key, legacy)
             else:
                 k = 1 if approach == "map" else None
-                sfa = kmap_sfa(storage.load_kmap(conn, data_key, k))
+                sfa = kmap_sfa(storage.load_kmap(conn, data_key, k, legacy))
         except KeyError:
             return None
         return compile_kernel(sfa)

@@ -34,10 +34,11 @@ LINE_TABLES = {
 TABLES = ["Documents", *LINE_TABLES, "IndexTerms", "IndexMeta"]
 
 #: Per-line tables only files of earlier builds have (a second, ``SFA1``
-#: copy of the FullSFA; the k-MAP strings, a row each with its
-#: log-probability): never created here, read for a line without a
-#: ``fullsfa`` or ``kmap`` kernel, cleared with a deleted line.
-LEGACY_LINE_TABLES = ("FullSFAData", "kMAPData")
+#: copy of the FullSFA; a row per chunk string; the k-MAP strings, a row
+#: each with its log-probability): never created here, cleared with a
+#: deleted line, and -- all but ``StaccatoData``, which the chunk graph
+#: replaced -- read for a line without a ``fullsfa`` or ``kmap`` kernel.
+LEGACY_LINE_TABLES = ("FullSFAData", "StaccatoData", "kMAPData")
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS Documents (

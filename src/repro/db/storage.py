@@ -60,6 +60,7 @@ __all__ = [
     "load_kmap",
     "load_staccato",
     "load_kernel_blobs",
+    "decode_kernel",
     "iter_kernel_blobs",
     "kernel_listing",
     "drop_orphan_kernels",
@@ -75,6 +76,12 @@ __all__ = [
 ]
 
 APPROACHES = ("map", "kmap", "fullsfa", "staccato")
+
+#: ``map`` stores no kernel: it reads the ``kmap`` rows, and lists each
+#: line's derived rank-0 kernel (:func:`decode_kernel`) under the
+#: ``kmap`` fingerprint with this prefix -- the derived kernel is a
+#: function of that row, and the prefix keeps its memo entries apart.
+MAP_FINGERPRINT_PREFIX = "map:"
 
 #: Insert statement per per-line table, in write order.
 _INSERTS = {
@@ -437,24 +444,37 @@ def load_kernel_blobs(
     Rows from other versions -- or lines that predate the kernel table
     entirely -- are simply absent; the read path recompiles those lines
     from their ``SFA1`` blobs, so old database files stay queryable.
+    ``map`` gets the ``kmap`` rows (see :data:`MAP_FINGERPRINT_PREFIX`).
     """
     select = (
         "SELECT DataKey, Fingerprint, KernelBlob FROM CompiledKernel "
         "WHERE Approach = ? AND Version = ?"
     )
+    tag = MAP_FINGERPRINT_PREFIX if approach == "map" else ""
+    stored_as = "kmap" if approach == "map" else approach
     if keys is None:
-        rows = conn.execute(select, (approach, KERNEL_VERSION))
-        return {key: (fingerprint, blob) for key, fingerprint, blob in rows}
+        rows = conn.execute(select, (stored_as, KERNEL_VERSION))
+        return {key: (tag + fingerprint, blob) for key, fingerprint, blob in rows}
     stored: dict[int, tuple[str, bytes]] = {}
     for at in range(0, len(keys), _KEYS_PER_FETCH):
         part = keys[at : at + _KEYS_PER_FETCH]
         rows = conn.execute(
             f"{select} AND DataKey IN ({','.join('?' * len(part))})",
-            (approach, KERNEL_VERSION, *part),
+            (stored_as, KERNEL_VERSION, *part),
         )
         for key, fingerprint, blob in rows:
-            stored[key] = (fingerprint, blob)
+            stored[key] = (tag + fingerprint, blob)
     return stored
+
+
+def decode_kernel(approach: str, blob: bytes) -> CompiledKernel:
+    """The kernel of a :func:`load_kernel_blobs` row of ``approach``;
+    for ``map``, the rank-0 string of the ``kmap`` kernel, compiled as a
+    one-chunk kernel of its own."""
+    kernel = serialize.kernel_from_bytes(blob)
+    if approach == "map":
+        kernel = compile_kernel(kmap_sfa(_kmap_strings(kernel, 1)))
+    return kernel
 
 
 def iter_kernel_blobs(conn: sqlite3.Connection, approach: str):
@@ -476,21 +496,39 @@ def kernel_listing(
     would return for ``approach``, in DataKey order, without touching a
     blob: what a filescan reads first, and what a scan image is
     validated against."""
-    return conn.execute(
+    rows = conn.execute(
         "SELECT DataKey, Fingerprint FROM CompiledKernel "
         "WHERE Approach = ? AND Version = ? ORDER BY DataKey",
-        (approach, KERNEL_VERSION),
+        ("kmap" if approach == "map" else approach, KERNEL_VERSION),
     ).fetchall()
+    if approach == "map":
+        rows = [(key, MAP_FINGERPRINT_PREFIX + fp) for key, fp in rows]
+    return rows
+
+
+def _kmap_strings(
+    kernel: CompiledKernel, k: int | None = None
+) -> list[tuple[str, float]]:
+    """The ranked strings of a ``kmap`` kernel (optionally the first k):
+    its steps, in order."""
+    symbols = kernel.symbols
+    return [
+        (symbols[sid], prob)
+        for sid, prob in zip(kernel.step_syms[:k], kernel.step_probs)
+    ]
 
 
 def load_kmap(
-    conn: sqlite3.Connection, data_key: int, k: int | None = None
+    conn: sqlite3.Connection,
+    data_key: int,
+    k: int | None = None,
+    legacy: Sequence[str] | None = None,
 ) -> list[tuple[str, float]]:
     """The ranked k-MAP strings of one line (optionally truncated to k):
-    the steps of its ``kmap`` kernel, in order -- a blob the codec
-    rejects is an ``SfaError``, that kernel is the line's only copy --
-    or, in an older file, its ``kMAPData`` rows, whose probabilities are
-    ``exp`` of the stored log-probabilities."""
+    those of its ``kmap`` kernel -- a blob the codec rejects is an
+    ``SfaError``, that kernel is the line's only copy -- or, in an older
+    file, its ``kMAPData`` rows, whose probabilities are ``exp`` of the
+    stored log-probabilities (``legacy``: as in :func:`load_fullsfa`)."""
     for _, blob in load_kernel_blobs(conn, "kmap", [data_key]).values():
         try:
             kernel = serialize.kernel_from_bytes(blob)
@@ -498,13 +536,9 @@ def load_kmap(
             raise SfaError(
                 f"unreadable kmap kernel of DataKey {data_key}: {exc}"
             ) from exc
-        symbols = kernel.symbols
-        return [
-            (symbols[sid], prob)
-            for sid, prob in zip(kernel.step_syms[:k], kernel.step_probs)
-        ]
+        return _kmap_strings(kernel, k)
     rows = []
-    if "kMAPData" in legacy_tables(conn):
+    if "kMAPData" in (legacy_tables(conn) if legacy is None else legacy):
         rows = conn.execute(
             "SELECT Data, LogProb FROM kMAPData WHERE DataKey = ? ORDER BY Rank",
             (data_key,),

@@ -18,8 +18,8 @@ The memo object is also where a shard keeps its **scan images**
 (:class:`ScanImage`): the query-independent half of a filescan -- every
 stored kernel decoded and laid out for the batched DP, with the
 character pairs each line can spell, which the index plan also reads to
-rule out candidates before fetching them -- one per stored
-approach.  It lives here because the memo is already shared by
+rule out candidates before fetching them -- one per approach
+scanned.  It lives here because the memo is already shared by
 exactly the connections that may share it (a pool's readers, the writer,
 the replicas of one shard, a worker process's leg).  An image is
 validated by *content*: it is current iff the table's ordered

@@ -78,8 +78,16 @@ class TestSchema:
             declared = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
             assert columns[0] == "DataKey" and sorted(columns) == sorted(declared)
 
+    #: Older files' tables nothing reads any more: a deleted or moved
+    #: line's rows are still cleared (every legacy table is, by
+    #: ``rebalance._delete_rows``), so an older build reading the same
+    #: file never answers a new line on a freed DataKey from them.
+    CLEARED_ONLY = {"StaccatoData"}
+
     def test_every_table_has_a_reader_under_src(self):
-        assert set(self.READERS) == {*TABLES, *LEGACY_LINE_TABLES}
+        assert self.CLEARED_ONLY <= set(LEGACY_LINE_TABLES)
+        assert not self.CLEARED_ONLY & set(self.READERS)
+        assert {*self.READERS, *self.CLEARED_ONLY} == {*TABLES, *LEGACY_LINE_TABLES}
         root = os.path.dirname(repro.__file__)
         for table, (module, statement) in self.READERS.items():
             assert table in statement

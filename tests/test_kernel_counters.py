@@ -109,6 +109,23 @@ class TestMemoCounters:
         assert warm_counts["lines_matched"] == cold_counts["lines_matched"]
         db.close()
 
+    def test_map_keeps_memo_entries_of_its_own(self):
+        """``map`` reads the ``kmap`` rows but memoizes the rank-0
+        kernels it derives under keys of its own: a ``kmap`` scan fills
+        nothing a ``map`` scan of the same pattern reads, and a warm
+        ``map`` scan is all hits with a memo-less handle's answers."""
+        db = StaccatoDB(k=8, m=10, kernel_memo=KernelMemo())
+        _ingest(db)
+        _scan(db, "kmap")
+        cold, cold_counts = _scan(db, "map")
+        warm, warm_counts = _scan(db, "map")
+        assert cold_counts["memo_misses"] == db.num_lines
+        assert warm_counts["memo_hits"] == db.num_lines
+        assert warm_counts.get("dp_cells", 0) == 0
+        db.kernel_memo = None
+        assert _scan(db, "map")[0] == cold == warm
+        db.close()
+
     def test_pruned_plus_evaluated_lines_are_the_misses(self, monkeypatch):
         """Every memo miss is either ruled out by the pair filter or
         evaluated by the DP, never both; both are memoized."""

@@ -562,13 +562,14 @@ class TestObservability:
             assert none.attrs["image"] == "none"
             assert none.attrs["image_lines"] == 0
             # k-MAP strings are a stored kernel too, with their own
-            # image; MAP, compiled per query from them, has none.
-            kmap = self.scan_span(held, "%a%", approach="kmap")
-            assert kmap.attrs["image"] == "built"
-            assert kmap.attrs["image_lines"] == 12
-            assert self.scan_span(held, "%a%", approach="map").attrs[
-                "image"
-            ] == "none"
+            # image; MAP derives its rank-0 kernels from them into one
+            # more, built once and hit by the next distinct pattern.
+            for approach in ("kmap", "map"):
+                built = self.scan_span(held, "%a%", approach=approach)
+                assert built.attrs["image"] == "built"
+                assert built.attrs["image_lines"] == 12
+                hit = self.scan_span(held, "%e%", approach=approach)
+                assert hit.attrs["image"] == "hit"
 
     def test_stats_and_metrics(self, path):
         service = QueryService(path, k=K, m=M)

@@ -22,6 +22,7 @@ from repro.bench.harness import CorpusBench
 from repro.db.engine import StaccatoDB
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
+from repro.query.memo import KernelMemo
 
 from .conftest import DICTIONARY
 
@@ -40,7 +41,8 @@ def dbs():
     ocr = SimulatedOcrEngine(seed=OCR_SEED)
     instances = {}
     for m, k in [(10, 5), (10, 25), (40, 5), (40, 25)]:
-        db = StaccatoDB(k=k, m=m)
+        # Images kept, no result cached: every timed scan runs its DP.
+        db = StaccatoDB(k=k, m=m, kernel_memo=KernelMemo(capacity=0))
         db.ingest(dataset, ocr, approaches=("kmap", "staccato"))
         db.build_index(DICTIONARY)
         instances[(m, k)] = db

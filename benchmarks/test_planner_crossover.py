@@ -13,13 +13,15 @@ from repro.db.engine import StaccatoDB
 from repro.db.planner import choose_plan, execute_plan
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
+from repro.query.memo import KernelMemo
 
 from .conftest import DICTIONARY
 
 
 @pytest.fixture(scope="module")
 def planner_db():
-    db = StaccatoDB(k=10, m=14)
+    # Images kept, no result cached: every timed scan runs its DP.
+    db = StaccatoDB(k=10, m=14, kernel_memo=KernelMemo(capacity=0))
     db.ingest(make_ca(num_docs=4, lines_per_doc=10), SimulatedOcrEngine(seed=91))
     db.build_index([*DICTIONARY, "the"])
     yield db

@@ -147,8 +147,11 @@ class StaccatoDB:
         self.m = m
         self._trie: DictionaryTrie | None = None
         self._index_approach: str | None = None
-        #: Cross-request memo, shared across a pool's connections so any
-        #: reader benefits from any other reader's evaluations.
+        #: Cross-request memo and scan images.  A memo passed in is shared
+        #: (a pool's readers, a shard's replicas); ``None`` gives the
+        #: handle a private one.
+        if not isinstance(kernel_memo, KernelMemo):
+            kernel_memo = KernelMemo()
         self.kernel_memo = kernel_memo
         #: False until this handle's first committed write has dropped
         #: kernel rows of lines that no longer exist (files an earlier
@@ -262,21 +265,18 @@ class StaccatoDB:
         ``pattern`` compiled, or ``None`` to compile it only when a line
         needs evaluating: a scan the memo answers whole compiles nothing.
 
-        With a :class:`~repro.query.memo.KernelMemo` the scan reads the
-        table's ``(DataKey, Fingerprint)`` listing first and probes the
-        memo per (kernel fingerprint, query fingerprint); only if lines
-        are left does it need kernels, and then it takes the shard's
-        *scan image* -- every stored kernel decoded and laid out once --
-        if the listing just read is the one the image was built from,
-        else rebuilds it from one bulk blob read.
+        The scan reads the table's ``(DataKey, Fingerprint)`` listing
+        first and probes the handle's :class:`~repro.query.memo.KernelMemo`
+        per (kernel fingerprint, query fingerprint); only if lines are
+        left does it need kernels, and then it takes the *scan image* --
+        every stored kernel decoded and laid out once -- if the listing
+        just read is the one the image was built from, else rebuilds it
+        from one bulk blob read.  A ``keyed`` scan (an index plan's few
+        candidates) probes the memo too but reads its blobs in one keyed
+        read and decodes them per query.
 
-        Without a memo (library use, the CLI, the benches) and for
-        ``keyed`` scans (an index plan's few candidates) nothing is kept
-        between queries: blobs come from one bulk or keyed read and are
-        decoded and laid out per query.
-
-        Either way, a line without a current-version row (old database
-        files) or whose blob the codec rejects is compiled now
+        A line without a current-version row (old database files) or
+        whose blob the codec rejects is compiled now
         (:meth:`_recompile_kernel`) and evaluated beside the rest (a
         rejected blob that is the line's only copy fails the scan
         instead).  ``map`` reads the ``kmap`` rows and derives each
@@ -298,17 +298,14 @@ class StaccatoDB:
         bit.  ``scan`` is the enclosing ``engine_scan`` span, if traced.
         """
         memo = self.kernel_memo
-        use_image = memo is not None and not keyed
-        if use_image:
+        if keyed:
+            stored = storage.load_kernel_blobs(self.conn, approach, keys)
+            fingerprints = {key: row[0] for key, row in stored.items()}
+        else:
             stored = {}
             listing = storage.kernel_listing(self.conn, approach)
             fingerprints = dict(listing)
-        else:
-            stored = storage.load_kernel_blobs(
-                self.conn, approach, keys if keyed else None
-            )
-            fingerprints = {key: row[0] for key, row in stored.items()}
-        query_fp = query_fingerprint(pattern) if memo is not None else None
+        query_fp = query_fingerprint(pattern)
         probs: dict[int, float] = {}
         #: (DataKey, fingerprint, kernel if already recompiled)
         pending: list[tuple] = []
@@ -321,16 +318,15 @@ class StaccatoDB:
                 if kernel is None:
                     continue  # concurrent delete; not part of the relation
                 fingerprint = kernel.fingerprint
-            if memo is not None:
-                value = memo.get(fingerprint, query_fp)
-                if value is not None:
-                    hits += 1
-                    probs[data_key] = value[0]
-                    continue
-                misses += 1
+            value = memo.get(fingerprint, query_fp)
+            if value is not None:
+                hits += 1
+                probs[data_key] = value[0]
+                continue
+            misses += 1
             pending.append((data_key, fingerprint, kernel))
         image = None
-        if use_image and any(job[2] is None for job in pending):
+        if not keyed and any(job[2] is None for job in pending):
             image = self._scan_image(approach, listing, scan)
         in_image: list[tuple[int, str, int]] = []  # ..., line position
         beside: list[tuple] = []  # ..., kernel
@@ -378,10 +374,9 @@ class StaccatoDB:
                 probs[data_key] = result.probability
                 cells += result.dp_cells
                 transitions += result.dp_transitions
-                if memo is not None:
-                    # Pruned lines share one value: most misses are pruned.
-                    value = tuple(result) if ok else _PRUNED
-                    memo.put(fingerprint, query_fp, value)
+                # Pruned lines share one value: most misses are pruned.
+                value = tuple(result) if ok else _PRUNED
+                memo.put(fingerprint, query_fp, value)
         counters.add(
             dp_cells=cells,
             dp_transitions=transitions,
@@ -407,9 +402,9 @@ class StaccatoDB:
 
     def _build_scan_image(self, approach: str) -> ScanImage:
         """Fetch, decode and lay out every stored kernel of ``approach``
-        -- a memo-less filescan's per-query work -- and install the
-        result on the memo.  The listing is taken from the statement
-        that returned the blobs, so image and listing are one snapshot.
+        and install the result on the memo.  The listing is taken from
+        the statement that returned the blobs, so image and listing are
+        one snapshot.
         """
         with _span("scan_image_build", approach=approach) as build:
             started = time.perf_counter()
@@ -455,14 +450,13 @@ class StaccatoDB:
         """The index plan's projection (paper Section 4): each candidate's
         kernel replayed on the windows of its postings only.
 
-        With a memo, candidates are first judged against the pattern's
-        required character pairs on the shard's scan image
-        (:meth:`_ruled_out`): one that cannot spell them has probability
-        exactly 0 -- a projected match spells a substring of a path of
-        the full kernel -- is counted in ``lines_pruned`` and is never
-        fetched, decoded or replayed.  The rest (every candidate on a
-        memo-less handle) are fetched in one keyed read of their
-        ``CompiledKernel`` rows and replayed by one
+        Candidates are first judged against the pattern's required
+        character pairs on the scan image (:meth:`_ruled_out`): one that
+        cannot spell them has probability exactly 0 -- a projected match
+        spells a substring of a path of the full kernel -- is counted in
+        ``lines_pruned`` and is never fetched, decoded or replayed.  The
+        rest are fetched in one keyed read of their ``CompiledKernel``
+        rows and replayed by one
         :class:`~repro.query.eval_kernel.KernelEvaluator` -- so the DFA
         transition rows are computed once per query, not per candidate.
         Rows missing or rejected fall back to ``SFA1`` as in the scan.
@@ -502,14 +496,13 @@ class StaccatoDB:
 
         Only a line the image holds at the fingerprint the table lists
         now is judged; the image is a hit if current, else built
-        (annotating ``ev``).  Nothing is ruled out on a memo-less
-        handle, for a pattern without required pairs, or once the
-        approach's image has not fit the memo's budget: rebuilding it
-        per index query would cost more than the fetches it saves.
+        (annotating ``ev``).  Nothing is ruled out for a pattern without
+        required pairs, or once the approach's image has not fit the
+        memo's budget: rebuilding it per index query would cost more than
+        the fetches it saves.
         """
-        memo = self.kernel_memo
         pairs = query.required_pairs
-        if memo is None or not pairs or not memo.image_fits("staccato"):
+        if not pairs or not self.kernel_memo.image_fits("staccato"):
             return set()
         listing = storage.kernel_listing(self.conn, "staccato")
         image = self._scan_image("staccato", listing, ev)
@@ -806,9 +799,9 @@ class StaccatoDB:
         index does not cover are always evaluated whole, by a keyed
         scan, so the plan answers over every ingested line.  Either way
         the stored kernels are what is read, in one keyed fetch -- of
-        every candidate, except that a handle with a memo does not fetch
-        the projected candidates its scan image shows cannot spell the
-        pattern's required character pairs (probability 0).
+        every candidate, except the projected candidates the scan image
+        shows cannot spell the pattern's required character pairs
+        (probability 0).
         """
         _check_approach(approach)
         if probed is not None and self._index_approach == approach:

@@ -23,18 +23,16 @@ file with a long uncovered tail is scanned rather than probed.
 Both plans evaluate compiled kernels (:mod:`repro.query.eval_kernel`):
 the scan as one lockstep batch over every line, the probe as a
 projected replay of each candidate's kernel on the windows of its
-postings, after one keyed read of the candidates' rows -- on a handle
-with a memo, of only the candidates whose scan-image pair bits do not
-rule them out.  A scanned line costs ~0.45 ms on a plain handle (fetch,
-decode and layout per query), which is where the 0.8 threshold came
-from (``m=40, k=25``, 96 lines, 2 vCPUs, numpy).  A service handle's
+postings, after one keyed read of only the candidates whose scan-image
+pair bits do not rule them out.  A scanned line cost ~0.45 ms when every
+scan fetched, decoded and laid out its kernels, which is where the 0.8
+threshold came from (``m=40, k=25``, 96 lines, 2 vCPUs, numpy).  The
 scan image (:mod:`repro.query.memo`) leaves the scan only the DP and
-spares its probe most fetches, so both plans' constants differ there
-and are to be measured again before the threshold is replaced by a
-cost.  The threshold is deliberately not moved with them: it decides
-whether a request returns projected or full-line probabilities, so
-recalibrating it changes answers and counters and is its own change
-(ROADMAP).
+spares the probe most fetches, so both plans' constants differ now and
+are to be measured again before the threshold is replaced by a cost.
+The threshold is deliberately not moved with them: it decides whether a
+request returns projected or full-line probabilities, so recalibrating
+it changes answers and counters and is its own change (ROADMAP).
 
 :func:`execute_plan` parses the anchor once and probes the index once:
 the posting lists and uncovered lines it judges the selectivity by are

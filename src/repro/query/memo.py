@@ -19,13 +19,13 @@ The memo object is also where a shard keeps its **scan images**
 stored kernel decoded and laid out for the batched DP, with the
 character pairs each line can spell, which the index plan also reads to
 rule out candidates before fetching them -- one per approach
-scanned.  It lives here because the memo is already shared by
-exactly the connections that may share it (a pool's readers, the writer,
-the replicas of one shard, a worker process's leg).  An image is
-validated by *content*: it is current iff the table's ordered
-``(DataKey, Fingerprint)`` column equals the listing it was built from,
-which also holds for writes this process never saw (a rebalance delete,
-another process's ingest, a replica's file).
+scanned.  It lives here because every handle holds a memo, and one
+shared memo spans exactly the connections that may share an image (a
+pool's readers, the writer, the replicas of one shard, a worker
+process's leg).  An image is validated by *content*: it is current iff
+the table's ordered ``(DataKey, Fingerprint)`` column equals the listing
+it was built from, which also holds for writes this process never saw (a
+rebalance delete, another process's ingest, a replica's file).
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ __all__ = [
 #: Most bytes of scan images one memo retains (its approaches together).
 #: A laid-out line is about 3x its stored blob (46 KB at m=40 k=25), so
 #: this holds some 5 000 lines; a scan whose image does not fit builds
-#: it, uses it and drops it -- the per-query cost of a handle without a
-#: memo, and its memory.
+#: it, uses it and drops it.
 SCAN_IMAGE_BUDGET_BYTES = 256 * 1024 * 1024
 
 

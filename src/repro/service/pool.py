@@ -68,7 +68,10 @@ class ConnectionPool:
         #: Display name in ``/stats`` (the shard router labels per shard).
         self.label = label
         # One memo shared by every pooled reader (and, in the service, the
-        # writer): any connection's evaluation warms all the others.
+        # writer): any connection's evaluation warms all the others.  (Not
+        # ``kernel_memo or ...``: an empty memo is falsy.)
+        if kernel_memo is None:
+            kernel_memo = KernelMemo()
         self._entries = [
             _PooledConnection(
                 StaccatoDB(

@@ -201,7 +201,7 @@ class Replica:
         index_approach: str,
         cooldown_s: float,
         clock: Callable[[], float],
-        kernel_memo: KernelMemo | None = None,
+        kernel_memo: KernelMemo,
     ) -> None:
         self.shard_index = shard_index
         self.replica_index = replica_index
@@ -282,7 +282,7 @@ class ReplicaSet:
         index_approach: str = "staccato",
         cooldown_s: float = DEFAULT_COOLDOWN_S,
         clock: Callable[[], float] = time.monotonic,
-        kernel_memo: KernelMemo | None = None,
+        kernel_memo: KernelMemo,
     ) -> None:
         if count < 1:
             raise ValueError("a shard needs at least one replica")

@@ -1,12 +1,12 @@
 """The index plan prunes projected candidates with the scan image's pair bits.
 
-On a handle with a :class:`~repro.query.memo.KernelMemo`, a projected
-candidate whose line cannot spell a character pair every match contains
-scores 0 without being fetched, decoded or replayed.  That is an
-optimisation of which candidates are read, never of what is computed, so
-everything here is a differential against a memo-less handle over the
-same file: the same ranked relation bit for bit, the same probe and scan
-counters, and exactly the pruned candidates moved from the DP into
+A projected candidate whose line cannot spell a character pair every
+match contains scores 0 without being fetched, decoded or replayed.
+That is an optimisation of which candidates are read, never of what is
+computed, so everything here is a differential against a handle that
+rules nothing out (its image never fits the budget) over the same file:
+the same ranked relation bit for bit, the same probe and scan counters,
+and exactly the pruned candidates moved from the DP into
 ``lines_pruned``.
 """
 
@@ -88,9 +88,16 @@ def unspelled_candidates(db: StaccatoDB, pattern: str) -> set[int]:
 
 class TestSameAsAPlainHandle:
     @pytest.mark.parametrize("plan", ["indexed", "planned"])
-    def test_answers_and_counters(self, path, plan):
+    def test_answers_and_counters(self, path, plan, monkeypatch):
+        # With no image retained, a handle rules candidates out on the
+        # image it builds for its first query only: ``held`` is a fresh
+        # handle per query, ``plain`` one whose first build is behind it
+        # and which caches no result, so each of its queries is cold.
+        monkeypatch.setattr(memo_module, "SCAN_IMAGE_BUDGET_BYTES", 0)
         pruned_somewhere = False
-        with handle(path) as plain:
+        with handle(path, KernelMemo(capacity=0)) as plain:
+            plain.search("%Law%")
+            assert not plain.kernel_memo.image_fits("staccato")
             for pattern in PATTERNS:
                 assert plain.index_covers(pattern, "staccato"), pattern
                 if plan == "indexed":
@@ -203,6 +210,5 @@ class TestObservability:
             assert built.attrs["image_lines"] == plain.num_lines
             assert built.attrs["pruned"] == ruled_out > 0
             assert self.eval_span(held, "%Congress shall%").attrs["image"] == "hit"
-            none = self.eval_span(plain, pattern)
-            assert none.attrs["image"] == "none"
-            assert none.attrs["image_lines"] == 0 and none.attrs["pruned"] == 0
+            # A handle opened without a memo holds an image of its own.
+            assert self.eval_span(plain, pattern).attrs["image"] == "built"

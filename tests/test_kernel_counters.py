@@ -32,8 +32,7 @@ from .test_service import _batch_payload, K, M
 PATTERN = "%Congress%"
 
 #: Counter names whose totals must be identical across topologies.
-#: Memo traffic is intentionally excluded: a memo-equipped engine
-#: reports misses a memo-less reference scan never performs.
+#: Memo traffic is excluded: it depends on the handle's query history.
 PARITY = (
     "dp_cells",
     "dp_transitions",
@@ -70,7 +69,8 @@ def _per_line_reference(db: StaccatoDB, approach: str):
 
 @pytest.fixture(scope="module")
 def loaded_db():
-    db = StaccatoDB(k=8, m=10)
+    # No result cached: a per-line scan after the batched one does its DP.
+    db = StaccatoDB(k=8, m=10, kernel_memo=KernelMemo(capacity=0))
     _ingest(db)
     yield db
     db.close()
@@ -113,7 +113,7 @@ class TestMemoCounters:
         """``map`` reads the ``kmap`` rows but memoizes the rank-0
         kernels it derives under keys of its own: a ``kmap`` scan fills
         nothing a ``map`` scan of the same pattern reads, and a warm
-        ``map`` scan is all hits with a memo-less handle's answers."""
+        ``map`` scan is all hits with the answers the DP gives."""
         db = StaccatoDB(k=8, m=10, kernel_memo=KernelMemo())
         _ingest(db)
         _scan(db, "kmap")
@@ -122,7 +122,7 @@ class TestMemoCounters:
         assert cold_counts["memo_misses"] == db.num_lines
         assert warm_counts["memo_hits"] == db.num_lines
         assert warm_counts.get("dp_cells", 0) == 0
-        db.kernel_memo = None
+        db.kernel_memo = KernelMemo(capacity=0)
         assert _scan(db, "map")[0] == cold == warm
         db.close()
 
@@ -230,7 +230,9 @@ class TestWorkerTopologyParity:
             running.stop()
         expected = {name: 0 for name in PARITY}
         for path in shard_paths(str(shard_dir), 2):
-            shard = StaccatoDB(path, k=K, m=M)
+            shard = StaccatoDB(
+                path, k=K, m=M, kernel_memo=KernelMemo(capacity=0)
+            )
             try:
                 _, totals = _per_line_reference(shard, "staccato")
             finally:

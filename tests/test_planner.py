@@ -9,11 +9,14 @@ from repro.indexing.anchors import anchor_for_query
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
+from repro.query.memo import KernelMemo
 
 
 @pytest.fixture(scope="module")
 def planned_db():
-    db = StaccatoDB(k=6, m=8)
+    # No result cached: every run of a plan does its DP, whatever ran
+    # before it, so counters compare across runs.
+    db = StaccatoDB(k=6, m=8, kernel_memo=KernelMemo(capacity=0))
     db.ingest(
         make_ca(num_docs=3, lines_per_doc=6),
         SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=61),

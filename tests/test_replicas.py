@@ -80,10 +80,18 @@ class TestCircuitBreaker:
         passthrough (client) exception left it unrecorded, allow()
         would refuse forever and the replica would never return.
         """
+        from repro.query.memo import KernelMemo
         from repro.service.replicas import ReplicaSet
 
         replica_set = ReplicaSet(
-            0, str(tmp_path / "s.db"), 1, k=K, m=M, pool_size=1, cooldown_s=0.0
+            0,
+            str(tmp_path / "s.db"),
+            1,
+            k=K,
+            m=M,
+            pool_size=1,
+            cooldown_s=0.0,
+            kernel_memo=KernelMemo(),
         )
         try:
             replica = replica_set.replicas()[0]

@@ -1,13 +1,13 @@
 """The scan image: one decoded, laid-out kernel batch per shard and approach.
 
-A filescan on a memo-holding handle reads the ``(DataKey, Fingerprint)``
-listing, probes the memo, and evaluates what is left over the shard's
-*scan image* seeded at those lines only.  The image is an optimisation
-of where the kernels come from, never of what is computed, so everything
-here is a differential: subset seeding against per-kernel evaluation,
-the memo-holding handle against a plain one (answers *and* counters),
-and -- after every way the table can change under the image -- against a
-fresh plain handle, with exactly one rebuild.
+A filescan reads the ``(DataKey, Fingerprint)`` listing, probes the
+handle's memo, and evaluates what is left over the *scan image* seeded
+at those lines only.  The image is an optimisation of where the kernels
+come from, never of what is computed, so everything here is a
+differential: subset seeding against per-kernel evaluation, a warm
+handle against a fresh one per query (answers *and* counters), and --
+after every way the table can change under the image -- against a fresh
+handle, with exactly one rebuild.
 """
 
 import random
@@ -208,13 +208,12 @@ def open_pair(path, memo=None):
     )
 
 
-def engine_work(counts):
-    """Counters both kinds of handle report (a plain one has no memo)."""
-    return {
-        name: value
-        for name, value in counts.items()
-        if not name.startswith("memo_")
-    }
+def cold(path, call):
+    """``call`` on a fresh handle, and the counters it flushed: the cold
+    reference (an image built for it, an empty memo)."""
+    with StaccatoDB(path, k=K, m=M) as fresh, counters.collect() as counts:
+        result = call(fresh)
+    return result, dict(counts)
 
 
 def image_stats(memo, approach=APPROACH):
@@ -232,20 +231,22 @@ def assert_same_as_fresh_plain(db, path, patterns=PATTERNS, approach=APPROACH):
 
 
 # ----------------------------------------------------------------------
-# (b) memo-holding handle == plain handle, answers and counters
+# (b) warm handle == a fresh handle per query, answers and counters
 # ----------------------------------------------------------------------
 class TestEngineDifferential:
     @pytest.mark.parametrize("approach", ["staccato", "fullsfa"])
     def test_search_pattern_after_pattern(self, path, approach):
-        held, memo, plain = open_pair(path)
-        with held, plain:
+        memo = KernelMemo()
+        with StaccatoDB(path, k=K, m=M, kernel_memo=memo) as held:
             lines = held.num_lines
             for pattern in PATTERNS:
+
+                def scan(db):
+                    return db.search(pattern, approach=approach)
+
                 with counters.collect() as got:
-                    answers = held.search(pattern, approach=approach)
-                with counters.collect() as expected:
-                    assert answers == plain.search(pattern, approach=approach)
-                assert engine_work(got) == dict(expected), pattern
+                    answers = scan(held)
+                assert (answers, dict(got)) == cold(path, scan), pattern
                 assert got["memo_misses"] == lines and "memo_hits" not in got
             stats = image_stats(memo, approach)
             assert stats["builds"] == 1
@@ -253,8 +254,8 @@ class TestEngineDifferential:
             assert stats["lines"] == lines
 
     def test_sql_over_a_strict_subset_of_documents(self, path):
-        held, memo, plain = open_pair(path)
-        with held, plain:
+        memo = KernelMemo()
+        with StaccatoDB(path, k=K, m=M, kernel_memo=memo) as held:
             for pattern in PATTERNS[:6]:
                 sql = (
                     "SELECT DocId, Loss FROM Claims "
@@ -262,9 +263,9 @@ class TestEngineDifferential:
                 )
                 with counters.collect() as got:
                     rows = execute_select(held, sql)
-                with counters.collect() as expected:
-                    assert rows == execute_select(plain, sql)
-                assert engine_work(got) == dict(expected), pattern
+                assert (rows, dict(got)) == cold(
+                    path, lambda db: execute_select(db, sql)
+                ), pattern
                 # Two of three documents: the image is seeded on 8 of
                 # its 12 lines and the other 4 cost nothing.
                 assert got["lines_scanned"] == 8
@@ -420,28 +421,48 @@ class TestStaleness:
 # ----------------------------------------------------------------------
 # (d) a hit reads the listing, never a blob
 # ----------------------------------------------------------------------
+def blob_reads(statements) -> int:
+    return sum("KernelBlob" in sql for sql in statements)
+
+
 class TestListingOnlyFetch:
     def test_no_blob_statement_on_a_hit(self, path):
-        held, _, plain = open_pair(path)
-        with held, plain:
+        with StaccatoDB(path, k=K, m=M, kernel_memo=KernelMemo()) as held:
             statements = []
             held.conn.set_trace_callback(statements.append)
             held.search(PATTERNS[0])
-            assert any("KernelBlob" in sql for sql in statements)
+            assert blob_reads(statements)
             del statements[:]
             held.search(PATTERNS[1])  # second distinct pattern: image hit
-            assert statements and not any(
-                "KernelBlob" in sql for sql in statements
-            )
+            assert statements and not blob_reads(statements)
             del statements[:]
             held.search(PATTERNS[1])  # fully memo-hit scan
-            assert statements and not any(
-                "KernelBlob" in sql for sql in statements
-            )
-            # A plain handle has no image: every scan fetches blobs.
+            assert statements and not blob_reads(statements)
+
+    def test_a_plain_handle_builds_one_image(self, path):
+        """A handle opened with no memo holds a private one: distinct
+        patterns build one image and read blobs in the first scan only,
+        and a write through a second connection costs one rebuild."""
+        with StaccatoDB(path) as plain:
+            statements = []
             plain.conn.set_trace_callback(statements.append)
-            plain.search(PATTERNS[1])
-            assert any("KernelBlob" in sql for sql in statements)
+            plain.search(PATTERNS[0])
+            assert blob_reads(statements) == 1
+            del statements[:]
+            for pattern in PATTERNS[1:]:
+                plain.search(pattern)
+            assert statements and not blob_reads(statements)
+            assert image_stats(plain.kernel_memo)["builds"] == 1
+            other = sqlite3.connect(path)
+            with other:
+                for table in _line_tables(other):
+                    other.execute(f"DELETE FROM {table} WHERE DataKey = 5")
+            other.close()
+            for pattern in ("%of%", "%in%", "%to%"):
+                plain.search(pattern)
+            assert blob_reads(statements) == 1
+            stats = image_stats(plain.kernel_memo)
+            assert stats["builds"] == 2 and stats["lines"] == 11
 
 
 # ----------------------------------------------------------------------
@@ -543,8 +564,7 @@ class TestObservability:
         return scan
 
     def test_engine_scan_span_says_where_the_kernels_came_from(self, path):
-        held, _, plain = open_pair(path)
-        with held, plain:
+        with StaccatoDB(path, k=K, m=M) as held:
             built = self.scan_span(held, PATTERNS[0])
             assert built.attrs["image"] == "built"
             assert built.attrs["image_lines"] == 12
@@ -558,9 +578,7 @@ class TestObservability:
             assert hit.attrs["image"] == "hit" and not hit.children
             memo_hit = self.scan_span(held, PATTERNS[1])
             assert memo_hit.attrs["image"] == "none"
-            none = self.scan_span(plain, PATTERNS[1])
-            assert none.attrs["image"] == "none"
-            assert none.attrs["image_lines"] == 0
+            assert memo_hit.attrs["image_lines"] == 0
             # k-MAP strings are a stored kernel too, with their own
             # image; MAP derives its rank-0 kernels from them into one
             # more, built once and hit by the next distinct pattern.

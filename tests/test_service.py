@@ -157,6 +157,14 @@ class TestConnectionPool:
                     pass
         pool.close()
 
+    def test_readers_share_one_memo(self, tmp_path):
+        path = str(tmp_path / "pool.db")
+        StaccatoDB(path).close()
+        pool = ConnectionPool(path, size=3)
+        with pool.acquire() as a, pool.acquire() as b, pool.acquire() as c:
+            assert a.kernel_memo is b.kernel_memo is c.kernel_memo
+        pool.close()
+
     def test_closed_pool_raises(self, tmp_path):
         path = str(tmp_path / "pool.db")
         StaccatoDB(path).close()

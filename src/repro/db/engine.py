@@ -148,10 +148,13 @@ class StaccatoDB:
         self._trie: DictionaryTrie | None = None
         self._index_approach: str | None = None
         #: Cross-request memo and scan images.  A memo passed in is shared
-        #: (a pool's readers, a shard's replicas); ``None`` gives the
-        #: handle a private one.
-        if not isinstance(kernel_memo, KernelMemo):
+        #: (a pool's readers, a shard's replicas) and outlives a query, so
+        #: an index query may build its image (:meth:`_ruled_out`);
+        #: ``None`` gives the handle a private one.
+        self._shared_memo = True
+        if kernel_memo is None:
             kernel_memo = KernelMemo()
+            self._shared_memo = False
         self.kernel_memo = kernel_memo
         #: False until this handle's first committed write has dropped
         #: kernel rows of lines that no longer exist (files an earlier
@@ -388,16 +391,18 @@ class StaccatoDB:
             scan.annotate(pruned=pruned)
         return probs
 
-    def _scan_image(self, approach: str, listing, scan) -> ScanImage:
+    def _scan_image(self, approach: str, listing, scan, build=True):
         """The memo's scan image for ``approach`` if ``listing`` (just
-        read) is what it was built from, else a fresh one."""
+        read) is what it was built from, else a fresh one -- or None,
+        unless ``build``."""
         image = self.kernel_memo.scan_image(approach, listing)
-        state = "hit"
-        if image is None:
+        state = "hit" if image else "none"
+        if image is None and build:
             image = self._build_scan_image(approach)
             state = "built"
         if scan is not None:
-            scan.annotate(image=state, image_lines=len(image.lines))
+            lines = len(image.lines) if image else 0
+            scan.annotate(image=state, image_lines=lines)
         return image
 
     def _build_scan_image(self, approach: str) -> ScanImage:
@@ -496,16 +501,19 @@ class StaccatoDB:
 
         Only a line the image holds at the fingerprint the table lists
         now is judged; the image is a hit if current, else built
-        (annotating ``ev``).  Nothing is ruled out for a pattern without
-        required pairs, or once the approach's image has not fit the
-        memo's budget: rebuilding it per index query would cost more than
-        the fetches it saves.
+        (annotating ``ev``) on a shared memo only.  A build costs a
+        whole-file read, worth more than the keyed fetches it saves only
+        if later queries reuse it: not on a private memo (a CLI query)
+        nor once the approach's image has not fit the memo's budget.
         """
         pairs = query.required_pairs
-        if not pairs or not self.kernel_memo.image_fits("staccato"):
+        held = not self._shared_memo  # a private memo builds none here
+        if not pairs or not self.kernel_memo.image_fits("staccato", held):
             return set()
         listing = storage.kernel_listing(self.conn, "staccato")
-        image = self._scan_image("staccato", listing, ev)
+        image = self._scan_image("staccato", listing, ev, self._shared_memo)
+        if image is None:
+            return set()
         listed = dict(listing)
         judged, lines = [], []
         for data_key in candidates:

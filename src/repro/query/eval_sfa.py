@@ -36,16 +36,11 @@ def match_probability(sfa: Sfa, query: Dfa) -> float:
     """
     if query.match_anywhere:
         return _match_probability_absorbing(sfa, query)
-    return _match_probability_general(sfa, query)
+    return match_probability_exact(sfa, query)
 
 
-# Backwards-compatible alias used by tests that force the general path.
 def match_probability_exact(sfa: Sfa, query: Dfa) -> float:
     """The general DP without the absorbing-accept shortcut."""
-    return _match_probability_general(sfa, query)
-
-
-def _match_probability_general(sfa: Sfa, query: Dfa) -> float:
     # The counters accumulate in plain locals; one counters.add() flush
     # per evaluation keeps the instrumented inner loop allocation-free.
     cells = 0

@@ -161,13 +161,15 @@ class KernelMemo:
                 self._images[approach] = image
             return retained
 
-    def image_fits(self, approach: str) -> bool:
+    def image_fits(self, approach: str, held: bool = False) -> bool:
         """False once the approach's last built image was not retained
-        (over :data:`SCAN_IMAGE_BUDGET_BYTES`), True otherwise: a reader
-        that only consults the image, never needs it, does without
-        rather than rebuild it on every query."""
+        (over :data:`SCAN_IMAGE_BUDGET_BYTES`), True otherwise -- with
+        ``held``, True only while one is retained: a reader that only
+        consults the image, never needs it, does without rather than
+        rebuild it on every query."""
         with self._lock:
-            return approach in self._images or approach not in self._image_counts
+            images, counts = self._images, self._image_counts
+            return approach in images or not (held or approach in counts)
 
     def stats(self) -> dict[str, object]:
         """Snapshot for the ``/stats`` memo block."""

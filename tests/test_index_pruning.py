@@ -159,6 +159,7 @@ class TestImage:
     def test_image_fits_until_a_build_is_not_retained(self, path, monkeypatch):
         memo = KernelMemo()
         assert memo.image_fits("staccato")
+        assert not memo.image_fits("staccato", held=True)  # none built yet
         with handle(path, memo) as db:
             monkeypatch.setattr(memo_module, "SCAN_IMAGE_BUDGET_BYTES", -1)
             db.search("%a%")
@@ -167,6 +168,32 @@ class TestImage:
             monkeypatch.undo()
             db.search("%e%")  # the next filescan builds it again, and keeps it
         assert memo.image_fits("staccato")
+        assert memo.image_fits("staccato", held=True)
+
+    def test_a_private_memo_builds_no_image_for_an_index_query(
+        self, path, monkeypatch
+    ):
+        # A handle opened without a memo may answer one query (the CLI):
+        # its index query reads only the candidates, never the whole file.
+        reads: list = []
+        keyed = storage.load_kernel_blobs
+
+        def recording(conn, approach, keys=None):
+            reads.append(None if keys is None else sorted(keys))
+            return keyed(conn, approach, keys)
+
+        pattern = r"REGEX:Public Law"
+        with handle(path) as plain:
+            candidates, _ = plain.index_probe("public")
+            ruled_out = unspelled_candidates(plain, pattern)
+            monkeypatch.setattr(storage, "load_kernel_blobs", recording)
+            plain.indexed_search(pattern)
+            assert reads == [sorted(candidates)]
+            assert plain.kernel_memo.stats()["scan_image"] == {}
+            plain.search("%Law%")  # one bulk read: the image, kept
+            del reads[:]
+            plain.indexed_search(pattern)
+        assert reads == [sorted(set(candidates) - ruled_out)]
 
     def test_a_line_another_handle_ingests_is_judged_on_fresh_bits(
         self, tmp_path
@@ -210,5 +237,10 @@ class TestObservability:
             assert built.attrs["image_lines"] == plain.num_lines
             assert built.attrs["pruned"] == ruled_out > 0
             assert self.eval_span(held, "%Congress shall%").attrs["image"] == "hit"
-            # A handle opened without a memo holds an image of its own.
-            assert self.eval_span(plain, pattern).attrs["image"] == "built"
+            none = self.eval_span(plain, pattern)
+            assert none.attrs["image"] == "none"
+            assert none.attrs["image_lines"] == 0 and none.attrs["pruned"] == 0
+            plain.search("%Law%")  # a filescan leaves its image current
+            hit = self.eval_span(plain, pattern)
+            assert hit.attrs["image"] == "hit"
+            assert hit.attrs["pruned"] == ruled_out

@@ -2,7 +2,10 @@
 
 Every bench regenerates one table or figure of the paper (see DESIGN.md
 for the experiment index).  Corpora and their representations are built
-once per session and shared; each bench prints its reproduced rows/series
+once per session and shared.  A runtime a bench reports through
+``CorpusBench`` is ``StaccatoDB.search`` on a warmed handle (its scan
+image built, its DP run once) with the result memo off, one handle per
+(approach, m, k).  Each bench prints its reproduced rows/series
 through the ``report`` fixture, which echoes everything in the terminal
 summary (so ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
 captures the actual numbers) and, only under ``--write-reports``,
@@ -74,7 +77,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 # ----------------------------------------------------------------------
-# Shared corpora (session-scoped; representation caches accumulate).
+# Shared corpora (session-scoped; SFAs, chunk graphs and engine handles
+# accumulate).
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
 def ca_bench() -> CorpusBench:

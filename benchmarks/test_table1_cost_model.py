@@ -14,10 +14,11 @@ from repro.core.approximate import staccato_approximate
 from repro.core.kmap import build_kmap
 from repro.core.tuning import size_model
 from repro.query.eval_sfa import match_probability
-from repro.query.eval_strings import match_probability_strings
 from repro.query.like import compile_like
 from repro.sfa.builder import random_chain_sfa
 from repro.sfa.serialize import blob_size
+
+from tests.oracles.strings import match_probability_strings
 
 LENGTHS = [25, 50, 100, 200]
 QUERY = compile_like("%dcba%")

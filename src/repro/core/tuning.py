@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..automata.dfa import Dfa
-from ..query.eval_sfa import match_probability
+from ..query.eval_kernel import KernelBatch, KernelEvaluator
 from ..query.like import compile_like
+from ..sfa.kernel import compile_kernel
 from ..sfa.model import Sfa
 from ..sfa.paths import k_best_strings
 from ..sfa.serialize import blob_size
@@ -80,18 +81,19 @@ def sample_recall(
     ``truth_texts`` are the ground-truth line contents aligned with
     ``sfas``; a line is truly relevant to a query iff its clean text
     matches, and retrieved iff the approximated SFA gives it non-zero
-    match probability.
+    match probability (its compiled kernel, one batch per point).
     """
-    approximations = [staccato_approximate(sfa, m, k) for sfa in sfas]
+    batch = KernelBatch(
+        [compile_kernel(staccato_approximate(sfa, m, k)) for sfa in sfas]
+    )
     recalls = []
     for like in queries:
         query: Dfa = compile_like(like)
         relevant = [i for i, text in enumerate(truth_texts) if query.accepts(text)]
         if not relevant:
             continue
-        hits = sum(
-            1 for i in relevant if match_probability(approximations[i], query) > 0.0
-        )
+        results = KernelEvaluator(query).evaluate_batch(batch, lines=relevant)
+        hits = sum(1 for result in results if result.probability > 0.0)
         recalls.append(hits / len(relevant))
     if not recalls:
         return 1.0

@@ -53,7 +53,6 @@ COUNTER_NAMES: dict[str, str] = {
     "lines_pruned": (
         "Lines or index candidates skipped: they cannot spell the pattern."
     ),
-    "strings_evaluated": "Stored k-MAP strings run through the query DFA.",
     "postings_probed": "Dictionary-index posting entries materialized.",
     "index_candidates": "Candidate lines produced by index probes.",
     "plan_index": "Planner decisions that chose the index probe.",

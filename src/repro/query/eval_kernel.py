@@ -249,10 +249,10 @@ class KernelBatch:
     Building the layout -- a global symbol table plus the per-step
     concatenation of every line's program segment -- costs one pass over
     the kernels and is reusable for every query evaluated against the
-    same batch (the bench harness keeps one per representation point,
-    the engine one per shard and approach: its *scan image*).  A laid-out
-    batch holds read-only numpy arrays and nothing else: the python
-    kernels it was built from are not retained (``kernels`` is ``None``).
+    same batch (the engine keeps one per handle and approach: its *scan
+    image*).  A laid-out batch holds read-only numpy arrays and nothing
+    else: the python kernels it was built from are not retained
+    (``kernels`` is ``None``).
     Without numpy (or with ``use_numpy=False``) only the kernel list is
     kept, for the per-line python replay.
 
@@ -697,15 +697,18 @@ class KernelEvaluator:
     def _full_table(self, np, batch: KernelBatch, symbols=None):
         """The (symbol, state) transition matrix.
 
-        Every character of the batch maps to its query character class;
-        each symbol-length group then composes the DFA's class columns
-        along its *distinct* class strings only, with vectorized gathers,
-        and gathers the rows back to its symbols.  ``DEAD`` is an extra
-        absorbing sentinel (index ``num_states``) so compositions stay
-        valid array indices; the returned matrix maps
-        ``M[symbol_id, state] -> next state`` with ``dead_id`` standing
-        in for ``DEAD``.  Transitions are exactly ``step_string``'s:
-        integer function composition, no float involved.
+        Every character of the batch maps to its query character class.
+        The symbols' class strings, right-padded to the longest with a
+        class that leaves every state in place, compose the DFA's class
+        columns along their *distinct* strings only, longest first, with
+        one vectorized gather per character position (not one per
+        position of every symbol length), and the rows are gathered back
+        to the symbols.  ``DEAD`` is an extra absorbing sentinel (index
+        ``num_states``) so compositions stay valid array indices; the
+        returned matrix maps ``M[symbol_id, state] -> next state`` with
+        ``dead_id`` standing in for ``DEAD``.  Transitions are exactly
+        ``step_string``'s: integer function composition, no float
+        involved.
 
         ``symbols`` (sorted, distinct symbol ids) composes only those
         symbols' rows: row ``i`` is then ``symbols[i]``'s, so every row
@@ -714,9 +717,13 @@ class KernelEvaluator:
         query = self.query
         num_states = query.num_states
         dead_id = num_states
-        # moves[cls, state]; the DFA's DEAD row (-1) becomes column dead_id.
-        moves = np.asarray(query.table, dtype=np.int64).T.copy()
+        pad = query.num_classes
+        # moves[cls, state]; the DFA's DEAD row (-1) becomes column
+        # dead_id, and the padding class (row pad) is the identity.
+        moves = np.empty((pad + 1, num_states + 1), dtype=np.int64)
+        moves[:pad] = np.asarray(query.table, dtype=np.int64).T
         moves[moves == _DEAD] = dead_id
+        moves[pad] = np.arange(num_states + 1, dtype=np.int64)
         char_class = np.asarray(
             [query.char_class(ch) for ch in batch.chars], dtype=np.int64
         )
@@ -727,7 +734,9 @@ class KernelEvaluator:
             row_of = np.full(len(batch.sym_strings), -1, dtype=np.int64)
             row_of[symbols] = np.arange(num_rows, dtype=np.int64)
         table = np.empty((num_rows, num_states + 1), dtype=np.int64)
-        for length, idx, char_idx in batch.compose_plan:
+        # The wanted rows of each length group, longest group first.
+        groups = []
+        for length, idx, char_idx in reversed(batch.compose_plan):
             rows = idx
             if symbols is not None:
                 rows = row_of[idx]
@@ -738,13 +747,35 @@ class KernelEvaluator:
             if length == 0:  # step_string(state, "") is the identity
                 table[rows] = np.arange(num_states + 1, dtype=np.int64)
                 continue
-            strings, inverse = _distinct_rows(
-                np, char_class[char_idx], query.num_classes
-            )
-            current = moves[strings[:, 0]]
-            for pos in range(1, length):
-                current = moves[strings[:, pos, None], current]
-            table[rows] = current[inverse]
+            groups.append((rows, char_class[char_idx]))
+        if not groups:
+            return table, dead_id
+        width = groups[0][1].shape[1]
+        padded = np.full(
+            (sum(len(rows) for rows, _ in groups), width), pad, dtype=np.int64
+        )
+        at = 0
+        for rows, classes in groups:
+            padded[at : at + len(rows), : classes.shape[1]] = classes
+            at += len(rows)
+        strings, inverse = _distinct_rows(np, padded, pad + 1)
+        # Longest first, so the strings still running at a position are
+        # a prefix: running[pos] of them have a character there.
+        lengths = np.count_nonzero(strings != pad, axis=1)
+        order = np.argsort(-lengths, kind="stable")
+        strings = strings[order]
+        running = np.count_nonzero(
+            lengths[:, None] > np.arange(width), axis=0
+        ).tolist()
+        current = moves[strings[:, 0]]
+        for pos in range(1, width):
+            live = running[pos]
+            current[:live] = moves[strings[:live, pos, None], current[:live]]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order), dtype=order.dtype)
+        table[np.concatenate([rows for rows, _ in groups])] = current[
+            rank[inverse]
+        ]
         return table, dead_id
 
     def _numpy_batch(

@@ -3,11 +3,12 @@
 Query evaluation is the expensive path of the service (every line's
 representation is scanned or probed), while the stored relations only
 change on ingest.  That makes results perfectly cacheable between
-batches: the cache is keyed on the full query identity --
-``(kind, db path, pattern/query, approach, plan, num_ans)`` -- and the
-whole cache is invalidated whenever a batch lands (ingest is rare and
-changes every filescan's universe, so per-key invalidation would buy
-nothing).
+batches.  The router keys every entry on the full query identity --
+``(kind, shard scope, those shards' generations, pattern/query,
+approach, plan, num_ans)`` -- and a write evicts only the entries whose
+scope it touched (:meth:`QueryCache.invalidate_where`).  A result
+computed while a write landed carries the old generations in its key,
+so no later request can look it up.
 
 Counters (hits / misses / evictions / invalidations) feed the
 ``/stats`` endpoint via :class:`repro.service.metrics.ServiceMetrics`.
@@ -37,17 +38,10 @@ class QueryCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self._generation = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    @property
-    def generation(self) -> int:
-        """Bumped by every invalidation; see :meth:`put`."""
-        with self._lock:
-            return self._generation
 
     def __len__(self) -> int:
         with self._lock:
@@ -68,34 +62,16 @@ class QueryCache:
                 probe.annotate(hit=False)
             return None
 
-    def put(
-        self, key: Hashable, value: Any, generation: int | None = None
-    ) -> None:
-        """Store a result, evicting least-recently-used entries over capacity.
-
-        ``generation`` closes the compute/invalidate race: a reader that
-        snapshotted :attr:`generation` before evaluating passes it here,
-        and the put becomes a no-op if an invalidation landed in between
-        -- otherwise a result computed against pre-batch data could be
-        cached *after* the batch's invalidation and served stale forever.
-        """
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store a result, evicting least-recently-used entries over capacity."""
         if self.capacity <= 0:
             return
         with self._lock:
-            if generation is not None and generation != self._generation:
-                return
             self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
-
-    def invalidate(self) -> None:
-        """Drop every entry (called after each ingest batch)."""
-        with self._lock:
-            self._data.clear()
-            self._generation += 1
-            self.invalidations += 1
 
     def invalidate_where(self, predicate) -> int:
         """Drop only the entries whose key satisfies ``predicate``.
@@ -105,10 +81,8 @@ class QueryCache:
         results that depended on it; returns the number dropped.  Each
         dropped entry counts toward ``invalidations`` -- counting 1 per
         sweep regardless of what it dropped would make the ``/stats``
-        hit-rate impossible to interpret against eviction volume.  The
-        global generation is *not* bumped -- untouched entries stay
-        servable -- so callers relying on generation fencing must encode
-        per-shard generations in their keys instead.
+        hit-rate impossible to interpret against eviction volume.
+        Untouched entries stay servable.
         """
         with self._lock:
             doomed = [key for key in self._data if predicate(key)]

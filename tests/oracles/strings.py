@@ -1,17 +1,17 @@
-"""Query evaluation over the k-MAP representation.
+"""Query evaluation over k-MAP strings, one string at a time.
 
 Each stored string of a line is a disjoint probabilistic event, so the
 probability that the line matches is simply the sum of the probabilities
 of the stored strings the DFA accepts (paper Section 3, "Baseline
-Approaches").
+Approaches").  The engine scores ``kmap`` and ``map`` as one-chunk
+kernels; this is the reference it is held to.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .. import counters
-from ..automata.dfa import Dfa
+from repro.automata.dfa import Dfa
 
 __all__ = ["match_probability_strings", "matching_strings"]
 
@@ -21,12 +21,9 @@ def match_probability_strings(
 ) -> float:
     """Summed probability of the stored strings accepted by ``query``."""
     total = 0.0
-    evaluated = 0
     for text, prob in strings:
-        evaluated += 1
         if query.accepts(text):
             total += prob
-    counters.add(strings_evaluated=evaluated)
     return total
 
 

@@ -66,11 +66,6 @@ class TestCorpusBench:
         assert ca_bench.sfas() is ca_bench.sfas()
         assert len(ca_bench.sfas()) == 12
 
-    def test_kmap_cached_per_k(self, ca_bench):
-        assert ca_bench.kmap(3) is ca_bench.kmap(3)
-        assert ca_bench.kmap(3) is not ca_bench.kmap(4)
-        assert all(len(strings) <= 3 for strings in ca_bench.kmap(3))
-
     def test_staccato_cached_per_point(self, ca_bench):
         assert ca_bench.staccato(5, 3) is ca_bench.staccato(5, 3)
         for graph in ca_bench.staccato(5, 3):

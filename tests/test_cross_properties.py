@@ -20,10 +20,10 @@ from repro.automata.dfa import dfa_for_pattern
 from repro.core.approximate import staccato_approximate
 from repro.core.kmap import build_kmap
 from repro.query.eval_sfa import match_probability
-from repro.query.eval_strings import match_probability_strings
 from repro.query.like import compile_like, like_to_pattern
 from repro.sfa.ops import total_mass
 
+from .oracles.strings import match_probability_strings
 from .strategies import dag_sfas, regex_patterns
 
 

@@ -72,21 +72,30 @@ class TestPrecisionShape:
 
 
 class TestDbIntegration:
-    def test_db_and_memory_agree(self):
+    @pytest.mark.parametrize(
+        "approach, params",
+        [
+            ("fullsfa", {}),
+            ("map", {"k": 1}),
+            ("kmap", {"k": 3}),
+            ("staccato", {"m": 5, "k": 3}),
+        ],
+        ids=["fullsfa", "map", "kmap", "staccato"],
+    )
+    def test_db_and_memory_agree(self, approach, params):
+        """The harness answers as a file ingested by the engine does."""
         dataset = make_ca(num_docs=2, lines_per_doc=6)
         engine = SimulatedOcrEngine(seed=21)
         mem = CorpusBench(dataset, engine)
-        db = StaccatoDB(k=6, m=8)
+        db = StaccatoDB(**params)
         db.ingest(dataset, engine)
-        pattern = "%President%"
-        mem_answers, _ = mem.search(pattern, "fullsfa")
-        db_answers = db.search(pattern, approach="fullsfa")
-        assert {a.line_id for a in db_answers} == {
-            a.line_id for a in mem_answers
-        }
-        mem_probs = {a.line_id: a.probability for a in mem_answers}
-        for answer in db_answers:
-            assert answer.probability == pytest.approx(mem_probs[answer.line_id])
+        for pattern in ("%President%", "%the%"):
+            mem_answers, _ = mem.search(pattern, approach, **params)
+            db_answers = db.search(pattern, approach=approach)
+            assert [(a.line_id, a.probability) for a in mem_answers] == [
+                (a.line_id, a.probability) for a in db_answers
+            ]
+        assert mem_answers, approach
         db.close()
 
     def test_full_quality_loop(self):

@@ -31,12 +31,12 @@ from repro.query.eval_kernel import (
 from repro.indexing.postings import Posting
 from repro.indexing.projection import projected_match_probability
 from repro.query.eval_sfa import match_probability, match_probability_exact
-from repro.query.eval_strings import match_probability_strings
 from repro.query.like import compile_like
 from repro.sfa import serialize
 from repro.sfa.kernel import compile_kernel, kernel_from_bytes, kernel_to_bytes
 from repro.sfa.ops import forward_mass, topological_order
 
+from .oracles.strings import match_probability_strings
 from .strategies import (
     chain_sfas,
     chunk_sfas,
@@ -47,6 +47,19 @@ from .strategies import (
 
 any_sfas = st.one_of(
     chain_sfas(max_length=6), chunk_sfas(max_chunks=5), dag_sfas(max_length=7)
+)
+
+
+#: Chunk graphs beside one-chunk k-MAP kernels, whose symbols are whole
+#: strings of many lengths: one batch mixes short and long symbols.
+table_sfas = st.one_of(
+    any_sfas,
+    ocr_sfas(),
+    st.builds(
+        lambda sfa, k: kmap_sfa(build_kmap(sfa, k).strings),
+        st.one_of(ocr_sfas(), any_sfas),
+        st.integers(1, 8),
+    ),
 )
 
 
@@ -237,7 +250,7 @@ class TestTransitionTable:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
     @given(
-        st.lists(st.one_of(any_sfas, ocr_sfas()), min_size=1, max_size=3),
+        st.lists(table_sfas, min_size=1, max_size=3),
         regex_patterns(),
         st.booleans(),
     )
@@ -260,7 +273,7 @@ class TestTransitionTable:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
     @given(
-        st.lists(st.one_of(any_sfas, ocr_sfas()), min_size=1, max_size=3),
+        st.lists(table_sfas, min_size=1, max_size=3),
         regex_patterns(),
         st.booleans(),
         st.data(),

@@ -27,12 +27,12 @@ from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
 from repro.query import memo as memo_module
-from repro.query.eval_strings import match_probability_strings
 from repro.query.like import compile_like
 from repro.service.shards import ShardedQueryService
 from repro.sfa import serialize
 from repro.sfa.kernel import KERNEL_VERSION
 
+from .oracles.strings import match_probability_strings
 from .legacy import legacy_copy
 
 K, M = 8, 10

@@ -179,7 +179,6 @@ SNAPSHOT = """\
     "lines_scanned": 4,
     "lines_matched": 0,
     "lines_pruned": 0,
-    "strings_evaluated": 0,
     "postings_probed": 0,
     "index_candidates": 0,
     "plan_index": 0,
@@ -373,9 +372,6 @@ staccato_engine_plan_scan_total 0
 # HELP staccato_engine_postings_probed_total Dictionary-index posting entries materialized.
 # TYPE staccato_engine_postings_probed_total counter
 staccato_engine_postings_probed_total 0
-# HELP staccato_engine_strings_evaluated_total Stored k-MAP strings run through the query DFA.
-# TYPE staccato_engine_strings_evaluated_total counter
-staccato_engine_strings_evaluated_total 0
 # HELP staccato_events_total Lifecycle events (worker restarts, hedges, deadlines).
 # TYPE staccato_events_total counter
 staccato_events_total{event="hedged_request"} 3

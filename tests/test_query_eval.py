@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from repro.automata.dfa import dfa_for_pattern
 from repro.query.answers import Answer, rank_answers
 from repro.query.eval_sfa import match_probability, match_probability_exact
-from repro.query.eval_strings import match_probability_strings, matching_strings
 from repro.query.like import compile_like, escape_literal, like_to_pattern
 from repro.sfa import ops
 
+from .oracles.strings import match_probability_strings, matching_strings
 from .strategies import dag_sfas, regex_patterns
 
 

@@ -184,6 +184,32 @@ class TestPartialWriteFailure:
         assert _shard_metrics(router, 0, "ingest")["errors"] == 0
 
 
+class TestGenerationFence:
+    def test_a_search_computed_across_an_ingest_is_not_served(self, router):
+        """The search read shard 0 before the ingest committed there; its
+        result is keyed under the old generation, so the next identical
+        search computes afresh."""
+        request = {"pattern": "%x%", "shards": [0]}
+        leg = router.pool.shard(0)
+        release = leg.hold = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            racing = pool.submit(router.search, request)
+            deadline = time.monotonic() + WAIT
+            while not leg.calls["search"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            router.ingest(
+                {"documents": [{"doc_id": 0, "lines": ["lands on shard 0"]}]}
+            )
+            assert leg.calls["ingest"] == 1
+            leg.hold = None
+            release.set()
+            assert not racing.result(WAIT)["cached"]
+        assert not router.search(request)["cached"]
+        assert leg.calls["search"] == 2
+        assert router.search(request)["cached"]
+
+
 class TestMoveSafeSql:
     #: A fresh query per call, so every call misses the result cache.
     serial = itertools.count()

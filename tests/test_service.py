@@ -68,14 +68,6 @@ class TestQueryCache:
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert cache.evictions == 1
 
-    def test_invalidate_clears(self):
-        cache = QueryCache(4)
-        cache.put("a", 1)
-        cache.invalidate()
-        assert cache.get("a") is None
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-
     def test_zero_capacity_disables(self):
         cache = QueryCache(0)
         cache.put("a", 1)
@@ -95,17 +87,6 @@ class TestQueryCache:
         # An empty sweep adds nothing.
         assert cache.invalidate_where(lambda key: False) == 0
         assert cache.invalidations == 3
-
-    def test_stale_generation_put_is_dropped(self):
-        # A result computed before an invalidation must not be cached
-        # after it (the ingest/search race).
-        cache = QueryCache(4)
-        generation = cache.generation
-        cache.invalidate()
-        cache.put("a", "stale", generation=generation)
-        assert cache.get("a") is None
-        cache.put("a", "fresh", generation=cache.generation)
-        assert cache.get("a") == "fresh"
 
     def test_stats_hit_rate(self):
         cache = QueryCache(4)

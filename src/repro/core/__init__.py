@@ -1,9 +1,8 @@
 """The Staccato approximation -- the paper's primary contribution."""
 
-from .approximate import build_staccato, prune_edges_to_k, staccato_approximate
+from .approximate import prune_edges_to_k, staccato_approximate
 from .chunks import Region, collapse, find_min_sfa, region_mass, region_top_k
-from .kmap import KMapDoc, build_kmap, build_map, kmap_sfa
-from .staccato_doc import StaccatoDoc
+from .kmap import KMapDoc, build_kmap, kmap_sfa
 from .theory import (
     exhaustive_best_selection,
     greedy_selection_mass,
@@ -21,7 +20,6 @@ from .tuning import (
 )
 
 __all__ = [
-    "build_staccato",
     "prune_edges_to_k",
     "staccato_approximate",
     "Region",
@@ -32,8 +30,6 @@ __all__ = [
     "KMapDoc",
     "build_kmap",
     "kmap_sfa",
-    "build_map",
-    "StaccatoDoc",
     "exhaustive_best_selection",
     "greedy_selection_mass",
     "kl_of_selection",

@@ -40,9 +40,8 @@ from .chunks import (
     region_mass,
     region_top_k,
 )
-from .staccato_doc import StaccatoDoc
 
-__all__ = ["prune_edges_to_k", "staccato_approximate", "build_staccato"]
+__all__ = ["prune_edges_to_k", "staccato_approximate"]
 
 
 def prune_edges_to_k(sfa: Sfa, k: int) -> Sfa:
@@ -160,8 +159,3 @@ def staccato_approximate(sfa: Sfa, m: int, k: int) -> Sfa:
             if touched.isdisjoint(cached[0])
         }
     return work
-
-
-def build_staccato(sfa: Sfa, m: int, k: int) -> StaccatoDoc:
-    """Convenience wrapper returning the chunk-graph document object."""
-    return StaccatoDoc(sfa=staccato_approximate(sfa, m, k), m=m, k=k)

@@ -20,7 +20,7 @@ from typing import Iterable
 from ..sfa.model import Sfa
 from ..sfa.paths import k_best_strings
 
-__all__ = ["KMapDoc", "build_kmap", "build_map", "kmap_sfa"]
+__all__ = ["KMapDoc", "build_kmap", "kmap_sfa"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,11 +45,6 @@ def build_kmap(sfa: Sfa, k: int) -> KMapDoc:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return KMapDoc(strings=tuple(k_best_strings(sfa, k)), k=k)
-
-
-def build_map(sfa: Sfa) -> KMapDoc:
-    """The plain MAP baseline (k = 1)."""
-    return build_kmap(sfa, 1)
 
 
 def kmap_sfa(strings: Iterable[tuple[str, float]]) -> Sfa:

@@ -28,7 +28,6 @@ lines the mark does not cover, so it answers over every ingested line.
 
 from __future__ import annotations
 
-import glob
 import os
 import re
 import sqlite3
@@ -57,7 +56,6 @@ __all__ = [
     "APPROACHES",
     "shard_path",
     "shard_paths",
-    "discover_shard_paths",
 ]
 
 APPROACHES = storage.APPROACHES
@@ -83,7 +81,6 @@ def _span(name: str, **attrs):
 
 #: File-name pattern of one shard inside a shard directory.
 SHARD_FILE_FORMAT = "shard-{index:04d}.db"
-_SHARD_FILE_RE = re.compile(r"^shard-(\d{4})\.db$")
 _ALIAS_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 
@@ -99,15 +96,6 @@ def shard_paths(shard_dir: str, num_shards: int) -> list[str]:
     if num_shards < 1:
         raise ValueError("a sharded layout needs at least one shard")
     return [shard_path(shard_dir, i) for i in range(num_shards)]
-
-
-def discover_shard_paths(shard_dir: str) -> list[str]:
-    """Existing shard files under ``shard_dir``, in shard-index order."""
-    found = []
-    for path in glob.glob(os.path.join(shard_dir, "shard-*.db")):
-        if _SHARD_FILE_RE.match(os.path.basename(path)):
-            found.append(path)
-    return sorted(found)
 
 
 #: Default BFS depth for projected evaluation: matches can span at most a

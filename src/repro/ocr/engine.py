@@ -116,12 +116,3 @@ class SimulatedOcrEngine:
                 sfa.add_edge(i, aux, [(first, weight)])
                 sfa.add_edge(aux, target, [(second, 1.0)])
         return sfa
-
-    def recognize_document(
-        self, lines: list[str], doc_seed: int = 0
-    ) -> list[Sfa]:
-        """OCR a whole document (one SFA per line, independently seeded)."""
-        return [
-            self.recognize_line(line, line_seed=(doc_seed, line_no))
-            for line_no, line in enumerate(lines)
-        ]

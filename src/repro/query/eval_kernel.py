@@ -4,10 +4,13 @@ Two evaluators for the same program (:class:`repro.sfa.kernel.CompiledKernel`):
 
 * a **pure-python replay** that mirrors the dict evaluator of
   :mod:`repro.query.eval_sfa` step for step -- the always-on correctness
-  reference.  It beats the dict DP by caching the DFA transition of each
-  ``(state, symbol)`` pair once *per evaluator* (one filescan shares the
-  cache across every line) instead of re-walking the symbol's characters
-  per line;
+  reference.  One loop serves both query kinds (a match-anywhere query
+  folds the mass that reaches its absorbing accept state out through
+  backward masses; any other query drops the mass that dies) and the
+  index plan's projection.  It beats the dict DP by caching the DFA
+  transition of each ``(state, symbol)`` pair once *per evaluator* (one
+  filescan shares the cache across every line) instead of re-walking
+  the symbol's characters per line;
 * a **numpy lockstep batch** path that advances many lines through the
   DP at once: step ``t`` processes the ``t``-th topological node of every
   seeded line in one set of vectorized operations, and the
@@ -26,11 +29,10 @@ The layout also records the character pairs each line can spell, so
 :meth:`KernelBatch.spells` leaves out of that subset, before any DP, the
 lines that cannot spell a pattern's required pairs.
 
-The index plan evaluates its candidates with the python replay
+The index plan evaluates its candidates with that same replay
 restricted to the windows of their postings
-(:meth:`KernelEvaluator.evaluate_projected`): the same function as the
-full-line replay, with mass injected at the posting entries instead of
-the start node.
+(:meth:`KernelEvaluator.evaluate_projected`), with mass injected at the
+posting entries instead of the start node.
 
 Both paths are bit-for-bit equal to the dict evaluator: products are the
 same IEEE multiplies, and sums into each (node, DFA-state) cell are
@@ -469,13 +471,11 @@ class KernelEvaluator:
     def evaluate(self, kernel: CompiledKernel) -> LineResult:
         """One line through the pure-python replay."""
         query = self.query
-        if not query.match_anywhere:
-            return self._python_general(kernel)
-        if query.is_accepting(query.start):
+        if query.match_anywhere and query.is_accepting(query.start):
             # Pattern matches the empty string: everything matches, and
             # the dict evaluator returns before counting anything.
             return LineResult(kernel.backward[kernel.start_pos], 0, 0)
-        return self._python_absorbing(kernel, {kernel.start_pos: 1.0}, None)
+        return self._replay(kernel, {kernel.start_pos: 1.0})
 
     def evaluate_projected(
         self, kernel: CompiledKernel, entry_ids: Iterable[int], window: int
@@ -498,7 +498,7 @@ class KernelEvaluator:
         if not entries:
             return LineResult(0.0, 0, 0)
         forward = kernel.forward
-        probability, cells, transitions = self._python_absorbing(
+        probability, cells, transitions = self._replay(
             kernel,
             {t: forward[t] for t in entries if forward[t] > 0.0},
             _window_positions(kernel, entries, window),
@@ -550,74 +550,14 @@ class KernelEvaluator:
     # ------------------------------------------------------------------
     # Pure-python replay (always available; the correctness reference)
     # ------------------------------------------------------------------
-    def _row_for(self, sym: str) -> list[int]:
-        row = self._rows.get(sym)
-        if row is None:
-            row = self._rows[sym] = []
-        return row
-
-    def _python_general(self, kernel: CompiledKernel) -> LineResult:
-        query = self.query
-        step_string = query.step_string
-        symbols = kernel.symbols
-        syms = kernel.step_syms
-        probs = kernel.step_probs
-        node_runs = kernel.node_runs
-        run_dst = kernel.run_dst
-        run_starts = kernel.run_starts
-        rows_local: list[list[int] | None] = [None] * len(symbols)
-        n = kernel.num_nodes
-        masses: list[dict[int, float]] = [{} for _ in range(n)]
-        masses[kernel.start_pos][query.start] = 1.0
-        cells = 0
-        transitions = 0
-        for t in range(n):
-            dist = masses[t]
-            if not dist:
-                continue
-            cells += len(dist)
-            items = dist.items()  # safe: destinations are strictly later nodes
-            num_states = len(items)
-            for run in range(node_runs[t], node_runs[t + 1]):
-                succ_dist = masses[run_dst[run]]
-                lo, hi = run_starts[run], run_starts[run + 1]
-                transitions += num_states * (hi - lo)
-                for j in range(lo, hi):
-                    sid = syms[j]
-                    row = rows_local[sid]
-                    if row is None:
-                        row = rows_local[sid] = self._row_for(symbols[sid])
-                    prob = probs[j]
-                    for state, mass in items:
-                        try:
-                            nxt = row[state]
-                        except IndexError:
-                            row.extend(
-                                (_UNFILLED,) * (state + 1 - len(row))
-                            )
-                            nxt = _UNFILLED
-                        if nxt == _UNFILLED:
-                            nxt = row[state] = step_string(
-                                state, symbols[sid]
-                            )
-                        if nxt == _DEAD:
-                            continue
-                        weight = mass * prob
-                        succ_dist[nxt] = succ_dist.get(nxt, 0.0) + weight
-        probability = sum(
-            mass
-            for state, mass in masses[kernel.final_pos].items()
-            if query.is_accepting(state)
-        )
-        return LineResult(probability, cells, transitions)
-
-    def _python_absorbing(
+    def _replay(
         self,
         kernel: CompiledKernel,
         injected: dict[int, float],
-        window: Iterable[int] | None,
+        window: Iterable[int] | None = None,
     ) -> LineResult:
-        """The match-anywhere DP over the nodes at positions ``window``.
+        """The DP over the nodes at positions ``window``, for every query
+        kind.
 
         ``injected`` maps a position to the mass that enters the query's
         start state there.  The full-line evaluation is the special case
@@ -625,8 +565,20 @@ class KernelEvaluator:
         (``None``); the index plan injects each posting entry's forward
         mass and restricts the DP to the entries' neighbourhood.  Steps
         into a node outside the window are skipped and not counted.
+
+        Each query kind has one state whose mass does not move on: a
+        match-anywhere query's absorbing ``_ACCEPT``, whose mass is
+        folded out through the backward mass of the step's destination
+        (the answer), and any other query's ``DEAD``, whose folded mass
+        is dropped.  A general query's answer is the accepted mass at
+        the final node -- the int ``0`` when no accepting state reaches
+        it, as in the dict DP.
         """
         query = self.query
+        # The state whose mass stops: the absorbing _ACCEPT (match-anywhere
+        # mode never reaches DEAD) or DEAD (elsewhere _ACCEPT's id 0 is an
+        # ordinary state).
+        sink = _ACCEPT if query.match_anywhere else _DEAD
         step_string = query.step_string
         symbols = kernel.symbols
         syms = kernel.step_syms
@@ -635,6 +587,7 @@ class KernelEvaluator:
         run_dst = kernel.run_dst
         run_starts = kernel.run_starts
         backward = kernel.backward
+        rows = self._rows
         rows_local: list[list[int] | None] = [None] * len(symbols)
         n = kernel.num_nodes
         masses: list[dict[int, float] | None]
@@ -646,7 +599,7 @@ class KernelEvaluator:
                 masses[t] = {}
         for t, mass in injected.items():
             masses[t][query.start] = mass
-        matched = 0.0
+        folded = 0.0
         cells = 0
         transitions = 0
         for t in range(n):
@@ -668,7 +621,9 @@ class KernelEvaluator:
                     sid = syms[j]
                     row = rows_local[sid]
                     if row is None:
-                        row = rows_local[sid] = self._row_for(symbols[sid])
+                        row = rows_local[sid] = rows.setdefault(
+                            symbols[sid], []
+                        )
                     prob = probs[j]
                     for state, mass in items:
                         try:
@@ -683,13 +638,18 @@ class KernelEvaluator:
                                 state, symbols[sid]
                             )
                         weight = mass * prob
-                        # In match-anywhere mode the only accepting state
-                        # is the absorbing _ACCEPT; DEAD never occurs.
-                        if nxt == _ACCEPT:
-                            matched += weight * back
+                        if nxt == sink:
+                            folded += weight * back
                         else:
                             succ_dist[nxt] = succ_dist.get(nxt, 0.0) + weight
-        return LineResult(matched, cells, transitions)
+        if query.match_anywhere:
+            return LineResult(folded, cells, transitions)
+        probability = sum(
+            mass
+            for state, mass in masses[kernel.final_pos].items()
+            if query.is_accepting(state)
+        )
+        return LineResult(probability, cells, transitions)
 
     # ------------------------------------------------------------------
     # Numpy lockstep batch

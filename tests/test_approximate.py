@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.approximate import (
-    build_staccato,
-    prune_edges_to_k,
-    staccato_approximate,
-)
+from repro.core.approximate import prune_edges_to_k, staccato_approximate
 from repro.sfa import ops
 from repro.sfa.builder import figure2_sfa
 from repro.sfa.paths import k_best_strings
@@ -107,14 +103,12 @@ class TestInvariants:
         assert a.structurally_equal(b)
 
 
-class TestStaccatoDoc:
-    def test_wrapper_fields(self, figure2):
-        doc = build_staccato(figure2, m=2, k=3)
-        assert doc.num_chunks == 2
-        assert doc.distinct_strings() == 9
-        assert doc.strings_stored == 6  # 2 chunks x 3 strings
-        assert 0.0 < doc.retained_mass() <= 1.0
-        chunks = doc.chunk_strings()
-        assert len(chunks) == 2
-        for _, strings in chunks:
-            assert len(strings) == 3
+class TestFigure2ChunkGraph:
+    def test_chunks_strings_and_mass(self, figure2):
+        graph = staccato_approximate(figure2, m=2, k=3)
+        assert graph.num_edges == 2
+        assert ops.string_count(graph) == 9
+        assert graph.num_emissions() == 6  # 2 chunks x 3 strings
+        assert 0.0 < ops.total_mass(graph) <= 1.0
+        for u, v in graph.edges:
+            assert len(graph.emissions(u, v)) == 3

@@ -105,11 +105,16 @@ class TestBitForBitEquivalence:
         for result in kernel_results(sfa, query):
             assert result == expected
 
-    @given(st.lists(any_sfas, min_size=1, max_size=5), regex_patterns())
+    @given(
+        st.lists(any_sfas, min_size=1, max_size=5),
+        regex_patterns(),
+        st.booleans(),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_batch_equals_per_line(self, sfas, pattern):
-        """A batch over many kernels == the per-line evaluations."""
-        query = dfa_for_pattern(pattern, match_anywhere=True)
+    def test_batch_equals_per_line(self, sfas, pattern, match_anywhere):
+        """A batch over many kernels == the per-line evaluations, for
+        both query kinds: one evaluator's row cache spans the lines."""
+        query = dfa_for_pattern(pattern, match_anywhere=match_anywhere)
         kernels = [compile_kernel(sfa) for sfa in sfas]
         expected = [dict_reference(sfa, query) for sfa in sfas]
         evaluator = KernelEvaluator(query)

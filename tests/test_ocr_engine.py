@@ -101,12 +101,17 @@ class TestRecognizeLine:
 
 
 class TestRecognizeDocument:
+    """Ingest recognizes a document line by line, each line under its
+    own ``(doc_id, line_no)`` seed."""
+
     def test_one_sfa_per_line(self, fast_ocr_engine):
-        sfas = fast_ocr_engine.recognize_document(["ab", "cd", "ef"])
-        assert len(sfas) == 3
-        for sfa in sfas:
+        for line_no, line in enumerate(["ab", "cd", "ef"]):
+            sfa = fast_ocr_engine.recognize_line(line, line_seed=(0, line_no))
             ops.validate(sfa, require_stochastic=True)
 
     def test_lines_seeded_independently(self, fast_ocr_engine):
-        first, second = fast_ocr_engine.recognize_document(["same text", "same text"])
+        first, second = (
+            fast_ocr_engine.recognize_line("same text", line_seed=(0, line_no))
+            for line_no in range(2)
+        )
         assert not first.structurally_equal(second)

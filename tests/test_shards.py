@@ -11,6 +11,7 @@ invalidation plus the ``POST /index`` round-trip.
 
 from __future__ import annotations
 
+import glob
 import sys
 import threading
 import time
@@ -19,12 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.bench.service_load import get_json, post_json
-from repro.db.engine import (
-    StaccatoDB,
-    discover_shard_paths,
-    shard_path,
-    shard_paths,
-)
+from repro.db.engine import StaccatoDB, shard_path, shard_paths
 from repro.db.sql import (
     MAX_SQL_PREDICATES,
     execute_select,
@@ -74,7 +70,8 @@ class TestRouting:
         assert paths == [shard_path(str(tmp_path), i) for i in range(3)]
         for path in paths:
             StaccatoDB(path).close()
-        assert discover_shard_paths(str(tmp_path)) == paths
+        # The layout's files list in shard-index order.
+        assert sorted(glob.glob(str(tmp_path / "shard-*.db"))) == paths
 
 
 class TestMergeRanked:

@@ -141,8 +141,7 @@ def single_database_demo(tmp: str, corpus) -> None:
              "wait": True},
         )
         print(f"POST /index -> {reply['postings']} postings over "
-              f"{reply['terms']} terms (pool reloaded: "
-              f"{reply['shards']['0']['reloaded']}, job {reply['job_id']})\n")
+              f"{reply['terms']} terms (job {reply['job_id']})\n")
 
         query = {"pattern": "%President%", "approach": "staccato", "num_ans": 5}
         reply = checked_post(running.base_url, "/search", query)

@@ -86,8 +86,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .db.planner import execute_plan
 
     db = StaccatoDB(args.db)
-    if args.planned or args.indexed:
-        db.load_index()  # the stored dictionary; none -> filescan
     started = time.perf_counter()
     plan_note = ""
     if args.planned:
@@ -205,7 +203,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         m=args.m,
         pool_size=args.pool_size,
         cache_size=args.cache_size,
-        index_approach=args.index_approach,
         workers=args.workers,
         trace_enabled=not args.no_trace,
         trace_ring=args.trace_ring,
@@ -305,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reader connections kept open")
     serve.add_argument("--cache-size", type=int, default=256,
                        help="query-result cache entries (0 disables)")
-    serve.add_argument(
-        "--index-approach", choices=("kmap", "staccato"), default="staccato",
-        help="approach whose dictionary index indexed plans use",
-    )
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request access logging")
     serve.add_argument("--no-trace", action="store_true",

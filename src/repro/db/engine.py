@@ -24,6 +24,8 @@ stores the postings (computed from the stored kernels), the dictionary
 transaction; ``ingest`` indexes new lines under the stored dictionary
 in the transaction that stores them; and the index plan scans whatever
 lines the mark does not cover, so it answers over every ingested line.
+Every decision that uses the index reads it from the file
+(:meth:`StaccatoDB.stored_index`); no handle keeps a copy.
 """
 
 from __future__ import annotations
@@ -133,8 +135,6 @@ class StaccatoDB:
         )
         self.k = k
         self.m = m
-        self._trie: DictionaryTrie | None = None
-        self._index_approach: str | None = None
         #: Cross-request memo and scan images.  A memo passed in is shared
         #: (a pool's readers, a shard's replicas) and outlives a query, so
         #: an index query may build its image (:meth:`_ruled_out`);
@@ -203,23 +203,12 @@ class StaccatoDB:
 
     def ingest_index(self) -> storage.IndexSpec | None:
         """The dictionary a batch for this file should be indexed under:
-        the stored one, when this handle can reproduce it (its trie is
-        reloaded if another handle rebuilt the index); ``None`` for a
-        file without an index or with one that predates the stored
-        dictionary -- its new lines stay uncovered until ``build_index``.
+        the stored one; ``None`` for a file without an index or with one
+        that predates the stored dictionary -- its new lines stay
+        uncovered until ``build_index``.
         """
-        key, _ = storage.index_meta(self.conn)
-        if key[0] is None:
-            return None
-        if self._index_key() != key:
-            self.load_index()
-            if self._index_key() != key:
-                return None
-        return storage.IndexSpec(self._trie, self._index_approach)
-
-    def _index_key(self) -> tuple[str | None, str | None]:
-        digest = self._trie.digest if self._trie is not None else None
-        return (digest, self._index_approach)
+        index = self.stored_index()
+        return None if index is None or index.inferred else index
 
     def write_batch(self, built: storage.BuiltBatch) -> int:
         """Store a batch :func:`~repro.db.storage.build_dataset` built
@@ -438,7 +427,7 @@ class StaccatoDB:
         return image
 
     def _projected_probabilities(
-        self, query, candidates: dict[int, set[Posting]], window: int, ev=None
+        self, query, candidates: dict[int, set[Posting]], ev=None
     ) -> dict[int, float]:
         """The index plan's projection (paper Section 4): each candidate's
         kernel replayed on the windows of its postings only.
@@ -471,7 +460,7 @@ class StaccatoDB:
                 result = evaluator.evaluate_projected(
                     kernel,
                     {posting.u for posting in candidates[data_key]},
-                    window,
+                    DEFAULT_WINDOW,
                 )
             except KeyError:
                 continue  # postings of a graph this line no longer has
@@ -649,8 +638,6 @@ class StaccatoDB:
                 "SELECT COALESCE(MAX(DataKey), -1) FROM MasterData"
             ).fetchone()
             storage.set_covered_through(self.conn, last)
-        self._trie = trie
-        self._index_approach = approach
         return count
 
     def _line_postings(self, approach: str, trie: DictionaryTrie):
@@ -663,58 +650,30 @@ class StaccatoDB:
             if kernel is not None:
                 yield data_key, build_kernel_postings(kernel, trie)
 
-    def stored_index_approach(self) -> str | None:
-        """The approach the persisted index was built over, if recorded."""
-        row = self.conn.execute(
-            "SELECT Value FROM IndexMeta WHERE Key = 'approach'"
-        ).fetchone()
-        return row[0] if row else None
+    def stored_index(self) -> storage.IndexSpec | None:
+        """The file's dictionary index as it is now (one read of
+        ``IndexMeta``): its trie, approach and coverage mark; ``None``
+        for a file without one."""
+        return storage.stored_index(self.conn)
 
-    def load_index(self, approach: str | None = None) -> bool:
-        """Rebuild the in-memory anchor trie from the stored index.
-
-        ``build_index`` persists its postings, its dictionary and which
-        approach they were built over, but keeps the trie only on the
-        instance that built it.  A pooled connection
-        (:mod:`repro.service.pool`) opened later against the same file
-        calls this to recover the trie from ``IndexTerms`` -- every term,
-        with or without a posting -- so indexed plans work, and probe the
-        same anchors, on every connection; a file that predates the
-        stored dictionary falls back to the terms ``InvertedIndex``
-        mentions.  The recorded approach always wins -- a posting's
-        ``(U, V)`` coordinates only mean anything against the
-        representation that produced them -- so ``approach`` is just a
-        fallback for databases predating the ``IndexMeta`` record.
-        Returns ``True`` when an index was found.
-        """
-        terms = [
-            term for (term,) in self.conn.execute("SELECT Term FROM IndexTerms")
-        ] or [
-            term
-            for (term,) in self.conn.execute(
-                "SELECT DISTINCT Term FROM InvertedIndex"
-            )
-        ]
-        if not terms:
-            return False
-        self._trie = DictionaryTrie(terms)
-        self._index_approach = (
-            self.stored_index_approach() or approach or "staccato"
-        )
-        return True
+    def _anchored(self, like: str, approach: str):
+        """``(index_anchor(like, approach), stored_index())``."""
+        index = self.stored_index()
+        if index is None or index.approach != approach:
+            return None, index
+        return anchor_for_query(like, index.trie), index
 
     def index_anchor(self, like: str, approach: str) -> str | None:
         """The dictionary term the index plan would probe for ``like``:
-        its left anchor, when the trie is loaded for this approach and
-        holds it; ``None`` when the plan would fall back to the filescan."""
-        if self._trie is None or self._index_approach != approach:
-            return None
-        return anchor_for_query(like, self._trie)
+        its left anchor, when the file's index is over ``approach`` and
+        holds it; ``None`` when the plan would fall back to the
+        filescan."""
+        return self._anchored(like, approach)[0]
 
     def index_covers(self, like: str, approach: str) -> bool:
         """True when ``indexed_search`` would really use the index plan
-        (trie loaded for this approach and the query has a usable anchor),
-        False when it would silently fall back to the filescan."""
+        (an index over this approach and a usable anchor), False when it
+        would fall back to the filescan."""
         return self.index_anchor(like, approach) is not None
 
     def index_postings(self, term: str) -> dict[int, set[Posting]]:
@@ -731,16 +690,20 @@ class StaccatoDB:
             )
         return grouped
 
-    def uncovered_keys(self) -> list[int]:
+    def uncovered_keys(
+        self, index: storage.IndexSpec | None = None
+    ) -> list[int]:
         """Lines the stored index does not cover, in DataKey order: the
         ones past the file's ``covered_through`` mark (a file indexed
         before the mark was recorded is covered through the last line
         ``InvertedIndex`` mentions -- a table scan, until the next
-        ``build_index``).  Read from the file on every call -- the
-        writer that moves the mark is another connection -- as a key
-        lookup and a rowid-range lookup; empty unless lines were written
-        by a writer that could not index them."""
-        _, covered = storage.index_meta(self.conn)
+        ``build_index``), as ``index`` records it (:meth:`stored_index`,
+        read now if not given: the writer that moves the mark is another
+        connection).  Empty unless lines were written by a writer that
+        could not index them."""
+        if index is None:
+            index = self.stored_index()
+        covered = index.covered_through if index is not None else None
         if covered is None:
             (covered,) = self.conn.execute(
                 "SELECT COALESCE(MAX(DataKey), -1) FROM InvertedIndex"
@@ -753,11 +716,12 @@ class StaccatoDB:
         return [key for (key,) in rows]
 
     def index_probe(
-        self, term: str
+        self, term: str, index: storage.IndexSpec | None = None
     ) -> tuple[dict[int, set[Posting]], list[int]]:
         """What the index plan evaluates for anchor ``term``: its posting
-        lists by (covered) line, and the uncovered lines."""
-        return self.index_postings(term), self.uncovered_keys()
+        lists by (covered) line, and the uncovered lines (``index`` as
+        for :meth:`uncovered_keys`)."""
+        return self.index_postings(term), self.uncovered_keys(index)
 
     def line_fraction(self, lines: int) -> float:
         """``lines`` as a fraction of the ingested lines (0 when empty)."""
@@ -778,14 +742,14 @@ class StaccatoDB:
         approach: str = "staccato",
         num_ans: int | None = 100,
         use_projection: bool = True,
-        window: int = DEFAULT_WINDOW,
         probed: tuple[str, dict[int, set[Posting]], list[int]] | None = None,
     ) -> list[Answer]:
         """Index query plan: anchor lookup, then evaluate candidates only.
 
         Falls back to the filescan plan when the query has no usable left
-        anchor or no index has been built (the paper's parser makes the
-        same decision).  A caller that already parsed the anchor and ran
+        anchor or the file has no index over ``approach`` (the paper's
+        parser makes the same decision).  A caller that already took the
+        anchor from the index over ``approach`` and ran
         :meth:`index_probe` -- the planner, which chose this plan from
         it -- passes ``(anchor, candidates, uncovered)`` as ``probed``.
 
@@ -800,15 +764,15 @@ class StaccatoDB:
         (probability 0).
         """
         _check_approach(approach)
-        if probed is not None and self._index_approach == approach:
+        if probed is not None:
             anchor, candidates, uncovered = probed
         else:
-            anchor, candidates = self.index_anchor(like, approach), None
+            (anchor, index), candidates = self._anchored(like, approach), None
             if anchor is None:
                 return self.search(like, approach=approach, num_ans=num_ans)
         with _span("engine_probe", approach=approach) as probe:
             if candidates is None:
-                candidates, uncovered = self.index_probe(anchor)
+                candidates, uncovered = self.index_probe(anchor, index)
             postings_total = sum(len(p) for p in candidates.values())
             counters.add(
                 postings_probed=postings_total,
@@ -839,7 +803,7 @@ class StaccatoDB:
                 probs: dict[int, float] = {}
                 if projected and candidates:
                     probs = self._projected_probabilities(
-                        query, candidates, window, ev
+                        query, candidates, ev
                     )
                 if scanned:
                     probs.update(

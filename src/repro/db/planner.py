@@ -34,9 +34,11 @@ The threshold is deliberately not moved with them: it decides whether a
 request returns projected or full-line probabilities, so recalibrating
 it changes answers and counters and is its own change (ROADMAP).
 
-:func:`execute_plan` parses the anchor once and probes the index once:
-the posting lists and uncovered lines it judges the selectivity by are
-what the index plan then evaluates.
+:func:`execute_plan` reads the stored index once, parses the anchor
+once and probes the index once: the posting lists and uncovered lines
+it judges the selectivity by are what the index plan then evaluates.
+Only an index over the request's approach has an anchor: its postings
+address that approach's representation.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import counters
-from ..indexing.anchors import anchor_for_query
 from .engine import StaccatoDB
 
 __all__ = ["QueryPlan", "choose_plan", "execute_plan"]
@@ -68,13 +69,14 @@ def choose_plan(
     db: StaccatoDB,
     like: str,
     threshold: float = DEFAULT_SELECTIVITY_THRESHOLD,
+    approach: str = "staccato",
 ) -> QueryPlan:
-    """Pick the access path for ``like`` against the current index."""
-    anchor, why_not = _usable_anchor(db, like)
+    """Pick the access path for ``like`` against the stored index."""
+    anchor, index, why_not = _usable_anchor(db, like, approach)
     if anchor is None:
         return _counted(QueryPlan("scan", None, None, why_not))
     selectivity = db.index_selectivity(anchor) + db.line_fraction(
-        len(db.uncovered_keys())
+        len(db.uncovered_keys(index))
     )
     return _counted(_by_selectivity(anchor, selectivity, threshold))
 
@@ -87,17 +89,19 @@ def _counted(plan: QueryPlan) -> QueryPlan:
     return plan
 
 
-def _usable_anchor(db: StaccatoDB, like: str) -> tuple[str | None, str]:
-    """The anchor term the index can serve, or why there is none."""
-    if db._trie is None:
-        return None, "no index built; batched filescan"
-    anchor = anchor_for_query(like, db._trie)
-    if anchor is None:
-        return (
-            None,
-            "query is not left-anchored by a dictionary term; batched filescan",
-        )
-    return anchor, ""
+def _usable_anchor(db: StaccatoDB, like: str, approach: str):
+    """``(anchor, stored index, "")``, or ``(None, index, why there is
+    no anchor the index can serve)``."""
+    anchor, index = db._anchored(like, approach)
+    if anchor is not None:
+        return anchor, index, ""
+    if index is None:
+        why = "no index built"
+    elif index.approach != approach:
+        why = f"the index is over '{index.approach}' data"
+    else:
+        why = "query is not left-anchored by a dictionary term"
+    return None, index, f"{why}; batched filescan"
 
 
 def _by_selectivity(
@@ -134,11 +138,11 @@ def execute_plan(
     line the index does not cover -- are the selectivity, and they are
     handed to the index plan.
     """
-    anchor, why_not = _usable_anchor(db, like)
+    anchor, index, why_not = _usable_anchor(db, like, approach)
     if anchor is None:
         plan = QueryPlan("scan", None, None, why_not)
     else:
-        candidates, uncovered = db.index_probe(anchor)
+        candidates, uncovered = db.index_probe(anchor, index)
         plan = _by_selectivity(
             anchor,
             db.line_fraction(len(candidates) + len(uncovered)),

@@ -18,12 +18,17 @@ from the kernels it has just compiled; :func:`write_batch` stores them
 and extends the file's coverage mark in the transaction that stores the
 lines, or -- built under any other dictionary -- drops them and leaves
 the lines uncovered (the index plans scan uncovered lines).
+
+The index has one copy, the file's: every decision that uses it reads
+it through :func:`stored_index`, whose tries come from one process-wide
+cache keyed by the recorded dictionary digest.
 """
 
 from __future__ import annotations
 
 import math
 import sqlite3
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -67,6 +72,7 @@ __all__ = [
     "posting_rows",
     "insert_postings",
     "index_meta",
+    "stored_index",
     "cover_appended",
     "set_covered_through",
     "load_ground_truth",
@@ -93,18 +99,17 @@ _INSERTS = {
 
 @dataclass(frozen=True, slots=True)
 class IndexSpec:
-    """The dictionary index new lines are indexed under: the trie of a
-    file's stored dictionary and the approach its postings address.
-    Plain data, so it travels to ``workers`` processes like the OCR
-    engine does."""
+    """A dictionary index: the trie of its dictionary, the approach its
+    postings address and, read from a file (:func:`stored_index`), the
+    file's coverage mark.  Plain data, so it travels to ``workers``
+    processes like the OCR engine does."""
 
     trie: DictionaryTrie
     approach: str  # "staccato" | "kmap"
-
-    @property
-    def key(self) -> tuple[str, str]:
-        """What a file must record for these postings to be its own."""
-        return (self.trie.digest, self.approach)
+    covered_through: int | None = None
+    #: The trie holds the terms the postings mention, not a recorded
+    #: dictionary (a file indexed before the dictionary was stored).
+    inferred: bool = False
 
 
 def posting_rows(
@@ -172,8 +177,9 @@ class BuiltBatch:
     DataKeys are batch-local (the dataset's own line ids, from 0); the
     write shifts them past what its connection already holds, so one
     build can be written to every replica of a shard.  ``index_key`` is
-    the :attr:`IndexSpec.key` the ``InvertedIndex`` rows were computed
-    under (``None``: built without a dictionary, no such rows).
+    the (dictionary digest, approach) the ``InvertedIndex`` rows were
+    computed under -- what a file must record for them to be its own
+    (``None``: built without a dictionary, no such rows).
     """
 
     documents: list[tuple]
@@ -227,7 +233,9 @@ def build_dataset(
             for doc in dataset.documents
         ],
         rows=rows,
-        index_key=index.key if index is not None else None,
+        index_key=(
+            (index.trie.digest, index.approach) if index is not None else None
+        ),
     )
 
 
@@ -285,6 +293,49 @@ def index_meta(
         (meta.get("dictionary"), meta.get("approach")),
         int(covered) if covered is not None else None,
     )
+
+
+#: Tries of recorded dictionaries, process-wide, by digest (oldest
+#: dropped first).  A digest names its dictionary, so a cached trie is
+#: never stale; none is mutated once cached.
+_TRIE_CACHE_SIZE = 8
+_tries: dict[str, DictionaryTrie] = {}
+_tries_lock = threading.Lock()
+
+
+def stored_index(conn: sqlite3.Connection) -> IndexSpec | None:
+    """The file's dictionary index, from one read of ``IndexMeta``;
+    ``None`` for a file without one.
+
+    The trie of a recorded dictionary comes from the cache, built from
+    ``IndexTerms`` on a miss (``None`` if a rebuild committed between
+    the two reads).  A file indexed before the dictionary was recorded
+    has its trie inferred from the terms ``InvertedIndex`` mentions, on
+    every call; one without an ``approach`` row is ``staccato``.
+    """
+    (digest, approach), covered = index_meta(conn)
+    approach = approach or "staccato"
+    if digest is None:
+        trie = DictionaryTrie(
+            term
+            for (term,) in conn.execute("SELECT DISTINCT Term FROM InvertedIndex")
+        )
+        if not trie.num_terms:
+            return None
+        return IndexSpec(trie, approach, covered, inferred=True)
+    with _tries_lock:
+        trie = _tries.get(digest)
+    if trie is None:
+        trie = DictionaryTrie(
+            term for (term,) in conn.execute("SELECT Term FROM IndexTerms")
+        )
+        if trie.digest != digest:
+            return None
+        with _tries_lock:
+            _tries[digest] = trie
+            if len(_tries) > _TRIE_CACHE_SIZE:
+                del _tries[next(iter(_tries))]
+    return IndexSpec(trie, approach, covered)
 
 
 def cover_appended(

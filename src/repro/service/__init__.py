@@ -52,9 +52,9 @@ HTTP API (all bodies and responses are JSON):
 
 ``POST /index``
     Rebuild the dictionary inverted index over HTTP (always a full
-    rebuild, from the stored kernels) and broadcast ``load_index`` to
-    the reader pool(s).  Body: ``{"terms": ["public",
-    "law", ...], "approach": "staccato"}``.
+    rebuild, from the stored kernels); every reader takes it from the
+    file.  Body: ``{"terms": ["public", "law", ...], "approach":
+    "staccato"}``.
 
 ``/search``/``/sql`` fan out over all shards (or a ``"shards": [0, 2]``
 scope) and merge the ranked relations; ``/ingest`` routes documents to

@@ -9,8 +9,8 @@ the small interface below; a topology is a choice of leg:
   in lockstep;
 * :class:`~repro.service.workers.WorkerLeg` -- the shard lives in a
   worker subprocess whose HTTP surface is a ``LocalLeg``'s own methods;
-  deadlines, hedged reads, connection pooling and restart supervision
-  are that leg's business.
+  deadlines, connection pooling and restart supervision are that leg's
+  business.
 
 A leg speaks typed Python values, never wire payloads.  It signals a
 shard it cannot reach with :class:`~repro.service.replicas.
@@ -89,10 +89,8 @@ class ShardLeg(Protocol):
         """Which of ``doc_ids`` the shard holds: rows in ``master``
         (committed lines) or in ``documents``."""
 
-    def build_index(
-        self, terms: Sequence[str], approach: str
-    ) -> tuple[int, bool]:
-        """(Re)build the dictionary index -> (postings, readers reloaded)."""
+    def build_index(self, terms: Sequence[str], approach: str) -> int:
+        """(Re)build the dictionary index -> the postings it holds."""
 
     def change_replicas(
         self, action: str, replica: int | None
@@ -134,7 +132,6 @@ class LocalLeg:
         k: int = 25,
         m: int = 40,
         pool_size: int = 2,
-        index_approach: str = "staccato",
         num_replicas: int = 1,
         cooldown_s: float = DEFAULT_COOLDOWN_S,
     ) -> None:
@@ -153,7 +150,6 @@ class LocalLeg:
             k=k,
             m=m,
             pool_size=pool_size,
-            index_approach=index_approach,
             cooldown_s=cooldown_s,
             kernel_memo=self.kernel_memo,
         )
@@ -284,14 +280,10 @@ class LocalLeg:
         except sqlite3.Error:
             return None
 
-    def build_index(
-        self, terms: Sequence[str], approach: str
-    ) -> tuple[int, bool]:
-        def build(replica: Replica) -> tuple[int, bool]:
-            postings = replica.writer.build_index(terms, approach=approach)
-            return postings, replica.pool.reload_index(approach)
-
-        return self.replicas.apply_write(build)
+    def build_index(self, terms: Sequence[str], approach: str) -> int:
+        return self.replicas.apply_write(
+            lambda replica: replica.writer.build_index(terms, approach=approach)
+        )
 
     def change_replicas(
         self, action: str, replica: int | None

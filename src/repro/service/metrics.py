@@ -84,7 +84,7 @@ class ServiceMetrics:
             family: {} for family in FAMILIES
         }
         # Named lifecycle events with no latency of their own (worker
-        # restarts, hedged reads, router deadlines): bare counters.
+        # restarts, router deadlines): bare counters.
         self._events: dict[str, int] = {}
         self.started_at = time.monotonic()
 
@@ -107,8 +107,8 @@ class ServiceMetrics:
         """Count one occurrence of a named lifecycle event.
 
         Used by the worker-process router for the things that are not
-        requests: a worker subprocess restarting after a crash, a read
-        leg getting hedged, a per-request deadline firing.  Exposed in
+        requests: a worker subprocess restarting after a crash, a
+        per-request deadline firing.  Exposed in
         ``/stats`` under ``events`` and in the Prometheus text as
         ``<prefix>_events_total{event="..."}``.
         """
@@ -252,7 +252,7 @@ class ServiceMetrics:
                      engine_counters.COUNTER_NAMES[name], [([], engine[name])])
             if self._events:
                 emit("events_total", "counter",
-                     "Lifecycle events (worker restarts, hedges, deadlines).",
+                     "Lifecycle events (worker restarts, deadlines).",
                      [([("event", name)], count)
                       for name, count in sorted(self._events.items())])
             for name, help_text, series in gauges:

@@ -1,11 +1,10 @@
 """A pool of read-only StaccatoDB connections for concurrent serving.
 
 SQLite connections are cheap but not free (each open replays the schema
-DDL, and the dictionary trie must be reloaded per connection), and the
-default ``check_same_thread`` guard forbids sharing one connection across
-handler threads.  The pool opens ``size`` connections to the same
-database file with ``check_same_thread=False``, guards each with its own
-lock, and hands exclusive use to one thread at a time: acquired
+DDL), and the default ``check_same_thread`` guard forbids sharing one
+connection across handler threads.  The pool opens ``size`` connections
+to the same database file with ``check_same_thread=False``, guards each
+with its own lock, and hands exclusive use to one thread at a time: acquired
 connections are removed from the free list *and* hold their per
 connection lock until released, so no two threads ever interleave on the
 same cursor.
@@ -57,7 +56,6 @@ class ConnectionPool:
         size: int = 4,
         k: int = 25,
         m: int = 40,
-        index_approach: str = "staccato",
         label: str | None = None,
         kernel_memo: KernelMemo | None = None,
     ) -> None:
@@ -84,8 +82,6 @@ class ConnectionPool:
             )
             for _ in range(size)
         ]
-        for entry in self._entries:
-            entry.db.load_index(index_approach)
         self._free: deque[_PooledConnection] = deque(self._entries)
         self._cond = threading.Condition()
         self._closed = False
@@ -135,19 +131,6 @@ class ConnectionPool:
             self._cond.notify()
 
     # ------------------------------------------------------------------
-    def reload_index(self, approach: str | None = None) -> bool:
-        """Refresh every connection's anchor trie (after a rebuild).
-
-        The approach recorded in ``IndexMeta`` wins; ``approach`` is only
-        a fallback for databases predating that record.  Returns whether
-        a persisted index was found (so ``/index`` can confirm the
-        broadcast took)."""
-        found = False
-        for entry in self._entries:
-            with entry.lock:
-                found = entry.db.load_index(approach) or found
-        return found
-
     def stats(self) -> dict[str, object]:
         """Pool occupancy snapshot for the ``/stats`` endpoint."""
         with self._cond:

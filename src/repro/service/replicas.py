@@ -198,7 +198,6 @@ class Replica:
         k: int,
         m: int,
         pool_size: int,
-        index_approach: str,
         cooldown_s: float,
         clock: Callable[[], float],
         kernel_memo: KernelMemo,
@@ -223,7 +222,6 @@ class Replica:
             size=pool_size,
             k=k,
             m=m,
-            index_approach=index_approach,
             label=f"shard-{shard_index}/r{replica_index}",
             kernel_memo=kernel_memo,
         )
@@ -279,7 +277,6 @@ class ReplicaSet:
         k: int = 25,
         m: int = 40,
         pool_size: int = 2,
-        index_approach: str = "staccato",
         cooldown_s: float = DEFAULT_COOLDOWN_S,
         clock: Callable[[], float] = time.monotonic,
         kernel_memo: KernelMemo,
@@ -291,7 +288,6 @@ class ReplicaSet:
         self._k = k
         self._m = m
         self._pool_size = pool_size
-        self._index_approach = index_approach
         self._cooldown_s = cooldown_s
         self._clock = clock
         self._kernel_memo = kernel_memo
@@ -367,7 +363,6 @@ class ReplicaSet:
             self._k,
             self._m,
             self._pool_size,
-            self._index_approach,
             self._cooldown_s,
             self._clock,
             kernel_memo=self._kernel_memo,

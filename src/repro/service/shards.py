@@ -354,7 +354,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         m: int = 40,
         pool_size: int = 2,
         cache_size: int = 256,
-        index_approach: str = "staccato",
         range_width: int = DEFAULT_RANGE_WIDTH,
         replicas: int = 1,
         replica_cooldown_s: float = DEFAULT_COOLDOWN_S,
@@ -374,7 +373,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         self.shard_dir = shard_dir
         self.num_shards = num_shards
         self.range_width = range_width
-        self.index_approach = index_approach
         self.num_replicas = replicas
         # ``paths`` overrides the canonical layout (shards that already
         # exist elsewhere; ``shard_dir`` then only holds the sidecars).
@@ -402,7 +400,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 k=k,
                 m=m,
                 pool_size=pool_size,
-                index_approach=index_approach,
                 num_replicas=replicas,
                 cooldown_s=replica_cooldown_s,
             )
@@ -902,16 +899,16 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         """Build/rebuild the dictionary index per scoped shard.
 
         Each scoped shard builds over its own data on every replica's
-        writer (lockstep, like ingest) and reloads its pooled readers,
-        so indexed plans are served immediately; the touched shards'
-        cached results are evicted (plan choices and projected
-        evaluations may change).
+        writer (lockstep, like ingest); every reader takes the index
+        from the file, so indexed plans are served from the next query
+        on, and the touched shards' cached results are evicted (plan
+        choices and projected evaluations may change).
         """
         request = validate_index(payload)
         scope = self._scope(request.shards)
         started = time.perf_counter()
 
-        def build(leg: ShardLeg) -> tuple[int, bool]:
+        def build(leg: ShardLeg) -> int:
             with leg.write_lock:
                 return leg.build_index(request.terms, request.approach)
 
@@ -922,10 +919,10 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         return {
             "approach": request.approach,
             "terms": len(request.terms),
-            "postings": sum(postings for _, (postings, _) in results),
+            "postings": sum(postings for _, postings in results),
             "shards": {
-                str(index): {"postings": postings, "reloaded": reloaded}
-                for index, (postings, reloaded) in results
+                str(index): {"postings": postings}
+                for index, postings in results
             },
             "evicted_cache_entries": evicted,
             "elapsed_s": time.perf_counter() - started,

@@ -25,8 +25,7 @@ and gives the *same* router a leg that reaches it over local HTTP:
 * :class:`WorkerLeg` -- the leg: each seam call is one RPC with a
   **deadline** (a worker that does not answer in time raises
   :class:`~repro.service.legs.LegDeadline`, which the router answers as
-  503 ``deadline_exceeded``) and, for reads, an optional **hedge** (a
-  second attempt races a slow first one).  Traced legs propagate
+  503 ``deadline_exceeded``).  Traced legs propagate
   ``X-Trace-Id`` and ``X-Parent-Span-Id`` over the hop; the worker
   serializes its span subtree into the response envelope and the leg
   grafts it under its own span, so ``GET /traces/<id>`` shows one
@@ -58,7 +57,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 from .. import counters as engine_counters
@@ -86,7 +85,6 @@ from .validation import (
 __all__ = [
     "DEFAULT_DEADLINE_S",
     "DEFAULT_WRITE_DEADLINE_S",
-    "DEFAULT_HEDGE_DELAY_S",
     "WORKER_SIDECAR_DIR",
     "ShardWorkerService",
     "WorkerHandle",
@@ -105,9 +103,6 @@ DEFAULT_DEADLINE_S = 30.0
 #: work (OCR transduction, postings); they get a far wider budget than
 #: the interactive reads.
 DEFAULT_WRITE_DEADLINE_S = 600.0
-
-#: How long a read leg waits before racing a second, hedged attempt.
-DEFAULT_HEDGE_DELAY_S = 0.5
 
 #: How long the router waits for a spawned worker to publish its port
 #: file and answer ``/health``.
@@ -275,10 +270,8 @@ class ShardWorkerService(ObservabilityApi):
     def build_index(self, body) -> dict[str, object]:
         request = validate_index(body)
         with self.leg.write_lock:
-            postings, reloaded = self.leg.build_index(
-                request.terms, request.approach
-            )
-        return {"postings": postings, "reloaded": reloaded}
+            postings = self.leg.build_index(request.terms, request.approach)
+        return {"postings": postings}
 
     @_face("POST")
     def change_replicas(self, body) -> dict[str, object]:
@@ -346,7 +339,6 @@ def run_worker(args: argparse.Namespace) -> int:
         k=args.k,
         m=args.m,
         pool_size=args.pool_size,
-        index_approach=args.index_approach,
         cooldown_s=args.replica_cooldown,
     )
     server = WorkerHTTPServer((args.host, args.port), service)
@@ -410,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, default=25)
     parser.add_argument("--m", type=int, default=40)
     parser.add_argument("--pool-size", type=int, default=2)
-    parser.add_argument("--index-approach", default="staccato")
     parser.add_argument(
         "--replica-cooldown", type=float, default=DEFAULT_COOLDOWN_S
     )
@@ -686,7 +677,6 @@ class WorkerHandle:
         *,
         deadline: float,
         idempotent: bool,
-        fresh: bool = False,
         headers: Mapping[str, str] | None = None,
     ) -> tuple[int, object]:
         """One request with deadline, readiness wait, and retry policy.
@@ -718,7 +708,7 @@ class WorkerHandle:
             if pool is None:
                 continue
             conn = None
-            if idempotent and not fresh:
+            if idempotent:
                 conn = pool.acquire()
             try:
                 return self._one_request(
@@ -744,7 +734,7 @@ class WorkerLeg:
 
     The worker runs a :class:`LocalLeg` (replica failover and breakers
     are its business); this side adds what crossing a process boundary
-    needs -- deadlines, hedged reads, trace stitching -- and turns the
+    needs -- deadlines, trace stitching -- and turns the
     worker's structured errors back into the exceptions a local leg
     would have raised.
     """
@@ -777,7 +767,6 @@ class WorkerLeg:
         body: Mapping[str, object] | None = None,
         *,
         idempotent: bool = True,
-        hedge: bool = False,
     ) -> dict[str, object]:
         """``leg.<name>`` inside the worker, over ``/worker/<name>``.
 
@@ -806,18 +795,14 @@ class WorkerLeg:
             if root is not None and root.trace_id:
                 headers[trace.TRACE_HEADER] = root.trace_id
             headers[trace.PARENT_SPAN_HEADER] = span.span_id
-        send = functools.partial(
-            self.handle.request,
+        status, payload = self.handle.request(
             "GET" if body is None else "POST",
             f"/worker/{name}",
             raw,
             deadline=deadline,
+            idempotent=idempotent,
             headers=headers,
         )
-        if hedge and pool.hedge_delay_s is not None:
-            status, payload = pool.hedged(send, deadline)
-        else:
-            status, payload = send(idempotent=idempotent)
         if isinstance(payload, dict) and "trace" in payload:
             worker_trace = payload.pop("trace", None)
             if span is not None and isinstance(worker_trace, Mapping):
@@ -850,7 +835,6 @@ class WorkerLeg:
                 "plan": request.plan,
                 "num_ans": request.num_ans,
             },
-            hedge=True,
         )
         answers = [
             Answer(
@@ -865,7 +849,7 @@ class WorkerLeg:
 
     def sql(self, query: str, approach: str) -> list[dict[str, object]]:
         body = {"query": query, "approach": approach}
-        return self._rpc("sql", body, hedge=True)["rows"]
+        return self._rpc("sql", body)["rows"]
 
     def present(self, doc_ids: Sequence[int], relation: str) -> set[int]:
         body = {"doc_ids": list(doc_ids), "relation": relation}
@@ -894,15 +878,12 @@ class WorkerLeg:
         result = self._rpc("ingest", body, idempotent=False)
         return result["ingested_lines"], result["total_lines"]
 
-    def build_index(
-        self, terms: Sequence[str], approach: str
-    ) -> tuple[int, bool]:
-        result = self._rpc(
+    def build_index(self, terms: Sequence[str], approach: str) -> int:
+        return self._rpc(
             "build_index",
             {"terms": list(terms), "approach": approach},
             idempotent=False,
-        )
-        return result["postings"], result["reloaded"]
+        )["postings"]
 
     def change_replicas(
         self, action: str, replica: int | None
@@ -969,13 +950,11 @@ class WorkerPool:
         ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
         deadline_s: float = DEFAULT_DEADLINE_S,
         write_deadline_s: float = DEFAULT_WRITE_DEADLINE_S,
-        hedge_delay_s: float | None = DEFAULT_HEDGE_DELAY_S,
     ) -> None:
         self.metrics = metrics
         self.on_restart = on_restart
         self.deadline_s = float(deadline_s)
         self.write_deadline_s = float(write_deadline_s)
-        self.hedge_delay_s = hedge_delay_s
         self.handles = [
             WorkerHandle(
                 shard_dir, index, spawn_flags, ready_timeout_s=ready_timeout_s
@@ -983,12 +962,6 @@ class WorkerPool:
             for index in range(num_shards)
         ]
         self.legs = [WorkerLeg(handle, self) for handle in self.handles]
-        # Hedged reads need somewhere to park both attempts: the primary
-        # occupies one slot for its full (possibly wedged) duration.
-        self._hedge_executor = ThreadPoolExecutor(
-            max_workers=max(32, 8 * num_shards),
-            thread_name_prefix="worker-hedge",
-        )
         self._closed = False
         self._close_lock = threading.Lock()
         # Spawn concurrently: each worker pays its own DB/replica
@@ -1023,31 +996,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def handle(self, index: int) -> WorkerHandle:
         return self.handles[index]
-
-    def hedged(self, send, deadline: float) -> tuple[int, object]:
-        """Race a second attempt against a slow first one; first answer
-        wins.  Both attempts share the request deadline; the loser's
-        connection is simply closed when it eventually finishes."""
-        primary = self._hedge_executor.submit(send, idempotent=True)
-        delay = min(self.hedge_delay_s, max(0.0, deadline - time.monotonic()))
-        done, _ = wait([primary], timeout=delay)
-        if done:
-            return primary.result()
-        self.metrics.event("hedged_request")
-        backup = self._hedge_executor.submit(
-            send, idempotent=True, fresh=True
-        )
-        pending = {primary, backup}
-        error: Exception | None = None
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    return future.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    error = exc
-        assert error is not None
-        raise error
 
     # ------------------------------------------------------------------
     def _supervise(self) -> None:
@@ -1085,10 +1033,6 @@ class WorkerPool:
             thread_name_prefix="worker-drain",
         ) as drainer:
             list(drainer.map(lambda h: h.terminate(), self.handles))
-        # Hedge legs may be parked on a wedged worker until their
-        # deadline; do not wait for them (their sockets died with the
-        # workers above).
-        self._hedge_executor.shutdown(wait=False, cancel_futures=True)
 
 
 # ======================================================================
@@ -1110,20 +1054,18 @@ class WorkerRouterService(ShardedQueryService):
         *,
         deadline_s: float = DEFAULT_DEADLINE_S,
         write_deadline_s: float = DEFAULT_WRITE_DEADLINE_S,
-        hedge_delay_s: float | None = DEFAULT_HEDGE_DELAY_S,
         worker_ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
         **router_options,
     ) -> None:
         self._pool_options = dict(
             deadline_s=deadline_s,
             write_deadline_s=write_deadline_s,
-            hedge_delay_s=hedge_delay_s,
             ready_timeout_s=worker_ready_timeout_s,
         )
         super().__init__(shard_dir, num_shards, **router_options)
 
     def _open_legs(
-        self, k, m, pool_size, index_approach, num_replicas, cooldown_s
+        self, k, m, pool_size, num_replicas, cooldown_s
     ) -> list[WorkerLeg]:
         if self.paths != shard_paths(self.shard_dir, self.num_shards):
             raise ValueError(
@@ -1135,7 +1077,6 @@ class WorkerRouterService(ShardedQueryService):
             "--k", str(k),
             "--m", str(m),
             "--pool-size", str(pool_size),
-            "--index-approach", index_approach,
             "--replica-cooldown", str(cooldown_s),
         ]
         if not self.tracer.enabled:

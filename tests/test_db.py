@@ -60,7 +60,7 @@ class TestSchema:
             "db/engine.py",
             "SELECT DataKey, U, V, Rank, Offset FROM InvertedIndex",
         ),
-        "IndexTerms": ("db/engine.py", "SELECT Term FROM IndexTerms"),
+        "IndexTerms": ("db/storage.py", "SELECT Term FROM IndexTerms"),
         "IndexMeta": ("db/storage.py", "SELECT Key, Value FROM {schema}.IndexMeta"),
     }
 
@@ -386,7 +386,7 @@ class TestStoredKernels:
         for name, statements in (("fresh.db", ()), ("old.db", (damage,))):
             path = legacy_copy(loaded_db, str(tmp_path / name), *statements)
             with StaccatoDB(path, k=8, m=10) as db:
-                assert db.load_index()
+                assert db.stored_index() is not None
                 relations.append(self.answers(db))
         assert relations[0] == relations[1]
 

@@ -14,6 +14,9 @@ and ``execute_plan`` returns one of the two.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.automata.trie import DictionaryTrie
@@ -71,9 +74,7 @@ def assert_plans_agree(db: StaccatoDB) -> None:
 
 
 def reopened(path: str) -> StaccatoDB:
-    db = StaccatoDB(path, k=K, m=M)
-    db.load_index()
-    return db
+    return StaccatoDB(path, k=K, m=M)
 
 
 def index_rows(db: StaccatoDB) -> list[tuple]:
@@ -108,7 +109,7 @@ class TestSingleDatabase:
             # The stored dictionary, not the terms that happen to have
             # postings: the reader probes (and finds empty) what the
             # builder does.
-            assert reader._trie.terms() == sorted(DICTIONARY)
+            assert reader.stored_index().trie.terms() == sorted(DICTIONARY)
             assert reader.index_covers(r"REGEX:zebra crossing", "staccato")
             assert reader.indexed_search(r"REGEX:zebra crossing") == []
             assert_plans_agree(reader)
@@ -118,6 +119,27 @@ class TestSingleDatabase:
             assert_plans_agree(reader)
         assert db.uncovered_keys() == []
         assert_plans_agree(db)
+
+    def test_a_reader_answers_from_the_dictionary_the_file_holds(self, db):
+        """A reader opened before any index, then rebuilt under by
+        another handle twice, answers from the file's dictionary each
+        time -- the second one lacks the pattern's anchor."""
+        pattern = "%Public Law%"
+        db.ingest(docs(0, 1), ocr())
+        scan = db.search(pattern, num_ans=None)
+        assert scan, "the corpus must match the pattern"
+        with reopened(db.path) as reader:
+            assert reader.stored_index() is None
+            db.build_index(DICTIONARY)
+            assert reader.index_anchor(pattern, "staccato") == "public"
+            indexed = reader.indexed_search(pattern, num_ans=None)
+            assert {a.line_id for a in indexed} == {a.line_id for a in scan}
+            db.build_index(["congress", "president"])
+            assert reader.index_anchor(pattern, "staccato") is None
+            assert reader.indexed_search(pattern, num_ans=None) == scan
+            plan, answers = execute_plan(reader, pattern, num_ans=None)
+            assert plan.kind == "scan" and answers == scan
+            assert_plans_agree(reader)
 
     def test_the_roadmap_reproduction(self, db):
         db.ingest(docs(0), ocr())
@@ -182,7 +204,7 @@ class TestSingleDatabase:
         storage.ingest_dataset(db.conn, docs(2, 3), ocr(), k=K, m=M)
         assert db.ingest_index() is None
         with reopened(db.path) as old:
-            assert "zebra" not in old._trie.terms()  # inferred, not stored
+            assert "zebra" not in old.stored_index().trie.terms()  # inferred
             assert old.uncovered_keys() == list(range(8, 16))
             assert_plans_agree(old)
             # Its own ingest cannot be indexed either, and says so.
@@ -253,6 +275,42 @@ class TestSingleDatabase:
         db.write_batch(storage.build_dataset(docs(2), ocr(), k=K, m=M))
         assert db.uncovered_keys() == [4, 5, 6, 7]
         assert_plans_agree(db)
+
+
+def test_concurrent_readers_get_their_file_s_dictionary(tmp_path):
+    """More dictionaries than the process-wide trie cache holds, read
+    by more threads than cores with a short switch interval: every read
+    returns its own file's dictionary and the cache stays bounded."""
+    count = storage._TRIE_CACHE_SIZE + 4
+    dictionaries = [sorted(["public", f"term{i}"]) for i in range(count)]
+    paths = [str(tmp_path / f"{i}.db") for i in range(count)]
+    for path, terms in zip(paths, dictionaries):
+        with StaccatoDB(path, k=K, m=M) as db:
+            db.build_index(terms)
+    wrong: list[int] = []
+
+    def read(i: int) -> None:
+        with StaccatoDB(paths[i], k=K, m=M) as db:
+            for _ in range(40):
+                if db.stored_index().trie.terms() != dictionaries[i]:
+                    wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=read, args=(i % count,))
+            for i in range(2 * count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert len(storage._tries) <= storage._TRIE_CACHE_SIZE
 
 
 # ----------------------------------------------------------------------

@@ -61,9 +61,7 @@ def path(base_path, tmp_path):
 
 
 def handle(path, memo=None) -> StaccatoDB:
-    db = StaccatoDB(path, k=K, m=M, kernel_memo=memo)
-    db.load_index()
-    return db
+    return StaccatoDB(path, k=K, m=M, kernel_memo=memo)
 
 
 def run(call):

@@ -70,7 +70,7 @@ STRINGS = ("map", "kmap")
 def relation(db: StaccatoDB):
     """Every plan on every approach, ``{(pattern, plan, approach):
     answers}``, with the work it took."""
-    assert db.load_index()
+    assert db.stored_index() is not None
     answers = {}
     with counters.collect() as counts:
         for pattern in PATTERNS:

@@ -50,7 +50,7 @@ def _fed() -> ServiceMetrics:
     for family, labels, seconds, error in OBSERVATIONS:
         metrics.observe(family, labels, seconds, error)
     metrics.event("worker_restart")
-    metrics.event("hedged_request", 3)
+    metrics.event("deadline_exceeded", 3)
     counters.reset_global()
     counters.add(dp_cells=123, lines_scanned=4)
     return metrics
@@ -170,7 +170,7 @@ SNAPSHOT = """\
     }
   },
   "events": {
-    "hedged_request": 3,
+    "deadline_exceeded": 3,
     "worker_restart": 1
   },
   "engine": {
@@ -372,9 +372,9 @@ staccato_engine_plan_scan_total 0
 # HELP staccato_engine_postings_probed_total Dictionary-index posting entries materialized.
 # TYPE staccato_engine_postings_probed_total counter
 staccato_engine_postings_probed_total 0
-# HELP staccato_events_total Lifecycle events (worker restarts, hedges, deadlines).
+# HELP staccato_events_total Lifecycle events (worker restarts, deadlines).
 # TYPE staccato_events_total counter
-staccato_events_total{event="hedged_request"} 3
+staccato_events_total{event="deadline_exceeded"} 3
 staccato_events_total{event="worker_restart"} 1
 # HELP staccato_scan_image_bytes Bytes of decoded, laid-out kernels retained for filescans.
 # TYPE staccato_scan_image_bytes gauge

@@ -111,7 +111,7 @@ class TestExecutePlan:
     def test_one_parse_and_one_probe_per_planned_query(
         self, planned_db, monkeypatch
     ):
-        from repro.db import engine, planner
+        from repro.db import engine
 
         parses = []
 
@@ -119,7 +119,6 @@ class TestExecutePlan:
             parses.append(like)
             return anchor_for_query(like, trie)
 
-        monkeypatch.setattr(planner, "anchor_for_query", counting_anchor)
         monkeypatch.setattr(engine, "anchor_for_query", counting_anchor)
         statements = []
         planned_db.conn.set_trace_callback(statements.append)
@@ -130,9 +129,25 @@ class TestExecutePlan:
         assert plan.kind == "index"
         assert len(parses) == 1
         assert sum("InvertedIndex" in sql for sql in statements) == 1
+        # The stored index is read once, by the decision that uses it.
+        assert sum("IndexMeta" in sql for sql in statements) == 1
 
     def test_index_of_another_approach_falls_back_to_the_scan(self, planned_db):
+        """The postings address the staccato kernels: a kmap request has
+        no anchor, is reported and counted as a scan, and scans once."""
         like = r"REGEX:Public Law (8|9)\d"
-        plan, answers = execute_plan(planned_db, like, approach="kmap")
-        assert plan.kind == "index"  # as choose_plan reports it
+        chosen = choose_plan(planned_db, like, approach="kmap")
+        assert chosen == QueryPlan(
+            "scan",
+            None,
+            None,
+            "the index is over 'staccato' data; batched filescan",
+        )
+        assert choose_plan(planned_db, like).kind == "index"
+        with counters.collect() as counts:
+            plan, answers = execute_plan(planned_db, like, approach="kmap")
+        assert plan == chosen
         assert answers == planned_db.search(like, approach="kmap")
+        assert counts["plan_scan"] == 1
+        assert counts.get("plan_index", 0) == 0
+        assert counts["lines_scanned"] == planned_db.num_lines

@@ -286,7 +286,6 @@ class TestEndpoints:
             db.build_index(["public", "law", "congress", "president"])
             expected = db.indexed_search(pattern, num_ans=20)
             assert db.index_covers(pattern, "staccato")
-        live.service.pool.shard(0).pool.reload_index()
         status, body = post_json(
             live.base_url,
             "/search",
@@ -306,7 +305,6 @@ class TestEndpoints:
         plans answer exactly what the filescan answers."""
         with StaccatoDB(live.service.paths[0], k=K, m=M) as db:
             db.build_index(["public", "law", "congress", "president"])
-        live.service.pool.shard(0).pool.reload_index()
         for pattern in ("Public Law%", "Public Law 8%"):
             replies = {}
             for plan in ("filescan", "indexed", "auto"):
@@ -992,3 +990,59 @@ class TestOneFileIsTheOneShardRouter:
         assert statuses.count(200) >= 13 and statuses.count(400) >= 9
         reply = json.loads(transcripts["db"][3][2])
         assert reply["shards"] == [0] and reply["plans"] == {"0": "filescan"}
+
+
+class TestTheIndexIsReadFromTheFile:
+    @pytest.mark.parametrize("topology", ["db", "shards"])
+    def test_an_outside_rebuild_is_served_from_the_next_query(
+        self, tmp_path, topology
+    ):
+        """Another handle re-indexes a served file with a dictionary
+        that lacks the pattern's anchor: with no reload call, the next
+        indexed and planned queries fall back to the filescan and answer
+        what it answers (the result cache is off: an outside write does
+        not evict it)."""
+        options = dict(k=K, m=M, pool_size=2, cache_size=0)
+        if topology == "db":
+            running = start_service(str(tmp_path / "one.db"), **options)
+        else:
+            running = start_sharded_service(
+                str(tmp_path / "shards"), 2, range_width=2, **options
+            )
+        corpus = make_ca(num_docs=4, lines_per_doc=3, seed=1)
+
+        def search(plan: str):
+            status, body = post_json(
+                running.base_url,
+                "/search",
+                {"pattern": "%Public Law%", "plan": plan, "num_ans": 50},
+            )
+            assert status == 200, body
+            answers = [
+                (a["doc_id"], a["line_no"], a["probability"])
+                for a in body["answers"]
+            ]
+            return set(body["plans"].values()), answers
+
+        with running:
+            status, _ = post_json(
+                running.base_url, "/ingest", _batch_payload(corpus)
+            )
+            assert status == 200
+            status, _ = post_json(
+                running.base_url,
+                "/index",
+                {"terms": ["public", "law"], "wait": True},
+            )
+            assert status == 200
+            _, scan = search("filescan")
+            # Docs 1 and 2 match: on two shards, one on each.
+            assert {doc for doc, _, _ in scan} == {1, 2}
+            labels, indexed = search("indexed")
+            assert labels == {"indexed"}
+            assert {row[:2] for row in indexed} == {row[:2] for row in scan}
+            for path in running.service.paths:
+                with StaccatoDB(path, k=K, m=M) as db:
+                    db.build_index(["congress", "president"])
+            assert search("indexed") == ({"indexed:filescan-fallback"}, scan)
+            assert search("auto") == ({"auto:scan"}, scan)

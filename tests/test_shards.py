@@ -378,7 +378,7 @@ class TestIndexEndpoint:
         assert reply["approach"] == "staccato"
         assert reply["job_id"]
         assert set(reply["shards"]) == {"0", "1"}
-        assert all(s["reloaded"] for s in reply["shards"].values())
+        assert all(set(s) == {"postings"} for s in reply["shards"].values())
 
         assert single.build_index(terms) == reply["postings"]
         want = single.indexed_search(pattern, num_ans=20)
@@ -619,7 +619,7 @@ class TestShardedOps:
                 }
             )
             reply = service.index({"terms": ["public", "law"]})
-            assert reply["shards"]["0"]["reloaded"] is True
+            assert reply["shards"]["0"] == {"postings": reply["postings"]}
             assert reply["postings"] > 0
             body = service.search(
                 {"pattern": r"REGEX:Public Law 8\d", "plan": "indexed"}

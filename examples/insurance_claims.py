@@ -62,7 +62,13 @@ def main() -> None:
 
     db = StaccatoDB(k=10, m=12)
     print("Scanning and ingesting claims (OCR simulation) ...")
-    db.ingest(claims, SimulatedOcrEngine(seed=83))
+    # The comparison below queries every approach, so the full OCR
+    # automaton is stored too (a default ingest keeps kmap and staccato).
+    db.ingest(
+        claims,
+        SimulatedOcrEngine(seed=83),
+        approaches=("kmap", "fullsfa", "staccato"),
+    )
 
     sql = (
         "SELECT DocId, Loss FROM Claims "

@@ -47,7 +47,8 @@ from typing import Sequence
 
 from .bench.report import format_table
 from .core.tuning import tune_parameters
-from .db.engine import APPROACHES, StaccatoDB
+from .db import storage
+from .db.engine import APPROACHES, ApproachNotStored, StaccatoDB
 from .db.sql import execute_select
 from .ocr.corpus import make_ca, make_db, make_lt, make_scale
 from .ocr.engine import SimulatedOcrEngine
@@ -76,7 +77,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     print(f"ingested {count} lines into {args.db} in {elapsed:.1f}s "
           f"(k={args.k}, m={args.m})")
-    for approach in ("kmap", "fullsfa", "staccato"):
+    for approach in storage.DEFAULT_APPROACHES:
         print(f"  {approach:9s} storage: {db.storage_bytes(approach):,} bytes")
     db.close()
     return 0
@@ -330,7 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ApproachNotStored as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

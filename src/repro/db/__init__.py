@@ -1,6 +1,6 @@
 """RDBMS integration: schema, storage, engine and the SQL layer."""
 
-from .engine import APPROACHES, StaccatoDB
+from .engine import APPROACHES, ApproachNotStored, StaccatoDB
 from .planner import QueryPlan, choose_plan, execute_plan
 from .schema import TABLES, create_schema
 from .sql import ParsedSelect, SqlError, execute_select, parse_select
@@ -18,6 +18,7 @@ from .storage import (
 
 __all__ = [
     "APPROACHES",
+    "ApproachNotStored",
     "StaccatoDB",
     "QueryPlan",
     "choose_plan",

@@ -10,8 +10,11 @@ regex queries against any of the storage approaches:
 * ``"staccato"`` -- the chunked approximation (the contribution).
 
 Every approach is evaluated as a compiled kernel: a line stores one per
-approach (``map`` derives its kernel from the rank-0 string of the
-``kmap`` one as it reads it, so it has no copy of its own).  ``search``
+approach its ingest named -- ``kmap`` and ``staccato`` unless it asked
+for ``fullsfa`` too -- and ``map`` derives its kernel from the rank-0
+string of the ``kmap`` one as it reads it, so it has no copy of its own.
+A query over an approach no line of a non-empty file stores is an
+:class:`ApproachNotStored` error, never an empty relation.  ``search``
 is the filescan plan (read every line's kernel); ``indexed_search`` is the
 index plan of Section 4 (anchor lookup in the inverted index, then
 evaluate only candidate lines, optionally on the projected window).
@@ -56,6 +59,7 @@ from .schema import create_schema
 __all__ = [
     "StaccatoDB",
     "APPROACHES",
+    "ApproachNotStored",
     "shard_path",
     "shard_paths",
 ]
@@ -114,6 +118,17 @@ def _check_approach(approach: str) -> None:
     on every file, empty or not."""
     if approach not in APPROACHES:
         raise ValueError(f"unknown approach {approach!r}")
+
+
+class ApproachNotStored(ValueError):
+    """A query over an approach no line of a non-empty file stores: it
+    was ingested without it (``fullsfa`` is stored only on request)."""
+
+    def __init__(self, approach: str) -> None:
+        super().__init__(
+            f"no line of this file stores approach {approach!r}; ingest "
+            f"with it in 'approaches' to query it"
+        )
 
 
 class StaccatoDB:
@@ -185,10 +200,11 @@ class StaccatoDB:
         self,
         dataset: Dataset,
         ocr: SimulatedOcrEngine | None = None,
-        approaches: tuple[str, ...] = ("kmap", "fullsfa", "staccato"),
+        approaches: tuple[str, ...] = storage.DEFAULT_APPROACHES,
         workers: int | None = None,
     ) -> int:
-        """OCR and store ``dataset``; returns the number of lines."""
+        """OCR and store ``dataset`` as ``approaches``; returns the
+        number of lines."""
         return self.write_batch(
             storage.build_dataset(
                 dataset,
@@ -259,8 +275,10 @@ class StaccatoDB:
         whose blob the codec rejects is compiled now
         (:meth:`_recompile_kernel`) and evaluated beside the rest (a
         rejected blob that is the line's only copy fails the scan
-        instead).  ``map`` reads the ``kmap`` rows and derives each
-        line's rank-0 kernel as it decodes them
+        instead).  Lines to scan but no row of the approach read: unless
+        some line has a copy to recompile from, the scan fails with
+        :class:`ApproachNotStored`.  ``map`` reads the ``kmap`` rows and
+        derives each line's rank-0 kernel as it decodes them
         (``storage.decode_kernel``), so its image and memo entries are
         its own.
 
@@ -285,6 +303,8 @@ class StaccatoDB:
             stored = {}
             listing = storage.kernel_listing(self.conn, approach)
             fingerprints = dict(listing)
+        if keys and not fingerprints:
+            self._require_stored(approach)
         query_fp = query_fingerprint(pattern)
         probs: dict[int, float] = {}
         #: (DataKey, fingerprint, kernel if already recompiled)
@@ -502,6 +522,13 @@ class StaccatoDB:
         spelled = image.batch.spells(pairs, lines)
         return {key for key, ok in zip(judged, spelled) if not ok}
 
+    def _require_stored(self, approach: str) -> None:
+        """Raise :class:`ApproachNotStored` if the file has lines but
+        none can be read as ``approach`` (``storage.approach_stored``):
+        the check a read makes when it found no row of the approach."""
+        if not storage.approach_stored(self.conn, approach) and self.num_lines:
+            raise ApproachNotStored(approach)
+
     def _decode_kernel(
         self, approach: str, data_key: int, row: tuple[str, bytes] | None
     ):
@@ -568,7 +595,9 @@ class StaccatoDB:
         num_ans: int | None = 100,
         data_keys: Iterable[int] | None = None,
     ) -> list[Answer]:
-        """Filescan query plan: evaluate the predicate on every line."""
+        """Filescan query plan: evaluate the predicate on every line (or
+        on ``data_keys``).  :class:`ApproachNotStored` if no line of a
+        non-empty file stores ``approach``."""
         _check_approach(approach)
         keys = (
             list(data_keys)
@@ -761,7 +790,8 @@ class StaccatoDB:
         the stored kernels are what is read, in one keyed fetch -- of
         every candidate, except the projected candidates the scan image
         shows cannot spell the pattern's required character pairs
-        (probability 0).
+        (probability 0).  No line stores ``approach``: as for
+        :meth:`search`.
         """
         _check_approach(approach)
         if probed is not None:
@@ -786,6 +816,7 @@ class StaccatoDB:
                     uncovered=len(uncovered),
                 )
         if not candidates and not uncovered:
+            self._require_stored(approach)
             return []
         query = compile_like(like)
         projected = (

@@ -5,10 +5,11 @@ One line of one document becomes:
 * a row in ``MasterData`` (its DataKey is the dataset-global line id);
 * its ground-truth text in ``GroundTruth`` (the paper built manual ground
   truth; our simulated channel gives it exactly);
-* per approach, its one stored record (paper Table 5), a compiled
+* per approach the ingest stores (:data:`DEFAULT_APPROACHES` unless it
+  names others), its one stored record (paper Table 5), a compiled
   kernel: the k-MAP strings' one-chunk kernel (MAP reads its rank-0
-  string); the FullSFA's; the Staccato chunk graph's, beside the graph's
-  ``SFA1`` blob.
+  string); the Staccato chunk graph's, beside the graph's ``SFA1`` blob;
+  on request, the FullSFA's.
 
 All inserts are batched with ``executemany`` inside transactions.
 
@@ -54,6 +55,7 @@ from .schema import LEGACY_LINE_TABLES, LINE_TABLES
 
 __all__ = [
     "APPROACHES",
+    "DEFAULT_APPROACHES",
     "IndexSpec",
     "BuiltBatch",
     "build_dataset",
@@ -79,9 +81,16 @@ __all__ = [
     "all_data_keys",
     "line_metadata",
     "approach_storage_bytes",
+    "approach_stored",
 ]
 
 APPROACHES = ("map", "kmap", "fullsfa", "staccato")
+
+#: What an ingest stores unless asked for more: every default query reads
+#: one of these (``map`` reads ``kmap``).  ``fullsfa`` -- the complete
+#: automaton, over half of a line's bytes -- is stored only when an
+#: ingest's ``approaches`` name it.
+DEFAULT_APPROACHES = ("kmap", "staccato")
 
 #: ``map`` stores no kernel: it reads the ``kmap`` rows, and lists each
 #: line's derived rank-0 kernel (:func:`decode_kernel`) under the
@@ -192,7 +201,7 @@ def build_dataset(
     ocr: SimulatedOcrEngine,
     k: int = 25,
     m: int = 40,
-    approaches: tuple[str, ...] = ("kmap", "fullsfa", "staccato"),
+    approaches: tuple[str, ...] = DEFAULT_APPROACHES,
     workers: int | None = None,
     index: IndexSpec | None = None,
 ) -> BuiltBatch:
@@ -392,7 +401,7 @@ def ingest_dataset(
     ocr: SimulatedOcrEngine,
     k: int = 25,
     m: int = 40,
-    approaches: tuple[str, ...] = ("kmap", "fullsfa", "staccato"),
+    approaches: tuple[str, ...] = DEFAULT_APPROACHES,
     workers: int | None = None,
 ) -> int:
     """OCR every line of ``dataset`` and store the chosen representations.
@@ -609,13 +618,42 @@ def load_ground_truth(conn: sqlite3.Connection, data_key: int) -> str:
     return row[0]
 
 
-#: What an approach's record adds beyond its kernel blobs: the chunk
+#: What an approach's record holds beyond its kernel blobs, and what the
+#: read path recompiles a line without a current kernel from: the chunk
 #: graph; an older file's copy of a FullSFA or of the k-MAP strings.
-_EXTRA_BYTES = {
+#: Each with the SQL sum of its bytes.
+_COPIES = {
     "staccato": ("StaccatoGraph", "SUM(LENGTH(GraphBlob))"),
     "fullsfa": ("FullSFAData", "SUM(LENGTH(SFABlob))"),
     "kmap": ("kMAPData", "SUM(LENGTH(Data) + 16)"),
 }
+
+
+def _copy_table(conn: sqlite3.Connection, approach: str) -> str | None:
+    """The table of :data:`_COPIES` the file has for ``approach`` (not
+    ``map``); ``None`` for an older build's table it lacks."""
+    table = _COPIES[approach][0]
+    if table in LINE_TABLES or table in legacy_tables(conn):
+        return table
+    return None
+
+
+def approach_stored(conn: sqlite3.Connection, approach: str) -> bool:
+    """Whether any line of the file can be read as ``approach``: it has
+    a current-version kernel row of it, or a copy the read path
+    recompiles one from (``map`` reads the ``kmap`` record).  False for
+    an empty file."""
+    stored_as = "kmap" if approach == "map" else approach
+    if conn.execute(
+        "SELECT 1 FROM CompiledKernel WHERE Approach = ? AND Version = ? "
+        "LIMIT 1",
+        (stored_as, KERNEL_VERSION),
+    ).fetchone():
+        return True
+    table = _copy_table(conn, stored_as)
+    return bool(
+        table and conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone()
+    )
 
 
 def approach_storage_bytes(conn: sqlite3.Connection, approach: str) -> int:
@@ -630,7 +668,7 @@ def approach_storage_bytes(conn: sqlite3.Connection, approach: str) -> int:
         "SELECT SUM(LENGTH(KernelBlob)) FROM CompiledKernel "
         f"WHERE Approach = '{approach}'"
     ]
-    table, total = _EXTRA_BYTES[approach]
-    if table in LINE_TABLES or table in legacy_tables(conn):
-        sums.append(f"SELECT {total} FROM {table}")
+    table = _copy_table(conn, approach)
+    if table:
+        sums.append(f"SELECT {_COPIES[approach][1]} FROM {table}")
     return sum(conn.execute(query).fetchone()[0] or 0 for query in sums)

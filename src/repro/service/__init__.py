@@ -32,14 +32,17 @@ HTTP API (all bodies and responses are JSON):
     Batch document ingestion, atomic per batch (one transaction).
     Body: ``{"dataset": "name", "documents": [{"doc_id": 1, "name":
     "...", "year": 2010, "loss": 1234.5, "lines": ["...", ...]},
-    ...], "ocr_seed": 0, "approaches": ["kmap", "fullsfa",
-    "staccato"]}``.  DataKeys are offset past existing rows, so
-    repeated batches append.  A committed batch invalidates the
-    query-result cache, and -- indexed under the file's stored
-    dictionary in the same transaction -- is visible to every plan.
+    ...], "ocr_seed": 0, "approaches": ["kmap", "staccato"]}``
+    (the default; add ``"fullsfa"`` to store the complete automaton
+    too, which ``fullsfa`` queries read).  DataKeys are offset past
+    existing rows, so repeated batches append.  A committed batch
+    invalidates the query-result cache, and -- indexed under the file's
+    stored dictionary in the same transaction -- is visible to every
+    plan.
 
 ``POST /search``
-    LIKE/regex query against any approach.  Body: ``{"pattern":
+    LIKE/regex query against any stored approach (one no line
+    stores is a 400 ``approach_not_stored``).  Body: ``{"pattern":
     "%Ford%", "approach": "staccato", "plan": "filescan" | "indexed" |
     "auto", "num_ans": 100}``.  Response: the ranked probabilistic
     relation (``answers`` rows with ``line_id``/``doc_id``/``line_no``/

@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence
 
 from ..automata.regex import RegexError
 from ..db import storage
-from ..db.engine import APPROACHES, StaccatoDB
+from ..db.engine import APPROACHES, ApproachNotStored, StaccatoDB
 from ..db.sql import SqlError, document_relation, parse_select
 from ..ocr.corpus import Dataset, Document
 from ..ocr.engine import SimulatedOcrEngine
@@ -54,6 +54,13 @@ _PRESENT_PROBE_BATCH = 400
 
 class LegDeadline(Exception):
     """The shard did not answer within the leg's deadline."""
+
+
+def _not_stored(exc: ApproachNotStored) -> ApiError:
+    """A query over an approach the shard's file does not store: a fact
+    of what was ingested, the same on every replica, so a client's 400
+    rather than a replica fault to fail over."""
+    return ApiError(400, str(exc), code="approach_not_stored")
 
 
 class ShardLeg(Protocol):
@@ -201,7 +208,13 @@ class LocalLeg:
 
     # ------------------------------------------------------------------
     def search(self, request: SearchRequest) -> tuple[str, list[Answer]]:
-        return self._read("search", lambda db: run_search_plan(db, request))
+        def evaluate(db: StaccatoDB) -> tuple[str, list[Answer]]:
+            try:
+                return run_search_plan(db, request)
+            except ApproachNotStored as exc:
+                raise _not_stored(exc) from exc
+
+        return self._read("search", evaluate)
 
     def sql(self, query: str, approach: str) -> list[dict[str, object]]:
         try:
@@ -216,6 +229,8 @@ class LocalLeg:
                 # A query error, not a replica fault: surface it as the
                 # structured 400 instead of failing over.
                 raise ApiError(400, str(exc), code="sql_error") from exc
+            except ApproachNotStored as exc:
+                raise _not_stored(exc) from exc
 
         return self._read("sql", evaluate)
 

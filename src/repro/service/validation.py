@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..db.engine import APPROACHES
+from ..db.storage import DEFAULT_APPROACHES
 from ..ocr.corpus import Dataset, Document
 
 __all__ = [
@@ -400,7 +401,7 @@ def validate_ingest(payload: Any) -> IngestRequest:
                 lines=tuple(lines),
             )
         )
-    raw_approaches = body.get("approaches", ["kmap", "fullsfa", "staccato"])
+    raw_approaches = body.get("approaches", list(DEFAULT_APPROACHES))
     if not isinstance(raw_approaches, list) or not raw_approaches:
         raise ApiError(400, "'approaches' must be a non-empty list")
     bad = [a for a in raw_approaches if a not in INGEST_APPROACHES]

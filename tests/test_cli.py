@@ -43,8 +43,24 @@ class TestParser:
 
 class TestCommands:
     def test_ingest_reports_storage(self, db_path, capsys):
+        """One line per approach the ingest stored: the default ones."""
         out = _ingest(db_path, capsys)
         assert "staccato  storage" in out
+        assert "kmap      storage" in out
+        assert "fullsfa" not in out
+
+    def test_an_approach_the_file_does_not_store_is_an_error(
+        self, db_path, capsys
+    ):
+        _ingest(db_path, capsys)
+        for command in (
+            ["search", "--pattern", "%the%"],
+            ["sql", "--query", "SELECT DocId FROM Claims WHERE DocData LIKE '%a%'"],
+        ):
+            code = main([*command, "--db", db_path, "--approach", "fullsfa"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "'fullsfa'" in captured.err and not captured.out
 
     def test_search(self, db_path, capsys):
         _ingest(db_path, capsys)

@@ -350,10 +350,17 @@ def golden_corpus() -> Dataset:
     return Dataset(name="golden", documents=documents)
 
 
+#: The golden kernels include the FullSFA's, which an ingest stores
+#: only when asked.
+WITH_FULLSFA = ("kmap", "fullsfa", "staccato")
+
+
 def test_golden_stored_kernel_fingerprints():
     db = StaccatoDB(":memory:", k=25, m=40)
     try:
-        assert db.ingest(golden_corpus(), SimulatedOcrEngine(seed=19)) == 9
+        assert db.ingest(
+            golden_corpus(), SimulatedOcrEngine(seed=19), WITH_FULLSFA
+        ) == 9
         digest = hashlib.sha256()
         rows = db.conn.execute(
             "SELECT Fingerprint FROM CompiledKernel "
@@ -404,7 +411,7 @@ def test_golden_corpus_kernels_rebuild_their_sfa1_bytes():
     ocr = SimulatedOcrEngine(seed=19)
     corpus = golden_corpus()
     with StaccatoDB(":memory:", k=25, m=40) as db:
-        db.ingest(corpus, ocr)
+        db.ingest(corpus, ocr, WITH_FULLSFA)
         for data_key, doc_id, line_no, text in corpus.lines():
             recognized = ocr.recognize_line(text, line_seed=(doc_id, line_no))
             assert to_bytes(storage.load_fullsfa(db.conn, data_key)) == to_bytes(

@@ -110,6 +110,7 @@ class TestDbRoundTripProbabilities:
         db.ingest(
             make_ca(num_docs=2, lines_per_doc=4),
             SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=3),
+            approaches=("kmap", "fullsfa", "staccato"),
         )
         materialize_view(db, "hits", "%the%", "fullsfa")
         rows = db.conn.execute(

@@ -9,8 +9,9 @@ import repro
 from repro import counters
 from repro.db import engine as engine_module
 from repro.db import storage
-from repro.db.engine import DEFAULT_WINDOW, StaccatoDB
+from repro.db.engine import APPROACHES, DEFAULT_WINDOW, StaccatoDB
 from repro.db.planner import execute_plan
+from repro.db.sql import execute_select
 from repro.db.schema import LEGACY_LINE_TABLES, LINE_TABLES, TABLES, create_schema
 from repro.indexing.projection import projected_match_probability
 from repro.ocr.corpus import make_ca
@@ -26,13 +27,18 @@ from repro.sfa.model import SfaError
 from .legacy import legacy_copy
 
 
+#: Every stored approach: the tests below query ``fullsfa`` too, which
+#: an ingest stores only when asked.
+WITH_FULLSFA = ("kmap", "fullsfa", "staccato")
+
+
 @pytest.fixture(scope="module")
 def loaded_db():
     """A small CA corpus ingested once for the whole module."""
     db = StaccatoDB(k=8, m=10)
     dataset = make_ca(num_docs=2, lines_per_doc=6)
     engine = SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=13)
-    db.ingest(dataset, engine)
+    db.ingest(dataset, engine, approaches=WITH_FULLSFA)
     yield db
     db.close()
 
@@ -95,19 +101,37 @@ class TestSchema:
             with open(os.path.join(root, module), encoding="utf-8") as source:
                 assert statement in source.read(), (table, module)
 
-    def test_bytes_per_line_at_the_production_parameters(self, tmp_path):
+    def sized(self, tmp_path, **ingest):
+        """``(bytes per line, {approach: storage_bytes})`` of 24 CA lines
+        ingested at m=40 k=25."""
         path = str(tmp_path / "sized.db")
         with StaccatoDB(path, k=25, m=40) as db:
             lines = db.ingest(
-                make_ca(num_docs=3, lines_per_doc=8), SimulatedOcrEngine(seed=7)
+                make_ca(num_docs=3, lines_per_doc=8),
+                SimulatedOcrEngine(seed=7),
+                **ingest,
             )
             assert lines == 24
-            stored = {a: db.storage_bytes(a) for a in ("kmap", "fullsfa", "staccato")}
-        per_line = os.path.getsize(path) / lines
+            stored = {a: db.storage_bytes(a) for a in WITH_FULLSFA}
+        return os.path.getsize(path) / lines, stored
+
+    def test_bytes_per_line_at_the_production_parameters(self, tmp_path):
+        """A default ingest stores no FullSFA: the approaches the default
+        queries read, and those blobs are most of the file."""
+        per_line, stored = self.sized(tmp_path)
+        assert per_line <= 45 * 1024
+        assert stored["fullsfa"] == 0
+        assert 0 < stored["kmap"] < stored["staccato"]
+        assert sum(stored.values()) > 0.8 * per_line * 24
+
+    def test_figure_20_order_with_every_approach_stored(self, tmp_path):
+        per_line, stored = self.sized(
+            tmp_path, approaches=("map", *WITH_FULLSFA)
+        )
         assert per_line <= 90 * 1024
         # Figure 20's order, and the approaches' blobs are most of the file.
         assert stored["kmap"] < stored["staccato"] < stored["fullsfa"]
-        assert sum(stored.values()) > 0.8 * per_line * lines
+        assert sum(stored.values()) > 0.8 * per_line * 24
 
     def test_idempotent(self):
         conn = sqlite3.connect(":memory:")
@@ -247,6 +271,90 @@ class TestSearch:
 
         assert recall("map") <= recall("kmap") + 1e-9
         assert recall("kmap") <= recall("fullsfa") + 1e-9
+
+
+class TestApproachNotStored:
+    """``fullsfa`` is stored only on request, so a query over an
+    approach no line stores must say so, not answer an empty relation."""
+
+    @pytest.fixture(scope="class")
+    def default_db(self):
+        db = StaccatoDB(k=8, m=10)
+        db.ingest(
+            make_ca(num_docs=2, lines_per_doc=3),
+            SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=13),
+        )
+        yield db
+        db.close()
+
+    def plans(self, db, approach):
+        return {
+            "scan": lambda: db.search("%the%", approach=approach),
+            "some keys": lambda: db.search(
+                "%the%", approach=approach, data_keys=[0, 1]
+            ),
+            "indexed": lambda: db.indexed_search(
+                "Public Law%", approach=approach
+            ),
+            "auto": lambda: execute_plan(db, "%the%", approach=approach),
+            "sql": lambda: execute_select(
+                db,
+                "SELECT DocId FROM Claims WHERE DocData LIKE '%the%'",
+                approach=approach,
+            ),
+        }
+
+    def test_a_default_ingest_refuses_fullsfa_on_every_plan(self, default_db):
+        assert issubclass(engine_module.ApproachNotStored, ValueError)
+        assert default_db.storage_bytes("fullsfa") == 0
+        for plan, run in self.plans(default_db, "fullsfa").items():
+            with pytest.raises(
+                engine_module.ApproachNotStored, match="'fullsfa'"
+            ):
+                run()
+        for approach in ("map", "kmap", "staccato"):
+            assert default_db.search("%the%", approach=approach), approach
+
+    def test_an_index_over_an_approach_no_line_stores(self):
+        """An index plan with no candidate to fetch still refuses."""
+        with StaccatoDB(k=8, m=10) as db:
+            db.ingest(
+                make_ca(num_docs=1, lines_per_doc=2),
+                SimulatedOcrEngine(seed=13),
+                approaches=("staccato",),
+            )
+            db.build_index(["public", "law"], approach="kmap")
+            for approach in ("kmap", "map"):
+                for plan, run in self.plans(db, approach).items():
+                    with pytest.raises(engine_module.ApproachNotStored):
+                        run()
+
+    def test_an_empty_file_answers_nothing(self):
+        with StaccatoDB(k=8, m=10) as db:
+            db.build_index(["public", "law"], approach="kmap")
+            for approach in APPROACHES:
+                for plan, run in self.plans(db, approach).items():
+                    result = run()
+                    answers = result[1] if plan == "auto" else result
+                    assert answers == [], (approach, plan)
+
+    def test_a_batch_that_stores_fullsfa_answers_for_its_lines(
+        self, default_db, tmp_path
+    ):
+        """One batch with ``fullsfa`` makes the approach answer, over
+        the lines that store it."""
+        path = str(tmp_path / "mixed.db")
+        clone = sqlite3.connect(path)
+        default_db.conn.backup(clone)
+        clone.close()
+        with StaccatoDB(path, k=8, m=10) as db:
+            db.ingest(
+                make_ca(num_docs=1, lines_per_doc=2, seed=5),
+                SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=13),
+                approaches=WITH_FULLSFA,
+            )
+            answers = db.search("%e%", approach="fullsfa", num_ans=None)
+            assert {a.line_id for a in answers} == {6, 7}
 
 
 class TestInvertedIndexPlan:

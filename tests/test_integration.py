@@ -71,6 +71,11 @@ class TestPrecisionShape:
         assert p_full < p_map
 
 
+#: Every stored approach: these tests query ``fullsfa`` too, which an
+#: ingest stores only when asked.
+WITH_FULLSFA = ("kmap", "fullsfa", "staccato")
+
+
 class TestDbIntegration:
     @pytest.mark.parametrize(
         "approach, params",
@@ -88,7 +93,7 @@ class TestDbIntegration:
         engine = SimulatedOcrEngine(seed=21)
         mem = CorpusBench(dataset, engine)
         db = StaccatoDB(**params)
-        db.ingest(dataset, engine)
+        db.ingest(dataset, engine, approaches=WITH_FULLSFA)
         for pattern in ("%President%", "%the%"):
             mem_answers, _ = mem.search(pattern, approach, **params)
             db_answers = db.search(pattern, approach=approach)
@@ -101,7 +106,7 @@ class TestDbIntegration:
     def test_full_quality_loop(self):
         dataset = make_ca(num_docs=2, lines_per_doc=6)
         db = StaccatoDB(k=6, m=8)
-        db.ingest(dataset, SimulatedOcrEngine(seed=22))
+        db.ingest(dataset, SimulatedOcrEngine(seed=22), WITH_FULLSFA)
         pattern = r"REGEX:Public Law (8|9)\d"
         truth = db.ground_truth_matches(pattern)
         answers = db.search(pattern, approach="fullsfa")

@@ -43,8 +43,13 @@ from repro.bench.service_load import get_json, post_json
 WAIT = 30.0
 
 
-def _batch(doc_ids, lines_per_doc=2):
-    return {
+#: Every approach a line can store a kernel for (``fullsfa`` only on
+#: request): what the rebalance tests move.
+WITH_FULLSFA = ["kmap", "fullsfa", "staccato"]
+
+
+def _batch(doc_ids, lines_per_doc=2, approaches=None):
+    body = {
         "dataset": "jobs-test",
         "documents": [
             {
@@ -58,6 +63,9 @@ def _batch(doc_ids, lines_per_doc=2):
             for doc_id in doc_ids
         ],
     }
+    if approaches:
+        body["approaches"] = approaches
+    return body
 
 
 def _rows(answers):
@@ -412,8 +420,9 @@ class TestRebalance:
         service = ShardedQueryService(
             str(tmp_path / "shards"), 2, k=4, m=6, pool_size=2, range_width=2
         )
-        # DocIds 0,1 -> shard 0; 2,3 -> shard 1.
-        service.ingest(_batch([0, 1, 2, 3]))
+        # DocIds 0,1 -> shard 0; 2,3 -> shard 1.  Every kernel a line can
+        # have, so a move is seen to carry them all.
+        service.ingest(_batch([0, 1, 2, 3], approaches=WITH_FULLSFA))
         yield service
         service.close()
 
@@ -664,13 +673,15 @@ class TestRebalance:
             str(tmp_path / "shards"), 2, k=4, m=6, pool_size=2, range_width=2
         )
         try:
-            service.ingest(_batch([0, 2]))
-            service.ingest(_batch([1]))
+            service.ingest(_batch([0, 2], approaches=WITH_FULLSFA))
+            service.ingest(_batch([1], approaches=WITH_FULLSFA))
             move = dict(self.MOVE, params=dict(self.MOVE["params"], doc_lo=1))
             assert service.jobs_submit(move)["state"] == "succeeded"
             # Doc 1 held shard 0's highest DataKeys; doc 0's new lines
             # take them over.
-            reply = service.ingest(_batch([0], lines_per_doc=3))
+            reply = service.ingest(
+                _batch([0], lines_per_doc=3, approaches=WITH_FULLSFA)
+            )
             assert reply["ingested_lines"] == 3
             for index in (0, 1):
                 assert self._kernel_orphans(service.pool.shard(index)) == (0, 0)
@@ -685,7 +696,7 @@ class TestRebalance:
         shard_dir = str(tmp_path / "shards")
         options = dict(k=4, m=6, pool_size=2, range_width=2)
         service = ShardedQueryService(shard_dir, 2, **options)
-        service.ingest(_batch([0, 1]))
+        service.ingest(_batch([0, 1], approaches=WITH_FULLSFA))
         # What a move left behind before kernels moved with their lines.
         conn = service.pool.shard(0).writer.conn
         with conn:
@@ -697,7 +708,8 @@ class TestRebalance:
             leg = service.pool.shard(0)
             assert self._kernel_orphans(leg) == (6, 0)
             # A different document lands on the freed keys.
-            assert service.ingest(_batch([1]))["ingested_lines"] == 2
+            reply = service.ingest(_batch([1], approaches=WITH_FULLSFA))
+            assert reply["ingested_lines"] == 2
             assert self._kernel_orphans(leg) == (0, 0)
             scan = service.search({"pattern": "%line 1-%", "num_ans": 50})
             assert {a["doc_id"] for a in scan["answers"]} == {1}

@@ -45,7 +45,7 @@ PARITY = (
 def _ingest(db: StaccatoDB, num_docs: int = 2, lines_per_doc: int = 6) -> None:
     dataset = make_ca(num_docs=num_docs, lines_per_doc=lines_per_doc)
     engine = SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=13)
-    db.ingest(dataset, engine)
+    db.ingest(dataset, engine, approaches=("kmap", "fullsfa", "staccato"))
 
 
 def _scan(db: StaccatoDB, approach: str, **kwargs):

@@ -39,6 +39,10 @@ K, M = 8, 10
 DICTIONARY = ["public", "law", "president", "congress"]
 PATTERNS = [r"REGEX:Public Law (8|9)\d", "%the President%", "Public Law 8%"]
 
+#: Every approach with a stored record: older builds always stored the
+#: FullSFA, which this build stores only when asked.
+WITH_FULLSFA = ["kmap", "fullsfa", "staccato"]
+
 #: What a file of that age lacks: lines with no kernel row at all, and
 #: lines whose FullSFA kernel is of a layout this build does not read.
 AGED = (
@@ -57,6 +61,7 @@ def paths(tmp_path_factory):
         db.ingest(
             make_ca(num_docs=2, lines_per_doc=6),
             SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=13),
+            tuple(WITH_FULLSFA),
         )
         db.build_index(DICTIONARY)
         legacy = legacy_copy(db, str(root / "legacy.db"), *AGED)
@@ -245,8 +250,8 @@ def _move_then_reuse(shard_dir: str, aged: bool) -> list:
     FullSFA -- onto the keys it freed.  Returns what every approach and
     plan answered, with its counters, at each stage."""
     service = _cluster(shard_dir)
-    service.ingest(_docs([0, 2]))
-    service.ingest(_docs([1]))
+    service.ingest(_docs([0, 2], approaches=WITH_FULLSFA))
+    service.ingest(_docs([1], approaches=WITH_FULLSFA))
     service.close()
     if aged:
         _age_shard(shard_dir, 0)

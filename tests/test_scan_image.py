@@ -187,6 +187,8 @@ def base_path(tmp_path_factory):
         db.ingest(
             make_ca(num_docs=3, lines_per_doc=4, seed=3),
             SimulatedOcrEngine(seed=5),
+            # The tests compare both automaton approaches' images.
+            approaches=("kmap", "fullsfa", "staccato"),
         )
     return path
 

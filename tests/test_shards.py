@@ -30,7 +30,7 @@ from repro.db.sql import (
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.query.answers import Answer
-from repro.service import QueryService, start_sharded_service
+from repro.service import QueryService, start_service, start_sharded_service
 from repro.service.shards import (
     DEFAULT_RANGE_WIDTH,
     merge_ranked,
@@ -421,6 +421,98 @@ class TestIndexEndpoint:
             {"terms": ["ok"], "approach": "fullsfa"},
         )
         assert status == 400 and "approach" in body["error"]["message"]
+
+
+class TestApproachNotStored:
+    """``fullsfa`` is stored only when an ``/ingest`` names it.  A query
+    over it on shards ingested without it is a client's 400 on every
+    plan and on ``/sql`` -- not ``[]``, and no replica's fault -- on
+    ``--db`` and on two shards alike; a batch that names it answers as
+    a plain handle over the same rows."""
+
+    @pytest.fixture(params=["db", "shards"])
+    def start(self, request, tmp_path):
+        started = []
+
+        def start():
+            where = str(tmp_path / f"service-{len(started)}")
+            if request.param == "db":
+                running = start_service(
+                    where + ".db", k=K, m=M, pool_size=2, cache_size=16
+                )
+            else:
+                running = start_sharded_service(
+                    where,
+                    NUM_SHARDS,
+                    k=K,
+                    m=M,
+                    pool_size=2,
+                    cache_size=16,
+                    range_width=RANGE_WIDTH,
+                )
+            started.append(running)
+            return running
+
+        yield start
+        for running in started:
+            running.stop()
+
+    def test_fullsfa_on_a_default_ingest_is_a_structured_400(
+        self, start, corpus
+    ):
+        running = start()
+        url = running.base_url
+        status, _ = post_json(url, "/ingest", _batch_payload(corpus))
+        assert status == 200
+        for plan in ("filescan", "indexed", "auto"):
+            for _ in range(2):  # a second refusal finds no breaker open
+                status, body = post_json(
+                    url,
+                    "/search",
+                    {"pattern": "%Law%", "approach": "fullsfa", "plan": plan},
+                )
+                assert status == 400, body
+                assert body["error"]["code"] == "approach_not_stored"
+        status, body = post_json(
+            url,
+            "/sql",
+            {
+                "query": "SELECT DocId FROM Claims WHERE DocData LIKE '%Law%'",
+                "approach": "fullsfa",
+            },
+        )
+        assert status == 400 and body["error"]["code"] == "approach_not_stored"
+        status, health = get_json(url, "/health")
+        assert status == 200 and health["status"] == "ok"
+        for replicas in health["replicas"].values():
+            assert replicas["healthy"] == replicas["attached"]
+        status, body = post_json(url, "/search", {"pattern": "%Law%"})
+        assert status == 200 and body["count"] > 0
+
+    def test_a_batch_that_stores_fullsfa_answers_it(
+        self, start, corpus, tmp_path
+    ):
+        stored = ["kmap", "fullsfa", "staccato"]
+        running = start()
+        status, _ = post_json(
+            running.base_url,
+            "/ingest",
+            dict(_batch_payload(corpus), approaches=stored),
+        )
+        assert status == 200
+        with StaccatoDB(str(tmp_path / "plain.db"), k=K, m=M) as plain:
+            plain.ingest(corpus, SimulatedOcrEngine(seed=0), tuple(stored))
+            expected = plain.search("%Law%", approach="fullsfa", num_ans=20)
+        status, body = post_json(
+            running.base_url,
+            "/search",
+            {"pattern": "%Law%", "approach": "fullsfa", "num_ans": 20},
+        )
+        assert status == 200 and expected
+        assert _rows(expected) == [
+            (a["doc_id"], a["line_no"], a["probability"])
+            for a in body["answers"]
+        ]
 
 
 class TestRoutedIngest:

@@ -105,7 +105,11 @@ class TestParseErrors:
 def sql_db():
     db = StaccatoDB(k=6, m=8)
     dataset = make_ca(num_docs=3, lines_per_doc=5)
-    db.ingest(dataset, SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=2))
+    db.ingest(
+        dataset,
+        SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=2),
+        approaches=("kmap", "fullsfa", "staccato"),
+    )
     yield db
     db.close()
 

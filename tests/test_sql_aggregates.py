@@ -45,7 +45,11 @@ class TestParsing:
 def agg_db():
     db = StaccatoDB(k=6, m=8)
     dataset = make_ca(num_docs=3, lines_per_doc=4)
-    db.ingest(dataset, SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=6))
+    db.ingest(
+        dataset,
+        SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=6),
+        approaches=("kmap", "fullsfa", "staccato"),
+    )
     yield db
     db.close()
 
@@ -107,10 +111,11 @@ class TestParallelIngest:
     def test_parallel_matches_serial(self):
         dataset = make_ca(num_docs=2, lines_per_doc=4)
         ocr = SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=9)
+        stored = ("kmap", "fullsfa", "staccato")
         serial = StaccatoDB(k=5, m=6)
-        serial.ingest(dataset, ocr)
+        serial.ingest(dataset, ocr, approaches=stored)
         parallel = StaccatoDB(k=5, m=6)
-        parallel.ingest(dataset, ocr, workers=2)
+        parallel.ingest(dataset, ocr, approaches=stored, workers=2)
         for table in ("CompiledKernel", "StaccatoGraph"):
             a = serial.conn.execute(
                 f"SELECT * FROM {table} ORDER BY DataKey"

@@ -53,6 +53,7 @@ def clause_db():
     db.ingest(
         make_ca(num_docs=4, lines_per_doc=3),
         SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=44),
+        approaches=("kmap", "fullsfa", "staccato"),
     )
     yield db
     db.close()

@@ -13,7 +13,11 @@ from repro.ocr.noise import NoiseModel
 def view_db():
     db = StaccatoDB(k=6, m=8)
     dataset = make_ca(num_docs=2, lines_per_doc=5)
-    db.ingest(dataset, SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=33))
+    db.ingest(
+        dataset,
+        SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=33),
+        approaches=("kmap", "fullsfa", "staccato"),
+    )
     yield db
     db.close()
 

@@ -102,8 +102,8 @@ def test_index_speedup_exists(benchmark, dbs, report):
     paper_transitions = sum(
         result.dp_transitions
         for result in evaluator.evaluate_batch(
-            storage.decode_kernel("staccato", blob)
-            for _, blob in stored.values()
+            storage.decode_kernel("staccato", key, blob)
+            for key, (_, blob) in stored.items()
         )
     )
     report.note(

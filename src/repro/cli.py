@@ -49,6 +49,7 @@ from .bench.report import format_table
 from .core.tuning import tune_parameters
 from .db import storage
 from .db.engine import APPROACHES, ApproachNotStored, StaccatoDB
+from .db.upgrade import NewerFileFormat
 from .db.sql import execute_select
 from .ocr.corpus import make_ca, make_db, make_lt, make_scale
 from .ocr.engine import SimulatedOcrEngine
@@ -333,7 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ApproachNotStored as exc:
+    except (ApproachNotStored, NewerFileFormat) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

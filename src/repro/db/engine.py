@@ -41,7 +41,6 @@ from typing import Iterable
 
 from .. import counters
 from ..automata.trie import DictionaryTrie
-from ..core.kmap import kmap_sfa
 from ..indexing.anchors import anchor_for_query
 from ..indexing.inverted import build_kernel_postings
 from ..indexing.postings import Posting
@@ -51,9 +50,7 @@ from ..query.answers import Answer, rank_answers
 from ..query.eval_kernel import KernelBatch, KernelEvaluator, LineResult
 from ..query.like import compile_like
 from ..query.memo import KernelMemo, ScanImage, query_fingerprint
-from ..sfa.kernel import compile_kernel
-from ..sfa.model import SfaError
-from . import storage
+from . import storage, upgrade
 from .schema import create_schema
 
 __all__ = [
@@ -163,9 +160,12 @@ class StaccatoDB:
         #: kernel rows of lines that no longer exist (files an earlier
         #: rebalance left them in; see ``storage.drop_orphan_kernels``).
         self.orphans_swept = False
-        create_schema(self.conn)
-        #: Tables of older builds this file has (``storage.legacy_tables``).
-        self.legacy_tables = storage.legacy_tables(self.conn)
+        try:
+            create_schema(self.conn)
+            upgrade.upgrade(self.conn)
+        except BaseException:
+            self.conn.close()
+            raise
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -271,16 +271,11 @@ class StaccatoDB:
         candidates) probes the memo too but reads its blobs in one keyed
         read and decodes them per query.
 
-        A line without a current-version row (old database files) or
-        whose blob the codec rejects is compiled now
-        (:meth:`_recompile_kernel`) and evaluated beside the rest (a
-        rejected blob that is the line's only copy fails the scan
-        instead).  Lines to scan but no row of the approach read: unless
-        some line has a copy to recompile from, the scan fails with
-        :class:`ApproachNotStored`.  ``map`` reads the ``kmap`` rows and
-        derives each line's rank-0 kernel as it decodes them
-        (``storage.decode_kernel``), so its image and memo entries are
-        its own.
+        A line without a row of the approach is not in the relation; a
+        blob the codec rejects fails the scan (``SfaError``); no row of
+        it in a non-empty file is :class:`ApproachNotStored`.  ``map``
+        reads the ``kmap`` rows and derives each line's rank-0 kernel
+        (``storage.decode_kernel``): its image and memo entries are its own.
 
         Before the DP, every pending line is checked against the
         pattern's required character pairs (``KernelBatch.spells``): a
@@ -300,75 +295,54 @@ class StaccatoDB:
             stored = storage.load_kernel_blobs(self.conn, approach, keys)
             fingerprints = {key: row[0] for key, row in stored.items()}
         else:
-            stored = {}
             listing = storage.kernel_listing(self.conn, approach)
             fingerprints = dict(listing)
         if keys and not fingerprints:
             self._require_stored(approach)
         query_fp = query_fingerprint(pattern)
         probs: dict[int, float] = {}
-        #: (DataKey, fingerprint, kernel if already recompiled)
-        pending: list[tuple] = []
+        pending: list[tuple[int, str]] = []  # (DataKey, fingerprint)
         hits = misses = 0
         for data_key in keys:
             fingerprint = fingerprints.get(data_key)
-            kernel = None
             if fingerprint is None:
-                kernel = self._recompile_kernel(approach, data_key)
-                if kernel is None:
-                    continue  # concurrent delete; not part of the relation
-                fingerprint = kernel.fingerprint
+                continue  # no row of the approach: not in the relation
             value = memo.get(fingerprint, query_fp)
             if value is not None:
                 hits += 1
                 probs[data_key] = value[0]
                 continue
             misses += 1
-            pending.append((data_key, fingerprint, kernel))
-        image = None
-        if not keyed and any(job[2] is None for job in pending):
+            pending.append((data_key, fingerprint))
+        if pending and keyed:
+            batch = KernelBatch(
+                [storage.decode_kernel(approach, k, stored[k][1]) for k, _ in pending]
+            )
+            lines = range(len(pending))
+        elif pending:
             image = self._scan_image(approach, listing, scan)
-        in_image: list[tuple[int, str, int]] = []  # ..., line position
-        beside: list[tuple] = []  # ..., kernel
-        for data_key, fingerprint, kernel in pending:
-            if kernel is None and image is not None:
-                line = image.lines.get(data_key)
-                if line is not None:
-                    # The image's own fingerprint: it may have been
-                    # rebuilt from a later snapshot than the listing.
-                    in_image.append(
-                        (data_key, image.fingerprints[line], line)
-                    )
-                    continue
-            if kernel is None:
-                kernel = self._decode_kernel(
-                    approach, data_key, stored.get(data_key)
-                )
-                if kernel is None:
-                    continue
-            beside.append((data_key, fingerprint, kernel))
-        groups = []
-        if in_image:
-            lines = [line for _, _, line in in_image]
-            groups.append((in_image, image.batch, lines))
-        if beside:
-            batch = KernelBatch([kernel for _, _, kernel in beside])
-            groups.append((beside, batch, range(len(beside))))
-        if groups:
+            # With the image's own fingerprints: it may have been rebuilt
+            # from a later snapshot, without a line deleted since.
+            pending = [
+                (key, image.fingerprints[image.lines[key]])
+                for key, _ in pending
+                if key in image.lines
+            ]
+            batch = image.batch
+            lines = [image.lines[key] for key, _ in pending]
+        cells = transitions = pruned = 0
+        if pending:
             if query is None:
                 query = compile_like(pattern)
-            evaluator = KernelEvaluator(query)
-        cells = transitions = pruned = 0
-        for jobs, batch, lines in groups:
             # A line that cannot spell a pair every match contains has
             # probability exactly 0: it skips the DP.
             spelled = batch.spells(query.required_pairs, lines)
             results = iter(
-                evaluator.evaluate_batch(
+                KernelEvaluator(query).evaluate_batch(
                     batch, lines=[ln for ln, ok in zip(lines, spelled) if ok]
                 )
             )
-            for (data_key, fingerprint, _), ok in zip(jobs, spelled):
+            for (data_key, fingerprint), ok in zip(pending, spelled):
                 result = next(results) if ok else _PRUNED
                 pruned += not ok
                 probs[data_key] = result.probability
@@ -419,10 +393,7 @@ class StaccatoDB:
             blob_bytes = 0
             for data_key, fingerprint in listing:
                 blob = stored[data_key][1]
-                try:
-                    kernel = storage.decode_kernel(approach, blob)
-                except SfaError:
-                    continue  # each scan recompiles this line from SFA1
+                kernel = storage.decode_kernel(approach, data_key, blob)
                 lines[data_key] = len(kernels)
                 kernels.append(kernel)
                 fingerprints.append(fingerprint)
@@ -461,8 +432,8 @@ class StaccatoDB:
         rows and replayed by one
         :class:`~repro.query.eval_kernel.KernelEvaluator` -- so the DFA
         transition rows are computed once per query, not per candidate.
-        Rows missing or rejected fall back to ``SFA1`` as in the scan.
-        ``ev`` is the enclosing ``engine_eval`` span, if traced.
+        Rows are read as in the scan.  ``ev`` is the enclosing
+        ``engine_eval`` span, if traced.
         """
         pruned = self._ruled_out(query, candidates, ev)
         fetched = [key for key in candidates if key not in pruned]
@@ -470,12 +441,9 @@ class StaccatoDB:
         evaluator = KernelEvaluator(query)
         probs = dict.fromkeys(pruned, 0.0)
         cells = transitions = 0
-        for data_key in fetched:
-            kernel = self._decode_kernel(
-                "staccato", data_key, stored.get(data_key)
-            )
-            if kernel is None:
-                continue  # concurrent delete; not part of the relation
+        # A candidate deleted concurrently has no row: not in the relation.
+        for data_key, (_, blob) in stored.items():
+            kernel = storage.decode_kernel("staccato", data_key, blob)
             try:
                 result = evaluator.evaluate_projected(
                     kernel,
@@ -528,37 +496,6 @@ class StaccatoDB:
         the check a read makes when it found no row of the approach."""
         if not storage.approach_stored(self.conn, approach) and self.num_lines:
             raise ApproachNotStored(approach)
-
-    def _decode_kernel(
-        self, approach: str, data_key: int, row: tuple[str, bytes] | None
-    ):
-        """The kernel of one ``load_kernel_blobs`` row; a line without a
-        row, or with a blob the codec rejects despite its version tag,
-        is recompiled (:meth:`_recompile_kernel`)."""
-        if row is not None:
-            try:
-                return storage.decode_kernel(approach, row[1])
-            except SfaError:
-                pass
-        return self._recompile_kernel(approach, data_key)
-
-    def _recompile_kernel(self, approach: str, data_key: int):
-        """Kernel fallback path: compile the line's kernel now, from its
-        chunk graph's ``SFA1`` blob, its FullSFA or its k-MAP strings (an
-        older file's copies included; ``map``: the rank-0 string).
-        ``None`` for a line that is gone."""
-        conn, legacy = self.conn, self.legacy_tables
-        try:
-            if approach == "staccato":
-                sfa = storage.load_staccato(conn, data_key)
-            elif approach == "fullsfa":
-                sfa = storage.load_fullsfa(conn, data_key, legacy)
-            else:
-                k = 1 if approach == "map" else None
-                sfa = kmap_sfa(storage.load_kmap(conn, data_key, k, legacy))
-        except KeyError:
-            return None
-        return compile_kernel(sfa)
 
     def _answers(
         self, keys: Iterable[int], probs: dict[int, float]
@@ -636,16 +573,18 @@ class StaccatoDB:
 
         Always a rebuild: one transaction deletes the old postings,
         streams the approach's ``CompiledKernel`` rows a line at a time
-        in DataKey order (a line without a current row or with a
-        rejected blob recompiled as in the scan), inserts each line's
-        postings sorted, and records the dictionary, its digest, the
-        approach and the coverage mark.  Returns the number of
-        postings the table now holds.
+        in DataKey order (a line without one has no postings; a
+        rejected blob fails the build), inserts each line's postings
+        sorted, and records the dictionary, its digest, the approach
+        and the coverage mark.  Returns the number of postings the
+        table now holds.  :class:`ApproachNotStored` if no line of a
+        non-empty file stores ``approach``: nothing is written.
         """
         if approach not in ("kmap", "staccato"):
             raise ValueError(
                 "the dictionary index covers 'kmap' or 'staccato' data"
             )
+        self._require_stored(approach)
         trie = DictionaryTrie(dictionary)
         count = 0
         with self.conn:
@@ -673,11 +612,8 @@ class StaccatoDB:
         """``(DataKey, term -> postings)`` of every stored line that has
         the approach's representation, in DataKey order."""
         for data_key, blob in storage.iter_kernel_blobs(self.conn, approach):
-            kernel = self._decode_kernel(
-                approach, data_key, ("", blob) if blob is not None else None
-            )
-            if kernel is not None:
-                yield data_key, build_kernel_postings(kernel, trie)
+            kernel = storage.decode_kernel(approach, data_key, blob)
+            yield data_key, build_kernel_postings(kernel, trie)
 
     def stored_index(self) -> storage.IndexSpec | None:
         """The file's dictionary index as it is now (one read of

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import sqlite3
 
-__all__ = ["create_schema", "TABLES", "LINE_TABLES", "LEGACY_LINE_TABLES"]
+__all__ = ["create_schema", "FILE_FORMAT", "TABLES", "LINE_TABLES"]
+
+#: The file format, as ``PRAGMA user_version`` (0: older builds): a file
+#: below it is upgraded as it is opened (``repro.db.upgrade``).
+FILE_FORMAT = 1
 
 #: The per-line (DataKey-keyed) tables and their columns, DataKey first,
 #: in write order: what ``storage``'s insert statements and rebalance's
@@ -32,13 +36,6 @@ LINE_TABLES = {
 }
 
 TABLES = ["Documents", *LINE_TABLES, "IndexTerms", "IndexMeta"]
-
-#: Per-line tables only files of earlier builds have (a second, ``SFA1``
-#: copy of the FullSFA; a row per chunk string; the k-MAP strings, a row
-#: each with its log-probability): never created here, cleared with a
-#: deleted line, and -- all but ``StaccatoData``, which the chunk graph
-#: replaced -- read for a line without a ``fullsfa`` or ``kmap`` kernel.
-LEGACY_LINE_TABLES = ("FullSFAData", "StaccatoData", "kMAPData")
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS Documents (
@@ -61,9 +58,9 @@ CREATE TABLE IF NOT EXISTS StaccatoGraph (
 );
 
 -- Compiled evaluation kernels (repro.sfa.kernel), one per line per
--- stored approach (kmap, fullsfa, staccato).  Version tags the blob
--- layout; readers ignore rows from other versions and recompile a line
--- from the copy an old file still has, so old files keep working.
+-- stored approach (kmap, fullsfa, staccato).  Version is the blob
+-- layout's, KERNEL_VERSION in every row of a current file: an older
+-- file's rows are kept or recompiled when it is opened (repro.db.upgrade).
 CREATE TABLE IF NOT EXISTS CompiledKernel (
     DataKey     INTEGER NOT NULL REFERENCES MasterData(DataKey),
     Approach    TEXT NOT NULL,
@@ -107,6 +104,9 @@ CREATE TABLE IF NOT EXISTS IndexMeta (
 
 
 def create_schema(conn: sqlite3.Connection) -> None:
-    """Create every table (idempotent)."""
+    """Create every table (idempotent); a file that had none is stamped
+    with :data:`FILE_FORMAT`."""
     with conn:
-        conn.executescript(_DDL)
+        fresh = conn.execute("SELECT 1 FROM sqlite_master").fetchone() is None
+        stamp = f"PRAGMA user_version = {FILE_FORMAT};" if fresh else ""
+        conn.executescript(_DDL + stamp)

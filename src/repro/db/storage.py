@@ -27,7 +27,6 @@ cache keyed by the recorded dictionary digest.
 
 from __future__ import annotations
 
-import math
 import sqlite3
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -51,7 +50,7 @@ from ..sfa.kernel import (
     to_sfa,
 )
 from ..sfa.model import Sfa, SfaError
-from .schema import LEGACY_LINE_TABLES, LINE_TABLES
+from .schema import LINE_TABLES
 
 __all__ = [
     "APPROACHES",
@@ -62,7 +61,6 @@ __all__ = [
     "write_batch",
     "ingest_dataset",
     "load_fullsfa",
-    "legacy_tables",
     "kernel_row",
     "load_kmap",
     "load_staccato",
@@ -437,43 +435,12 @@ def line_metadata(conn: sqlite3.Connection, data_key: int) -> tuple[int, int]:
     return row
 
 
-def load_fullsfa(
-    conn: sqlite3.Connection, data_key: int, legacy: Sequence[str] | None = None
-) -> Sfa:
-    """The FullSFA of one line, rebuilt from its stored kernel; without
-    a readable current-version row, read from the ``SFA1`` copy an older
-    file has in ``FullSFAData`` (``legacy``: the caller's probe of
-    :func:`legacy_tables`).  A row the codec rejects with no such copy
-    behind it is an ``SfaError``, not a missing line."""
-    rejected = None
+def load_fullsfa(conn: sqlite3.Connection, data_key: int) -> Sfa:
+    """The FullSFA of one line, rebuilt from its stored kernel (its only
+    copy: a blob the codec rejects is an ``SfaError``)."""
     for _, blob in load_kernel_blobs(conn, "fullsfa", [data_key]).values():
-        try:
-            return to_sfa(serialize.kernel_from_bytes(blob))
-        except SfaError as exc:
-            rejected = exc
-    if "FullSFAData" in (legacy_tables(conn) if legacy is None else legacy):
-        row = conn.execute(
-            "SELECT SFABlob FROM FullSFAData WHERE DataKey = ?", (data_key,)
-        ).fetchone()
-        if row is not None:
-            return serialize.from_bytes(row[0])
-    if rejected is not None:
-        raise SfaError(
-            f"unreadable fullsfa kernel of DataKey {data_key}, the only "
-            f"copy of that line's FullSFA: {rejected}"
-        ) from rejected
+        return to_sfa(decode_kernel("fullsfa", data_key, blob))
     raise KeyError(f"no FullSFA for DataKey {data_key}")
-
-
-def legacy_tables(
-    conn: sqlite3.Connection, schema: str = "main"
-) -> tuple[str, ...]:
-    """Which of ``LEGACY_LINE_TABLES`` the file has: one ``sqlite_master``
-    probe, which a :class:`~repro.db.engine.StaccatoDB` makes as it opens."""
-    names = {
-        name for (name,) in conn.execute(f"SELECT name FROM {schema}.sqlite_master")
-    }
-    return tuple(table for table in LEGACY_LINE_TABLES if table in names)
 
 
 def load_staccato(conn: sqlite3.Connection, data_key: int) -> Sfa:
@@ -499,53 +466,56 @@ def load_kernel_blobs(
     """Stored compiled kernels of one approach: all of them in one query,
     or only those of ``keys`` (an index plan's candidates).
 
-    Returns ``{DataKey: (fingerprint, blob)}`` for rows whose blob
-    version matches this build's :data:`~repro.sfa.kernel.KERNEL_VERSION`.
-    Rows from other versions -- or lines that predate the kernel table
-    entirely -- are simply absent; the read path recompiles those lines
-    from their ``SFA1`` blobs, so old database files stay queryable.
+    Returns ``{DataKey: (fingerprint, blob)}``; a line without a row of
+    the approach is absent, and a foreign blob is an ``SfaError`` once
+    decoded (:func:`decode_kernel`), not a silently missing line.
     ``map`` gets the ``kmap`` rows (see :data:`MAP_FINGERPRINT_PREFIX`).
     """
     select = (
         "SELECT DataKey, Fingerprint, KernelBlob FROM CompiledKernel "
-        "WHERE Approach = ? AND Version = ?"
+        "WHERE Approach = ?"
     )
     tag = MAP_FINGERPRINT_PREFIX if approach == "map" else ""
     stored_as = "kmap" if approach == "map" else approach
     if keys is None:
-        rows = conn.execute(select, (stored_as, KERNEL_VERSION))
+        rows = conn.execute(select, (stored_as,))
         return {key: (tag + fingerprint, blob) for key, fingerprint, blob in rows}
     stored: dict[int, tuple[str, bytes]] = {}
     for at in range(0, len(keys), _KEYS_PER_FETCH):
         part = keys[at : at + _KEYS_PER_FETCH]
         rows = conn.execute(
             f"{select} AND DataKey IN ({','.join('?' * len(part))})",
-            (stored_as, KERNEL_VERSION, *part),
+            (stored_as, *part),
         )
         for key, fingerprint, blob in rows:
             stored[key] = (tag + fingerprint, blob)
     return stored
 
 
-def decode_kernel(approach: str, blob: bytes) -> CompiledKernel:
-    """The kernel of a :func:`load_kernel_blobs` row of ``approach``;
-    for ``map``, the rank-0 string of the ``kmap`` kernel, compiled as a
-    one-chunk kernel of its own."""
-    kernel = serialize.kernel_from_bytes(blob)
+def decode_kernel(approach: str, data_key: int, blob: bytes) -> CompiledKernel:
+    """The kernel of line ``data_key``'s :func:`load_kernel_blobs` row of
+    ``approach``; for ``map``, the rank-0 string of the ``kmap`` kernel,
+    compiled as a one-chunk kernel of its own.  A blob the codec rejects
+    is an ``SfaError`` naming the line: the row is its only copy."""
+    try:
+        kernel = serialize.kernel_from_bytes(blob)
+    except SfaError as exc:
+        raise SfaError(
+            f"unreadable {approach} kernel of DataKey {data_key}: {exc}"
+        ) from exc
     if approach == "map":
         kernel = compile_kernel(kmap_sfa(_kmap_strings(kernel, 1)))
     return kernel
 
 
 def iter_kernel_blobs(conn: sqlite3.Connection, approach: str):
-    """``(DataKey, blob | None)`` for every line, in DataKey order, one
-    row at a time off a single cursor: the blob of the line's current-
-    version kernel, ``None`` for a line without one (old files)."""
+    """``(DataKey, blob)`` for every line with a kernel of ``approach``,
+    in DataKey order, one row at a time off a single cursor."""
     return conn.execute(
         "SELECT m.DataKey, c.KernelBlob FROM MasterData m "
-        "LEFT JOIN CompiledKernel c ON c.DataKey = m.DataKey "
-        "AND c.Approach = ? AND c.Version = ? ORDER BY m.DataKey",
-        (approach, KERNEL_VERSION),
+        "JOIN CompiledKernel c ON c.DataKey = m.DataKey "
+        "WHERE c.Approach = ? ORDER BY m.DataKey",
+        (approach,),
     )
 
 
@@ -558,8 +528,8 @@ def kernel_listing(
     validated against."""
     rows = conn.execute(
         "SELECT DataKey, Fingerprint FROM CompiledKernel "
-        "WHERE Approach = ? AND Version = ? ORDER BY DataKey",
-        ("kmap" if approach == "map" else approach, KERNEL_VERSION),
+        "WHERE Approach = ? ORDER BY DataKey",
+        ("kmap" if approach == "map" else approach,),
     ).fetchall()
     if approach == "map":
         rows = [(key, MAP_FINGERPRINT_PREFIX + fp) for key, fp in rows]
@@ -579,33 +549,14 @@ def _kmap_strings(
 
 
 def load_kmap(
-    conn: sqlite3.Connection,
-    data_key: int,
-    k: int | None = None,
-    legacy: Sequence[str] | None = None,
+    conn: sqlite3.Connection, data_key: int, k: int | None = None
 ) -> list[tuple[str, float]]:
     """The ranked k-MAP strings of one line (optionally truncated to k):
-    those of its ``kmap`` kernel -- a blob the codec rejects is an
-    ``SfaError``, that kernel is the line's only copy -- or, in an older
-    file, its ``kMAPData`` rows, whose probabilities are ``exp`` of the
-    stored log-probabilities (``legacy``: as in :func:`load_fullsfa`)."""
+    those of its ``kmap`` kernel, the line's only copy of them -- a blob
+    the codec rejects is an ``SfaError``."""
     for _, blob in load_kernel_blobs(conn, "kmap", [data_key]).values():
-        try:
-            kernel = serialize.kernel_from_bytes(blob)
-        except SfaError as exc:
-            raise SfaError(
-                f"unreadable kmap kernel of DataKey {data_key}: {exc}"
-            ) from exc
-        return _kmap_strings(kernel, k)
-    rows = []
-    if "kMAPData" in (legacy_tables(conn) if legacy is None else legacy):
-        rows = conn.execute(
-            "SELECT Data, LogProb FROM kMAPData WHERE DataKey = ? ORDER BY Rank",
-            (data_key,),
-        ).fetchall()
-    if not rows:
-        raise KeyError(f"no k-MAP strings for DataKey {data_key}")
-    return [(text, math.exp(log_prob)) for text, log_prob in rows[:k]]
+        return _kmap_strings(decode_kernel("kmap", data_key, blob), k)
+    raise KeyError(f"no k-MAP strings for DataKey {data_key}")
 
 
 def load_ground_truth(conn: sqlite3.Connection, data_key: int) -> str:
@@ -618,48 +569,21 @@ def load_ground_truth(conn: sqlite3.Connection, data_key: int) -> str:
     return row[0]
 
 
-#: What an approach's record holds beyond its kernel blobs, and what the
-#: read path recompiles a line without a current kernel from: the chunk
-#: graph; an older file's copy of a FullSFA or of the k-MAP strings.
-#: Each with the SQL sum of its bytes.
-_COPIES = {
-    "staccato": ("StaccatoGraph", "SUM(LENGTH(GraphBlob))"),
-    "fullsfa": ("FullSFAData", "SUM(LENGTH(SFABlob))"),
-    "kmap": ("kMAPData", "SUM(LENGTH(Data) + 16)"),
-}
-
-
-def _copy_table(conn: sqlite3.Connection, approach: str) -> str | None:
-    """The table of :data:`_COPIES` the file has for ``approach`` (not
-    ``map``); ``None`` for an older build's table it lacks."""
-    table = _COPIES[approach][0]
-    if table in LINE_TABLES or table in legacy_tables(conn):
-        return table
-    return None
-
-
 def approach_stored(conn: sqlite3.Connection, approach: str) -> bool:
-    """Whether any line of the file can be read as ``approach``: it has
-    a current-version kernel row of it, or a copy the read path
-    recompiles one from (``map`` reads the ``kmap`` record).  False for
-    an empty file."""
-    stored_as = "kmap" if approach == "map" else approach
-    if conn.execute(
-        "SELECT 1 FROM CompiledKernel WHERE Approach = ? AND Version = ? "
-        "LIMIT 1",
-        (stored_as, KERNEL_VERSION),
-    ).fetchone():
-        return True
-    table = _copy_table(conn, stored_as)
+    """Whether any line of the file has a kernel row of ``approach``
+    (``map`` reads the ``kmap`` record).  False for an empty file."""
     return bool(
-        table and conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone()
+        conn.execute(
+            "SELECT 1 FROM CompiledKernel WHERE Approach = ? LIMIT 1",
+            ("kmap" if approach == "map" else approach,),
+        ).fetchone()
     )
 
 
 def approach_storage_bytes(conn: sqlite3.Connection, approach: str) -> int:
     """Bytes the file holds for one approach (paper Table 2, Figure 20):
-    its kernel blobs, plus the chunk graphs of ``staccato`` and the
-    copies an older file holds (``map`` reads the ``kmap`` record)."""
+    its kernel blobs, plus the chunk graphs of ``staccato`` (``map``
+    reads the ``kmap`` record)."""
     if approach not in APPROACHES:
         raise ValueError(f"unknown approach {approach!r}")
     if approach == "map":
@@ -668,7 +592,6 @@ def approach_storage_bytes(conn: sqlite3.Connection, approach: str) -> int:
         "SELECT SUM(LENGTH(KernelBlob)) FROM CompiledKernel "
         f"WHERE Approach = '{approach}'"
     ]
-    table = _copy_table(conn, approach)
-    if table:
-        sums.append(f"SELECT {_COPIES[approach][1]} FROM {table}")
+    if approach == "staccato":
+        sums.append("SELECT SUM(LENGTH(GraphBlob)) FROM StaccatoGraph")
     return sum(conn.execute(query).fetchone()[0] or 0 for query in sums)

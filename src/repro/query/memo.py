@@ -64,12 +64,11 @@ def query_fingerprint(pattern: str) -> str:
 class ScanImage(NamedTuple):
     """One approach's stored kernels, decoded and laid out, immutable.
 
-    ``listing`` is every current-version ``(DataKey, Fingerprint)`` row
+    ``listing`` is every ``(DataKey, Fingerprint)`` row of the approach
     in DataKey order, read by the statement that also returned the blobs
     (one snapshot); the image is valid while the table still lists
-    exactly that.  ``lines`` maps a DataKey to its line position in
-    ``batch``; a listed key whose blob the codec rejected has none and is
-    recompiled from ``SFA1`` by each scan, as is any key not listed.
+    exactly that.  ``lines`` maps each listed DataKey to its line
+    position in ``batch``.
     """
 
     listing: list[tuple[int, str]]

@@ -138,6 +138,7 @@ class Job:
         "result",
         "metrics",
         "interrupted",
+        "refusal",
         "_lock",
         "_cancel",
     )
@@ -160,6 +161,8 @@ class Job:
         self.metrics: dict[str, Any] = {}
         #: Set by journal recovery on jobs that outlived their process.
         self.interrupted = False
+        #: The ApiError a failed run raised, for an in-process waiter.
+        self.refusal: ApiError | None = None
         self._lock = threading.Lock()
         self._cancel = threading.Event()
 
@@ -489,6 +492,7 @@ class JobEngine:
                 # A structured refusal (e.g. bad params surfacing late):
                 # keep the message, skip the traceback noise.
                 state, result, error = "failed", None, f"{exc.code}: {exc}"
+                job.refusal = exc
             except Exception:  # noqa: BLE001 - worker crash boundary
                 state, result = "failed", None
                 error = traceback.format_exc()
@@ -595,7 +599,9 @@ class JobsApi:
         request thread: by default it submits and answers 202 with the
         job row.  ``"wait": true`` keeps the old synchronous shape (the
         handler blocks, the *build* still runs on a job worker) and
-        returns the rebuild result with the job id attached.
+        returns the rebuild result with the job id attached -- or the
+        structured refusal the run raised (an index over an approach no
+        line stores is a 400 ``approach_not_stored``).
         """
         if not isinstance(payload, Mapping):
             raise ApiError(400, "request body must be a JSON object")
@@ -612,6 +618,8 @@ class JobsApi:
             # The wait timed out but the job is alive and will finish;
             # that is a still-pending 202, not a failure.
             return 202, row
+        if job.refusal is not None:
+            raise job.refusal
         if row["state"] != "succeeded":
             raise ApiError(
                 500,

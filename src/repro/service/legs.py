@@ -296,9 +296,12 @@ class LocalLeg:
             return None
 
     def build_index(self, terms: Sequence[str], approach: str) -> int:
-        return self.replicas.apply_write(
-            lambda replica: replica.writer.build_index(terms, approach=approach)
-        )
+        try:
+            return self.replicas.apply_write(
+                lambda replica: replica.writer.build_index(terms, approach=approach)
+            )
+        except ApproachNotStored as exc:  # no replica wrote
+            raise _not_stored(exc) from exc
 
     def change_replicas(
         self, action: str, replica: int | None

@@ -16,17 +16,11 @@ lives here:
 from __future__ import annotations
 
 import contextlib
-import math
 import threading
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
-from ..core.kmap import kmap_sfa
 from ..db import storage
 from ..db.schema import LINE_TABLES
-from ..sfa.kernel import KERNEL_VERSION, compile_kernel
-from ..sfa.serialize import from_bytes
 from .jobs import Job, JobCancelled
 from .replicas import Replica, ordered_locks
 from .validation import ApiError, validate_rebalance_params
@@ -109,59 +103,17 @@ _COPY_LINES = {
 }
 
 
-def _delete_rows(writer) -> None:
+def _delete_rows(conn) -> None:
     """Drop the documents of ``_rebalance_ids`` with their lines' rows in
-    every per-line table -- an older build's too, so no later line on a
-    freed DataKey is answered from them; MasterData names the keys and
-    goes last."""
-    for table in (*writer.legacy_tables, *reversed(LINE_TABLES)):
-        writer.conn.execute(
+    every per-line table; MasterData names the keys and goes last."""
+    for table in reversed(LINE_TABLES):
+        conn.execute(
             f"DELETE FROM {table} WHERE DataKey IN "
             "(SELECT DataKey FROM MasterData WHERE DocId IN "
             "(SELECT DocId FROM _rebalance_ids))"
         )
-    writer.conn.execute(
+    conn.execute(
         "DELETE FROM Documents WHERE DocId IN (SELECT DocId FROM _rebalance_ids)"
-    )
-
-
-def _compile_legacy(conn, offset: int, tables: Sequence[str]) -> None:
-    """A moved line of an older source file (``tables``: its legacy
-    tables) with a copy there of a FullSFA (a ``FullSFAData`` blob) or
-    of the k-MAP strings (``kMAPData`` rows, scored as ``exp`` of their
-    log-probability, as the build that wrote them did) but no current
-    kernel row of that approach gets the kernel in the target, compiled
-    from the copy: only kernels move, and the line keeps its record."""
-    moved = (
-        f"DataKey IN (SELECT DataKey FROM {_SRC}.MasterData WHERE DocId IN "
-        f"(SELECT DocId FROM _rebalance_ids)) AND DataKey NOT IN "
-        f"(SELECT DataKey FROM {_SRC}.CompiledKernel "
-        f"WHERE Approach = ? AND Version = {KERNEL_VERSION})"
-    )
-    sfas = []
-    if "FullSFAData" in tables:
-        blobs = conn.execute(
-            f"SELECT DataKey, SFABlob FROM {_SRC}.FullSFAData WHERE {moved}",
-            ("fullsfa",),
-        )
-        sfas += [(key, "fullsfa", from_bytes(blob)) for key, blob in blobs]
-    if "kMAPData" in tables:
-        rows = conn.execute(
-            f"SELECT DataKey, Data, LogProb FROM {_SRC}.kMAPData "
-            f"WHERE {moved} ORDER BY DataKey, Rank",
-            ("kmap",),
-        )
-        sfas += [
-            (key, "kmap", kmap_sfa([(text, math.exp(lp)) for _, text, lp in line]))
-            for key, line in groupby(rows, key=itemgetter(0))
-        ]
-    conn.executemany(
-        "INSERT OR REPLACE INTO CompiledKernel "
-        f"({', '.join(LINE_TABLES['CompiledKernel'])}) VALUES (?, ?, ?, ?, ?)",
-        [
-            storage.kernel_row(key + offset, approach, compile_kernel(sfa))
-            for key, approach, sfa in sfas
-        ],
     )
 
 
@@ -186,9 +138,9 @@ def copy_docs(
     lived here) -- the only rows a cancel may unwind.
 
     One transaction per replica: concurrent readers see the copy all at
-    once or not at all.  The source is the shard *file*, ATTACHed; the
-    caller holds both shards' write locks, so it cannot change under the
-    copy.  Documents the target already holds with AT LEAST the source's
+    once or not at all.  The source is the shard *file* (of this build's
+    format: the pool opened it), ATTACHed; the caller holds both shards'
+    write locks, so it cannot change under the copy.  Documents the target already holds with AT LEAST the source's
     line count are skipped: lines only append and a doc's new lines land
     on exactly one holder, so a target that is not behind is
     current-or-ahead (it may carry ingests accepted after ownership
@@ -225,7 +177,7 @@ def copy_docs(
             # Remaining ids are either absent from the target (the
             # deletes no-op) or stale partial copies (cleared for a
             # fresh copy).
-            _delete_rows(writer)
+            _delete_rows(conn)
             # DataKeys start at 0 on a fresh file, so the first free
             # key is MAX + 1 (not MAX): every copied key lands past
             # the target's existing range.
@@ -251,7 +203,6 @@ def copy_docs(
             for table, statement in _COPY_LINES.items():
                 if table != "InvertedIndex" or indexed:
                     conn.execute(statement, {"offset": offset})
-            _compile_legacy(conn, offset, storage.legacy_tables(conn, _SRC))
             got_docs, got_lines = conn.execute(
                 "SELECT (SELECT COUNT(*) FROM Documents WHERE DocId IN "
                 "(SELECT DocId FROM _rebalance_ids)), "
@@ -281,7 +232,7 @@ def delete_docs(replica: Replica, doc_ids: Sequence[int]) -> None:
     writer = replica.writer
     with writer.conn:
         _load_ids(writer.conn, doc_ids)
-        _delete_rows(writer)
+        _delete_rows(writer.conn)
 
 
 # ----------------------------------------------------------------------

@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 #: Bump when the blob layout or the compiled program semantics change;
-#: readers ignore rows of another version (a line that still has an
-#: ``SFA1`` blob is recompiled from it).
+#: a blob of another version is an ``SfaError`` when it is read (a file
+#: holding such rows needs an upgrade step, ``repro.db.upgrade``).
 KERNEL_VERSION = 2
 
 _MAGIC = b"KRN2"

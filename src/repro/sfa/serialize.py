@@ -2,8 +2,8 @@
 
 ``SFA1`` is the interchange format of an SFA: the BLOB Staccato stores
 of each line's chunk graph (paper Appendix G, the ``StaccatoGraph``
-table) beside its compiled kernel, what older files hold of the FullSFA
-baseline (paper Section 3), and the bytes two SFAs are compared by.  The
+table) beside its compiled kernel, an older file's FullSFA copy (read
+by its upgrade; paper Section 3), and the bytes SFAs are compared by.  The
 format is a compact little-endian struct layout:
 
     magic 'SFA1' | n_nodes u32 | n_edges u32 | start u32 | final u32

@@ -4,9 +4,10 @@ Builds before the ``KRN2``-only schema also stored a line as a
 ``FullSFAData`` row (the FullSFA's ``SFA1`` blob) and one
 ``StaccatoData`` row per chunk string; builds before the one-chunk
 ``kmap`` kernel stored its k-MAP strings as ``kMAPData`` rows of
-log-probabilities instead.  This build creates none of these tables; it
-only has to keep opening files that have them.  Their DDL lives here and
-nowhere else.
+log-probabilities instead.  This build creates none of these tables; a
+file that has them records no file format (``PRAGMA user_version`` 0)
+and is upgraded when it is opened (``repro.db.upgrade``).  Their DDL
+lives here and nowhere else.
 """
 
 import math
@@ -14,6 +15,9 @@ import sqlite3
 
 from repro.db import storage
 from repro.sfa import serialize
+
+#: The tables, as ``sqlite_master`` names them.
+LEGACY_TABLES = ("FullSFAData", "StaccatoData", "kMAPData")
 
 LEGACY_DDL = """
 CREATE TABLE IF NOT EXISTS FullSFAData (
@@ -89,7 +93,9 @@ def add_legacy_tables(conn: sqlite3.Connection) -> None:
 def legacy_copy(db, path: str, *damage: str) -> str:
     """A copy of ``db``'s file at ``path`` with the legacy tables added,
     then each ``damage`` statement applied (typically to its
-    ``CompiledKernel`` rows, which files of that age lack)."""
+    ``CompiledKernel`` rows, which files of that age lack), and the
+    format of a build before formats were recorded: a backup copies the
+    current file's."""
     clone = sqlite3.connect(path)
     try:
         db.conn.backup(clone)
@@ -97,6 +103,7 @@ def legacy_copy(db, path: str, *damage: str) -> str:
         with clone:
             for statement in damage:
                 clone.execute(statement)
+        clone.execute("PRAGMA user_version = 0")
     finally:
         clone.close()
     return path

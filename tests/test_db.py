@@ -12,12 +12,11 @@ from repro.db import storage
 from repro.db.engine import APPROACHES, DEFAULT_WINDOW, StaccatoDB
 from repro.db.planner import execute_plan
 from repro.db.sql import execute_select
-from repro.db.schema import LEGACY_LINE_TABLES, LINE_TABLES, TABLES, create_schema
+from repro.db.schema import FILE_FORMAT, LINE_TABLES, TABLES, create_schema
 from repro.indexing.projection import projected_match_probability
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
-from repro.query import memo as memo_module
 from repro.query.like import compile_like
 from repro.query.memo import KernelMemo
 from repro.sfa import serialize
@@ -48,15 +47,12 @@ class TestSchema:
     every table of it is read by ``src/``, and a line costs what the
     ledger says -- so a write-only table fails here, not at a re-anchor."""
 
-    #: One statement under ``src/repro`` that reads each table's payload,
-    #: an older file's tables included; reviewed when it changes.  A table
-    #: nothing reads is one to delete.
+    #: One statement under ``src/repro`` that reads each table's payload;
+    #: reviewed when it changes.  A table nothing reads is one to delete.
     READERS = {
         "Documents": ("db/sql.py", "FROM Documents"),
         "MasterData": ("db/storage.py", "SELECT DocId, SFANum FROM MasterData"),
         "GroundTruth": ("db/engine.py", "SELECT DataKey, Data FROM GroundTruth"),
-        "FullSFAData": ("db/storage.py", "SELECT SFABlob FROM FullSFAData"),
-        "kMAPData": ("db/storage.py", "SELECT Data, LogProb FROM kMAPData"),
         "StaccatoGraph": ("db/storage.py", "SELECT GraphBlob FROM StaccatoGraph"),
         "CompiledKernel": (
             "db/storage.py",
@@ -80,21 +76,13 @@ class TestSchema:
             )
         ]
         assert sorted(names) == sorted(TABLES)
-        assert storage.legacy_tables(conn) == ()
+        assert conn.execute("PRAGMA user_version").fetchone() == (FILE_FORMAT,)
         for table, columns in LINE_TABLES.items():
             declared = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
             assert columns[0] == "DataKey" and sorted(columns) == sorted(declared)
 
-    #: Older files' tables nothing reads any more: a deleted or moved
-    #: line's rows are still cleared (every legacy table is, by
-    #: ``rebalance._delete_rows``), so an older build reading the same
-    #: file never answers a new line on a freed DataKey from them.
-    CLEARED_ONLY = {"StaccatoData"}
-
     def test_every_table_has_a_reader_under_src(self):
-        assert self.CLEARED_ONLY <= set(LEGACY_LINE_TABLES)
-        assert not self.CLEARED_ONLY & set(self.READERS)
-        assert {*self.READERS, *self.CLEARED_ONLY} == {*TABLES, *LEGACY_LINE_TABLES}
+        assert set(self.READERS) == set(TABLES)
         root = os.path.dirname(repro.__file__)
         for table, (module, statement) in self.READERS.items():
             assert table in statement
@@ -316,18 +304,39 @@ class TestApproachNotStored:
             assert default_db.search("%the%", approach=approach), approach
 
     def test_an_index_over_an_approach_no_line_stores(self):
-        """An index plan with no candidate to fetch still refuses."""
+        """An index plan with no candidate to fetch still refuses: the
+        index was built while the file was empty, and every line since
+        was stored without the approach."""
+        with StaccatoDB(k=8, m=10) as db:
+            db.build_index(["public", "law"], approach="kmap")
+            db.ingest(
+                make_ca(num_docs=1, lines_per_doc=2),
+                SimulatedOcrEngine(seed=13),
+                approaches=("staccato",),
+            )
+            for approach in ("kmap", "map"):
+                for plan, run in self.plans(db, approach).items():
+                    with pytest.raises(engine_module.ApproachNotStored):
+                        run()
+
+    def test_build_index_over_an_approach_no_line_stores(self):
+        """Refused before anything is written: the file keeps the index
+        it had, not an empty one over the unstored approach."""
         with StaccatoDB(k=8, m=10) as db:
             db.ingest(
                 make_ca(num_docs=1, lines_per_doc=2),
                 SimulatedOcrEngine(seed=13),
                 approaches=("staccato",),
             )
-            db.build_index(["public", "law"], approach="kmap")
-            for approach in ("kmap", "map"):
-                for plan, run in self.plans(db, approach).items():
-                    with pytest.raises(engine_module.ApproachNotStored):
-                        run()
+            postings = db.build_index(["public", "law"])
+            assert postings > 0
+            with pytest.raises(engine_module.ApproachNotStored, match="'kmap'"):
+                db.build_index(["public"], approach="kmap")
+            index = db.stored_index()
+            assert index.approach == "staccato" and index.trie.num_terms == 2
+            assert db.conn.execute(
+                "SELECT COUNT(*) FROM InvertedIndex"
+            ).fetchone() == (postings,)
 
     def test_an_empty_file_answers_nothing(self):
         with StaccatoDB(k=8, m=10) as db:
@@ -447,9 +456,10 @@ class TestInvertedIndexPlan:
 
 
 class TestStoredKernels:
-    """Files written before ``KRN2`` (or with no kernel rows at all) keep
-    answering: absent and other-version rows recompile from ``SFA1`` --
-    the chunk graph, and the ``FullSFAData`` copy files of that age have."""
+    """Files written before ``KRN2`` (or with no kernel rows at all) are
+    upgraded when opened: absent and unreadable rows are compiled from
+    ``SFA1`` -- the chunk graph, and the ``FullSFAData`` copy files of
+    that age have -- and the upgraded file answers like a fresh one."""
 
     PATTERNS = [r"REGEX:Public Law (8|9)\d", "%the President%", "Public Law 8%"]
 
@@ -481,14 +491,10 @@ class TestStoredKernels:
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_old_or_missing_rows_answer_like_fresh_ones(
-        self, loaded_db, tmp_path, damage, monkeypatch
+        self, loaded_db, tmp_path, damage
     ):
         """Against a fresh handle on the file before the damage, with the
-        same query history.  The scan image holds only lines with a
-        current kernel row, so its pair bits would rule out fewer index
-        candidates of the damaged file: with no image retained (budget
-        0), neither handle rules any out and the work is the same."""
-        monkeypatch.setattr(memo_module, "SCAN_IMAGE_BUDGET_BYTES", 0)
+        same query history: the same answers, with the same work."""
         loaded_db.build_index(["public", "law", "president", "congress"])
         relations = []
         for name, statements in (("fresh.db", ()), ("old.db", (damage,))):
@@ -502,8 +508,9 @@ class TestStoredKernels:
     def test_old_or_missing_rows_index_like_fresh_ones(
         self, loaded_db, tmp_path, damage
     ):
-        """``build_index`` streams the kernel rows; a line without a
-        current one is indexed from its recompiled ``SFA1`` graph."""
+        """``build_index`` streams the kernel rows; a line that had no
+        readable one is indexed from the kernel its upgrade compiled
+        from the ``SFA1`` graph."""
         rows = "SELECT * FROM InvertedIndex ORDER BY rowid"
         terms = ["public", "law", "president", "congress"]
         count = loaded_db.build_index(terms)
@@ -524,9 +531,11 @@ class TestStoredKernels:
     def test_an_unreadable_fullsfa_kernel_raises_on_a_current_file(
         self, loaded_db, tmp_path, memo
     ):
-        """The kernel is the only copy of a FullSFA: a row the codec
-        rejects must fail the query, not shorten its answer.  The same
-        damage to a chunk graph's kernel recovers from ``StaccatoGraph``."""
+        """A current file's kernel row is read as it is: one the codec
+        rejects fails the query, not shortens its answer -- a FullSFA's
+        and a chunk graph's alike (no read recompiles a line from its
+        ``StaccatoGraph`` copy) -- and leaves the other approaches
+        answering."""
         path = str(tmp_path / "current.db")
         clone = sqlite3.connect(path)
         loaded_db.conn.backup(clone)
@@ -547,18 +556,19 @@ class TestStoredKernels:
 
         with reopened() as db:
             for _ in range(2):  # with a memo, the second scan is a hit
-                assert scan(db, "staccato") == fresh["staccato"]
                 assert scan(db, "fullsfa") == fresh["fullsfa"]
+                with pytest.raises(SfaError, match="DataKey 3"):
+                    scan(db, "staccato")
         with clone:
             clone.execute(self.UNREADABLE, ("fullsfa",))
         clone.close()
         with reopened() as db:
-            for _ in range(2):  # ... and takes the scan image just built
+            for _ in range(2):
                 with pytest.raises(SfaError, match="DataKey 3"):
                     scan(db, "fullsfa")
             with pytest.raises(SfaError):
                 storage.load_fullsfa(db.conn, 3)
-            assert scan(db, "staccato") == fresh["staccato"]
+            assert scan(db, "kmap")
 
     def test_an_unreadable_kmap_kernel_raises_for_kmap_and_map(
         self, loaded_db, tmp_path

@@ -1,18 +1,24 @@
-"""A file an older build wrote keeps working, row for row untouched.
+"""A file an older build wrote is upgraded once, when it is opened.
 
 Older builds stored every line two or three times (``tests/legacy.py``
 holds the tables this build dropped) and kept the k-MAP strings as
 ``kMAPData`` rows instead of a ``kmap`` kernel; files of that age may
-also lack kernel rows.  Each test holds such a file to a current-format
+also lack kernel rows.  Opening such a file upgrades it
+(``repro.db.upgrade``); each test holds the upgraded file to what the
+build before the upgrade read from it transparently -- a current-format
 file of the same corpus: answers, probabilities and ``counters.*`` on
 every plan and approach, ``load_fullsfa`` bytes, the index
 ``build_index`` writes, a rebalance move out of it and the reuse of the
-keys it freed.  ``map`` and ``kmap`` answer from ``kMAPData`` as those
-builds did, scoring ``exp`` of each stored log-probability, so their
-probabilities are held to that scoring, not to the current file's.
+keys it freed.  ``map`` and ``kmap`` answer from the kernels compiled
+from ``kMAPData``, scoring ``exp`` of each stored log-probability as
+those builds did, so their probabilities are held to that scoring, not
+to the current file's.  An upgrade is all or nothing, runs once however
+many handles open the file at once, and a file of a newer format is
+refused.
 """
 
 import math
+import multiprocessing
 import os
 import sqlite3
 
@@ -20,20 +26,21 @@ import pytest
 
 from repro import counters
 from repro.db import storage
+from repro.db import upgrade as upgrade_module
 from repro.db.engine import APPROACHES, StaccatoDB, shard_path
 from repro.db.planner import execute_plan
-from repro.db.schema import LEGACY_LINE_TABLES
+from repro.db.schema import FILE_FORMAT
+from repro.db.upgrade import NewerFileFormat
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
 from repro.ocr.noise import NoiseModel
-from repro.query import memo as memo_module
 from repro.query.like import compile_like
 from repro.service.shards import ShardedQueryService
 from repro.sfa import serialize
 from repro.sfa.kernel import KERNEL_VERSION
 
 from .oracles.strings import match_probability_strings
-from .legacy import legacy_copy
+from .legacy import LEGACY_TABLES, legacy_copy
 
 K, M = 8, 10
 DICTIONARY = ["public", "law", "president", "congress"]
@@ -70,6 +77,14 @@ def paths(tmp_path_factory):
 
 #: The approaches an older file answers from its ``kMAPData`` rows.
 STRINGS = ("map", "kmap")
+
+
+def assert_upgraded(conn) -> None:
+    """No table of an older build is left, and the file records this
+    build's format."""
+    names = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
+    assert not names & set(LEGACY_TABLES)
+    assert conn.execute("PRAGMA user_version").fetchone() == (FILE_FORMAT,)
 
 
 def relation(db: StaccatoDB):
@@ -112,28 +127,36 @@ def parent_scores(conn, pattern: str, approach: str) -> dict:
 
 
 def legacy_rows(path: str) -> list:
+    """Every row of the older build's tables and of ``CompiledKernel``."""
     conn = sqlite3.connect(path)
     try:
         return [
             sorted(conn.execute(f"SELECT * FROM {table}"))
-            for table in (*LEGACY_LINE_TABLES, "CompiledKernel")
+            for table in (*LEGACY_TABLES, "CompiledKernel")
         ]
     finally:
         conn.close()
 
 
-def test_answers_counters_and_fullsfa_bytes_equal_a_current_file(
-    paths, monkeypatch
-):
+def scores_before_the_upgrade(path: str) -> dict:
+    """:func:`parent_scores` of every pattern and string approach, read
+    from the file before a handle opens (and upgrades) it."""
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            (pattern, approach): parent_scores(conn, pattern, approach)
+            for pattern in PATTERNS
+            for approach in STRINGS
+        }
+    finally:
+        conn.close()
+
+
+def test_answers_counters_and_fullsfa_bytes_equal_a_current_file(paths):
     current, legacy = paths
-    # The scan image holds only lines with a current kernel row, so its
-    # pair bits would rule out fewer index candidates of the old file:
-    # with no image retained, neither handle rules any out.
-    monkeypatch.setattr(memo_module, "SCAN_IMAGE_BUDGET_BYTES", 0)
-    before = legacy_rows(legacy)
+    scores = scores_before_the_upgrade(legacy)
     with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(legacy, k=K, m=M) as old:
-        assert new.legacy_tables == ()
-        assert old.legacy_tables == LEGACY_LINE_TABLES
+        assert_upgraded(old.conn)
         (old_answers, old_counts), (new_answers, counts) = relation(old), relation(new)
         assert old_counts == counts
         assert old_answers.keys() == new_answers.keys()
@@ -143,17 +166,16 @@ def test_answers_counters_and_fullsfa_bytes_equal_a_current_file(
                 assert got == answers
                 continue
             assert [a.line_id for a in got] == [a.line_id for a in answers]
-            assert {a.line_id: a.probability for a in got} == parent_scores(
-                old.conn, pattern, approach
-            )
+            assert {a.line_id: a.probability for a in got} == scores[
+                pattern, approach
+            ]
         for key in storage.all_data_keys(new.conn):
             assert serialize.to_bytes(
                 storage.load_fullsfa(old.conn, key)
             ) == serialize.to_bytes(storage.load_fullsfa(new.conn, key))
-        # What the old file holds for FullSFA includes its second copy.
-        assert old.storage_bytes("fullsfa") > new.storage_bytes("fullsfa")
-        assert old.storage_bytes("staccato") < new.storage_bytes("staccato")
-    assert legacy_rows(legacy) == before  # opening it rewrote nothing
+        # The second copies are gone: one record per line per approach.
+        for approach in APPROACHES:
+            assert old.storage_bytes(approach) == new.storage_bytes(approach)
 
 
 def test_build_index_writes_the_same_postings(paths, tmp_path):
@@ -163,6 +185,7 @@ def test_build_index_writes_the_same_postings(paths, tmp_path):
         fresh = new.conn.execute(rows).fetchall()
         copy = legacy_copy(new, str(tmp_path / "legacy.db"), *AGED)
     with StaccatoDB(copy, k=K, m=M) as old:
+        assert_upgraded(old.conn)
         assert old.build_index(DICTIONARY) == len(fresh) > 0
         assert old.conn.execute(rows).fetchall() == fresh
 
@@ -258,7 +281,7 @@ def _move_then_reuse(shard_dir: str, aged: bool) -> list:
     service = _cluster(shard_dir)
     try:
         source, target = service.pool.shard(0), service.pool.shard(1)
-        assert bool(source.writer.legacy_tables) == aged
+        assert_upgraded(source.writer.conn)
         seen = [_searches(service)]
         assert service.jobs_submit(MOVE)["state"] == "succeeded"
         seen.append(_searches(service))
@@ -270,10 +293,6 @@ def _move_then_reuse(shard_dir: str, aged: bool) -> list:
             "WHERE Approach = 'fullsfa' AND Version = ?",
             (KERNEL_VERSION,),
         ).fetchone() == (target.writer.num_lines,)
-        for table in source.writer.legacy_tables:
-            assert source.writer.conn.execute(
-                f"SELECT COUNT(*) FROM {table} WHERE DataKey >= 3"
-            ).fetchone() == (0,)
         reply = service.ingest(_docs([0], "fresh ", ["kmap", "staccato"]))
         assert reply["ingested_lines"] == 3
         assert source.writer.num_lines == 6
@@ -299,7 +318,8 @@ def test_a_move_out_and_a_key_reuse_equal_a_current_file(tmp_path):
 def test_kmap_and_map_answer_as_older_builds_did_across_a_move(tmp_path):
     """An older shard file's lines answer ``map`` and ``kmap`` as
     :func:`parent_scores` says, and keep doing so once a move has given
-    them ``kmap`` kernels at the target, compiled from ``kMAPData``."""
+    them ``kmap`` kernels at the target: those the upgrade compiled from
+    ``kMAPData`` at the source."""
     shard_dir = str(tmp_path / "legacy")
     service = _cluster(shard_dir)
     service.ingest(_docs([0, 1, 2]))
@@ -339,14 +359,128 @@ def test_kmap_and_map_answer_as_older_builds_did_across_a_move(tmp_path):
 
     service = _cluster(shard_dir)
     try:
-        assert service.pool.shard(0).writer.legacy_tables == LEGACY_LINE_TABLES
+        for index in (0, 1):
+            assert_upgraded(service.pool.shard(index).writer.conn)
         assert answered() == expected
         assert service.jobs_submit(MOVE)["state"] == "succeeded"
         target = service.pool.shard(1).writer
-        # Doc 1's lines moved with a kmap kernel each, built from kMAPData.
+        # Doc 1's lines moved with their kmap kernels, built from
+        # kMAPData: every line at the target has one.
         assert target.conn.execute(
             "SELECT COUNT(*) FROM CompiledKernel WHERE Approach = 'kmap'"
-        ).fetchone() == (3,)
+        ).fetchone() == (target.num_lines,) == (6,)
         assert answered() == expected
     finally:
         service.close()
+
+
+# ----------------------------------------------------------------------
+# The upgrade itself: all or nothing, once, and never over a newer file.
+# ----------------------------------------------------------------------
+def test_an_upgrade_killed_midway_leaves_the_file_as_it_was(
+    paths, tmp_path, monkeypatch
+):
+    current, _ = paths
+    with StaccatoDB(current, k=K, m=M) as db:
+        path = legacy_copy(db, str(tmp_path / "killed.db"), *AGED)
+    with open(path, "rb") as handle:
+        before = handle.read()
+    rows = legacy_rows(path)
+    compiled = []
+    compile_kernel = upgrade_module.compile_kernel
+
+    def dies_on_the_tenth(sfa):
+        compiled.append(sfa)
+        if len(compiled) == 10:
+            raise RuntimeError("killed midway")
+        return compile_kernel(sfa)
+
+    monkeypatch.setattr(upgrade_module, "compile_kernel", dies_on_the_tenth)
+    with pytest.raises(RuntimeError, match="killed midway"):
+        StaccatoDB(path, k=K, m=M)
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    assert legacy_rows(path) == rows
+    monkeypatch.undo()
+    with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(path, k=K, m=M) as old:
+        assert_upgraded(old.conn)
+        answers = {
+            approach: old.search("%the%", approach=approach, num_ans=None)
+            for approach in ("fullsfa", "staccato")
+        }
+        assert answers == {
+            approach: new.search("%the%", approach=approach, num_ans=None)
+            for approach in ("fullsfa", "staccato")
+        }
+
+
+def _open_and_search(path, barrier, upgrades, results) -> None:
+    """One process: open the file as the other one does, then answer."""
+    run = upgrade_module._upgrade_lines
+
+    def counted(conn):
+        with upgrades.get_lock():
+            upgrades.value += 1
+        run(conn)
+
+    upgrade_module._upgrade_lines = counted
+    barrier.wait()
+    with StaccatoDB(path, k=K, m=M) as db:
+        results.put(
+            [
+                (a.line_id, a.probability)
+                for a in db.search("%the%", approach="fullsfa", num_ans=None)
+            ]
+        )
+
+
+def test_two_processes_opening_an_older_file_upgrade_it_once(paths, tmp_path):
+    current, _ = paths
+    with StaccatoDB(current, k=K, m=M) as db:
+        path = legacy_copy(db, str(tmp_path / "shared.db"), *AGED)
+        expected = [
+            (a.line_id, a.probability)
+            for a in db.search("%the%", approach="fullsfa", num_ans=None)
+        ]
+    context = multiprocessing.get_context("spawn")
+    barrier, upgrades = context.Barrier(2), context.Value("i", 0)
+    results = context.Queue()
+    workers = [
+        context.Process(
+            target=_open_and_search, args=(path, barrier, upgrades, results)
+        )
+        for _ in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    answered = [results.get(timeout=60) for _ in workers]
+    for worker in workers:
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+    assert answered == [expected, expected]
+    assert upgrades.value == 1
+    conn = sqlite3.connect(path)
+    try:
+        assert_upgraded(conn)
+    finally:
+        conn.close()
+
+
+def test_a_file_of_a_newer_format_is_refused(paths, tmp_path):
+    current, _ = paths
+    path = str(tmp_path / "newer.db")
+    with StaccatoDB(current, k=K, m=M) as db:
+        clone = sqlite3.connect(path)
+        db.conn.backup(clone)
+        clone.execute(f"PRAGMA user_version = {FILE_FORMAT + 1}")
+        clone.close()
+    with open(path, "rb") as handle:
+        before = handle.read()
+    with pytest.raises(NewerFileFormat, match="newer") as refused:
+        StaccatoDB(path, k=K, m=M)
+    assert (refused.value.found, refused.value.supported) == (
+        FILE_FORMAT + 1,
+        FILE_FORMAT,
+    )
+    with open(path, "rb") as handle:
+        assert handle.read() == before

@@ -34,7 +34,7 @@ from repro.service import QueryService
 from repro.service.trace import Span, attach
 from repro.sfa.builder import random_chain_sfa
 from repro.sfa.kernel import compile_kernel, kernel_from_bytes
-from repro.sfa.model import Sfa
+from repro.sfa.model import Sfa, SfaError
 
 from .strategies import chain_sfas, chunk_sfas, dag_sfas, regex_patterns
 
@@ -363,6 +363,10 @@ class TestStaleness:
             assert image_stats(memo)["builds"] == 2
 
     def test_version_change_sends_the_line_to_the_legacy_path(self, path):
+        """There is no other path: a kernel read does not filter on the
+        ``Version`` column (the blob's own header is checked when it is
+        decoded), so rewriting the column changes neither the listing,
+        nor the image, nor an answer."""
         held, memo = self.warmed(path)
         with held:
             before = held.search("%a%", num_ans=None)
@@ -375,11 +379,9 @@ class TestStaleness:
                 )
             other.close()
             assert_same_as_fresh_plain(held, path)
-            # Recompiled from SFA1 per scan: the same kernel, so the
-            # same answers as when it was stored.
             assert held.search("%a%", num_ans=None) == before
             stats = image_stats(memo)
-            assert stats["builds"] == 2 and stats["lines"] == 11
+            assert stats["builds"] == 1 and stats["lines"] == 12
 
     def test_two_files_sharing_one_memo(self, path, tmp_path):
         """The replica shape, with replicas that differ: one memo object,
@@ -471,9 +473,10 @@ class TestListingOnlyFetch:
 # (e) damaged blob under an intact fingerprint
 # ----------------------------------------------------------------------
 class TestRejectedBlob:
-    def test_recompiled_from_sfa1_and_not_cached(self, path):
-        with StaccatoDB(path, k=K, m=M) as db:
-            before = [db.search(p, num_ans=None) for p in PATTERNS]
+    def test_a_rejected_blob_fails_the_scan_and_installs_no_image(self, path):
+        """A blob the codec rejects is the line's only kernel: the scan
+        fails naming it, on a shared memo and a private one alike, and
+        no image holding the other lines is kept in its place."""
         other = sqlite3.connect(path)
         with other:
             other.execute(
@@ -484,16 +487,13 @@ class TestRejectedBlob:
         other.close()
         held, memo, plain = open_pair(path)
         with held, plain:
-            for pattern, expected in zip(PATTERNS, before):
-                assert held.search(pattern, num_ans=None) == expected
-                assert plain.search(pattern, num_ans=None) == expected
-            stats = image_stats(memo)
-            # Listed (so the listing still validates: one build), but
-            # the image holds no kernel for it.
-            assert stats["builds"] == 1 and stats["lines"] == 11
+            for pattern in PATTERNS[:2]:
+                for db in (held, plain):
+                    with pytest.raises(SfaError, match="DataKey 3"):
+                        db.search(pattern, num_ans=None)
+            assert image_stats(memo)["lines"] == 0
             listing = storage.kernel_listing(held.conn, APPROACH)
-            image = memo.scan_image(APPROACH, listing)
-            assert 3 not in image.lines and len(image.listing) == 12
+            assert memo.scan_image(APPROACH, listing) is None
 
 
 # ----------------------------------------------------------------------

@@ -515,6 +515,29 @@ class TestApproachNotStored:
         ]
 
 
+    def test_an_index_over_an_approach_no_line_stores_is_a_structured_400(
+        self, start, corpus
+    ):
+        """Refused before any shard writes: the index plans keep the
+        index the file had, and no replica is at fault."""
+        running = start()
+        url = running.base_url
+        status, _ = post_json(
+            url, "/ingest", dict(_batch_payload(corpus), approaches=["staccato"])
+        )
+        assert status == 200
+        status, body = post_json(
+            url, "/index", {"terms": ["law"], "approach": "kmap", "wait": True}
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "approach_not_stored"
+        assert "'kmap'" in body["error"]["message"]
+        status, health = get_json(url, "/health")
+        assert status == 200 and health["status"] == "ok"
+        status, body = post_json(url, "/index", {"terms": ["law"], "wait": True})
+        assert status == 200 and body["postings"] > 0
+
+
 class TestRoutedIngest:
     def test_ingest_lands_on_owning_shard(self, cluster):
         doc_id = 2 * RANGE_WIDTH * NUM_SHARDS + 1  # owner: shard 0

@@ -8,11 +8,15 @@ Boots the real CLI (``python -m repro serve --shards 2 --shard-dir ...
    is stitched across the process boundary (the router's ``shard_leg``
    spans carry the workers' echoed subtrees as remote children, down to
    ``engine_scan`` work counters);
-2. SIGKILLs one worker (pid taken from the ``GET /health`` worker
+2. ingests one document into ``shard-0000.db`` from a second process,
+   bypassing the router, and verifies the next identical ``/search`` is
+   not served from the result cache and returns that document (the
+   cache is valid by the file's ``PRAGMA data_version``);
+3. SIGKILLs one worker (pid taken from the ``GET /health`` worker
    census) and verifies the supervisor respawns it -- ``/health``
    returns to ``ok`` with a fresh pid and ``/metrics`` counts a
    ``worker_restart`` event;
-3. SIGTERMs the router and verifies a clean exit that leaves no
+4. SIGTERMs the router and verifies a clean exit that leaves no
    orphaned worker processes behind.
 
 Exits non-zero on the first violation.
@@ -35,11 +39,26 @@ import urllib.error
 import urllib.request
 
 from repro.bench.service_load import get_json, post_json
+from repro.db.engine import shard_path
 from repro.ocr.corpus import make_ca
 
 _SRC_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "src")
 )
+
+
+#: Step 2's second process: one document of one line, straight into a
+#: shard file.
+INGEST_ONE = """
+import sys
+from repro.db.engine import StaccatoDB
+from repro.ocr.corpus import Dataset, Document
+
+document = Document(int(sys.argv[2]), "outside", 2011, 1.0, (sys.argv[3],))
+with StaccatoDB(sys.argv[1], k=4, m=6) as db:
+    db.ingest(Dataset(name="outside", documents=[document]))
+"""
+OUTSIDE_DOC = 10
 
 
 def fail(message: str) -> None:
@@ -160,7 +179,31 @@ def main() -> int:
             ):
                 fail("stitched worker subtree lacks engine_scan counters")
 
-            # 2. Kill one worker; the supervisor must bring it back.
+            # 2. A second process writes a served file directly; the
+            # next identical search must not come from the cache.
+            query = {"pattern": "%annual%", "num_ans": 50}
+            post_json(base_url, "/search", query)
+            status, reply = post_json(base_url, "/search", query)
+            if status != 200 or not reply.get("cached"):
+                fail(f"a repeated /search was not cached: {status} {reply}")
+            subprocess.run(
+                [
+                    sys.executable, "-c", INGEST_ONE,
+                    shard_path(f"{tmp}/shards", 0), str(OUTSIDE_DOC),
+                    "The President shall submit the annual budget",
+                ],
+                env=env,
+                check=True,
+            )
+            status, reply = post_json(base_url, "/search", query)
+            found = {answer["doc_id"] for answer in reply.get("answers", ())}
+            if status != 200 or reply.get("cached") or OUTSIDE_DOC not in found:
+                fail(
+                    "a document another process committed to shard-0000.db "
+                    f"was not seen by the next /search: {status} {reply}"
+                )
+
+            # 3. Kill one worker; the supervisor must bring it back.
             victim = workers["0"]["pid"]
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 30.0
@@ -203,7 +246,7 @@ def main() -> int:
                     router.kill()
                     fail("router did not exit within 30s of SIGTERM")
 
-        # 3. Clean shutdown: exit 0, no orphaned workers.
+        # 4. Clean shutdown: exit 0, no orphaned workers.
         if router.returncode != 0:
             fail(f"router exited {router.returncode}")
         for pid in worker_pids:
@@ -213,8 +256,8 @@ def main() -> int:
                 continue
             fail(f"worker pid {pid} survived router shutdown (orphan)")
     print(
-        "workers smoke: traced fan-out + SIGKILL recovery + clean "
-        "drain OK"
+        "workers smoke: traced fan-out + another writer seen + SIGKILL "
+        "recovery + clean drain OK"
     )
     return 0
 

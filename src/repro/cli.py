@@ -23,10 +23,10 @@ Examples::
 a JSON-over-HTTP server exposing ``POST /ingest`` (atomic
 batch ingestion), ``POST /search`` (LIKE/regex, filescan/indexed/auto
 plans), ``POST /sql`` (the probabilistic SELECT surface), ``POST
-/index`` (dictionary-index rebuild plus pool broadcast), ``GET /stats``
+/index`` (dictionary-index rebuild), ``GET /stats``
 (request metrics, cache and pool counters) and ``GET /health`` --
-backed by a reader connection pool and an LRU query-result cache that
-ingestion invalidates.  The service is the shard router of
+backed by a reader connection pool and an LRU query-result cache keyed
+on the files' ``PRAGMA data_version``.  The service is the shard router of
 :mod:`repro.service.shards`: ``--db`` serves one file, ``--shards N
 --shard-dir DIR`` partitions documents across N StaccatoDB files by
 DocId range, queries fan out and merge, and the replies have one

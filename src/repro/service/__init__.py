@@ -35,10 +35,9 @@ HTTP API (all bodies and responses are JSON):
     ...], "ocr_seed": 0, "approaches": ["kmap", "staccato"]}``
     (the default; add ``"fullsfa"`` to store the complete automaton
     too, which ``fullsfa`` queries read).  DataKeys are offset past
-    existing rows, so repeated batches append.  A committed batch
-    invalidates the query-result cache, and -- indexed under the file's
-    stored dictionary in the same transaction -- is visible to every
-    plan.
+    existing rows, so repeated batches append.  A committed batch --
+    indexed under the file's stored dictionary in the same transaction
+    -- is visible to every plan, and to the query-result cache.
 
 ``POST /search``
     LIKE/regex query against any stored approach (one no line
@@ -85,7 +84,8 @@ ConnectionPool` of ``check_same_thread=False`` SQLite connections (one
 lock per connection) and writes serialize through a single writer
 connection in WAL mode; identical queries are served from a
 thread-safe LRU :class:`~repro.service.cache.QueryCache` keyed on
-``(scope, generations, pattern, approach, plan, num_ans)``; and a
+``(scope, generations, pattern, approach, plan, num_ans)`` -- a
+shard's generation is its files' ``PRAGMA data_version``; and a
 :class:`~repro.service.metrics.ServiceMetrics` registry feeds
 ``/stats``.
 """

@@ -2,16 +2,16 @@
 
 Query evaluation is the expensive path of the service (every line's
 representation is scanned or probed), while the stored relations only
-change on ingest.  That makes results perfectly cacheable between
-batches.  The router keys every entry on the full query identity --
-``(kind, shard scope, those shards' generations, pattern/query,
-approach, plan, num_ans)`` -- and a write evicts only the entries whose
-scope it touched (:meth:`QueryCache.invalidate_where`).  A result
-computed while a write landed carries the old generations in its key,
-so no later request can look it up.
+change when something commits to a shard file.  The router keys every
+entry on the full query identity -- ``(kind, shard scope, those shards'
+file versions, pattern/query, approach, plan, num_ans)`` -- where a
+version is what the file says (``PRAGMA data_version``, see
+:class:`~repro.service.replicas.FileWatch`), read before the fan-out.
+A write by anyone moves the version, so no later lookup finds an entry
+computed before it; nothing is evicted eagerly, and entries no key
+reaches any more age out of the LRU.
 
-Counters (hits / misses / evictions / invalidations) feed the
-``/stats`` endpoint via :class:`repro.service.metrics.ServiceMetrics`.
+Counters (hits / misses / evictions) feed the ``/stats`` endpoint.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -73,24 +72,6 @@ class QueryCache:
                 self._data.popitem(last=False)
                 self.evictions += 1
 
-    def invalidate_where(self, predicate) -> int:
-        """Drop only the entries whose key satisfies ``predicate``.
-
-        The router keys entries with the shard scope they were
-        computed over, so an ingest routed to one shard evicts only the
-        results that depended on it; returns the number dropped.  Each
-        dropped entry counts toward ``invalidations`` -- counting 1 per
-        sweep regardless of what it dropped would make the ``/stats``
-        hit-rate impossible to interpret against eviction volume.
-        Untouched entries stay servable.
-        """
-        with self._lock:
-            doomed = [key for key in self._data if predicate(key)]
-            for key in doomed:
-                del self._data[key]
-            self.invalidations += len(doomed)
-            return len(doomed)
-
     def stats(self) -> dict[str, float | int]:
         """Counter snapshot for the ``/stats`` endpoint."""
         with self._lock:
@@ -102,5 +83,4 @@ class QueryCache:
                 "misses": self.misses,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }

@@ -96,6 +96,11 @@ class ShardLeg(Protocol):
         """Which of ``doc_ids`` the shard holds: rows in ``master``
         (committed lines) or in ``documents``."""
 
+    def version(self) -> tuple:
+        """One :class:`~repro.service.replicas.FileWatch` version per
+        file of the shard, read in this process: it changes whenever
+        anything commits to the shard and never on a read."""
+
     def build_index(self, terms: Sequence[str], approach: str) -> int:
         """(Re)build the dictionary index -> the postings it holds."""
 
@@ -233,6 +238,11 @@ class LocalLeg:
                 raise _not_stored(exc) from exc
 
         return self._read("sql", evaluate)
+
+    def version(self) -> tuple:
+        return tuple(
+            replica.watch.version() for replica in self.replicas.replicas()
+        )
 
     def present(self, doc_ids: Sequence[int], relation: str) -> set[int]:
         select = (

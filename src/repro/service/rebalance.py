@@ -263,10 +263,12 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
     3. **swap** -- publish the successor routing table (single atomic
        reference swap) and persist it;
     4. **delete** -- after the move gate's barrier, drop the moved rows
-       from every source replica;
-    5. **invalidate** -- bump both shards' generations and evict cache
-       entries whose scope touches them (moved line ids and shard tags
-       changed even though probabilities did not).
+       from every source replica.
+
+    The copy and the delete commit to the shard files, which moves
+    their versions (:meth:`ShardLeg.version`): a result cached before
+    the move, whose line ids and shard tags it changes, is never served
+    after it.
 
     Between the copy and the delete a moved document is on both shards;
     readers de-duplicate, so answers stay exact.  A run that fails in
@@ -281,89 +283,74 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
         return router.call_leg(index, "rebalance", call)
 
     job.check_cancelled()
-    moved_docs: list[int] = []
-    moved_lines = 0
-    evicted = 0
-    copy_landed = False
-    try:
-        with ordered_locks(
-            (src, router.pool.shard(src).write_lock),
-            (dst, router.pool.shard(dst).write_lock),
-        ):
-            job.update(progress=0.1)
-            moved_docs, moved_lines, source_path = on(
-                src, lambda leg: leg.rebalance_snapshot(lo, hi)
+    with ordered_locks(
+        (src, router.pool.shard(src).write_lock),
+        (dst, router.pool.shard(dst).write_lock),
+    ):
+        job.update(progress=0.1)
+        moved_docs, moved_lines, source_path = on(
+            src, lambda leg: leg.rebalance_snapshot(lo, hi)
+        )
+        job.update(progress=0.2, docs=len(moved_docs), lines=moved_lines)
+        job.check_cancelled()
+        copied_docs: list[int] = []
+        if moved_docs:
+            copied_docs = on(
+                dst,
+                lambda leg: leg.rebalance_copy(source_path, moved_docs),
             )
-            job.update(progress=0.2, docs=len(moved_docs), lines=moved_lines)
-            job.check_cancelled()
-            copied_docs: list[int] = []
-            if moved_docs:
-                copied_docs = on(
-                    dst,
-                    lambda leg: leg.rebalance_copy(source_path, moved_docs),
-                )
-                copy_landed = True
-            job.update(progress=0.6)
-            if router._rebalance_after_copy is not None:
-                router._rebalance_after_copy(job)
-            if job.cancel_requested:
-                # Unwind only what THIS run inserted: documents the copy
-                # skipped already lived on the target (possibly with
-                # post-switch ingests no other shard holds) and must
-                # survive the rollback.
-                if copied_docs:
-                    try:
-                        on(dst, lambda leg: leg.rebalance_delete(copied_docs))
-                    except Exception as exc:
-                        # The committed copies could not be rolled back:
-                        # rows sit on two shards, the same unconverged
-                        # state as a failed source delete -- converge by
-                        # re-running.
-                        raise _incomplete(
-                            exc,
-                            f"rebalance {job.id} was cancelled but could "
-                            f"not roll the copies back off shard {dst}",
-                            "re-submit the same rebalance to converge "
-                            "(forward)",
-                        ) from exc
-                raise JobCancelled(
-                    f"rebalance {job.id} cancelled after copy; "
-                    "target rolled back, routing unchanged"
-                )
-            router.publish_routing(router.routing.with_move(lo, hi, dst))
-            job.update(progress=0.75)
-            if moved_docs:
+        job.update(progress=0.6)
+        if router._rebalance_after_copy is not None:
+            router._rebalance_after_copy(job)
+        if job.cancel_requested:
+            # Unwind only what THIS run inserted: documents the copy
+            # skipped already lived on the target (possibly with
+            # post-switch ingests no other shard holds) and must
+            # survive the rollback.
+            if copied_docs:
                 try:
-                    # Every fan-out that may have read the target
-                    # *before* the copy landed must finish before a row
-                    # leaves the source, or one request could see the
-                    # moved documents on neither shard.
-                    router.move_gate.barrier()
-                    on(src, lambda leg: leg.rebalance_delete(moved_docs))
+                    on(dst, lambda leg: leg.rebalance_delete(copied_docs))
                 except Exception as exc:
-                    # Ownership already switched; the copies are live
-                    # on the target but the source still holds the
-                    # rows.  Tell the operator the convergence recipe:
-                    # re-submitting the same move skips the
-                    # already-copied documents and retries the delete.
+                    # The committed copies could not be rolled back:
+                    # rows sit on two shards, the same unconverged
+                    # state as a failed source delete -- converge by
+                    # re-running.
                     raise _incomplete(
                         exc,
-                        f"rebalance switched ownership of [{lo}, {hi}] to "
-                        f"shard {dst} but could not delete the moved rows "
-                        f"from shard {src}",
-                        "re-submit the same rebalance once the shard is "
-                        "writable to converge",
+                        f"rebalance {job.id} was cancelled but could "
+                        f"not roll the copies back off shard {dst}",
+                        "re-submit the same rebalance to converge "
+                        "(forward)",
                     ) from exc
-            job.update(progress=0.9)
-    finally:
-        if copy_landed:
-            # The target's committed contents changed on every path
-            # that got this far -- even a rolled-back cancel briefly
-            # exposed the copies to scoped reads that may have been
-            # cached -- so both shards' generations move and their
-            # cache entries go, success or not.
-            evicted = router.shards_changed({src, dst})
-    job.update(progress=1.0, evicted_cache_entries=evicted)
+            raise JobCancelled(
+                f"rebalance {job.id} cancelled after copy; "
+                "target rolled back, routing unchanged"
+            )
+        router.publish_routing(router.routing.with_move(lo, hi, dst))
+        job.update(progress=0.75)
+        if moved_docs:
+            try:
+                # Every fan-out that may have read the target
+                # *before* the copy landed must finish before a row
+                # leaves the source, or one request could see the
+                # moved documents on neither shard.
+                router.move_gate.barrier()
+                on(src, lambda leg: leg.rebalance_delete(moved_docs))
+            except Exception as exc:
+                # Ownership already switched; the copies are live
+                # on the target but the source still holds the
+                # rows.  Tell the operator the convergence recipe:
+                # re-submitting the same move skips the
+                # already-copied documents and retries the delete.
+                raise _incomplete(
+                    exc,
+                    f"rebalance switched ownership of [{lo}, {hi}] to "
+                    f"shard {dst} but could not delete the moved rows "
+                    f"from shard {src}",
+                    "re-submit the same rebalance once the shard is "
+                    "writable to converge",
+                ) from exc
+    job.update(progress=1.0)
     return {
         "doc_lo": lo,
         "doc_hi": hi,
@@ -371,5 +358,4 @@ def run(router, job: Job, params: Mapping[str, object]) -> dict[str, object]:
         "target": dst,
         "moved_docs": len(moved_docs),
         "moved_lines": moved_lines,
-        "evicted_cache_entries": evicted,
     }

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import itertools
 import os
+import pathlib
 import sqlite3
 import threading
 import time
@@ -49,6 +51,7 @@ __all__ = [
     "replica_path",
     "ordered_locks",
     "CircuitBreaker",
+    "FileWatch",
     "Replica",
     "ReplicaSet",
     "ReplicaUnavailable",
@@ -102,6 +105,51 @@ def replica_path(primary_path: str, replica_index: int) -> str:
 
 class ReplicaUnavailable(RuntimeError):
     """Every replica of a shard is unhealthy (or was already tried)."""
+
+
+#: One serial per watch connection, never reused in the process.
+_WATCH_SERIALS = itertools.count()
+
+
+class FileWatch:
+    """The ``PRAGMA data_version`` of one database file, read under a
+    lock on a read-only connection of its own.  SQLite moves it whenever
+    another connection, of any process, commits to the file; a read
+    never does.  A version is ``(serial, data_version)``: the serial
+    names the connection, whose counter means nothing to another one.
+    A watch that cannot read its file answers a serial never used
+    before -- a miss, never a stale hit -- and reconnects on the next
+    call.
+    """
+
+    def __init__(self, path: str) -> None:
+        self._uri = pathlib.Path(path).absolute().as_uri() + "?mode=ro"
+        self._lock = threading.Lock()
+        self._conn: sqlite3.Connection | None = None
+        self._serial = 0
+
+    def version(self) -> tuple[int, int]:
+        with self._lock:
+            try:
+                if self._conn is None:
+                    self._conn = sqlite3.connect(
+                        self._uri, uri=True, check_same_thread=False
+                    )
+                    self._serial = next(_WATCH_SERIALS)
+                query = self._conn.execute("PRAGMA data_version")
+                return self._serial, query.fetchone()[0]
+            except sqlite3.Error:
+                self._drop()
+                return next(_WATCH_SERIALS), 0
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()
 
 
 class CircuitBreaker:
@@ -176,7 +224,7 @@ class CircuitBreaker:
 
 
 class Replica:
-    """One copy of a shard: its file, writer, reader pool and breaker."""
+    """One copy of a shard: file, writer, reader pool, watch, breaker."""
 
     __slots__ = (
         "shard_index",
@@ -184,6 +232,7 @@ class Replica:
         "path",
         "writer",
         "pool",
+        "watch",
         "breaker",
         "stale",
         "stale_reason",
@@ -225,6 +274,7 @@ class Replica:
             label=f"shard-{shard_index}/r{replica_index}",
             kernel_memo=kernel_memo,
         )
+        self.watch = FileWatch(path)
         self.breaker = CircuitBreaker(cooldown_s=cooldown_s, clock=clock)
         #: A stale replica missed a write that committed on a sibling;
         #: it never re-enters the rotation (detach + attach re-syncs).
@@ -242,6 +292,7 @@ class Replica:
         self.stale_reason = reason
 
     def close(self) -> None:
+        self.watch.close()
         self.pool.close()
         self.writer.close()
 

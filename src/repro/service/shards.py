@@ -26,10 +26,11 @@ see :mod:`repro.service.legs` and :mod:`repro.service.workers`):
   are merged by probability with stable (DocId, LineNo, shard)
   tie-breaks -- identical answers and ranking to one database holding
   the union.  Identical concurrent misses coalesce onto one fan-out.
-* **Per-shard invalidation** -- every cache key embeds the shard scope
-  it was computed over plus those shards' generation counters; an
-  ingest or index rebuild bumps only the touched shards' generations
-  and evicts only the entries that depended on them.
+* **A cache valid by the file** -- every cache key embeds the shard
+  scope plus those shards' file versions (:meth:`ShardLeg.version`,
+  ``PRAGMA data_version``) read before the fan-out.  Any commit to a
+  shard file, by anyone, moves its version; unreachable entries age
+  out of the LRU.
 * **``POST /index``** / **``POST /replicas``** -- build the dictionary
   index shard by shard; attach or detach one replica of one shard.
 * **Online rebalancing** -- the ``rebalance`` job
@@ -51,7 +52,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 from ..db.engine import shard_paths
@@ -295,25 +296,12 @@ def merge_relations(
 
 
 class ShardedPool:
-    """The shard legs plus per-shard generation counters.
-
-    The generation counter is the invalidation currency: every committed
-    write (ingest batch or index rebuild) to a shard bumps its counter,
-    and cached results carry the generation vector of the shards they
-    read -- a stale result's key simply never matches again, which also
-    closes the compute/invalidate race without a global generation.
-    The router is the sole write path, so the clocks live here, not in
-    the legs; replication never enters the cache key either: replicas
-    are written in lockstep, so one generation per shard describes
-    every copy.
-    """
+    """The shard legs, and the generations cached results are keyed on."""
 
     def __init__(self, legs: Sequence[ShardLeg]) -> None:
         if not legs:
             raise ValueError("a sharded pool needs at least one shard")
         self.shards = list(legs)
-        self._gen_lock = threading.Lock()
-        self._generations = [0] * len(self.shards)
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -327,16 +315,14 @@ class ShardedPool:
         return self.shards[shard].pool.acquire()
 
     # ------------------------------------------------------------------
-    def generations(self, scope: Sequence[int]) -> tuple[int, ...]:
-        """Snapshot of the scoped shards' generation counters."""
-        with self._gen_lock:
-            return tuple(self._generations[i] for i in scope)
+    def generations(self, scope: Sequence[int]) -> tuple:
+        """The scoped shards' versions (:meth:`ShardLeg.version`).
 
-    def bump(self, scope: Iterable[int]) -> None:
-        """Advance the touched shards' generations after a write."""
-        with self._gen_lock:
-            for i in scope:
-                self._generations[i] += 1
+        Read before a fan-out: a result computed while a write landed
+        is keyed under the version before the write, so no later lookup
+        finds it.
+        """
+        return tuple(self.shards[i].version() for i in scope)
 
     def close(self) -> None:
         for leg in self.shards:
@@ -490,18 +476,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             self._routing = table
             table.save(self.sidecar(ROUTING_FILE))
 
-    def shards_changed(self, touched: set[int]) -> int:
-        """A write committed on ``touched``: bump their generations and
-        evict only the cache entries whose scope intersects them.
-
-        Keys are ``(kind, scope, generations, ...)`` -- see the query
-        methods below -- so ``key[1]`` is the scope tuple.
-        """
-        self.pool.bump(touched)
-        return self.cache.invalidate_where(
-            lambda key: bool(touched.intersection(key[1]))
-        )
-
     # ------------------------------------------------------------------
     def _scope(self, shards: tuple[int, ...] | None) -> tuple[int, ...]:
         """The shard indices a request fans out to (default: all)."""
@@ -587,29 +561,18 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         return results
 
     def _fan_out_writes(self, scope: Sequence[int], endpoint: str, call):
-        """Fan a *write* out, never losing a committed shard's result.
+        """Run a *write* on every scoped shard -> ``[(index, result)]``.
 
-        Unlike :meth:`_fan_out`, a failing leg does not mask the legs
-        that already committed: the caller gets every successful
-        ``(index, result)`` so it can bump those shards' generations and
-        evict their cache entries *before* the first error is re-raised
-        -- otherwise a partial failure would leave pre-write cached
-        answers servable for shards whose batch did land.
+        Unlike :meth:`_fan_out`, every leg runs to its end before the
+        first error is re-raised: a partial failure is reported once
+        the shards that commit have committed.
         """
-
-        def attempt(index: int):
-            try:
-                return index, self.call_leg(index, endpoint, call), None
-            except Exception as exc:  # noqa: BLE001 - re-raised by the caller
-                return index, None, exc
-
-        succeeded, first_error = [], None
-        for index, value, error in self._write_executor.map(attempt, scope):
-            if error is None:
-                succeeded.append((index, value))
-            elif first_error is None:
-                first_error = error
-        return succeeded, first_error
+        futures = [
+            self._write_executor.submit(self.call_leg, index, endpoint, call)
+            for index in scope
+        ]
+        wait(futures)
+        return [(i, future.result()) for i, future in zip(scope, futures)]
 
     def _cached(self, key: tuple, compute) -> dict[str, object]:
         """Serve ``key`` from the cache, or compute it exactly once.
@@ -618,7 +581,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         the leader and fans out; followers wait for it, then re-probe
         the cache -- falling back to their own fan-out only when the
         leader failed or the result could not be cached (cache disabled
-        or invalidated meanwhile).
+        or the entry aged out meanwhile).
         """
         cached = self.cache.get(key)
         if cached is not None:
@@ -702,7 +665,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         return stay, moved
 
     def ingest(self, payload: object) -> dict[str, object]:
-        """Route a batch to its owning shards; invalidates only those."""
+        """Route a batch to its owning shards."""
         request = validate_ingest(payload)
         owners = self._existing_owners(
             [doc.doc_id for doc in request.dataset.documents]
@@ -735,17 +698,13 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         # and hands the document back for another round at its new home.
         ingested: dict[int, int] = {}
         totals: dict[int, int] = {}
-        first_error: Exception | None = None
         for _ in range(1 + _MAX_REROUTE_ROUNDS):
             if not groups:
                 break
-            results, error = self._fan_out_writes(
-                sorted(groups), "ingest", write
-            )
-            if error is not None and first_error is None:
-                first_error = error
             next_groups: dict[int, list[Document]] = {}
-            for index, (count, total, moved) in results:
+            for index, (count, total, moved) in self._fan_out_writes(
+                sorted(groups), "ingest", write
+            ):
                 ingested[index] = ingested.get(index, 0) + count
                 totals[index] = total
                 for doc in moved:
@@ -753,20 +712,13 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                         self.routing.owner(doc.doc_id), []
                     ).append(doc)
             groups = next_groups
-            if error is not None:
-                break  # settle what landed; do not re-route after a failure
-        if groups and first_error is None:
-            first_error = ApiError(
+        if groups:
+            raise ApiError(
                 503,
                 "ingest could not settle: documents kept moving between "
                 "shards (concurrent rebalances)",
                 code="shard_unavailable",
             )
-        evicted = self.shards_changed(
-            {index for index, count in ingested.items() if count}
-        )
-        if first_error is not None:
-            raise first_error
         return {
             "dataset": request.dataset.name,
             "ingested_lines": sum(ingested.values()),
@@ -779,7 +731,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 for index, count in sorted(ingested.items())
                 if count
             },
-            "evicted_cache_entries": evicted,
             "elapsed_s": time.perf_counter() - started,
         }
 
@@ -901,8 +852,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         Each scoped shard builds over its own data on every replica's
         writer (lockstep, like ingest); every reader takes the index
         from the file, so indexed plans are served from the next query
-        on, and the touched shards' cached results are evicted (plan
-        choices and projected evaluations may change).
+        on.
         """
         request = validate_index(payload)
         scope = self._scope(request.shards)
@@ -912,10 +862,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             with leg.write_lock:
                 return leg.build_index(request.terms, request.approach)
 
-        results, error = self._fan_out_writes(scope, "index", build)
-        evicted = self.shards_changed({index for index, _ in results})
-        if error is not None:
-            raise error
+        results = self._fan_out_writes(scope, "index", build)
         return {
             "approach": request.approach,
             "terms": len(request.terms),
@@ -924,7 +871,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 str(index): {"postings": postings}
                 for index, postings in results
             },
-            "evicted_cache_entries": evicted,
             "elapsed_s": time.perf_counter() - started,
         }
 
@@ -1047,7 +993,8 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 {
                     "index": index,
                     "path": self.paths[index],
-                    "generation": generation,
+                    # The data version of each file, as the cache sees it.
+                    "generation": [dv for _, dv in generation],
                     **shard,
                 }
                 for index, generation, shard in zip(

@@ -19,13 +19,12 @@ and gives the *same* router a leg that reaches it over local HTTP:
 * :class:`WorkerHandle` / :class:`WorkerPool` -- one worker's
   lifecycle: spawn, readiness, a keep-alive connection pool,
   deadline-aware requests, and a supervisor thread that restarts a
-  crashed worker (telling the router to bump the shard's generation: a
-  killed worker may have committed a batch whose acknowledgement was
-  lost).
+  crashed worker.
 * :class:`WorkerLeg` -- the leg: each seam call is one RPC with a
   **deadline** (a worker that does not answer in time raises
   :class:`~repro.service.legs.LegDeadline`, which the router answers as
-  503 ``deadline_exceeded``).  Traced legs propagate
+  503 ``deadline_exceeded``), except ``version``, which the router reads
+  off the worker's files itself.  Traced legs propagate
   ``X-Trace-Id`` and ``X-Parent-Span-Id`` over the hop; the worker
   serializes its span subtree into the response envelope and the leg
   grafts it under its own span, so ``GET /traces/<id>`` shows one
@@ -38,9 +37,9 @@ Failure contract: reads retry freely across worker restarts within
 their deadline (they are idempotent); a write is retried only when the
 connection was provably never established (refused) -- StaccatoDB
 ingests are atomic per batch, so a mid-request crash means the batch
-either fully committed or fully rolled back, and the restart path bumps
-the shard's generation to evict any cache entry that could mask a
-committed-but-unacknowledged batch.
+either fully committed or fully rolled back.  A batch committed but
+never acknowledged moved the file's version, so no cached result
+masks it.
 """
 
 from __future__ import annotations
@@ -69,7 +68,12 @@ from .app import answer_row
 from .jobs import atomic_write_json
 from .legs import LegDeadline, LocalLeg
 from .metrics import ServiceMetrics
-from .replicas import DEFAULT_COOLDOWN_S, ReplicaUnavailable
+from .replicas import (
+    DEFAULT_COOLDOWN_S,
+    FileWatch,
+    ReplicaUnavailable,
+    replica_path,
+)
 from .shards import ShardedQueryService
 from .trace import ObservabilityApi, Tracer
 from .validation import (
@@ -595,8 +599,8 @@ class WorkerHandle:
         if self._log_handle is not None:
             with contextlib.suppress(OSError):
                 self._log_handle.close()
-        self.restarts += 1
         self.spawn()
+        self.restarts += 1  # once ready: a new spawn's files are in place
 
     def _kill_quietly(self) -> None:
         if self.proc is not None and self.proc.poll() is None:
@@ -748,6 +752,14 @@ class WorkerLeg:
         # against ingest/index legs) enforced router-side.
         self.write_lock = threading.Lock()
         self._pool = pool
+        # Every file the worker may serve: the copies it starts with,
+        # plus any it has reported attaching.
+        self._paths = {
+            replica_path(self.path, j) for j in range(pool.num_replicas)
+        }
+        self._watch_lock = threading.Lock()
+        self._watches: list[FileWatch] = []
+        self._watched_spawn: int | None = None
 
     @staticmethod
     def fanout_width(num_shards: int) -> int:
@@ -759,6 +771,24 @@ class WorkerLeg:
     def close(self) -> None:
         # The workers share one supervisor and drain together.
         self._pool.close()
+        with self._watch_lock:
+            for watch in self._watches:
+                watch.close()
+
+    def version(self) -> tuple:
+        """Read off the worker's files, no RPC: a wedged worker never
+        stalls a cache hit.  A restarted worker copies its secondaries
+        afresh (files an old watch never sees change), so each spawn is
+        watched anew once it is ready."""
+        spawn = self.handle.restarts
+        with self._watch_lock:
+            if spawn != self._watched_spawn:
+                for watch in self._watches:
+                    watch.close()
+                self._watches = [FileWatch(p) for p in sorted(self._paths)]
+                self._watched_spawn = spawn
+            watches = self._watches
+        return tuple(watch.version() for watch in watches)
 
     # ------------------------------------------------------------------
     def _rpc(
@@ -888,11 +918,15 @@ class WorkerLeg:
     def change_replicas(
         self, action: str, replica: int | None
     ) -> dict[str, object]:
-        return self._rpc(
+        result = self._rpc(
             "change_replicas",
             {"action": action, "replica": replica},
             idempotent=False,
         )
+        with self._watch_lock:  # watch the new roster afresh
+            self._paths |= {row["path"] for row in result["replicas"]}
+            self._watched_spawn = None
+        return result
 
     def rebalance_snapshot(
         self, doc_lo: int, doc_hi: int
@@ -946,13 +980,13 @@ class WorkerPool:
         num_shards: int,
         spawn_flags: Sequence[str],
         metrics: ServiceMetrics,
-        on_restart=None,
+        num_replicas: int = 1,
         ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
         deadline_s: float = DEFAULT_DEADLINE_S,
         write_deadline_s: float = DEFAULT_WRITE_DEADLINE_S,
     ) -> None:
         self.metrics = metrics
-        self.on_restart = on_restart
+        self.num_replicas = num_replicas
         self.deadline_s = float(deadline_s)
         self.write_deadline_s = float(write_deadline_s)
         self.handles = [
@@ -1013,10 +1047,6 @@ class WorkerPool:
                     handle.respawn()
                 except Exception:  # noqa: BLE001 - retried next tick
                     self.metrics.event("worker_restart_failed")
-                    continue
-                if self.on_restart is not None:
-                    with contextlib.suppress(Exception):
-                        self.on_restart(handle.index)
 
     def close(self) -> None:
         """Stop supervising and drain every worker (idempotent)."""
@@ -1086,16 +1116,10 @@ class WorkerRouterService(ShardedQueryService):
             self.num_shards,
             spawn_flags,
             self.metrics,
-            on_restart=self._worker_restarted,
+            num_replicas=num_replicas,
             **self._pool_options,
         )
         return self._workers.legs
-
-    def _worker_restarted(self, index: int) -> None:
-        """A worker came back from a crash: its file may hold a batch
-        committed after the last acknowledged write, so cached results
-        for the shard can no longer be trusted."""
-        self.shards_changed({index})
 
     def traces_get(self, trace_id: str):
         """One span tree by id, looking through to the workers.

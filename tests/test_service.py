@@ -73,21 +73,6 @@ class TestQueryCache:
         cache.put("a", 1)
         assert cache.get("a") is None
 
-    def test_invalidate_where_counts_each_dropped_entry(self):
-        # One sweep dropping three entries must add three to the
-        # counter, not one -- /stats readers compare it against hit
-        # volume, and a per-sweep count would hide the churn.
-        cache = QueryCache(8)
-        for key in ("a1", "a2", "a3", "b1"):
-            cache.put(key, key)
-        dropped = cache.invalidate_where(lambda key: key.startswith("a"))
-        assert dropped == 3
-        assert cache.invalidations == 3
-        assert cache.get("b1") == "b1"
-        # An empty sweep adds nothing.
-        assert cache.invalidate_where(lambda key: False) == 0
-        assert cache.invalidations == 3
-
     def test_stats_hit_rate(self):
         cache = QueryCache(4)
         cache.put("a", 1)
@@ -365,8 +350,6 @@ class TestCaching:
         assert status == 200 and third["cached"] is False
         # The new line is visible to pooled readers post-invalidation.
         assert any(a["doc_id"] == 100 for a in third["answers"])
-        _, stats = get_json(live.base_url, "/stats")
-        assert stats["cache"]["invalidations"] >= 1
 
     def test_batches_append_not_collide(self, live):
         _, health = get_json(live.base_url, "/health")

@@ -301,6 +301,26 @@ def _worker_pid(running, index: int) -> int:
     return running.service._workers.handle(index).pid
 
 
+def _await_stopped(pid: int, timeout_s: float = 5.0) -> None:
+    """Wait until every thread of ``pid`` reads state ``T``: ``kill``
+    returns before the group stop has landed on each thread, and a
+    thread still running could answer the next request."""
+    tasks = f"/proc/{pid}/task"
+    if not os.path.isdir(tasks):
+        return  # no procfs: nothing to wait on
+    deadline = time.monotonic() + timeout_s
+    while True:
+        states = []
+        for tid in os.listdir(tasks):
+            with contextlib.suppress(OSError):
+                with open(f"{tasks}/{tid}/stat", encoding="utf-8") as stat:
+                    states.append(stat.read().rsplit(")", 1)[1].split()[0])
+        if states and set(states) == {"T"}:
+            return
+        assert time.monotonic() < deadline, f"not stopped: {states}"
+        time.sleep(0.01)
+
+
 def _await_healthy(running, timeout_s: float = 30.0) -> dict:
     deadline = time.monotonic() + timeout_s
     health: dict = {}
@@ -361,11 +381,18 @@ class TestFaultInjection:
         """An ingest interrupted by a worker crash either fully commits
         or fully rolls back -- never a half-applied batch.  The wide
         stripe routes every document to shard 0, so its line count is
-        the whole batch or nothing."""
-        running = _start_workers(tmp_path / "shards", range_width=64)
+        the whole batch or nothing.  A search cached before the crash
+        is not served once the batch is there: the commit moved the
+        file's version, acknowledged or not."""
+        running = _start_workers(
+            tmp_path / "shards", range_width=64, cache_size=16
+        )
         try:
             corpus = make_ca(num_docs=12, lines_per_doc=4, seed=3)
             expected = sum(len(doc.lines) for doc in corpus.documents)
+            query = {"pattern": "%Congress%", "num_ans": 100}
+            assert post_json(running.base_url, "/search", query)[1]["count"] == 0
+            assert post_json(running.base_url, "/search", query)[1]["cached"]
             victim = _worker_pid(running, 0)
             outcome: dict = {}
 
@@ -391,6 +418,12 @@ class TestFaultInjection:
             assert lines in (0, expected), (status, lines, expected)
             if status == 200:
                 assert lines == expected
+            if lines == expected:
+                status, after = post_json(running.base_url, "/search", query)
+                assert status == 200 and not after["cached"], after
+                batch = {doc.doc_id for doc in corpus.documents}
+                found = {answer["doc_id"] for answer in after["answers"]}
+                assert found and found <= batch
         finally:
             running.stop()
 
@@ -409,6 +442,7 @@ class TestFaultInjection:
             victim = _worker_pid(running, 0)
             os.kill(victim, signal.SIGSTOP)
             stopped = victim
+            _await_stopped(victim)
             request = urllib.request.Request(
                 running.base_url + "/search",
                 data=json.dumps(

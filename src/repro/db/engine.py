@@ -156,10 +156,6 @@ class StaccatoDB:
             kernel_memo = KernelMemo()
             self._shared_memo = False
         self.kernel_memo = kernel_memo
-        #: False until this handle's first committed write has dropped
-        #: kernel rows of lines that no longer exist (files an earlier
-        #: rebalance left them in; see ``storage.drop_orphan_kernels``).
-        self.orphans_swept = False
         try:
             create_schema(self.conn)
             upgrade.upgrade(self.conn)
@@ -213,27 +209,14 @@ class StaccatoDB:
                 m=self.m,
                 approaches=approaches,
                 workers=workers,
-                index=self.ingest_index(),
+                index=self.stored_index(),
             )
         )
-
-    def ingest_index(self) -> storage.IndexSpec | None:
-        """The dictionary a batch for this file should be indexed under:
-        the stored one; ``None`` for a file without an index or with one
-        that predates the stored dictionary -- its new lines stay
-        uncovered until ``build_index``.
-        """
-        index = self.stored_index()
-        return None if index is None or index.inferred else index
 
     def write_batch(self, built: storage.BuiltBatch) -> int:
         """Store a batch :func:`~repro.db.storage.build_dataset` built
         (once, for every replica of a shard); returns its line count."""
-        count = storage.write_batch(
-            self.conn, built, sweep_orphans=not self.orphans_swept
-        )
-        self.orphans_swept = True
-        return count
+        return storage.write_batch(self.conn, built)
 
     @property
     def num_lines(self) -> int:
@@ -659,20 +642,14 @@ class StaccatoDB:
         self, index: storage.IndexSpec | None = None
     ) -> list[int]:
         """Lines the stored index does not cover, in DataKey order: the
-        ones past the file's ``covered_through`` mark (a file indexed
-        before the mark was recorded is covered through the last line
-        ``InvertedIndex`` mentions -- a table scan, until the next
-        ``build_index``), as ``index`` records it (:meth:`stored_index`,
-        read now if not given: the writer that moves the mark is another
-        connection).  Empty unless lines were written by a writer that
-        could not index them."""
+        ones past the file's ``covered_through`` mark, as ``index``
+        records it (:meth:`stored_index`, read now if not given: the
+        writer that moves the mark is another connection); every line
+        of a file without an index.  Empty unless lines were written by
+        a writer that could not index them."""
         if index is None:
             index = self.stored_index()
-        covered = index.covered_through if index is not None else None
-        if covered is None:
-            (covered,) = self.conn.execute(
-                "SELECT COALESCE(MAX(DataKey), -1) FROM InvertedIndex"
-            ).fetchone()
+        covered = index.covered_through if index is not None else -1
         rows = self.conn.execute(
             "SELECT DataKey FROM MasterData WHERE DataKey > ? "
             "ORDER BY DataKey",

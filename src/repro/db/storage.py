@@ -68,7 +68,6 @@ __all__ = [
     "decode_kernel",
     "iter_kernel_blobs",
     "kernel_listing",
-    "drop_orphan_kernels",
     "posting_rows",
     "insert_postings",
     "index_meta",
@@ -114,9 +113,6 @@ class IndexSpec:
     trie: DictionaryTrie
     approach: str  # "staccato" | "kmap"
     covered_through: int | None = None
-    #: The trie holds the terms the postings mention, not a recorded
-    #: dictionary (a file indexed before the dictionary was stored).
-    inferred: bool = False
 
 
 def posting_rows(
@@ -246,9 +242,7 @@ def build_dataset(
     )
 
 
-def write_batch(
-    conn: sqlite3.Connection, built: BuiltBatch, sweep_orphans: bool = False
-) -> int:
+def write_batch(conn: sqlite3.Connection, built: BuiltBatch) -> int:
     """Store a built batch in one transaction; returns its line count.
 
     Batch ingestion appends: the batch's line ids start at 0, so they are
@@ -260,13 +254,10 @@ def write_batch(
     past the new lines, only if they were computed under the dictionary
     and approach this file records and every line already here is
     covered; otherwise they are dropped and the mark kept below the new
-    lines.  ``sweep_orphans`` first runs :func:`drop_orphan_kernels` (a
-    handle's first write).
+    lines.
     """
     count = len(built.rows["MasterData"])
     with conn:
-        if sweep_orphans:
-            drop_orphan_kernels(conn)
         (offset,) = conn.execute(
             "SELECT COALESCE(MAX(DataKey) + 1, 0) FROM MasterData"
         ).fetchone()
@@ -292,8 +283,7 @@ def index_meta(
     conn: sqlite3.Connection, schema: str = "main"
 ) -> tuple[tuple[str | None, str | None], int | None]:
     """``((dictionary digest, approach), covered_through)`` as the file
-    records them; ``None`` for what it does not record (no index, or an
-    index built before the dictionary and the mark were stored)."""
+    records them; ``None`` each for a file without an index."""
     meta = dict(conn.execute(f"SELECT Key, Value FROM {schema}.IndexMeta"))
     covered = meta.get("covered_through")
     return (
@@ -316,20 +306,11 @@ def stored_index(conn: sqlite3.Connection) -> IndexSpec | None:
 
     The trie of a recorded dictionary comes from the cache, built from
     ``IndexTerms`` on a miss (``None`` if a rebuild committed between
-    the two reads).  A file indexed before the dictionary was recorded
-    has its trie inferred from the terms ``InvertedIndex`` mentions, on
-    every call; one without an ``approach`` row is ``staccato``.
+    the two reads).
     """
     (digest, approach), covered = index_meta(conn)
-    approach = approach or "staccato"
     if digest is None:
-        trie = DictionaryTrie(
-            term
-            for (term,) in conn.execute("SELECT DISTINCT Term FROM InvertedIndex")
-        )
-        if not trie.num_terms:
-            return None
-        return IndexSpec(trie, approach, covered, inferred=True)
+        return None
     with _tries_lock:
         trie = _tries.get(digest)
     if trie is None:
@@ -359,8 +340,7 @@ def cover_appended(
     (dictionary digest, approach) this file records and no line already
     here is uncovered; otherwise the mark is kept below ``offset``, so
     the new lines are uncovered whatever key a deleted line left free.
-    A file without a mark (no index, or one from before the mark) is
-    left as it is.
+    A file without an index is left as it is.
     """
     file_key, covered = index_meta(conn)
     if covered is None:
@@ -377,20 +357,6 @@ def set_covered_through(conn: sqlite3.Connection, data_key: int) -> None:
         "VALUES ('covered_through', ?)",
         (str(data_key),),
     )
-
-
-def drop_orphan_kernels(conn: sqlite3.Connection) -> int:
-    """Delete ``CompiledKernel`` rows of lines that no longer exist.
-
-    Rebalance once moved lines without their kernels: the source kept
-    the rows, and the next line to take a freed DataKey would collide
-    with them (or worse, be evaluated with them).  Returns the number of
-    rows dropped; a file written only by this build has none.
-    """
-    return conn.execute(
-        "DELETE FROM CompiledKernel WHERE DataKey NOT IN "
-        "(SELECT DataKey FROM MasterData)"
-    ).rowcount
 
 
 def ingest_dataset(

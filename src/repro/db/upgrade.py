@@ -1,9 +1,14 @@
-"""The one upgrade step, run as a handle opens a file an older build
-wrote.  Those builds kept second copies of a line -- ``FullSFAData``
-(the FullSFA's ``SFA1`` blob), ``StaccatoData`` (a row per chunk string),
+"""The upgrade, run as a handle opens a file an older build wrote.
+
+Format 0 builds kept second copies of a line -- ``FullSFAData`` (the
+FullSFA's ``SFA1`` blob), ``StaccatoData`` (a row per chunk string),
 ``kMAPData`` (the k-MAP strings with log-probabilities, in place of the
 ``kmap`` kernel) -- and may lack kernel rows or hold unreadable ones.
-No other module names those tables."""
+Builds up to format 1 may also have left an index without its
+dictionary, approach or coverage mark recorded in ``IndexMeta``, and
+``CompiledKernel`` rows of lines an older rebalance moved away.  No
+other module names those tables or states: every reader assumes a
+file of :data:`FILE_FORMAT`."""
 
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ import math
 import sqlite3
 from itertools import groupby
 
+from ..automata.trie import DictionaryTrie
 from ..core.kmap import kmap_sfa
 from ..sfa import serialize
 from ..sfa.kernel import KERNEL_VERSION, compile_kernel
@@ -41,18 +47,20 @@ def _file_format(conn: sqlite3.Connection) -> int:
 
 def upgrade(conn: sqlite3.Connection) -> None:
     """Bring the file to :data:`FILE_FORMAT` in one ``BEGIN IMMEDIATE``
-    transaction (all lines or none; the format is read again inside it,
-    so of several openers only the first works): keep every kernel row
-    the codec accepts, compile a missing or rejected one from the line's
-    copy -- the chunk graph, ``FullSFAData``, or ``kMAPData`` scored as
-    ``exp`` of each log-probability as the builds that wrote it did --,
-    delete a rejected one with no copy, drop the three tables."""
+    transaction (every step or none; the format is read again inside
+    it, so of several openers only the first works), running each step
+    from the file's format on: :func:`_upgrade_lines` (0 to 1), then
+    :func:`_upgrade_index` (1 to 2)."""
     if _file_format(conn) == FILE_FORMAT:
         return
     conn.execute("BEGIN IMMEDIATE")
     try:
-        if _file_format(conn) < FILE_FORMAT:
+        found = _file_format(conn)
+        if found < 1:
             _upgrade_lines(conn)
+        if found < 2:
+            _upgrade_index(conn)
+        if found < FILE_FORMAT:
             conn.execute(f"PRAGMA user_version = {FILE_FORMAT}")
         conn.commit()
     except BaseException:
@@ -61,6 +69,11 @@ def upgrade(conn: sqlite3.Connection) -> None:
 
 
 def _upgrade_lines(conn: sqlite3.Connection) -> None:
+    """Keep every kernel row the codec accepts, compile a missing or
+    rejected one from the line's copy -- the chunk graph,
+    ``FullSFAData``, or ``kMAPData`` scored as ``exp`` of each
+    log-probability as the builds that wrote it did --, delete a
+    rejected one with no copy, drop the three tables."""
     rejected = []
     for rowid, blob in conn.execute("SELECT rowid, KernelBlob FROM CompiledKernel"):
         try:
@@ -97,3 +110,40 @@ def _upgrade_lines(conn: sqlite3.Connection) -> None:
         )
     for table in ("FullSFAData", "StaccatoData", "kMAPData"):
         conn.execute(f"DROP TABLE IF EXISTS {table}")
+
+
+def _upgrade_index(conn: sqlite3.Connection) -> None:
+    """Delete the kernel rows of lines that are gone, and record what
+    the read paths of older builds worked out on every read: a file
+    with postings but no ``dictionary`` gets the terms they mention as
+    its dictionary (``IndexTerms`` and their digest), ``staccato`` as
+    its approach if it names none, and -- with no mark -- coverage
+    through the last line ``InvertedIndex`` mentions."""
+    conn.execute(
+        "DELETE FROM CompiledKernel WHERE DataKey NOT IN "
+        "(SELECT DataKey FROM MasterData)"
+    )
+    meta = dict(conn.execute("SELECT Key, Value FROM IndexMeta"))
+    if "dictionary" not in meta:
+        trie = DictionaryTrie(
+            term
+            for (term,) in conn.execute("SELECT DISTINCT Term FROM InvertedIndex")
+        )
+        if not trie.num_terms:
+            return
+        conn.execute("DELETE FROM IndexTerms")
+        conn.executemany(
+            "INSERT INTO IndexTerms (Term) VALUES (?)",
+            [(term,) for term in trie.terms()],
+        )
+        meta["dictionary"] = trie.digest
+    meta.setdefault("approach", "staccato")
+    if "covered_through" not in meta:
+        (last,) = conn.execute(
+            "SELECT COALESCE(MAX(DataKey), -1) FROM InvertedIndex"
+        ).fetchone()
+        meta["covered_through"] = str(last)
+    conn.executemany(
+        "INSERT OR REPLACE INTO IndexMeta (Key, Value) VALUES (?, ?)",
+        meta.items(),
+    )

@@ -301,7 +301,7 @@ class LocalLeg:
         if source is None:
             return None
         try:
-            return source.writer.ingest_index()
+            return source.writer.stored_index()
         except sqlite3.Error:
             return None
 

@@ -163,8 +163,6 @@ def copy_docs(
     writer.attach(source_path, _SRC)
     try:
         with conn:
-            if not writer.orphans_swept:
-                storage.drop_orphan_kernels(conn)
             _load_ids(conn, doc_ids)
             conn.execute(
                 f"DELETE FROM _rebalance_ids WHERE DocId IN ("
@@ -223,7 +221,6 @@ def copy_docs(
                 )
     finally:
         writer.detach(_SRC)
-    writer.orphans_swept = True
     return copied
 
 

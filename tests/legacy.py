@@ -8,13 +8,61 @@ log-probabilities instead.  This build creates none of these tables; a
 file that has them records no file format (``PRAGMA user_version`` 0)
 and is upgraded when it is opened (``repro.db.upgrade``).  Their DDL
 lives here and nowhere else.
+
+Files of formats 0 and 1 may also hold two states no file of format 2
+does, made here by the statements :data:`UNRECORDED_INDEX`,
+:data:`NO_APPROACH`, :func:`orphan_rows` and :func:`stranded_kernels`:
+an index whose dictionary, coverage mark or approach ``IndexMeta`` does
+not record, and ``CompiledKernel`` rows of lines that are gone.
 """
 
 import math
 import sqlite3
 
 from repro.db import storage
+from repro.db.schema import LINE_TABLES
 from repro.sfa import serialize
+
+#: An index as builds before the stored dictionary and coverage mark
+#: left it: its postings and its ``approach`` row.
+UNRECORDED_INDEX = (
+    "DELETE FROM IndexMeta WHERE Key IN ('dictionary', 'covered_through')",
+    "DELETE FROM IndexTerms",
+)
+
+#: With :data:`UNRECORDED_INDEX`, an index as the first indexing
+#: builds left it: postings only.
+NO_APPROACH = "DELETE FROM IndexMeta WHERE Key = 'approach'"
+
+
+def orphan_rows(offset: int) -> str:
+    """Kernel rows of lines that are not in the file: every row of
+    DataKeys 0 and 1, copied to those keys plus ``offset``."""
+    columns = ", ".join(LINE_TABLES["CompiledKernel"][1:])
+    return (
+        f"INSERT INTO CompiledKernel SELECT DataKey + {offset}, {columns} "
+        "FROM CompiledKernel WHERE DataKey < 2"
+    )
+
+
+def stranded_kernels(first_key: int) -> list[str]:
+    """What a move by builds before kernels moved with their lines left
+    in its source: the lines from DataKey ``first_key`` on deleted from
+    every per-line table but ``CompiledKernel``."""
+    return [
+        f"DELETE FROM {table} WHERE DataKey >= {first_key}"
+        for table in LINE_TABLES
+        if table != "CompiledKernel"
+    ]
+
+
+def age(conn: sqlite3.Connection, *damage: str, file_format: int = 1) -> None:
+    """Apply each ``damage`` statement to an open file, in one
+    transaction, and record ``file_format`` as its format."""
+    with conn:
+        for statement in damage:
+            conn.execute(statement)
+    conn.execute(f"PRAGMA user_version = {file_format}")
 
 #: The tables, as ``sqlite_master`` names them.
 LEGACY_TABLES = ("FullSFAData", "StaccatoData", "kMAPData")
@@ -90,20 +138,18 @@ def add_legacy_tables(conn: sqlite3.Connection) -> None:
         conn.execute("DELETE FROM CompiledKernel WHERE Approach = 'kmap'")
 
 
-def legacy_copy(db, path: str, *damage: str) -> str:
-    """A copy of ``db``'s file at ``path`` with the legacy tables added,
-    then each ``damage`` statement applied (typically to its
-    ``CompiledKernel`` rows, which files of that age lack), and the
-    format of a build before formats were recorded: a backup copies the
-    current file's."""
+def legacy_copy(db, path: str, *damage: str, file_format: int = 0) -> str:
+    """A copy of ``db``'s file at ``path`` (with the legacy tables
+    added, at format 0), passed through :func:`age`: each ``damage``
+    statement applied (typically to its ``CompiledKernel`` rows, which
+    files of that age lack) and ``file_format`` recorded -- a backup
+    copies the current file's."""
     clone = sqlite3.connect(path)
     try:
         db.conn.backup(clone)
-        add_legacy_tables(clone)
-        with clone:
-            for statement in damage:
-                clone.execute(statement)
-        clone.execute("PRAGMA user_version = 0")
+        if file_format == 0:
+            add_legacy_tables(clone)
+        age(clone, *damage, file_format=file_format)
     finally:
         clone.close()
     return path

@@ -30,6 +30,7 @@ from repro.ocr.noise import NoiseModel
 from repro.query.memo import KernelMemo
 from repro.service.shards import ShardedQueryService
 
+from .legacy import UNRECORDED_INDEX, age
 from .oracles import indexing as oracle
 
 K, M = 4, 6
@@ -192,22 +193,20 @@ class TestSingleDatabase:
         assert db.build_index(DICTIONARY) > 0
 
     def test_a_file_indexed_before_the_mark_was_stored(self, db):
-        """HEAD's behaviour: index, then ingest that writes no postings,
-        in a file with neither dictionary nor mark."""
+        """An older build's file: index, then ingest that writes no
+        postings, in a file with neither dictionary nor mark.  Opening
+        it records the terms its postings mention as the dictionary and
+        covers the lines through the last one they mention."""
         db.ingest(docs(0, 1), ocr())
         db.build_index(DICTIONARY)
-        with db.conn:
-            db.conn.execute(
-                "DELETE FROM IndexMeta WHERE Key IN ('dictionary', 'covered_through')"
-            )
-            db.conn.execute("DELETE FROM IndexTerms")
+        age(db.conn, *UNRECORDED_INDEX)
+        assert db.stored_index() is None
         storage.ingest_dataset(db.conn, docs(2, 3), ocr(), k=K, m=M)
-        assert db.ingest_index() is None
         with reopened(db.path) as old:
-            assert "zebra" not in old.stored_index().trie.terms()  # inferred
+            assert "zebra" not in old.stored_index().trie.terms()
             assert old.uncovered_keys() == list(range(8, 16))
             assert_plans_agree(old)
-            # Its own ingest cannot be indexed either, and says so.
+            # Lines behind the uncovered ones stay uncovered.
             old.ingest(docs(0), ocr())
             assert old.uncovered_keys() == list(range(8, 20))
             assert_plans_agree(old)

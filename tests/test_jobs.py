@@ -28,7 +28,6 @@ import time
 
 import pytest
 
-from repro.db.schema import LINE_TABLES
 from repro.service import start_service
 from repro.service.jobs import JobEngine, JobType
 from repro.service.shards import (
@@ -39,6 +38,8 @@ from repro.service.shards import (
 )
 from repro.service.validation import ApiError
 from repro.bench.service_load import get_json, post_json
+
+from .legacy import age, stranded_kernels
 
 WAIT = 30.0
 
@@ -690,14 +691,16 @@ class TestRebalance:
         service.ingest(_batch([0, 1], approaches=WITH_FULLSFA))
         # What a move left behind before kernels moved with their lines.
         conn = service.pool.shard(0).writer.conn
-        with conn:
-            for table in set(LINE_TABLES) - {"CompiledKernel"}:
-                conn.execute(f"DELETE FROM {table} WHERE DataKey >= 2")
+        age(conn, *stranded_kernels(2))
+        assert conn.execute(
+            "SELECT COUNT(*) FROM CompiledKernel WHERE DataKey >= 2"
+        ).fetchone() == (6,)
         service.close()
         service = ShardedQueryService(shard_dir, 2, **options)
         try:
             leg = service.pool.shard(0)
-            assert self._kernel_orphans(leg) == (6, 0)
+            # Opening the file deleted them, before any write.
+            assert self._kernel_orphans(leg) == (0, 0)
             # A different document lands on the freed keys.
             reply = service.ingest(_batch([1], approaches=WITH_FULLSFA))
             assert reply["ingested_lines"] == 2

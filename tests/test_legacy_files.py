@@ -3,8 +3,10 @@
 Older builds stored every line two or three times (``tests/legacy.py``
 holds the tables this build dropped) and kept the k-MAP strings as
 ``kMAPData`` rows instead of a ``kmap`` kernel; files of that age may
-also lack kernel rows.  Opening such a file upgrades it
-(``repro.db.upgrade``); each test holds the upgraded file to what the
+also lack kernel rows.  Files of formats 0 and 1 may hold an index
+whose dictionary, coverage mark or approach is not recorded, and kernel
+rows of lines an older rebalance moved away.  Opening such a file
+upgrades it (``repro.db.upgrade``); each test holds the upgraded file to what the
 build before the upgrade read from it transparently -- a current-format
 file of the same corpus: answers, probabilities and ``counters.*`` on
 every plan and approach, ``load_fullsfa`` bytes, the index
@@ -40,7 +42,13 @@ from repro.sfa import serialize
 from repro.sfa.kernel import KERNEL_VERSION
 
 from .oracles.strings import match_probability_strings
-from .legacy import LEGACY_TABLES, legacy_copy
+from .legacy import (
+    LEGACY_TABLES,
+    NO_APPROACH,
+    UNRECORDED_INDEX,
+    legacy_copy,
+    orphan_rows,
+)
 
 K, M = 8, 10
 DICTIONARY = ["public", "law", "president", "congress"]
@@ -50,12 +58,21 @@ PATTERNS = [r"REGEX:Public Law (8|9)\d", "%the President%", "Public Law 8%"]
 #: FullSFA, which this build stores only when asked.
 WITH_FULLSFA = ["kmap", "fullsfa", "staccato"]
 
+#: Orphan kernel rows sit at the DataKeys of lines 0 and 1 plus this.
+ORPHANS = 1000
+
 #: What a file of that age lacks: lines with no kernel row at all, and
-#: lines whose FullSFA kernel is of a layout this build does not read.
+#: lines whose FullSFA kernel is of a layout this build does not read;
+#: and what it may hold that no current file does: an index that
+#: records neither its dictionary, its coverage mark nor its approach,
+#: and kernel rows of lines that are gone.
 AGED = (
     "DELETE FROM CompiledKernel WHERE DataKey % 3 = 0",
     "UPDATE CompiledKernel SET Version = 1 "
     "WHERE DataKey % 3 = 1 AND Approach = 'fullsfa'",
+    *UNRECORDED_INDEX,
+    NO_APPROACH,
+    orphan_rows(ORPHANS),
 )
 
 
@@ -80,11 +97,23 @@ STRINGS = ("map", "kmap")
 
 
 def assert_upgraded(conn) -> None:
-    """No table of an older build is left, and the file records this
-    build's format."""
+    """No table of an older build is left, no kernel row of a line that
+    is gone, and the file records this build's format."""
     names = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
     assert not names & set(LEGACY_TABLES)
+    assert conn.execute(
+        "SELECT COUNT(*) FROM CompiledKernel WHERE DataKey NOT IN "
+        "(SELECT DataKey FROM MasterData)"
+    ).fetchone() == (0,)
     assert conn.execute("PRAGMA user_version").fetchone() == (FILE_FORMAT,)
+
+
+def index_record(conn) -> tuple:
+    """``IndexMeta`` and ``IndexTerms``, sorted."""
+    return tuple(
+        sorted(conn.execute(f"SELECT * FROM {table}"))
+        for table in ("IndexMeta", "IndexTerms")
+    )
 
 
 def relation(db: StaccatoDB):
@@ -127,12 +156,13 @@ def parent_scores(conn, pattern: str, approach: str) -> dict:
 
 
 def legacy_rows(path: str) -> list:
-    """Every row of the older build's tables and of ``CompiledKernel``."""
+    """Every row of the older build's tables, of ``CompiledKernel``
+    (orphans included) and of the index's record."""
     conn = sqlite3.connect(path)
     try:
         return [
             sorted(conn.execute(f"SELECT * FROM {table}"))
-            for table in (*LEGACY_TABLES, "CompiledKernel")
+            for table in (*LEGACY_TABLES, "CompiledKernel", "IndexMeta", "IndexTerms")
         ]
     finally:
         conn.close()
@@ -157,6 +187,9 @@ def test_answers_counters_and_fullsfa_bytes_equal_a_current_file(paths):
     scores = scores_before_the_upgrade(legacy)
     with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(legacy, k=K, m=M) as old:
         assert_upgraded(old.conn)
+        # Every term has a posting, so the dictionary the upgrade records
+        # from them is the one the index was built over.
+        assert index_record(old.conn) == index_record(new.conn)
         (old_answers, old_counts), (new_answers, counts) = relation(old), relation(new)
         assert old_counts == counts
         assert old_answers.keys() == new_answers.keys()
@@ -386,8 +419,12 @@ def test_an_upgrade_killed_midway_leaves_the_file_as_it_was(
     with open(path, "rb") as handle:
         before = handle.read()
     rows = legacy_rows(path)
+    meta, terms = rows[-2:]
+    assert not terms and "dictionary" not in dict(meta)
+    assert any(row[0] >= ORPHANS for row in rows[-3])
     compiled = []
     compile_kernel = upgrade_module.compile_kernel
+    upgrade_index = upgrade_module._upgrade_index
 
     def dies_on_the_tenth(sfa):
         compiled.append(sfa)
@@ -395,13 +432,22 @@ def test_an_upgrade_killed_midway_leaves_the_file_as_it_was(
             raise RuntimeError("killed midway")
         return compile_kernel(sfa)
 
-    monkeypatch.setattr(upgrade_module, "compile_kernel", dies_on_the_tenth)
-    with pytest.raises(RuntimeError, match="killed midway"):
-        StaccatoDB(path, k=K, m=M)
-    with open(path, "rb") as handle:
-        assert handle.read() == before
-    assert legacy_rows(path) == rows
-    monkeypatch.undo()
+    def dies_after_the_last_step(conn):
+        upgrade_index(conn)
+        raise RuntimeError("killed midway")
+
+    # Killed in the first step, then once both steps have written.
+    for name, killer in (
+        ("compile_kernel", dies_on_the_tenth),
+        ("_upgrade_index", dies_after_the_last_step),
+    ):
+        monkeypatch.setattr(upgrade_module, name, killer)
+        with pytest.raises(RuntimeError, match="killed midway"):
+            StaccatoDB(path, k=K, m=M)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert legacy_rows(path) == rows
+        monkeypatch.undo()
     with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(path, k=K, m=M) as old:
         assert_upgraded(old.conn)
         answers = {
@@ -414,16 +460,27 @@ def test_an_upgrade_killed_midway_leaves_the_file_as_it_was(
         }
 
 
+#: The upgrade's steps, in order: what :func:`counting_steps` counts.
+STEPS = ("_upgrade_lines", "_upgrade_index")
+
+
+def counting_steps(setattr, upgrades) -> None:
+    """Make each of :data:`STEPS` count its calls in ``upgrades[i]``
+    (a ``multiprocessing`` array)."""
+    for at, name in enumerate(STEPS):
+        run = getattr(upgrade_module, name)
+
+        def counted(conn, at=at, run=run):
+            with upgrades.get_lock():
+                upgrades[at] += 1
+            run(conn)
+
+        setattr(upgrade_module, name, counted)
+
+
 def _open_and_search(path, barrier, upgrades, results) -> None:
     """One process: open the file as the other one does, then answer."""
-    run = upgrade_module._upgrade_lines
-
-    def counted(conn):
-        with upgrades.get_lock():
-            upgrades.value += 1
-        run(conn)
-
-    upgrade_module._upgrade_lines = counted
+    counting_steps(setattr, upgrades)
     barrier.wait()
     with StaccatoDB(path, k=K, m=M) as db:
         results.put(
@@ -443,7 +500,7 @@ def test_two_processes_opening_an_older_file_upgrade_it_once(paths, tmp_path):
             for a in db.search("%the%", approach="fullsfa", num_ans=None)
         ]
     context = multiprocessing.get_context("spawn")
-    barrier, upgrades = context.Barrier(2), context.Value("i", 0)
+    barrier, upgrades = context.Barrier(2), context.Array("i", len(STEPS))
     results = context.Queue()
     workers = [
         context.Process(
@@ -458,12 +515,52 @@ def test_two_processes_opening_an_older_file_upgrade_it_once(paths, tmp_path):
         worker.join(timeout=60)
         assert worker.exitcode == 0
     assert answered == [expected, expected]
-    assert upgrades.value == 1
+    # Each step ran once: the dictionary was recorded by one process.
+    assert list(upgrades) == [1, 1]
+    conn = sqlite3.connect(current)
+    try:
+        recorded = index_record(conn)
+    finally:
+        conn.close()
     conn = sqlite3.connect(path)
     try:
         assert_upgraded(conn)
+        assert index_record(conn) == recorded
     finally:
         conn.close()
+
+
+def test_a_format_1_file_gets_the_index_step_only(paths, tmp_path, monkeypatch):
+    """A file a build of format 1 wrote or upgraded: no legacy table,
+    but an index whose dictionary and mark it does not record, and
+    kernel rows of lines that are gone.  Opening it runs the second
+    step alone: the orphans go, every other kernel row is kept byte for
+    byte, and the file answers as the current one does."""
+    current, _ = paths
+    with StaccatoDB(current, k=K, m=M) as db:
+        path = legacy_copy(
+            db,
+            str(tmp_path / "format1.db"),
+            *UNRECORDED_INDEX,
+            orphan_rows(ORPHANS),
+            file_format=1,
+        )
+    kernels = "SELECT * FROM CompiledKernel ORDER BY DataKey, Approach"
+    conn = sqlite3.connect(path)
+    try:
+        rows = conn.execute(kernels).fetchall()
+    finally:
+        conn.close()
+    kept = [row for row in rows if row[0] < ORPHANS]
+    assert len(kept) < len(rows)
+    upgrades = multiprocessing.Array("i", len(STEPS))
+    counting_steps(monkeypatch.setattr, upgrades)
+    with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(path, k=K, m=M) as old:
+        assert list(upgrades) == [0, 1]
+        assert_upgraded(old.conn)
+        assert old.conn.execute(kernels).fetchall() == kept
+        assert index_record(old.conn) == index_record(new.conn)
+        assert relation(old) == relation(new)
 
 
 def test_a_file_of_a_newer_format_is_refused(paths, tmp_path):

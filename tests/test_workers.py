@@ -26,6 +26,7 @@ import contextlib
 import json
 import os
 import signal
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -37,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.service_load import get_json, post_json
-from repro.db.engine import StaccatoDB
+from repro.db.engine import StaccatoDB, shard_path
 from repro.db.sql import execute_select
 from repro.ocr.corpus import make_ca
 from repro.ocr.engine import SimulatedOcrEngine
@@ -297,6 +298,18 @@ def _start_workers(path, **kwargs):
     return start_sharded_service(str(path), 2, worker_procs=True, **options)
 
 
+def _stored_lines(path: str) -> int:
+    """``MasterData``'s line count, read on a read-only connection of
+    its own; 0 while the file has no such table yet."""
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM MasterData").fetchone()[0]
+    except sqlite3.OperationalError:
+        return 0
+    finally:
+        conn.close()
+
+
 def _worker_pid(running, index: int) -> int:
     return running.service._workers.handle(index).pid
 
@@ -379,14 +392,34 @@ class TestFaultInjection:
 
     def test_sigkill_mid_ingest_never_leaves_a_partial_batch(self, tmp_path):
         """An ingest interrupted by a worker crash either fully commits
-        or fully rolls back -- never a half-applied batch.  The wide
-        stripe routes every document to shard 0, so its line count is
-        the whole batch or nothing.  A search cached before the crash
-        is not served once the batch is there: the commit moved the
-        file's version, acknowledged or not."""
-        running = _start_workers(
-            tmp_path / "shards", range_width=64, cache_size=16
-        )
+        or fully rolls back -- never a half-applied batch.  Killed 0.05 s
+        in, the batch has usually not committed."""
+        self._kill_mid_ingest(tmp_path, lambda shard_file, lines: time.sleep(0.05))
+
+    def test_sigkill_after_the_batch_commits_keeps_all_of_it(self, tmp_path):
+        """Killed once the batch is in the file (a read-only connection
+        sees every line), before or after the reply: the whole batch
+        stays, and the search cached before it is not served."""
+
+        def committed(shard_file: str, lines: int) -> None:
+            deadline = time.monotonic() + 60.0
+            while _stored_lines(shard_file) < lines:
+                assert time.monotonic() < deadline, "the batch never committed"
+                time.sleep(0.002)
+
+        assert self._kill_mid_ingest(tmp_path, committed)
+
+    @staticmethod
+    def _kill_mid_ingest(tmp_path, kill_when) -> bool:
+        """Start a 48-line ingest, ``kill_when(shard file, 48)``, SIGKILL
+        shard 0's worker, and check the batch is all there or not at
+        all.  The wide stripe routes every document to shard 0, so its
+        line count is the whole batch or nothing.  A search cached
+        before the crash is not served once the batch is there: the
+        commit moved the file's version, acknowledged or not.  Returns
+        whether the batch is there."""
+        shard_dir = tmp_path / "shards"
+        running = _start_workers(shard_dir, range_width=64, cache_size=16)
         try:
             corpus = make_ca(num_docs=12, lines_per_doc=4, seed=3)
             expected = sum(len(doc.lines) for doc in corpus.documents)
@@ -403,7 +436,7 @@ class TestFaultInjection:
 
             thread = threading.Thread(target=ingest)
             thread.start()
-            time.sleep(0.05)
+            kill_when(shard_path(str(shard_dir), 0), expected)
             os.kill(victim, signal.SIGKILL)
             thread.join(timeout=120)
             assert not thread.is_alive()
@@ -424,6 +457,7 @@ class TestFaultInjection:
                 batch = {doc.doc_id for doc in corpus.documents}
                 found = {answer["doc_id"] for answer in after["answers"]}
                 assert found and found <= batch
+            return lines == expected
         finally:
             running.stop()
 

@@ -8,12 +8,12 @@ Three checks:
    (external URLs and in-page anchors are skipped).
 2. **HTTP endpoints, both directions** -- every ``METHOD /path`` named
    in docs/API.md must have a handler registered in the route tables
-   of ``src/repro/service/http_common.py``, the transport-independent
-   HTTP core (exact routes like ``POST /jobs``, or prefix routes like
-   ``GET /jobs/<id>``), **and** every route
+   of ``src/repro/service/server.py`` (exact routes like ``POST /jobs``,
+   or prefix routes like ``GET /jobs/<id>``), **and** every route
    those tables register must be named in docs/API.md.  Documenting an
    endpoint the server does not serve -- or shipping one the reference
-   never mentions -- is exactly the drift this catches.
+   never mentions -- is exactly the drift this catches.  Finding no
+   route table at all is a failure too: it means the tables moved.
 3. **Commands** -- every ``python -m repro.<module>`` and
    ``scripts/<name>.py`` named in README.md or docs/*.md must name a
    runnable module under ``src/`` (a package with ``__main__.py`` or a
@@ -77,7 +77,10 @@ def check_file(path: pathlib.Path) -> list[str]:
 #: prose).  ``<id>``-style placeholders mark prefix-routed endpoints.
 ENDPOINT = re.compile(r"\b(GET|POST|PUT|PATCH|DELETE)\s+(/[A-Za-z0-9_/<>-]+)")
 
-#: Route tables in http_common.py: ``GET_ROUTES = {...}`` holds exact paths,
+#: The module whose route tables define the served endpoints.
+ROUTES_MODULE = REPO_ROOT / "src" / "repro" / "service" / "server.py"
+
+#: Route tables in server.py: ``GET_ROUTES = {...}`` holds exact paths,
 #: ``GET_ARG_ROUTES = {...}`` holds prefixes whose trailing segment is
 #: passed to the handler (documented as ``/jobs/<id>``).
 ROUTE_TABLE = re.compile(
@@ -89,9 +92,7 @@ ROUTE_PATH = re.compile(r"\"(/[^\"]*)\"\s*:")
 
 def server_routes() -> dict[str, tuple[set[str], set[str]]]:
     """Per method: the exact paths and argument prefixes the API serves."""
-    source = (
-        REPO_ROOT / "src" / "repro" / "service" / "http_common.py"
-    ).read_text()
+    source = ROUTES_MODULE.read_text()
     routes: dict[str, tuple[set[str], set[str]]] = {}
     for method, is_prefix, body in ROUTE_TABLE.findall(source):
         exact, prefixes = routes.setdefault(method, (set(), set()))
@@ -119,7 +120,7 @@ def check_endpoints() -> list[str]:
         if not served:
             problems.append(
                 f"docs/API.md: endpoint {method} {path} has no handler "
-                "registered in src/repro/service/http_common.py"
+                "registered in src/repro/service/server.py"
             )
     return problems
 
@@ -129,9 +130,12 @@ def check_served_documented() -> list[str]:
     api = REPO_ROOT / "docs" / "API.md"
     if not api.is_file():
         return []
+    routes = server_routes()
+    if not any(exact or prefixes for exact, prefixes in routes.values()):
+        return [f"no route table (GET_ROUTES = {{...}}) in {ROUTES_MODULE}"]
     documented = set(ENDPOINT.findall(api.read_text()))
     problems = []
-    for method, (exact, prefixes) in sorted(server_routes().items()):
+    for method, (exact, prefixes) in sorted(routes.items()):
         for path in sorted(exact):
             if (method, path) not in documented:
                 problems.append(

@@ -176,18 +176,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: serve needs --db (or --shards/--shard-dir)",
               file=sys.stderr)
         return 2
-    if args.replicas < 1:
-        print("error: --replicas must be >= 1", file=sys.stderr)
-        return 2
     if args.worker_procs and args.shards <= 0:
         print("error: --worker-procs needs a sharded service (--shards)",
               file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.trace_ring < 1:
-        print("error: --trace-ring must be >= 1", file=sys.stderr)
         return 2
     if args.slow_query_ms is not None and args.slow_query_ms < 0:
         print("error: --slow-query-ms must be >= 0", file=sys.stderr)
@@ -215,6 +206,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type=``: an integer in ``[low, high]``.  Anything
+    else is a usage error (exit 2) before the command touches a file."""
+
+    def bounded(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low or (high is not None and value > high):
+            limit = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {limit}, not {value}")
+        return value
+
+    return bounded
+
+
 def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--corpus", choices=[*_CORPORA, "scale"], default="ca",
@@ -238,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser("ingest", help="OCR a corpus into a database")
     _add_corpus_options(ingest)
     ingest.add_argument("--db", required=True, help="SQLite database path")
-    ingest.add_argument("--k", type=int, default=25)
-    ingest.add_argument("--m", type=int, default=40)
-    ingest.add_argument("--workers", type=int, default=None)
+    ingest.add_argument("--k", type=_int_in(1), default=25)
+    ingest.add_argument("--m", type=_int_in(1), default=40)
+    ingest.add_argument("--workers", type=_int_in(1), default=None)
     ingest.set_defaults(func=_cmd_ingest)
 
     search = sub.add_parser("search", help="run a LIKE/REGEX query")
@@ -288,19 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve N StaccatoDB shards instead of one --db")
     serve.add_argument("--shard-dir", default=None,
                        help="directory holding the shard-NNNN.db files")
-    serve.add_argument("--replicas", type=int, default=1,
+    serve.add_argument("--replicas", type=_int_in(1), default=1,
                        help="read replicas per shard (or of the one --db)")
     serve.add_argument("--worker-procs", action="store_true",
                        help="run each shard in its own worker subprocess "
                             "behind the fan-out router (sharded mode only)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_int_in(1), default=2,
                        help="background job worker threads (POST /jobs)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080,
+    serve.add_argument("--port", type=_int_in(0, 65535), default=8080,
                        help="TCP port (0 picks a free one)")
-    serve.add_argument("--k", type=int, default=25)
-    serve.add_argument("--m", type=int, default=40)
-    serve.add_argument("--pool-size", type=int, default=4,
+    serve.add_argument("--k", type=_int_in(1), default=25)
+    serve.add_argument("--m", type=_int_in(1), default=40)
+    serve.add_argument("--pool-size", type=_int_in(1), default=4,
                        help="reader connections kept open")
     serve.add_argument("--cache-size", type=int, default=256,
                        help="query-result cache entries (0 disables)")
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-trace", action="store_true",
                        help="disable request tracing (GET /traces empties; "
                             "slow-query and access logs need tracing)")
-    serve.add_argument("--trace-ring", type=int, default=256,
+    serve.add_argument("--trace-ring", type=_int_in(1), default=256,
                        help="finished traces kept in memory for GET /traces")
     serve.add_argument(
         "--slow-query-ms", type=float, default=None,

@@ -87,7 +87,11 @@ thread-safe LRU :class:`~repro.service.cache.QueryCache` keyed on
 ``(scope, generations, pattern, approach, plan, num_ans)`` -- a
 shard's generation is its files' ``PRAGMA data_version``; and a
 :class:`~repro.service.metrics.ServiceMetrics` registry feeds
-``/stats``.
+``/stats``.  One module, :mod:`repro.service.server`, holds the HTTP
+transport: route tables, body framing and response rendering.  Under
+``serve --worker-procs`` each shard runs in a worker subprocess
+(:mod:`repro.service.workers`) that serves the same handler on a
+listening socket the router binds once and every respawn inherits.
 """
 
 from .cache import QueryCache

@@ -1,8 +1,19 @@
-"""The HTTP front end and the server lifecycle.
+"""The HTTP front end: the wire contract, its transport and the server
+lifecycle, in one module.
 
-A thin shim over the stdlib ``ThreadingHTTPServer`` (one daemonic thread
-per request).  Routing, JSON framing and response rendering live in
-:mod:`repro.service.http_common`; this module owns the transport.
+The stdlib ``ThreadingHTTPServer`` runs one daemonic thread per request.
+This module defines everything a client sees of the JSON API, once:
+
+* the route tables (exact paths and ``/jobs/<id>``-style prefixes;
+  ``scripts/check_docs_links.py`` checks them against ``docs/API.md``);
+* routing on the path alone (the query string is not part of the
+  route), with a JSON 405 for unsupported methods;
+* JSON body framing: its limit and the ``bad Content-Length``,
+  ``payload_too_large``, ``incomplete_body`` and ``bad_json`` errors;
+* ``(status, payload)`` normalization of service-method returns, with
+  :class:`~repro.service.validation.ApiError` and unexpected exceptions
+  mapped to structured error bodies;
+* metrics observation and response rendering.
 
 Two entry points:
 
@@ -11,32 +22,24 @@ Two entry points:
   :class:`RunningService` handle (tests, examples, benchmarks);
 * :func:`serve_forever` -- blocking foreground server (the
   ``python -m repro serve`` command).
+
+A shard worker process (:mod:`repro.service.workers`) serves through the
+same handler, on a listening socket it inherits from the router.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import signal
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Mapping
 
 from . import trace
-from .http_common import (
-    MAX_BODY_BYTES,  # noqa: F401  (re-exported; the historical home)
-    UNTRACED_ENDPOINTS,
-    body_length,
-    decode_json,
-    dispatch,
-    incomplete_body,
-    known_endpoints,
-    resolve,
-    respond,
-    split_path,
-    split_query,
-    unread_body,
-)
 from .shards import QueryService, ShardedQueryService
 from .validation import ApiError
 
@@ -47,6 +50,186 @@ __all__ = [
     "serve_forever",
     "RunningService",
 ]
+
+#: Largest accepted request body; OCR batches are text, so 32 MiB is
+#: generous while still bounding a misbehaving client.
+MAX_BODY_BYTES = 32 * 1024 * 1024
+
+GET_ROUTES = {
+    "/health": "health",
+    "/stats": "stats",
+    "/jobs": "jobs_list",
+    "/metrics": "metrics_text",
+    "/traces": "traces_list",
+}
+POST_ROUTES = {
+    "/ingest": "ingest",
+    "/search": "search",
+    "/sql": "sql",
+    "/index": "index_job",
+    "/replicas": "replicas",
+    "/jobs": "jobs_submit",
+}
+DELETE_ROUTES: dict[str, str] = {}
+#: Prefix routes: the path segment after the prefix is passed to the
+#: service method as its argument (e.g. ``GET /jobs/<id>``).  The
+#: segment must not itself contain ``/`` -- ``/jobs/a/b`` is a 404,
+#: not a lookup of the id ``"a/b"``.
+GET_ARG_ROUTES = {"/jobs/": "jobs_get", "/traces/": "traces_get"}
+DELETE_ARG_ROUTES = {"/jobs/": "jobs_cancel"}
+
+#: Endpoints that receive the parsed query string (``?endpoint=search``)
+#: instead of a body or path argument.
+QUERY_ROUTES = {"traces_list"}
+
+#: Endpoints that observe the service rather than serve data: they are
+#: not traced themselves (a scrape loop or trace poll would otherwise
+#: fill the trace ring with its own requests).
+UNTRACED_ENDPOINTS = {"metrics_text", "traces_list", "traces_get"}
+
+#: Per method: (exact table, prefix table, whether a JSON body is read).
+_METHOD_TABLES: dict[str, tuple[dict, dict, bool]] = {
+    "GET": (GET_ROUTES, GET_ARG_ROUTES, False),
+    "POST": (POST_ROUTES, {}, True),
+    "DELETE": (DELETE_ROUTES, DELETE_ARG_ROUTES, False),
+}
+
+#: Any other method is a JSON 405 whose ``Allow`` header lists these.
+ALLOW_HEADER = ", ".join(sorted(_METHOD_TABLES))
+
+
+@dataclass(frozen=True, slots=True)
+class Routed:
+    """One resolved route: the service method to call and how."""
+
+    endpoint: str
+    arg: str | None
+    with_body: bool
+
+
+def known_endpoints() -> list[str]:
+    """Every public route, as quoted in 404 bodies and the startup banner."""
+    return [
+        f"{method} {path}"
+        for method, (exact, by_prefix, _) in sorted(_METHOD_TABLES.items())
+        for path in sorted(exact) + [f"{p}<id>" for p in sorted(by_prefix)]
+    ]
+
+
+def resolve(
+    method: str,
+    path: str,
+    extra_routes: Mapping[tuple[str, str], str] | None = None,
+) -> Routed:
+    """Resolve ``(method, path)`` to a service method, or raise.
+
+    Raises :class:`ApiError` 405 for methods outside the API (PUT, PATCH,
+    HEAD, ...; without it ``http.server`` would answer an HTML 501) and
+    404 for unrouted paths -- including a prefix route whose trailing
+    segment contains ``/`` (``GET /jobs/abc/def`` must not leak
+    ``"abc/def"`` into a job lookup and answer a confusing
+    ``job_not_found``).
+
+    ``extra_routes`` maps ``(method, exact_path) -> endpoint`` for
+    routes a *specific service instance* serves beyond the public
+    contract -- the shard worker processes of
+    :mod:`repro.service.workers` expose their internal ``/worker/*``
+    RPC surface this way (the handler reads it off
+    ``service.EXTRA_ROUTES``).  Keeping these out of the module-level
+    tables keeps the public wire contract -- and the docs that are
+    checked against it -- unchanged.
+    """
+    tables = _METHOD_TABLES.get(method)
+    if tables is None:
+        raise ApiError(
+            405,
+            f"method {method} is not supported; allowed methods: "
+            f"{ALLOW_HEADER}",
+            "method_not_allowed",
+        )
+    exact, by_prefix, with_body = tables
+    endpoint = exact.get(path)
+    if endpoint is not None:
+        return Routed(endpoint, None, with_body)
+    for prefix, endpoint in by_prefix.items():
+        if path.startswith(prefix) and len(path) > len(prefix):
+            arg = path[len(prefix):]
+            if "/" not in arg:
+                return Routed(endpoint, arg, with_body)
+    if extra_routes:
+        endpoint = extra_routes.get((method, path))
+        if endpoint is not None:
+            return Routed(endpoint, None, with_body)
+    raise ApiError(
+        404, f"no route for {path!r}; endpoints: {known_endpoints()}",
+        "not_found",
+    )
+
+
+def dispatch(
+    service,
+    routed: Routed,
+    payload: object = None,
+    query: Mapping[str, str] | None = None,
+) -> tuple[int, dict]:
+    """Call the routed service method; normalize to ``(status, payload)``.
+
+    A method may return a bare payload (200) or ``(status, payload)``
+    -- e.g. job submission answers 202 Accepted with the queued job
+    row.  ApiError becomes its structured body; anything else is a
+    defensive 500 so one bad request can never take the worker down.
+
+    A body containing ``"trace": true`` gets the request's own span
+    tree (as recorded so far -- serialization still lies ahead) echoed
+    under ``"trace"`` in a successful response; a request that arrived
+    with an ``X-Parent-Span-Id`` header (a cross-process hop from the
+    worker router) gets the same echo unconditionally, so the caller
+    can graft this process's subtree into its own trace.
+    """
+    try:
+        method = getattr(service, routed.endpoint, None)
+        if method is None:
+            # A public route this service does not implement (a shard
+            # worker process serves only its private RPC surface).
+            raise ApiError(
+                404, f"{routed.endpoint!r} is not served here", "not_found"
+            )
+        if routed.endpoint in QUERY_ROUTES:
+            result = method(query or {})
+        elif routed.with_body:
+            result = method(payload)
+        elif routed.arg is not None:
+            result = method(routed.arg)
+        else:
+            result = method()
+        if (
+            isinstance(result, tuple)
+            and len(result) == 2
+            and isinstance(result[0], int)
+        ):
+            status, result = result
+        else:
+            status = 200
+        if isinstance(result, dict):
+            want_trace = (
+                isinstance(payload, Mapping) and payload.get("trace") is True
+            )
+            root = trace.current_root()
+            stitching = root is not None and root.attrs.get("parent_span")
+            if root is not None and (want_trace or stitching):
+                # Copy before annotating: the handler may have returned
+                # a dict the result cache also holds.
+                result = dict(result)
+                result["trace"] = {
+                    "trace_id": root.trace_id,
+                    "spans": root.to_dict(),
+                }
+        return status, result
+    except ApiError as exc:
+        return exc.status, exc.to_payload()
+    except Exception as exc:  # pragma: no cover - defensive boundary
+        error = ApiError(500, f"{type(exc).__name__}: {exc}", "internal_error")
+        return 500, error.to_payload()
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -86,24 +269,25 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _handle(self, method: str) -> None:
         started = time.perf_counter()
+        target = urllib.parse.urlsplit(self.path)
         declared = self.headers.get("Content-Length")
+        # A declared body no handler reads -- an unrouted request, a
+        # HEAD, a GET/DELETE with a body -- stays on the socket, and
+        # reusing the connection would parse it as the next request.
+        unread_body = bool(declared) and declared != "0"
+        service = self.server.service
         try:
             routed = resolve(
-                method,
-                split_path(self.path),
-                getattr(self.server.service, "EXTRA_ROUTES", None),
+                method, target.path, getattr(service, "EXTRA_ROUTES", None)
             )
         except ApiError as exc:
-            if unread_body(declared):
-                # The body was never read; reusing the connection would
-                # parse those bytes as the next request.
+            if unread_body:
                 self.close_connection = True
             self._finish(
                 "unknown", exc.status, exc.to_payload(), started,
                 suppress_body=method == "HEAD",
             )
             return
-        service = self.server.service
         tracer = getattr(service, "tracer", None)
         root = None
         if tracer is not None and routed.endpoint not in UNTRACED_ENDPOINTS:
@@ -121,46 +305,46 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     with trace.span("read_body"):
                         payload = self._read_json(declared)
                 except ApiError as exc:
-                    if exc.close_connection:  # framing error: body unread
-                        self.close_connection = True
                     self._finish(
                         routed.endpoint, exc.status, exc.to_payload(), started
                     )
                     return
-            elif unread_body(declared):
-                self.close_connection = True  # GET/DELETE body left unread
+            elif unread_body:
+                self.close_connection = True
+            query = {
+                key: values[-1]  # last value wins
+                for key, values in urllib.parse.parse_qs(
+                    target.query, keep_blank_values=True
+                ).items()
+            }
             with trace.span("handler"):
-                status, result = dispatch(
-                    service, routed, payload, split_query(self.path)
-                )
+                status, result = dispatch(service, routed, payload, query)
             self._finish(routed.endpoint, status, result, started)
         finally:
             if root is not None:
                 tracer.release(root)
 
-    def _finish(
-        self,
-        endpoint: str,
-        status: int,
-        payload: dict,
-        started: float,
-        suppress_body: bool = False,
-    ) -> None:
-        response = respond(
-            self.server.service, endpoint, status, payload, started
-        )
-        try:
-            self.send_response(status)
-            for name, value in response.headers:
-                self.send_header(name, value)
-            self.end_headers()
-            if not suppress_body:  # HEAD states the length, sends no body
-                self.wfile.write(response.body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to salvage
-
     def _read_json(self, declared: str | None) -> object:
-        length = body_length(declared)
+        """The request's JSON body, framed by its ``Content-Length``.
+
+        Until the declared body is read in full, an error leaves request
+        bytes on the socket, so it also drops keep-alive -- notably the
+        413: answering ``payload_too_large`` without reading 33 MiB is
+        the point, but the connection cannot be reused after.
+        """
+        keep_alive = not self.close_connection
+        self.close_connection = True
+        try:
+            length = int(declared or 0)
+        except ValueError:
+            raise ApiError(400, "bad Content-Length header") from None
+        if length <= 0:
+            raise ApiError(400, "request needs a JSON body")
+        if length > MAX_BODY_BYTES:
+            raise ApiError(
+                413, f"body exceeds {MAX_BODY_BYTES} bytes",
+                "payload_too_large",
+            )
         # One read() is not enough: a client that stalls or disconnects
         # mid-body yields a short read, which json.loads would misreport
         # as bad_json.  Loop until the declared length arrives (bounded
@@ -174,13 +358,63 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             except TimeoutError:
                 chunk = b""
             if not chunk:
-                # incomplete_body carries close_connection: bytes the
-                # client sends after the stall would otherwise be
-                # parsed as the next request.
-                raise incomplete_body(received, length)
+                raise ApiError(
+                    400,
+                    f"request body ended after {received} of {length} "
+                    "declared bytes",
+                    "incomplete_body",
+                )
             chunks.append(chunk)
             received += len(chunk)
-        return decode_json(b"".join(chunks))
+        self.close_connection = not keep_alive
+        try:
+            return json.loads(b"".join(chunks))
+        except json.JSONDecodeError as exc:
+            raise ApiError(
+                400, f"invalid JSON body: {exc}", "bad_json"
+            ) from None
+
+    def _finish(
+        self,
+        endpoint: str,
+        status: int,
+        payload: object,
+        started: float,
+        suppress_body: bool = False,
+    ) -> None:
+        """Time the request into the metrics registry, render and write
+        the response, and -- when the request is being traced -- close
+        out its span tree (serialization span, trace record,
+        slow-query/access log lines, ``X-Trace-Id`` response header)."""
+        service = self.server.service
+        elapsed = time.perf_counter() - started
+        service.metrics.observe(
+            "requests", (endpoint,), elapsed, status >= 400
+        )
+        with trace.span("serialize"):
+            if isinstance(payload, trace.TextPayload):
+                body = payload.text.encode("utf-8")
+                content_type = payload.content_type
+            else:
+                body = json.dumps(payload).encode("utf-8")
+                content_type = "application/json"
+        tracer = getattr(service, "tracer", None)
+        root = trace.current_root() if tracer is not None else None
+        if root is not None:
+            tracer.finish_request(root, status=status)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            if status == 405:
+                self.send_header("Allow", ALLOW_HEADER)
+            if root is not None and root.trace_id:
+                self.send_header(trace.TRACE_HEADER, root.trace_id)
+            self.end_headers()
+            if not suppress_body:  # HEAD states the length, sends no body
+                self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away; nothing to salvage
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:

@@ -40,6 +40,7 @@ import threading
 import time
 import uuid
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from .validation import ApiError
@@ -48,7 +49,9 @@ __all__ = [
     "TRACE_HEADER",
     "PARENT_SPAN_HEADER",
     "DEFAULT_TRACE_RING",
+    "PROMETHEUS_CONTENT_TYPE",
     "Span",
+    "TextPayload",
     "Tracer",
     "ObservabilityApi",
     "current_span",
@@ -70,6 +73,23 @@ PARENT_SPAN_HEADER = "X-Parent-Span-Id"
 
 #: Finished traces retained by default.
 DEFAULT_TRACE_RING = 256
+
+#: The Prometheus text exposition format ``GET /metrics`` serves.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+@dataclass(frozen=True, slots=True)
+class TextPayload:
+    """A non-JSON response body (the Prometheus exposition).
+
+    Service methods normally return JSON-able dicts; returning one of
+    these instead makes the HTTP handler write ``text`` verbatim under
+    ``content_type``.
+    """
+
+    text: str
+    content_type: str
+
 
 _CURRENT: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
     "staccato_current_span", default=None
@@ -500,8 +520,6 @@ class ObservabilityApi:
 
     def metrics_text(self):
         """Prometheus text exposition of the metrics registry."""
-        from .http_common import PROMETHEUS_CONTENT_TYPE, TextPayload
-
         image_bytes = [
             ([("shard", shard), ("approach", approach)], block["bytes"])
             for shard, memo in sorted(self.kernel_memos().items())

@@ -71,12 +71,6 @@ MAX_INGEST_LINES = 4096
 class ApiError(Exception):
     """A client-visible error with an HTTP status and stable code."""
 
-    #: Set by the HTTP framing layer on errors that leave request bytes
-    #: unread on the socket (bad/oversized Content-Length, truncated
-    #: body): the transport must drop keep-alive after responding, or
-    #: the leftover bytes would be parsed as the next request.
-    close_connection = False
-
     def __init__(
         self,
         status: int,

@@ -12,14 +12,15 @@ and gives the *same* router a leg that reaches it over local HTTP:
   one-to-one as the private ``/worker/<method>`` RPC surface (an
   ``EXTRA_ROUTES`` table; the public route tables are untouched), plus
   the process's own tracer and metrics.
-* ``python -m repro.service.workers`` -- the worker entry point: bind
-  an ephemeral port, publish it through an atomic **port file**
-  handshake, serve until SIGTERM, then drain gracefully (stop
-  accepting, finish every in-flight request, close the database).
+* ``python -m repro.service.workers`` -- the worker entry point: serve
+  on the **listening socket it inherits** from the router (``--listen-fd``)
+  until SIGTERM, then drain gracefully (stop accepting, finish every
+  in-flight request, close the database).
 * :class:`WorkerHandle` / :class:`WorkerPool` -- one worker's
-  lifecycle: spawn, readiness, a keep-alive connection pool,
+  lifecycle: the listening socket, bound once per shard and kept
+  across restarts, spawn, readiness, a keep-alive connection pool,
   deadline-aware requests, and a supervisor thread that restarts a
-  crashed worker.
+  crashed worker on the same port.
 * :class:`WorkerLeg` -- the leg: each seam call is one RPC with a
   **deadline** (a worker that does not answer in time raises
   :class:`~repro.service.legs.LegDeadline`, which the router answers as
@@ -34,12 +35,13 @@ and gives the *same* router a leg that reaches it over local HTTP:
   endpoint of its own.
 
 Failure contract: reads retry freely across worker restarts within
-their deadline (they are idempotent); a write is retried only when the
-connection was provably never established (refused) -- StaccatoDB
-ingests are atomic per batch, so a mid-request crash means the batch
-either fully committed or fully rolled back.  A batch committed but
-never acknowledged moved the file's version, so no cached result
-masks it.
+their deadline (they are idempotent); a write is never re-sent.  A
+write sent while a worker restarts waits in the accept queue of the
+socket the router holds, and the next worker serves it, once.  A crash
+mid-request is a 503: StaccatoDB ingests are atomic per batch, so the
+batch either fully committed or fully rolled back, and a batch
+committed but never acknowledged moved the file's version, so no
+cached result masks it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from ..ocr.corpus import Document
 from ..query.answers import Answer
 from . import trace
 from .app import answer_row
-from .jobs import atomic_write_json
 from .legs import LegDeadline, LocalLeg
 from .metrics import ServiceMetrics
 from .replicas import (
@@ -108,12 +109,11 @@ DEFAULT_DEADLINE_S = 30.0
 #: the interactive reads.
 DEFAULT_WRITE_DEADLINE_S = 600.0
 
-#: How long the router waits for a spawned worker to publish its port
-#: file and answer ``/health``.
+#: How long the router waits for a spawned worker to answer ``/health``.
 WORKER_READY_TIMEOUT_S = 60.0
 
 #: Everything worker-private under the shard directory lives here: the
-#: port files and crash logs.
+#: crash logs.
 WORKER_SIDECAR_DIR = "workers"
 
 #: Idle keep-alive connections retained per worker.
@@ -129,13 +129,6 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 _SRC_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
 )
-
-
-def worker_port_file(shard_dir: str, index: int) -> str:
-    """Where worker ``index`` publishes its bound port and pid."""
-    return os.path.join(
-        shard_dir, WORKER_SIDECAR_DIR, f"worker-{index:04d}.json"
-    )
 
 
 def worker_log_file(shard_dir: str, index: int) -> str:
@@ -325,15 +318,26 @@ def run_worker(args: argparse.Namespace) -> int:
         # computing, not reading, and never hit this.
         timeout = 5.0
 
+    listener = socket.socket(fileno=args.listen_fd)
+
     class WorkerHTTPServer(ServiceHTTPServer):
         # Graceful drain: non-daemonic handler threads are tracked and
         # joined by server_close(), so in-flight requests always finish
         # before the process exits.
         daemon_threads = False
 
-        def __init__(self, address, service) -> None:
-            super().__init__(address, service)
+        def __init__(self, service) -> None:
+            super().__init__(listener.getsockname(), service)
             self.RequestHandlerClass = WorkerRequestHandler
+
+        def server_bind(self) -> None:
+            # The router bound the socket and listens on it across
+            # restarts; a worker only accepts.
+            self.socket.close()
+            self.socket = listener
+
+        def server_activate(self) -> None:
+            pass
 
     service = ShardWorkerService(
         args.shard_dir,
@@ -345,7 +349,7 @@ def run_worker(args: argparse.Namespace) -> int:
         pool_size=args.pool_size,
         cooldown_s=args.replica_cooldown,
     )
-    server = WorkerHTTPServer((args.host, args.port), service)
+    server = WorkerHTTPServer(service)
     stop = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *_: stop.set())
@@ -358,8 +362,8 @@ def run_worker(args: argparse.Namespace) -> int:
 
     # A SIGKILLed router never runs WorkerPool.close(), so without a
     # watchdog its workers would outlive it forever (re-parented to
-    # init, still bound to their ports).  Poll the parent pid: when it
-    # changes, the router is gone and this worker drains itself.
+    # init, still accepting on their sockets).  Poll the parent pid:
+    # when it changes, the router is gone and this worker drains itself.
     parent = os.getppid()
 
     def _watch_parent() -> None:
@@ -371,24 +375,12 @@ def run_worker(args: argparse.Namespace) -> int:
         threading.Thread(
             target=_watch_parent, name="parent-watchdog", daemon=True
         ).start()
-    # The port file is the readiness handshake: written atomically only
-    # once the socket is bound and the serve loop is running.
-    atomic_write_json(
-        args.port_file,
-        {
-            "port": server.server_address[1],
-            "pid": os.getpid(),
-            "shard": args.shard_index,
-        },
-    )
     try:
         stop.wait()
     finally:
         server.shutdown()  # stop accepting new connections
         server.server_close()  # join every in-flight handler (drain)
         service.close()
-        with contextlib.suppress(OSError):
-            os.remove(args.port_file)
     return 0
 
 
@@ -399,9 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--shard-dir", required=True)
     parser.add_argument("--shard-index", type=int, required=True)
-    parser.add_argument("--port-file", required=True)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
+    parser.add_argument("--listen-fd", type=int, required=True)
     parser.add_argument("--replicas", type=int, default=1)
     parser.add_argument("--k", type=int, default=25)
     parser.add_argument("--m", type=int, default=40)
@@ -458,42 +448,43 @@ class _ConnectionPool:
                 return
         conn.close()
 
-    def close_all(self) -> None:
+    def drop_idle(self) -> None:
+        """Close the idle connections (their worker process is gone)."""
         with self._lock:
-            self._closed = True
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
+
+    def close_all(self) -> None:
+        with self._lock:
+            self._closed = True
+        self.drop_idle()
 
 
 class WorkerHandle:
     """One worker subprocess, as the router sees it.
 
-    Owns the spawn command, the port-file readiness handshake, the
-    connection pool, and the per-request deadline/retry policy.  A
-    handle survives its process: :meth:`respawn` starts a fresh
-    subprocess on a fresh port and requests that were waiting on
-    readiness pick the new one up.
+    Owns the listening socket, the spawn command, the readiness poll,
+    the connection pool, and the per-request deadline/retry policy.  A
+    handle survives its process: the socket is bound once, here, and
+    every spawn inherits it, so :meth:`respawn` serves the same port and
+    a connection the kernel queued meanwhile is served by the new
+    process.
     """
 
     def __init__(
-        self,
-        shard_dir: str,
-        index: int,
-        spawn_flags: Sequence[str],
-        ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
+        self, shard_dir: str, index: int, spawn_flags: Sequence[str]
     ) -> None:
         self.shard_dir = shard_dir
         self.index = index
         self.spawn_flags = list(spawn_flags)
-        self.ready_timeout_s = ready_timeout_s
-        self.port_file = worker_port_file(shard_dir, index)
         self.log_file = worker_log_file(shard_dir, index)
         self.proc: subprocess.Popen | None = None
-        self.port: int | None = None
+        self._listener = socket.create_server(("127.0.0.1", 0), backlog=128)
+        self.port: int = self._listener.getsockname()[1]
         self.restarts = 0
         self.draining = False
-        self._conns: _ConnectionPool | None = None
+        self._conns = _ConnectionPool("127.0.0.1", self.port)
         self._ready = threading.Event()
         self._log_handle = None
 
@@ -519,9 +510,7 @@ class WorkerHandle:
 
     # ------------------------------------------------------------------
     def spawn(self) -> None:
-        os.makedirs(os.path.dirname(self.port_file), exist_ok=True)
-        with contextlib.suppress(OSError):
-            os.remove(self.port_file)
+        os.makedirs(os.path.dirname(self.log_file), exist_ok=True)
         self._log_handle = open(self.log_file, "ab")
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
@@ -537,10 +526,11 @@ class WorkerHandle:
                 self.shard_dir,
                 "--shard-index",
                 str(self.index),
-                "--port-file",
-                self.port_file,
+                "--listen-fd",
+                str(self._listener.fileno()),
                 *self.spawn_flags,
             ],
+            pass_fds=(self._listener.fileno(),),
             stdout=self._log_handle,
             stderr=subprocess.STDOUT,
             env=env,
@@ -548,8 +538,7 @@ class WorkerHandle:
         self._await_ready()
 
     def _await_ready(self) -> None:
-        deadline = time.monotonic() + self.ready_timeout_s
-        port: int | None = None
+        deadline = time.monotonic() + WORKER_READY_TIMEOUT_S
         while time.monotonic() < deadline:
             if self.proc is None or self.proc.poll() is not None:
                 raise RuntimeError(
@@ -557,26 +546,6 @@ class WorkerHandle:
                     f"(rc={self.proc.returncode if self.proc else '?'}); "
                     f"see {self.log_file}"
                 )
-            try:
-                with open(self.port_file, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-                if data.get("pid") == self.proc.pid:
-                    port = int(data["port"])
-                    break
-            except (OSError, json.JSONDecodeError, ValueError, TypeError,
-                    KeyError):
-                pass
-            time.sleep(0.02)
-        if port is None:
-            self._kill_quietly()
-            raise RuntimeError(
-                f"worker {self.index} did not publish its port within "
-                f"{self.ready_timeout_s:.0f}s; see {self.log_file}"
-            )
-        self.port = port
-        self._conns = _ConnectionPool("127.0.0.1", port)
-        # Confirm the serve loop answers before declaring readiness.
-        while time.monotonic() < deadline:
             try:
                 status, _ = self._one_request("GET", "/health", None, 2.0)
                 if status == 200:
@@ -587,15 +556,14 @@ class WorkerHandle:
             time.sleep(0.05)
         self._kill_quietly()
         raise RuntimeError(
-            f"worker {self.index} bound port {port} but never answered "
-            f"/health; see {self.log_file}"
+            f"worker {self.index} did not answer /health within "
+            f"{WORKER_READY_TIMEOUT_S:.0f}s; see {self.log_file}"
         )
 
     def respawn(self) -> None:
         """Replace a dead process with a fresh one (supervisor path)."""
         self._ready.clear()
-        if self._conns is not None:
-            self._conns.close_all()
+        self._conns.drop_idle()
         if self._log_handle is not None:
             with contextlib.suppress(OSError):
                 self._log_handle.close()
@@ -616,8 +584,7 @@ class WorkerHandle:
         # Close the pooled keep-alive connections *before* waiting: the
         # worker's drain joins their handler threads, which only leave
         # readline() on EOF (or their idle timeout).
-        if self._conns is not None:
-            self._conns.close_all()
+        self._conns.close_all()
         if self.proc is not None and self.proc.poll() is None:
             with contextlib.suppress(ProcessLookupError):
                 self.proc.terminate()
@@ -628,8 +595,7 @@ class WorkerHandle:
         if self._log_handle is not None:
             with contextlib.suppress(OSError):
                 self._log_handle.close()
-        with contextlib.suppress(OSError):
-            os.remove(self.port_file)
+        self._listener.close()
 
     # ------------------------------------------------------------------
     def _one_request(
@@ -645,8 +611,6 @@ class WorkerHandle:
         pool = self._conns
         owned = conn is None
         if conn is None:
-            if pool is None:
-                raise ConnectionRefusedError("worker has no port yet")
             conn = pool.acquire(fresh=True)
         if conn.sock is not None:
             conn.sock.settimeout(timeout_s)
@@ -665,7 +629,7 @@ class WorkerHandle:
             raise
         if owned or will_close:
             conn.close()
-        elif pool is not None:
+        else:
             pool.release(conn)
         try:
             payload = json.loads(data) if data else None
@@ -688,12 +652,12 @@ class WorkerHandle:
         Idempotent requests retry on any connection-level failure until
         the deadline (a restart mid-request is invisible to the
         client).  Non-idempotent requests run on a *fresh* connection
-        and retry only when the connection was refused -- the one case
-        where the request provably never reached the worker; any other
-        failure raises :class:`ReplicaUnavailable`, because an ingest
-        batch may have committed before the crash and a blind re-send
-        would duplicate its rows.  An expired deadline raises
-        :class:`LegDeadline`.
+        and are never re-sent: a connection failure raises
+        :class:`ReplicaUnavailable`, because an ingest batch may have
+        committed before the crash and a blind re-send would duplicate
+        its rows.  (A write sent while the worker is down is not a
+        failure: it waits in the accept queue of the socket this handle
+        holds.)  An expired deadline raises :class:`LegDeadline`.
         """
         while True:
             remaining = deadline - time.monotonic()
@@ -708,12 +672,7 @@ class WorkerHandle:
                         f"shard {self.index} worker is shutting down"
                     )
                 continue  # restarting; re-check the deadline and wait on
-            pool = self._conns
-            if pool is None:
-                continue
-            conn = None
-            if idempotent:
-                conn = pool.acquire()
+            conn = self._conns.acquire() if idempotent else None
             try:
                 return self._one_request(
                     method, path, body, remaining, conn=conn, headers=headers
@@ -724,7 +683,7 @@ class WorkerHandle:
                     f"its deadline: {str(exc) or 'socket timeout'}"
                 ) from exc
             except (OSError, http.client.HTTPException) as exc:
-                if idempotent or isinstance(exc, ConnectionRefusedError):
+                if idempotent:
                     time.sleep(0.05)
                     continue
                 raise ReplicaUnavailable(
@@ -814,7 +773,7 @@ class WorkerLeg:
         """
         pool = self._pool
         deadline = time.monotonic() + (
-            pool.deadline_s if idempotent else pool.write_deadline_s
+            pool.deadline_s if idempotent else DEFAULT_WRITE_DEADLINE_S
         )
         span = trace.current_span()
         raw = None if body is None else json.dumps(body).encode("utf-8")
@@ -981,18 +940,13 @@ class WorkerPool:
         spawn_flags: Sequence[str],
         metrics: ServiceMetrics,
         num_replicas: int = 1,
-        ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
         deadline_s: float = DEFAULT_DEADLINE_S,
-        write_deadline_s: float = DEFAULT_WRITE_DEADLINE_S,
     ) -> None:
         self.metrics = metrics
         self.num_replicas = num_replicas
         self.deadline_s = float(deadline_s)
-        self.write_deadline_s = float(write_deadline_s)
         self.handles = [
-            WorkerHandle(
-                shard_dir, index, spawn_flags, ready_timeout_s=ready_timeout_s
-            )
+            WorkerHandle(shard_dir, index, spawn_flags)
             for index in range(num_shards)
         ]
         self.legs = [WorkerLeg(handle, self) for handle in self.handles]
@@ -1083,15 +1037,9 @@ class WorkerRouterService(ShardedQueryService):
         num_shards: int,
         *,
         deadline_s: float = DEFAULT_DEADLINE_S,
-        write_deadline_s: float = DEFAULT_WRITE_DEADLINE_S,
-        worker_ready_timeout_s: float = WORKER_READY_TIMEOUT_S,
         **router_options,
     ) -> None:
-        self._pool_options = dict(
-            deadline_s=deadline_s,
-            write_deadline_s=write_deadline_s,
-            ready_timeout_s=worker_ready_timeout_s,
-        )
+        self._deadline_s = deadline_s
         super().__init__(shard_dir, num_shards, **router_options)
 
     def _open_legs(
@@ -1117,7 +1065,7 @@ class WorkerRouterService(ShardedQueryService):
             spawn_flags,
             self.metrics,
             num_replicas=num_replicas,
-            **self._pool_options,
+            deadline_s=self._deadline_s,
         )
         return self._workers.legs
 

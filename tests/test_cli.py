@@ -115,3 +115,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "m=" in out and "k=" in out
         assert code in (0, 1)
+
+
+#: Out-of-range numbers, each refused by the parser.
+_BAD_NUMBERS = [
+    ["ingest", "--k", "0"],
+    ["ingest", "--m", "0"],
+    ["ingest", "--workers", "0"],
+    ["serve", "--k", "0"],
+    ["serve", "--m", "0"],
+    ["serve", "--pool-size", "0"],
+    ["serve", "--workers", "0"],
+    ["serve", "--replicas", "0"],
+    ["serve", "--trace-ring", "0"],
+    ["serve", "--port", "70000"],
+    ["serve", "--port", "-1"],
+]
+
+
+class TestNumberBounds:
+    @pytest.mark.parametrize("argv", _BAD_NUMBERS, ids=" ".join)
+    def test_out_of_range_is_a_usage_error_that_touches_no_file(
+        self, tmp_path, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--db", str(tmp_path / "bad.db")])
+        assert exited.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bounds_are_inclusive(self):
+        args = build_parser().parse_args(
+            ["serve", "--db", "x.db", "--port", "65535", "--pool-size", "1"]
+        )
+        assert (args.port, args.pool_size) == (65535, 1)
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0

@@ -1,7 +1,9 @@
 """The docs drift check (``scripts/check_docs_links.py``) as a test.
 
-The docs must pass it, and its command check must catch a ``--flag``
-that the named ``python -m repro`` subcommand does not have.
+The docs must pass it, its command check must catch a ``--flag``
+that the named ``python -m repro`` subcommand does not have, and it
+must fail when it finds no route table to check the API reference
+against.
 """
 
 from __future__ import annotations
@@ -49,3 +51,14 @@ def test_a_dead_serve_flag_is_caught(tmp_path, monkeypatch):
         "README.md: dead command python -m repro frobnicate "
         "(no such subcommand)",
     ]
+
+
+def test_no_route_table_fails_the_check(tmp_path, monkeypatch, capsys):
+    check = _load_check()
+    moved = tmp_path / "server.py"
+    moved.write_text('"""The route tables moved elsewhere."""\n')
+    monkeypatch.setattr(check, "ROUTES_MODULE", moved)
+    assert check.check_served_documented() == [
+        f"no route table (GET_ROUTES = {{...}}) in {moved}"
+    ]
+    assert check.main() == 1

@@ -15,9 +15,10 @@ Three families, matching the failure contract of
 * **Fault injection** -- SIGKILL mid-load is invisible to clients (the
   supervisor respawns, idempotent reads retry inside their deadline),
   a kill mid-ingest never leaves a partial batch (StaccatoDB batches
-  are atomic per shard), SIGSTOP trips the router deadline as a 503
-  ``deadline_exceeded`` with a matching trace span, and SIGTERM drains
-  in-flight requests before the worker exits.
+  are atomic per shard), a write sent while a worker is down is served
+  once by its successor on the same port, SIGSTOP trips the router
+  deadline as a 503 ``deadline_exceeded`` with a matching trace span,
+  and SIGTERM drains in-flight requests before the worker exits.
 """
 
 from __future__ import annotations
@@ -334,6 +335,21 @@ def _await_stopped(pid: int, timeout_s: float = 5.0) -> None:
         time.sleep(0.01)
 
 
+def _accept_queue(port: int) -> int | None:
+    """Connections waiting to be accepted on the socket listening at
+    127.0.0.1:``port`` (``None`` without procfs or no such socket)."""
+    try:
+        with open("/proc/net/tcp", encoding="ascii") as table:
+            rows = table.read().splitlines()[1:]
+    except OSError:
+        return None
+    for row in rows:
+        fields = row.split()
+        if fields[1] == f"0100007F:{port:04X}" and fields[3] == "0A":
+            return int(fields[4].split(":")[1], 16)  # rx_queue of a LISTEN
+    return None
+
+
 def _await_healthy(running, timeout_s: float = 30.0) -> dict:
     deadline = time.monotonic() + timeout_s
     health: dict = {}
@@ -458,6 +474,67 @@ class TestFaultInjection:
                 found = {answer["doc_id"] for answer in after["answers"]}
                 assert found and found <= batch
             return lines == expected
+        finally:
+            running.stop()
+
+    def test_a_write_sent_while_the_worker_is_down_commits_once(
+        self, tmp_path
+    ):
+        """The router holds each worker's listening socket across
+        restarts.  An ``/ingest`` sent after a SIGKILL and before the
+        respawn waits in the accept queue, and the next worker serves it
+        exactly once, on the same port."""
+        shard_dir = tmp_path / "shards"
+        running = _start_workers(shard_dir, range_width=64)
+        try:
+            first = make_ca(num_docs=2, lines_per_doc=3, seed=1)
+            assert post_json(
+                running.base_url, "/ingest", _batch_payload(first)
+            )[0] == 200
+            health = _await_healthy(running)
+            port = health["workers"]["0"]["port"]
+            before = health["shard_lines"]["0"]
+            batch = _batch_payload(
+                make_ca(num_docs=3, lines_per_doc=4, seed=2)
+            )
+            for doc in batch["documents"]:
+                doc["doc_id"] += 20  # new documents, all owned by shard 0
+            expected = sum(len(doc["lines"]) for doc in batch["documents"])
+            # Hold the supervisor: the write must reach the socket while
+            # no worker runs, and the respawn comes after it.
+            workers = running.service._workers
+            workers._stop.set()
+            workers._supervisor.join(timeout=10)
+            assert not workers._supervisor.is_alive()
+            handle = workers.handle(0)
+            victim = handle.pid
+            os.kill(victim, signal.SIGKILL)
+            handle.proc.wait(timeout=10)
+            outcome: dict = {}
+
+            def ingest() -> None:
+                outcome["reply"] = post_json(
+                    running.base_url, "/ingest", batch
+                )
+
+            thread = threading.Thread(target=ingest)
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while not _accept_queue(port) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert thread.is_alive()  # no worker, so no answer yet
+            handle.respawn()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+            status, reply = outcome["reply"]
+            assert status == 200, reply
+            assert reply["ingested_lines"] == expected
+            health = _await_healthy(running)
+            assert health["shard_lines"]["0"] == before + expected
+            stored = _stored_lines(shard_path(str(shard_dir), 0))
+            assert stored == before + expected
+            assert health["workers"]["0"]["pid"] != victim
+            assert health["workers"]["0"]["port"] == port
         finally:
             running.stop()
 

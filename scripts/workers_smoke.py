@@ -16,8 +16,10 @@ Boots the real CLI (``python -m repro serve --shards 2 --shard-dir ...
    census) and verifies the supervisor respawns it -- ``/health``
    returns to ``ok`` with a fresh pid and ``/metrics`` counts a
    ``worker_restart`` event;
-4. SIGTERMs the router and verifies a clean exit that leaves no
-   orphaned worker processes behind.
+4. SIGTERMs the router twice, 50 ms apart, and verifies a clean exit
+   (status 0, no ``Traceback`` or ``RuntimeWarning`` in the router's
+   output or the worker logs) that leaves no orphaned worker processes
+   behind.
 
 Exits non-zero on the first violation.
 
@@ -26,6 +28,7 @@ Run:  PYTHONPATH=src python scripts/workers_smoke.py
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -100,16 +103,20 @@ def main() -> int:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     with tempfile.TemporaryDirectory() as tmp:
-        router = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--shards", "2", "--shard-dir", f"{tmp}/shards",
-                "--worker-procs",
-                "--host", "127.0.0.1", "--port", str(port),
-                "--k", "4", "--m", "6",
-            ],
-            env=env,
-        )
+        router_log = os.path.join(tmp, "router.log")
+        with open(router_log, "wb") as out:
+            router = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--shards", "2", "--shard-dir", f"{tmp}/shards",
+                    "--worker-procs",
+                    "--host", "127.0.0.1", "--port", str(port),
+                    "--k", "4", "--m", "6",
+                ],
+                env=env,
+                stdout=out,
+                stderr=subprocess.STDOUT,
+            )
         base_url = f"http://127.0.0.1:{port}"
         worker_pids: list[int] = []
         try:
@@ -239,6 +246,9 @@ def main() -> int:
             ]
         finally:
             if router.poll() is None:
+                # A second SIGTERM lands while the first one's stop runs.
+                router.terminate()
+                time.sleep(0.05)
                 router.terminate()
                 try:
                     router.wait(timeout=30)
@@ -246,9 +256,16 @@ def main() -> int:
                     router.kill()
                     fail("router did not exit within 30s of SIGTERM")
 
-        # 4. Clean shutdown: exit 0, no orphaned workers.
+        # 4. Clean shutdown: exit 0, nothing raised or warned, no
+        # orphaned workers.
         if router.returncode != 0:
             fail(f"router exited {router.returncode}")
+        for log in [router_log, *glob.glob(f"{tmp}/shards/workers/*.log")]:
+            with open(log, encoding="utf-8", errors="replace") as handle:
+                text = handle.read()
+            for sign in ("Traceback", "RuntimeWarning"):
+                if sign in text:
+                    fail(f"{sign} in {os.path.basename(log)}:\n{text}")
         for pid in worker_pids:
             try:
                 os.kill(pid, 0)

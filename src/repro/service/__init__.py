@@ -90,8 +90,11 @@ shard's generation is its files' ``PRAGMA data_version``; and a
 ``/stats``.  One module, :mod:`repro.service.server`, holds the HTTP
 transport: route tables, body framing and response rendering.  Under
 ``serve --worker-procs`` each shard runs in a worker subprocess
-(:mod:`repro.service.workers`) that serves the same handler on a
-listening socket the router binds once and every respawn inherits.
+(:mod:`repro.service.workers`, started as ``python -m repro.service``)
+on a listening socket the router binds once and every respawn inherits.
+Every serving process has one lifecycle, the one in
+:mod:`repro.service.server`: SIGTERM or SIGINT stops accepting, lets the
+requests in flight finish and closes the service.
 """
 
 from .cache import QueryCache
@@ -107,7 +110,6 @@ from .replicas import (
 )
 from .server import (
     RunningService,
-    build_server,
     serve_forever,
     start_service,
     start_sharded_service,
@@ -144,7 +146,6 @@ __all__ = [
     "PoolClosed",
     "ApiError",
     "RunningService",
-    "build_server",
     "serve_forever",
     "start_service",
     "start_sharded_service",

@@ -15,23 +15,30 @@ This module defines everything a client sees of the JSON API, once:
   mapped to structured error bodies;
 * metrics observation and response rendering.
 
-Two entry points:
+Every serving process -- the router of ``python -m repro serve``, a
+service started in process, a shard worker -- runs one lifecycle, here:
+:class:`ServiceHTTPServer` on a listening socket its caller bound (a
+worker inherits its socket from the router), :func:`start` in a
+background thread, :func:`run_until_stopped` in the foreground, and
+:meth:`RunningService.stop` as the one stop rule.  The entry points:
 
 * :func:`start_service` / :func:`start_sharded_service` -- start in a
   background thread on an ephemeral port, returning a
   :class:`RunningService` handle (tests, examples, benchmarks);
 * :func:`serve_forever` -- blocking foreground server (the
-  ``python -m repro serve`` command).
-
-A shard worker process (:mod:`repro.service.workers`) serves through the
-same handler, on a listening socket it inherits from the router.
+  ``python -m repro serve`` command);
+* ``python -m repro.service '<json>'`` -- one shard worker of
+  :mod:`repro.service.workers`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
+import os
 import signal
+import socket
 import threading
 import time
 import urllib.parse
@@ -42,9 +49,9 @@ from typing import Mapping
 from . import trace
 from .shards import QueryService, ShardedQueryService
 from .validation import ApiError
+from .workers import WorkerRouterService
 
 __all__ = [
-    "build_server",
     "start_service",
     "start_sharded_service",
     "serve_forever",
@@ -54,6 +61,14 @@ __all__ = [
 #: Largest accepted request body; OCR batches are text, so 32 MiB is
 #: generous while still bounding a misbehaving client.
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: How long a stopping server lets the requests in flight finish before
+#: it closes the service under them.  Under the 15 s a router gives a
+#: worker to exit, so a worker always stops itself.
+DRAIN_TIMEOUT_S = 10.0
+
+#: How often the foreground loop looks at its stop event.
+_STOP_POLL_S = 0.1
 
 GET_ROUTES = {
     "/health": "health",
@@ -268,6 +283,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _handle(self, method: str) -> None:
+        # Counted in flight, so a stopping server lets it finish.
+        with self.server.serving():
+            self._respond(method)
+
+    def _respond(self, method: str) -> None:
         started = time.perf_counter()
         target = urllib.parse.urlsplit(self.path)
         declared = self.headers.get("Content-Length")
@@ -422,32 +442,59 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the service for its handlers."""
+    """ThreadingHTTPServer carrying the service for its handlers, on a
+    listening socket bound by its caller: the router binds ``(host,
+    port)``, a shard worker wraps the socket it inherits from the router.
+
+    It counts the requests its handlers are serving, so a stop can wait
+    for them (:meth:`drain`).  An idle keep-alive connection is not a
+    request: its daemonic handler thread never holds the exit.
+    """
 
     daemon_threads = True
-    #: The socketserver default backlog of 5 drops SYNs under a burst of
-    #: fresh connections (the client then waits out a ~1s retransmit).
-    request_queue_size = 128
 
     def __init__(
         self,
-        address: tuple[str, int],
+        listener: socket.socket,
         service: ShardedQueryService,
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, ServiceRequestHandler)
+        super().__init__(
+            listener.getsockname(),
+            ServiceRequestHandler,
+            bind_and_activate=False,
+        )
+        self.socket.close()
+        self.socket = listener
         self.service = service
         self.verbose = verbose
+        self._busy = 0
+        self._idle = threading.Condition()
+
+    @contextlib.contextmanager
+    def serving(self):
+        """Count one request in flight for as long as the block runs."""
+        with self._idle:
+            self._busy += 1
+        try:
+            yield
+        finally:
+            with self._idle:
+                self._busy -= 1
+                if not self._busy:
+                    self._idle.notify_all()
+
+    def drain(self, timeout_s: float) -> None:
+        """Wait until no request is in flight, for at most ``timeout_s``."""
+        with self._idle:
+            self._idle.wait_for(lambda: not self._busy, timeout_s)
 
 
-def build_server(
-    service: ShardedQueryService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    verbose: bool = False,
-) -> ServiceHTTPServer:
-    """Bind (but do not run) the server; port 0 picks one free."""
-    return ServiceHTTPServer((host, port), service, verbose=verbose)
+def listen(host: str, port: int) -> socket.socket:
+    """The router's listening socket; port 0 picks one free.  The
+    socketserver default backlog of 5 drops SYNs under a burst of fresh
+    connections (the client then waits out a ~1s retransmit)."""
+    return socket.create_server((host, port), backlog=128)
 
 
 @dataclass
@@ -468,10 +515,13 @@ class RunningService:
         return f"http://{host}:{self.port}"
 
     def stop(self) -> None:
-        """Stop serving, join the thread and close every connection."""
+        """The one stop rule of every serving process: stop accepting,
+        let the requests in flight finish (for at most
+        :data:`DRAIN_TIMEOUT_S`), then close the service."""
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=10)
+        self.server.drain(DRAIN_TIMEOUT_S)
         self.service.close()
 
     def __enter__(self) -> "RunningService":
@@ -481,15 +531,51 @@ class RunningService:
         self.stop()
 
 
-def _start_in_thread(
-    service: ShardedQueryService, host: str, port: int
+def start(
+    listener: socket.socket, make_service, verbose: bool = False
 ) -> RunningService:
-    server = build_server(service, host=host, port=port)
+    """Build the service (``make_service()``) and serve it on
+    ``listener`` in a daemon thread; a failed build closes the socket."""
+    try:
+        service = make_service()
+    except BaseException:
+        listener.close()
+        raise
+    server = ServiceHTTPServer(listener, service, verbose=verbose)
     thread = threading.Thread(
         target=server.serve_forever, name="staccato-service", daemon=True
     )
     thread.start()
     return RunningService(service=service, server=server, thread=thread)
+
+
+def run_until_stopped(
+    running: RunningService, watch_parent: bool = False
+) -> None:
+    """Serve until SIGTERM or SIGINT -- or, with ``watch_parent``, until
+    this process's parent is gone -- then :meth:`RunningService.stop`.
+
+    Call it from the main thread.  A signal only sets the stop event, so
+    a second one during the stop changes nothing; one the launcher set
+    to be ignored (SIGINT of a background job) stays ignored.  The loop
+    polls the event rather than blocking in ``Event.wait``: the handlers
+    run on this thread, and one landing while ``wait`` held the event's
+    lock would deadlock on it.  A worker watches its parent because a
+    SIGKILLed router never stops its workers, which would otherwise
+    outlive it, re-parented and still accepting.
+    """
+    stop = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        if signal.getsignal(signum) is not signal.SIG_IGN:
+            signal.signal(signum, lambda *_: stop.set())
+    parent = os.getppid()
+    try:
+        while not stop.is_set():
+            if watch_parent and os.getppid() != parent:
+                break
+            time.sleep(_STOP_POLL_S)
+    finally:
+        running.stop()
 
 
 def start_service(
@@ -499,17 +585,15 @@ def start_service(
     **service_kwargs,
 ) -> RunningService:
     """Start a service over one database file in a daemon thread."""
-    return _start_in_thread(QueryService(db_path, **service_kwargs), host, port)
+    return start(
+        listen(host, port),
+        functools.partial(QueryService, db_path, **service_kwargs),
+    )
 
 
 def _shard_router(worker_procs: bool) -> type[ShardedQueryService]:
     """The router class for a topology: the legs are all that differ."""
-    if not worker_procs:
-        return ShardedQueryService
-    # Imported lazily: workers.py imports this module for its own server.
-    from .workers import WorkerRouterService
-
-    return WorkerRouterService
+    return WorkerRouterService if worker_procs else ShardedQueryService
 
 
 def start_sharded_service(
@@ -526,9 +610,12 @@ def start_sharded_service(
     :mod:`repro.service.workers`) behind the same router and the same
     wire contract.
     """
-    router = _shard_router(worker_procs)
-    return _start_in_thread(
-        router(shard_dir, num_shards, **service_kwargs), host, port
+    return start(
+        listen(host, port),
+        functools.partial(
+            _shard_router(worker_procs), shard_dir, num_shards,
+            **service_kwargs,
+        ),
     )
 
 
@@ -543,7 +630,8 @@ def serve_forever(
     worker_procs: bool = False,
     **service_kwargs,
 ) -> None:
-    """Run the service in the foreground until interrupted (CLI path).
+    """Run the service in the foreground until SIGTERM or SIGINT (the
+    ``python -m repro serve`` command, which checks the arguments).
 
     Pass ``db_path`` to serve one database file, or ``shards`` and
     ``shard_dir`` for a shard layout; either way the service is the
@@ -552,42 +640,20 @@ def serve_forever(
     worker subprocess (see :mod:`repro.service.workers`) behind the same
     router.
     """
-    if worker_procs and shards <= 0:
-        raise ValueError("--worker-procs needs a sharded service (--shards)")
     if shards > 0:
-        if shard_dir is None:
-            raise ValueError("sharded serving needs --shard-dir")
-        service = _shard_router(worker_procs)(
-            shard_dir, shards, replicas=replicas, **service_kwargs
+        make_service = functools.partial(
+            _shard_router(worker_procs), shard_dir, shards,
+            replicas=replicas, **service_kwargs,
         )
         target = f"shards={shards} dir={shard_dir} replicas={replicas}"
         if worker_procs:
             target += " worker-procs"
     else:
-        if db_path is None:
-            raise ValueError("serving needs --db (or --shards/--shard-dir)")
-        service = QueryService(db_path, replicas=replicas, **service_kwargs)
+        make_service = functools.partial(
+            QueryService, db_path, replicas=replicas, **service_kwargs
+        )
         target = f"db={db_path} replicas={replicas}"
-    server = build_server(service, host=host, port=port, verbose=verbose)
-    bound_host, bound_port = server.server_address[:2]
-    print(
-        f"staccato service listening on http://{bound_host}:{bound_port} "
-        f"({target})"
-    )
+    running = start(listen(host, port), make_service, verbose=verbose)
+    print(f"staccato service listening on {running.base_url} ({target})")
     print("endpoints: " + ", ".join(known_endpoints()))
-    # SIGTERM must take the same graceful path as Ctrl-C: the finally
-    # block below is what terminates (and drains) the worker
-    # subprocesses of a --worker-procs topology -- without this, a
-    # plain `kill` of the router orphans every worker.
-    def _graceful_term(signum, frame):
-        raise KeyboardInterrupt
-
-    with contextlib.suppress(ValueError):  # signal needs the main thread
-        signal.signal(signal.SIGTERM, _graceful_term)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.close()
+    run_until_stopped(running)

@@ -12,10 +12,10 @@ and gives the *same* router a leg that reaches it over local HTTP:
   one-to-one as the private ``/worker/<method>`` RPC surface (an
   ``EXTRA_ROUTES`` table; the public route tables are untouched), plus
   the process's own tracer and metrics.
-* ``python -m repro.service.workers`` -- the worker entry point: serve
-  on the **listening socket it inherits** from the router (``--listen-fd``)
-  until SIGTERM, then drain gracefully (stop accepting, finish every
-  in-flight request, close the database).
+* ``python -m repro.service '<json>'`` -- the worker entry point: the
+  router's own settings as one JSON object; the worker serves on the
+  **listening socket it inherits** from the router and stops as every
+  serving process does (:mod:`repro.service.server`).
 * :class:`WorkerHandle` / :class:`WorkerPool` -- one worker's
   lifecycle: the listening socket, bound once per shard and kept
   across restarts, spawn, readiness, a keep-alive connection pool,
@@ -46,13 +46,11 @@ cached result masks it.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import http.client
 import json
 import os
-import signal
 import socket
 import subprocess
 import sys
@@ -70,7 +68,6 @@ from .app import answer_row
 from .legs import LegDeadline, LocalLeg
 from .metrics import ServiceMetrics
 from .replicas import (
-    DEFAULT_COOLDOWN_S,
     FileWatch,
     ReplicaUnavailable,
     replica_path,
@@ -96,7 +93,6 @@ __all__ = [
     "WorkerPool",
     "WorkerLeg",
     "WorkerRouterService",
-    "main",
 ]
 
 #: Deadline for read legs (search/sql/probes/health).  A worker that
@@ -303,111 +299,6 @@ class ShardWorkerService(ObservabilityApi):
 
 
 # ======================================================================
-# The worker-process entry point
-# ======================================================================
-def run_worker(args: argparse.Namespace) -> int:
-    """Serve one shard until SIGTERM/SIGINT, then drain gracefully."""
-    # Imported here, not at module top: the *router* side of this module
-    # is imported by repro.service.server, which would otherwise cycle.
-    from .server import ServiceHTTPServer, ServiceRequestHandler
-
-    class WorkerRequestHandler(ServiceRequestHandler):
-        # An idle keep-alive connection parks its (non-daemonic) handler
-        # thread in readline(), and the drain below joins every handler
-        # thread -- so bound the idle read.  In-flight handlers are
-        # computing, not reading, and never hit this.
-        timeout = 5.0
-
-    listener = socket.socket(fileno=args.listen_fd)
-
-    class WorkerHTTPServer(ServiceHTTPServer):
-        # Graceful drain: non-daemonic handler threads are tracked and
-        # joined by server_close(), so in-flight requests always finish
-        # before the process exits.
-        daemon_threads = False
-
-        def __init__(self, service) -> None:
-            super().__init__(listener.getsockname(), service)
-            self.RequestHandlerClass = WorkerRequestHandler
-
-        def server_bind(self) -> None:
-            # The router bound the socket and listens on it across
-            # restarts; a worker only accepts.
-            self.socket.close()
-            self.socket = listener
-
-        def server_activate(self) -> None:
-            pass
-
-    service = ShardWorkerService(
-        args.shard_dir,
-        args.shard_index,
-        trace_enabled=not args.no_trace,
-        num_replicas=args.replicas,
-        k=args.k,
-        m=args.m,
-        pool_size=args.pool_size,
-        cooldown_s=args.replica_cooldown,
-    )
-    server = WorkerHTTPServer(service)
-    stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stop.set())
-    thread = threading.Thread(
-        target=server.serve_forever,
-        name=f"shard-worker-{args.shard_index}",
-        daemon=True,
-    )
-    thread.start()
-
-    # A SIGKILLed router never runs WorkerPool.close(), so without a
-    # watchdog its workers would outlive it forever (re-parented to
-    # init, still accepting on their sockets).  Poll the parent pid:
-    # when it changes, the router is gone and this worker drains itself.
-    parent = os.getppid()
-
-    def _watch_parent() -> None:
-        while not stop.wait(1.0):
-            if os.getppid() != parent:
-                stop.set()
-
-    if parent > 1:
-        threading.Thread(
-            target=_watch_parent, name="parent-watchdog", daemon=True
-        ).start()
-    try:
-        stop.wait()
-    finally:
-        server.shutdown()  # stop accepting new connections
-        server.server_close()  # join every in-flight handler (drain)
-        service.close()
-    return 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.workers",
-        description="Serve one shard of a layout as a worker process.",
-    )
-    parser.add_argument("--shard-dir", required=True)
-    parser.add_argument("--shard-index", type=int, required=True)
-    parser.add_argument("--listen-fd", type=int, required=True)
-    parser.add_argument("--replicas", type=int, default=1)
-    parser.add_argument("--k", type=int, default=25)
-    parser.add_argument("--m", type=int, default=40)
-    parser.add_argument("--pool-size", type=int, default=2)
-    parser.add_argument(
-        "--replica-cooldown", type=float, default=DEFAULT_COOLDOWN_S
-    )
-    parser.add_argument("--no-trace", action="store_true")
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    return run_worker(_build_parser().parse_args(argv))
-
-
-# ======================================================================
 # Router side: one worker's lifecycle + connections
 # ======================================================================
 class _NoDelayConnection(http.client.HTTPConnection):
@@ -473,11 +364,12 @@ class WorkerHandle:
     """
 
     def __init__(
-        self, shard_dir: str, index: int, spawn_flags: Sequence[str]
+        self, shard_dir: str, index: int, settings: Mapping[str, object]
     ) -> None:
         self.shard_dir = shard_dir
         self.index = index
-        self.spawn_flags = list(spawn_flags)
+        #: :class:`ShardWorkerService` arguments every spawn is given.
+        self.settings = dict(settings)
         self.log_file = worker_log_file(shard_dir, index)
         self.proc: subprocess.Popen | None = None
         self._listener = socket.create_server(("127.0.0.1", 0), backlog=128)
@@ -517,23 +409,23 @@ class WorkerHandle:
         env["PYTHONPATH"] = (
             _SRC_ROOT + os.pathsep + existing if existing else _SRC_ROOT
         )
+        settings = {
+            **self.settings,
+            "shard_dir": self.shard_dir,
+            "shard_index": self.index,
+            "listen_fd": self._listener.fileno(),
+        }
+        # A session of its own: a terminal's Ctrl-C reaches the router
+        # alone, which drains its requests while the workers still serve
+        # them, then stops them -- a worker stopping itself meanwhile
+        # would be respawned by the supervisor.
         self.proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.service.workers",
-                "--shard-dir",
-                self.shard_dir,
-                "--shard-index",
-                str(self.index),
-                "--listen-fd",
-                str(self._listener.fileno()),
-                *self.spawn_flags,
-            ],
+            [sys.executable, "-m", "repro.service", json.dumps(settings)],
             pass_fds=(self._listener.fileno(),),
             stdout=self._log_handle,
             stderr=subprocess.STDOUT,
             env=env,
+            start_new_session=True,
         )
         self._await_ready()
 
@@ -581,9 +473,6 @@ class WorkerHandle:
         """SIGTERM the worker and wait for its graceful drain."""
         self.draining = True
         self._ready.clear()
-        # Close the pooled keep-alive connections *before* waiting: the
-        # worker's drain joins their handler threads, which only leave
-        # readline() on EOF (or their idle timeout).
         self._conns.close_all()
         if self.proc is not None and self.proc.poll() is None:
             with contextlib.suppress(ProcessLookupError):
@@ -937,16 +826,15 @@ class WorkerPool:
         self,
         shard_dir: str,
         num_shards: int,
-        spawn_flags: Sequence[str],
+        settings: Mapping[str, object],
         metrics: ServiceMetrics,
-        num_replicas: int = 1,
         deadline_s: float = DEFAULT_DEADLINE_S,
     ) -> None:
         self.metrics = metrics
-        self.num_replicas = num_replicas
+        self.num_replicas = settings.get("num_replicas", 1)
         self.deadline_s = float(deadline_s)
         self.handles = [
-            WorkerHandle(shard_dir, index, spawn_flags)
+            WorkerHandle(shard_dir, index, settings)
             for index in range(num_shards)
         ]
         self.legs = [WorkerLeg(handle, self) for handle in self.handles]
@@ -1042,29 +930,17 @@ class WorkerRouterService(ShardedQueryService):
         self._deadline_s = deadline_s
         super().__init__(shard_dir, num_shards, **router_options)
 
-    def _open_legs(
-        self, k, m, pool_size, num_replicas, cooldown_s
-    ) -> list[WorkerLeg]:
+    def _open_legs(self, **storage) -> list[WorkerLeg]:
         if self.paths != shard_paths(self.shard_dir, self.num_shards):
             raise ValueError(
                 "worker processes serve the canonical shard layout; "
                 "'paths' is not supported with worker processes"
             )
-        spawn_flags = [
-            "--replicas", str(num_replicas),
-            "--k", str(k),
-            "--m", str(m),
-            "--pool-size", str(pool_size),
-            "--replica-cooldown", str(cooldown_s),
-        ]
-        if not self.tracer.enabled:
-            spawn_flags.append("--no-trace")
         self._workers = WorkerPool(
             self.shard_dir,
             self.num_shards,
-            spawn_flags,
+            {"trace_enabled": self.tracer.enabled, **storage},
             self.metrics,
-            num_replicas=num_replicas,
             deadline_s=self._deadline_s,
         )
         return self._workers.legs
@@ -1107,7 +983,3 @@ class WorkerRouterService(ShardedQueryService):
                 f"{probed} were probed and do not hold it either"
             ),
         )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

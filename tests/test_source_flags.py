@@ -3,9 +3,9 @@
 A deleted option outlives itself in prose: a docstring that still says
 ``--some-flag`` sends the next reader after a switch no parser accepts.
 This test collects every ``--flag`` written in a docstring or comment of
-``src/repro/**/*.py`` and requires it to be an option of one of the
-argparse parsers under ``src/repro`` (the CLI and the shard worker's) or
-of the repository's pytest options (the root ``conftest.py``).
+``src/repro/**/*.py`` and requires it to be an option of the CLI's
+argparse parser (the one parser under ``src/repro``) or of the
+repository's pytest options (the root ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import re
 import tokenize
 
 from repro.cli import build_parser
-from repro.service.workers import _build_parser as build_worker_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "repro"
@@ -84,11 +83,7 @@ def _pytest_options() -> set[str]:
 
 
 def known_options() -> set[str]:
-    return (
-        _parser_options(build_parser())
-        | _parser_options(build_worker_parser())
-        | _pytest_options()
-    )
+    return _parser_options(build_parser()) | _pytest_options()
 
 
 def test_flags_named_in_source_prose_exist():

@@ -598,8 +598,8 @@ class TestFaultInjection:
 
     def test_sigterm_drains_inflight_requests_before_exit(self, tmp_path):
         """Graceful drain: a SIGTERMed worker finishes every in-flight
-        request (non-daemonic handler threads are joined on close)
-        before its process exits, so the client still gets its 200."""
+        request (its stop waits for them) before its process exits, so
+        the client still gets its 200."""
         running = _start_workers(tmp_path / "shards", range_width=64)
         try:
             corpus = make_ca(num_docs=10, lines_per_doc=4, seed=5)

@@ -11,8 +11,9 @@ region with one edge carrying the region's top-k strings.
 
 The functions taking an ``Sfa`` are entry points onto routines that take
 the SFA *and a topological order of it*: the Staccato loop
-(:mod:`repro.core.approximate`) computes one order per greedy iteration
-and probes, ranks and weighs every candidate region in it.
+(:mod:`repro.core.approximate`) holds one order and one
+:class:`Reachability` table, carries both across each collapse that keeps
+the order, and probes, ranks and weighs every candidate region in them.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ class Reachability:
     intersection of their ``up`` sets, the earliest common descendant the
     lowest bit of the intersection of their ``down`` sets -- "latest" and
     "earliest" in exactly this order, which is why region growth must be
-    handed the order its caller ranks by.  Valid until the SFA changes.
+    handed the order its caller ranks by.  Valid until the SFA changes,
+    except across a collapse that :meth:`follow` patches it for.
     """
 
-    __slots__ = ("sfa", "order", "pos", "up", "down", "near")
+    __slots__ = ("sfa", "order", "pos", "up", "down", "near", "alive")
 
     def __init__(self, sfa: Sfa, order: list[int]) -> None:
         self.sfa = sfa
@@ -76,6 +78,7 @@ class Reachability:
         self.up = up = [0] * count
         self.down = down = [0] * count
         self.near = near = [0] * count
+        self.alive = (1 << count) - 1
         for i, node in enumerate(order):
             reach = 1 << i
             for pred in sfa.pred(node):
@@ -128,8 +131,47 @@ class Reachability:
     def span(self, region: Region) -> list[int]:
         """The stretch of the order from the region's entry to its exit:
         a topological order covering the region (and, where parallel
-        branches interleave, some nodes outside it)."""
+        branches interleave or a collapse has since removed them, some
+        nodes outside it)."""
         return self.order[self.pos[region.entry] : self.pos[region.exit] + 1]
+
+    def follow(self, region: Region) -> bool:
+        """Patch the table for ``collapse_in_place(self.sfa, region, ...)``,
+        already applied; False if it no longer stands for the collapsed
+        SFA's topological order, which must then be built afresh.
+
+        Reachability among the nodes that remain does not change (a path
+        through the interior now takes the entry -> exit edge), so the
+        interior's bits are cleared and the entry and exit made
+        neighbours; every bit keeps its position.  That stands for the
+        new order if it is the old one less the interior.  Kahn's
+        algorithm (FIFO, successors taken by id) emits the nodes sorted by
+        (position of their last predecessor, id): the order it emits is
+        the one order so sorted.  The collapse changes that key for the
+        exit alone, so the order is kept iff the exit still sorts between
+        the nodes that remain either side of it.
+        """
+        pos, order = self.pos, self.order
+        keep = self.alive
+        for node in region.internal:
+            keep &= ~(1 << pos[node])
+        self.alive = keep
+        self.up = [bits & keep for bits in self.up]
+        self.down = [bits & keep for bits in self.down]
+        near = self.near
+        entry, exit_ = pos[region.entry], pos[region.exit]
+        near[entry] = near[entry] & keep | 1 << exit_
+        near[exit_] = near[exit_] & keep | 1 << entry
+
+        def key(i: int) -> tuple[int, int]:
+            """Kahn's sort key of the node at bit ``i``."""
+            return (near[i] & ((1 << i) - 1)).bit_length() - 1, order[i]
+
+        # The entry always remains before the exit; something may after.
+        before = (keep & ((1 << exit_) - 1)).bit_length() - 1
+        later = keep >> exit_ >> 1
+        after = exit_ + (later & -later).bit_length()
+        return key(before) < key(exit_) and (not later or key(exit_) < key(after))
 
 
 def find_min_sfa(

@@ -70,6 +70,11 @@ DRAIN_TIMEOUT_S = 10.0
 #: How often the foreground loop looks at its stop event.
 _STOP_POLL_S = 0.1
 
+#: How often a server thread's accept loop looks for a stop request:
+#: :meth:`RunningService.stop` waits up to this long before it drains.
+#: (``socketserver``'s default of 0.5 s made every stop wait about that.)
+_SERVE_POLL_S = 0.02
+
 GET_ROUTES = {
     "/health": "health",
     "/stats": "stats",
@@ -543,7 +548,10 @@ def start(
         raise
     server = ServiceHTTPServer(listener, service, verbose=verbose)
     thread = threading.Thread(
-        target=server.serve_forever, name="staccato-service", daemon=True
+        target=server.serve_forever,
+        args=(_SERVE_POLL_S,),
+        name="staccato-service",
+        daemon=True,
     )
     thread.start()
     return RunningService(service=service, server=server, thread=thread)

@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 
 from repro.core import approximate
 from repro.core.approximate import (
-    _candidate_regions,
+    _triples,
     prune_edges_to_k,
     staccato_approximate,
 )
 from repro.core.chunks import (
     Reachability,
     collapse,
+    collapse_in_place,
     find_min_sfa,
     region_mass,
     region_top_k,
@@ -89,6 +90,108 @@ class TestStaccatoApproximate:
     def test_rejects_bad_k(self, figure1):
         with pytest.raises(ValueError, match="k must be"):
             staccato_approximate(figure1, 2, 0)
+
+
+def moving_order() -> Sfa:
+    """Kahn's order is 0, 1, 5, 2, 3; collapsing {0, 1, 2} (one string, so
+    a loss of 0 and the first key: it wins for every k) gives 0, 2, 5, 3,
+    not 0, 5, 2, 3 -- the old order less the interior."""
+    sfa = Sfa(start=0, final=3)
+    sfa.add_edge(0, 1, [("a", 0.5)])
+    sfa.add_edge(1, 2, [("b", 0.5)])
+    sfa.add_edge(2, 3, [("c", 0.25), ("d", 0.5)])
+    sfa.add_edge(0, 5, [("e", 0.25), ("f", 0.25)])
+    sfa.add_edge(5, 3, [("g", 0.5), ("h", 0.25), ("i", 0.125)])
+    return sfa
+
+
+@st.composite
+def branchy_dags(draw) -> Sfa:
+    """Random DAGs with node ids out of topological order and nodes of one
+    predecessor beside the chain: collapses that move Kahn's order."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    count = draw(st.integers(min_value=3, max_value=12))
+    ids = rng.sample(range(40), count)
+    edges = {(rng.randrange(r), r) for r in range(1, count)}
+    edges |= {(r, rng.randrange(r + 1, count)) for r in range(count - 1)}
+    edges |= {
+        (r, t)
+        for r in range(count)
+        for t in range(r + 1, count)
+        if rng.random() < 0.1
+    }
+    sfa = Sfa(start=ids[0], final=ids[-1])
+    for r, t in sorted(edges):
+        emissions = [
+            (rng.choice("abc") + rng.choice(("", "x", "yz")), rng.uniform(0.05, 0.3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        sfa.add_edge(ids[r], ids[t], emissions)
+    return sfa
+
+
+def count_follows(monkeypatch) -> dict[bool, int]:
+    """Spy on the guard: how many collapses kept the order, how many moved it."""
+    outcomes = {True: 0, False: 0}
+    real = Reachability.follow
+
+    def spy(self, region):
+        kept = real(self, region)
+        outcomes[kept] += 1
+        return kept
+
+    monkeypatch.setattr(Reachability, "follow", spy)
+    return outcomes
+
+
+class TestIncrementalPasses:
+    """The loop patches its order, reachability and candidates
+    across a collapse that keeps Kahn's order and rebuilds them when the
+    order moves; both paths give the old loop's bytes."""
+
+    def test_the_guard_agrees_with_a_full_kahn_pass(self):
+        sfa = moving_order()
+        assert topological_order(sfa) == [0, 1, 5, 2, 3]
+        reach = Reachability(sfa, topological_order(sfa))
+        region = reach.grow((0, 1, 2))
+        collapse_in_place(sfa, region, [("ab", 0.25)])
+        assert topological_order(sfa) == [0, 2, 5, 3]
+        assert not reach.follow(region)
+
+    def test_a_moving_order_takes_the_rebuild(self, monkeypatch):
+        outcomes = count_follows(monkeypatch)
+        sfa = moving_order()
+        for k in KS:
+            for m in range(1, sfa.num_edges + 1):
+                assert_same_construction(sfa, m, k)
+        assert outcomes[False] >= len(KS)
+
+    @given(branchy_dags(), st.data(), st.sampled_from(KS))
+    @settings(max_examples=150, deadline=None)
+    def test_branchy_dags(self, sfa, data, k):
+        # Small m: many collapses, so passes after a rebuild are held too.
+        m = data.draw(st.integers(min_value=1, max_value=max(1, sfa.num_edges // 2)))
+        assert_same_construction(sfa, m, k)
+
+    def test_simulated_ocr_lines_take_the_patched_path(self, monkeypatch):
+        """Guard the guard: a guard that always fell back would stay exact
+        and lose the gain, so this is what catches it."""
+        outcomes = count_follows(monkeypatch)
+        ordered = []
+        monkeypatch.setattr(
+            approximate,
+            "topological_order",
+            lambda work, real=approximate.topological_order: ordered.append(1)
+            or real(work),
+        )
+        ocr = SimulatedOcrEngine(seed=19)
+        lines = list(golden_corpus().lines())
+        for _, doc_id, line_no, text in lines:
+            sfa = ocr.recognize_line(text, line_seed=(doc_id, line_no))
+            staccato_approximate(sfa, 40, 25)
+        assert outcomes[True] > 10 * len(lines)
+        assert outcomes[False] == 0
+        assert len(ordered) == len(lines)
 
 
 class TestChunkOperations:
@@ -256,7 +359,10 @@ class TestProbabilitiesOnlyScoring:
         assert paths.prefix_free(work)
         order = topological_order(work)
         reach = Reachability(work, order)
-        for region in _candidate_regions(work, reach, {}).values():
+        for region in {
+            tuple(sorted(region.nodes)): region
+            for region in map(reach.grow, _triples(work, work.nodes))
+        }.values():
             span = reach.span(region)
             kept = paths.k_best_mass(
                 work, region.entry, region.exit, k, region.nodes, span

@@ -8,15 +8,18 @@ Boots the real CLI (``python -m repro serve --shards 2 --shard-dir ...
    is stitched across the process boundary (the router's ``shard_leg``
    spans carry the workers' echoed subtrees as remote children, down to
    ``engine_scan`` work counters);
-2. ingests one document into ``shard-0000.db`` from a second process,
+2. asks one pattern at ``num_ans`` 100, then at 10 and 2, and verifies
+   the narrower replies come from the result cache as the first rows of
+   the first reply (a top-n answer is a prefix of a top-N answer);
+3. ingests one document into ``shard-0000.db`` from a second process,
    bypassing the router, and verifies the next identical ``/search`` is
    not served from the result cache and returns that document (the
    cache is valid by the file's ``PRAGMA data_version``);
-3. SIGKILLs one worker (pid taken from the ``GET /health`` worker
+4. SIGKILLs one worker (pid taken from the ``GET /health`` worker
    census) and verifies the supervisor respawns it -- ``/health``
    returns to ``ok`` with a fresh pid and ``/metrics`` counts a
    ``worker_restart`` event;
-4. SIGTERMs the router twice, 50 ms apart, and verifies a clean exit
+5. SIGTERMs the router twice, 50 ms apart, and verifies a clean exit
    (status 0, no ``Traceback`` or ``RuntimeWarning`` in the router's
    output or the worker logs) that leaves no orphaned worker processes
    behind.
@@ -186,7 +189,28 @@ def main() -> int:
             ):
                 fail("stitched worker subtree lacks engine_scan counters")
 
-            # 2. A second process writes a served file directly; the
+            # 2. A narrower num_ans is a slice of the cached wider reply.
+            status, wide = post_json(
+                base_url, "/search", {"pattern": "%e%", "num_ans": 100}
+            )
+            if status != 200 or wide.get("cached") or wide.get("count", 0) < 3:
+                fail(f"/search at num_ans 100: {status} {wide}")
+            for num_ans in (10, 2):
+                status, reply = post_json(
+                    base_url, "/search", {"pattern": "%e%", "num_ans": num_ans}
+                )
+                if (
+                    status != 200
+                    or reply.get("cached") is not True
+                    or reply.get("answers") != wide["answers"][:num_ans]
+                    or reply.get("count") != len(reply["answers"])
+                ):
+                    fail(
+                        f"/search at num_ans {num_ans} is not the cached "
+                        f"first rows of the reply at 100: {status} {reply}"
+                    )
+
+            # 3. A second process writes a served file directly; the
             # next identical search must not come from the cache.
             query = {"pattern": "%annual%", "num_ans": 50}
             post_json(base_url, "/search", query)
@@ -210,7 +234,7 @@ def main() -> int:
                     f"was not seen by the next /search: {status} {reply}"
                 )
 
-            # 3. Kill one worker; the supervisor must bring it back.
+            # 4. Kill one worker; the supervisor must bring it back.
             victim = workers["0"]["pid"]
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 30.0
@@ -256,7 +280,7 @@ def main() -> int:
                     router.kill()
                     fail("router did not exit within 30s of SIGTERM")
 
-        # 4. Clean shutdown: exit 0, nothing raised or warned, no
+        # 5. Clean shutdown: exit 0, nothing raised or warned, no
         # orphaned workers.
         if router.returncode != 0:
             fail(f"router exited {router.returncode}")
@@ -273,8 +297,8 @@ def main() -> int:
                 continue
             fail(f"worker pid {pid} survived router shutdown (orphan)")
     print(
-        "workers smoke: traced fan-out + another writer seen + SIGKILL "
-        "recovery + clean drain OK"
+        "workers smoke: traced fan-out + cached narrower num_ans + another "
+        "writer seen + SIGKILL recovery + clean drain OK"
     )
     return 0
 

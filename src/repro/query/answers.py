@@ -5,6 +5,8 @@ A single-table select-project query over OCR data produces a
 matches (paper Sections 1-2).  The evaluation ranks rows by probability
 and returns the top ``NumAns`` (the paper sets NumAns = 100, larger than
 every ground-truth answer set; Appendix H.3 studies its sensitivity).
+The order is total and never depends on NumAns, so a top-n answer is
+the first n rows of a top-N answer for every n <= N.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["Answer", "rank_answers"]
+__all__ = ["Answer", "rank_answers", "top_lines"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,12 +38,35 @@ def rank_answers(
 ) -> list[Answer]:
     """Rank by descending probability, drop non-matches, cut at NumAns.
 
-    Ties are broken by line id for determinism.  ``num_ans=None`` returns
-    every matching row (used when a downstream probabilistic RDBMS ingests
-    the full relation).
+    Ties are broken by (DocId, LineNo, line id) -- the key
+    :func:`~repro.service.shards.merge_ranked` merges shards by -- so a
+    shard's top-n holds every row of its own that the merged top-n
+    keeps, whatever order its line ids were assigned in.  ``num_ans=None``
+    returns every matching row (used when a downstream probabilistic
+    RDBMS ingests the full relation).
     """
     kept = [a for a in answers if a.probability > min_probability]
-    kept.sort(key=lambda a: (-a.probability, a.line_id))
+    kept.sort(key=lambda a: (-a.probability, a.doc_id, a.line_no, a.line_id))
     if num_ans is None:
         return kept
     return kept[:num_ans]
+
+
+def top_lines(ranked: Iterable[Answer], num_ans: int | None) -> list[Answer]:
+    """The first ``num_ans`` distinct lines of a ranking.
+
+    A line ingested twice (its document re-ingested) holds two rows of
+    one (DocId, LineNo); only the first, in ranking order, is kept --
+    the row :func:`~repro.service.shards.merge_ranked` keeps -- so a
+    cut counts lines, and a top-n stays the first n rows of a top-N.
+    """
+    seen: set[tuple[int, int]] = set()
+    kept: list[Answer] = []
+    for answer in ranked:
+        if len(kept) == num_ans:
+            break
+        line = (answer.doc_id, answer.line_no)
+        if line not in seen:
+            seen.add(line)
+            kept.append(answer)
+    return kept

@@ -84,8 +84,9 @@ ConnectionPool` of ``check_same_thread=False`` SQLite connections (one
 lock per connection) and writes serialize through a single writer
 connection in WAL mode; identical queries are served from a
 thread-safe LRU :class:`~repro.service.cache.QueryCache` keyed on
-``(scope, generations, pattern, approach, plan, num_ans)`` -- a
-shard's generation is its files' ``PRAGMA data_version``; and a
+``(scope, generations, pattern, approach, plan)`` -- a shard's
+generation is its files' ``PRAGMA data_version``; an entry serves
+every ``num_ans`` up to the one it was computed at -- and a
 :class:`~repro.service.metrics.ServiceMetrics` registry feeds
 ``/stats``.  One module, :mod:`repro.service.server`, holds the HTTP
 transport: route tables, body framing and response rendering.  Under

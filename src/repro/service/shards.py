@@ -30,7 +30,9 @@ see :mod:`repro.service.legs` and :mod:`repro.service.workers`):
   scope plus those shards' file versions (:meth:`ShardLeg.version`,
   ``PRAGMA data_version``) read before the fan-out.  Any commit to a
   shard file, by anyone, moves its version; unreachable entries age
-  out of the LRU.
+  out of the LRU.  ``num_ans`` is not in the key: a reply computed at
+  N answers every smaller ``num_ans`` by slicing, and a hit compiles
+  nothing.
 * **``POST /index``** / **``POST /replicas``** -- build the dictionary
   index shard by shard; attach or detach one replica of one shard.
 * **Online rebalancing** -- the ``rebalance`` job
@@ -237,18 +239,23 @@ def merge_ranked(
     """Merge per-shard ranked relations into one global ranking.
 
     Sorts by descending probability with a (DocId, LineNo, shard)
-    tie-break -- the order a single database produces when documents
-    were ingested in DocId order, with the shard index as the final key
-    so the merged order is fully deterministic no matter which fan-out
-    leg finished first -- and cuts at ``num_ans``.  Each kept answer is
-    tagged with its source shard (line ids are shard-local).
+    tie-break -- the order :func:`~repro.query.answers.rank_answers`
+    gives one database, with the shard index as the final key so the
+    merged order is fully deterministic no matter which fan-out leg
+    finished first -- and cuts at ``num_ans``.  Each leg cuts its own
+    ranking by the same key at ``num_ans`` lines
+    (:func:`~repro.query.answers.top_lines`), so the merged top-n is
+    the first n rows of the merged top-N.  Each kept answer is tagged
+    with its source shard (line ids are shard-local).
 
     Duplicate (DocId, LineNo) rows are dropped, keeping the first in
-    sort order: a document lives wholly on one shard, so a duplicate
-    only appears while a moved line exists on both the source and the
-    target of a rebalance -- with the *same* probability (the OCR
-    channel is placement-independent), so de-duplication keeps the
-    merged relation exact through every phase of a move.
+    sort order.  A leg already keeps one row per line (a document
+    ingested twice holds two), and a document lives wholly on one
+    shard, so a duplicate here only appears while a moved line exists
+    on both the source and the target of a rebalance -- with the
+    *same* probability (the OCR channel is placement-independent), so
+    de-duplication keeps the merged relation exact through every phase
+    of a move.
     """
     rows = [
         (shard, answer) for shard, answers in per_shard for answer in answers
@@ -293,6 +300,24 @@ def merge_relations(
         for row in rows:
             first.setdefault(row["DocId"], row)
     return [first[doc_id] for doc_id in sorted(first)]  # type: ignore[type-var]
+
+
+def _covers(computed_at: int | None, num_ans: int | None) -> bool:
+    """Whether a reply cut at ``computed_at`` answers a request at
+    ``num_ans``: a ranking's order never depends on its cut
+    (:func:`merge_ranked`, :func:`~repro.db.sql.finish_select`), so a
+    reply cut at N holds the answer at every ``num_ans`` <= N, and one
+    not cut (``None``) the answer at every ``num_ans``.
+    """
+    if computed_at is None:
+        return True
+    return num_ans is not None and num_ans <= computed_at
+
+
+def _cut(reply: dict, num_ans: int | None, rows: str) -> dict[str, object]:
+    """A covering cached reply, as the request at ``num_ans`` reads it."""
+    kept = reply[rows] if num_ans is None else reply[rows][:num_ans]
+    return {**reply, rows: kept, "count": len(kept), "cached": True}
 
 
 class ShardedPool:
@@ -574,35 +599,54 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         wait(futures)
         return [(i, future.result()) for i, future in zip(scope, futures)]
 
-    def _cached(self, key: tuple, compute) -> dict[str, object]:
-        """Serve ``key`` from the cache, or compute it exactly once.
+    def _cached(
+        self, key: tuple, num_ans: int | None, rows: str, compute
+    ) -> dict[str, object]:
+        """Serve ``key`` at ``num_ans`` from the cache, or compute it
+        exactly once.
 
-        Identical concurrent misses singleflight: the first caller is
-        the leader and fans out; followers wait for it, then re-probe
-        the cache -- falling back to their own fan-out only when the
-        leader failed or the result could not be cached (cache disabled
-        or the entry aged out meanwhile).
+        ``key`` leaves ``num_ans`` out: an entry is ``(N, reply)``, the
+        reply computed at ``num_ans`` N, and it answers any request it
+        covers (:func:`_covers`) with its first ``num_ans`` ``rows``.  A
+        request it does not cover computes and replaces it; a reply
+        never replaces one that covers more.
+
+        Identical concurrent misses singleflight: the first caller at a
+        ``num_ans`` is the leader and fans out; followers at that
+        ``num_ans`` wait for it, then re-probe the cache -- falling back
+        to their own fan-out only when the leader failed or the result
+        could not be cached (cache disabled or the entry aged out
+        meanwhile).
         """
-        cached = self.cache.get(key)
-        if cached is not None:
-            return {**cached, "cached": True}
+
+        def usable(entry: tuple) -> bool:
+            return _covers(entry[0], num_ans)
+
+        entry = self.cache.get(key, usable)
+        if entry is not None:
+            return _cut(entry[1], num_ans, rows)
+        flight_key = (key, num_ans)
         with self._inflight_lock:
-            leader = self._inflight.get(key)
+            leader = self._inflight.get(flight_key)
             flight = None
             if leader is None:
-                flight = self._inflight[key] = threading.Event()
+                flight = self._inflight[flight_key] = threading.Event()
         if leader is not None:
             leader.wait(_SINGLEFLIGHT_WAIT_S)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return {**cached, "cached": True}
+            entry = self.cache.get(key, usable)
+            if entry is not None:
+                return _cut(entry[1], num_ans, rows)
         try:
             result = compute()
-            self.cache.put(key, result)
+            self.cache.put(
+                key,
+                (num_ans, result),
+                replaces=lambda entry: _covers(num_ans, entry[0]),
+            )
         finally:
             if flight is not None:
                 with self._inflight_lock:
-                    del self._inflight[key]
+                    del self._inflight[flight_key]
                 flight.set()
         return {**result, "cached": False}
 
@@ -740,9 +784,6 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         with trace.span("validate"):
             request = validate_search(payload)
             scope = self._scope(request.shards)
-            # A pattern that cannot compile would fail deterministically
-            # on every replica -- a 400, never breaker food.
-            check_pattern(request.pattern)
         key = (
             "search",
             scope,
@@ -750,10 +791,14 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             request.pattern,
             request.approach,
             request.plan,
-            request.num_ans,
         )
 
         def compute() -> dict[str, object]:
+            # A pattern that cannot compile would fail deterministically
+            # on every replica -- a 400, never breaker food.  Only a
+            # miss compiles: an entry exists only for a pattern that did.
+            with trace.span("compile"):
+                check_pattern(request.pattern)
             started = time.perf_counter()
             # Registered with the move gate so a rebalance's pre-delete
             # barrier can wait for this fan-out: the source rows must
@@ -790,7 +835,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 "elapsed_s": time.perf_counter() - started,
             }
 
-        return self._cached(key, compute)
+        return self._cached(key, request.num_ans, "answers", compute)
 
     # ------------------------------------------------------------------
     def sql(self, payload: object) -> dict[str, object]:
@@ -810,16 +855,16 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             self.pool.generations(scope),
             request.query,
             request.approach,
-            request.num_ans,
         )
 
         def compute() -> dict[str, object]:
-            try:
-                parsed = parse_select(request.query)
-            except SqlError as exc:
-                raise ApiError(400, str(exc), code="sql_error") from exc
-            for pattern in parsed.like_patterns:
-                check_pattern(pattern, bad_code="sql_error")
+            with trace.span("compile"):
+                try:
+                    parsed = parse_select(request.query)
+                except SqlError as exc:
+                    raise ApiError(400, str(exc), code="sql_error") from exc
+                for pattern in parsed.like_patterns:
+                    check_pattern(pattern, bad_code="sql_error")
             started = time.perf_counter()
             # Registered with the move gate for the same reason as
             # /search: the pre-delete barrier waits for this fan-out.
@@ -843,7 +888,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 "elapsed_s": time.perf_counter() - started,
             }
 
-        return self._cached(key, compute)
+        return self._cached(key, request.num_ans, "rows", compute)
 
     # ------------------------------------------------------------------
     def index(self, payload: object) -> dict[str, object]:

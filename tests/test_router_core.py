@@ -137,6 +137,40 @@ class TestSingleflight:
         assert router._inflight == {}
 
 
+class TestNumAnsEntries:
+    def test_a_narrower_reply_finishing_last_keeps_the_wider_entry(
+        self, router
+    ):
+        """An entry serves every ``num_ans`` up to its own; a narrower
+        reply computed concurrently must not replace a wider one."""
+        release = threading.Event()
+        parked: list[int] = []
+        for leg in router.pool.shards:
+
+            def search(request, real=leg.search, index=leg.index):
+                if request.num_ans == 2:
+                    parked.append(index)
+                    assert release.wait(WAIT)
+                return real(request)
+
+            leg.search = search
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            narrow = pool.submit(
+                router.search, {"pattern": "%x%", "num_ans": 2}
+            )
+            deadline = time.monotonic() + WAIT
+            while len(parked) < len(router.pool.shards):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            wide = router.search({"pattern": "%x%", "num_ans": None})
+            release.set()
+            assert narrow.result(WAIT)["count"] == 2
+        assert wide["cached"] is False and wide["count"] == 3
+        again = router.search({"pattern": "%x%", "num_ans": 3})
+        assert again["cached"] is True and again["count"] == 3
+        assert [leg.calls["search"] for leg in router.pool.shards] == [2, 2, 2]
+
+
 class TestLegErrorMapping:
     @pytest.mark.parametrize(
         "raised, code",

@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.automata import dfa
 from repro.automata.dfa import QueryTooComplex
 from repro.automata.regex import MAX_NESTING, RegexError
 from repro.bench.service_load import get_json, post_json, run_search_load
@@ -38,7 +39,7 @@ from repro.service import (
     start_service,
     start_sharded_service,
 )
-from repro.service import server
+from repro.service import app, server
 from repro.service.metrics import percentile
 from repro.service.validation import (
     MAX_INGEST_LINES,
@@ -68,6 +69,21 @@ class TestQueryCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert cache.evictions == 1
+
+    def test_an_entry_usable_refuses_is_a_miss(self):
+        cache = QueryCache(4)
+        cache.put("a", 10)
+        assert cache.get("a", lambda value: value >= 20) is None
+        assert cache.get("a", lambda value: value >= 5) == 10
+        assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
+
+    def test_an_entry_replaces_refuses_is_kept(self):
+        cache = QueryCache(4)
+        cache.put("a", 10)
+        cache.put("a", 5, replaces=lambda value: value <= 5)
+        assert cache.get("a") == 10
+        cache.put("a", 20, replaces=lambda value: value <= 20)
+        assert cache.get("a") == 20
 
     def test_zero_capacity_disables(self):
         cache = QueryCache(0)
@@ -554,6 +570,10 @@ class TestErrors:
 #: had it been evaluated.
 _TOO_COMPLEX = "REGEX:e" + "\\x" * 13 + "s"
 
+#: The most automaton states a refusal may build (a refusal builds
+#: exactly ``MAX_STATES``): about a millisecond of subset construction.
+_REFUSAL_STATES = 256
+
 
 class TestQueryTooComplex:
     def test_library_compile_raises(self):
@@ -561,13 +581,28 @@ class TestQueryTooComplex:
             compile_like(_TOO_COMPLEX)
 
     @pytest.mark.parametrize("topology", ["db", "shards", "worker_procs"])
-    def test_a_fast_400_on_every_topology(self, tmp_path, topology):
+    def test_a_fast_400_on_every_topology(
+        self, tmp_path, topology, monkeypatch
+    ):
         """Refused from the pattern alone, before any leg runs: a 400 on
-        ``/search`` and ``/sql`` that calls no ``search``/``sql`` leg,
-        scans no line and costs about what a ``/health`` probe costs (the
-        medians of 15 interleaved repeats of each are compared, so a
-        machine-wide slowdown moves both), and, a client's mistake rather
-        than a replica fault, no breaker opens."""
+        ``/search`` and ``/sql`` that compiles the pattern once, builds
+        at most :data:`_REFUSAL_STATES` automaton states doing so, calls
+        no ``search``/``sql`` leg, scans no line and costs about what a
+        ``/health`` probe costs (the medians of 15 interleaved repeats
+        of each are compared, so a machine-wide slowdown moves both),
+        and, a client's mistake rather than a replica fault, no breaker
+        opens.  The router runs in this process on every topology, so a
+        spy on its compile sees every refusal."""
+        refusals: list[str] = []
+
+        def spy(like: str):
+            try:
+                return compile_like(like)
+            except QueryTooComplex:
+                refusals.append(like)
+                raise
+
+        monkeypatch.setattr(app, "compile_like", spy)
         if topology == "db":
             running = start_service(
                 str(tmp_path / "one.db"), k=K, m=M, pool_size=2
@@ -589,6 +624,7 @@ class TestQueryTooComplex:
             ):
                 work = _query_work(url)
                 refused, probed = [], []
+                refusals.clear()
                 for _ in range(15):
                     started = time.perf_counter()
                     status, reply = post_json(url, path, body)
@@ -599,6 +635,8 @@ class TestQueryTooComplex:
                     assert get_json(url, "/health")[0] == 200
                     probed.append(time.perf_counter() - started)
                 assert _query_work(url) == work, path
+                assert len(refusals) == 15, (path, len(refusals))
+                assert dfa.MAX_STATES <= _REFUSAL_STATES
                 median = statistics.median
                 assert median(refused) < 10 * median(probed), (
                     path, refused, probed

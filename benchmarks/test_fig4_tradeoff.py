@@ -2,7 +2,9 @@
 
 One keyword query and one regex query; Staccato (m=10, k=50) must land
 between MAP (fast, low recall) and FullSFA (slow, recall 1.0) on *both*
-axes for the regex, which is the paper's headline plot.
+axes for the regex, which is the paper's headline plot.  The plot
+prints milliseconds; the runtime order is asserted on the DP work of
+each timed search, which a busy machine cannot flip.
 """
 
 from repro.bench.workload import query_by_id
@@ -39,11 +41,9 @@ def test_recall_runtime_tradeoff(benchmark, ca_bench, report):
     assert results[(regex_id, "M")].recall <= results[(regex_id, "S")].recall
     assert results[(regex_id, "S")].recall <= results[(regex_id, "F")].recall
     assert results[(regex_id, "F")].recall == 1.0
-    assert (
-        results[(regex_id, "M")].runtime_s
-        < results[(regex_id, "S")].runtime_s
-        < results[(regex_id, "F")].runtime_s
-    )
+    for counter in ("dp_cells", "dp_transitions"):
+        work = [results[(regex_id, label)].work[counter] for label in "MSF"]
+        assert work[0] < work[1] < work[2], (counter, work)
     benchmark.pedantic(
         ca_bench.search,
         args=(regex.like, "staccato"),

@@ -4,7 +4,9 @@ dataset, all four approaches (paper parameters k=25, m=40, NumAns=100).
 The shape to reproduce: MAP/k-MAP have precision 1.0-ish but the lowest
 recall (dramatically so for regexes); FullSFA has recall ~1.0 but low
 precision and runtimes orders of magnitude above MAP; Staccato sits
-between on both quality and time.
+between on both quality and time.  The table prints seconds; the order
+is asserted on the DP work of each timed search, which a busy machine
+cannot flip.
 """
 
 from repro.bench.workload import query_by_id
@@ -56,14 +58,11 @@ def test_table4(benchmark, ca_bench, lt_bench, db_bench, report):
     for query_id, per_approach in results.items():
         # FullSFA achieves (near-)perfect recall everywhere.
         assert per_approach["fullsfa"].recall >= 0.99, query_id
-        # Runtimes: MAP < Staccato < FullSFA.
-        assert (
-            per_approach["map"].runtime_s < per_approach["staccato"].runtime_s
-        ), query_id
-        assert (
-            per_approach["staccato"].runtime_s
-            < per_approach["fullsfa"].runtime_s
-        ), query_id
+        # Runtime order MAP < Staccato < FullSFA, as DP work.
+        for counter in ("dp_cells", "dp_transitions"):
+            work = {a: per_approach[a].work[counter] for a in per_approach}
+            order = [work[a] for a in ("map", "staccato", "fullsfa")]
+            assert order[0] < order[1] < order[2], (query_id, counter, work)
         # Staccato recall >= k-MAP recall (the point of chunking).
         assert (
             per_approach["staccato"].recall >= per_approach["kmap"].recall - 1e-9

@@ -14,7 +14,7 @@ SFAs and warmed by one untimed scan.  Its :class:`KernelMemo` has
 capacity 0, so the scan image is kept but no result is.  The runtime a
 query reports covers ``StaccatoDB.search`` on that warmed handle with
 the result memo off (the data is already stored), matching the paper's
-methodology.
+methodology; its ``work`` is the engine counters of that search alone.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from types import SimpleNamespace
 
+from .. import counters
 from ..core.approximate import staccato_approximate
 from ..db.engine import StaccatoDB
 from ..ocr.corpus import Dataset
@@ -56,6 +57,9 @@ class ExperimentResult:
     num_ans: int | None
     metrics: QualityMetrics
     runtime_s: float
+    #: The :mod:`repro.counters` totals of the timed search (DP cells,
+    #: transitions, ...): the work, which a busy machine cannot flip.
+    work: dict[str, int]
 
     @property
     def precision(self) -> float:
@@ -177,21 +181,26 @@ class CorpusBench:
         The timer covers ``StaccatoDB.search`` on a warmed handle with
         the result memo off.
         """
-        if approach == "map":
-            db = self._db("map", None, 1)
-        elif approach == "kmap":
-            assert k is not None, "k-MAP needs k"
-            db = self._db("kmap", None, k)
-        elif approach == "fullsfa":
-            db = self._db("fullsfa", None, None)
-        elif approach == "staccato":
-            assert m is not None and k is not None, "Staccato needs m and k"
-            db = self._db("staccato", self._chunks(m), k)
-        else:
-            raise ValueError(f"unknown approach {approach!r}")
+        db = self._handle(approach, m, k)
         started = time.perf_counter()
         ranked = db.search(like, approach, num_ans=num_ans)
         return ranked, time.perf_counter() - started
+
+    def _handle(
+        self, approach: str, m: int | str | None, k: int | None
+    ) -> StaccatoDB:
+        """The warmed handle a query of ``approach`` at (m, k) runs on."""
+        if approach == "map":
+            return self._db("map", None, 1)
+        if approach == "kmap":
+            assert k is not None, "k-MAP needs k"
+            return self._db("kmap", None, k)
+        if approach == "fullsfa":
+            return self._db("fullsfa", None, None)
+        if approach == "staccato":
+            assert m is not None and k is not None, "Staccato needs m and k"
+            return self._db("staccato", self._chunks(m), k)
+        raise ValueError(f"unknown approach {approach!r}")
 
     # ------------------------------------------------------------------
     def run(
@@ -203,9 +212,11 @@ class CorpusBench:
         num_ans: int | None = 100,
     ) -> ExperimentResult:
         """Run one workload query and score it against ground truth."""
-        answers, elapsed = self.search(
-            query.like, approach, m=m, k=k, num_ans=num_ans
-        )
+        self._handle(approach, m, k)  # its warm-up scan is not counted
+        with counters.collect() as work:
+            answers, elapsed = self.search(
+                query.like, approach, m=m, k=k, num_ans=num_ans
+            )
         metrics = evaluate_answers(
             {a.line_id for a in answers}, self.truth(query.like)
         )
@@ -218,4 +229,5 @@ class CorpusBench:
             num_ans=num_ans,
             metrics=metrics,
             runtime_s=elapsed,
+            work={name: work.get(name, 0) for name in counters.COUNTER_NAMES},
         )

@@ -1,6 +1,6 @@
 """Process-wide engine counters for performance attribution.
 
-The span tree (``repro.service.trace``) answers *where wall-clock time
+The span tree (:mod:`repro.tracing`) answers *where wall-clock time
 went*; these counters answer *how much algorithmic work was done*: DP
 cells visited, chunk transitions relaxed, lines scanned vs. matched,
 index postings probed.  Both views matter for the paper's Figure 10 arc
@@ -73,11 +73,16 @@ _LOCAL: ContextVar[dict[str, int] | None] = ContextVar(
 
 
 def add(**deltas: int) -> None:
-    """Accumulate counter deltas (unknown names are rejected loudly).
+    """Accumulate counter deltas; an unknown name raises ``KeyError``.
 
+    The names are checked before any count moves, in either sink, so a
+    rejected call leaves the collector and the aggregate as they were.
     Called once per engine operation, never per DP cell -- accumulate
     into plain ints inside hot loops and flush the totals here.
     """
+    for name in deltas:
+        if name not in COUNTER_NAMES:
+            raise KeyError(f"unknown engine counter {name!r}")
     local = _LOCAL.get()
     if local is not None:
         for name, delta in deltas.items():
@@ -86,8 +91,6 @@ def add(**deltas: int) -> None:
         return
     with _global_lock:
         for name, delta in deltas.items():
-            if name not in _global:
-                raise KeyError(f"unknown engine counter {name!r}")
             if delta:
                 _global[name] += delta
 

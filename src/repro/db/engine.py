@@ -50,6 +50,7 @@ from ..query.answers import Answer, rank_answers
 from ..query.eval_kernel import KernelBatch, KernelEvaluator, LineResult
 from ..query.like import compile_like
 from ..query.memo import KernelMemo, ScanImage, query_fingerprint
+from ..tracing import span
 from . import storage, upgrade
 from .schema import create_schema
 
@@ -62,25 +63,6 @@ __all__ = [
 ]
 
 APPROACHES = storage.APPROACHES
-
-_trace_span = None
-
-
-def _span(name: str, **attrs):
-    """A service-trace span around engine work (no-op outside a trace).
-
-    The service layer imports this module, so importing
-    :mod:`repro.service.trace` at the top would be circular; the first
-    traced call resolves it instead.  Outside a traced request the span
-    helper is a cheap no-op, so standalone engine use (benchmarks,
-    scripts) pays one ContextVar read per query.
-    """
-    global _trace_span
-    if _trace_span is None:
-        from ..service.trace import span as _service_span
-
-        _trace_span = _service_span
-    return _trace_span(name, **attrs)
 
 #: File-name pattern of one shard inside a shard directory.
 SHARD_FILE_FORMAT = "shard-{index:04d}.db"
@@ -365,7 +347,7 @@ class StaccatoDB:
         the statement that returned the blobs, so image and listing are
         one snapshot.
         """
-        with _span("scan_image_build", approach=approach) as build:
+        with span("scan_image_build", approach=approach) as build:
             started = time.perf_counter()
             stored = storage.load_kernel_blobs(self.conn, approach)
             listing = sorted((key, row[0]) for key, row in stored.items())
@@ -524,7 +506,7 @@ class StaccatoDB:
             if data_keys is not None
             else storage.all_data_keys(self.conn)
         )
-        with _span(
+        with span(
             "engine_scan",
             approach=approach,
             image="none",
@@ -713,7 +695,7 @@ class StaccatoDB:
             (anchor, index), candidates = self._anchored(like, approach), None
             if anchor is None:
                 return self.search(like, approach=approach, num_ans=num_ans)
-        with _span("engine_probe", approach=approach) as probe:
+        with span("engine_probe", approach=approach) as probe:
             if candidates is None:
                 candidates, uncovered = self.index_probe(anchor, index)
             postings_total = sum(len(p) for p in candidates.values())
@@ -736,7 +718,7 @@ class StaccatoDB:
             approach == "staccato" and use_projection and query.match_anywhere
         )
         scanned = uncovered if projected else [*candidates, *uncovered]
-        with _span(
+        with span(
             "engine_eval",
             projected=projected,
             image="none",

@@ -90,7 +90,7 @@ class ParsedSelect:
 _TOKEN = re.compile(
     r"""\s*(?:
         (?P<string>'[^']*(?:''[^']*)*')  # one scan, not a step per char
-      | (?P<number>-?\d+(?:\.\d+)?)
+      | (?P<number>-?\d{1,19}(?!\d)(?:\.\d+)?)  # int64: 19 digits
       | (?P<op><>|!=|<=|>=|=|<|>|,|\*|\(|\))
       | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
     )""",
@@ -221,6 +221,8 @@ def parse_select(sql: str) -> ParsedSelect:
                     value: object = _unquote(literal)
                 elif kind == "number":
                     value = float(literal) if "." in literal else int(literal)
+                    if not -(2**63) <= value < 2**63:  # SQLite's INTEGER
+                        raise SqlError(f"{literal} is out of range")
                 else:
                     raise SqlError(f"bad comparison literal {literal!r}")
                 if column.lower() not in DOC_COLUMNS:

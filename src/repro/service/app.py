@@ -10,13 +10,13 @@ itself -- endpoints, cache, jobs -- is the shard router of
 
 from __future__ import annotations
 
+from .. import tracing
 from ..automata.dfa import QueryTooComplex
 from ..automata.regex import RegexError
 from ..db.engine import StaccatoDB
 from ..db.planner import execute_plan
 from ..query.answers import Answer, top_lines
 from ..query.like import compile_like
-from . import trace
 from .validation import ApiError, SearchRequest
 
 __all__ = [
@@ -70,7 +70,7 @@ def run_search_plan(
     a re-ingested line's second row, so a cut that counted it would
     make a top-n shorter than the first n rows of a top-N.
     """
-    with trace.span("plan", requested=request.plan) as plan_span:
+    with tracing.span("plan", requested=request.plan) as plan_span:
         if request.plan == "auto":
             plan, answers = execute_plan(
                 db,

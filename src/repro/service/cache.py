@@ -26,7 +26,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
-from . import trace
+from .. import tracing
 
 __all__ = ["QueryCache"]
 
@@ -60,7 +60,7 @@ class QueryCache:
         An entry ``usable`` refuses is a miss (it stays cached until a
         ``put`` replaces it or the LRU drops it).
         """
-        with trace.span("cache_probe") as probe:
+        with tracing.span("cache_probe") as probe:
             with self._lock:
                 if key in self._data and (
                     usable is None or usable(self._data[key])

@@ -26,9 +26,9 @@ import threading
 from collections import deque
 from typing import Iterator
 
+from .. import tracing
 from ..db.engine import StaccatoDB
 from ..query.memo import KernelMemo
-from . import trace
 
 __all__ = ["ConnectionPool", "PoolClosed"]
 
@@ -91,7 +91,7 @@ class ConnectionPool:
     @contextlib.contextmanager
     def acquire(self, timeout: float | None = None) -> Iterator[StaccatoDB]:
         """Check a connection out for exclusive use by the calling thread."""
-        with trace.span("pool_wait") as wait:
+        with tracing.span("pool_wait") as wait:
             entry = self._checkout(timeout)
             if wait is not None and self.label is not None:
                 wait.annotate(pool=self.label)

@@ -41,9 +41,9 @@ import threading
 import time
 from typing import Callable, Iterator, Sequence
 
+from .. import tracing
 from ..db.engine import StaccatoDB
 from ..query.memo import KernelMemo
-from . import trace
 from .pool import ConnectionPool
 
 __all__ = [
@@ -515,7 +515,7 @@ class ReplicaSet:
             # One span per attempt -- a failover shows up as sibling
             # ``replica_attempt`` spans, the failed ones flagged with
             # the error and the breaker state they observed going in.
-            with trace.span(
+            with tracing.span(
                 "replica_attempt",
                 replica=replica.replica_index,
                 breaker=replica.breaker.state,

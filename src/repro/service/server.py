@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 
+from .. import tracing
 from . import trace
 from .shards import QueryService, ShardedQueryService
 from .validation import ApiError
@@ -234,7 +235,7 @@ def dispatch(
             want_trace = (
                 isinstance(payload, Mapping) and payload.get("trace") is True
             )
-            root = trace.current_root()
+            root = tracing.current_root()
             stitching = root is not None and root.attrs.get("parent_span")
             if root is not None and (want_trace or stitching):
                 # Copy before annotating: the handler may have returned
@@ -327,7 +328,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             payload: object = None
             if routed.with_body:
                 try:
-                    with trace.span("read_body"):
+                    with tracing.span("read_body"):
                         payload = self._read_json(declared)
                 except ApiError as exc:
                     self._finish(
@@ -342,7 +343,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     target.query, keep_blank_values=True
                 ).items()
             }
-            with trace.span("handler"):
+            with tracing.span("handler"):
                 status, result = dispatch(service, routed, payload, query)
             self._finish(routed.endpoint, status, result, started)
         finally:
@@ -416,7 +417,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         service.metrics.observe(
             "requests", (endpoint,), elapsed, status >= 400
         )
-        with trace.span("serialize"):
+        with tracing.span("serialize"):
             if isinstance(payload, trace.TextPayload):
                 body = payload.text.encode("utf-8")
                 content_type = payload.content_type
@@ -424,7 +425,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 body = json.dumps(payload).encode("utf-8")
                 content_type = "application/json"
         tracer = getattr(service, "tracer", None)
-        root = trace.current_root() if tracer is not None else None
+        root = tracing.current_root() if tracer is not None else None
         if root is not None:
             tracer.finish_request(root, status=status)
         try:

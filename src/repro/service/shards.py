@@ -50,6 +50,7 @@ see :mod:`repro.service.legs` and :mod:`repro.service.workers`):
 from __future__ import annotations
 
 import bisect
+import contextvars
 import json
 import os
 import threading
@@ -57,6 +58,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
+from .. import tracing
 from ..db.engine import shard_paths
 from ..db.sql import SqlError, finish_select, parse_select
 from ..ocr.corpus import Document
@@ -546,7 +548,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
                 ) from exc
             if isinstance(exc, LegDeadline):
                 self.metrics.event("deadline_exceeded")
-                with trace.span("deadline_exceeded", shard=index):
+                with tracing.span("deadline_exceeded", shard=index):
                     pass
                 raise ApiError(
                     503, str(exc), code="deadline_exceeded"
@@ -560,28 +562,26 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
     def _fan_out(self, scope: Sequence[int], endpoint: str, call):
         """Run ``call(leg)`` on every scoped shard concurrently.
 
-        Context variables do not follow executor submission, so the
-        caller's span is captured here and re-attached in each worker:
-        every leg's spans nest under the request that fanned out.
-        Appending concurrent ``shard_leg`` children to the shared parent
-        is safe -- ``list.append`` is atomic under the GIL.
+        Context variables do not follow executor submission, so each
+        leg runs in a copy of the caller's context: its spans nest under
+        the request that fanned out.  Appending concurrent ``shard_leg``
+        children to the shared parent is safe -- ``list.append`` is
+        atomic under the GIL.
 
         The calling thread runs the first leg itself -- it would only
         block on the executor otherwise -- so a K-shard fan-out costs
         K-1 executor hops and a single-shard scope costs none.
         """
-        parent = trace.current_span()
 
-        def traced(index: int):
-            if parent is None:
-                return self.call_leg(index, endpoint, call)
-            with trace.attach(parent), trace.span("shard_leg", shard=index):
+        def leg(index: int):
+            with tracing.span("shard_leg", shard=index):
                 return self.call_leg(index, endpoint, call)
 
-        if len(scope) == 1:
-            return [traced(scope[0])]
-        rest = [self._executor.submit(traced, index) for index in scope[1:]]
-        results = [traced(scope[0])]
+        rest = [
+            self._executor.submit(contextvars.copy_context().run, leg, index)
+            for index in scope[1:]
+        ]
+        results = [leg(scope[0])]
         results.extend(future.result() for future in rest)
         return results
 
@@ -781,7 +781,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
     # ------------------------------------------------------------------
     def search(self, payload: object) -> dict[str, object]:
         """Fan a search out over the scoped shards and merge the ranking."""
-        with trace.span("validate"):
+        with tracing.span("validate"):
             request = validate_search(payload)
             scope = self._scope(request.shards)
         key = (
@@ -797,7 +797,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             # A pattern that cannot compile would fail deterministically
             # on every replica -- a 400, never breaker food.  Only a
             # miss compiles: an entry exists only for a pattern that did.
-            with trace.span("compile"):
+            with tracing.span("compile"):
                 check_pattern(request.pattern)
             started = time.perf_counter()
             # Registered with the move gate so a rebalance's pre-delete
@@ -805,11 +805,11 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             # not disappear under a request whose target leg read
             # before the copy landed.
             with self.move_gate.read():
-                with trace.span("router", shards=len(scope)):
+                with tracing.span("router", shards=len(scope)):
                     results = self._fan_out(
                         scope, "search", lambda leg: leg.search(request)
                     )
-            with trace.span("merge"):
+            with tracing.span("merge"):
                 merged = merge_ranked(
                     [
                         (index, answers)
@@ -846,7 +846,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         :func:`~repro.db.sql.finish_select` over it -- the same finisher
         a plain handle runs over its own relation.
         """
-        with trace.span("validate"):
+        with tracing.span("validate"):
             request = validate_sql(payload)
             scope = self._scope(request.shards)
         key = (
@@ -858,7 +858,7 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
         )
 
         def compute() -> dict[str, object]:
-            with trace.span("compile"):
+            with tracing.span("compile"):
                 try:
                     parsed = parse_select(request.query)
                 except SqlError as exc:
@@ -869,13 +869,13 @@ class ShardedQueryService(JobsApi, ObservabilityApi):
             # Registered with the move gate for the same reason as
             # /search: the pre-delete barrier waits for this fan-out.
             with self.move_gate.read():
-                with trace.span("router", shards=len(scope)):
+                with tracing.span("router", shards=len(scope)):
                     relations = self._fan_out(
                         scope,
                         "sql",
                         lambda leg: leg.sql(request.query, request.approach),
                     )
-            with trace.span("merge"):
+            with tracing.span("merge"):
                 rows = finish_select(
                     parsed, merge_relations(relations), request.num_ans
                 )

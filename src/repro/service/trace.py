@@ -1,11 +1,11 @@
 """Span-based request tracing for the query service.
 
 Aggregate percentiles (``/stats``) say *that* a request was slow; a
-trace says *where*.  Every handled request records a tree of
-:class:`Span`\\ s -- body read, validation, cache probe, plan choice,
-per-shard fan-out legs, per-replica attempts (with breaker state and
-failover retries), engine scan detail, merge and serialization -- into
-a bounded in-memory ring queryable over HTTP:
+trace says *where*.  Every handled request records a tree of spans --
+body read, validation, cache probe, plan choice, per-shard fan-out
+legs, per-replica attempts (with breaker state and failover retries),
+engine scan detail, merge and serialization -- into a bounded
+in-memory ring queryable over HTTP:
 
 * ``GET /traces`` -- recent trace summaries, filterable by
   ``endpoint``, ``min_ms`` and ``error``;
@@ -13,13 +13,12 @@ a bounded in-memory ring queryable over HTTP:
 * ``"trace": true`` on any POST body -- echo the request's own tree
   inline in the response.
 
-Propagation is a :mod:`contextvars` variable plus an ``X-Trace-Id``
-header.  One subtlety carries the whole design: **context variables do
-not flow across executor hops** -- ``ThreadPoolExecutor.map`` runs
-callables in whatever context the worker thread last had.  Every
-fan-out point therefore captures the caller's current span explicitly
-and re-installs it in the worker via :func:`attach` (the sharded
-fan-out and the job workers both do this).
+The span context -- :class:`~repro.tracing.Span`, ``span()`` and the
+current span -- lives in the leaf module :mod:`repro.tracing`, which
+every layer imports.  This module keeps what only a service needs: the
+:class:`Tracer` that installs each request's root and records the
+finished tree, the ``X-Trace-Id`` / ``X-Parent-Span-Id`` headers and
+the HTTP surface.
 
 The tracer also owns the two structured logs built on the same span
 data: the slow-query log (``serve --slow-query-ms N``; JSON lines with
@@ -31,18 +30,16 @@ residual cost is one context-variable read per instrumentation point.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import io
 import json
 import sys
 import threading
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Mapping
 
+from .. import tracing
 from .validation import ApiError
 
 __all__ = [
@@ -50,15 +47,9 @@ __all__ = [
     "PARENT_SPAN_HEADER",
     "DEFAULT_TRACE_RING",
     "PROMETHEUS_CONTENT_TYPE",
-    "Span",
     "TextPayload",
     "Tracer",
     "ObservabilityApi",
-    "current_span",
-    "current_root",
-    "span",
-    "attach",
-    "bind",
 ]
 
 #: Request/response header carrying the trace id end to end.
@@ -68,7 +59,7 @@ TRACE_HEADER = "X-Trace-Id"
 #: under.  Its presence tells the receiving service that the caller
 #: wants the request's span subtree echoed back in the response
 #: envelope, so the caller can graft it into its own tree (see
-#: :meth:`Span.graft` and ``WorkerLeg._rpc``).
+#: :meth:`~repro.tracing.Span.graft` and ``WorkerLeg._rpc``).
 PARENT_SPAN_HEADER = "X-Parent-Span-Id"
 
 #: Finished traces retained by default.
@@ -89,189 +80,6 @@ class TextPayload:
 
     text: str
     content_type: str
-
-
-_CURRENT: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
-    "staccato_current_span", default=None
-)
-
-
-def _new_trace_id() -> str:
-    return uuid.uuid4().hex[:16]
-
-
-class Span:
-    """One timed operation inside a request; children are sub-steps.
-
-    Durations come from ``perf_counter``; the wall-clock start is kept
-    on the root only (via the trace record).  ``children.append`` from
-    concurrent fan-out legs is safe (list.append is atomic under the
-    GIL); the tree is only serialized after every leg has joined.
-    """
-
-    __slots__ = (
-        "name",
-        "attrs",
-        "parent",
-        "trace_id",
-        "error",
-        "children",
-        "grafts",
-        "duration_s",
-        "_t0",
-        "_token",
-        "_span_id",
-    )
-
-    def __init__(self, name: str, parent: "Span | None" = None, **attrs: Any):
-        self.name = name
-        self.attrs = dict(attrs)
-        self.parent = parent
-        self.trace_id: str | None = None
-        self.error = False
-        self.children: list[Span] = []
-        self.grafts: list[dict[str, Any]] = []
-        self.duration_s: float | None = None
-        self._t0 = time.perf_counter()
-        self._token: contextvars.Token | None = None
-        self._span_id: str | None = None
-
-    @property
-    def span_id(self) -> str:
-        """A stable id for this span, minted on first use.
-
-        Only spans that cross a process boundary ever need one, so it
-        is lazy -- the common single-process span pays nothing.
-        """
-        if self._span_id is None:
-            self._span_id = _new_trace_id()
-        return self._span_id
-
-    def annotate(self, **attrs: Any) -> None:
-        """Attach key/value detail (postings fetched, plan label, ...)."""
-        self.attrs.update(attrs)
-
-    def graft(self, subtree: Mapping[str, Any], **attrs: Any) -> None:
-        """Adopt a span subtree serialized by another process.
-
-        The subtree is the remote root's ``to_dict`` output, kept as-is
-        (its ``start_ms`` offsets are relative to the *remote* root --
-        two processes share no clock) and emitted among this span's
-        children at serialization time.  ``attrs`` annotate the remote
-        root (worker index, pid) and a ``remote`` marker distinguishes
-        grafted nodes from locally timed ones.  ``list.append`` is
-        atomic under the GIL, so concurrent fan-out legs may graft onto
-        a shared parent just like they append child spans.
-        """
-        node = dict(subtree)
-        node["attrs"] = {
-            **node.get("attrs", {}),
-            **attrs,
-            "remote": True,
-        }
-        self.grafts.append(node)
-
-    def finish(self) -> None:
-        if self.duration_s is None:
-            self.duration_s = time.perf_counter() - self._t0
-
-    @property
-    def elapsed_s(self) -> float:
-        """Final duration, or time-so-far for a still-open span."""
-        if self.duration_s is not None:
-            return self.duration_s
-        return time.perf_counter() - self._t0
-
-    def to_dict(self, base: float | None = None) -> dict[str, Any]:
-        """The JSON span tree; offsets are relative to ``base`` (root)."""
-        base = self._t0 if base is None else base
-        node: dict[str, Any] = {
-            "name": self.name,
-            "start_ms": round((self._t0 - base) * 1000.0, 3),
-            "duration_ms": round(self.elapsed_s * 1000.0, 3),
-        }
-        if self.error:
-            node["error"] = True
-        if self.attrs:
-            node["attrs"] = dict(self.attrs)
-        if self.children or self.grafts:
-            node["children"] = [
-                c.to_dict(base) for c in self.children
-            ] + list(self.grafts)
-        return node
-
-
-# ----------------------------------------------------------------------
-# Context propagation
-# ----------------------------------------------------------------------
-def current_span() -> Span | None:
-    """The span this thread/task is currently inside (or None)."""
-    return _CURRENT.get()
-
-
-def current_root() -> Span | None:
-    """The root of the current request's span tree (or None)."""
-    node = _CURRENT.get()
-    while node is not None and node.parent is not None:
-        node = node.parent
-    return node
-
-
-@contextlib.contextmanager
-def span(name: str, **attrs: Any) -> Iterator[Span | None]:
-    """Open a child span under the current one; a no-op when untraced.
-
-    Yields the new :class:`Span` (for :meth:`Span.annotate`) or None
-    when the request is not being traced, so instrumentation points
-    never need to know whether tracing is on.
-    """
-    parent = _CURRENT.get()
-    if parent is None:
-        yield None
-        return
-    child = Span(name, parent=parent, **attrs)
-    parent.children.append(child)
-    token = _CURRENT.set(child)
-    try:
-        yield child
-    except BaseException:
-        child.error = True
-        raise
-    finally:
-        child.finish()
-        _CURRENT.reset(token)
-
-
-@contextlib.contextmanager
-def attach(parent: Span | None) -> Iterator[None]:
-    """Install ``parent`` as this thread's current span.
-
-    The explicit half of executor-hop propagation: the caller captures
-    :func:`current_span` *before* submitting work, and the worker wraps
-    its body in ``attach(captured)``.
-    """
-    token = _CURRENT.set(parent)
-    try:
-        yield
-    finally:
-        _CURRENT.reset(token)
-
-
-def bind(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Wrap ``fn`` so it runs under the caller's *current* span.
-
-    For handing callables to ``ThreadPoolExecutor.map``, which would
-    otherwise run them with no (or a stale) trace context.
-    """
-    parent = _CURRENT.get()
-    if parent is None:
-        return fn
-
-    def bound(*args: Any, **kwargs: Any) -> Any:
-        with attach(parent):
-            return fn(*args, **kwargs)
-
-    return bound
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +121,7 @@ class Tracer:
         path: str,
         trace_id: str | None = None,
         parent_span_id: str | None = None,
-    ) -> Span | None:
+    ) -> tracing.Span | None:
         """Open (and install) a request's root span; None when disabled.
 
         ``parent_span_id`` is the caller-side span named by the
@@ -324,14 +132,16 @@ class Tracer:
         """
         if not self.enabled:
             return None
-        root = Span(endpoint, method=method, path=path)
-        root.trace_id = trace_id or _new_trace_id()
+        root = tracing.Span(endpoint, method=method, path=path)
+        root.trace_id = trace_id or tracing.new_trace_id()
         if parent_span_id:
             root.attrs["parent_span"] = parent_span_id
-        root._token = _CURRENT.set(root)
+        tracing.install(root)
         return root
 
-    def finish_request(self, root: Span, status: int) -> dict[str, Any]:
+    def finish_request(
+        self, root: tracing.Span, status: int
+    ) -> dict[str, Any]:
         """Close the root span, record the trace, feed both logs."""
         root.finish()
         root.error = root.error or status >= 400
@@ -377,14 +187,9 @@ class Tracer:
             )
         return record
 
-    def release(self, root: Span) -> None:
+    def release(self, root: tracing.Span) -> None:
         """Uninstall the root from the context variable (transport side)."""
-        if root._token is not None:
-            try:
-                _CURRENT.reset(root._token)
-            except ValueError:  # reset from a different context: best effort
-                _CURRENT.set(None)
-            root._token = None
+        tracing.release(root)
 
     def _log_line(self, stream: Any, payload: Mapping[str, Any]) -> None:
         line = json.dumps(payload, default=repr)

@@ -60,6 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 from .. import counters as engine_counters
+from .. import tracing
 from ..db.engine import shard_path, shard_paths
 from ..ocr.corpus import Document
 from ..query.answers import Answer
@@ -664,12 +665,12 @@ class WorkerLeg:
         deadline = time.monotonic() + (
             pool.deadline_s if idempotent else DEFAULT_WRITE_DEADLINE_S
         )
-        span = trace.current_span()
+        span = tracing.current_span()
         raw = None if body is None else json.dumps(body).encode("utf-8")
         headers: dict[str, str] | None = None
         if span is not None:
             headers = dict(_JSON_HEADERS) if raw else {}
-            root = trace.current_root()
+            root = tracing.current_root()
             if root is not None and root.trace_id:
                 headers[trace.TRACE_HEADER] = root.trace_id
             headers[trace.PARENT_SPAN_HEADER] = span.span_id

@@ -24,10 +24,10 @@ from repro.query import memo as memo_module
 from repro.query.eval_kernel import spelled_pairs
 from repro.query.like import compile_like
 from repro.query.memo import KernelMemo
-from repro.service.trace import Span, attach
 from repro.sfa.kernel import kernel_from_bytes
 
 from .test_index_coverage import DICTIONARY, K, M, docs, ocr
+from .test_observability import traced
 
 #: Left-anchored by a dictionary term, each; some spell a pair few lines
 #: spell (``w ``, ``8``/``9`` after a space), ``Law zq`` one no line does.
@@ -206,9 +206,7 @@ class TestImage:
             before = {a.line_id for a in held.indexed_search(pattern, num_ans=None)}
             with handle(path) as writer:
                 writer.ingest(docs(1), ocr())
-            root = Span("test")
-            with attach(root):
-                after = held.indexed_search(pattern, num_ans=None)
+            root, after = traced(held.indexed_search, pattern, num_ans=None)
             (ev,) = [c for c in root.children if c.name == "engine_eval"]
             assert ev.attrs["image"] == "built"
             with handle(path) as plain:
@@ -220,9 +218,7 @@ class TestImage:
 
 class TestObservability:
     def eval_span(self, db, pattern):
-        root = Span("test")
-        with attach(root):
-            db.indexed_search(pattern)
+        root, _ = traced(db.indexed_search, pattern)
         (ev,) = [c for c in root.children if c.name == "engine_eval"]
         return ev
 

@@ -1,18 +1,19 @@
 """Tests for the observability layer: request tracing, the Prometheus
 exposition of the metrics registry, and the slow-query / access logs.
 
-Unit tests cover the span primitives (context propagation across
-executor hops included), the :class:`~repro.service.trace.Tracer`
-lifecycle and its structured logs, and :class:`ServiceMetrics` under
-concurrent writers.  The integration tests run live servers over both
-front ends and assert the wire surface: ``X-Trace-Id``, inline
-``"trace": true`` echo, ``GET /traces`` filters, ``GET /metrics``
-format -- and the acceptance span tree of a replicated, sharded search
-with a forced failover.
+Unit tests cover the span primitives of :mod:`repro.tracing` (context
+propagation across executor hops included), the
+:class:`~repro.service.trace.Tracer` lifecycle and its structured logs,
+and :class:`ServiceMetrics` under concurrent writers.  The integration
+tests run live servers over both front ends and assert the wire
+surface: ``X-Trace-Id``, inline ``"trace": true`` echo, ``GET /traces``
+filters, ``GET /metrics`` format -- and the acceptance span tree of a
+replicated, sharded search with a forced failover.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import tracing
 from repro.bench.service_load import get_json, post_json
 from repro.ocr.corpus import make_ca
 from repro.service import (
@@ -29,8 +31,7 @@ from repro.service import (
     start_service,
     start_sharded_service,
 )
-from repro.service import trace
-from repro.service.trace import Span, Tracer
+from repro.service.trace import Tracer
 
 K, M = 4, 6
 
@@ -41,6 +42,14 @@ def find_spans(tree: dict, name: str) -> list[dict]:
     for child in tree.get("children", ()):
         found.extend(find_spans(child, name))
     return found
+
+
+def traced(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under a fresh request root, in a copied
+    context so nothing stays installed -> ``(root, result)``."""
+    context = contextvars.copy_context()
+    root = context.run(Tracer().begin_request, "test", "TEST", "/")
+    return root, context.run(fn, *args, **kwargs)
 
 
 def _batch_payload(corpus) -> dict:
@@ -56,19 +65,21 @@ def _batch_payload(corpus) -> dict:
 # ----------------------------------------------------------------------
 class TestSpanPrimitives:
     def test_span_is_noop_without_context(self):
-        assert trace.current_span() is None
-        with trace.span("anything") as node:
+        assert tracing.current_span() is None
+        with tracing.span("anything") as node:
             assert node is None
-        assert trace.current_span() is None
+        assert tracing.current_span() is None
 
     def test_span_tree_and_error_flag(self):
-        root = Span("root")
-        with trace.attach(root):
-            with trace.span("ok") as ok:
+        def body():
+            with tracing.span("ok") as ok:
                 ok.annotate(detail=1)
             with pytest.raises(ValueError):
-                with trace.span("boom"):
+                with tracing.span("boom"):
                     raise ValueError("x")
+
+        root, _ = traced(body)
+        assert tracing.current_span() is None
         names = [child.name for child in root.children]
         assert names == ["ok", "boom"]
         assert root.children[0].attrs == {"detail": 1}
@@ -76,37 +87,33 @@ class TestSpanPrimitives:
         assert root.children[1].error
         assert all(c.duration_s is not None for c in root.children)
 
-    def test_attach_propagates_across_executor_threads(self):
-        # The hop every fan-out point must handle explicitly: a worker
-        # thread has no (or a stale) context, attach() installs one.
-        root = Span("root")
+    def test_copied_context_propagates_across_executor_threads(self):
+        # The hop every fan-out point must handle: a pool thread runs
+        # whatever context it last had; a copied context carries the
+        # caller's span.
+        def leg(index: int):
+            with tracing.span("leg", index=index):
+                return tracing.current_root()
 
-        def leg(index: int) -> bool:
-            with trace.attach(root), trace.span("leg", index=index):
-                return trace.current_root() is root
-
-        with trace.attach(root):
+        def fan_out() -> list:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                assert all(pool.map(leg, range(8)))
+                futures = [
+                    pool.submit(contextvars.copy_context().run, leg, index)
+                    for index in range(8)
+                ]
+                return [future.result() for future in futures]
+
+        root, results = traced(fan_out)
+        assert results == [root] * 8
         assert len(root.children) == 8
         assert sorted(c.attrs["index"] for c in root.children) == list(range(8))
 
-    def test_bind_captures_current_span(self):
-        root = Span("root")
-        with trace.attach(root):
-            bound = trace.bind(lambda: trace.current_root())
-        # Bound callables carry the span even into a bare thread.
-        result: list = []
-        thread = threading.Thread(target=lambda: result.append(bound()))
-        thread.start()
-        thread.join()
-        assert result == [root]
-
     def test_to_dict_offsets_relative_to_root(self):
-        root = Span("root")
-        with trace.attach(root):
-            with trace.span("child"):
+        def body():
+            with tracing.span("child"):
                 pass
+
+        root, _ = traced(body)
         root.finish()
         tree = root.to_dict()
         assert tree["start_ms"] == 0.0
@@ -126,10 +133,10 @@ class TestTracer:
         tracer = Tracer(ring=2)
         for index in range(3):
             root = tracer.begin_request("search", "POST", f"/search?{index}")
-            assert trace.current_root() is root
+            assert tracing.current_root() is root
             tracer.finish_request(root, status=200)
             tracer.release(root)
-            assert trace.current_span() is None
+            assert tracing.current_span() is None
         records = tracer.records()
         assert len(records) == 2  # oldest dropped
         assert records[-1]["path"] == "/search?2"
@@ -157,7 +164,7 @@ class TestTracer:
         # that yields None -- no Span allocation anywhere.
         tracer = Tracer(enabled=False)
         assert tracer.begin_request("search", "POST", "/search") is None
-        with trace.span("anything") as node:
+        with tracing.span("anything") as node:
             assert node is None
 
     def test_slow_query_log_threshold(self, tmp_path):

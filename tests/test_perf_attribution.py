@@ -43,6 +43,20 @@ class TestCounterPrimitives:
         with pytest.raises(KeyError):
             counters.add(not_a_counter=1)
 
+    def test_unknown_counter_rejected_inside_collect(self):
+        # At the call, before any count moves -- not at the outermost
+        # fold, where it would replace the block's own exception.
+        counters.reset_global()
+        with pytest.raises(ZeroDivisionError):
+            with counters.collect() as counts:
+                with pytest.raises(KeyError):
+                    counters.add(nope=1)
+                with pytest.raises(KeyError):
+                    counters.add(dp_cells=4, nope=0)
+                assert counts == {}
+                raise ZeroDivisionError
+        assert counters.global_snapshot()["dp_cells"] == 0
+
     def test_add_outside_collect_goes_global(self):
         counters.reset_global()
         counters.add(dp_cells=3, lines_scanned=2)

@@ -31,12 +31,12 @@ from repro.query import memo as memo_module
 from repro.query.eval_kernel import HAVE_NUMPY, KernelBatch, KernelEvaluator
 from repro.query.memo import KernelMemo
 from repro.service import QueryService
-from repro.service.trace import Span, attach
 from repro.sfa.builder import random_chain_sfa
 from repro.sfa.kernel import compile_kernel, kernel_from_bytes
 from repro.sfa.model import Sfa, SfaError
 
 from .strategies import chain_sfas, chunk_sfas, dag_sfas, regex_patterns
+from .test_observability import traced
 
 K, M = 4, 6
 APPROACH = "staccato"
@@ -559,9 +559,7 @@ def test_image_arrays_refuse_writes(path):
 # ----------------------------------------------------------------------
 class TestObservability:
     def scan_span(self, db, pattern, **kwargs):
-        root = Span("test")
-        with attach(root):
-            db.search(pattern, **kwargs)
+        root, _ = traced(db.search, pattern, **kwargs)
         (scan,) = [c for c in root.children if c.name == "engine_scan"]
         return scan
 

@@ -87,6 +87,20 @@ class TestParseErrors:
         with pytest.raises(SqlError, match="projection column"):
             parse_select(sql)
 
+    def test_an_integer_sqlite_cannot_hold_is_rejected(self):
+        # Past 4 300 digits ``int`` itself refuses the text, past 64 bits
+        # SQLite refuses the parameter: both are the client's literal.
+        too_big = ("9" * 5000, "99999999999999999999", "-9223372036854775809")
+        for literal in too_big:
+            with pytest.raises(SqlError):
+                parse_select(f"SELECT DocId FROM Claims WHERE Loss = {literal}")
+        with pytest.raises(SqlError):
+            parse_select("SELECT DocId FROM Claims LIMIT " + "9" * 5000)
+        parsed = parse_select(
+            "SELECT DocId FROM Claims WHERE Loss = -9223372036854775808"
+        )
+        assert parsed.scalar_predicates == [("Loss", "=", -(2**63))]
+
     def test_where_clause_is_bounded(self):
         def conjuncts(n: int) -> str:
             terms = ["Year > 0", "DocData LIKE '%a%'"] * n

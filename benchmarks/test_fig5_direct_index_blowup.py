@@ -7,7 +7,7 @@ why Staccato indexes a user dictionary instead (Section 4).
 """
 
 from repro.core.approximate import staccato_approximate
-from repro.indexing.direct import direct_posting_count
+from tests.oracles.direct import direct_posting_count
 
 
 def _line_sfa(ca_bench):

@@ -8,8 +8,15 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import build_kmap, kmap_sfa, staccato_approximate
-from repro.query import compile_like, match_probability
+from repro.query import compile_like
+from repro.query.eval_kernel import KernelEvaluator
 from repro.sfa import builder, ops
+from repro.sfa.kernel import compile_kernel
+
+
+def kernel_probability(sfa, query) -> float:
+    """P[the text matches]: the compiled-kernel evaluation the engine runs."""
+    return KernelEvaluator(query).evaluate(compile_kernel(sfa)).probability
 
 
 def main() -> None:
@@ -29,14 +36,14 @@ def main() -> None:
 
     print("\nDoes the claim mention 'Ford'?")
     # MAP is Staccato at m = 1, k = 1: one chunk holding the best string.
-    print(f"  MAP     : {match_probability(kmap_sfa(map_doc.strings), query):.4f}"
+    print(f"  MAP     : {kernel_probability(kmap_sfa(map_doc.strings), query):.4f}"
           "   <- the claim is LOST")
-    full = match_probability(sfa, query)
+    full = kernel_probability(sfa, query)
     print(f"  FullSFA : {full:.4f}   <- found, with probability ~0.12")
 
     # Staccato: split into m chunks, keep k strings per chunk.
     approx = staccato_approximate(sfa, m=2, k=2)
-    stac = match_probability(approx, query)
+    stac = kernel_probability(approx, query)
     print(f"  Staccato: {stac:.4f}   <- m=2, k=2 already recovers it")
 
     print("\nRepresentation sizes (stored strings):")

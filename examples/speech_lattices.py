@@ -11,8 +11,10 @@ Run:  python examples/speech_lattices.py
 
 from repro.core import build_kmap, kmap_sfa, staccato_approximate
 from repro.ocr.speech import SimulatedSpeechEngine
-from repro.query import compile_like, match_probability
+from repro.query import compile_like
+from repro.query.eval_kernel import KernelEvaluator
 from repro.sfa import ops
+from repro.sfa.kernel import compile_kernel
 
 UTTERANCES = [
     "the claim mentions a ford truck",
@@ -20,6 +22,11 @@ UTTERANCES = [
     "their new claim is right there in the file",
     "the public law covers four of the claims",
 ]
+
+
+def kernel_probability(sfa, query) -> float:
+    """P[the text matches]: the compiled-kernel evaluation the engine runs."""
+    return KernelEvaluator(query).evaluate(compile_kernel(sfa)).probability
 
 
 def main() -> None:
@@ -35,15 +42,15 @@ def main() -> None:
         print(f"  lattice: {lattice.num_edges} word slots, "
               f"{ops.string_count(lattice)} candidate transcripts")
 
-        map_hit = match_probability(kmap_sfa([(best, prob)]), query)
-        lattice_hit = match_probability(lattice, query)
+        map_hit = kernel_probability(kmap_sfa([(best, prob)]), query)
+        lattice_hit = kernel_probability(lattice, query)
         if lattice_hit > 0:
             verdict = "FOUND in lattice" if map_hit == 0 else "found"
             print(f"  mentions 'ford'? 1-best: {map_hit:.3f}  "
                   f"lattice: {lattice_hit:.3f}  <- {verdict}")
 
         approx = staccato_approximate(lattice, m=3, k=3)
-        approx_hit = match_probability(approx, query)
+        approx_hit = kernel_probability(approx, query)
         print(f"  Staccato m=3 k=3 keeps {ops.string_count(approx)} "
               f"transcripts; P[ford] = {approx_hit:.3f}\n")
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the docs drift from reality.
 
-Three checks:
+Four checks:
 
 1. **Relative links** -- every markdown link and image target in
    README.md / docs/*.md must resolve to an existing file or directory
@@ -22,9 +22,16 @@ Three checks:
    option of that subcommand's parser.  CHANGES.md and ROADMAP.md are
    not checked: they record history, and a command or flag a past
    change deleted stays named there.
+4. **Modules** -- every backticked ``*.py`` path and every ``repro.…``
+   dotted name in README.md and docs/*.md must name an existing file
+   under ``src/``, ``tests/``, ``scripts/``, ``benchmarks/`` or
+   ``examples/`` (a path may be written from any directory down, as in
+   ``db/engine.py``; a dotted name may go on past its module into the
+   module's attributes).  docs/MECHANISMS.md is not checked: it is the
+   ledger of deleted mechanisms and names the code they were.
 
 Exits 1 listing every broken link / served-vs-documented mismatch /
-dead command.
+dead command / unknown module.
 
 Run:  python scripts/check_docs_links.py
 """
@@ -225,17 +232,80 @@ def check_commands() -> list[str]:
     return problems
 
 
+#: Where a named module may live.
+MODULE_ROOTS = ("src", "tests", "scripts", "benchmarks", "examples")
+
+#: Code spans, fenced or inline.
+CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+
+#: A ``*.py`` path (not a glob such as ``test_*.py``).
+PY_PATH = re.compile(r"(?<![\w*<>{}/.-])(\w[\w/.-]*\.py)\b")
+
+#: A dotted name in the package.
+DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+
+
+def _known_files() -> list[str]:
+    return [
+        path.relative_to(REPO_ROOT).as_posix()
+        for root in MODULE_ROOTS
+        for path in (REPO_ROOT / root).rglob("*.py")
+    ]
+
+
+def dotted_name_exists(name: str) -> bool:
+    """Whether ``repro.a.b...`` names a module under ``src/``, or an
+    attribute of one: after a package, the next part must be a
+    submodule or a name its ``__init__.py`` mentions; after a plain
+    module the rest are its attributes."""
+    path = REPO_ROOT / "src"
+    for part in name.split("."):
+        if (path / part).is_dir() and (path / part / "__init__.py").is_file():
+            path = path / part
+        elif (path / f"{part}.py").is_file():
+            return True
+        else:
+            init = path / "__init__.py"
+            return init.is_file() and re.search(
+                rf"\b{part}\b", init.read_text()
+            ) is not None
+    return True
+
+
+def check_modules() -> list[str]:
+    """Every module README.md and docs/*.md name must still exist."""
+    files = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    known = _known_files()
+    problems = []
+    for path in files:
+        if path.name == "MECHANISMS.md":
+            continue
+        text = path.read_text()
+        where = path.relative_to(REPO_ROOT)
+        named = {
+            found for span in CODE.findall(text) for found in PY_PATH.findall(span)
+        }
+        for name in sorted(named):
+            if not any(file == name or file.endswith("/" + name) for file in known):
+                problems.append(f"{where}: unknown module {name} (no such file)")
+        for name in sorted(set(DOTTED.findall(text))):
+            if not dotted_name_exists(name):
+                problems.append(f"{where}: unknown module {name} (not under src/)")
+    return problems
+
+
 def main() -> int:
     files = doc_files()
     broken = [problem for path in files for problem in check_file(path)]
     broken += check_endpoints()
     broken += check_served_documented()
     broken += check_commands()
+    broken += check_modules()
     for problem in broken:
         print(problem, file=sys.stderr)
     print(
         f"checked {len(files)} markdown files + docs/API.md endpoints "
-        f"(both directions) + named commands: "
+        f"(both directions) + named commands and modules: "
         f"{'OK' if not broken else f'{len(broken)} problems'}"
     )
     return 1 if broken else 0

@@ -3,12 +3,6 @@
 from .approximate import prune_edges_to_k, staccato_approximate
 from .chunks import Region, collapse, find_min_sfa, region_mass, region_top_k
 from .kmap import KMapDoc, build_kmap, kmap_sfa
-from .theory import (
-    exhaustive_best_selection,
-    greedy_selection_mass,
-    kl_of_selection,
-    selection_mass,
-)
 from .tuning import (
     METADATA_BYTES,
     TuningResult,
@@ -30,10 +24,6 @@ __all__ = [
     "KMapDoc",
     "build_kmap",
     "kmap_sfa",
-    "exhaustive_best_selection",
-    "greedy_selection_mass",
-    "kl_of_selection",
-    "selection_mass",
     "METADATA_BYTES",
     "TuningResult",
     "dataset_size_model",

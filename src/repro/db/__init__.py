@@ -4,7 +4,6 @@ from .engine import APPROACHES, ApproachNotStored, StaccatoDB
 from .planner import QueryPlan, choose_plan, execute_plan
 from .schema import TABLES, create_schema
 from .sql import ParsedSelect, SqlError, execute_select, parse_select
-from .views import drop_view, list_views, materialize_view, refresh_view
 from .storage import (
     all_data_keys,
     approach_storage_bytes,
@@ -37,8 +36,4 @@ __all__ = [
     "load_ground_truth",
     "load_kmap",
     "load_staccato",
-    "drop_view",
-    "list_views",
-    "materialize_view",
-    "refresh_view",
 ]

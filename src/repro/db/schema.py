@@ -20,7 +20,7 @@ __all__ = ["create_schema", "FILE_FORMAT", "TABLES", "LINE_TABLES"]
 
 #: The file format, as ``PRAGMA user_version`` (0: older builds): a file
 #: below it is upgraded as it is opened (``repro.db.upgrade``).
-FILE_FORMAT = 2
+FILE_FORMAT = 3
 
 #: The per-line (DataKey-keyed) tables and their columns, DataKey first,
 #: in write order: what ``storage``'s insert statements and rebalance's

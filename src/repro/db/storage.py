@@ -27,6 +27,7 @@ cache keyed by the recorded dictionary digest.
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -248,7 +249,10 @@ def write_batch(conn: sqlite3.Connection, built: BuiltBatch) -> int:
     Batch ingestion appends: the batch's line ids start at 0, so they are
     shifted past the highest DataKey this connection already stores.  A
     fresh database gets offset 0, preserving the line_id == DataKey
-    identity.
+    identity.  A document the file already holds gets its new lines
+    numbered after its last stored ``SFANum``, so ``(DocId, SFANum)``
+    names one line; their OCR channel stays seeded by the batch's own
+    line numbers (the build has run before the write).
 
     The batch's postings are stored, and the file's coverage mark moved
     past the new lines, only if they were computed under the dictionary
@@ -272,11 +276,34 @@ def write_batch(conn: sqlite3.Connection, built: BuiltBatch) -> int:
         for table, rows in built.rows.items():
             if table == "InvertedIndex" and not indexed:
                 continue
+            if table == "MasterData" and offset:
+                rows = _after_held_lines(conn, rows)
             if offset:
                 rows = [(row[0] + offset, *row[1:]) for row in rows]
             if rows:
                 conn.executemany(_INSERTS[table], rows)
     return count
+
+
+def _after_held_lines(
+    conn: sqlite3.Connection, rows: list[tuple]
+) -> list[tuple]:
+    """``MasterData`` rows with each held document's line numbers
+    shifted past the last one the file stores for it."""
+    doc_ids = sorted({row[2] for row in rows})
+    held = dict(
+        conn.execute(
+            "SELECT DocId, MAX(SFANum) + 1 FROM MasterData "
+            "WHERE DocId IN (SELECT value FROM json_each(?)) GROUP BY DocId",
+            (json.dumps(doc_ids),),
+        )
+    )
+    if not held:
+        return rows
+    return [
+        (key, name, doc_id, line_no + held.get(doc_id, 0))
+        for key, name, doc_id, line_no in rows
+    ]
 
 
 def index_meta(

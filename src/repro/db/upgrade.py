@@ -6,9 +6,11 @@ FullSFA's ``SFA1`` blob), ``StaccatoData`` (a row per chunk string),
 ``kmap`` kernel) -- and may lack kernel rows or hold unreadable ones.
 Builds up to format 1 may also have left an index without its
 dictionary, approach or coverage mark recorded in ``IndexMeta``, and
-``CompiledKernel`` rows of lines an older rebalance moved away.  No
-other module names those tables or states: every reader assumes a
-file of :data:`FILE_FORMAT`."""
+``CompiledKernel`` rows of lines an older rebalance moved away.
+Builds up to format 2 numbered a re-ingested document's new lines from
+0 again, so one ``(DocId, SFANum)`` could name two lines.  No other
+module names those tables or states: every reader assumes a file of
+:data:`FILE_FORMAT`."""
 
 from __future__ import annotations
 
@@ -49,8 +51,9 @@ def upgrade(conn: sqlite3.Connection) -> None:
     """Bring the file to :data:`FILE_FORMAT` in one ``BEGIN IMMEDIATE``
     transaction (every step or none; the format is read again inside
     it, so of several openers only the first works), running each step
-    from the file's format on: :func:`_upgrade_lines` (0 to 1), then
-    :func:`_upgrade_index` (1 to 2)."""
+    from the file's format on: :func:`_upgrade_lines` (0 to 1),
+    :func:`_upgrade_index` (1 to 2), then :func:`_upgrade_line_numbers`
+    (2 to 3)."""
     if _file_format(conn) == FILE_FORMAT:
         return
     conn.execute("BEGIN IMMEDIATE")
@@ -60,6 +63,8 @@ def upgrade(conn: sqlite3.Connection) -> None:
             _upgrade_lines(conn)
         if found < 2:
             _upgrade_index(conn)
+        if found < 3:
+            _upgrade_line_numbers(conn)
         if found < FILE_FORMAT:
             conn.execute(f"PRAGMA user_version = {FILE_FORMAT}")
         conn.commit()
@@ -146,4 +151,18 @@ def _upgrade_index(conn: sqlite3.Connection) -> None:
     conn.executemany(
         "INSERT OR REPLACE INTO IndexMeta (Key, Value) VALUES (?, ?)",
         meta.items(),
+    )
+
+
+def _upgrade_line_numbers(conn: sqlite3.Connection) -> None:
+    """Number the lines of every document that holds a repeated
+    ``(DocId, SFANum)`` 0..n-1 in DataKey order: the numbers this
+    build's writes give a document ingested more than once."""
+    conn.execute(
+        "UPDATE MasterData SET SFANum = ("
+        "SELECT COUNT(*) FROM MasterData AS earlier "
+        "WHERE earlier.DocId = MasterData.DocId "
+        "AND earlier.DataKey < MasterData.DataKey) "
+        "WHERE DocId IN (SELECT DocId FROM MasterData "
+        "GROUP BY DocId, SFANum HAVING COUNT(*) > 1)"
     )

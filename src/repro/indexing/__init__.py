@@ -1,7 +1,6 @@
 """Inverted indexing over probabilistic OCR data (paper Section 4)."""
 
 from .anchors import anchor_for_query, left_anchor_word
-from .direct import direct_posting_count, direct_posting_count_enumerated
 from .inverted import build_sfa_postings
 from .postings import Posting, PostingIndex
 from .projection import projected_match_probability, projection_nodes
@@ -9,8 +8,6 @@ from .projection import projected_match_probability, projection_nodes
 __all__ = [
     "anchor_for_query",
     "left_anchor_word",
-    "direct_posting_count",
-    "direct_posting_count_enumerated",
     "build_sfa_postings",
     "Posting",
     "PostingIndex",

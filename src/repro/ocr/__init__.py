@@ -2,7 +2,6 @@
 
 from .corpus import Dataset, Document, make_ca, make_db, make_lt, make_scale
 from .engine import SimulatedOcrEngine, stable_seed
-from .ground_truth import true_match_count, true_matches
 from .noise import CONFUSABLE, MERGES, SPLITS, NoiseModel
 from .speech import HOMOPHONES, SimulatedSpeechEngine
 
@@ -15,8 +14,6 @@ __all__ = [
     "make_scale",
     "SimulatedOcrEngine",
     "stable_seed",
-    "true_match_count",
-    "true_matches",
     "CONFUSABLE",
     "MERGES",
     "SPLITS",

@@ -3,7 +3,6 @@
 from .answers import Answer, rank_answers
 from .eval_sfa import match_probability, match_probability_exact
 from .like import REGEX_PREFIX, compile_like, escape_literal, like_to_pattern
-from .spans import MatchSite, expected_match_count, expected_matches_at
 
 __all__ = [
     "Answer",
@@ -14,7 +13,4 @@ __all__ = [
     "compile_like",
     "escape_literal",
     "like_to_pattern",
-    "MatchSite",
-    "expected_match_count",
-    "expected_matches_at",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["Answer", "rank_answers", "top_lines"]
+__all__ = ["Answer", "rank_answers"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,22 +51,3 @@ def rank_answers(
         return kept
     return kept[:num_ans]
 
-
-def top_lines(ranked: Iterable[Answer], num_ans: int | None) -> list[Answer]:
-    """The first ``num_ans`` distinct lines of a ranking.
-
-    A line ingested twice (its document re-ingested) holds two rows of
-    one (DocId, LineNo); only the first, in ranking order, is kept --
-    the row :func:`~repro.service.shards.merge_ranked` keeps -- so a
-    cut counts lines, and a top-n stays the first n rows of a top-N.
-    """
-    seen: set[tuple[int, int]] = set()
-    kept: list[Answer] = []
-    for answer in ranked:
-        if len(kept) == num_ans:
-            break
-        line = (answer.doc_id, answer.line_no)
-        if line not in seen:
-            seen.add(line)
-            kept.append(answer)
-    return kept

@@ -15,7 +15,7 @@ from ..automata.dfa import QueryTooComplex
 from ..automata.regex import RegexError
 from ..db.engine import StaccatoDB
 from ..db.planner import execute_plan
-from ..query.answers import Answer, top_lines
+from ..query.answers import Answer
 from ..query.like import compile_like
 from .validation import ApiError, SearchRequest
 
@@ -65,10 +65,7 @@ def run_search_plan(
     """Execute one search request's plan against one database.
 
     What every shard leg runs; returns the plan label actually used
-    plus the ranked answers, cut at ``num_ans`` distinct lines
-    (:func:`~repro.query.answers.top_lines`): the router's merge drops
-    a re-ingested line's second row, so a cut that counted it would
-    make a top-n shorter than the first n rows of a top-N.
+    plus the ranked answers, cut at ``num_ans``.
     """
     with tracing.span("plan", requested=request.plan) as plan_span:
         if request.plan == "auto":
@@ -76,14 +73,14 @@ def run_search_plan(
                 db,
                 request.pattern,
                 approach=request.approach,
-                num_ans=None,
+                num_ans=request.num_ans,
             )
             label = f"auto:{plan.kind}"
         elif request.plan == "indexed":
             answers = db.indexed_search(
                 request.pattern,
                 approach=request.approach,
-                num_ans=None,
+                num_ans=request.num_ans,
             )
             label = (
                 "indexed"
@@ -94,10 +91,9 @@ def run_search_plan(
             answers = db.search(
                 request.pattern,
                 approach=request.approach,
-                num_ans=None,
+                num_ans=request.num_ans,
             )
             label = "filescan"
-        answers = top_lines(answers, request.num_ans)
         if plan_span is not None:
             plan_span.annotate(plan=label, answers=len(answers))
     return label, answers

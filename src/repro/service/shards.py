@@ -245,19 +245,17 @@ def merge_ranked(
     gives one database, with the shard index as the final key so the
     merged order is fully deterministic no matter which fan-out leg
     finished first -- and cuts at ``num_ans``.  Each leg cuts its own
-    ranking by the same key at ``num_ans`` lines
-    (:func:`~repro.query.answers.top_lines`), so the merged top-n is
-    the first n rows of the merged top-N.  Each kept answer is tagged
-    with its source shard (line ids are shard-local).
+    ranking by the same key at ``num_ans``, so the merged top-n is the
+    first n rows of the merged top-N.  Each kept answer is tagged with
+    its source shard (line ids are shard-local).
 
     Duplicate (DocId, LineNo) rows are dropped, keeping the first in
-    sort order.  A leg already keeps one row per line (a document
-    ingested twice holds two), and a document lives wholly on one
-    shard, so a duplicate here only appears while a moved line exists
-    on both the source and the target of a rebalance -- with the
-    *same* probability (the OCR channel is placement-independent), so
-    de-duplication keeps the merged relation exact through every phase
-    of a move.
+    sort order.  A file holds one row per (DocId, LineNo) and a
+    document lives wholly on one shard, so a duplicate here only
+    appears while a moved line exists on both the source and the
+    target of a rebalance -- with the *same* probability (the OCR
+    channel is placement-independent), so de-duplication keeps the
+    merged relation exact through every phase of a move.
     """
     rows = [
         (shard, answer) for shard, answers in per_shard for answer in answers

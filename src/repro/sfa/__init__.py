@@ -2,8 +2,8 @@
 
 This subpackage is the substrate the whole reproduction stands on: the
 generalized SFA of paper Sections 2.2 and 3.1, graph/probability
-operations, MAP / k-best string extraction, the FST model of Appendix A,
-and the BLOB codec used for RDBMS storage.
+operations, MAP / k-best string extraction, the compiled kernels the engine
+evaluates and the BLOB codec used for RDBMS storage.
 """
 
 from .model import Emission, Sfa, SfaError
@@ -23,19 +23,14 @@ from .ops import (
     total_mass,
     validate,
 )
-from .att_format import from_att, to_att
 from .paths import k_best_between, k_best_strings, map_string
-from .semiring import COUNT, REAL, TROPICAL, VITERBI, Semiring, shortest_distance
 from .serialize import blob_size, from_bytes, from_json, to_bytes, to_json
-from .transducer import Arc, Transducer
 from . import builder
 
 __all__ = [
     "Emission",
     "Sfa",
     "SfaError",
-    "Arc",
-    "Transducer",
     "ancestors",
     "backward_mass",
     "descendants",
@@ -58,13 +53,5 @@ __all__ = [
     "from_json",
     "to_bytes",
     "to_json",
-    "from_att",
-    "to_att",
-    "COUNT",
-    "REAL",
-    "TROPICAL",
-    "VITERBI",
-    "Semiring",
-    "shortest_distance",
     "builder",
 ]

@@ -13,7 +13,9 @@ Files of formats 0 and 1 may also hold two states no file of format 2
 does, made here by the statements :data:`UNRECORDED_INDEX`,
 :data:`NO_APPROACH`, :func:`orphan_rows` and :func:`stranded_kernels`:
 an index whose dictionary, coverage mark or approach ``IndexMeta`` does
-not record, and ``CompiledKernel`` rows of lines that are gone.
+not record, and ``CompiledKernel`` rows of lines that are gone.  Files
+up to format 2 may hold a document whose line numbers repeat
+(:func:`repeated_lines`).
 """
 
 import math
@@ -54,6 +56,16 @@ def stranded_kernels(first_key: int) -> list[str]:
         for table in LINE_TABLES
         if table != "CompiledKernel"
     ]
+
+
+def repeated_lines(doc_id: int, batch: int) -> str:
+    """Document ``doc_id`` as builds up to format 2 stored it when it
+    was ingested in batches of ``batch`` lines: each batch numbered its
+    lines from 0 again."""
+    return (
+        f"UPDATE MasterData SET SFANum = SFANum % {batch} "
+        f"WHERE DocId = {doc_id}"
+    )
 
 
 def age(conn: sqlite3.Connection, *damage: str, file_format: int = 1) -> None:

@@ -11,8 +11,8 @@ automata.
 
 from __future__ import annotations
 
-from ..sfa.model import Sfa
-from ..sfa.ops import enumerate_strings, string_count, topological_order
+from repro.sfa.model import Sfa
+from repro.sfa.ops import enumerate_strings, string_count, topological_order
 
 __all__ = ["direct_posting_count", "direct_posting_count_enumerated"]
 

@@ -9,9 +9,9 @@ storage approach are then measured against these sets.
 
 from __future__ import annotations
 
-from ..automata.dfa import dfa_for_pattern
-from ..query.like import REGEX_PREFIX, compile_like
-from .corpus import Dataset
+from repro.automata.dfa import dfa_for_pattern
+from repro.query.like import REGEX_PREFIX, compile_like
+from repro.ocr.corpus import Dataset
 
 __all__ = ["true_matches", "true_match_count"]
 

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import Sfa
-from .ops import topological_order
+from repro.sfa.model import Sfa
+from repro.sfa.ops import topological_order
 
 __all__ = ["Semiring", "REAL", "VITERBI", "TROPICAL", "COUNT", "shortest_distance"]
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from ..sfa.model import Sfa
-from ..sfa.ops import total_mass
+from repro.sfa.model import Sfa
+from repro.sfa.ops import total_mass
 
 __all__ = [
     "selection_mass",

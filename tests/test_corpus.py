@@ -1,7 +1,8 @@
 """Tests for the synthetic corpora and ground truth (repro.ocr)."""
 
 from repro.ocr.corpus import make_ca, make_db, make_lt, make_scale
-from repro.ocr.ground_truth import true_match_count, true_matches
+
+from .oracles.ground_truth import true_match_count, true_matches
 
 
 class TestGeneration:

@@ -96,29 +96,3 @@ class TestDbRoundTripProbabilities:
             assert match_probability(back, query) == pytest.approx(
                 match_probability(sfa, query)
             )
-
-    def test_view_joins_with_documents(self):
-        """Materialized views join against business tables in plain SQL --
-        the reason the paper exposes model-based views at all."""
-        from repro.db.engine import StaccatoDB
-        from repro.db.views import materialize_view
-        from repro.ocr.corpus import make_ca
-        from repro.ocr.engine import SimulatedOcrEngine
-        from repro.ocr.noise import NoiseModel
-
-        db = StaccatoDB(k=5, m=6)
-        db.ingest(
-            make_ca(num_docs=2, lines_per_doc=4),
-            SimulatedOcrEngine(NoiseModel(tail_mass=0.0), seed=3),
-            approaches=("kmap", "fullsfa", "staccato"),
-        )
-        materialize_view(db, "hits", "%the%", "fullsfa")
-        rows = db.conn.execute(
-            "SELECT d.DocName, SUM(h.Probability) "
-            "FROM hits h JOIN Documents d ON d.DocId = h.DocId "
-            "GROUP BY d.DocName ORDER BY d.DocName"
-        ).fetchall()
-        assert rows
-        for _, prob_sum in rows:
-            assert prob_sum > 0
-        db.close()

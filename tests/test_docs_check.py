@@ -1,9 +1,9 @@
 """The docs drift check (``scripts/check_docs_links.py``) as a test.
 
 The docs must pass it, its command check must catch a ``--flag``
-that the named ``python -m repro`` subcommand does not have, and it
-must fail when it finds no route table to check the API reference
-against.
+that the named ``python -m repro`` subcommand does not have, its module
+check must catch a deleted module, and it must fail when it finds no
+route table to check the API reference against.
 """
 
 from __future__ import annotations
@@ -50,6 +50,30 @@ def test_a_dead_serve_flag_is_caught(tmp_path, monkeypatch):
         "(not an option of that subcommand)",
         "README.md: dead command python -m repro frobnicate "
         "(no such subcommand)",
+    ]
+
+
+def test_a_deleted_module_is_caught(tmp_path, monkeypatch):
+    check = _load_check()
+    (tmp_path / "docs").mkdir()
+    for root in check.MODULE_ROOTS:
+        (tmp_path / root).symlink_to(REPO_ROOT / root)
+    (tmp_path / "README.md").write_text(
+        "Views live in `db/views.py`; the engine in `db/engine.py`, "
+        "tests in `tests/test_*.py`.\n"
+    )
+    (tmp_path / "docs" / "GUIDE.md").write_text(
+        "Call repro.db.views.materialize_view, or "
+        "`repro.db.engine.StaccatoDB` through `repro.db.StaccatoDB`.\n"
+    )
+    (tmp_path / "docs" / "MECHANISMS.md").write_text(
+        "`db/views.py` was deleted.\n"
+    )
+    monkeypatch.setattr(check, "REPO_ROOT", tmp_path)
+    assert check.check_modules() == [
+        "README.md: unknown module db/views.py (no such file)",
+        "docs/GUIDE.md: unknown module repro.db.views.materialize_view "
+        "(not under src/)",
     ]
 
 

@@ -8,10 +8,6 @@ from repro.automata.trie import DictionaryTrie
 from repro.core.approximate import staccato_approximate
 from repro.core.kmap import kmap_sfa
 from repro.indexing.anchors import anchor_for_query, left_anchor_word
-from repro.indexing.direct import (
-    direct_posting_count,
-    direct_posting_count_enumerated,
-)
 from repro.indexing.inverted import (
     _postings_dp,
     build_kernel_postings,
@@ -34,6 +30,10 @@ from repro.sfa.kernel import (
 from repro.sfa.model import Sfa
 
 from .oracles import indexing as oracle
+from .oracles.direct import (
+    direct_posting_count,
+    direct_posting_count_enumerated,
+)
 from .strategies import (
     INDEX_ALPHABET,
     chain_sfas,

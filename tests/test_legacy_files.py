@@ -5,7 +5,8 @@ holds the tables this build dropped) and kept the k-MAP strings as
 ``kMAPData`` rows instead of a ``kmap`` kernel; files of that age may
 also lack kernel rows.  Files of formats 0 and 1 may hold an index
 whose dictionary, coverage mark or approach is not recorded, and kernel
-rows of lines an older rebalance moved away.  Opening such a file
+rows of lines an older rebalance moved away; files up to format 2 may
+number a re-ingested document's lines from 0 again.  Opening such a file
 upgrades it (``repro.db.upgrade``); each test holds the upgraded file to what the
 build before the upgrade read from it transparently -- a current-format
 file of the same corpus: answers, probabilities and ``counters.*`` on
@@ -48,6 +49,7 @@ from .legacy import (
     UNRECORDED_INDEX,
     legacy_copy,
     orphan_rows,
+    repeated_lines,
 )
 
 K, M = 8, 10
@@ -424,7 +426,7 @@ def test_an_upgrade_killed_midway_leaves_the_file_as_it_was(
     assert any(row[0] >= ORPHANS for row in rows[-3])
     compiled = []
     compile_kernel = upgrade_module.compile_kernel
-    upgrade_index = upgrade_module._upgrade_index
+    upgrade_line_numbers = upgrade_module._upgrade_line_numbers
 
     def dies_on_the_tenth(sfa):
         compiled.append(sfa)
@@ -433,13 +435,13 @@ def test_an_upgrade_killed_midway_leaves_the_file_as_it_was(
         return compile_kernel(sfa)
 
     def dies_after_the_last_step(conn):
-        upgrade_index(conn)
+        upgrade_line_numbers(conn)
         raise RuntimeError("killed midway")
 
-    # Killed in the first step, then once both steps have written.
+    # Killed in the first step, then once every step has written.
     for name, killer in (
         ("compile_kernel", dies_on_the_tenth),
-        ("_upgrade_index", dies_after_the_last_step),
+        ("_upgrade_line_numbers", dies_after_the_last_step),
     ):
         monkeypatch.setattr(upgrade_module, name, killer)
         with pytest.raises(RuntimeError, match="killed midway"):
@@ -461,7 +463,7 @@ def test_an_upgrade_killed_midway_leaves_the_file_as_it_was(
 
 
 #: The upgrade's steps, in order: what :func:`counting_steps` counts.
-STEPS = ("_upgrade_lines", "_upgrade_index")
+STEPS = ("_upgrade_lines", "_upgrade_index", "_upgrade_line_numbers")
 
 
 def counting_steps(setattr, upgrades) -> None:
@@ -516,7 +518,7 @@ def test_two_processes_opening_an_older_file_upgrade_it_once(paths, tmp_path):
         assert worker.exitcode == 0
     assert answered == [expected, expected]
     # Each step ran once: the dictionary was recorded by one process.
-    assert list(upgrades) == [1, 1]
+    assert list(upgrades) == [1, 1, 1]
     conn = sqlite3.connect(current)
     try:
         recorded = index_record(conn)
@@ -533,8 +535,8 @@ def test_two_processes_opening_an_older_file_upgrade_it_once(paths, tmp_path):
 def test_a_format_1_file_gets_the_index_step_only(paths, tmp_path, monkeypatch):
     """A file a build of format 1 wrote or upgraded: no legacy table,
     but an index whose dictionary and mark it does not record, and
-    kernel rows of lines that are gone.  Opening it runs the second
-    step alone: the orphans go, every other kernel row is kept byte for
+    kernel rows of lines that are gone.  Opening it runs the steps from
+    the second on: the orphans go, every other kernel row is kept byte for
     byte, and the file answers as the current one does."""
     current, _ = paths
     with StaccatoDB(current, k=K, m=M) as db:
@@ -556,10 +558,46 @@ def test_a_format_1_file_gets_the_index_step_only(paths, tmp_path, monkeypatch):
     upgrades = multiprocessing.Array("i", len(STEPS))
     counting_steps(monkeypatch.setattr, upgrades)
     with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(path, k=K, m=M) as old:
-        assert list(upgrades) == [0, 1]
+        assert list(upgrades) == [0, 1, 1]
         assert_upgraded(old.conn)
         assert old.conn.execute(kernels).fetchall() == kept
         assert index_record(old.conn) == index_record(new.conn)
+        assert relation(old) == relation(new)
+
+
+def test_a_repeated_line_number_is_renumbered_as_the_file_opens(
+    paths, tmp_path, monkeypatch
+):
+    """A file a build of format 2 wrote, holding a document ingested in
+    two batches of 3 lines, each numbered from 0.  Opening it runs the
+    third step alone: the document's lines are numbered 0..5 in DataKey
+    order, as this build writes them, and the file answers as the
+    current one does."""
+    current, _ = paths
+    lines = "SELECT * FROM MasterData ORDER BY DataKey"
+    with StaccatoDB(current, k=K, m=M) as db:
+        (doc_id,) = db.conn.execute("SELECT MIN(DocId) FROM MasterData").fetchone()
+        path = legacy_copy(
+            db,
+            str(tmp_path / "format2.db"),
+            repeated_lines(doc_id, 3),
+            file_format=2,
+        )
+    conn = sqlite3.connect(path)
+    try:
+        numbers = conn.execute(
+            "SELECT SFANum FROM MasterData WHERE DocId = ? ORDER BY DataKey",
+            (doc_id,),
+        ).fetchall()
+    finally:
+        conn.close()
+    assert [n for (n,) in numbers] == [0, 1, 2, 0, 1, 2]
+    upgrades = multiprocessing.Array("i", len(STEPS))
+    counting_steps(monkeypatch.setattr, upgrades)
+    with StaccatoDB(current, k=K, m=M) as new, StaccatoDB(path, k=K, m=M) as old:
+        assert list(upgrades) == [0, 0, 1]
+        assert_upgraded(old.conn)
+        assert old.conn.execute(lines).fetchall() == new.conn.execute(lines).fetchall()
         assert relation(old) == relation(new)
 
 

@@ -6,12 +6,13 @@ of the cut at N -- on one database and on every shard layout, exact
 probability ties included.  The router's result cache relies on it: an
 entry computed at N answers every smaller ``num_ans`` by slicing.
 
-* The property: each leg's cut (``rank_answers`` then ``top_lines``,
-  as :func:`~repro.service.app.run_search_plan` cuts) merged by
+* The property: each leg's cut (``rank_answers``, as
+  :func:`~repro.service.app.run_search_plan` cuts) merged by
   ``merge_ranked`` is a prefix across cuts, and equals one database's
-  ranking, over random relations with forced ties, re-ingested lines
-  (two rows of one DocId and LineNo), documents mid-move (on two
-  shards), 1-3 shards and line ids in an order unrelated to DocIds.
+  ranking, over random relations with forced ties, re-ingested
+  documents (their second batch numbered after their last line),
+  documents mid-move (on two shards), 1-3 shards and line ids in an
+  order unrelated to DocIds.
 * The wire: on ``--db``, ``--shards 2`` and ``--worker-procs``, replies
   served from a covering entry are ``cached``, count their rows, and
   are byte-equal to what a service without a cache computes -- also
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.bench.service_load import post_json
 from repro.ocr.corpus import make_ca
-from repro.query.answers import Answer, rank_answers, top_lines
+from repro.query.answers import Answer, rank_answers
 from repro.service import start_service, start_sharded_service
 from repro.service.shards import merge_ranked
 
@@ -44,22 +45,19 @@ def sharded_relations(draw):
     """``(per_shard, whole)``: one relation spread over 1-3 shards (a
     document lives on one, and a document mid-move on two with the same
     probabilities), and the same rows in one database.  A re-ingested
-    document holds each of its lines twice.  Every copy numbers its
-    lines in a random order of its own."""
+    document holds a second batch of lines, numbered after its first.
+    Every copy numbers its lines in a random order of its own."""
     num_shards = draw(st.integers(1, 3))
     docs = draw(
         st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True)
     )
+    lines = {doc_id: draw(st.integers(1, 4)) for doc_id in docs}
+    for doc_id in draw(st.sets(st.sampled_from(docs))):  # re-ingested
+        lines[doc_id] += draw(st.integers(1, 4))
     rows = [
         (doc_id, line_no, draw(_PROBABILITIES))
         for doc_id in docs
-        for line_no in range(draw(st.integers(1, 4)))
-    ]
-    reingested = draw(st.sets(st.sampled_from(docs)))
-    rows += [
-        (doc_id, line_no, draw(_PROBABILITIES))
-        for doc_id, line_no, _ in list(rows)
-        if doc_id in reingested
+        for line_no in range(lines[doc_id])
     ]
     owner = {doc_id: draw(st.integers(0, num_shards - 1)) for doc_id in docs}
     moving = {
@@ -89,7 +87,7 @@ def sharded_relations(draw):
 
 def _leg(rows, num_ans):
     """What one leg returns at ``num_ans``."""
-    return top_lines(rank_answers(rows, None), num_ans)
+    return rank_answers(rows, num_ans)
 
 
 def _top(per_shard, num_ans):
@@ -127,15 +125,6 @@ class TestPrefixProperty:
         tied = [Answer(0, 9, 0, 0.5), Answer(1, 1, 0, 0.5)]
         assert [a.doc_id for a in rank_answers(tied, 1)] == [1]
         assert _lines(a for _, a in _top([(0, tied)], 1)) == [(1, 0, 0.5)]
-
-    def test_a_line_ingested_twice_counts_once_at_the_cut(self):
-        # Line (7, 0) holds two rows; a cut that counted both would
-        # leave (3, 0) out of the top 2 the merge then shortens to 1.
-        rows = [Answer(0, 7, 0, 0.9), Answer(1, 7, 0, 0.8),
-                Answer(2, 3, 0, 0.5)]
-        assert _lines(a for _, a in _top([(0, rows)], 2)) == [
-            (7, 0, 0.9), (3, 0, 0.5)
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +228,10 @@ class TestCoveredReplies:
         self, tmp_path, topology
     ):
         """Every document ingested twice, alike, holds each line twice
-        on its shard, the two rows tied.  Narrower and wider requests after it match a cache-less
-        service, and the narrow ones still count ``num_ans`` lines."""
+        on its shard, the second copy numbered after the first and tied
+        with it.  Narrower and wider requests after it match a
+        cache-less service, and the narrow ones count ``num_ans``
+        lines."""
         running = _start(topology, tmp_path, cache_size=64)
         seen: list[tuple[str, dict, str, bytes]] = []
         try:

@@ -1,4 +1,4 @@
-"""Tests for the semiring-generic shortest distance (repro.sfa.semiring).
+"""Tests for the semiring-generic shortest distance (tests/oracles/semiring.py).
 
 Each semiring instance must agree with the specialized implementation it
 generalizes -- four independent oracles for one recursion.
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 
 from repro.sfa.ops import forward_mass, string_count, total_mass
 from repro.sfa.paths import map_string
-from repro.sfa.semiring import COUNT, REAL, TROPICAL, VITERBI, shortest_distance
 
+from .oracles.semiring import COUNT, REAL, TROPICAL, VITERBI, shortest_distance
 from .strategies import dag_sfas
 
 

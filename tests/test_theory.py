@@ -1,4 +1,4 @@
-"""Tests for the formal-analysis utilities (repro.core.theory).
+"""Tests for the formal-analysis utilities (tests/oracles/theory.py).
 
 These make Proposition 3.1 and the Appendix C KL results executable.
 """
@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.theory import (
+from repro.sfa.builder import random_chain_sfa, random_dag_sfa
+from repro.sfa.ops import total_mass
+
+from .oracles.theory import (
     exhaustive_best_selection,
     greedy_selection_mass,
     kl_of_selection,
     selection_mass,
 )
-from repro.sfa.builder import random_chain_sfa, random_dag_sfa
-from repro.sfa.ops import total_mass
 
 
 class TestSelectionMass:
